@@ -83,10 +83,11 @@
 use acamar_core::{Acamar, AcamarConfig};
 use acamar_datasets::{laplacian_suite, suite, Dataset};
 use acamar_engine::{Engine, PatternFingerprint, SequenceConfig, SequenceJob, SolveJob};
-use acamar_fabric::FabricSpec;
+use acamar_fabric::{FabricKernels, FabricSpec, ScheduleEntry, UnrollSchedule};
 use acamar_service::{shard_ranking, RoutingPolicy, Service, ServiceConfig, ServiceRequest};
 use acamar_solvers::{
     conjugate_gradient, ic0_preconditioned_cg, ConvergenceCriteria, Kernels, SoftwareKernels,
+    WorkspaceHandle,
 };
 use acamar_sparse::rng::DetRng;
 use acamar_sparse::{
@@ -576,14 +577,18 @@ struct AllocCheck {
 fn loop_allocation_deltas() -> Vec<AllocCheck> {
     use acamar_sparse::generate::{self, RowDistribution};
 
-    fn measure<F>(solver: &'static str, a: CsrMatrix<f64>, solve: F) -> AllocCheck
+    fn measure<K, F>(
+        solver: &'static str,
+        a: CsrMatrix<f64>,
+        kernels: impl Fn(&CsrMatrix<f64>, WorkspaceHandle) -> K,
+        solve: F,
+    ) -> AllocCheck
     where
-        F: Fn(&CsrMatrix<f64>, &[f64], &ConvergenceCriteria, &mut SoftwareKernels) -> usize,
+        F: Fn(&CsrMatrix<f64>, &[f64], &ConvergenceCriteria, &mut K) -> usize,
     {
         let b = vec![1.0_f64; a.nrows()];
         let count_run = |max_iter: usize| -> (u64, usize) {
-            let ws = acamar_solvers::WorkspaceHandle::new();
-            let mut k = SoftwareKernels::new().with_workspace(ws);
+            let mut k = kernels(&a, WorkspaceHandle::new());
             let crit = ConvergenceCriteria {
                 tolerance: 0.0,
                 ..ConvergenceCriteria::paper()
@@ -608,35 +613,59 @@ fn loop_allocation_deltas() -> Vec<AllocCheck> {
         }
     }
 
+    let software = |_: &CsrMatrix<f64>, ws| SoftwareKernels::new().with_workspace(ws);
+    // The production executor on a schedule that swaps the SpMV region
+    // twice per pass: cycle-table replay and the reconfiguration totals
+    // must stay off the heap too.
+    let fabric = |a: &CsrMatrix<f64>, ws| {
+        let half = a.nrows() / 2;
+        let entry = |rows, unroll| ScheduleEntry { rows, unroll };
+        let schedule = UnrollSchedule::from_entries(
+            a.nrows(),
+            vec![entry(0..half, 2), entry(half..a.nrows(), 8)],
+        );
+        FabricKernels::new(FabricSpec::alveo_u55c(), schedule, 4).with_workspace(ws)
+    };
+    let dominant = || {
+        generate::diagonally_dominant(1200, RowDistribution::Uniform { min: 2, max: 6 }, 1.05, 7)
+    };
+
     vec![
-        measure("cg", generate::poisson2d(40, 40), |a, b, c, k| {
+        measure("cg", generate::poisson2d(40, 40), software, |a, b, c, k| {
             acamar_solvers::conjugate_gradient(a, b, None, c, k)
                 .expect("cg shape")
                 .iterations
         }),
         measure(
+            "cg-fabric",
+            generate::poisson2d(40, 40),
+            fabric,
+            |a, b, c, k| {
+                acamar_solvers::conjugate_gradient(a, b, None, c, k)
+                    .expect("cg shape")
+                    .iterations
+            },
+        ),
+        measure("jacobi-fabric", dominant(), fabric, |a, b, c, k| {
+            acamar_solvers::jacobi(a, b, None, c, k)
+                .expect("jacobi shape")
+                .iterations
+        }),
+        measure(
             "bicgstab",
             generate::convection_diffusion_2d(30, 30, 2.0),
+            software,
             |a, b, c, k| {
                 acamar_solvers::bicgstab(a, b, None, c, k)
                     .expect("bicgstab shape")
                     .iterations
             },
         ),
-        measure(
-            "jacobi",
-            generate::diagonally_dominant(
-                1200,
-                RowDistribution::Uniform { min: 2, max: 6 },
-                1.05,
-                7,
-            ),
-            |a, b, c, k| {
-                acamar_solvers::jacobi(a, b, None, c, k)
-                    .expect("jacobi shape")
-                    .iterations
-            },
-        ),
+        measure("jacobi", dominant(), software, |a, b, c, k| {
+            acamar_solvers::jacobi(a, b, None, c, k)
+                .expect("jacobi shape")
+                .iterations
+        }),
     ]
 }
 
@@ -2534,7 +2563,7 @@ fn main() {
     let alloc_checks = loop_allocation_deltas();
     for c in &alloc_checks {
         eprintln!(
-            "  {:<12} loop-alloc delta (budget {} -> {} iters): {}",
+            "  {:<14} loop-alloc delta (budget {} -> {} iters): {}",
             c.solver, c.iterations_base, c.iterations_double, c.delta
         );
     }

@@ -454,7 +454,7 @@ impl Acamar {
         if let Some(kind) = opts.solver {
             // Rescue-rung mode: one configured solver, no modifier loop.
             hw.charge_solver_reconfig(&module);
-            hw.set_schedule(plan.schedule.clone());
+            hw.begin_attempt();
             let report = if kind == SolverKind::Gmres {
                 acamar_solvers::gmres(
                     a,
@@ -494,7 +494,7 @@ impl Acamar {
             while let Some(kind) = modifier.next_solver() {
                 // Host configures the Reconfigurable Solver region.
                 hw.charge_solver_reconfig(&module);
-                hw.set_schedule(plan.schedule.clone());
+                hw.begin_attempt();
                 let report = solve_with(kind, a, b, x0, &criteria, &mut hw)?;
                 attempts.push(SolveAttempt {
                     solver: kind,
@@ -516,7 +516,7 @@ impl Acamar {
                     .unwrap_or(false)
             {
                 hw.charge_solver_reconfig(&module);
-                hw.set_schedule(plan.schedule.clone());
+                hw.begin_attempt();
                 let report = acamar_solvers::gmres(
                     a,
                     b,

@@ -1,22 +1,22 @@
 //! [`FabricKernels`]: the hardware-modeling kernel executor.
 //!
-//! Runs the solver algorithms numerically (bit-identical to
-//! [`SoftwareKernels`](acamar_solvers::SoftwareKernels)) while charging
-//! cycles, MAC-slot utilization, reconfiguration time, and area to a
-//! behavioral model of the paper's accelerator datapath.
+//! Runs the solver algorithms numerically on an inner
+//! [`SoftwareKernels`] — so results are bit-identical to it on both
+//! determinism tiers, by construction — while charging cycles, MAC-slot
+//! utilization, reconfiguration time, and area to a behavioral model of
+//! the paper's accelerator datapath.
 
 use crate::cost::{
     dense_vector_unit, spmv_engine, DENSE_VECTOR_WIDTH, PIPELINE_DEPTH, REDUCTION_LATENCY,
 };
+use crate::cycle_table::{CycleTable, SegmentPrice};
 use crate::reconfig::{ReconfigController, RegionKind};
 use crate::spec::{FabricSpec, ResourceVector};
-use crate::spmv::{execute_rows, SpmvExecution};
+use crate::spmv::SpmvExecution;
 use crate::trace::{ExecutionTrace, TraceEvent};
 use acamar_faultline::{FaultContext, FaultInjector};
-use acamar_solvers::{Kernels, OpCounts, Phase, WorkspaceHandle};
-use acamar_sparse::{
-    simd, BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar,
-};
+use acamar_solvers::{Kernels, OpCounts, Phase, SoftwareKernels, WorkspaceHandle};
+use acamar_sparse::{BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar};
 use acamar_telemetry::{Counter, EventKind, TelemetrySink};
 use std::ops::Range;
 use std::sync::Arc;
@@ -24,6 +24,17 @@ use std::sync::Arc;
 /// Fixed cycle overhead per dense kernel invocation (argument setup,
 /// pipeline ramp for short vector loops).
 const DENSE_OVERHEAD: u64 = 8;
+
+/// Cycles the dense vector unit spends streaming `n` elements, with the
+/// reduction tree's latency on top for a dot product.
+fn dense_cycles(n: usize, reduction: bool) -> u64 {
+    let stream = (n as u64).div_ceil(DENSE_VECTOR_WIDTH as u64) + DENSE_OVERHEAD;
+    if reduction {
+        stream + REDUCTION_LATENCY
+    } else {
+        stream
+    }
+}
 
 /// One contiguous row range executed at a fixed unroll factor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,6 +110,12 @@ impl UnrollSchedule {
     /// Largest unroll factor in the schedule (sizes the DFX region).
     pub fn max_unroll(&self) -> usize {
         self.entries.iter().map(|e| e.unroll).max().unwrap_or(1)
+    }
+
+    /// Number of leading entries that lie within an operand of `nrows`
+    /// rows — all of them for the matrix the schedule was built for.
+    pub(crate) fn walkable(&self, nrows: usize) -> usize {
+        self.entries.partition_point(|e| e.rows.end <= nrows)
     }
 
     /// The schedule as band hints for [`CompiledSpmv::compile`]: the host
@@ -255,6 +272,13 @@ impl FabricRunStats {
 
 /// Hardware-modeling kernel executor for one solve on the fabric.
 ///
+/// An accounting wrapper: every arithmetic operation is executed by an
+/// inner [`SoftwareKernels`] (plan dispatch, determinism tier, fused
+/// kernels, workspace, and [`OpCounts`] all live there, once), and this
+/// type charges what the operation costs on the modeled datapath —
+/// cycles, MAC-slot capacity, area, reconfiguration — applies injected
+/// faults, and emits the execution trace and telemetry.
+///
 /// # Examples
 ///
 /// ```
@@ -274,15 +298,21 @@ impl FabricRunStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FabricKernels {
+    /// Host arithmetic and operation counts. Purely a host concern: the
+    /// compiled plan, the workspace, and the determinism tier it carries
+    /// change how fast (and, under `Fast`, in which summation order) the
+    /// numbers are produced, never what the fabric is charged.
+    inner: SoftwareKernels,
     spec: FabricSpec,
     schedule: UnrollSchedule,
     init_unroll: usize,
     phase: Phase,
     /// Unroll factor currently loaded in the nested DFX region.
     current_unroll: Option<usize>,
-    counts: OpCounts,
     cycles: CycleBreakdown,
     reconfig: ReconfigController,
+    /// SpMV prices of the current attempt's operands (see [`CycleTable`]).
+    table: CycleTable,
     spmv_agg: SpmvExecution,
     init_spmv_agg: SpmvExecution,
     capacity_flops: f64,
@@ -295,7 +325,7 @@ pub struct FabricKernels {
     trace: Option<ExecutionTrace>,
     /// Fault-injection seam; `None` (the default) leaves every hook inert.
     fault: Option<FaultContext>,
-    /// Solver-attempt counter (bumped by [`FabricKernels::set_schedule`])
+    /// Solver-attempt counter (bumped by [`FabricKernels::begin_attempt`])
     /// keying per-attempt fault decisions.
     attempt: u64,
     /// Raw draw of the stuck SpMV datapath bit afflicting the current
@@ -307,27 +337,10 @@ pub struct FabricKernels {
     lost_area_cycles: u64,
     /// Ordinal of the next scheduled nested-region swap (fault site key).
     swap_site: u64,
-    /// Host-side buffer pool backing [`Kernels::acquire_buffer`]; `None`
-    /// falls back to plain allocation (cycle model unaffected either way —
-    /// host buffer traffic is not fabric work).
-    workspace: Option<WorkspaceHandle>,
-    /// Compiled host execution plan for the solve's coefficient matrix.
-    /// Purely a host optimization: the numeric result is bitwise identical
-    /// to the generic CSR walk, and cycle/FLOP accounting are unchanged.
-    /// Operand matrices that don't match the plan's shape (e.g. Jacobi's
-    /// iteration matrix) take the generic path.
-    compiled: Option<Arc<CompiledSpmv>>,
     /// Structured telemetry sink. Disabled by default; every emission site
     /// is a single branch when no recorder is installed, so the hot solve
     /// loop is unchanged (numerics, cycles, and allocations alike).
     telemetry: TelemetrySink,
-    /// Determinism tier for host arithmetic. `Deterministic` (the default)
-    /// keeps every reduction in serial CSR order — the bitwise replay
-    /// contract. `Fast` runs plan-backed SpMV and dense reductions through
-    /// the 4-lane reassociated kernels; cycle/FLOP charges and fault-flip
-    /// ordering are identical on both tiers (the model charges the same
-    /// fabric work either way — only host summation order changes).
-    policy: DeterminismPolicy,
 }
 
 impl FabricKernels {
@@ -346,14 +359,15 @@ impl FabricKernels {
         let first = schedule.entries().first().map(|e| e.unroll);
         let reconfig = ReconfigController::new(spec.clone());
         FabricKernels {
+            inner: SoftwareKernels::new(),
             spec,
             schedule,
             init_unroll,
             phase: Phase::Initialize,
             current_unroll: first,
-            counts: OpCounts::default(),
             cycles: CycleBreakdown::default(),
             reconfig,
+            table: CycleTable::default(),
             spmv_agg: SpmvExecution::default(),
             init_spmv_agg: SpmvExecution::default(),
             capacity_flops: 0.0,
@@ -369,46 +383,47 @@ impl FabricKernels {
             degraded: false,
             lost_area_cycles: 0,
             swap_site: 0,
-            workspace: None,
-            compiled: None,
             telemetry: TelemetrySink::disabled(),
-            policy: DeterminismPolicy::Deterministic,
         }
     }
 
     /// Selects the determinism tier for host arithmetic (see
-    /// [`DeterminismPolicy`]). Under `Fast`, plan-backed SpMV and the dense
-    /// reductions (`dot`, the fused `spmv_dot` tail, `axpy_normsq`) use the
-    /// 4-lane reassociated kernels; element-wise updates, cycle and FLOP
-    /// charges, and the stuck-bit fault-flip ordering are unchanged, so
-    /// fault replay still corrupts the same element of `y` before any
+    /// [`DeterminismPolicy`] and [`SoftwareKernels::with_policy`]).
+    /// `Deterministic` (the default) keeps every reduction in serial CSR
+    /// order — the bitwise replay contract; `Fast` uses the 4-lane
+    /// reassociated kernels. Cycle and FLOP charges are identical on both
+    /// tiers (the model bills the same fabric work either way — only host
+    /// summation order changes), and so is the stuck-bit fault-flip
+    /// ordering: fault replay corrupts the same element of `y` before any
     /// fused reduction reads it.
     pub fn with_policy(mut self, policy: DeterminismPolicy) -> Self {
-        self.policy = policy;
+        self.inner = self.inner.with_policy(policy);
         self
     }
 
     /// The active determinism tier.
     pub fn policy(&self) -> DeterminismPolicy {
-        self.policy
+        self.inner.policy()
     }
 
     /// Installs a shared host-side workspace so solver scratch vectors are
     /// recycled across solves instead of heap-allocated each time. Purely a
-    /// host optimization: cycle and FLOP accounting are unchanged.
+    /// host optimization: cycle and FLOP accounting are unchanged (host
+    /// buffer traffic is not fabric work).
     pub fn with_workspace(mut self, workspace: WorkspaceHandle) -> Self {
-        self.workspace = Some(workspace);
+        self.inner = self.inner.with_workspace(workspace);
         self
     }
 
     /// Installs a compiled host SpMV execution plan (normally the one the
     /// analysis phase compiled from this solve's MSID schedule, shared via
-    /// the plan cache). Host arithmetic for matching matrices runs through
-    /// the plan's format-specialized band kernels — bitwise identical to
-    /// the generic walk — while cycle modeling, fault injection, and all
-    /// accounting are untouched.
+    /// the plan cache). Host arithmetic for the coefficient matrix runs
+    /// through the plan's format-specialized band kernels — bitwise
+    /// identical to the generic walk, which every other operand takes (see
+    /// [`SoftwareKernels::with_compiled_plan`]) — while cycle modeling,
+    /// fault injection, and all accounting are untouched.
     pub fn with_compiled_plan(mut self, plan: Arc<CompiledSpmv>) -> Self {
-        self.compiled = Some(plan);
+        self.inner = self.inner.with_compiled_plan(plan);
         self
     }
 
@@ -450,6 +465,7 @@ impl FabricKernels {
     /// exactly. Observational only: numerics, cycle charges, and fault
     /// replay are unchanged with any sink installed.
     pub fn with_telemetry(mut self, sink: TelemetrySink) -> Self {
+        self.inner = self.inner.with_telemetry(sink.clone());
         self.telemetry = sink;
         self
     }
@@ -471,38 +487,49 @@ impl FabricKernels {
         self
     }
 
-    /// Replaces the loop-phase schedule (used by the Solver Modifier when
-    /// it restarts with a different solver on the same matrix). Marks the
-    /// start of a new solver attempt for fault-injection purposes: a
-    /// stuck datapath bit is rolled per attempt and cleared by the region
-    /// rewrite that accompanies the solver swap.
+    /// Replaces the loop-phase schedule and
+    /// [begins a new attempt](FabricKernels::begin_attempt) on it.
     pub fn set_schedule(&mut self, schedule: UnrollSchedule) {
+        self.schedule = schedule;
+        self.begin_attempt();
+    }
+
+    /// Marks the start of a new solver attempt on the current schedule
+    /// (the Solver Modifier restarting with a different solver on the same
+    /// matrix). The region rewrite that accompanies the solver swap
+    /// reloads the schedule's first configuration — or, once degraded,
+    /// re-pins the largest engine — and clears the previous attempt's
+    /// stuck datapath bit; a new one is rolled per attempt. Operand
+    /// identities do not outlive an attempt, so the cycle table starts
+    /// empty.
+    pub fn begin_attempt(&mut self) {
         self.attempt += 1;
         if self.degraded {
-            // Stay static: re-pin to the new schedule's largest engine
-            // with one full-region recovery swap if the size changes.
-            let max = schedule.max_unroll();
+            // Stay static: re-pin to the schedule's largest engine with
+            // one full-region recovery swap if the size changes.
+            let max = self.schedule.max_unroll();
             if self.current_unroll != Some(max) {
                 let cycles = self
                     .reconfig
                     .reconfigure(RegionKind::SpmvKernel, &spmv_engine(max));
-                self.cycles.reconfig += cycles;
-                self.current_unroll = Some(max);
-                self.telemetry.emit(EventKind::Reconfig {
-                    region: acamar_telemetry::Region::SpmvKernel,
-                    unroll: max.min(u8::MAX as usize) as u8,
-                    set: 0,
-                });
-                self.telemetry.counter_add(Counter::SpmvReconfigs, 1);
+                self.load_engine(max, 0, cycles, false);
             }
         } else {
-            self.current_unroll = schedule.entries().first().map(|e| e.unroll);
+            self.current_unroll = self.schedule.entries().first().map(|e| e.unroll);
         }
-        self.schedule = schedule;
         self.stuck_raw = self
             .fault
             .as_ref()
             .and_then(|c| c.injector().stuck_flip(c.job(), c.site(self.attempt)));
+        self.forget_operands();
+    }
+
+    /// Drops everything keyed by operand identity — the cycle table and
+    /// the inner executor's plan binding — because the matrices behind
+    /// the identities may be gone.
+    fn forget_operands(&mut self) {
+        self.table.clear();
+        self.inner.forget_operands();
     }
 
     /// Charges a reconfiguration of the *outer* solver region holding
@@ -523,7 +550,7 @@ impl FabricKernels {
         &self.spec
     }
 
-    /// The reconfiguration event log.
+    /// The reconfiguration totals.
     pub fn reconfig_controller(&self) -> &ReconfigController {
         &self.reconfig
     }
@@ -548,18 +575,22 @@ impl FabricKernels {
         // no engine ran (pure dense work) re-use the last loaded engine,
         // approximated by weighting only spmv cycles.
         let avg_engine_area = self.area_cycle_product / compute_cycles;
+        // The engine sitting (idle or busy) in the DFX region between
+        // SpMV calls: the last loaded configuration, or the first
+        // scheduled.
+        let idle_engine_area = self
+            .current_unroll
+            .map_or(0.0, |u| self.spec.area_mm2(&spmv_engine(u)));
         let resident = dense_area + control_area + init_area;
-        let avg_area = resident + avg_engine_area.max(self.idle_engine_area());
-        let peak_area = resident + self.peak_engine_area.max(self.idle_engine_area());
         FabricRunStats {
             cycles: self.cycles,
             spmv: self.spmv_agg,
             init_spmv: self.init_spmv_agg,
             capacity_flops: self.capacity_flops,
-            useful_flops: self.counts.total_flops(),
+            useful_flops: self.inner.counts().total_flops(),
             spmv_reconfig_events: self.reconfig.count(RegionKind::SpmvKernel),
-            avg_area_mm2: avg_area,
-            peak_area_mm2: peak_area,
+            avg_area_mm2: resident + avg_engine_area.max(idle_engine_area),
+            peak_area_mm2: resident + self.peak_engine_area.max(idle_engine_area),
             used_init_spmv: self.used_init_spmv,
             reconfig_aborts: self.reconfig.abort_count(),
             lost_area_cycles: self.lost_area_cycles,
@@ -567,23 +598,47 @@ impl FabricKernels {
         }
     }
 
-    /// Handles an injected ICAP abort while swapping toward
-    /// `target_unroll`: charges the wasted stream, performs one reliable
+    /// The part of an ICAP stream of `cycles` that stalls the pipeline:
+    /// all of it, or with overlapped reconfiguration what the previous
+    /// segment's compute did not hide.
+    fn stall(&self, cycles: u64) -> u64 {
+        if self.overlap_reconfig {
+            cycles.saturating_sub(self.last_segment_cycles)
+        } else {
+            cycles
+        }
+    }
+
+    /// Completes a swap of the nested region to `unroll` (already counted
+    /// by the controller) that stalled the pipeline for `stall` cycles.
+    fn load_engine(&mut self, unroll: usize, set: usize, stall: u64, traced: bool) {
+        if traced {
+            self.record(TraceEvent::Reconfig {
+                region: RegionKind::SpmvKernel,
+                cycle: self.cycles.total(),
+                duration: stall,
+            });
+        }
+        self.telemetry.emit(EventKind::Reconfig {
+            region: acamar_telemetry::Region::SpmvKernel,
+            unroll: unroll.min(u8::MAX as usize) as u8,
+            set: set as u32,
+        });
+        self.telemetry.counter_add(Counter::SpmvReconfigs, 1);
+        self.cycles.reconfig += stall;
+        self.current_unroll = Some(unroll);
+    }
+
+    /// Handles an injected ICAP abort of a swap that streamed `wasted`
+    /// cycles: charges the wasted stream, performs one reliable
     /// full-region recovery swap to the schedule's max unroll, and pins
     /// the region there for the rest of the run.
-    fn abort_and_degrade(&mut self, target_unroll: usize) {
-        let wasted = self
-            .reconfig
-            .record_abort(RegionKind::SpmvKernel, &spmv_engine(target_unroll));
-        let stall = if self.overlap_reconfig {
-            wasted.saturating_sub(self.last_segment_cycles)
-        } else {
-            wasted
-        };
-        let at = self.cycles.total();
+    fn abort_and_degrade(&mut self, wasted: u64) {
+        self.reconfig.record_abort(RegionKind::SpmvKernel, wasted);
+        let stall = self.stall(wasted);
         self.record(TraceEvent::Reconfig {
             region: RegionKind::SpmvKernel,
-            cycle: at,
+            cycle: self.cycles.total(),
             duration: stall,
         });
         self.telemetry.emit(EventKind::ReconfigAbort {
@@ -596,261 +651,203 @@ impl FabricKernels {
             let cycles = self
                 .reconfig
                 .reconfigure(RegionKind::SpmvKernel, &spmv_engine(max));
-            let at = self.cycles.total();
-            self.record(TraceEvent::Reconfig {
-                region: RegionKind::SpmvKernel,
-                cycle: at,
-                duration: cycles,
-            });
-            self.telemetry.emit(EventKind::Reconfig {
-                region: acamar_telemetry::Region::SpmvKernel,
-                unroll: max.min(u8::MAX as usize) as u8,
-                set: 0,
-            });
-            self.telemetry.counter_add(Counter::SpmvReconfigs, 1);
-            self.cycles.reconfig += cycles;
-            self.current_unroll = Some(max);
+            self.load_engine(max, 0, cycles, true);
         }
         self.degraded = true;
     }
 
-    /// Area of the engine sitting (idle or busy) in the DFX region between
-    /// SpMV calls: the last loaded configuration, or the first scheduled.
-    fn idle_engine_area(&self) -> f64 {
-        match self.current_unroll {
-            Some(u) => self.spec.area_mm2(&spmv_engine(u)),
-            None => 0.0,
-        }
-    }
-
-    fn charge_dense(&mut self, n: usize, flops_per_elem: u64, reduction: bool) {
-        let w = DENSE_VECTOR_WIDTH as u64;
-        let mut cyc = (n as u64).div_ceil(w) + DENSE_OVERHEAD;
-        if reduction {
-            cyc += REDUCTION_LATENCY;
-        }
+    /// Charges a dense-vector-unit pass over `n` elements.
+    fn charge_dense(&mut self, n: usize, reduction: bool) {
+        let cyc = dense_cycles(n, reduction);
         self.cycles.dense += cyc;
-        self.capacity_flops += cyc as f64 * 2.0 * w as f64;
-        self.counts.dense_calls += 1;
-        self.counts.dense_flops += flops_per_elem * n as u64;
+        self.capacity_flops += cyc as f64 * 2.0 * DENSE_VECTOR_WIDTH as f64;
     }
 
-    fn run_engine(&mut self, a: &CsrMatrix<impl Scalar>, rows: Range<usize>, unroll: usize) {
-        let exec = execute_rows(a, rows, unroll, &self.spec);
+    /// Charges a pass of `cyc` cycles through a serial sparse pipeline
+    /// (one stored entry per cycle: the SOR sweep, a triangular solve).
+    fn charge_serial_sparse(&mut self, cyc: u64) {
+        self.cycles.spmv += cyc;
+        self.capacity_flops += cyc as f64 * 2.0;
+    }
+
+    fn run_engine(&mut self, price: &SegmentPrice) {
+        let exec = &price.exec;
         self.cycles.spmv += exec.cycles;
         // Peak capacity counts *issued* MAC slots (2 FLOPs each), matching
         // the paper's Eq. 5 utilization view: row-transition and memory
         // stall cycles are latency, not wasted compute slots.
         self.capacity_flops += exec.slots_issued as f64 * 2.0;
-        let engine_area = self.spec.area_mm2(&spmv_engine(unroll));
-        self.area_cycle_product += engine_area * exec.cycles as f64;
-        self.peak_engine_area = self.peak_engine_area.max(engine_area);
+        self.area_cycle_product += price.engine_area * exec.cycles as f64;
+        self.peak_engine_area = self.peak_engine_area.max(price.engine_area);
         match self.phase {
-            Phase::Initialize => self.init_spmv_agg = self.init_spmv_agg.merge(&exec),
-            Phase::Loop => self.spmv_agg = self.spmv_agg.merge(&exec),
+            Phase::Initialize => self.init_spmv_agg = self.init_spmv_agg.merge(exec),
+            Phase::Loop => self.spmv_agg = self.spmv_agg.merge(exec),
+        }
+    }
+
+    /// Charges one SpMV by `a`, replaying the operand's [`CycleTable`]
+    /// prices (filled by the row walk on its first SpMV of the attempt).
+    /// Debug builds re-derive every replayed price by the walk.
+    fn charge_spmv<T: Scalar>(&mut self, a: &CsrMatrix<T>) {
+        self.cycles.spmv += PIPELINE_DEPTH;
+        let op = self.table.operand(a);
+        if self.phase == Phase::Initialize {
+            // Static un-reconfigured engine (paper §IV-B, Initialize
+            // unit): one pass at the fixed init unroll factor.
+            self.used_init_spmv = true;
+            let price = self.table.init(op, a, self.init_unroll, &self.spec);
+            debug_assert_eq!(
+                price,
+                SegmentPrice::of(a, 0..a.nrows(), self.init_unroll, &self.spec),
+                "stale init-phase price"
+            );
+            self.run_engine(&price);
+            return;
+        }
+        // Dynamic SpMV Kernel: walk the schedule, reconfiguring the nested
+        // region on unroll changes. A swap may suffer an injected ICAP
+        // abort, after which the region is pinned to max unroll and the
+        // walk stops reconfiguring. Schedules are built for A; entries
+        // beyond a shorter operand's rows are skipped.
+        for idx in 0..self.schedule.walkable(a.nrows()) {
+            let entry = &self.schedule.entries()[idx];
+            let (rows, unroll) = (entry.rows.clone(), entry.unroll);
+            let mut price =
+                self.table
+                    .segment(op, a, &self.schedule, self.degraded, idx, &self.spec);
+            if !self.degraded && self.current_unroll != Some(unroll) {
+                let site = self.swap_site;
+                self.swap_site += 1;
+                let aborts = self
+                    .fault
+                    .as_ref()
+                    .is_some_and(|c| c.injector().reconfig_aborts(c.job(), c.site(site)));
+                if aborts {
+                    self.abort_and_degrade(price.swap_cycles);
+                    price = self
+                        .table
+                        .segment(op, a, &self.schedule, true, idx, &self.spec);
+                } else {
+                    self.reconfig
+                        .charge(RegionKind::SpmvKernel, price.swap_cycles);
+                    let stall = self.stall(price.swap_cycles);
+                    self.load_engine(unroll, idx, stall, true);
+                }
+            }
+            let engaged = if self.degraded {
+                self.current_unroll.unwrap_or(unroll)
+            } else {
+                unroll
+            };
+            debug_assert_eq!(
+                price,
+                SegmentPrice::of(a, rows.clone(), engaged, &self.spec),
+                "stale price for schedule entry {idx}"
+            );
+            let at = self.cycles.total();
+            self.run_engine(&price);
+            self.last_segment_cycles = price.exec.cycles;
+            if engaged != unroll {
+                self.lost_area_cycles += self.last_segment_cycles;
+            }
+            self.telemetry.emit(EventKind::SpmvSegment {
+                set: idx as u32,
+                rows: rows.len().min(u32::MAX as usize) as u32,
+                unroll: engaged.min(u8::MAX as usize) as u8,
+                cycles: self.last_segment_cycles,
+            });
+            self.telemetry.counter_add(Counter::SpmvSegments, 1);
+            self.record(TraceEvent::SpmvSegment {
+                rows,
+                unroll: engaged,
+                cycle: at,
+                duration: self.last_segment_cycles,
+            });
+        }
+    }
+
+    /// The stuck datapath bit, if one afflicts this attempt's loop-phase
+    /// sparse kernels (the initialize phase runs on the static engine).
+    fn stuck_bit(&self) -> Option<u64> {
+        match self.phase {
+            Phase::Initialize => None,
+            Phase::Loop => self.stuck_raw,
         }
     }
 }
 
 impl<T: Scalar> Kernels<T> for FabricKernels {
     fn spmv(&mut self, a: &CsrMatrix<T>, x: &[T], y: &mut [T]) {
-        match &self.compiled {
-            Some(plan) if plan.matches(a) => {
-                if self.policy.is_fast() {
-                    plan.execute_fast(a, x, y).expect("spmv shape mismatch");
-                } else {
-                    plan.execute(a, x, y).expect("spmv shape mismatch");
-                }
-            }
-            _ => a.mul_vec_into(x, y).expect("spmv shape mismatch"),
-        }
-        self.counts.spmv_calls += 1;
-        self.counts.spmv_nnz_processed += a.nnz() as u64;
-        self.counts.spmv_flops += 2 * a.nnz() as u64;
-        self.cycles.spmv += PIPELINE_DEPTH;
-
-        match self.phase {
-            Phase::Initialize => {
-                // Static un-reconfigured engine (paper §IV-B, Initialize
-                // unit): one pass at the fixed init unroll factor.
-                self.used_init_spmv = true;
-                self.run_engine(a, 0..a.nrows(), self.init_unroll);
-            }
-            Phase::Loop => {
-                // Dynamic SpMV Kernel: walk the schedule, reconfiguring
-                // the nested region on unroll changes. A swap may suffer
-                // an injected ICAP abort, after which the region is
-                // pinned to max unroll and the walk stops reconfiguring.
-                // Walk by index: cloning one `ScheduleEntry` (a row range
-                // plus an unroll factor) is stack-only, so the hot solve
-                // loop performs no heap allocation here.
-                for idx in 0..self.schedule.entries().len() {
-                    let e = self.schedule.entries()[idx].clone();
-                    if e.rows.end > a.nrows() {
-                        // Defensive clamp: schedules are built for A, and
-                        // Jacobi's iteration matrix T has the same shape.
-                        continue;
-                    }
-                    if !self.degraded && self.current_unroll != Some(e.unroll) {
-                        let site = self.swap_site;
-                        self.swap_site += 1;
-                        let aborts = self
-                            .fault
-                            .as_ref()
-                            .is_some_and(|c| c.injector().reconfig_aborts(c.job(), c.site(site)));
-                        if aborts {
-                            self.abort_and_degrade(e.unroll);
-                        } else {
-                            let cycles = self
-                                .reconfig
-                                .reconfigure(RegionKind::SpmvKernel, &spmv_engine(e.unroll));
-                            let stall = if self.overlap_reconfig {
-                                cycles.saturating_sub(self.last_segment_cycles)
-                            } else {
-                                cycles
-                            };
-                            let at = self.cycles.total();
-                            self.record(TraceEvent::Reconfig {
-                                region: RegionKind::SpmvKernel,
-                                cycle: at,
-                                duration: stall,
-                            });
-                            self.telemetry.emit(EventKind::Reconfig {
-                                region: acamar_telemetry::Region::SpmvKernel,
-                                unroll: e.unroll.min(u8::MAX as usize) as u8,
-                                set: idx as u32,
-                            });
-                            self.telemetry.counter_add(Counter::SpmvReconfigs, 1);
-                            self.cycles.reconfig += stall;
-                            self.current_unroll = Some(e.unroll);
-                        }
-                    }
-                    let engaged = if self.degraded {
-                        self.current_unroll.unwrap_or(e.unroll)
-                    } else {
-                        e.unroll
-                    };
-                    let before = self.cycles.spmv;
-                    let at = self.cycles.total();
-                    self.run_engine(a, e.rows.clone(), engaged);
-                    self.last_segment_cycles = self.cycles.spmv - before;
-                    if engaged != e.unroll {
-                        self.lost_area_cycles += self.last_segment_cycles;
-                    }
-                    self.record(TraceEvent::SpmvSegment {
-                        rows: e.rows.clone(),
-                        unroll: engaged,
-                        cycle: at,
-                        duration: self.last_segment_cycles,
-                    });
-                    self.telemetry.emit(EventKind::SpmvSegment {
-                        set: idx as u32,
-                        rows: e.rows.len().min(u32::MAX as usize) as u32,
-                        unroll: engaged.min(u8::MAX as usize) as u8,
-                        cycles: self.last_segment_cycles,
-                    });
-                    self.telemetry.counter_add(Counter::SpmvSegments, 1);
-                }
-                if let Some(raw) = self.stuck_raw {
-                    FaultInjector::apply_flip(raw, y);
-                }
-            }
+        self.inner.spmv(a, x, y);
+        self.charge_spmv(a);
+        if let Some(raw) = self.stuck_bit() {
+            FaultInjector::apply_flip(raw, y);
         }
     }
 
     fn dot(&mut self, x: &[T], y: &[T]) -> T {
-        assert_eq!(x.len(), y.len(), "dot length mismatch");
-        self.charge_dense(x.len(), 2, true);
-        if self.policy.is_fast() {
-            return simd::dot_fast(x, y);
-        }
-        x.iter().zip(y).fold(T::ZERO, |acc, (&a, &b)| acc + a * b)
+        self.charge_dense(x.len(), true);
+        self.inner.dot(x, y)
     }
 
     fn spmv_dot(&mut self, a: &CsrMatrix<T>, x: &[T], y: &mut [T], z: &[T]) -> T {
         // Fusion saves a host memory pass, not fabric work: the dense unit
         // still streams `y` through its reduction tree, so the charge is
-        // exactly the unfused SpMV + dot pair. The dot runs after the full
-        // SpMV (including any injected stuck-bit flip on `y`) so fault
-        // replay is byte-identical to the unfused path.
-        Kernels::<T>::spmv(self, a, x, y);
-        assert_eq!(y.len(), z.len(), "dot length mismatch");
-        self.charge_dense(y.len(), 2, true);
-        if self.policy.is_fast() {
-            return simd::dot_fast(y, z);
-        }
-        y.iter().zip(z).fold(T::ZERO, |acc, (&a, &b)| acc + a * b)
+        // exactly the unfused SpMV + dot pair.
+        let dot = match self.stuck_bit() {
+            // A stuck bit corrupts `y` as it leaves the engine, before the
+            // reduction reads it: run the pair unfused around the flip.
+            Some(raw) => {
+                self.inner.spmv(a, x, y);
+                FaultInjector::apply_flip(raw, y);
+                self.inner.dot(y, z)
+            }
+            None => self.inner.spmv_dot(a, x, y, z),
+        };
+        self.charge_spmv(a);
+        self.charge_dense(y.len(), true);
+        dot
     }
 
     fn axpy_normsq(&mut self, alpha: T, x: &[T], y: &mut [T]) -> T {
-        assert_eq!(x.len(), y.len(), "axpy length mismatch");
-        // Charged as the unfused axpy + dot(y, y) pair; the host loop is a
-        // single pass with the same per-element operation order.
-        self.charge_dense(x.len(), 2, false);
-        self.charge_dense(x.len(), 2, true);
-        if self.policy.is_fast() {
-            return simd::axpy_normsq_fast(alpha, x, y);
-        }
-        let mut acc = T::ZERO;
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-            acc += *yi * *yi;
-        }
-        acc
+        // Charged as the unfused axpy + dot(y, y) pair.
+        self.charge_dense(x.len(), false);
+        self.charge_dense(x.len(), true);
+        self.inner.axpy_normsq(alpha, x, y)
     }
 
     fn acquire_buffer(&mut self, n: usize) -> Vec<T> {
-        match &self.workspace {
-            Some(ws) => ws.take(n),
-            None => vec![T::ZERO; n],
-        }
+        self.inner.acquire_buffer(n)
     }
 
     fn release_buffer(&mut self, buf: Vec<T>) {
-        if let Some(ws) = &self.workspace {
-            ws.give(buf);
-        }
+        self.inner.release_buffer(buf);
     }
 
     fn axpy(&mut self, alpha: T, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), y.len(), "axpy length mismatch");
-        self.charge_dense(x.len(), 2, false);
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-        }
+        self.charge_dense(x.len(), false);
+        self.inner.axpy(alpha, x, y);
     }
 
     fn xpby(&mut self, x: &[T], beta: T, y: &mut [T]) {
-        assert_eq!(x.len(), y.len(), "xpby length mismatch");
-        self.charge_dense(x.len(), 2, false);
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi = xi + beta * *yi;
-        }
+        self.charge_dense(x.len(), false);
+        self.inner.xpby(x, beta, y);
     }
 
     fn scale(&mut self, alpha: T, x: &mut [T]) {
-        self.charge_dense(x.len(), 1, false);
-        for xi in x.iter_mut() {
-            *xi *= alpha;
-        }
+        self.charge_dense(x.len(), false);
+        self.inner.scale(alpha, x);
     }
 
     fn copy(&mut self, src: &[T], dst: &mut [T]) {
-        assert_eq!(src.len(), dst.len(), "copy length mismatch");
-        // Buffer move: charged as a streaming pass, no FLOPs.
-        let w = DENSE_VECTOR_WIDTH as u64;
-        self.cycles.dense += (src.len() as u64).div_ceil(w) + DENSE_OVERHEAD;
-        self.counts.dense_calls += 1;
-        dst.copy_from_slice(src);
+        // Buffer move: the unit's cycles, none of its MAC capacity.
+        self.cycles.dense += dense_cycles(src.len(), false);
+        self.inner.copy(src, dst);
     }
 
     fn hadamard(&mut self, a: &[T], x: &[T], y: &mut [T]) {
-        assert_eq!(a.len(), x.len(), "hadamard length mismatch");
-        assert_eq!(a.len(), y.len(), "hadamard length mismatch");
-        self.charge_dense(a.len(), 1, false);
-        for ((yi, &ai), &xi) in y.iter_mut().zip(a).zip(x) {
-            *yi = ai * xi;
-        }
+        self.charge_dense(a.len(), false);
+        self.inner.hadamard(a, x, y);
     }
 
     fn sor_sweep(&mut self, a: &CsrMatrix<T>, diag: &[T], omega: T, b: &[T], x: &mut [T]) {
@@ -859,15 +856,9 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
         // the unrolled SpMV engine cannot pipeline across. Charged as one
         // entry per cycle plus a single pipeline fill, on top of the dense
         // relaxation update (divide, subtract, scale, add per row).
-        self.counts.spmv_calls += 1;
-        self.counts.spmv_nnz_processed += a.nnz() as u64;
-        self.counts.spmv_flops += 2 * a.nnz() as u64;
-        let cyc = a.nnz() as u64 + PIPELINE_DEPTH;
-        self.cycles.spmv += cyc;
-        self.capacity_flops += cyc as f64 * 2.0;
-        self.charge_dense(a.nrows(), 4, false);
-        self.telemetry.counter_add(Counter::SorSweeps, 1);
-        acamar_solvers::sor_sweep_reference(a, diag, omega, b, x);
+        self.charge_serial_sparse(a.nnz() as u64 + PIPELINE_DEPTH);
+        self.charge_dense(a.nrows(), false);
+        self.inner.sor_sweep(a, diag, omega, b, x);
     }
 
     fn sptrsv(&mut self, plan: &CompiledSptrsv, m: &CsrMatrix<T>, b: &[T], x: &mut [T]) {
@@ -876,33 +867,15 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
         // each level pays a pipeline refill. Narrow schedules (many
         // levels) therefore cost proportionally more — the level-count
         // sensitivity the bench's scaling section measures.
-        self.counts.spmv_calls += 1;
-        self.counts.spmv_nnz_processed += plan.tri_nnz() as u64;
-        self.counts.spmv_flops += 2 * plan.tri_nnz() as u64;
-        let cyc = plan.tri_nnz() as u64 + plan.level_count() as u64 * PIPELINE_DEPTH;
-        self.cycles.spmv += cyc;
-        self.capacity_flops += cyc as f64 * 2.0;
-        self.telemetry.counter_add(Counter::SptrsvApplies, 1);
-        if self.policy.is_fast() {
-            let mut scratch: Vec<T> = match &self.workspace {
-                Some(ws) => ws.take(plan.max_level_width()),
-                None => vec![T::ZERO; plan.max_level_width()],
-            };
-            plan.execute_fast(m, b, x, 1, &mut scratch)
-                .expect("sptrsv shape mismatch");
-            if let Some(ws) = &self.workspace {
-                ws.give(scratch);
-            }
-        } else {
-            plan.solve_serial(m, b, x).expect("sptrsv shape mismatch");
-        }
+        self.charge_serial_sparse(
+            plan.tri_nnz() as u64 + plan.level_count() as u64 * PIPELINE_DEPTH,
+        );
+        self.inner.sptrsv(plan, m, b, x);
         // The SpTRSV fault seam: a stuck-at line in the substitution
         // datapath corrupts the freshly produced vector exactly like the
         // SpMV seam corrupts `y` (same per-attempt stuck-raw roll).
-        if self.phase == Phase::Loop {
-            if let Some(raw) = self.stuck_raw {
-                FaultInjector::apply_flip(raw, x);
-            }
+        if let Some(raw) = self.stuck_bit() {
+            FaultInjector::apply_flip(raw, x);
         }
     }
 
@@ -916,6 +889,10 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
             },
         });
         self.phase = phase;
+        if phase == Phase::Initialize {
+            // A solver is starting: whatever it multiplies by is new.
+            self.forget_operands();
+        }
     }
 
     fn begin_iteration(&mut self, iter: usize) {
@@ -934,7 +911,7 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
     }
 
     fn counts(&self) -> OpCounts {
-        self.counts
+        self.inner.counts()
     }
 }
 
@@ -1455,6 +1432,123 @@ mod tests {
         // ...and both fused dots absorbed it.
         assert!(fd_det.abs() > 1e50 || !fd_det.is_finite());
         assert!(fd_fast.abs() > 1e50 || !fd_fast.is_finite());
+    }
+
+    #[test]
+    fn bicg_with_a_plan_is_bitwise_bicg_without_one_on_both_executors() {
+        // BiCG multiplies by Aᵀ, which has A's shape and entry count: a
+        // plan matched by shape alone ran A's column slots over Aᵀ's
+        // values (10 000 iterations in release, a slot-audit panic in
+        // debug). The plan binds to A by identity; Aᵀ walks generically.
+        let a = generate::diagonally_dominant::<f64>(
+            150,
+            RowDistribution::Uniform { min: 2, max: 9 },
+            1.5,
+            7,
+        );
+        assert_ne!(a.transpose().col_idx(), a.col_idx(), "pattern-nonsymmetric");
+        let b = vec![1.0_f64; 150];
+        let crit = ConvergenceCriteria::paper();
+        let plan = Arc::new(CompiledSpmv::compile_default(&a));
+
+        let plain = acamar_solvers::bicg(&a, &b, None, &crit, &mut SoftwareKernels::new()).unwrap();
+        assert!(plain.converged());
+        assert_eq!(plain.iterations, 17);
+        let mut sw = SoftwareKernels::new().with_compiled_plan(Arc::clone(&plan));
+        let mut hw = FabricKernels::new(spec(), UnrollSchedule::uniform(150, 4), 4);
+        let mut hw_plan =
+            FabricKernels::new(spec(), UnrollSchedule::uniform(150, 4), 4).with_compiled_plan(plan);
+        for planned in [
+            acamar_solvers::bicg(&a, &b, None, &crit, &mut sw).unwrap(),
+            acamar_solvers::bicg(&a, &b, None, &crit, &mut hw).unwrap(),
+            acamar_solvers::bicg(&a, &b, None, &crit, &mut hw_plan).unwrap(),
+        ] {
+            assert_eq!(planned.iterations, plain.iterations);
+            assert_eq!(planned.residual_history, plain.residual_history);
+            assert_eq!(planned.solution, plain.solution);
+        }
+        assert_eq!(hw.cycles(), hw_plan.cycles());
+    }
+
+    #[test]
+    fn every_kernel_returns_what_the_inner_executor_returns_on_both_tiers() {
+        use acamar_sparse::DeterminismPolicy;
+
+        let a =
+            generate::random_pattern::<f64>(96, RowDistribution::Uniform { min: 1, max: 30 }, 21);
+        let schedule = UnrollSchedule::from_entries(
+            96,
+            vec![
+                ScheduleEntry {
+                    rows: 0..48,
+                    unroll: 2,
+                },
+                ScheduleEntry {
+                    rows: 48..96,
+                    unroll: 8,
+                },
+            ],
+        );
+        let plan = Arc::new(CompiledSpmv::compile(&a, &schedule.band_hints()).unwrap());
+        let lower = CompiledSptrsv::compile_lower(&a).unwrap();
+        let diag = a.diagonal();
+        let x: Vec<f64> = (0..96).map(|i| ((i % 9) as f64) * 0.37 - 1.5).collect();
+        let z: Vec<f64> = (0..96).map(|i| 1.0 / (i as f64 + 1.5)).collect();
+
+        /// Runs every `Kernels` operation once, returning every scalar
+        /// and vector it produced, as bits.
+        fn exercise<K: Kernels<f64>>(
+            k: &mut K,
+            a: &CsrMatrix<f64>,
+            lower: &CompiledSptrsv,
+            diag: &[f64],
+            x: &[f64],
+            z: &[f64],
+        ) -> Vec<u64> {
+            let mut out = Vec::new();
+            let mut keep = |v: &[f64]| out.extend(v.iter().map(|f| f.to_bits()));
+            k.set_phase(Phase::Initialize);
+            let mut y: Vec<f64> = k.acquire_buffer(96);
+            k.spmv(a, x, &mut y);
+            keep(&y);
+            k.set_phase(Phase::Loop);
+            k.begin_iteration(0);
+            k.spmv(a, z, &mut y);
+            keep(&y);
+            keep(&[k.spmv_dot(a, x, &mut y, z)]);
+            keep(&y);
+            keep(&[k.dot(x, z), k.norm2(x)]);
+            k.axpy(0.625, x, &mut y);
+            keep(&y);
+            keep(&[k.axpy_normsq(-0.375, z, &mut y)]);
+            k.xpby(x, 1.75, &mut y);
+            k.scale(0.5, &mut y);
+            keep(&y);
+            let mut w = vec![0.0; 96];
+            k.copy(&y, &mut w);
+            k.hadamard(z, &w, &mut y);
+            keep(&y);
+            k.sor_sweep(a, diag, 1.25, x, &mut y);
+            keep(&y);
+            k.sptrsv(lower, a, z, &mut w);
+            keep(&w);
+            k.observe_residual(0, 0.5);
+            k.release_buffer(y);
+            out
+        }
+
+        for policy in [DeterminismPolicy::Deterministic, DeterminismPolicy::Fast] {
+            let mut sw = SoftwareKernels::new()
+                .with_compiled_plan(Arc::clone(&plan))
+                .with_policy(policy);
+            let mut hw = FabricKernels::new(spec(), schedule.clone(), 4)
+                .with_compiled_plan(Arc::clone(&plan))
+                .with_policy(policy);
+            let want = exercise(&mut sw, &a, &lower, &diag, &x, &z);
+            let got = exercise(&mut hw, &a, &lower, &diag, &x, &z);
+            assert_eq!(got, want, "{policy:?}");
+            assert_eq!(Kernels::<f64>::counts(&hw), sw.counts(), "{policy:?}");
+        }
     }
 
     #[test]

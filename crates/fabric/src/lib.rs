@@ -34,6 +34,7 @@
 
 mod accelerator;
 pub mod cost;
+mod cycle_table;
 mod kernels;
 mod reconfig;
 mod spec;
@@ -42,7 +43,7 @@ pub mod trace;
 
 pub use accelerator::{HwRun, StaticAccelerator};
 pub use kernels::{CycleBreakdown, FabricKernels, FabricRunStats, ScheduleEntry, UnrollSchedule};
-pub use reconfig::{ReconfigController, ReconfigEvent, RegionKind};
+pub use reconfig::{ReconfigController, RegionKind};
 pub use spec::{FabricSpec, ResourceVector};
 pub use spmv::SpmvExecution;
 pub use trace::{ExecutionTrace, TraceEvent};

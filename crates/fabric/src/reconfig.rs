@@ -18,23 +18,30 @@ pub enum RegionKind {
     SpmvKernel,
 }
 
-/// One partial-reconfiguration event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconfigEvent {
-    /// Region reconfigured.
-    pub region: RegionKind,
-    /// Partial-bitstream size in bits.
-    pub bits: u64,
-    /// Kernel-clock cycles spent streaming the bitstream.
-    pub cycles: u64,
+/// Kernel-clock cycles to stream the partial bitstream of a module
+/// occupying `rv` through ICAP — the one place a swap is priced.
+pub(crate) fn swap_cycles(spec: &FabricSpec, rv: &ResourceVector) -> u64 {
+    spec.icap_cycles(bitstream_bits(rv))
 }
 
-/// Tracks reconfiguration events and their cumulative cost.
+/// Events and ICAP cycles charged to one region.
+#[derive(Debug, Clone, Copy, Default)]
+struct RegionTotals {
+    count: usize,
+    cycles: u64,
+}
+
+/// Tracks reconfiguration counts and their cumulative cost per region.
+///
+/// The controller keeps totals only — it sits in the solver loop, where a
+/// swap happens at every unroll change of every SpMV. The per-event view
+/// (which unroll, which set, at which cycle) is carried by the
+/// [`ExecutionTrace`](crate::ExecutionTrace) and the telemetry stream.
 #[derive(Debug, Clone)]
 pub struct ReconfigController {
     spec: FabricSpec,
-    events: Vec<ReconfigEvent>,
-    total_cycles: u64,
+    /// Indexed by `RegionKind as usize`.
+    totals: [RegionTotals; 2],
     aborts: usize,
     aborted_cycles: u64,
 }
@@ -44,8 +51,7 @@ impl ReconfigController {
     pub fn new(spec: FabricSpec) -> Self {
         ReconfigController {
             spec,
-            events: Vec::new(),
-            total_cycles: 0,
+            totals: [RegionTotals::default(); 2],
             aborts: 0,
             aborted_cycles: 0,
         }
@@ -54,28 +60,29 @@ impl ReconfigController {
     /// Records a reconfiguration of `region` to a module occupying `rv`,
     /// returning the cycles charged.
     pub fn reconfigure(&mut self, region: RegionKind, rv: &ResourceVector) -> u64 {
-        let bits = bitstream_bits(rv);
-        let cycles = self.spec.icap_cycles(bits);
-        self.events.push(ReconfigEvent {
-            region,
-            bits,
-            cycles,
-        });
-        self.total_cycles += cycles;
+        let cycles = swap_cycles(&self.spec, rv);
+        self.charge(region, cycles);
         cycles
     }
 
-    /// Records an *aborted* reconfiguration of `region`: the partial
-    /// bitstream for a module occupying `rv` streamed through ICAP but
-    /// the swap failed, leaving the previously loaded module active. The
-    /// wasted streaming time is still wall-clock stall, so it is charged
-    /// like a successful event; the caller must not update its notion of
-    /// the loaded configuration. Returns the cycles charged.
-    pub fn record_abort(&mut self, region: RegionKind, rv: &ResourceVector) -> u64 {
-        let cycles = self.reconfigure(region, rv);
+    /// Records a reconfiguration of `region` whose [`swap_cycles`] the
+    /// caller already holds.
+    pub(crate) fn charge(&mut self, region: RegionKind, cycles: u64) {
+        let totals = &mut self.totals[region as usize];
+        totals.count += 1;
+        totals.cycles += cycles;
+    }
+
+    /// Records an *aborted* reconfiguration of `region`: a partial
+    /// bitstream of `cycles` ICAP cycles streamed but the swap failed,
+    /// leaving the previously loaded module active. The wasted streaming
+    /// time is still wall-clock stall, so it is charged like a successful
+    /// event; the caller must not update its notion of the loaded
+    /// configuration.
+    pub(crate) fn record_abort(&mut self, region: RegionKind, cycles: u64) {
+        self.charge(region, cycles);
         self.aborts += 1;
         self.aborted_cycles += cycles;
-        cycles
     }
 
     /// Number of aborted reconfiguration attempts.
@@ -88,25 +95,25 @@ impl ReconfigController {
         self.aborted_cycles
     }
 
-    /// All events in order (aborted attempts included — they stream the
-    /// same bits and stall the same cycles).
-    pub fn events(&self) -> &[ReconfigEvent] {
-        &self.events
+    /// Number of events targeting `region` (aborted attempts included —
+    /// they stream the same bits and stall the same cycles).
+    pub fn count(&self, region: RegionKind) -> usize {
+        self.totals[region as usize].count
     }
 
-    /// Number of events targeting `region`.
-    pub fn count(&self, region: RegionKind) -> usize {
-        self.events.iter().filter(|e| e.region == region).count()
+    /// Cycles spent reconfiguring `region`.
+    pub fn cycles(&self, region: RegionKind) -> u64 {
+        self.totals[region as usize].cycles
     }
 
     /// Total cycles spent reconfiguring.
     pub fn total_cycles(&self) -> u64 {
-        self.total_cycles
+        self.totals.iter().map(|t| t.cycles).sum()
     }
 
     /// Total seconds spent reconfiguring.
     pub fn total_seconds(&self) -> f64 {
-        self.spec.cycles_to_seconds(self.total_cycles)
+        self.spec.cycles_to_seconds(self.total_cycles())
     }
 }
 
@@ -121,21 +128,23 @@ mod tests {
         let cycles = c.reconfigure(RegionKind::SpmvKernel, &spmv_engine(8));
         assert!(cycles > 0);
         assert_eq!(c.total_cycles(), cycles);
-        assert_eq!(c.events().len(), 1);
         assert_eq!(c.count(RegionKind::SpmvKernel), 1);
+        assert_eq!(c.cycles(RegionKind::SpmvKernel), cycles);
         assert_eq!(c.count(RegionKind::Solver), 0);
+        assert_eq!(c.cycles(RegionKind::Solver), 0);
     }
 
     #[test]
     fn aborted_swaps_still_cost_icap_time() {
         let mut c = ReconfigController::new(FabricSpec::alveo_u55c());
         let ok = c.reconfigure(RegionKind::SpmvKernel, &spmv_engine(4));
-        let wasted = c.record_abort(RegionKind::SpmvKernel, &spmv_engine(4));
+        let wasted = swap_cycles(&FabricSpec::alveo_u55c(), &spmv_engine(4));
         assert_eq!(ok, wasted, "the failed stream moves the same bits");
+        c.record_abort(RegionKind::SpmvKernel, wasted);
         assert_eq!(c.abort_count(), 1);
         assert_eq!(c.aborted_cycles(), wasted);
         assert_eq!(c.total_cycles(), ok + wasted);
-        assert_eq!(c.events().len(), 2);
+        assert_eq!(c.count(RegionKind::SpmvKernel), 2);
     }
 
     #[test]
@@ -145,6 +154,7 @@ mod tests {
         let large = c.reconfigure(RegionKind::Solver, &spmv_engine(64));
         assert!(large > small);
         assert_eq!(c.total_cycles(), small + large);
+        assert_eq!(c.cycles(RegionKind::Solver), large);
         assert!(c.total_seconds() > 0.0);
     }
 }

@@ -79,6 +79,35 @@ impl OpCounts {
     }
 }
 
+/// Storage identity of a sparse operand: where its row pointers live, plus
+/// its row and stored-entry counts.
+///
+/// Solvers pass the coefficient matrix *and* derived operands of the same
+/// shape through [`Kernels::spmv`] — BiCG's `Aᵀ` even has `A`'s entry
+/// count — so per-matrix artifacts (a compiled plan, memoised fabric cycle
+/// prices) are tied to the operand they were built for by identity, in
+/// O(1), instead of by shape. The identity is only meaningful while the
+/// matrix is alive and unmodified, which holds within one solver attempt
+/// (every operand outlives the loop that multiplies by it); holders drop
+/// their records when an attempt starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct OperandId {
+    row_ptr: usize,
+    nrows: usize,
+    nnz: usize,
+}
+
+impl OperandId {
+    /// The identity of `a`'s current storage.
+    pub fn of<T: Scalar>(a: &CsrMatrix<T>) -> Self {
+        OperandId {
+            row_ptr: a.row_ptr().as_ptr() as usize,
+            nrows: a.nrows(),
+            nnz: a.nnz(),
+        }
+    }
+}
+
 /// Executor for the primitive operations of the iterative solvers.
 ///
 /// The sparse kernel is [`spmv`](Kernels::spmv) — the operation the paper
@@ -235,6 +264,9 @@ pub struct SoftwareKernels {
     workspace: Option<WorkspaceHandle>,
     spmv_threads: usize,
     plan: Option<Arc<CompiledSpmv>>,
+    /// The operand the plan is bound to: the first one that passed
+    /// [`CompiledSpmv::matches`] since the current solver started.
+    plan_operand: Option<OperandId>,
     telemetry: TelemetrySink,
     policy: DeterminismPolicy,
 }
@@ -246,6 +278,7 @@ impl Default for SoftwareKernels {
             workspace: None,
             spmv_threads: 1,
             plan: None,
+            plan_operand: None,
             telemetry: TelemetrySink::disabled(),
             policy: DeterminismPolicy::Deterministic,
         }
@@ -278,13 +311,19 @@ impl SoftwareKernels {
     /// Installs a compiled SpMV execution plan (see
     /// [`CompiledSpmv`]). [`Kernels::spmv`] and [`Kernels::spmv_dot`] use
     /// the plan's format-specialized band kernels — bitwise identical to
-    /// the generic CSR walk — whenever the operand matrix matches the
-    /// plan's shape, and fall back to the generic path otherwise (solvers
-    /// like Jacobi pass derived iteration matrices through the same
-    /// executor). The parallel path partitions rows at band boundaries, so
-    /// threads never split a band.
+    /// the generic CSR walk — for the operand the plan is bound to, and
+    /// the generic path for every other operand (solvers pass derived
+    /// matrices through the same executor: Jacobi's iteration matrix,
+    /// BiCG's `Aᵀ`). The parallel path partitions rows at band boundaries,
+    /// so threads never split a band.
+    ///
+    /// The plan binds, by [`OperandId`], to the first operand of its shape
+    /// multiplied after construction or after the last
+    /// `set_phase(Phase::Initialize)` — the coefficient matrix in every
+    /// solver of this crate, all of which open with `r = b − A x`.
     pub fn with_compiled_plan(mut self, plan: Arc<CompiledSpmv>) -> Self {
         self.plan = Some(plan);
+        self.plan_operand = None;
         self
     }
 
@@ -324,19 +363,38 @@ impl SoftwareKernels {
     pub fn reset(&mut self) {
         self.counts = OpCounts::default();
     }
+
+    /// Current accumulated operation counts ([`Kernels::counts`] without
+    /// naming a scalar type).
+    pub fn counts(&self) -> OpCounts {
+        self.counts
+    }
+
+    /// Unbinds the compiled plan from its operand: the next operand of the
+    /// plan's shape rebinds it. Called whenever a solver starts, since an
+    /// [`OperandId`] says nothing once the matrix behind it may be gone.
+    pub fn forget_operands(&mut self) {
+        self.plan_operand = None;
+    }
+
+    /// The installed plan, if `a` is the operand it is bound to.
+    ///
+    /// [`CompiledSpmv::matches`] compares shape and entry count only, and
+    /// `Aᵀ` has both in common with `A`, so a shape match alone would run
+    /// `A`'s column slots over `Aᵀ`'s values. Binding by storage identity
+    /// is O(1) per call and needs no second pattern check: whoever
+    /// installed the plan vouched for `A`.
+    fn plan_for<T: Scalar>(&mut self, a: &CsrMatrix<T>) -> Option<&CompiledSpmv> {
+        let plan = self.plan.as_deref().filter(|p| p.matches(a))?;
+        let id = OperandId::of(a);
+        (*self.plan_operand.get_or_insert(id) == id).then_some(plan)
+    }
 }
 
 /// The reference SOR sweep all executors share (see
 /// [`Kernels::sor_sweep`]). Rows ascending, within-row accumulation in
-/// CSR entry order — a fixed serial chain on every tier. Public so the
-/// fabric executor can wrap it with its cycle model.
-pub fn sor_sweep_reference<T: Scalar>(
-    a: &CsrMatrix<T>,
-    diag: &[T],
-    omega: T,
-    b: &[T],
-    x: &mut [T],
-) {
+/// CSR entry order — a fixed serial chain on every tier.
+fn sor_sweep_reference<T: Scalar>(a: &CsrMatrix<T>, diag: &[T], omega: T, b: &[T], x: &mut [T]) {
     debug_assert_eq!(diag.len(), a.nrows());
     debug_assert_eq!(b.len(), a.nrows());
     debug_assert_eq!(x.len(), a.nrows());
@@ -419,22 +477,16 @@ fn parallel_compiled_spmv<T: Scalar>(
 
 impl<T: Scalar> Kernels<T> for SoftwareKernels {
     fn spmv(&mut self, a: &CsrMatrix<T>, x: &[T], y: &mut [T]) {
-        match &self.plan {
-            Some(plan) if plan.matches(a) => {
-                if self.spmv_threads > 1 && a.nnz() >= PARALLEL_SPMV_MIN_NNZ {
-                    parallel_compiled_spmv(plan, a, x, y, self.spmv_threads, self.policy);
-                } else if self.policy.is_fast() {
-                    plan.execute_fast(a, x, y).expect("spmv shape mismatch");
-                } else {
-                    plan.execute(a, x, y).expect("spmv shape mismatch");
-                }
+        let (threads, policy) = (self.spmv_threads, self.policy);
+        let parallel = threads > 1 && a.nnz() >= PARALLEL_SPMV_MIN_NNZ;
+        match self.plan_for(a) {
+            Some(plan) if parallel => parallel_compiled_spmv(plan, a, x, y, threads, policy),
+            Some(plan) if policy.is_fast() => {
+                plan.execute_fast(a, x, y).expect("spmv shape mismatch")
             }
-            _ if self.spmv_threads > 1 && a.nnz() >= PARALLEL_SPMV_MIN_NNZ => {
-                parallel_spmv(a, x, y, self.spmv_threads);
-            }
-            _ => {
-                a.mul_vec_into(x, y).expect("spmv shape mismatch");
-            }
+            Some(plan) => plan.execute(a, x, y).expect("spmv shape mismatch"),
+            None if parallel => parallel_spmv(a, x, y, threads),
+            None => a.mul_vec_into(x, y).expect("spmv shape mismatch"),
         }
         self.counts.spmv_calls += 1;
         self.counts.spmv_nnz_processed += a.nnz() as u64;
@@ -520,18 +572,27 @@ impl<T: Scalar> Kernels<T> for SoftwareKernels {
         self.counts.spmv_nnz_processed += plan.tri_nnz() as u64;
         self.counts.spmv_flops += 2 * plan.tri_nnz() as u64;
         self.telemetry.counter_add(Counter::SptrsvApplies, 1);
-        let mut scratch: Vec<T> = match &self.workspace {
-            Some(ws) => ws.take(plan.max_level_width()),
-            None => vec![T::ZERO; plan.max_level_width()],
-        };
+        if self.spmv_threads == 1 && !self.policy.is_fast() {
+            // A serial deterministic caller needs neither the level order
+            // nor its scratch: natural row order is the bitwise reference.
+            plan.solve_serial(m, b, x).expect("sptrsv shape mismatch");
+            return;
+        }
+        let mut scratch: Vec<T> = self.acquire_buffer(plan.max_level_width());
         let result = if self.policy.is_fast() {
             plan.execute_fast(m, b, x, self.spmv_threads, &mut scratch)
         } else {
             plan.execute(m, b, x, self.spmv_threads, &mut scratch)
         };
         result.expect("sptrsv shape mismatch");
-        if let Some(ws) = &self.workspace {
-            ws.give(scratch);
+        self.release_buffer(scratch);
+    }
+
+    fn set_phase(&mut self, phase: Phase) {
+        if phase == Phase::Initialize {
+            // A solver is starting: its first same-shape operand rebinds
+            // the plan.
+            self.forget_operands();
         }
     }
 
@@ -550,18 +611,17 @@ impl<T: Scalar> Kernels<T> for SoftwareKernels {
         self.counts.spmv_flops += 2 * a.nnz() as u64;
         self.counts.dense_calls += 1;
         self.counts.dense_flops += 2 * y.len() as u64;
-        if let Some(plan) = &self.plan {
-            if plan.matches(a) {
-                if self.policy.is_fast() {
-                    // Fast band kernels with a lane-wise per-band dot.
-                    return plan
-                        .execute_dot_fast(a, x, y, z)
-                        .expect("spmv shape mismatch");
-                }
-                // Band kernels then a row-ascending dot per band: the same
-                // floating-point order as spmv followed by dot.
-                return plan.execute_dot(a, x, y, z).expect("spmv shape mismatch");
+        let fast = self.policy.is_fast();
+        if let Some(plan) = self.plan_for(a) {
+            if fast {
+                // Fast band kernels with a lane-wise per-band dot.
+                return plan
+                    .execute_dot_fast(a, x, y, z)
+                    .expect("spmv shape mismatch");
             }
+            // Band kernels then a row-ascending dot per band: the same
+            // floating-point order as spmv followed by dot.
+            return plan.execute_dot(a, x, y, z).expect("spmv shape mismatch");
         }
         // Rows ascending, accumulation ascending: the same floating-point
         // order as spmv followed by dot, so the result is bitwise equal.

@@ -60,9 +60,7 @@ pub use gmres::gmres;
 pub use ic0::Ic0;
 pub use ilu::{ilu_pcg, Ilu0};
 pub use jacobi::jacobi;
-pub use kernels::{
-    sor_sweep_reference, Kernels, OpCounts, Phase, SoftwareKernels, PARALLEL_SPMV_MIN_NNZ,
-};
+pub use kernels::{Kernels, OpCounts, OperandId, Phase, SoftwareKernels, PARALLEL_SPMV_MIN_NNZ};
 pub use pcg::{ic0_preconditioned_cg, preconditioned_cg, preconditioned_cg_with, Preconditioner};
 pub use report::SolveReport;
 pub use selection::{
