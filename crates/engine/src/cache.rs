@@ -15,9 +15,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to run [`Acamar::analyze`].
     pub misses: u64,
-    /// Lookups whose stored entry failed provenance verification (an
-    /// FNV-1a digest collision, or injected corruption) and were
-    /// re-analyzed; every collision is also counted as a miss.
+    /// Lookups whose stored entry failed provenance verification (a
+    /// corrupted entry — see [`PlanCache`]) and were re-analyzed; every
+    /// one is also counted as a miss. The name is historical: a digest
+    /// collision between same-shape patterns is *not* detected here.
     pub collisions: u64,
     /// Distinct patterns currently cached.
     pub entries: usize,
@@ -62,9 +63,8 @@ impl CacheStats {
 }
 
 /// One cached pattern: the artifacts plus the provenance of the matrix
-/// they were built from. The digest inside the [`PatternFingerprint`] key
-/// is not collision-proof, so a hit must re-verify the cheap invariants
-/// before trusting the entry.
+/// they were built from, re-checked on every hit as a guard against a
+/// corrupted entry.
 #[derive(Debug, Clone)]
 struct CacheEntry {
     artifacts: Arc<AnalysisArtifacts>,
@@ -78,6 +78,12 @@ struct CacheEntry {
 }
 
 impl CacheEntry {
+    /// An entry-corruption guard, not a digest-collision guard: `(nrows,
+    /// ncols, nnz)` are fields of the [`PatternFingerprint`] the entry was
+    /// found under, so for an intact entry this cannot fail — two
+    /// same-shape patterns whose digests collide would pass it. Only an
+    /// entry whose stored provenance was damaged after insertion (the
+    /// [`PlanCache::corrupt_entry`] fault seam) fails.
     fn verifies_against<T: Scalar>(&self, a: &CsrMatrix<T>) -> bool {
         self.nrows == a.nrows() && self.ncols == a.ncols() && self.nnz == a.nnz()
     }
@@ -102,11 +108,12 @@ impl CacheEntry {
 /// contention, which the batch engine's tests rely on.
 ///
 /// A hit additionally verifies the entry's stored `(nrows, ncols, nnz)`
-/// provenance against the incoming matrix: the FNV-1a digest alone is
-/// not collision-proof, and serving another pattern's plan would at best
-/// fail the schedule-coverage check and at worst mis-schedule the SpMV
-/// walk. A verification failure counts as a collision *and* a miss, and
-/// the entry is rebuilt from the incoming matrix.
+/// provenance against the incoming matrix. Those three are already part
+/// of the key, so this catches an entry corrupted in place (the
+/// `cache-corruption` fault seam), not two patterns sharing a 64-bit
+/// digest: the cache trusts the digest, as any hash-keyed cache does. A
+/// verification failure counts as a collision *and* a miss, and the
+/// entry is rebuilt from the incoming matrix.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     map: RwLock<HashMap<(PatternFingerprint, DeterminismPolicy), CacheEntry>>,
@@ -167,8 +174,8 @@ impl PlanCache {
                 sink.counter_add(Counter::CacheHits, 1);
                 return Arc::clone(&entry.artifacts);
             }
-            // Collision or corruption: fall through to the exclusive path
-            // and rebuild.
+            // Corrupted entry: fall through to the exclusive path and
+            // rebuild.
         }
         let mut map = self.map.write().expect("cache lock poisoned");
         if let Some(entry) = map.get(&fp) {

@@ -10,7 +10,8 @@
 //! pattern they have already seen. This crate removes that redundancy:
 //!
 //! * [`PatternFingerprint`] keys a CSR pattern by `(nrows, ncols, nnz)`
-//!   plus an FNV-1a digest of `row_ptr`/`col_idx`;
+//!   plus a 64-bit digest of `row_ptr`/`col_idx` (eight folded-multiply
+//!   lanes over the words, read once at memory speed);
 //! * [`PlanCache`] maps fingerprints to shared
 //!   [`AnalysisArtifacts`](acamar_core::AnalysisArtifacts) behind an
 //!   `RwLock`, building each pattern's artifacts exactly once even under

@@ -8,12 +8,11 @@ use acamar_engine::PatternFingerprint;
 /// every process that ever computes it, so a restarted service re-warms
 /// exactly the shards the old one had warm.
 ///
-/// The fingerprint's FNV-1a digest is already well mixed over patterns
-/// that differ structurally, but patterns can also differ only in shape
-/// (same digest-relevant arrays are impossible, yet nearby generators
-/// often produce correlated low bits), so the dimensions are folded in
-/// and the combination is run through a splitmix64-style finalizer
-/// before the modulo.
+/// The fingerprint's digest is itself pure and unseeded (that is what
+/// makes this function so) and already avalanched over patterns that
+/// differ structurally; the dimensions are folded in as well and the
+/// combination is run through a splitmix64-style finalizer before the
+/// modulo, so the shard never depends on the digest's low bits alone.
 ///
 /// [`RandomState`]: std::collections::hash_map::RandomState
 pub fn shard_for(fp: &PatternFingerprint, shards: usize) -> usize {

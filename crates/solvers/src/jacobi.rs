@@ -8,7 +8,7 @@ use crate::convergence::{ConvergenceCriteria, DivergenceReason, Monitor, Outcome
 use crate::kernels::{Kernels, Phase};
 use crate::report::SolveReport;
 use crate::selection::SolverKind;
-use acamar_sparse::{CooMatrix, CsrMatrix, Scalar, SparseError};
+use acamar_sparse::{CsrMatrix, Scalar, SparseError};
 
 /// Solves `A x = b` with the Jacobi method.
 ///
@@ -52,8 +52,7 @@ pub fn jacobi<T: Scalar, K: Kernels<T>>(
     // --- Initialize unit work (Algorithm 1 lines 1-7) ---
     kernels.set_phase(Phase::Initialize);
     let diag = a.diagonal();
-    if let Some(row) = diag.iter().position(|&d| d == T::ZERO) {
-        let _ = row;
+    if diag.contains(&T::ZERO) {
         return Ok(SolveReport {
             solver: SolverKind::Jacobi,
             outcome: Outcome::Diverged(DivergenceReason::Breakdown("zero diagonal")),
@@ -69,15 +68,7 @@ pub fn jacobi<T: Scalar, K: Kernels<T>>(
     }
 
     // T = D^{-1}(L + U): all off-diagonal entries of A scaled by 1/d_i.
-    let mut coo = CooMatrix::with_capacity(n, n, a.nnz());
-    for (i, cols, vals) in a.iter_rows() {
-        for (&c, &v) in cols.iter().zip(vals) {
-            if c != i {
-                coo.push(i, c, v * inv_d[i]).expect("indices in bounds");
-            }
-        }
-    }
-    let t_mat = coo.to_csr();
+    let t_mat = a.off_diagonal_scaled(&inv_d)?;
 
     // c = D^{-1} b
     let mut c = kernels.acquire_buffer(n);

@@ -85,11 +85,18 @@ impl StructureReport {
 /// (Section IV-B: "If the CSC format matches the CSR format, the matrix A
 /// is considered symmetric").
 pub fn symmetric_via_csc<T: Scalar>(a: &CsrMatrix<T>) -> bool {
+    symmetry_via_csc(a).1
+}
+
+/// `(pattern symmetric, numerically symmetric)` from one CSR→CSC
+/// conversion: the index arrays answer the first, the values the second.
+fn symmetry_via_csc<T: Scalar>(a: &CsrMatrix<T>) -> (bool, bool) {
     if a.nrows() != a.ncols() {
-        return false;
+        return (false, false);
     }
     let csc = CscMatrix::from_csr(a);
-    csc.col_ptr() == a.row_ptr() && csc.row_idx() == a.col_idx() && csc.values() == a.values()
+    let pattern = csc.col_ptr() == a.row_ptr() && csc.row_idx() == a.col_idx();
+    (pattern, pattern && csc.values() == a.values())
 }
 
 /// Strict diagonal dominance per paper Eq. 1:
@@ -111,21 +118,77 @@ pub fn diagonal_dominance_margin<T: Scalar>(a: &CsrMatrix<T>) -> f64 {
     }
     let mut worst = f64::INFINITY;
     for (i, cols, vals) in a.iter_rows() {
-        let mut diag = 0.0f64;
-        let mut off = 0.0f64;
-        for (&c, &v) in cols.iter().zip(vals) {
-            if c == i {
-                diag = v.to_f64().abs();
-            } else {
-                off += v.to_f64().abs();
-            }
-        }
-        worst = worst.min(diag - off);
+        let (diag, radius) = diagonal_and_radius(i, cols, vals);
+        worst = worst.min(diag.to_f64().abs() - radius);
     }
     if a.nrows() == 0 {
         0.0
     } else {
         worst
+    }
+}
+
+/// Row `i`'s diagonal entry (zero when not stored) and its Gershgorin
+/// radius `Σ_{j≠i} |a_ij|`.
+fn diagonal_and_radius<T: Scalar>(i: usize, cols: &[usize], vals: &[T]) -> (T, f64) {
+    let mut diag = T::ZERO;
+    let mut radius = 0.0f64;
+    for (&c, &v) in cols.iter().zip(vals) {
+        if c == i {
+            diag = v;
+        } else {
+            radius += v.to_f64().abs();
+        }
+    }
+    (diag, radius)
+}
+
+/// What the Gershgorin discs seen so far certify.
+struct Discs {
+    all_positive: bool,
+    all_negative: bool,
+    any_certain_positive: bool,
+    any_certain_negative: bool,
+}
+
+impl Discs {
+    fn new() -> Discs {
+        Discs {
+            all_positive: true,
+            all_negative: true,
+            any_certain_positive: false,
+            any_certain_negative: false,
+        }
+    }
+
+    /// Adds the disc `[diag - radius, diag + radius]`.
+    fn observe(&mut self, diag: f64, radius: f64) {
+        let lo = diag - radius;
+        let hi = diag + radius;
+        if lo <= 0.0 {
+            self.all_positive = false;
+        }
+        if hi >= 0.0 {
+            self.all_negative = false;
+        }
+        if hi < 0.0 {
+            self.any_certain_negative = true;
+        }
+        if lo > 0.0 {
+            self.any_certain_positive = true;
+        }
+    }
+
+    fn classify(&self) -> Definiteness {
+        if self.all_positive {
+            Definiteness::PositiveDefinite
+        } else if self.all_negative {
+            Definiteness::NegativeDefinite
+        } else if self.any_certain_positive && self.any_certain_negative {
+            Definiteness::Indefinite
+        } else {
+            Definiteness::Unknown
+        }
     }
 }
 
@@ -137,44 +200,12 @@ pub fn gershgorin_definiteness<T: Scalar>(a: &CsrMatrix<T>) -> Definiteness {
     if a.nrows() != a.ncols() || a.nrows() == 0 {
         return Definiteness::Unknown;
     }
-    let mut any_certain_negative = false;
-    let mut any_certain_positive = false;
-    let mut all_positive = true;
-    let mut all_negative = true;
+    let mut discs = Discs::new();
     for (i, cols, vals) in a.iter_rows() {
-        let mut diag = 0.0f64;
-        let mut radius = 0.0f64;
-        for (&c, &v) in cols.iter().zip(vals) {
-            if c == i {
-                diag = v.to_f64();
-            } else {
-                radius += v.to_f64().abs();
-            }
-        }
-        let lo = diag - radius;
-        let hi = diag + radius;
-        if lo <= 0.0 {
-            all_positive = false;
-        }
-        if hi >= 0.0 {
-            all_negative = false;
-        }
-        if hi < 0.0 {
-            any_certain_negative = true;
-        }
-        if lo > 0.0 {
-            any_certain_positive = true;
-        }
+        let (diag, radius) = diagonal_and_radius(i, cols, vals);
+        discs.observe(diag.to_f64(), radius);
     }
-    if all_positive {
-        Definiteness::PositiveDefinite
-    } else if all_negative {
-        Definiteness::NegativeDefinite
-    } else if any_certain_positive && any_certain_negative {
-        Definiteness::Indefinite
-    } else {
-        Definiteness::Unknown
-    }
+    discs.classify()
 }
 
 /// Estimates the spectral radius of `A` by power iteration.
@@ -222,30 +253,54 @@ pub fn spectral_radius_estimate<T: Scalar>(a: &CsrMatrix<T>, iters: usize) -> Op
 /// assert!(report.weakly_diagonally_dominant);
 /// ```
 pub fn analyze<T: Scalar>(a: &CsrMatrix<T>) -> StructureReport {
-    let diag = a.diagonal();
-    let positive_diagonal = !diag.is_empty() && diag.iter().all(|&d| d > T::ZERO);
-    let has_pos = diag.iter().any(|&d| d > T::ZERO);
-    let has_neg = diag.iter().any(|&d| d < T::ZERO);
-    let margin = diagonal_dominance_margin(a);
+    let square = a.nrows() == a.ncols();
+    // Rows past `ncols` of a tall matrix have no diagonal position.
+    let diag_len = a.nrows().min(a.ncols());
+    let mut positive_diagonal = diag_len > 0;
+    let (mut has_pos, mut has_neg) = (false, false);
+    let mut nonzero_diagonal = true;
+    let mut margin = f64::INFINITY;
+    let mut discs = Discs::new();
     let mut bandwidth = 0usize;
-    for (i, cols, _) in a.iter_rows() {
-        for &c in cols {
-            bandwidth = bandwidth.max(i.abs_diff(c));
+    // One sweep feeds every per-row quantity.
+    for (i, cols, vals) in a.iter_rows() {
+        let (diag, radius) = diagonal_and_radius(i, cols, vals);
+        if i < diag_len {
+            positive_diagonal &= diag > T::ZERO;
+            has_pos |= diag > T::ZERO;
+            has_neg |= diag < T::ZERO;
+            nonzero_diagonal &= diag != T::ZERO;
+        }
+        margin = margin.min(diag.to_f64().abs() - radius);
+        discs.observe(diag.to_f64(), radius);
+        // Columns are sorted, so the row's farthest entry is at an end.
+        if let (Some(&first), Some(&last)) = (cols.first(), cols.last()) {
+            bandwidth = bandwidth.max(i.abs_diff(first)).max(i.abs_diff(last));
         }
     }
+    if !square {
+        margin = f64::NEG_INFINITY;
+    } else if a.nrows() == 0 {
+        margin = 0.0;
+    }
+    let (pattern_symmetric, symmetric) = symmetry_via_csc(a);
     StructureReport {
         nrows: a.nrows(),
         ncols: a.ncols(),
         nnz: a.nnz(),
         density: a.density(),
-        symmetric: symmetric_via_csc(a),
-        pattern_symmetric: a.is_pattern_symmetric(),
+        symmetric,
+        pattern_symmetric,
         strictly_diagonally_dominant: margin > 0.0,
         weakly_diagonally_dominant: margin >= 0.0,
-        nonzero_diagonal: a.has_nonzero_diagonal(),
+        nonzero_diagonal,
         positive_diagonal,
         mixed_sign_diagonal: has_pos && has_neg,
-        gershgorin_definiteness: gershgorin_definiteness(a),
+        gershgorin_definiteness: if square && a.nrows() > 0 {
+            discs.classify()
+        } else {
+            Definiteness::Unknown
+        },
         bandwidth,
     }
 }

@@ -160,19 +160,26 @@ impl<T: Scalar> CooMatrix<T> {
                 let (_, c, v) = self.entries[k];
                 scratch.push((c, v));
             }
-            scratch.sort_by_key(|&(c, _)| c);
-            // merge duplicates
-            let mut i = 0;
-            while i < scratch.len() {
-                let (c, mut v) = scratch[i];
-                let mut j = i + 1;
-                while j < scratch.len() && scratch[j].0 == c {
-                    v += scratch[j].1;
-                    j += 1;
+            // Row-major assembly (most generators) gathers each row already
+            // strictly ascending: nothing to sort, nothing to merge.
+            if scratch.windows(2).all(|w| w[0].0 < w[1].0) {
+                col_idx.extend(scratch.iter().map(|&(c, _)| c));
+                values.extend(scratch.iter().map(|&(_, v)| v));
+            } else {
+                scratch.sort_by_key(|&(c, _)| c);
+                // merge duplicates
+                let mut i = 0;
+                while i < scratch.len() {
+                    let (c, mut v) = scratch[i];
+                    let mut j = i + 1;
+                    while j < scratch.len() && scratch[j].0 == c {
+                        v += scratch[j].1;
+                        j += 1;
+                    }
+                    col_idx.push(c);
+                    values.push(v);
+                    i = j;
                 }
-                col_idx.push(c);
-                values.push(v);
-                i = j;
             }
             row_ptr.push(col_idx.len());
         }
@@ -232,6 +239,28 @@ mod tests {
         // columns sorted within rows
         let (cols, _) = csr.row(0);
         assert_eq!(cols, &[0, 2]);
+    }
+
+    #[test]
+    fn ascending_rows_skip_the_sort_and_convert_the_same() {
+        // (0,1) twice in a row is not *strictly* ascending: it must still
+        // reach the merge.
+        let sorted = [
+            (0, 0, 1.0),
+            (0, 1, 2.0),
+            (0, 1, 0.5),
+            (2, 0, 3.0),
+            (2, 2, 4.0),
+        ];
+        let mut a = CooMatrix::<f64>::new(3, 3);
+        a.extend(sorted);
+        let mut b = CooMatrix::<f64>::new(3, 3);
+        b.extend(sorted.iter().rev().copied());
+        let csr = a.to_csr();
+        assert_eq!(csr, b.to_csr());
+        assert_eq!(csr.row_ptr(), &[0, 2, 2, 4]);
+        assert_eq!(csr.col_idx(), &[0, 1, 0, 2]);
+        assert_eq!(csr.values(), &[1.0, 2.5, 3.0, 4.0]);
     }
 
     #[test]

@@ -469,6 +469,54 @@ impl<T: Scalar> CsrMatrix<T> {
         )
     }
 
+    /// The off-diagonal part with row `i` multiplied by `row_scale[i]`:
+    /// with `row_scale = 1 / diag(A)` this is Jacobi's iteration matrix
+    /// `T = D⁻¹(L + U)` (Algorithm 1's Initialize lines).
+    ///
+    /// One sweep over the stored entries into freshly reserved arrays —
+    /// the result shares nothing with `self` — with no sort: dropping one
+    /// column from a sorted row leaves it sorted. The reservation is exact
+    /// when every diagonal entry is stored (the only case Jacobi gets this
+    /// far with); a structurally missing diagonal just grows the arrays.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if
+    /// `row_scale.len() != nrows`.
+    pub fn off_diagonal_scaled(&self, row_scale: &[T]) -> Result<CsrMatrix<T>, SparseError> {
+        if row_scale.len() != self.nrows {
+            return Err(SparseError::DimensionMismatch {
+                expected: self.nrows,
+                found: row_scale.len(),
+                what: "row scale length",
+            });
+        }
+        let kept = self.nnz() - self.nrows.min(self.ncols).min(self.nnz());
+        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
+        let mut col_idx = Vec::with_capacity(kept);
+        let mut values = Vec::with_capacity(kept);
+        row_ptr.push(0);
+        for ((i, cols, vals), &s) in self.iter_rows().zip(row_scale) {
+            // The diagonal's slot splits the row into two runs that are
+            // copied (columns) and scaled (values) whole.
+            let (below, above) = match cols.binary_search(&i) {
+                Ok(k) => (k, k + 1),
+                Err(k) => (k, k),
+            };
+            col_idx.extend_from_slice(&cols[..below]);
+            col_idx.extend_from_slice(&cols[above..]);
+            values.extend(vals[..below].iter().map(|&v| v * s));
+            values.extend(vals[above..].iter().map(|&v| v * s));
+            row_ptr.push(col_idx.len());
+        }
+        Ok(if cfg!(debug_assertions) {
+            CsrMatrix::try_from_parts(self.nrows, self.ncols, row_ptr, col_idx, values)
+                .expect("a sorted row minus one column is a sorted row")
+        } else {
+            CsrMatrix::from_raw_parts_unchecked(self.nrows, self.ncols, row_ptr, col_idx, values)
+        })
+    }
+
     /// Extracts rows `range` as a new matrix with the same column count.
     ///
     /// # Panics

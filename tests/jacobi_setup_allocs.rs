@@ -1,0 +1,87 @@
+//! A warm Jacobi set-up allocates a fixed, small number of times.
+//!
+//! Jacobi is the one solver that builds a second matrix per solve
+//! (`T = D⁻¹(L + U)`). Built through `CooMatrix` that was a dozen
+//! allocations, several of them growing with the row lengths; built by
+//! `CsrMatrix::off_diagonal_scaled` it is the operand's three arrays. The
+//! count below is the whole solve's — with a warm buffer pool and a
+//! one-iteration budget, set-up is all that is left — and it must not
+//! depend on the matrix.
+
+use acamar::solvers::{jacobi, ConvergenceCriteria, SoftwareKernels, WorkspaceHandle};
+use acamar::sparse::generate::{self, RowDistribution};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts the calling thread's heap allocations, so the libtest harness
+/// and any other test thread stay out of the measurement.
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a plain thread-local `Cell`
+// with no destructor and no allocation of its own.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System`; layout and size are the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Allocations of the third one-iteration Jacobi solve on a strictly
+/// dominant system of `n` rows: two warm-ups settle the buffer pool (the
+/// first fills it, the second replaces the escaped solution buffer).
+fn warm_setup_allocations(n: usize, rows: RowDistribution) -> u64 {
+    let a = generate::diagonally_dominant::<f64>(n, rows, 1.5, 7);
+    let b = vec![1.0; n];
+    let criteria = ConvergenceCriteria::paper().with_max_iterations(1);
+    let mut kernels = SoftwareKernels::new().with_workspace(WorkspaceHandle::new());
+    for _ in 0..2 {
+        jacobi(&a, &b, None, &criteria, &mut kernels).expect("square system");
+    }
+    let before = allocations();
+    let report = jacobi(&a, &b, None, &criteria, &mut kernels).expect("square system");
+    let spent = allocations() - before;
+    assert_eq!(report.iterations, 1);
+    spent
+}
+
+#[test]
+fn a_warm_jacobi_set_up_allocates_a_fixed_small_number_of_times() {
+    // The diagonal copy, the operand's row_ptr / col_idx / values, the
+    // pooled buffer that replaces the solution the previous solve kept,
+    // and the one-entry residual history.
+    const EXPECTED: u64 = 6;
+    let small = warm_setup_allocations(300, RowDistribution::Uniform { min: 2, max: 6 });
+    let large = warm_setup_allocations(3000, RowDistribution::Uniform { min: 1, max: 40 });
+    assert_eq!(small, large, "set-up allocations depend on the matrix");
+    assert_eq!(small, EXPECTED);
+}

@@ -1,0 +1,292 @@
+//! The per-matrix set-up passes against what they replaced.
+//!
+//! `CsrMatrix::off_diagonal_scaled` builds Jacobi's `T = D⁻¹(L + U)` in
+//! one sweep; it must be bit for bit the matrix the `CooMatrix` round
+//! trip built. `analysis::analyze` reads the matrix in one row sweep plus
+//! one CSR→CSC conversion; it must report what the five-sweep version
+//! reported. Both references are restated here from the public API, so
+//! they share no code with the passes they check.
+
+use acamar::datasets::{laplacian_suite, suite};
+use acamar::sparse::analysis::{self, Definiteness, StructureReport};
+use acamar::sparse::rng::DetRng;
+use acamar::sparse::{CooMatrix, CscMatrix, CsrMatrix, Scalar};
+
+/// Sixty-four seeded square patterns that mix, row by row, what the
+/// generators never produce together: empty rows, diagonal-only rows,
+/// rows with no stored diagonal, a stored zero on the diagonal, and
+/// explicit off-diagonal zeros. Every fourth pattern is symmetrized in
+/// pattern, every eighth in values too.
+fn seeded_patterns() -> Vec<CsrMatrix<f64>> {
+    let mut rng = DetRng::seed_from_u64(0x5e7_0b5);
+    (0..64)
+        .map(|case| {
+            let n = rng.gen_range(1..=48usize);
+            let mut dense = vec![vec![None; n]; n];
+            for (i, row) in dense.iter_mut().enumerate() {
+                let kind = rng.gen_range(0..6usize);
+                if kind == 0 {
+                    continue; // empty row
+                }
+                if kind != 1 {
+                    // kind 1 is a diagonal-only row
+                    for slot in row.iter_mut() {
+                        if rng.gen_bool(0.15) {
+                            let zero = rng.gen_bool(0.1);
+                            *slot = Some(if zero { 0.0 } else { rng.gen_range(-2.0..2.0) });
+                        }
+                    }
+                }
+                row[i] = match kind {
+                    2 => None,      // structurally missing diagonal
+                    3 => Some(0.0), // stored zero diagonal
+                    _ => Some(rng.gen_range(0.5..4.0) * if kind == 4 { -1.0 } else { 1.0 }),
+                };
+            }
+            if case % 4 == 0 {
+                // Mirror the lower triangle up, values shifted unless the
+                // pattern is to be numerically symmetric as well.
+                let shift = if case % 8 == 0 { 0.0 } else { 0.25 };
+                let lower: Vec<(usize, usize, Option<f64>)> = dense
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, row)| row[..i].iter().enumerate().map(move |(j, &v)| (i, j, v)))
+                    .collect();
+                for (i, j, v) in lower {
+                    dense[j][i] = v.map(|v| v + shift);
+                }
+            }
+            from_dense(n, n, &dense)
+        })
+        .collect()
+}
+
+fn from_dense(nrows: usize, ncols: usize, dense: &[Vec<Option<f64>>]) -> CsrMatrix<f64> {
+    let mut row_ptr = vec![0];
+    let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+    for row in dense {
+        for (j, slot) in row.iter().enumerate() {
+            if let Some(v) = slot {
+                col_idx.push(j);
+                values.push(*v);
+            }
+        }
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::try_from_parts(nrows, ncols, row_ptr, col_idx, values)
+        .expect("valid by construction")
+}
+
+/// The suites the benchmark runs plus the seeded patterns.
+fn square_pool() -> Vec<CsrMatrix<f64>> {
+    let mut pool: Vec<CsrMatrix<f64>> = suite().iter().map(|d| d.matrix_f64()).collect();
+    pool.extend(laplacian_suite().iter().map(|w| w.matrix_f64()));
+    pool.extend(seeded_patterns());
+    pool
+}
+
+/// Jacobi's operand the way `solvers::jacobi` built it before: push every
+/// off-diagonal entry, scaled, into a `CooMatrix` and convert.
+fn coo_route<T: Scalar>(a: &CsrMatrix<T>, row_scale: &[T]) -> CsrMatrix<T> {
+    let mut coo = CooMatrix::with_capacity(a.nrows(), a.ncols(), a.nnz());
+    for (i, cols, vals) in a.iter_rows() {
+        for (&c, &v) in cols.iter().zip(vals) {
+            if c != i {
+                coo.push(i, c, v * row_scale[i]).expect("indices in bounds");
+            }
+        }
+    }
+    coo.to_csr()
+}
+
+fn assert_bitwise_equal<T: Scalar>(got: &CsrMatrix<T>, want: &CsrMatrix<T>, what: &str) {
+    assert_eq!(
+        (got.nrows(), got.ncols()),
+        (want.nrows(), want.ncols()),
+        "{what}"
+    );
+    assert_eq!(got.row_ptr(), want.row_ptr(), "{what}: row_ptr");
+    assert_eq!(got.col_idx(), want.col_idx(), "{what}: col_idx");
+    let bits = |m: &CsrMatrix<T>| -> Vec<u64> {
+        m.values().iter().map(|v| v.to_f64().to_bits()).collect()
+    };
+    assert_eq!(bits(got), bits(want), "{what}: value bits");
+}
+
+#[test]
+fn off_diagonal_scaled_is_bitwise_the_coo_route() {
+    let mut rng = DetRng::seed_from_u64(0x7_0b5);
+    for (k, a) in square_pool().iter().enumerate() {
+        // Jacobi's own scale where the diagonal allows it (an infinite
+        // scale on a zero diagonal is still a legal multiplier) ...
+        let inv_d: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
+        let t = a.off_diagonal_scaled(&inv_d).expect("square");
+        assert_bitwise_equal(&t, &coo_route(a, &inv_d), &format!("matrix {k}, 1/d"));
+        // ... and an arbitrary one, in both precisions.
+        let scale: Vec<f64> = (0..a.nrows()).map(|_| rng.gen_range(-3.0..3.0)).collect();
+        let t = a.off_diagonal_scaled(&scale).expect("square");
+        assert_bitwise_equal(&t, &coo_route(a, &scale), &format!("matrix {k}, random"));
+        let (a32, scale32) = (
+            a.cast::<f32>(),
+            scale.iter().map(|&s| s as f32).collect::<Vec<_>>(),
+        );
+        let t32 = a32.off_diagonal_scaled(&scale32).expect("square");
+        assert_bitwise_equal(
+            &t32,
+            &coo_route(&a32, &scale32),
+            &format!("matrix {k}, f32"),
+        );
+        // The operand owns its storage: the fabric prices it by identity.
+        assert_ne!(t.row_ptr().as_ptr(), a.row_ptr().as_ptr());
+    }
+}
+
+#[test]
+fn off_diagonal_scaled_handles_rectangles_and_rejects_a_short_scale() {
+    let wide = from_dense(
+        2,
+        4,
+        &[
+            vec![Some(1.0), Some(2.0), None, Some(3.0)],
+            vec![None, None, Some(4.0), None],
+        ],
+    );
+    let t = wide
+        .off_diagonal_scaled(&[2.0, 3.0])
+        .expect("scale per row");
+    assert_bitwise_equal(&t, &coo_route(&wide, &[2.0, 3.0]), "wide");
+    assert_eq!(t.col_idx(), &[1, 3, 2]);
+    let tall = wide.transpose();
+    let scale = [1.0, -1.0, 0.5, 2.0];
+    let t = tall.off_diagonal_scaled(&scale).expect("scale per row");
+    assert_bitwise_equal(&t, &coo_route(&tall, &scale), "tall");
+    assert!(wide.off_diagonal_scaled(&[1.0]).is_err());
+    let empty = CsrMatrix::<f64>::try_from_parts(0, 0, vec![0], vec![], vec![]).unwrap();
+    assert_eq!(empty.off_diagonal_scaled(&[]).expect("0x0").nnz(), 0);
+}
+
+/// `analyze` as it was: one sweep (or per-row binary search) per field.
+fn multi_sweep_report<T: Scalar>(a: &CsrMatrix<T>) -> StructureReport {
+    let square = a.nrows() == a.ncols();
+    let diag: Vec<T> = (0..a.nrows().min(a.ncols())).map(|i| a.get(i, i)).collect();
+
+    let symmetric = square && {
+        let csc = CscMatrix::from_csr(a);
+        csc.col_ptr() == a.row_ptr() && csc.row_idx() == a.col_idx() && csc.values() == a.values()
+    };
+
+    let margin = if !square {
+        f64::NEG_INFINITY
+    } else if a.nrows() == 0 {
+        0.0
+    } else {
+        let mut worst = f64::INFINITY;
+        for (i, cols, vals) in a.iter_rows() {
+            let (mut d, mut off) = (0.0f64, 0.0f64);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if c == i {
+                    d = v.to_f64().abs();
+                } else {
+                    off += v.to_f64().abs();
+                }
+            }
+            worst = worst.min(d - off);
+        }
+        worst
+    };
+
+    let gershgorin_definiteness = if !square || a.nrows() == 0 {
+        Definiteness::Unknown
+    } else {
+        let (mut certain_neg, mut certain_pos, mut all_pos, mut all_neg) =
+            (false, false, true, true);
+        for (i, cols, vals) in a.iter_rows() {
+            let (mut d, mut radius) = (0.0f64, 0.0f64);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if c == i {
+                    d = v.to_f64();
+                } else {
+                    radius += v.to_f64().abs();
+                }
+            }
+            let (lo, hi) = (d - radius, d + radius);
+            all_pos &= lo > 0.0;
+            all_neg &= hi < 0.0;
+            certain_neg |= hi < 0.0;
+            certain_pos |= lo > 0.0;
+        }
+        if all_pos {
+            Definiteness::PositiveDefinite
+        } else if all_neg {
+            Definiteness::NegativeDefinite
+        } else if certain_pos && certain_neg {
+            Definiteness::Indefinite
+        } else {
+            Definiteness::Unknown
+        }
+    };
+
+    let mut bandwidth = 0usize;
+    for (i, cols, _) in a.iter_rows() {
+        for &c in cols {
+            bandwidth = bandwidth.max(i.abs_diff(c));
+        }
+    }
+
+    StructureReport {
+        nrows: a.nrows(),
+        ncols: a.ncols(),
+        nnz: a.nnz(),
+        density: a.density(),
+        symmetric,
+        pattern_symmetric: a.is_pattern_symmetric(),
+        strictly_diagonally_dominant: margin > 0.0,
+        weakly_diagonally_dominant: margin >= 0.0,
+        nonzero_diagonal: diag.iter().all(|&d| d != T::ZERO),
+        positive_diagonal: !diag.is_empty() && diag.iter().all(|&d| d > T::ZERO),
+        mixed_sign_diagonal: diag.iter().any(|&d| d > T::ZERO) && diag.iter().any(|&d| d < T::ZERO),
+        gershgorin_definiteness,
+        bandwidth,
+    }
+}
+
+#[test]
+fn one_sweep_analyze_reports_what_the_multi_sweep_version_did() {
+    let mut pool = square_pool();
+    // Rectangles (a diagonal shorter than the row count, and than the
+    // column count), an all-empty square and the 0x0 matrix.
+    let wide = from_dense(
+        2,
+        5,
+        &[
+            vec![Some(-1.0), None, None, None, Some(2.0)],
+            vec![Some(3.0), Some(4.0), None, None, None],
+        ],
+    );
+    pool.push(wide.transpose());
+    pool.push(wide);
+    pool.push(from_dense(3, 3, &vec![vec![None; 3]; 3]));
+    pool.push(CsrMatrix::try_from_parts(0, 0, vec![0], vec![], vec![]).unwrap());
+    // Values the comparisons treat specially.
+    pool.push(from_dense(
+        2,
+        2,
+        &[vec![Some(f64::NAN), Some(1.0)], vec![Some(1.0), Some(-0.0)]],
+    ));
+
+    let mut seen_symmetric = 0;
+    let mut seen_pattern_only = 0;
+    for (k, a) in pool.iter().enumerate() {
+        let got = analysis::analyze(a);
+        assert_eq!(got, multi_sweep_report(a), "matrix {k}");
+        assert_eq!(
+            analysis::analyze(&a.cast::<f32>()),
+            multi_sweep_report(&a.cast::<f32>()),
+            "matrix {k} in f32"
+        );
+        seen_symmetric += usize::from(got.symmetric);
+        seen_pattern_only += usize::from(got.pattern_symmetric && !got.symmetric);
+    }
+    // The pool exercises both ways the single CSC conversion can answer.
+    assert!(seen_symmetric >= 8 && seen_pattern_only >= 4);
+}
