@@ -822,6 +822,13 @@ mod tests {
 
     #[test]
     fn replaying_a_drifting_sequence_is_bitwise_identical() {
+        use acamar_sparse::{BandKind, CompiledSpmv};
+        // Every 14-row grid-line interior of poisson2d-16 is one Diagonal
+        // band. The drift lands mid-band (both halves fall below the Fixed
+        // minimum), off-centre (the 9-row side stays Diagonal), then on
+        // the first and on the last rows of two pairs of bands (the 13
+        // rows left of each stay Diagonal).
+        let drift = [(2, 7, 8), (4, 100, 101), (6, 33, 49), (8, 142, 158)];
         let run = || {
             let engine = engine();
             let a0 = Arc::new(generate::poisson2d::<f64>(16, 16));
@@ -829,26 +836,36 @@ mod tests {
                 .open_sequence(Arc::clone(&a0), SequenceConfig::default())
                 .unwrap();
             let mut solutions = Vec::new();
+            let mut diagonal_rows = Vec::new();
             let mut a = a0;
-            for k in 0..6 {
-                if k == 2 {
-                    a = Arc::new(drop_pair(&a, 7, 8));
-                }
-                if k == 4 {
-                    a = Arc::new(drop_pair(&a, 100, 101));
+            for k in 0..10 {
+                if let Some(&(_, r, c)) = drift.iter().find(|d| d.0 == k) {
+                    a = Arc::new(drop_pair(&a, r, c));
                 }
                 let b: Vec<f64> = (0..256).map(|i| 1.0 + ((i + k) % 5) as f64).collect();
                 let step = seq.step(SequenceJob::new(Arc::clone(&a), b)).unwrap();
+                // The installed plan is the one a cold compile would build.
+                let plan = &seq.artifacts.compiled;
+                assert_eq!(**plan, CompiledSpmv::compile(&a, &seq.hints).unwrap());
+                let bands = plan.bands().iter();
+                diagonal_rows.push(
+                    bands
+                        .filter(|b| matches!(b.kind, BandKind::Diagonal { .. }))
+                        .map(|b| b.len())
+                        .sum::<usize>(),
+                );
                 solutions.push((step.plan, step.report.solve.solution));
             }
-            (solutions, seq.stats())
+            (solutions, diagonal_rows, seq.stats())
         };
-        let (s1, t1) = run();
-        let (s2, t2) = run();
+        let (s1, d1, t1) = run();
+        let (s2, d2, t2) = run();
         assert_eq!(s1, s2, "replay must be bitwise identical");
+        assert_eq!(d1, d2);
+        assert_eq!(d1, [224, 224, 210, 210, 205, 205, 203, 203, 201, 201]);
         assert_eq!(t1.plans_patched, t2.plans_patched);
         assert_eq!(t1.warm_starts_used, t2.warm_starts_used);
-        assert_eq!(t1.plans_patched, 2);
+        assert_eq!(t1.plans_patched, 4);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! therefore **bitwise identical** to serial forward substitution at any
 //! worker count — the property `tests/properties.rs` locks down. The
 //! `Fast` tier re-associates each row's accumulation through
-//! [`Lanes4`](crate::simd::Lanes4) partial sums, trading bitwise
+//! [`Lanes4`] partial sums, trading bitwise
 //! stability for within-row vectorization, mirroring the SpMV fast tier.
 
 use crate::csr::CsrMatrix;
