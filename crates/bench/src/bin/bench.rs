@@ -43,10 +43,10 @@
 //!   reduction; written to `BENCH_PR9.json`;
 //! - **solver-suite workloads**: the Laplacian/stencil suite run through
 //!   plain CG and IC(0)-preconditioned CG — gating a >= 1.5x geomean
-//!   iteration reduction (exact, deterministic) — plus a worker scan of
-//!   the level-scheduled [`CompiledSptrsv`] kernel on a 2D Poisson lower
-//!   triangle, gating bitwise identity against serial substitution at
-//!   every worker count; written to `BENCH_PR10.json`.
+//!   iteration reduction (exact, deterministic) — plus the level
+//!   statistics of a [`CompiledSptrsv`] plan over a 2D Poisson lower
+//!   triangle and one serial substitution timing; written to
+//!   `BENCH_PR10.json`.
 //!
 //! Writes `BENCH_PR4.json` plus the machine-diffable `BENCH_SUMMARY.json`
 //! and the telemetry artifacts `bench_trace.jsonl` / `bench_metrics.prom`
@@ -265,7 +265,7 @@ fn bench_compiled_spmv(d: &Dataset, quick: bool, batch_wall_seconds: f64) -> Com
     let samples = if quick { 5 } else { 9 };
 
     a.mul_vec_into(&x, &mut y_generic).expect("generic warm-up");
-    plan.execute(&a, &x, &mut y_compiled)
+    plan.execute(DeterminismPolicy::Deterministic, &a, &x, &mut y_compiled)
         .expect("compiled warm-up");
 
     // Alternate A/B samples so clock drift and cache-state changes on a
@@ -282,7 +282,7 @@ fn bench_compiled_spmv(d: &Dataset, quick: bool, batch_wall_seconds: f64) -> Com
 
         let t = Instant::now();
         for _ in 0..inner {
-            plan.execute(&a, &x, &mut y_compiled)
+            plan.execute(DeterminismPolicy::Deterministic, &a, &x, &mut y_compiled)
                 .expect("compiled spmv");
         }
         compiled.push(t.elapsed().as_secs_f64() / inner as f64);
@@ -299,7 +299,7 @@ fn bench_compiled_spmv(d: &Dataset, quick: bool, batch_wall_seconds: f64) -> Com
     for _ in 0..3 {
         let before = allocations();
         for _ in 0..inner {
-            plan.execute(&a, &x, &mut y_compiled)
+            plan.execute(DeterminismPolicy::Deterministic, &a, &x, &mut y_compiled)
                 .expect("compiled spmv");
         }
         let delta = (allocations() - before) as i64;
@@ -667,47 +667,6 @@ fn loop_allocation_deltas() -> Vec<AllocCheck> {
                 .iterations
         }),
     ]
-}
-
-struct SpmvResult {
-    rows: usize,
-    nnz: usize,
-    threads: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
-    bitwise_identical: bool,
-}
-
-/// Serial vs row-partitioned parallel SpMV on a matrix large enough to
-/// clear `PARALLEL_SPMV_MIN_NNZ`.
-fn bench_parallel_spmv(threads: usize, reps: usize) -> SpmvResult {
-    let a: CsrMatrix<f64> = generate::poisson2d(360, 360);
-    let x: Vec<f64> = (0..a.nrows()).map(|i| ((i % 17) as f64) * 0.25).collect();
-    let mut y_serial = vec![0.0_f64; a.nrows()];
-    let mut y_parallel = vec![0.0_f64; a.nrows()];
-
-    let mut serial = SoftwareKernels::new();
-    let t = Instant::now();
-    for _ in 0..reps {
-        serial.spmv(&a, &x, &mut y_serial);
-    }
-    let serial_s = t.elapsed().as_secs_f64() / reps as f64;
-
-    let mut parallel = SoftwareKernels::new().with_spmv_threads(threads);
-    let t = Instant::now();
-    for _ in 0..reps {
-        parallel.spmv(&a, &x, &mut y_parallel);
-    }
-    let parallel_s = t.elapsed().as_secs_f64() / reps as f64;
-
-    SpmvResult {
-        rows: a.nrows(),
-        nnz: a.nnz(),
-        threads,
-        serial_ms: serial_s * 1e3,
-        parallel_ms: parallel_s * 1e3,
-        bitwise_identical: y_serial == y_parallel,
-    }
 }
 
 /// Telemetry overhead and trace-fidelity measurement on one dataset.
@@ -1517,7 +1476,6 @@ fn write_json(
     results: &[DatasetResult],
     compiled: &[CompiledSpmvBench],
     alloc_checks: &[AllocCheck],
-    spmv: &SpmvResult,
     telem: &TelemetryBench,
     service: &ServiceBench,
     avail: &AvailabilityBench,
@@ -1627,20 +1585,6 @@ fn write_json(
         ));
     }
     out.push_str("  ],\n");
-    out.push_str("  \"parallel_spmv\": {\n");
-    out.push_str(&format!("    \"rows\": {},\n", spmv.rows));
-    out.push_str(&format!("    \"nnz\": {},\n", spmv.nnz));
-    out.push_str(&format!("    \"threads\": {},\n", spmv.threads));
-    out.push_str(&format!("    \"serial_ms\": {},\n", json_f(spmv.serial_ms)));
-    out.push_str(&format!(
-        "    \"parallel_ms\": {},\n",
-        json_f(spmv.parallel_ms)
-    ));
-    out.push_str(&format!(
-        "    \"bitwise_identical\": {}\n",
-        spmv.bitwise_identical
-    ));
-    out.push_str("  },\n");
     out.push_str("  \"telemetry\": {\n");
     out.push_str(&format!("    \"id\": \"{}\",\n", telem.id));
     out.push_str(&format!("    \"name\": \"{}\",\n", telem.name));
@@ -1820,16 +1764,9 @@ struct PcgBench {
     iteration_reduction: f64,
 }
 
-/// One worker-count point of the SpTRSV level-parallelism scan.
-struct SptrsvPoint {
-    workers: usize,
-    solve_us: f64,
-    speedup_vs_serial: f64,
-}
-
 /// The PR10 solver-suite measurements: the PCG-vs-CG iteration table
-/// over the Laplacian workloads plus the level-scheduled SpTRSV worker
-/// scan on the largest 2D Poisson plan.
+/// over the Laplacian workloads plus the SpTRSV level statistics and one
+/// serial substitution timing on a 2D Poisson plan.
 struct SolverSuiteBench {
     pcg: Vec<PcgBench>,
     pcg_iter_reduction_geomean: f64,
@@ -1837,22 +1774,17 @@ struct SolverSuiteBench {
     sptrsv_rows: usize,
     sptrsv_tri_nnz: usize,
     sptrsv_levels: usize,
-    sptrsv_max_level_width: usize,
     sptrsv_avg_level_width: f64,
     sptrsv_serial_us: f64,
-    sptrsv_points: Vec<SptrsvPoint>,
-    /// Every `execute` result at every worker count matched the serial
-    /// forward-substitution reference bit for bit (Deterministic tier).
-    sptrsv_bitwise_identical: bool,
 }
 
 /// Runs the Laplacian suite through plain CG and IC(0)-preconditioned CG
-/// (both on [`SoftwareKernels`]), then scans the level-scheduled SpTRSV
-/// plan across worker counts on a 2D Poisson lower triangle.
+/// (both on [`SoftwareKernels`]), then compiles the SpTRSV plan of a 2D
+/// Poisson lower triangle and times its serial substitution.
 ///
 /// Quick mode keeps one size per stencil family (the iteration counts
 /// are deterministic either way, so the 1.5x geomean gate still bites)
-/// and scans the smaller grid.
+/// and times the smaller grid.
 fn bench_solver_suite(quick: bool) -> SolverSuiteBench {
     let mut workloads = laplacian_suite();
     if quick {
@@ -1895,63 +1827,28 @@ fn bench_solver_suite(quick: bool) -> SolverSuiteBench {
     }
     let pcg_iter_reduction_geomean = (log_sum / pcg_rows.len() as f64).exp();
 
-    // SpTRSV level-parallelism scan. The 5-point Laplacian's wavefront
-    // levels are ~grid-width wide, so the plan has real (bounded)
-    // parallelism to expose; the Deterministic-tier scatter must stay
-    // bitwise identical to serial substitution at every worker count.
+    // SpTRSV: the 5-point Laplacian's wavefront levels are ~grid-width
+    // wide, which is what the fabric cycle model prices; the host walk is
+    // serial substitution.
     let grid = if quick { 24 } else { 40 };
     let a = generate::poisson2d::<f64>(grid, grid);
     let plan = CompiledSptrsv::compile_lower(&a).expect("compile SpTRSV plan");
     let n = a.nrows();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
-    let mut reference = vec![0.0; n];
-    plan.solve_serial(&a, &b, &mut reference)
-        .expect("serial SpTRSV reference");
-    let reference_bits: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-
     let reps = if quick { 50 } else { 200 };
     let sample_count = if quick { 3 } else { 5 };
     let mut x = vec![0.0; n];
-    let mut scratch = vec![0.0; plan.max_level_width()];
-
     let mut serial_samples: Vec<f64> = (0..sample_count)
         .map(|_| {
             let t = Instant::now();
             for _ in 0..reps {
-                plan.solve_serial(&a, &b, &mut x).expect("serial SpTRSV");
+                plan.solve(DeterminismPolicy::Deterministic, &a, &b, &mut x)
+                    .expect("serial SpTRSV");
             }
             t.elapsed().as_secs_f64() / reps as f64 * 1e6
         })
         .collect();
     let sptrsv_serial_us = median(&mut serial_samples);
-
-    let mut sptrsv_points = Vec::new();
-    let mut sptrsv_bitwise_identical = true;
-    for workers in [1usize, 2, 4, 8] {
-        x.fill(0.0);
-        plan.execute(&a, &b, &mut x, workers, &mut scratch)
-            .expect("level-scheduled SpTRSV");
-        sptrsv_bitwise_identical &= x
-            .iter()
-            .map(|v| v.to_bits())
-            .eq(reference_bits.iter().copied());
-        let mut samples: Vec<f64> = (0..sample_count)
-            .map(|_| {
-                let t = Instant::now();
-                for _ in 0..reps {
-                    plan.execute(&a, &b, &mut x, workers, &mut scratch)
-                        .expect("level-scheduled SpTRSV");
-                }
-                t.elapsed().as_secs_f64() / reps as f64 * 1e6
-            })
-            .collect();
-        let solve_us = median(&mut samples);
-        sptrsv_points.push(SptrsvPoint {
-            workers,
-            solve_us,
-            speedup_vs_serial: sptrsv_serial_us / solve_us,
-        });
-    }
 
     SolverSuiteBench {
         pcg: pcg_rows,
@@ -1960,16 +1857,13 @@ fn bench_solver_suite(quick: bool) -> SolverSuiteBench {
         sptrsv_rows: n,
         sptrsv_tri_nnz: plan.tri_nnz(),
         sptrsv_levels: plan.level_count(),
-        sptrsv_max_level_width: plan.max_level_width(),
         sptrsv_avg_level_width: plan.avg_level_width(),
         sptrsv_serial_us,
-        sptrsv_points,
-        sptrsv_bitwise_identical,
     }
 }
 
 /// `BENCH_PR10.json`: the PCG-vs-CG iteration table and the SpTRSV
-/// level-parallelism scan, hand-formatted like the other reports (the
+/// level statistics, hand-formatted like the other reports (the
 /// workspace is std-only by design).
 fn write_pr10_json(path: &str, mode: &str, workers: usize, s: &SolverSuiteBench) {
     let mut out = String::new();
@@ -2004,37 +1898,13 @@ fn write_pr10_json(path: &str, mode: &str, workers: usize, s: &SolverSuiteBench)
     out.push_str(&format!("    \"tri_nnz\": {},\n", s.sptrsv_tri_nnz));
     out.push_str(&format!("    \"levels\": {},\n", s.sptrsv_levels));
     out.push_str(&format!(
-        "    \"max_level_width\": {},\n",
-        s.sptrsv_max_level_width
-    ));
-    out.push_str(&format!(
         "    \"avg_level_width\": {},\n",
         json_f(s.sptrsv_avg_level_width)
     ));
     out.push_str(&format!(
-        "    \"serial_us\": {},\n",
+        "    \"serial_us\": {}\n",
         json_f(s.sptrsv_serial_us)
     ));
-    out.push_str(&format!(
-        "    \"bitwise_identical\": {},\n",
-        s.sptrsv_bitwise_identical
-    ));
-    out.push_str("    \"scaling\": [\n");
-    for (i, p) in s.sptrsv_points.iter().enumerate() {
-        out.push_str("      {\n");
-        out.push_str(&format!("        \"workers\": {},\n", p.workers));
-        out.push_str(&format!("        \"solve_us\": {},\n", json_f(p.solve_us)));
-        out.push_str(&format!(
-            "        \"speedup_vs_serial\": {}\n",
-            json_f(p.speedup_vs_serial)
-        ));
-        out.push_str(if i + 1 < s.sptrsv_points.len() {
-            "      },\n"
-        } else {
-            "      }\n"
-        });
-    }
-    out.push_str("    ]\n");
     out.push_str("  },\n");
     out.push_str("  \"summary\": {\n");
     out.push_str(&format!(
@@ -2332,12 +2202,11 @@ fn main() {
     );
 
     // New-solver-family workloads: the IC(0)-PCG vs plain-CG iteration
-    // table over the Laplacian suite and the level-scheduled SpTRSV
-    // worker scan. Always measured (the 1.5x iteration-reduction geomean
-    // and SpTRSV bitwise identity are acceptance criteria; both are
-    // deterministic, so they gate in quick mode too); `--solver-suite`
-    // runs *only* this section, which is what CI's solver-suite job
-    // invokes in quick mode.
+    // table over the Laplacian suite and the SpTRSV level statistics.
+    // Always measured (the 1.5x iteration-reduction geomean is an
+    // acceptance criterion and deterministic, so it gates in quick mode
+    // too); `--solver-suite` runs *only* this section, which is what CI's
+    // solver-suite job invokes in quick mode.
     let ssb = bench_solver_suite(quick);
     for r in &ssb.pcg {
         eprintln!(
@@ -2347,29 +2216,18 @@ fn main() {
         );
     }
     eprintln!(
-        "  sptrsv {} ({} rows, {} tri nnz): {} levels, widest {} rows, \
-         avg width {:.1}, serial {:.3} us",
+        "  sptrsv {} ({} rows, {} tri nnz): {} levels, avg width {:.1}, \
+         serial {:.3} us",
         ssb.sptrsv_name,
         ssb.sptrsv_rows,
         ssb.sptrsv_tri_nnz,
         ssb.sptrsv_levels,
-        ssb.sptrsv_max_level_width,
         ssb.sptrsv_avg_level_width,
         ssb.sptrsv_serial_us
     );
-    for p in &ssb.sptrsv_points {
-        eprintln!(
-            "  sptrsv workers {}: {:>8.3} us  ({:.2}x vs serial)",
-            p.workers, p.solve_us, p.speedup_vs_serial
-        );
-    }
     write_pr10_json("BENCH_PR10.json", mode, workers, &ssb);
     eprintln!("bench: wrote BENCH_PR10.json");
     // Solver-suite acceptance gates — deterministic in both modes.
-    assert!(
-        ssb.sptrsv_bitwise_identical,
-        "level-scheduled SpTRSV diverged from the serial substitution reference"
-    );
     for r in &ssb.pcg {
         assert!(
             r.pcg_iterations <= r.cg_iterations,
@@ -2574,12 +2432,6 @@ fn main() {
         );
     }
 
-    let spmv = bench_parallel_spmv(workers.clamp(2, 8), if quick { 20 } else { 100 });
-    eprintln!(
-        "  parallel spmv ({} rows, {} nnz, {} threads): serial {:.3} ms, parallel {:.3} ms",
-        spmv.rows, spmv.nnz, spmv.threads, spmv.serial_ms, spmv.parallel_ms
-    );
-
     let telem = bench_telemetry(&datasets[0], batch_jobs, samples);
     eprintln!(
         "  {:<12} telemetry: disabled {:.3} s, ring {:.3} s ({:+.2}% overhead), \
@@ -2651,7 +2503,6 @@ fn main() {
         &results,
         &compiled,
         &alloc_checks,
-        &spmv,
         &telem,
         &service,
         &avail,
@@ -2689,10 +2540,6 @@ fn main() {
             c.solver, c.delta
         );
     }
-    assert!(
-        spmv.bitwise_identical,
-        "parallel SpMV diverged from the serial result"
-    );
     let compiled_geomean = geomean_compiled_speedup(&compiled);
     eprintln!(
         "  geomean compiled spmv speedup vs generic: {compiled_geomean:.2}x \

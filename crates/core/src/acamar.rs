@@ -88,7 +88,8 @@ impl AnalysisArtifacts {
             });
         }
         let mut ax = vec![T::ZERO; a.nrows()];
-        self.compiled.execute(a, x, &mut ax)?;
+        self.compiled
+            .execute(DeterminismPolicy::Deterministic, a, x, &mut ax)?;
         let mut rr = 0.0f64;
         let mut bb = 0.0f64;
         for (bi, axi) in b.iter().zip(&ax) {
@@ -692,7 +693,10 @@ mod tests {
         // And executing through it is bitwise the generic CSR walk.
         let x: Vec<f64> = (0..300).map(|i| ((i % 13) as f64) - 6.0).collect();
         let mut y = vec![0.0_f64; 300];
-        artifacts.compiled.execute(&scaled, &x, &mut y).unwrap();
+        artifacts
+            .compiled
+            .execute(DeterminismPolicy::Deterministic, &scaled, &x, &mut y)
+            .unwrap();
         assert_eq!(y, scaled.mul_vec(&x).unwrap());
     }
 

@@ -20,8 +20,9 @@ pub enum RescueStep {
     /// Force the next solver in the Solver Modifier's fallback order that
     /// has not been tried yet.
     NextSolver,
-    /// Force the preconditioned solve (diagonal PCG on the fabric; the
-    /// software ILU(0) variant `ilu_pcg` serves the same role off-fabric).
+    /// Force the preconditioned solve: IC(0)-PCG through the cached
+    /// triangular plans when the pattern is symmetric, diagonal PCG
+    /// otherwise (or when the factorization breaks down).
     Preconditioned,
     /// Restarted GMRES, the most robust and most expensive resort.
     GmresLastResort,

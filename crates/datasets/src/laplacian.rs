@@ -4,8 +4,8 @@
 //! symmetric positive definite, so they exercise SOR, CG, and the IC(0)
 //! preconditioned CG path on exactly the problem class incomplete
 //! factorizations were designed for — and their wavefront structure gives
-//! the level-scheduled SpTRSV kernel predictable parallelism to scale
-//! against. The suite grows the convergence matrix beyond Table II's 25
+//! the SpTRSV level schedule a predictable shape for the cycle model to
+//! price. The suite grows the convergence matrix beyond Table II's 25
 //! rows with four stencil families: isotropic 2D/3D Poisson, anisotropic
 //! diffusion (stretched grids), and jumped-coefficient diffusion
 //! (discontinuous media), each at two sizes.

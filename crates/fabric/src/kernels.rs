@@ -121,7 +121,7 @@ impl UnrollSchedule {
     /// The schedule as band hints for [`CompiledSpmv::compile`]: the host
     /// plan compiler specializes each entry's rows without ever crossing an
     /// entry boundary, so the MSID set structure survives into the compiled
-    /// plan's partition points.
+    /// plan's band boundaries.
     pub fn band_hints(&self) -> Vec<BandHint> {
         self.entries
             .iter()
@@ -865,8 +865,8 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
         // Substitution streams the triangle once like an SpMV pass, but
         // every topological level must drain before the next may issue, so
         // each level pays a pipeline refill. Narrow schedules (many
-        // levels) therefore cost proportionally more — the level-count
-        // sensitivity the bench's scaling section measures.
+        // levels) therefore cost proportionally more. The host arithmetic
+        // below is serial substitution; the levels exist to be priced.
         self.charge_serial_sparse(
             plan.tri_nnz() as u64 + plan.level_count() as u64 * PIPELINE_DEPTH,
         );

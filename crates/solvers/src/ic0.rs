@@ -5,9 +5,10 @@
 //! of ILU(0): half the storage, and the preconditioner of choice for the
 //! Laplacian/stencil systems the new dataset generators produce (DESIGN
 //! §17). Both factors are materialized (`L` and `Lᵀ` as CSR), so the
-//! two applications per CG iteration each run as a level-scheduled
-//! [`CompiledSptrsv`] pass through the [`Kernels`] executor — including
-//! the fabric twin, with its cycle model and fault seam.
+//! two applications per CG iteration each run as one serial
+//! [`CompiledSptrsv`] substitution through the [`Kernels`] executor —
+//! including the fabric twin, which prices the plan's level schedule in
+//! its cycle model and carries the fault seam.
 
 use crate::kernels::Kernels;
 use acamar_sparse::{CompiledSptrsv, CsrMatrix, Scalar, SparseError};

@@ -8,15 +8,9 @@
 //! their hardware execution (Section IV).
 
 use crate::workspace::WorkspaceHandle;
-use acamar_sparse::{
-    chunk, simd, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar,
-};
+use acamar_sparse::{simd, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar};
 use acamar_telemetry::{Counter, TelemetrySink};
 use std::sync::Arc;
-
-/// Minimum stored entries before [`SoftwareKernels`] considers the
-/// row-partitioned parallel SpMV path worth its thread-dispatch cost.
-pub const PARALLEL_SPMV_MIN_NNZ: usize = 1 << 16;
 
 /// Execution phase of a solver, reported to the kernel executor.
 ///
@@ -201,21 +195,24 @@ pub trait Kernels<T: Scalar> {
         sor_sweep_reference(a, diag, omega, b, x);
     }
 
-    /// Sparse triangular solve `x = tri(m)⁻¹ b` through a compiled level
-    /// schedule (see [`CompiledSptrsv`]) — the substitution kernel of the
+    /// Sparse triangular solve `x = tri(m)⁻¹ b` against a compiled plan
+    /// (see [`CompiledSptrsv`]) — the substitution kernel of the
     /// incomplete-factorization preconditioners. Entries of `m` outside
-    /// the plan's triangle are ignored.
+    /// the plan's triangle are ignored. Substitution is serial, rows in
+    /// natural order; the plan's level schedule is what the fabric
+    /// executor prices, not an execution order.
     ///
-    /// The default runs the serial substitution reference and charges
-    /// nothing; [`SoftwareKernels`] adds operation accounting and the
-    /// level-parallel path, and the fabric executor additionally models
+    /// The default runs the deterministic substitution and charges
+    /// nothing; [`SoftwareKernels`] adds operation accounting and its
+    /// determinism tier, and the fabric executor additionally models
     /// cycles and the SpTRSV fault seam.
     ///
     /// # Panics
     ///
     /// Implementations may panic if operand shapes disagree with the plan.
     fn sptrsv(&mut self, plan: &CompiledSptrsv, m: &CsrMatrix<T>, b: &[T], x: &mut [T]) {
-        plan.solve_serial(m, b, x).expect("sptrsv shape mismatch");
+        plan.solve(DeterminismPolicy::Deterministic, m, b, x)
+            .expect("sptrsv shape mismatch");
     }
 
     /// Notifies the executor that the solver entered `phase`.
@@ -262,7 +259,6 @@ pub trait Kernels<T: Scalar> {
 pub struct SoftwareKernels {
     counts: OpCounts,
     workspace: Option<WorkspaceHandle>,
-    spmv_threads: usize,
     plan: Option<Arc<CompiledSpmv>>,
     /// The operand the plan is bound to: the first one that passed
     /// [`CompiledSpmv::matches`] since the current solver started.
@@ -276,7 +272,6 @@ impl Default for SoftwareKernels {
         SoftwareKernels {
             counts: OpCounts::default(),
             workspace: None,
-            spmv_threads: 1,
             plan: None,
             plan_operand: None,
             telemetry: TelemetrySink::disabled(),
@@ -298,24 +293,14 @@ impl SoftwareKernels {
         self
     }
 
-    /// Enables the row-partitioned parallel SpMV path with up to
-    /// `threads` OS threads for matrices of at least
-    /// [`PARALLEL_SPMV_MIN_NNZ`] stored entries. `0` and `1` both mean
-    /// serial. Row partitions write disjoint output slices, so results
-    /// are bitwise identical to the serial path at any thread count.
-    pub fn with_spmv_threads(mut self, threads: usize) -> Self {
-        self.spmv_threads = threads.max(1);
-        self
-    }
-
     /// Installs a compiled SpMV execution plan (see
     /// [`CompiledSpmv`]). [`Kernels::spmv`] and [`Kernels::spmv_dot`] use
     /// the plan's format-specialized band kernels — bitwise identical to
     /// the generic CSR walk — for the operand the plan is bound to, and
     /// the generic path for every other operand (solvers pass derived
     /// matrices through the same executor: Jacobi's iteration matrix,
-    /// BiCG's `Aᵀ`). The parallel path partitions rows at band boundaries,
-    /// so threads never split a band.
+    /// BiCG's `Aᵀ`). Either way the SpMV runs serially on the calling
+    /// thread.
     ///
     /// The plan binds, by [`OperandId`], to the first operand of its shape
     /// multiplied after construction or after the last
@@ -336,11 +321,11 @@ impl SoftwareKernels {
     /// [`DeterminismPolicy`]). Under
     /// [`DeterminismPolicy::Fast`], the reduction kernels
     /// ([`Kernels::dot`], [`Kernels::norm2`], and the fused pairs) use
-    /// reassociated four-lane partial sums, and plan-backed SpMV runs the
-    /// plan's fast band kernels — results agree with the deterministic
-    /// tier only to accuracy, never bitwise. The generic (plan-less) SpMV
-    /// walk is policy-agnostic. Operation counts are charged identically
-    /// on both tiers.
+    /// reassociated four-lane partial sums, and plan-backed SpMV and
+    /// [`Kernels::sptrsv`] reassociate within a row — results agree with
+    /// the deterministic tier only to accuracy, never bitwise. The generic
+    /// (plan-less) SpMV walk is policy-agnostic. Operation counts are
+    /// charged identically on both tiers.
     pub fn with_policy(mut self, policy: DeterminismPolicy) -> Self {
         self.policy = policy;
         self
@@ -411,83 +396,14 @@ fn sor_sweep_reference<T: Scalar>(a: &CsrMatrix<T>, diag: &[T], omega: T, b: &[T
     }
 }
 
-/// `y = A x` with rows partitioned into contiguous chunks (via
-/// [`chunk::row_chunks`]) executed on scoped OS threads. Each chunk owns a
-/// disjoint slice of `y`, so the result is bitwise identical to the
-/// serial row loop.
-fn parallel_spmv<T: Scalar>(a: &CsrMatrix<T>, x: &[T], y: &mut [T], threads: usize) {
-    assert_eq!(x.len(), a.ncols(), "spmv shape mismatch");
-    assert_eq!(y.len(), a.nrows(), "spmv shape mismatch");
-    let chunks = chunk::row_chunks(a, a.nrows().div_ceil(threads).max(1));
-    let mut rest = y;
-    std::thread::scope(|s| {
-        for c in &chunks {
-            let rows = c.rows.clone();
-            let (head, tail) = rest.split_at_mut(rows.len());
-            rest = tail;
-            s.spawn(move || {
-                for (i, yi) in rows.zip(head.iter_mut()) {
-                    let (cols, vals) = a.row(i);
-                    let mut acc = T::ZERO;
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        acc += v * x[c];
-                    }
-                    *yi = acc;
-                }
-            });
-        }
-    });
-}
-
-/// `y = A x` through a compiled plan, with band spans executed on scoped
-/// OS threads. Partition points are band boundaries
-/// ([`CompiledSpmv::partition`]), so no thread ever splits a band and the
-/// result is bitwise identical to serial plan execution (and to the
-/// generic row loop).
-fn parallel_compiled_spmv<T: Scalar>(
-    plan: &CompiledSpmv,
-    a: &CsrMatrix<T>,
-    x: &[T],
-    y: &mut [T],
-    threads: usize,
-    policy: DeterminismPolicy,
-) {
-    assert_eq!(x.len(), a.ncols(), "spmv shape mismatch");
-    assert_eq!(y.len(), a.nrows(), "spmv shape mismatch");
-    let spans = plan.partition(threads);
-    let mut rest = y;
-    let mut row = 0usize;
-    std::thread::scope(|s| {
-        for span in spans {
-            let rows = plan.span_rows(span.clone());
-            debug_assert_eq!(rows.start, row);
-            row = rows.end;
-            let (head, tail) = rest.split_at_mut(rows.len());
-            rest = tail;
-            s.spawn(move || {
-                if policy.is_fast() {
-                    plan.execute_span_fast(span, a, x, head);
-                } else {
-                    plan.execute_span(span, a, x, head);
-                }
-            });
-        }
-    });
-}
-
 impl<T: Scalar> Kernels<T> for SoftwareKernels {
     fn spmv(&mut self, a: &CsrMatrix<T>, x: &[T], y: &mut [T]) {
-        let (threads, policy) = (self.spmv_threads, self.policy);
-        let parallel = threads > 1 && a.nnz() >= PARALLEL_SPMV_MIN_NNZ;
+        let policy = self.policy;
         match self.plan_for(a) {
-            Some(plan) if parallel => parallel_compiled_spmv(plan, a, x, y, threads, policy),
-            Some(plan) if policy.is_fast() => {
-                plan.execute_fast(a, x, y).expect("spmv shape mismatch")
-            }
-            Some(plan) => plan.execute(a, x, y).expect("spmv shape mismatch"),
-            None if parallel => parallel_spmv(a, x, y, threads),
-            None => a.mul_vec_into(x, y).expect("spmv shape mismatch"),
+            Some(plan) => plan.execute(policy, a, x, y),
+            None => a.mul_vec_into(x, y),
         }
+        .expect("spmv shape mismatch");
         self.counts.spmv_calls += 1;
         self.counts.spmv_nnz_processed += a.nnz() as u64;
         self.counts.spmv_flops += 2 * a.nnz() as u64;
@@ -572,20 +488,8 @@ impl<T: Scalar> Kernels<T> for SoftwareKernels {
         self.counts.spmv_nnz_processed += plan.tri_nnz() as u64;
         self.counts.spmv_flops += 2 * plan.tri_nnz() as u64;
         self.telemetry.counter_add(Counter::SptrsvApplies, 1);
-        if self.spmv_threads == 1 && !self.policy.is_fast() {
-            // A serial deterministic caller needs neither the level order
-            // nor its scratch: natural row order is the bitwise reference.
-            plan.solve_serial(m, b, x).expect("sptrsv shape mismatch");
-            return;
-        }
-        let mut scratch: Vec<T> = self.acquire_buffer(plan.max_level_width());
-        let result = if self.policy.is_fast() {
-            plan.execute_fast(m, b, x, self.spmv_threads, &mut scratch)
-        } else {
-            plan.execute(m, b, x, self.spmv_threads, &mut scratch)
-        };
-        result.expect("sptrsv shape mismatch");
-        self.release_buffer(scratch);
+        plan.solve(self.policy, m, b, x)
+            .expect("sptrsv shape mismatch");
     }
 
     fn set_phase(&mut self, phase: Phase) {
@@ -611,17 +515,14 @@ impl<T: Scalar> Kernels<T> for SoftwareKernels {
         self.counts.spmv_flops += 2 * a.nnz() as u64;
         self.counts.dense_calls += 1;
         self.counts.dense_flops += 2 * y.len() as u64;
-        let fast = self.policy.is_fast();
+        let policy = self.policy;
         if let Some(plan) = self.plan_for(a) {
-            if fast {
-                // Fast band kernels with a lane-wise per-band dot.
-                return plan
-                    .execute_dot_fast(a, x, y, z)
-                    .expect("spmv shape mismatch");
-            }
-            // Band kernels then a row-ascending dot per band: the same
-            // floating-point order as spmv followed by dot.
-            return plan.execute_dot(a, x, y, z).expect("spmv shape mismatch");
+            // Band kernels then a per-band dot: row-ascending (the same
+            // floating-point order as spmv followed by dot) when
+            // deterministic, lane-wise when fast.
+            return plan
+                .execute_dot(policy, a, x, y, z)
+                .expect("spmv shape mismatch");
         }
         // Rows ascending, accumulation ascending: the same floating-point
         // order as spmv followed by dot, so the result is bitwise equal.
@@ -769,23 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_spmv_is_bitwise_identical_to_serial() {
-        // 150x150 five-point grid: 22_500 rows, > 2^16 stored entries.
-        let a = generate::poisson2d::<f64>(150, 150);
-        assert!(a.nnz() >= PARALLEL_SPMV_MIN_NNZ);
-        let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.013).sin()).collect();
-        let mut serial = vec![0.0; a.nrows()];
-        Kernels::<f64>::spmv(&mut SoftwareKernels::new(), &a, &x, &mut serial);
-        for threads in [2, 5, 8] {
-            let mut k = SoftwareKernels::new().with_spmv_threads(threads);
-            let mut y = vec![0.0; a.nrows()];
-            k.spmv(&a, &x, &mut y);
-            assert_eq!(serial, y, "{threads} threads");
-            assert_eq!(Kernels::<f64>::counts(&k).spmv_calls, 1);
-        }
-    }
-
-    #[test]
     fn compiled_plan_spmv_is_bitwise_identical_and_falls_back() {
         use acamar_sparse::generate::RowDistribution;
         let a =
@@ -833,26 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn compiled_parallel_spmv_is_bitwise_identical_to_serial() {
-        let a = generate::poisson2d::<f64>(160, 160); // > 2^16 nnz
-        assert!(a.nnz() >= PARALLEL_SPMV_MIN_NNZ);
-        let plan = Arc::new(CompiledSpmv::compile_default(&a));
-        let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.017).cos()).collect();
-        let mut serial = vec![0.0; a.nrows()];
-        let mut sk = SoftwareKernels::new().with_compiled_plan(plan.clone());
-        sk.spmv(&a, &x, &mut serial);
-        assert_eq!(serial, a.mul_vec(&x).unwrap());
-        for threads in [2, 3, 8] {
-            let mut k = SoftwareKernels::new()
-                .with_compiled_plan(plan.clone())
-                .with_spmv_threads(threads);
-            let mut y = vec![f64::NAN; a.nrows()];
-            k.spmv(&a, &x, &mut y);
-            assert_eq!(serial, y, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn fast_policy_matches_deterministic_accurately_with_identical_counts() {
         use acamar_sparse::generate::RowDistribution;
         let a =
@@ -891,6 +755,32 @@ mod tests {
 
         // Both tiers charge the same operation counts.
         assert_eq!(Kernels::<f64>::counts(&det), Kernels::<f64>::counts(&fast));
+    }
+
+    #[test]
+    fn sptrsv_borrows_no_buffer_on_either_tier_and_charges_the_same() {
+        use crate::workspace::WorkspaceHandle;
+        let a = generate::poisson2d::<f64>(12, 9);
+        let plan = CompiledSptrsv::compile_lower(&a).unwrap();
+        let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 5) as f64).collect();
+        let mut solutions = Vec::new();
+        for policy in DeterminismPolicy::ALL {
+            let ws = WorkspaceHandle::new();
+            let mut k = SoftwareKernels::new()
+                .with_workspace(ws.clone())
+                .with_policy(policy);
+            let mut x = vec![0.0; a.nrows()];
+            k.sptrsv(&plan, &a, &b, &mut x);
+            k.sptrsv(&plan, &a, &b, &mut x);
+            assert_eq!(ws.stats(), (0, 0), "{policy}: workspace takes");
+            let c = k.counts();
+            assert_eq!(c.spmv_calls, 2);
+            assert_eq!(c.spmv_nnz_processed, 2 * plan.tri_nnz() as u64);
+            solutions.push(x);
+        }
+        for (d, f) in solutions[0].iter().zip(&solutions[1]) {
+            assert!((d - f).abs() <= 1e-12 * (1.0 + d.abs()));
+        }
     }
 
     #[test]

@@ -41,13 +41,11 @@ mod diagnostics;
 mod gauss_seidel;
 mod gmres;
 mod ic0;
-mod ilu;
 mod jacobi;
 mod kernels;
 mod pcg;
 mod report;
 mod selection;
-mod srj;
 mod workspace;
 
 pub use bicg::{bicg, conjugate_residual};
@@ -58,16 +56,14 @@ pub use diagnostics::{ConvergenceSummary, Trend};
 pub use gauss_seidel::{gauss_seidel, sor};
 pub use gmres::gmres;
 pub use ic0::Ic0;
-pub use ilu::{ilu_pcg, Ilu0};
 pub use jacobi::jacobi;
-pub use kernels::{Kernels, OpCounts, OperandId, Phase, SoftwareKernels, PARALLEL_SPMV_MIN_NNZ};
+pub use kernels::{Kernels, OpCounts, OperandId, Phase, SoftwareKernels};
 pub use pcg::{ic0_preconditioned_cg, preconditioned_cg, preconditioned_cg_with, Preconditioner};
 pub use report::SolveReport;
 pub use selection::{
     extended_fallback_order, fallback_order, paper_table1, recommend, recommend_extended,
     satisfies, Criterion, SolverKind,
 };
-pub use srj::{chebyshev_weights, jacobi_spectrum_bounds, scheduled_relaxation_jacobi};
 pub use workspace::{SolverWorkspace, WorkspaceHandle};
 
 use acamar_sparse::{CsrMatrix, Scalar, SparseError};

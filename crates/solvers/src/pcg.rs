@@ -5,8 +5,8 @@
 //! the diagonal (Jacobi) scaling `M = diag(A)` — a cheap elementwise
 //! kernel that maps onto the dense units the fabric already has — and
 //! incomplete Cholesky `M = L Lᵀ` (see [`Ic0`]), whose two substitution
-//! passes run as level-scheduled [`acamar_sparse::CompiledSptrsv`]
-//! executions (DESIGN §17).
+//! passes run as serial [`acamar_sparse::CompiledSptrsv`] solves whose
+//! level schedules the fabric executor prices (DESIGN §17).
 
 use crate::convergence::{ConvergenceCriteria, DivergenceReason, Monitor, Outcome, Verdict};
 use crate::ic0::Ic0;
@@ -22,8 +22,7 @@ pub enum Preconditioner<'a, T> {
     /// Diagonal (Jacobi) scaling: `M = diag(A)`.
     Jacobi,
     /// Incomplete Cholesky: `M = L Lᵀ`, applied as forward + backward
-    /// level-scheduled substitution through the executor's
-    /// [`Kernels::sptrsv`].
+    /// substitution through the executor's [`Kernels::sptrsv`].
     Ic0 {
         /// The factorization to apply.
         factors: &'a Ic0<T>,

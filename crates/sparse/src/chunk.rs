@@ -3,120 +3,8 @@
 //! Acamar processes coefficient matrices in `4096 x 4096` chunks (paper
 //! Section V-B/V-C): the SpMV engine streams the matrix one row-chunk at a
 //! time, and the Row Length Trace / sampling-rate machinery operates within
-//! each chunk. This module provides the chunk iterator used by both the
-//! fabric model and the core accelerator.
-
-use crate::csr::CsrMatrix;
-use crate::scalar::Scalar;
-use std::ops::Range;
+//! each chunk (`acamar_core`'s fine-grained planner slices the rows itself;
+//! this module names the paper's chunk size).
 
 /// The paper's fixed problem-chunk dimension.
 pub const PAPER_CHUNK_ROWS: usize = 4096;
-
-/// A contiguous chunk of rows of a larger matrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowChunk {
-    /// Index of this chunk (0-based).
-    pub index: usize,
-    /// The row range of the original matrix covered by this chunk.
-    pub rows: Range<usize>,
-    /// Total stored entries within the chunk.
-    pub nnz: usize,
-}
-
-impl RowChunk {
-    /// Number of rows in the chunk.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.rows.end - self.rows.start
-    }
-
-    /// `true` if the chunk covers no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
-
-/// Splits `a` into row chunks of at most `chunk_rows` rows.
-///
-/// The final chunk may be shorter.
-///
-/// # Panics
-///
-/// Panics if `chunk_rows == 0` — a zero-row chunk cannot tile a matrix, and
-/// silently coercing it to one row has historically hidden caller bugs
-/// (a miscomputed `rows / threads` quotient would quietly produce n chunks).
-///
-/// # Examples
-///
-/// ```
-/// use acamar_sparse::{chunk::row_chunks, generate};
-///
-/// let a = generate::poisson1d::<f64>(10);
-/// let chunks = row_chunks(&a, 4);
-/// assert_eq!(chunks.len(), 3);
-/// assert_eq!(chunks[2].rows, 8..10);
-/// ```
-pub fn row_chunks<T: Scalar>(a: &CsrMatrix<T>, chunk_rows: usize) -> Vec<RowChunk> {
-    assert!(chunk_rows > 0, "row_chunks requires chunk_rows > 0");
-    let step = chunk_rows;
-    let mut out = Vec::with_capacity(a.nrows().div_ceil(step));
-    let mut start = 0usize;
-    let mut index = 0usize;
-    while start < a.nrows() {
-        let end = (start + step).min(a.nrows());
-        debug_assert!(
-            a.row_ptr()[start] <= a.row_ptr()[end],
-            "CSR row_ptr must be monotone over chunk {start}..{end}"
-        );
-        let nnz = a.row_ptr()[end] - a.row_ptr()[start];
-        out.push(RowChunk {
-            index,
-            rows: start..end,
-            nnz,
-        });
-        start = end;
-        index += 1;
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::generate;
-
-    #[test]
-    fn chunks_cover_all_rows_without_overlap() {
-        let a = generate::poisson2d::<f64>(7, 9); // 63 rows
-        let chunks = row_chunks(&a, 16);
-        assert_eq!(chunks.len(), 4);
-        let mut next = 0usize;
-        let mut nnz = 0usize;
-        for (k, c) in chunks.iter().enumerate() {
-            assert_eq!(c.index, k);
-            assert_eq!(c.rows.start, next);
-            next = c.rows.end;
-            nnz += c.nnz;
-            assert!(!c.is_empty());
-        }
-        assert_eq!(next, a.nrows());
-        assert_eq!(nnz, a.nnz());
-    }
-
-    #[test]
-    fn single_chunk_when_matrix_is_small() {
-        let a = generate::poisson1d::<f64>(5);
-        let chunks = row_chunks(&a, PAPER_CHUNK_ROWS);
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].len(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_rows > 0")]
-    fn zero_chunk_rows_panics() {
-        let a = generate::poisson1d::<f64>(3);
-        let _ = row_chunks(&a, 0);
-    }
-}

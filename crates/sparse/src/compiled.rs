@@ -43,30 +43,31 @@
 //! interleaves work *across* rows, never the summation order *within* a row
 //! — so compiled results are bitwise-identical to the generic path.
 //!
-//! Band boundaries double as partition points for row-parallel SpMV:
-//! [`CompiledSpmv::partition`] splits the band list (never a band) into
-//! NNZ-balanced contiguous spans, so the parallel result is the same bytes
-//! at any thread count.
+//! Execution is serial: [`CompiledSpmv::execute`] and
+//! [`CompiledSpmv::execute_dot`] walk the bands in row order on the calling
+//! thread. Concurrency lives across solves (engine workers × service
+//! shards), not inside an SpMV — spawning threads per call measured 0.79×
+//! serial on a 646k-entry matrix (`BENCH_PR4.json`). Bands write disjoint
+//! row ranges and are independent of each other, which is what a persistent
+//! worker team would start from if a workload ever argues for one.
 //!
 //! ## The `Fast` tier
 //!
-//! [`CompiledSpmv::execute_fast`] / [`CompiledSpmv::execute_dot_fast`]
-//! serve jobs that opted into [`crate::simd::DeterminismPolicy::Fast`].
-//! `Diagonal`, `Fixed` and `Ell` bands run the *same* kernels on both
-//! tiers: their lanes interleave rows, each lane is one row's serial
-//! chain, so there is nothing to reassociate and the bytes are equal.
+//! Both entry points take the job's [`DeterminismPolicy`]. `Diagonal`,
+//! `Fixed` and `Ell` bands run the *same* kernels on both tiers: their
+//! lanes interleave rows, each lane is one row's serial chain, so there
+//! is nothing to reassociate and the bytes are equal.
 //! The tiers differ only where `Fast` breaks a row's serial FP-add
 //! chain into partial sums reduced once at the end: long contiguous or
 //! scattered rows of `Unrolled`/`Scalar` bands, `DenseRow` outliers, and
-//! the fused dot. Fast results therefore agree with
-//! [`CompiledSpmv::execute`] only to a few ULP per element on those
-//! kinds; compilation itself is policy-independent — the same plan
-//! object serves both tiers.
+//! the fused dot. `Fast` results therefore agree with `Deterministic`
+//! ones only to a few ULP per element on those kinds; compilation itself
+//! is policy-independent — the same plan object serves both tiers.
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
-use crate::simd::{dot_fast, Lanes4};
+use crate::simd::{dot_fast, DeterminismPolicy, Lanes4};
 use std::ops::Range;
 
 /// Largest row width handled by the monomorphized [`BandKind::Fixed`] kernel.
@@ -112,7 +113,7 @@ pub const UNROLL_MIN_MEAN_NNZ: usize = 4;
 
 /// A contiguous row range and the unroll factor the MSID schedule assigned
 /// to it. The plan compiler never emits a band that crosses a hint boundary,
-/// so schedule boundaries survive as partition points.
+/// so schedule boundaries survive as band boundaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BandHint {
     /// Rows covered by this schedule entry.
@@ -164,7 +165,7 @@ pub struct Band {
     pub kind: BandKind,
     /// Start of this band's slots in the shared slot-column array.
     slot_base: usize,
-    /// Stored entries in the band (drives NNZ-balanced partitioning).
+    /// Stored entries in the band.
     nnz: usize,
 }
 
@@ -274,13 +275,13 @@ impl PatternDelta {
 /// # Examples
 ///
 /// ```
-/// use acamar_sparse::{generate, CompiledSpmv};
+/// use acamar_sparse::{generate, CompiledSpmv, DeterminismPolicy};
 ///
 /// let a = generate::poisson2d::<f64>(9, 9);
 /// let plan = CompiledSpmv::compile_default(&a);
 /// let x: Vec<f64> = (0..81).map(|i| (i % 7) as f64 - 3.0).collect();
 /// let mut y = vec![0.0; 81];
-/// plan.execute(&a, &x, &mut y)?;
+/// plan.execute(DeterminismPolicy::Deterministic, &a, &x, &mut y)?;
 /// assert_eq!(y, a.mul_vec(&x)?);
 /// # Ok::<(), acamar_sparse::SparseError>(())
 /// ```
@@ -738,53 +739,12 @@ impl CompiledSpmv {
         expected == self.nrows
     }
 
-    /// Splits the band list into at most `parts` contiguous, NNZ-balanced
-    /// spans of band indices. Threads never split a band, so parallel
-    /// execution is bitwise-identical to serial at any `parts`.
-    ///
-    /// Returned spans are non-empty, ascending, and tile `0..bands.len()`;
-    /// fewer than `parts` spans are returned when there are not enough
-    /// bands (or not enough work) to go around.
-    pub fn partition(&self, parts: usize) -> Vec<Range<usize>> {
-        let parts = parts.max(1);
-        let mut out = Vec::with_capacity(parts.min(self.bands.len()));
-        if self.bands.is_empty() {
-            return out;
-        }
-        let total = self.nnz.max(1);
-        let mut band = 0usize;
-        let mut done = 0usize;
-        for p in 0..parts {
-            if band == self.bands.len() {
-                break;
-            }
-            let remaining_parts = parts - p;
-            let target = done + (total - done).div_ceil(remaining_parts);
-            let start = band;
-            while band < self.bands.len() && (band == start || done < target) {
-                done += self.bands[band].nnz;
-                band += 1;
-            }
-            out.push(start..band);
-        }
-        // Any leftover bands (possible when late bands are empty) join the
-        // final span so the spans always tile the band list.
-        if let Some(last) = out.last_mut() {
-            last.end = self.bands.len();
-        }
-        out
-    }
-
-    /// Rows covered by a contiguous span of bands.
-    pub fn span_rows(&self, bands: Range<usize>) -> Range<usize> {
-        if bands.is_empty() || self.bands.is_empty() {
-            return 0..0;
-        }
-        self.bands[bands.start].rows.start..self.bands[bands.end - 1].rows.end
-    }
-
-    /// Executes the full plan: `y = A x`, bitwise-identical to
-    /// [`CsrMatrix::mul_vec_into`]. Allocation-free.
+    /// Executes the plan: `y = A x`. Under
+    /// [`DeterminismPolicy::Deterministic`] the result is bitwise-identical
+    /// to [`CsrMatrix::mul_vec_into`]; under [`DeterminismPolicy::Fast`]
+    /// per-row reductions are reassociated (see the module docs) and agree
+    /// to a few ULP per element on well-conditioned inputs.
+    /// Allocation-free.
     ///
     /// # Errors
     ///
@@ -793,30 +753,43 @@ impl CompiledSpmv {
     /// the plan (see [`Self::matches`]).
     pub fn execute<T: Scalar>(
         &self,
+        policy: DeterminismPolicy,
         a: &CsrMatrix<T>,
         x: &[T],
         y: &mut [T],
     ) -> Result<(), SparseError> {
         self.check(a, x, y)?;
-        self.execute_span(0..self.bands.len(), a, x, y);
+        let all = 0..self.bands.len();
+        if policy.is_fast() {
+            self.run_span::<T, true>(all, a, x, y);
+        } else {
+            self.run_span::<T, false>(all, a, x, y);
+        }
         Ok(())
     }
 
-    /// Executes the full plan fused with a dot product: computes `y = A x`
-    /// and returns `y · z`, both bitwise-identical to the unfused pair
-    /// (SpMV, then a row-ascending dot). Allocation-free.
+    /// Executes the plan fused with a dot product: computes `y = A x` and
+    /// returns `y · z`. Under [`DeterminismPolicy::Deterministic`] both are
+    /// bitwise-identical to the unfused pair (SpMV, then a row-ascending
+    /// dot); under [`DeterminismPolicy::Fast`] both reductions are
+    /// reassociated. Allocation-free.
     ///
     /// # Errors
     ///
     /// As [`Self::execute`], plus a mismatch error for `z`.
     pub fn execute_dot<T: Scalar>(
         &self,
+        policy: DeterminismPolicy,
         a: &CsrMatrix<T>,
         x: &[T],
         y: &mut [T],
         z: &[T],
     ) -> Result<T, SparseError> {
-        self.run_dot::<T, false>(a, x, y, z)
+        if policy.is_fast() {
+            self.run_dot::<T, true>(a, x, y, z)
+        } else {
+            self.run_dot::<T, false>(a, x, y, z)
+        }
     }
 
     /// The fused SpMV·dot behind both tiers: each band's rows are dotted
@@ -884,28 +857,12 @@ impl CompiledSpmv {
         Ok(())
     }
 
-    /// Executes a contiguous span of bands into `y_span`, which must cover
-    /// exactly [`Self::span_rows`]`(bands)`. This is the unit of work a
-    /// parallel caller hands each thread; disjoint spans write disjoint
-    /// `y` slices. Allocation-free; the matrix is not checked against the
-    /// plan (callers go through [`Self::execute`] or validated kernels).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is shorter than the plan's column count.
-    pub fn execute_span<T: Scalar>(
-        &self,
-        bands: Range<usize>,
-        a: &CsrMatrix<T>,
-        x: &[T],
-        y_span: &mut [T],
-    ) {
-        self.run_span::<T, false>(bands, a, x, y_span);
-    }
-
-    /// The band walk behind both tiers. `FAST` selects the reassociating
-    /// kernels for the CSR-walk kinds and `DenseRow`; `Diagonal`, `Fixed`
-    /// and `Ell` bands run the same kernel either way.
+    /// The band walk behind both tiers: runs the contiguous `bands` into
+    /// `y_span`, which covers exactly their rows. `FAST` selects the
+    /// reassociating kernels for the CSR-walk kinds and `DenseRow`;
+    /// `Diagonal`, `Fixed` and `Ell` bands run the same kernel either way.
+    /// The matrix is not checked against the plan here ([`Self::check`]
+    /// does that once per call).
     fn run_span<T: Scalar, const FAST: bool>(
         &self,
         bands: Range<usize>,
@@ -923,7 +880,7 @@ impl CompiledSpmv {
             x.len(),
             self.ncols
         );
-        let row0 = self.span_rows(bands.clone()).start;
+        let row0 = self.bands.get(bands.start).map_or(0, |b| b.rows.start);
         let rp = a.row_ptr();
         let vals = a.values();
         for b in bands {
@@ -962,56 +919,6 @@ impl CompiledSpmv {
                 BandKind::DenseRow => run_dense_row(band_rp, slots, vals, x, y),
             }
         }
-    }
-
-    /// Executes the full plan on the `Fast` tier: `y = A x` with
-    /// reassociated per-row reductions (see the module docs). Agrees with
-    /// [`Self::execute`] to a few ULP per element on well-conditioned
-    /// inputs; not bitwise. Allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::execute`].
-    pub fn execute_fast<T: Scalar>(
-        &self,
-        a: &CsrMatrix<T>,
-        x: &[T],
-        y: &mut [T],
-    ) -> Result<(), SparseError> {
-        self.check(a, x, y)?;
-        self.execute_span_fast(0..self.bands.len(), a, x, y);
-        Ok(())
-    }
-
-    /// `Fast`-tier fused SpMV·dot: computes `y = A x` and returns `y · z`,
-    /// both with reassociated reductions. Allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::execute_dot`].
-    pub fn execute_dot_fast<T: Scalar>(
-        &self,
-        a: &CsrMatrix<T>,
-        x: &[T],
-        y: &mut [T],
-        z: &[T],
-    ) -> Result<T, SparseError> {
-        self.run_dot::<T, true>(a, x, y, z)
-    }
-
-    /// `Fast`-tier twin of [`Self::execute_span`]: the same band walk with
-    /// the reassociating kernels where a row's chain is worth breaking.
-    /// Disjoint spans still write disjoint `y` slices, so parallel callers
-    /// partition identically on both tiers. Allocation-free; panics as
-    /// [`Self::execute_span`] does.
-    pub fn execute_span_fast<T: Scalar>(
-        &self,
-        bands: Range<usize>,
-        a: &CsrMatrix<T>,
-        x: &[T],
-        y_span: &mut [T],
-    ) {
-        self.run_span::<T, true>(bands, a, x, y_span);
     }
 }
 
@@ -1495,6 +1402,7 @@ mod tests {
     use super::*;
     use crate::generate::{self, RowDistribution};
     use crate::CooMatrix;
+    use DeterminismPolicy::{Deterministic, Fast};
 
     fn dense_x(ncols: usize) -> Vec<f64> {
         (0..ncols)
@@ -1506,7 +1414,7 @@ mod tests {
         let x = dense_x(a.ncols());
         let expected = a.mul_vec(&x).unwrap();
         let mut y = vec![f64::NAN; a.nrows()];
-        plan.execute(a, &x, &mut y).unwrap();
+        plan.execute(Deterministic, a, &x, &mut y).unwrap();
         for (i, (got, want)) in y.iter().zip(&expected).enumerate() {
             assert_eq!(
                 got.to_bits(),
@@ -1602,12 +1510,13 @@ mod tests {
         let empty = CooMatrix::<f64>::new(0, 0).to_csr();
         let plan = CompiledSpmv::compile(&empty, &[]).unwrap();
         let mut y: Vec<f64> = vec![];
-        plan.execute(&empty, &[], &mut y).unwrap();
+        plan.execute(Deterministic, &empty, &[], &mut y).unwrap();
 
         let zeros = CooMatrix::<f64>::new(9, 4).to_csr();
         let plan = CompiledSpmv::compile_default(&zeros);
         let mut y = vec![f64::NAN; 9];
-        plan.execute(&zeros, &[1.0; 4], &mut y).unwrap();
+        plan.execute(Deterministic, &zeros, &[1.0; 4], &mut y)
+            .unwrap();
         assert_eq!(y, vec![0.0; 9]);
     }
 
@@ -1637,7 +1546,7 @@ mod tests {
         let x = vec![f64::INFINITY, 1.0, 1.0, 1.0, 1.0, 1.0];
         let expected = a.mul_vec(&x).unwrap();
         let mut y = vec![0.0; 12];
-        plan.execute(&a, &x, &mut y).unwrap();
+        plan.execute(Deterministic, &a, &x, &mut y).unwrap();
         for (i, (got, want)) in y.iter().zip(&expected).enumerate() {
             assert_eq!(got.to_bits(), want.to_bits(), "row {i}");
         }
@@ -1675,50 +1584,7 @@ mod tests {
         let plan = CompiledSpmv::compile_default(&a);
         assert!(!plan.matches(&b));
         let mut y = vec![0.0; 17];
-        assert!(plan.execute(&b, &[1.0; 17], &mut y).is_err());
-    }
-
-    #[test]
-    fn partitions_tile_bands_and_respect_boundaries() {
-        let a =
-            generate::random_pattern::<f64>(500, RowDistribution::Uniform { min: 1, max: 30 }, 13);
-        let plan = CompiledSpmv::compile_default(&a);
-        for parts in [1, 2, 3, 8, 64] {
-            let spans = plan.partition(parts);
-            assert!(spans.len() <= parts.max(1));
-            let mut next_band = 0usize;
-            let mut next_row = 0usize;
-            for span in &spans {
-                assert_eq!(span.start, next_band);
-                assert!(!span.is_empty());
-                next_band = span.end;
-                let rows = plan.span_rows(span.clone());
-                assert_eq!(rows.start, next_row);
-                next_row = rows.end;
-            }
-            assert_eq!(next_band, plan.bands().len());
-            assert_eq!(next_row, a.nrows());
-        }
-    }
-
-    #[test]
-    fn span_execution_matches_full_execution() {
-        let a =
-            generate::random_pattern::<f64>(311, RowDistribution::Uniform { min: 0, max: 24 }, 29);
-        let plan = CompiledSpmv::compile_default(&a);
-        let x = dense_x(a.ncols());
-        let mut full = vec![0.0f64; a.nrows()];
-        plan.execute(&a, &x, &mut full).unwrap();
-        for parts in [2, 5, 8] {
-            let mut y = vec![f64::NAN; a.nrows()];
-            for span in plan.partition(parts) {
-                let rows = plan.span_rows(span.clone());
-                plan.execute_span(span, &a, &x, &mut y[rows]);
-            }
-            for (got, want) in y.iter().zip(&full) {
-                assert_eq!(got.to_bits(), want.to_bits());
-            }
-        }
+        assert!(plan.execute(Deterministic, &b, &[1.0; 17], &mut y).is_err());
     }
 
     #[test]
@@ -1729,14 +1595,14 @@ mod tests {
         let x = dense_x(a.ncols());
         let z: Vec<f64> = (0..a.nrows()).map(|i| (i as f64).sin()).collect();
         let mut y_ref = vec![0.0f64; a.nrows()];
-        plan.execute(&a, &x, &mut y_ref).unwrap();
+        plan.execute(Deterministic, &a, &x, &mut y_ref).unwrap();
         let dot_ref: f64 = y_ref
             .iter()
             .zip(&z)
             .map(|(a, b)| a * b)
             .fold(0.0, |s, v| s + v);
         let mut y = vec![0.0f64; a.nrows()];
-        let dot = plan.execute_dot(&a, &x, &mut y, &z).unwrap();
+        let dot = plan.execute_dot(Deterministic, &a, &x, &mut y, &z).unwrap();
         assert_eq!(dot.to_bits(), dot_ref.to_bits());
         for (got, want) in y.iter().zip(&y_ref) {
             assert_eq!(got.to_bits(), want.to_bits());
@@ -1765,9 +1631,9 @@ mod tests {
             let plan = CompiledSpmv::compile_default(a);
             let x = dense_x(a.ncols());
             let mut det = vec![f64::NAN; a.nrows()];
-            plan.execute(a, &x, &mut det).unwrap();
+            plan.execute(Deterministic, a, &x, &mut det).unwrap();
             let mut fast = vec![f64::NAN; a.nrows()];
-            plan.execute_fast(a, &x, &mut fast).unwrap();
+            plan.execute(Fast, a, &x, &mut fast).unwrap();
             for (i, (f, d)) in fast.iter().zip(&det).enumerate() {
                 // Reassociation error is relative to the magnitude of the
                 // accumulated terms, not the (possibly cancelled) result:
@@ -1814,9 +1680,9 @@ mod tests {
             }
             let x = dense_x(a.ncols());
             let mut det = vec![0.0f64; a.nrows()];
-            plan.execute(a, &x, &mut det).unwrap();
+            plan.execute(Deterministic, a, &x, &mut det).unwrap();
             let mut fast = vec![0.0f64; a.nrows()];
-            plan.execute_fast(a, &x, &mut fast).unwrap();
+            plan.execute(Fast, a, &x, &mut fast).unwrap();
             for (f, d) in fast.iter().zip(&det) {
                 assert_eq!(f.to_bits(), d.to_bits());
             }
@@ -1826,16 +1692,18 @@ mod tests {
     }
 
     #[test]
-    fn execute_dot_fast_matches_unfused_fast_pipeline() {
+    fn fast_execute_dot_stays_close_to_deterministic() {
         let a =
             generate::random_pattern::<f64>(200, RowDistribution::Uniform { min: 1, max: 20 }, 41);
         let plan = CompiledSpmv::compile_default(&a);
         let x = dense_x(a.ncols());
         let z: Vec<f64> = (0..a.nrows()).map(|i| (i as f64).sin()).collect();
         let mut y_det = vec![0.0f64; a.nrows()];
-        let dot_det = plan.execute_dot(&a, &x, &mut y_det, &z).unwrap();
+        let dot_det = plan
+            .execute_dot(Deterministic, &a, &x, &mut y_det, &z)
+            .unwrap();
         let mut y = vec![0.0f64; a.nrows()];
-        let dot = plan.execute_dot_fast(&a, &x, &mut y, &z).unwrap();
+        let dot = plan.execute_dot(Fast, &a, &x, &mut y, &z).unwrap();
         for (i, (f, d)) in y.iter().zip(&y_det).enumerate() {
             let (cols, vals) = a.row(i);
             let mag: f64 = cols.iter().zip(vals).map(|(&c, &v)| (v * x[c]).abs()).sum();
@@ -1843,8 +1711,8 @@ mod tests {
         }
         let tol = 1e-12 * (1.0 + dot_det.abs());
         assert!((dot - dot_det).abs() <= tol, "{dot} vs {dot_det}");
-        // Shape errors are shared with the deterministic surface.
-        assert!(plan.execute_dot_fast(&a, &x, &mut y, &z[1..]).is_err());
+        // Shape errors do not depend on the tier.
+        assert!(plan.execute_dot(Fast, &a, &x, &mut y, &z[1..]).is_err());
     }
 
     /// Row-local pattern mutation: each listed row drops its first entry
@@ -2192,6 +2060,6 @@ mod tests {
         plan.slot_cols[slot] = a.ncols() as u32 + 7;
         let x = dense_x(a.ncols());
         let mut y = vec![0.0f64; a.nrows()];
-        let _ = plan.execute(&a, &x, &mut y);
+        let _ = plan.execute(Deterministic, &a, &x, &mut y);
     }
 }

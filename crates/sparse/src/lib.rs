@@ -37,8 +37,8 @@
 //!   the MSID unroll schedule (paper Fig. 3 / Eq. 5, host twin).
 //! * [`simd`] — portable fixed-lane accumulators and the
 //!   [`DeterminismPolicy`] two-tier numeric contract (DESIGN §15).
-//! * [`sptrsv`] — level-scheduled sparse triangular solve plans for
-//!   incomplete-factorization preconditioners (DESIGN §17).
+//! * [`sptrsv`] — sparse triangular solve plans and their level schedules
+//!   for incomplete-factorization preconditioners (DESIGN §17).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,37 +1,46 @@
-//! Level-scheduled sparse triangular solve (SpTRSV).
+//! Sparse triangular solve (SpTRSV) and its level schedule.
 //!
 //! Forward/backward substitution over a sparse triangular factor is the
 //! inner kernel of every incomplete-factorization preconditioner (DESIGN
 //! §17). Unlike SpMV it carries a dependency chain: row `i` of a lower
 //! triangle cannot start until every `x[j]` with `l_ij != 0, j < i` is
-//! final. The classic way to expose parallelism anyway is *level
-//! scheduling*: a topological layering of the row dependency DAG in which
-//! every row of a level depends only on rows of strictly earlier levels,
-//! so all rows within one level solve concurrently.
+//! final. *Level scheduling* layers the row dependency DAG so that every
+//! row of a level depends only on rows of strictly earlier levels; the
+//! number of levels is the critical path of the solve.
 //!
 //! [`CompiledSptrsv`] mirrors the [`crate::compiled::CompiledSpmv`]
 //! contract: it is **pattern-only** (no values captured), cheap to build
 //! (one O(nnz) pass), and intended to be cached per pattern fingerprint
 //! and shared across every matrix with the same structure — in particular
-//! an IC(0)/ILU(0) factor, whose pattern is by construction the triangle
-//! of the matrix it was factored from.
+//! an IC(0) factor, whose pattern is by construction the triangle of the
+//! matrix it was factored from.
+//!
+//! ## The schedule is a cost-model input, not an execution order
+//!
+//! The host executes substitution serially, rows in natural order
+//! ([`CompiledSptrsv::solve`]): a row reads only entries that are final in
+//! that order whatever the pattern, so the plan's levels cannot change the
+//! answer. What the plan records — the triangle's entry count and the
+//! width of every level — is what the fabric cycle model prices
+//! (`tri_nnz + levels × PIPELINE_DEPTH`, DESIGN §17) and what the
+//! benchmark's `sparse.sptrsv_*` rows report. Concurrency on the host
+//! lives across solves (engine workers × service shards); a level-parallel
+//! walk that spawned threads per level measured 186–494× slower than this
+//! loop on poisson2d-40 (`BENCH_PR10.json`) and was removed.
 //!
 //! ## Determinism contract
 //!
-//! Within a row the accumulation walks the CSR entries left to right,
-//! exactly like the serial reference, and rows never share a partial sum.
-//! Level-scheduled execution under
-//! [`DeterminismPolicy::Deterministic`](crate::DeterminismPolicy) is
-//! therefore **bitwise identical** to serial forward substitution at any
-//! worker count — the property `tests/properties.rs` locks down. The
-//! `Fast` tier re-associates each row's accumulation through
-//! [`Lanes4`] partial sums, trading bitwise
+//! Within a row the accumulation walks the CSR entries left to right and
+//! rows never share a partial sum, so
+//! [`DeterminismPolicy::Deterministic`] is plain serial substitution,
+//! bitwise reproducible. The `Fast` tier re-associates each row's
+//! accumulation through [`Lanes4`] partial sums, trading bitwise
 //! stability for within-row vectorization, mirroring the SpMV fast tier.
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
-use crate::simd::Lanes4;
+use crate::simd::{DeterminismPolicy, Lanes4};
 
 /// Which triangle of the matrix a plan solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,21 +64,20 @@ impl Triangle {
 /// A compiled, pattern-only level schedule for sparse triangular solves.
 ///
 /// Build once per sparsity pattern with [`CompiledSptrsv::compile_lower`]
-/// or [`CompiledSptrsv::compile_upper`], then execute against any matrix
+/// or [`CompiledSptrsv::compile_upper`], then solve against any matrix
 /// sharing that triangle's pattern — the original matrix itself (its
 /// off-triangle entries are ignored) or an incomplete factor with the
-/// identical triangle.
+/// identical triangle. A matrix of the same size and a different pattern
+/// is still solved correctly; only the recorded level statistics, and so
+/// the modeled cycle price, would describe the wrong pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledSptrsv {
     triangle: Triangle,
     nrows: usize,
     /// Number of structural entries inside the triangle, diagonal included.
     tri_nnz: usize,
-    /// Row indices grouped by level; rows within a level are ascending.
-    order: Vec<u32>,
-    /// CSR-style offsets into `order`: level `l` spans
-    /// `order[level_ptr[l]..level_ptr[l + 1]]`.
-    level_ptr: Vec<u32>,
+    /// Rows in each topological level, first level (no dependencies) first.
+    level_widths: Vec<u32>,
 }
 
 impl CompiledSptrsv {
@@ -137,27 +145,15 @@ impl CompiledSptrsv {
             level[i] = lvl;
         }
         let nlevels = level.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
-        // Counting sort of rows by level keeps rows ascending within each
-        // level, which downstream chunking relies on for reproducibility.
-        let mut level_ptr = vec![0u32; nlevels + 1];
+        let mut level_widths = vec![0u32; nlevels];
         for &l in &level {
-            level_ptr[l as usize + 1] += 1;
-        }
-        for l in 0..nlevels {
-            level_ptr[l + 1] += level_ptr[l];
-        }
-        let mut cursor: Vec<u32> = level_ptr[..nlevels].to_vec();
-        let mut order = vec![0u32; n];
-        for (i, &l) in level.iter().enumerate() {
-            order[cursor[l as usize] as usize] = i as u32;
-            cursor[l as usize] += 1;
+            level_widths[l as usize] += 1;
         }
         Ok(Self {
             triangle,
             nrows: n,
             tri_nnz,
-            order,
-            level_ptr,
+            level_widths,
         })
     }
 
@@ -178,21 +174,11 @@ impl CompiledSptrsv {
 
     /// Number of topological levels (the critical-path length).
     pub fn level_count(&self) -> usize {
-        self.level_ptr.len() - 1
+        self.level_widths.len()
     }
 
-    /// Width (row count) of the widest level — the scratch size
-    /// [`CompiledSptrsv::execute`] needs and the upper bound on usable
-    /// parallelism.
-    pub fn max_level_width(&self) -> usize {
-        self.level_ptr
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Mean rows per level; `nrows / level_count` parallelism on average.
+    /// Mean rows per level: the parallelism a level-synchronised pipeline
+    /// would see on average.
     pub fn avg_level_width(&self) -> f64 {
         if self.level_count() == 0 {
             return 0.0;
@@ -203,12 +189,13 @@ impl CompiledSptrsv {
     /// Cheap provenance check: does `m` have the shape this plan was
     /// compiled for? Pattern equality is the caller's contract (plans are
     /// cached per pattern fingerprint); use
-    /// [`CompiledSptrsv::verify_pattern`] for the full O(nnz) audit.
+    /// [`CompiledSptrsv::verify_pattern`] for the O(nnz) audit.
     pub fn matches<T: Scalar>(&self, m: &CsrMatrix<T>) -> bool {
         m.nrows() == self.nrows && m.ncols() == self.nrows
     }
 
-    /// Full O(nnz) audit that `m`'s triangle pattern is the one compiled.
+    /// O(nnz) audit that `m`'s triangle compiles to this plan: the same
+    /// entry count and the same width at every level.
     pub fn verify_pattern<T: Scalar>(&self, m: &CsrMatrix<T>) -> bool {
         if !self.matches(m) {
             return false;
@@ -219,96 +206,35 @@ impl CompiledSptrsv {
         }
     }
 
-    /// Serial substitution in natural row order — the bitwise reference
-    /// the level-scheduled paths are validated against.
+    /// Solves `tri(m) x = b` by substitution, rows in natural order
+    /// (ascending for a lower triangle, descending for an upper one).
     ///
     /// Entries of `m` outside the plan's triangle are skipped, so passing
-    /// the full matrix solves against its triangle implicitly.
+    /// the full matrix solves against its triangle implicitly. Under
+    /// [`DeterminismPolicy::Deterministic`] each row accumulates in CSR
+    /// entry order (the serial reference, bitwise reproducible); under
+    /// [`DeterminismPolicy::Fast`] each row's products are summed through
+    /// four lanes, so results may differ in the last ulps. Allocation-free.
     ///
     /// # Errors
     ///
-    /// [`SparseError::DimensionMismatch`] if `b`/`x` disagree with the
-    /// plan's row count, [`SparseError::NotSquare`] if `m` does not match
-    /// the compiled shape.
-    pub fn solve_serial<T: Scalar>(
+    /// [`SparseError::NotSquare`] if `m` is not square, and
+    /// [`SparseError::DimensionMismatch`] if `m`, `b` or `x` disagree with
+    /// the plan's row count.
+    pub fn solve<T: Scalar>(
         &self,
+        policy: DeterminismPolicy,
         m: &CsrMatrix<T>,
         b: &[T],
         x: &mut [T],
     ) -> Result<(), SparseError> {
         self.check_operands(m, b, x)?;
-        match self.triangle {
-            Triangle::Lower => {
-                for i in 0..self.nrows {
-                    x[i] = Self::row_solve_deterministic(m, i, b[i], x, self.triangle);
-                }
-            }
-            Triangle::Upper => {
-                for i in (0..self.nrows).rev() {
-                    x[i] = Self::row_solve_deterministic(m, i, b[i], x, self.triangle);
-                }
-            }
+        if policy.is_fast() {
+            self.substitute::<T, true>(m, b, x);
+        } else {
+            self.substitute::<T, false>(m, b, x);
         }
         Ok(())
-    }
-
-    /// Level-scheduled deterministic solve.
-    ///
-    /// `scratch` must hold at least [`CompiledSptrsv::max_level_width`]
-    /// elements; each level's results are computed into per-worker
-    /// disjoint scratch chunks and scattered back serially, so the result
-    /// is bitwise identical to [`CompiledSptrsv::solve_serial`] at any
-    /// `workers >= 1`.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledSptrsv::solve_serial`], plus
-    /// [`SparseError::DimensionMismatch`] when `scratch` is too small.
-    pub fn execute<T: Scalar>(
-        &self,
-        m: &CsrMatrix<T>,
-        b: &[T],
-        x: &mut [T],
-        workers: usize,
-        scratch: &mut [T],
-    ) -> Result<(), SparseError> {
-        self.execute_inner(m, b, x, workers, scratch, false)
-    }
-
-    /// Level-scheduled solve with `Lanes4` within-row accumulation (the
-    /// `Fast` determinism tier). Re-associates each row's partial sums,
-    /// so results may differ from the reference in the last ulps; still
-    /// deterministic for a fixed build, input, and plan.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledSptrsv::execute`].
-    pub fn execute_fast<T: Scalar>(
-        &self,
-        m: &CsrMatrix<T>,
-        b: &[T],
-        x: &mut [T],
-        workers: usize,
-        scratch: &mut [T],
-    ) -> Result<(), SparseError> {
-        self.execute_inner(m, b, x, workers, scratch, true)
-    }
-
-    /// Convenience wrapper over [`CompiledSptrsv::execute`] that owns its
-    /// scratch. Prefer `execute` with a pooled buffer in warm loops.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledSptrsv::execute`].
-    pub fn solve<T: Scalar>(
-        &self,
-        m: &CsrMatrix<T>,
-        b: &[T],
-        x: &mut [T],
-        workers: usize,
-    ) -> Result<(), SparseError> {
-        let mut scratch = vec![T::ZERO; self.max_level_width()];
-        self.execute(m, b, x, workers, &mut scratch)
     }
 
     fn check_operands<T: Scalar>(
@@ -317,10 +243,17 @@ impl CompiledSptrsv {
         b: &[T],
         x: &[T],
     ) -> Result<(), SparseError> {
-        if !self.matches(m) {
+        if m.nrows() != m.ncols() {
             return Err(SparseError::NotSquare {
                 nrows: m.nrows(),
                 ncols: m.ncols(),
+            });
+        }
+        if m.nrows() != self.nrows {
+            return Err(SparseError::DimensionMismatch {
+                expected: self.nrows,
+                found: m.nrows(),
+                what: "matrix rows",
             });
         }
         if b.len() != self.nrows {
@@ -340,90 +273,39 @@ impl CompiledSptrsv {
         Ok(())
     }
 
-    fn execute_inner<T: Scalar>(
-        &self,
-        m: &CsrMatrix<T>,
-        b: &[T],
-        x: &mut [T],
-        workers: usize,
-        scratch: &mut [T],
-        fast: bool,
-    ) -> Result<(), SparseError> {
-        self.check_operands(m, b, x)?;
-        let width_needed = self.max_level_width();
-        if scratch.len() < width_needed {
-            return Err(SparseError::DimensionMismatch {
-                expected: width_needed,
-                found: scratch.len(),
-                what: "sptrsv scratch length",
-            });
-        }
-        let workers = workers.max(1);
-        for l in 0..self.level_count() {
-            let rows = &self.order[self.level_ptr[l] as usize..self.level_ptr[l + 1] as usize];
-            let width = rows.len();
-            if workers == 1 || width < 2 * workers {
-                // Narrow level (or serial caller): solve in place — each
-                // row only reads x entries from earlier levels.
-                for &i in rows {
-                    let i = i as usize;
-                    x[i] = Self::row_solve(m, i, b[i], x, self.triangle, fast);
+    fn substitute<T: Scalar, const FAST: bool>(&self, m: &CsrMatrix<T>, b: &[T], x: &mut [T]) {
+        // Each arm names its triangle as a literal so the row kernels'
+        // per-entry triangle test specialises to one comparison.
+        match self.triangle {
+            Triangle::Lower => {
+                for i in 0..self.nrows {
+                    x[i] = Self::row_solve::<T, FAST>(m, i, b[i], x, Triangle::Lower);
                 }
-                continue;
             }
-            // Wide level: chunk the level's row list contiguously across
-            // workers. Each worker reads `x` immutably (entries final
-            // since earlier levels) and writes its disjoint scratch
-            // chunk; the serial scatter below keeps all mutation of `x`
-            // on this thread, so the whole scheme is safe Rust and
-            // bitwise independent of the worker count.
-            let scratch = &mut scratch[..width];
-            let chunk = width.div_ceil(workers);
-            let x_ro: &[T] = x;
-            std::thread::scope(|scope| {
-                let mut remaining = &mut scratch[..];
-                let mut offset = 0usize;
-                while offset < width {
-                    let take = chunk.min(width - offset);
-                    let (mine, rest) = remaining.split_at_mut(take);
-                    remaining = rest;
-                    let rows = &rows[offset..offset + take];
-                    let triangle = self.triangle;
-                    scope.spawn(move || {
-                        for (slot, &i) in mine.iter_mut().zip(rows) {
-                            let i = i as usize;
-                            *slot = Self::row_solve(m, i, b[i], x_ro, triangle, fast);
-                        }
-                    });
-                    offset += take;
+            Triangle::Upper => {
+                for i in (0..self.nrows).rev() {
+                    x[i] = Self::row_solve::<T, FAST>(m, i, b[i], x, Triangle::Upper);
                 }
-            });
-            for (&i, &v) in rows.iter().zip(scratch.iter()) {
-                x[i as usize] = v;
             }
         }
-        Ok(())
     }
 
     #[inline]
-    fn row_solve<T: Scalar>(
+    fn row_solve<T: Scalar, const FAST: bool>(
         m: &CsrMatrix<T>,
         i: usize,
         bi: T,
         x: &[T],
         tri: Triangle,
-        fast: bool,
     ) -> T {
-        if fast {
+        if FAST {
             Self::row_solve_fast(m, i, bi, x, tri)
         } else {
             Self::row_solve_deterministic(m, i, bi, x, tri)
         }
     }
 
-    /// One row of substitution, CSR entry order, scalar accumulation —
-    /// identical arithmetic in the serial reference and every
-    /// deterministic level-scheduled chunk.
+    /// One row of substitution, CSR entry order, scalar accumulation.
     #[inline]
     fn row_solve_deterministic<T: Scalar>(
         m: &CsrMatrix<T>,
@@ -516,7 +398,8 @@ mod tests {
         let plan = CompiledSptrsv::compile_lower(&l).unwrap();
         let b: Vec<f64> = (0..40).map(|i| (i as f64).sin() + 2.0).collect();
         let mut x = vec![0.0; 40];
-        plan.solve_serial(&l, &b, &mut x).unwrap();
+        plan.solve(DeterminismPolicy::Deterministic, &l, &b, &mut x)
+            .unwrap();
         // L x should reproduce b.
         let mut back = vec![0.0; 40];
         l.mul_vec_into(&x, &mut back).unwrap();
@@ -532,31 +415,12 @@ mod tests {
         let plan = CompiledSptrsv::compile_upper(&u).unwrap();
         let b: Vec<f64> = (0..32).map(|i| 1.0 + (i % 5) as f64).collect();
         let mut x = vec![0.0; 32];
-        plan.solve_serial(&u, &b, &mut x).unwrap();
+        plan.solve(DeterminismPolicy::Deterministic, &u, &b, &mut x)
+            .unwrap();
         let mut back = vec![0.0; 32];
         u.mul_vec_into(&x, &mut back).unwrap();
         for (bi, ri) in b.iter().zip(&back) {
             assert!((bi - ri).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn level_scheduled_is_bitwise_identical_to_serial() {
-        for seed in [1u64, 2, 3] {
-            let l = random_lower(96, seed);
-            let plan = CompiledSptrsv::compile_lower(&l).unwrap();
-            let b: Vec<f64> = (0..96).map(|i| (i as f64 * 0.37).cos()).collect();
-            let mut reference = vec![0.0; 96];
-            plan.solve_serial(&l, &b, &mut reference).unwrap();
-            for workers in [1usize, 2, 4, 8] {
-                let mut x = vec![0.0; 96];
-                plan.solve(&l, &b, &mut x, workers).unwrap();
-                assert_eq!(
-                    x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "workers={workers} seed={seed}"
-                );
-            }
         }
     }
 
@@ -569,7 +433,8 @@ mod tests {
         let n = a.nrows();
         let b = vec![1.0; n];
         let mut x = vec![0.0; n];
-        plan.solve_serial(&a, &b, &mut x).unwrap();
+        plan.solve(DeterminismPolicy::Deterministic, &a, &b, &mut x)
+            .unwrap();
         // Verify against explicit tril(A) substitution.
         for (i, &bi) in b.iter().enumerate() {
             let (cols, vals) = a.row(i);
@@ -591,7 +456,6 @@ mod tests {
         let plan = CompiledSptrsv::compile_lower(&a).unwrap();
         assert_eq!(plan.level_count(), 6 + 9 - 1);
         assert_eq!(plan.nrows(), 54);
-        assert!(plan.max_level_width() <= 6);
         assert!(plan.avg_level_width() > 1.0);
     }
 
@@ -614,10 +478,10 @@ mod tests {
         let plan = CompiledSptrsv::compile_lower(&l).unwrap();
         let b: Vec<f64> = (0..64).map(|i| (i as f64 * 0.61).sin()).collect();
         let mut reference = vec![0.0; 64];
-        plan.solve_serial(&l, &b, &mut reference).unwrap();
+        plan.solve(DeterminismPolicy::Deterministic, &l, &b, &mut reference)
+            .unwrap();
         let mut fast = vec![0.0; 64];
-        let mut scratch = vec![0.0; plan.max_level_width()];
-        plan.execute_fast(&l, &b, &mut fast, 4, &mut scratch)
+        plan.solve(DeterminismPolicy::Fast, &l, &b, &mut fast)
             .unwrap();
         for (r, f) in reference.iter().zip(&fast) {
             assert!((r - f).abs() <= 1e-9 * (1.0 + r.abs()));
@@ -636,17 +500,33 @@ mod tests {
     }
 
     #[test]
-    fn scratch_too_small_is_rejected() {
-        let a = generate::poisson2d::<f64>(8, 8);
-        let plan = CompiledSptrsv::compile_lower(&a).unwrap();
-        let b = vec![1.0; 64];
-        let mut x = vec![0.0; 64];
-        let mut scratch = vec![0.0; 1];
-        if plan.max_level_width() > 1 {
-            assert!(matches!(
-                plan.execute(&a, &b, &mut x, 4, &mut scratch),
-                Err(SparseError::DimensionMismatch { .. })
-            ));
+    fn wrong_sized_square_operand_is_a_dimension_mismatch() {
+        let plan = CompiledSptrsv::compile_lower(&random_lower(24, 5)).unwrap();
+        let smaller = random_lower(12, 5);
+        let (b, mut x) = (vec![1.0; 24], vec![0.0; 24]);
+        for policy in DeterminismPolicy::ALL {
+            match plan.solve(policy, &smaller, &b, &mut x) {
+                Err(SparseError::DimensionMismatch {
+                    expected: 24,
+                    found: 12,
+                    what: "matrix rows",
+                }) => {}
+                other => panic!("expected DimensionMismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_square_operand_is_not_square() {
+        let plan = CompiledSptrsv::compile_lower(&random_lower(24, 5)).unwrap();
+        let wide = CsrMatrix::<f64>::try_from_parts(24, 30, vec![0; 25], vec![], vec![]).unwrap();
+        let (b, mut x) = (vec![1.0; 24], vec![0.0; 24]);
+        match plan.solve(DeterminismPolicy::Deterministic, &wide, &b, &mut x) {
+            Err(SparseError::NotSquare {
+                nrows: 24,
+                ncols: 30,
+            }) => {}
+            other => panic!("expected NotSquare, got {other:?}"),
         }
     }
 }

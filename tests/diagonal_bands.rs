@@ -3,8 +3,8 @@
 //! A Diagonal band stores one row of columns and reads `x` as contiguous
 //! windows, so three things have to hold wherever the compiler emits one:
 //!
-//! * **bytes** — every execution surface (`execute`, `execute_dot`, the
-//!   `*_fast` twins, 2- and 3-way `partition` spans) equals
+//! * **bytes** — both entry points (`execute`, and `execute_dot`, which
+//!   runs one band at a time) under both policies equal
 //!   `CsrMatrix::mul_vec_into` plus a row-ascending dot, bit for bit, in
 //!   `f64` and `f32`, on stencils, banded matrices, runs of every length
 //!   around the promotion minimum, broken runs, diagonals touching column 0
@@ -27,6 +27,7 @@ use acamar::sparse::compiled::MIN_FIXED_RUN;
 use acamar::sparse::generate::{self, RowDistribution};
 use acamar::sparse::rng::DetRng;
 use acamar::sparse::simd::dot_fast;
+use acamar::sparse::DeterminismPolicy::{Deterministic, Fast};
 use acamar::sparse::{BandKind, CompiledSpmv, CooMatrix, CsrMatrix, PatternDelta, Scalar};
 
 fn bits<T: Scalar>(v: T) -> u64 {
@@ -105,47 +106,30 @@ fn check_surfaces<T: Scalar>(a: &CsrMatrix<T>, plan: &CompiledSpmv, ctx: &str) {
 
     let nan = T::from_f64(f64::NAN);
     let mut y = vec![nan; a.nrows()];
-    plan.execute(a, &x, &mut y).unwrap();
+    plan.execute(Deterministic, a, &x, &mut y).unwrap();
     assert_bits_eq(&y, &want, &format!("{ctx}: execute"));
 
+    // `execute_dot` runs the plan one band at a time, each into its own
+    // slice of `y`: the per-band span arithmetic.
     y.fill(nan);
-    let dot = plan.execute_dot(a, &x, &mut y, &z).unwrap();
+    let dot = plan.execute_dot(Deterministic, a, &x, &mut y, &z).unwrap();
     assert_bits_eq(&y, &want, &format!("{ctx}: execute_dot"));
     assert_eq!(bits(dot), bits(want_dot), "{ctx}: execute_dot value");
 
-    let fast_is_exact = interleaved_only(plan);
-    for parts in [2, 3] {
-        for fast in [false, true] {
-            if fast && !fast_is_exact {
-                continue;
-            }
-            y.fill(nan);
-            for span in plan.partition(parts) {
-                let rows = plan.span_rows(span.clone());
-                if fast {
-                    plan.execute_span_fast(span, a, &x, &mut y[rows]);
-                } else {
-                    plan.execute_span(span, a, &x, &mut y[rows]);
-                }
-            }
-            assert_bits_eq(&y, &want, &format!("{ctx}: {parts} spans, fast {fast}"));
-        }
-    }
-
-    if fast_is_exact {
+    if interleaved_only(plan) {
         // No band reassociates a row, so the Fast tier's `y` is the same
         // bytes; its fused dot is the documented band-local lane dot.
         y.fill(nan);
-        plan.execute_fast(a, &x, &mut y).unwrap();
-        assert_bits_eq(&y, &want, &format!("{ctx}: execute_fast"));
+        plan.execute(Fast, a, &x, &mut y).unwrap();
+        assert_bits_eq(&y, &want, &format!("{ctx}: fast execute"));
         y.fill(nan);
-        let dot = plan.execute_dot_fast(a, &x, &mut y, &z).unwrap();
-        assert_bits_eq(&y, &want, &format!("{ctx}: execute_dot_fast"));
+        let dot = plan.execute_dot(Fast, a, &x, &mut y, &z).unwrap();
+        assert_bits_eq(&y, &want, &format!("{ctx}: fast execute_dot"));
         let mut lanes = T::ZERO;
         for b in plan.bands() {
             lanes += dot_fast(&want[b.rows.clone()], &z[b.rows.clone()]);
         }
-        assert_eq!(bits(dot), bits(lanes), "{ctx}: execute_dot_fast value");
+        assert_eq!(bits(dot), bits(lanes), "{ctx}: fast execute_dot value");
     }
 }
 

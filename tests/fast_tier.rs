@@ -86,8 +86,10 @@ fn fast_and_deterministic_spmv_agree_to_four_ulp() {
         let n = a.nrows();
         let mut y_det = vec![0.0; n];
         let mut y_fast = vec![0.0; n];
-        plan.execute(&a, &x, &mut y_det).unwrap();
-        plan.execute_fast(&a, &x, &mut y_fast).unwrap();
+        plan.execute(DeterminismPolicy::Deterministic, &a, &x, &mut y_det)
+            .unwrap();
+        plan.execute(DeterminismPolicy::Fast, &a, &x, &mut y_fast)
+            .unwrap();
         for r in 0..n {
             let d = ulp_distance(y_det[r], y_fast[r]);
             assert!(
@@ -112,8 +114,12 @@ fn fused_spmv_dot_tiers_agree_on_well_conditioned_inputs() {
         let z: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..1.5)).collect();
         let mut y_det = vec![0.0; n];
         let mut y_fast = vec![0.0; n];
-        let d_det = plan.execute_dot(&a, &x, &mut y_det, &z).unwrap();
-        let d_fast = plan.execute_dot_fast(&a, &x, &mut y_fast, &z).unwrap();
+        let d_det = plan
+            .execute_dot(DeterminismPolicy::Deterministic, &a, &x, &mut y_det, &z)
+            .unwrap();
+        let d_fast = plan
+            .execute_dot(DeterminismPolicy::Fast, &a, &x, &mut y_fast, &z)
+            .unwrap();
         // The fused dot reassociates over up-to-n same-sign products on
         // top of the per-element SpMV tolerance; a relative bound is the
         // right shape for it.

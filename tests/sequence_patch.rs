@@ -1,7 +1,7 @@
 //! Seeded property test for band patching: a `CompiledSpmv` patched from
 //! a pattern delta must be **bitwise identical** to a from-scratch
 //! compile of the evolved pattern — identical as a plan (same bands, same
-//! slot packing) and identical in execution at 1, 2, and 8 threads.
+//! slot packing) and identical in execution through both entry points.
 //!
 //! Patterns are drawn from every `RowDistribution` family (exercising
 //! Fixed, ELL, unrolled-CSR, scalar, and dense-row bands), plans are
@@ -13,10 +13,8 @@ use acamar::core::{Acamar, AcamarConfig};
 use acamar::fabric::FabricSpec;
 use acamar::sparse::generate::{self, RowDistribution};
 use acamar::sparse::rng::DetRng;
+use acamar::sparse::DeterminismPolicy::Deterministic;
 use acamar::sparse::{BandHint, CompiledSpmv, CsrMatrix, PatternDelta};
-
-/// Thread counts the patched/scratch agreement must hold under.
-const THREADS: [usize; 3] = [1, 2, 8];
 
 fn families(case: u64) -> RowDistribution {
     match case % 5 {
@@ -62,29 +60,6 @@ fn drop_leading_entries(a: &CsrMatrix<f64>, rows: &[usize]) -> CsrMatrix<f64> {
     CsrMatrix::try_from_parts(a.nrows(), a.ncols(), row_ptr, cols, vals).unwrap()
 }
 
-/// Band-parallel execution with `threads` workers, each walking whole
-/// bands into its slice of `y` — the same decomposition the software
-/// kernels use.
-fn parallel_execute(
-    plan: &CompiledSpmv,
-    a: &CsrMatrix<f64>,
-    x: &[f64],
-    threads: usize,
-) -> Vec<f64> {
-    let mut y = vec![0.0_f64; a.nrows()];
-    let spans = plan.partition(threads);
-    std::thread::scope(|s| {
-        let mut rest = y.as_mut_slice();
-        for span in spans {
-            let rows = plan.span_rows(span.clone());
-            let (head, tail) = rest.split_at_mut(rows.len());
-            rest = tail;
-            s.spawn(move || plan.execute_span(span, a, x, head));
-        }
-    });
-    y
-}
-
 fn assert_bits_eq(got: &[f64], want: &[f64], ctx: &str) {
     assert_eq!(got.len(), want.len(), "{ctx}: length mismatch");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -96,8 +71,9 @@ fn assert_bits_eq(got: &[f64], want: &[f64], ctx: &str) {
     }
 }
 
-/// Asserts `patched == scratch` as plans and as executors at every
-/// thread count, against the generic CSR walk as ground truth.
+/// Asserts `patched == scratch` as plans and as executors — the whole
+/// walk (`execute`) and the band-at-a-time walk (`execute_dot`) — against
+/// the generic CSR walk and a row-ascending dot as ground truth.
 fn assert_patch_equivalence(
     patched: &CompiledSpmv,
     scratch: &CompiledSpmv,
@@ -109,16 +85,17 @@ fn assert_patch_equivalence(
     assert!(patched.verify_pattern(a), "{ctx}: patched plan mismatch");
     let mut rng = DetRng::seed_from_u64(seed ^ 0x5EED);
     let x: Vec<f64> = (0..a.ncols()).map(|_| rng.gen_range(-4.0..4.0)).collect();
+    let z: Vec<f64> = (0..a.nrows()).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let expected = a.mul_vec(&x).unwrap();
-    for threads in THREADS {
-        let yp = parallel_execute(patched, a, &x, threads);
-        let ys = parallel_execute(scratch, a, &x, threads);
-        assert_bits_eq(
-            &yp,
-            &ys,
-            &format!("{ctx} threads={threads} patched/scratch"),
-        );
-        assert_bits_eq(&yp, &expected, &format!("{ctx} threads={threads} vs csr"));
+    let expected_dot = expected.iter().zip(&z).fold(0.0, |s, (y, z)| s + y * z);
+    for (plan, tag) in [(patched, "patched"), (scratch, "scratch")] {
+        let mut y = vec![f64::NAN; a.nrows()];
+        plan.execute(Deterministic, a, &x, &mut y).unwrap();
+        assert_bits_eq(&y, &expected, &format!("{ctx} {tag} execute vs csr"));
+        y.fill(f64::NAN);
+        let dot = plan.execute_dot(Deterministic, a, &x, &mut y, &z).unwrap();
+        assert_bits_eq(&y, &expected, &format!("{ctx} {tag} execute_dot vs csr"));
+        assert_eq!(dot.to_bits(), expected_dot.to_bits(), "{ctx} {tag} dot");
     }
 }
 

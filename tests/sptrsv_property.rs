@@ -1,23 +1,33 @@
-//! Property test for the level-scheduled SpTRSV kernel's determinism
-//! contract (DESIGN §17): at any worker count, the Deterministic-tier
-//! `execute` must be **bitwise identical** to serial forward
-//! substitution — same schedule, same per-row accumulation order, only
-//! the level-internal work split differs.
+//! Property test for the SpTRSV kernel (DESIGN §17), against arithmetic
+//! and graph walks written here rather than taken from the plan:
 //!
-//! Runs 64 seeded random lower-triangular patterns (sizes 4..100,
-//! densities 5%..40%) at 1, 2, and 8 workers; each failure message
-//! carries the seed, so any counterexample reproduces exactly.
+//! * `solve(Deterministic)` is **bitwise identical** to a plain
+//!   substitution loop, lower and upper;
+//! * `solve(Fast)` stays within `1e-9 · (1 + |x|)` of it;
+//! * `level_count` is the longest dependency chain of the triangle;
+//! * a plan compiled for one pattern, applied to a same-size factor of
+//!   another pattern, still returns that factor's substitution result —
+//!   the plan prices a solve, it does not order it.
+//!
+//! Runs 64 seeded random triangular patterns (sizes 4..100, densities
+//! 5%..40%); each failure message carries the seed, so any counterexample
+//! reproduces exactly.
 
 use acamar::sparse::rng::DetRng;
-use acamar::sparse::{CompiledSptrsv, CooMatrix, CsrMatrix};
+use acamar::sparse::DeterminismPolicy::{Deterministic, Fast};
+use acamar::sparse::{CompiledSptrsv, CooMatrix, CsrMatrix, Triangle};
 
-/// Number of random lower-triangular patterns to try.
+/// Number of random triangular patterns to try.
 const CASES: u64 = 64;
 
 /// Random sparse lower-triangular matrix with a well-conditioned
 /// diagonal; size and density are drawn from the seed.
 fn random_lower(rng: &mut DetRng) -> CsrMatrix<f64> {
     let n = rng.gen_range(4..100usize);
+    random_lower_of(rng, n)
+}
+
+fn random_lower_of(rng: &mut DetRng, n: usize) -> CsrMatrix<f64> {
     let density = 0.05 + rng.gen_f64() * 0.35;
     let mut coo = CooMatrix::new(n, n);
     for i in 0..n {
@@ -31,45 +41,133 @@ fn random_lower(rng: &mut DetRng) -> CsrMatrix<f64> {
     coo.to_csr()
 }
 
+/// Rows in the order substitution must visit them.
+fn substitution_order(n: usize, tri: Triangle) -> Vec<usize> {
+    match tri {
+        Triangle::Lower => (0..n).collect(),
+        Triangle::Upper => (0..n).rev().collect(),
+    }
+}
+
+/// Textbook substitution over a triangular `m`: subtract the known
+/// terms in stored order, divide by the diagonal.
+fn substitute(m: &CsrMatrix<f64>, b: &[f64], tri: Triangle) -> Vec<f64> {
+    let mut x = vec![0.0; b.len()];
+    for i in substitution_order(b.len(), tri) {
+        let (cols, vals) = m.row(i);
+        let mut acc = b[i];
+        let mut diag = 0.0;
+        for (&c, &v) in cols.iter().zip(vals) {
+            if c == i {
+                diag = v;
+            } else {
+                acc -= v * x[c];
+            }
+        }
+        x[i] = acc / diag;
+    }
+    x
+}
+
+/// Longest dependency chain of a triangular `m`, by peeling: each round
+/// retires every row all of whose off-diagonal columns are already
+/// retired; the number of rounds is the chain length.
+fn longest_chain(m: &CsrMatrix<f64>) -> usize {
+    let n = m.nrows();
+    let mut retired = vec![false; n];
+    let mut left = n;
+    let mut rounds = 0;
+    while left > 0 {
+        let ready: Vec<usize> = (0..n)
+            .filter(|&i| !retired[i] && m.row(i).0.iter().all(|&c| c == i || retired[c]))
+            .collect();
+        assert!(!ready.is_empty(), "dependency cycle");
+        for i in ready {
+            retired[i] = true;
+            left -= 1;
+        }
+        rounds += 1;
+    }
+    rounds
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
-fn level_scheduled_sptrsv_is_bitwise_identical_to_serial_at_any_worker_count() {
+fn solve_is_plain_substitution_and_levels_are_the_longest_chain() {
     for seed in 0..CASES {
         let mut rng = DetRng::seed_from_u64(0x5197_0000 + seed);
         let l = random_lower(&mut rng);
         let n = l.nrows();
         let b: Vec<f64> = (0..n).map(|_| rng.gen_f64() * 4.0 - 2.0).collect();
+        let u = l.transpose();
 
-        let plan = CompiledSptrsv::compile_lower(&l)
-            .unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}"));
-        let mut reference = vec![0.0; n];
-        plan.solve_serial(&l, &b, &mut reference)
-            .unwrap_or_else(|e| panic!("seed {seed}: serial solve failed: {e}"));
+        for (m, tri) in [(&l, Triangle::Lower), (&u, Triangle::Upper)] {
+            let ctx = format!("seed {seed} {}", tri.label());
+            let plan = match tri {
+                Triangle::Lower => CompiledSptrsv::compile_lower(m),
+                Triangle::Upper => CompiledSptrsv::compile_upper(m),
+            }
+            .unwrap_or_else(|e| panic!("{ctx}: compile failed: {e}"));
+            let reference = substitute(m, &b, tri);
 
-        // The reference must actually solve L x = b before it can serve
-        // as the bitwise oracle.
-        let mut back = vec![0.0; n];
-        l.mul_vec_into(&reference, &mut back).unwrap();
-        for (i, (bi, ri)) in b.iter().zip(&back).enumerate() {
-            assert!(
-                (bi - ri).abs() < 1e-9 * (1.0 + bi.abs()),
-                "seed {seed}: serial reference residual at row {i}: {bi} vs {ri}"
-            );
+            // The reference must actually solve m x = b before it can
+            // serve as the bitwise oracle.
+            let back = m.mul_vec(&reference).unwrap();
+            for (i, (bi, ri)) in b.iter().zip(&back).enumerate() {
+                assert!(
+                    (bi - ri).abs() < 1e-9 * (1.0 + bi.abs()),
+                    "{ctx}: reference residual at row {i}: {bi} vs {ri}"
+                );
+            }
+
+            let mut x = vec![f64::NAN; n];
+            plan.solve(Deterministic, m, &b, &mut x)
+                .unwrap_or_else(|e| panic!("{ctx}: solve failed: {e}"));
+            assert_eq!(bits(&x), bits(&reference), "{ctx}: deterministic solve");
+
+            x.fill(f64::NAN);
+            plan.solve(Fast, m, &b, &mut x)
+                .unwrap_or_else(|e| panic!("{ctx}: fast solve failed: {e}"));
+            for (i, (f, r)) in x.iter().zip(&reference).enumerate() {
+                assert!(
+                    (f - r).abs() <= 1e-9 * (1.0 + r.abs()),
+                    "{ctx}: fast solve row {i}: {f} vs {r}"
+                );
+            }
+
+            assert_eq!(plan.level_count(), longest_chain(m), "{ctx}: level count");
+            assert_eq!(plan.nrows(), n);
+            assert_eq!(plan.tri_nnz(), m.nnz());
         }
+    }
+}
 
-        let reference_bits: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-        let mut scratch = vec![0.0; plan.max_level_width()];
-        for workers in [1usize, 2, 8] {
-            let mut x = vec![0.0; n];
-            plan.execute(&l, &b, &mut x, workers, &mut scratch)
-                .unwrap_or_else(|e| panic!("seed {seed} workers {workers}: execute failed: {e}"));
-            let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                bits,
-                reference_bits,
-                "seed {seed}: level-scheduled solve at {workers} workers diverged \
-                 from serial substitution (n={n}, levels={})",
-                plan.level_count()
-            );
+#[test]
+fn a_plan_for_another_pattern_still_solves_the_factor_it_is_given() {
+    for seed in 0..16u64 {
+        let mut rng = DetRng::seed_from_u64(0x07E4_0000 + seed);
+        let compiled_for = random_lower(&mut rng);
+        let n = compiled_for.nrows();
+        let given = random_lower_of(&mut rng, n);
+        let plan = CompiledSptrsv::compile_lower(&compiled_for).unwrap();
+        assert!(plan.matches(&given));
+        assert!(
+            (compiled_for.row_ptr(), compiled_for.col_idx()) != (given.row_ptr(), given.col_idx()),
+            "seed {seed}: the two patterns agree"
+        );
+
+        let b: Vec<f64> = (0..n).map(|_| rng.gen_f64() * 4.0 - 2.0).collect();
+        let reference = substitute(&given, &b, Triangle::Lower);
+        let mut x = vec![f64::NAN; n];
+        plan.solve(Deterministic, &given, &b, &mut x).unwrap();
+        assert_eq!(bits(&x), bits(&reference), "seed {seed}: deterministic");
+        x.fill(f64::NAN);
+        plan.solve(Fast, &given, &b, &mut x).unwrap();
+        for (f, r) in x.iter().zip(&reference) {
+            assert!((f - r).abs() <= 1e-9 * (1.0 + r.abs()), "seed {seed}: fast");
         }
     }
 }
