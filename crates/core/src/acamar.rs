@@ -7,8 +7,8 @@ use crate::structure_unit::{MatrixStructureUnit, StructureDecision};
 use acamar_fabric::{cost, FabricKernels, FabricRunStats, FabricSpec, HwRun, ResourceVector};
 use acamar_faultline::FaultContext;
 use acamar_solvers::{
-    ic0_preconditioned_cg, solve_with, ConvergenceCriteria, Outcome, SolveReport, SolverKind,
-    WorkspaceHandle,
+    ic0_preconditioned_cg, solve_with, ConvergenceCriteria, DerivedPlan, Outcome, SolveReport,
+    SolverKind, WorkspaceHandle,
 };
 use acamar_sparse::{
     CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar, SparseError,
@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// the artifacts through [`Acamar::run_with_plan`], amortizing the
 /// reconfiguration-decision overhead across solves. The `acamar-engine`
 /// crate builds its fingerprint cache on exactly this type.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct AnalysisArtifacts {
     /// The Matrix Structure unit's analysis and initial recommendation.
     pub structure: StructureDecision,
@@ -45,12 +45,33 @@ pub struct AnalysisArtifacts {
     /// per solve. Pattern-only and `Arc`-shared like `compiled`; `None`
     /// for nonsymmetric matrices or a structurally missing diagonal.
     pub sptrsv: Option<Arc<(CompiledSptrsv, CompiledSptrsv)>>,
+    /// Memo for the [`CompiledSpmv`] of the operand Jacobi derives from
+    /// the matrix (`T = D⁻¹(L + U)`, same rows and MSID hints, the
+    /// pattern minus its diagonal). Empty after [`Acamar::analyze`] —
+    /// compiling it there costs every miss a second plan (+11 % on a
+    /// cold-pattern request) whether or not Jacobi ever runs — and filled
+    /// by the first Jacobi attempt on the pattern from the `T` it has
+    /// already built. Pattern-only and shared by every clone; a cache of
+    /// derived state, so it takes no part in equality or `build_cost`.
+    pub derived: Arc<DerivedPlan>,
     /// Estimated host-side work of building these artifacts, in
     /// row/entry traversals: the structure unit's CSR→CSC symmetry
     /// compare and dominance scan are each O(nnz), the Row Length Trace
     /// is O(rows), and the SpMV plan compile is one more O(nnz) pass —
     /// this is what a cache hit saves.
     pub build_cost: u64,
+}
+
+impl PartialEq for AnalysisArtifacts {
+    /// Compares what the analysis decided and compiled; whether `derived`
+    /// has been filled yet is not part of an artifact's identity.
+    fn eq(&self, other: &Self) -> bool {
+        self.structure == other.structure
+            && self.plan == other.plan
+            && self.compiled == other.compiled
+            && self.sptrsv == other.sptrsv
+            && self.build_cost == other.build_cost
+    }
 }
 
 impl AnalysisArtifacts {
@@ -311,9 +332,9 @@ impl Acamar {
             unit.analyze(a)
         };
         let plan = FineGrainedReconfigUnit::new(self.config.clone()).plan(a);
+        let hints = plan.schedule.band_hints();
         let compiled = Arc::new(
-            CompiledSpmv::compile(a, &plan.schedule.band_hints())
-                .expect("MSID schedules always tile the matrix rows"),
+            CompiledSpmv::compile(a, &hints).expect("MSID schedules always tile the matrix rows"),
         );
         // Symmetric matrices get triangular-solve schedules alongside the
         // SpMV plan: the IC(0) preconditioner's substitution passes run
@@ -334,6 +355,7 @@ impl Acamar {
             plan,
             compiled,
             sptrsv,
+            derived: Arc::new(DerivedPlan::new(hints)),
             build_cost: AnalysisArtifacts::cost_model(a.nrows(), a.nnz()),
         }
     }
@@ -437,6 +459,7 @@ impl Acamar {
         )
         .with_overlap(self.config.overlap_reconfiguration)
         .with_compiled_plan(Arc::clone(&artifacts.compiled))
+        .with_derived_plan(Arc::clone(&artifacts.derived))
         .with_policy(opts.policy);
         if let Some(ctx) = opts.fault {
             hw = hw.with_fault_context(ctx);

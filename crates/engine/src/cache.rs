@@ -92,12 +92,13 @@ impl CacheEntry {
 /// Concurrent map from `(PatternFingerprint, DeterminismPolicy)` to
 /// shared [`AnalysisArtifacts`].
 ///
-/// Entries are keyed by determinism tier as well as pattern, so a `Fast`
-/// and a `Deterministic` plan for the same matrix coexist: a mixed
-/// workload never evicts or aliases the other tier's entry, and the two
-/// tiers are free to diverge in what they cache. (Today plan compilation
-/// itself is policy-independent, so a tier's first lookup on an
-/// already-warm pattern still runs its own analysis miss.)
+/// Entries are keyed by determinism tier as well as pattern, so each tier
+/// warms, counts and is evicted on its own. The artifacts themselves are
+/// policy-independent — one compiled plan serves both tiers — so a tier's
+/// first lookup on a pattern the other tier holds is still a miss in
+/// [`CacheStats`] but skips the analysis: it adopts the other entry's
+/// `Arc<AnalysisArtifacts>`. One copy per pattern whichever tier asks,
+/// which survives the eviction of either entry.
 ///
 /// Reads take the `RwLock` shared, so concurrent workers hitting warm
 /// patterns never serialize. A miss upgrades to the exclusive lock and
@@ -158,7 +159,8 @@ impl PlanCache {
     /// cache's own statistics and the telemetry counters are fed from the
     /// same observations, so a batch's [`CacheStats`] delta and its
     /// exported metrics always agree. The entry is keyed by `(pattern,
-    /// policy)`, so each determinism tier warms independently.
+    /// policy)`; a miss adopts the other tier's verified entry for the
+    /// pattern, if there is one, instead of analyzing again.
     pub fn get_or_analyze_with<T: Scalar>(
         &self,
         acamar: &Acamar,
@@ -192,7 +194,15 @@ impl PlanCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let started = std::time::Instant::now();
-        let art = Arc::new(acamar.analyze(a));
+        let other_tier = DeterminismPolicy::ALL
+            .iter()
+            .filter(|&&p| p != policy)
+            .filter_map(|&p| map.get(&(fp.0, p)))
+            .find(|entry| entry.verifies_against(a));
+        let art = match other_tier {
+            Some(entry) => Arc::clone(&entry.artifacts),
+            None => Arc::new(acamar.analyze(a)),
+        };
         let analysis_nanos = started.elapsed().as_nanos() as u64;
         self.analysis_nanos
             .fetch_add(analysis_nanos, Ordering::Relaxed);
@@ -642,10 +652,12 @@ mod tests {
         let sink = TelemetrySink::disabled();
         let det = cache.get_or_analyze_with(&ac, &a, DeterminismPolicy::Deterministic, &sink);
         // The fast tier's first lookup is its own miss, not a hit on the
-        // deterministic entry...
+        // deterministic entry — but it adopts that entry's artifacts
+        // instead of analyzing again...
         let fast = cache.get_or_analyze_with(&ac, &a, DeterminismPolicy::Fast, &sink);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
+        assert!(Arc::ptr_eq(&det, &fast));
         // ...and both entries verify per tier thereafter.
         assert!(cache.contains(&fp));
         assert!(cache.contains_policy(&fp, DeterminismPolicy::Deterministic));
@@ -655,9 +667,6 @@ mod tests {
         assert!(Arc::ptr_eq(&det, &det2));
         assert!(Arc::ptr_eq(&fast, &fast2));
         assert_eq!(cache.stats().hits, 2);
-        // Plan compilation is policy-independent today: same artifacts,
-        // distinct cache entries.
-        assert_eq!(*det, *fast);
         assert!(cache.peek(&fp).is_some());
     }
 

@@ -345,9 +345,11 @@ fn adopt_analysis<T: Scalar>(
         structure: artifacts.structure.clone(),
         plan: artifacts.plan.clone(),
         compiled: Arc::new(compiled),
-        // Retiling SpMV bands does not disturb the triangular plans:
-        // they schedule over the same unchanged pattern.
+        // Retiling SpMV bands does not disturb the triangular plans or
+        // the derived operand's plan: they are built over the same
+        // unchanged pattern (the derived plan from the MSID hints).
         sptrsv: artifacts.sptrsv.clone(),
+        derived: Arc::clone(&artifacts.derived),
         build_cost: artifacts.build_cost,
     });
     engine.cache().insert_artifacts(
@@ -531,9 +533,11 @@ impl<'e, T: Scalar> Sequence<'e, T> {
                     plan: self.artifacts.plan.clone(),
                     compiled: Arc::new(patched),
                     // The pattern changed, so the cached level schedules
-                    // are stale; drop them and let the next full analyze
-                    // (or the preconditioner itself) rebuild.
+                    // and the derived operand's plan are stale; drop them
+                    // and let the next full analyze (or the preconditioner,
+                    // or the next Jacobi attempt) rebuild.
                     sptrsv: None,
+                    derived: Arc::new(self.artifacts.derived.emptied()),
                     build_cost: AnalysisArtifacts::cost_model(a.nrows(), a.nnz()),
                 });
                 self.engine.cache().insert_artifacts(

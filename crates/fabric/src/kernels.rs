@@ -15,7 +15,7 @@ use crate::spec::{FabricSpec, ResourceVector};
 use crate::spmv::SpmvExecution;
 use crate::trace::{ExecutionTrace, TraceEvent};
 use acamar_faultline::{FaultContext, FaultInjector};
-use acamar_solvers::{Kernels, OpCounts, Phase, SoftwareKernels, WorkspaceHandle};
+use acamar_solvers::{DerivedPlan, Kernels, OpCounts, Phase, SoftwareKernels, WorkspaceHandle};
 use acamar_sparse::{BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar};
 use acamar_telemetry::{Counter, EventKind, TelemetrySink};
 use std::ops::Range;
@@ -419,11 +419,21 @@ impl FabricKernels {
     /// analysis phase compiled from this solve's MSID schedule, shared via
     /// the plan cache). Host arithmetic for the coefficient matrix runs
     /// through the plan's format-specialized band kernels — bitwise
-    /// identical to the generic walk, which every other operand takes (see
+    /// identical to the generic walk (see
     /// [`SoftwareKernels::with_compiled_plan`]) — while cycle modeling,
     /// fault injection, and all accounting are untouched.
     pub fn with_compiled_plan(mut self, plan: Arc<CompiledSpmv>) -> Self {
         self.inner = self.inner.with_compiled_plan(plan);
+        self
+    }
+
+    /// Installs the pattern's derived-operand plan memo (see
+    /// [`SoftwareKernels::with_derived_plan`]): host arithmetic for
+    /// Jacobi's iteration matrix runs through its own compiled plan.
+    /// Nothing new is charged — the cycle table already prices that
+    /// operand apart from the coefficient matrix.
+    pub fn with_derived_plan(mut self, memo: Arc<DerivedPlan>) -> Self {
+        self.inner = self.inner.with_derived_plan(memo);
         self
     }
 
@@ -879,6 +889,10 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
         }
     }
 
+    fn derived_operand(&mut self, t: &CsrMatrix<T>) {
+        self.inner.derived_operand(t);
+    }
+
     fn set_phase(&mut self, phase: Phase) {
         let at = self.cycles.total();
         self.record(TraceEvent::PhaseStart { phase, cycle: at });
@@ -1316,13 +1330,31 @@ mod tests {
         let mut y_ref = vec![0.0_f64; 96];
         Kernels::<f64>::spmv(&mut plain, &a, &x, &mut y_ref);
 
-        let mut comp =
-            FabricKernels::new(spec(), schedule.clone(), 4).with_compiled_plan(Arc::clone(&plan));
+        // A derived operand too (Jacobi's shape: `a` without its diagonal),
+        // which the planned executor runs through the memo's second plan.
+        let t = a.off_diagonal_scaled(&[0.5; 96]).unwrap();
+        let mut ty_ref = vec![0.0_f64; 96];
+        Kernels::<f64>::spmv(&mut plain, &t, &x, &mut ty_ref);
+
+        let memo = Arc::new(DerivedPlan::new(schedule.band_hints()));
+        let mut comp = FabricKernels::new(spec(), schedule.clone(), 4)
+            .with_compiled_plan(Arc::clone(&plan))
+            .with_derived_plan(Arc::clone(&memo));
         Kernels::<f64>::set_phase(&mut comp, Phase::Loop);
         let mut y = vec![0.0_f64; 96];
         Kernels::<f64>::spmv(&mut comp, &a, &x, &mut y);
+        assert!(
+            memo.get().is_none(),
+            "nothing derived yet, nothing compiled"
+        );
+        Kernels::<f64>::derived_operand(&mut comp, &t);
+        let t_plan = Arc::clone(memo.get().expect("the announcement fills the memo"));
+        assert!(t_plan.verify_pattern(&t));
+        let mut ty = vec![0.0_f64; 96];
+        Kernels::<f64>::spmv(&mut comp, &t, &x, &mut ty);
 
         assert_eq!(y, y_ref);
+        assert_eq!(ty, ty_ref);
         assert_eq!(
             Kernels::<f64>::counts(&comp),
             Kernels::<f64>::counts(&plain)
@@ -1338,21 +1370,30 @@ mod tests {
             let mut hw = FabricKernels::new(spec(), schedule.clone(), 4)
                 .with_fault_context(FaultContext::new(inj, 3));
             if with_plan {
-                hw = hw.with_compiled_plan(Arc::clone(&plan));
+                hw = hw
+                    .with_compiled_plan(Arc::clone(&plan))
+                    .with_derived_plan(Arc::clone(&memo));
             }
             hw.set_schedule(schedule.clone());
             Kernels::<f64>::set_phase(&mut hw, Phase::Loop);
+            Kernels::<f64>::derived_operand(&mut hw, &t);
             let mut y = vec![0.0_f64; 96];
             let d = hw.spmv_dot(&a, &x, &mut y, &x);
-            (y, d)
+            let mut ty = vec![0.0_f64; 96];
+            let td = hw.spmv_dot(&t, &x, &mut ty, &x);
+            (y, d, ty, td, hw.cycles())
         };
-        let (fy_ref, fd_ref) = run_faulty(false);
-        let (fy, fd) = run_faulty(true);
+        let (fy_ref, fd_ref, fty_ref, ftd_ref, cycles_ref) = run_faulty(false);
+        let (fy, fd, fty, ftd, cycles) = run_faulty(true);
         // Byte-compare: the injected flip may have produced a NaN.
-        for (got, want) in fy.iter().zip(&fy_ref) {
+        for (got, want) in fy.iter().zip(&fy_ref).chain(fty.iter().zip(&fty_ref)) {
             assert_eq!(got.to_bits(), want.to_bits());
         }
         assert_eq!(fd.to_bits(), fd_ref.to_bits());
+        assert_eq!(ftd.to_bits(), ftd_ref.to_bits());
+        assert_eq!(cycles, cycles_ref);
+        // The replay reused the memo's plan: one compile per pattern.
+        assert!(Arc::ptr_eq(memo.get().unwrap(), &t_plan));
     }
 
     #[test]
@@ -1454,10 +1495,17 @@ mod tests {
         let plain = acamar_solvers::bicg(&a, &b, None, &crit, &mut SoftwareKernels::new()).unwrap();
         assert!(plain.converged());
         assert_eq!(plain.iterations, 17);
-        let mut sw = SoftwareKernels::new().with_compiled_plan(Arc::clone(&plan));
-        let mut hw = FabricKernels::new(spec(), UnrollSchedule::uniform(150, 4), 4);
-        let mut hw_plan =
-            FabricKernels::new(spec(), UnrollSchedule::uniform(150, 4), 4).with_compiled_plan(plan);
+        // With the derived-operand memo installed as well: BiCG announces
+        // no derived operand, so Aᵀ must not pick that slot up either.
+        let schedule = UnrollSchedule::uniform(150, 4);
+        let memo = Arc::new(DerivedPlan::new(schedule.band_hints()));
+        let mut sw = SoftwareKernels::new()
+            .with_compiled_plan(Arc::clone(&plan))
+            .with_derived_plan(Arc::clone(&memo));
+        let mut hw = FabricKernels::new(spec(), schedule.clone(), 4);
+        let mut hw_plan = FabricKernels::new(spec(), schedule, 4)
+            .with_compiled_plan(plan)
+            .with_derived_plan(Arc::clone(&memo));
         for planned in [
             acamar_solvers::bicg(&a, &b, None, &crit, &mut sw).unwrap(),
             acamar_solvers::bicg(&a, &b, None, &crit, &mut hw).unwrap(),
@@ -1468,6 +1516,28 @@ mod tests {
             assert_eq!(planned.solution, plain.solution);
         }
         assert_eq!(hw.cycles(), hw_plan.cycles());
+        assert!(
+            memo.get().is_none(),
+            "BiCG derives nothing a plan is kept for"
+        );
+
+        // Jacobi on the same executors does announce its operand: same
+        // bytes and cycles with both slots bound as with neither, and a
+        // BiCG attempt after it starts from unbound slots again.
+        let plain = jacobi(&a, &b, None, &crit, &mut SoftwareKernels::new()).unwrap();
+        assert!(plain.converged());
+        for planned in [
+            jacobi(&a, &b, None, &crit, &mut sw).unwrap(),
+            jacobi(&a, &b, None, &crit, &mut hw).unwrap(),
+            jacobi(&a, &b, None, &crit, &mut hw_plan).unwrap(),
+        ] {
+            assert_eq!(planned.residual_history, plain.residual_history);
+            assert_eq!(planned.solution, plain.solution);
+        }
+        assert_eq!(hw.cycles(), hw_plan.cycles());
+        assert_eq!(memo.get().map(|p| p.nnz()), Some(a.nnz() - 150));
+        let again = acamar_solvers::bicg(&a, &b, None, &crit, &mut hw_plan).unwrap();
+        assert_eq!(again.iterations, 17);
     }
 
     #[test]

@@ -51,8 +51,14 @@ pub fn jacobi<T: Scalar, K: Kernels<T>>(
 
     // --- Initialize unit work (Algorithm 1 lines 1-7) ---
     kernels.set_phase(Phase::Initialize);
-    let diag = a.diagonal();
+    // One sweep reads the diagonal, inverts it, and builds
+    // T = D^{-1}(L + U): all off-diagonal entries of A scaled by 1/d_i.
+    let mut diag = kernels.acquire_buffer(n);
+    let mut inv_d = kernels.acquire_buffer(n);
+    let t_mat = a.split_jacobi(&mut diag, &mut inv_d)?;
     if diag.contains(&T::ZERO) {
+        kernels.release_buffer(diag);
+        kernels.release_buffer(inv_d);
         return Ok(SolveReport {
             solver: SolverKind::Jacobi,
             outcome: Outcome::Diverged(DivergenceReason::Breakdown("zero diagonal")),
@@ -62,13 +68,7 @@ pub fn jacobi<T: Scalar, K: Kernels<T>>(
             counts: kernels.counts().since(&start_counts),
         });
     }
-    let mut inv_d = kernels.acquire_buffer(n);
-    for (slot, &d) in inv_d.iter_mut().zip(&diag) {
-        *slot = T::ONE / d;
-    }
-
-    // T = D^{-1}(L + U): all off-diagonal entries of A scaled by 1/d_i.
-    let t_mat = a.off_diagonal_scaled(&inv_d)?;
+    kernels.derived_operand(&t_mat);
 
     // c = D^{-1} b
     let mut c = kernels.acquire_buffer(n);
@@ -113,6 +113,7 @@ pub fn jacobi<T: Scalar, K: Kernels<T>>(
         }
     };
 
+    kernels.release_buffer(diag);
     kernels.release_buffer(inv_d);
     kernels.release_buffer(c);
     kernels.release_buffer(tx);

@@ -8,9 +8,11 @@
 //! their hardware execution (Section IV).
 
 use crate::workspace::WorkspaceHandle;
-use acamar_sparse::{simd, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar};
+use acamar_sparse::{
+    simd, BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar,
+};
 use acamar_telemetry::{Counter, TelemetrySink};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Execution phase of a solver, reported to the kernel executor.
 ///
@@ -99,6 +101,44 @@ impl OperandId {
             nrows: a.nrows(),
             nnz: a.nnz(),
         }
+    }
+}
+
+/// Pattern-only memo of the compiled plan for a solver's *derived*
+/// operand — Jacobi's `T = D⁻¹(L + U)`, whose pattern is the coefficient
+/// matrix's minus the diagonal and so a pure function of it.
+///
+/// The memo carries the coefficient matrix's MSID band hints (`T` has the
+/// same rows) and starts empty: nothing is compiled for a pattern no
+/// solver derives an operand from. The first attempt that announces its
+/// operand through [`Kernels::derived_operand`] compiles the plan *from
+/// that operand* — exactly once, however many workers race on a cold
+/// pattern — and every later attempt on the pattern replays it.
+#[derive(Debug)]
+pub struct DerivedPlan {
+    hints: Vec<BandHint>,
+    /// `Some(None)` records hints that do not tile the operand: such a
+    /// pattern stays on the plan-less walk instead of recompiling per solve.
+    plan: OnceLock<Option<Arc<CompiledSpmv>>>,
+}
+
+impl DerivedPlan {
+    /// An empty memo that will compile against `hints`.
+    pub fn new(hints: Vec<BandHint>) -> Self {
+        DerivedPlan {
+            hints,
+            plan: OnceLock::new(),
+        }
+    }
+
+    /// An empty memo with this one's hints — what a pattern change leaves.
+    pub fn emptied(&self) -> Self {
+        DerivedPlan::new(self.hints.clone())
+    }
+
+    /// The memoised plan, if an attempt has built it.
+    pub fn get(&self) -> Option<&Arc<CompiledSpmv>> {
+        self.plan.get().and_then(Option::as_ref)
     }
 }
 
@@ -215,6 +255,16 @@ pub trait Kernels<T: Scalar> {
             .expect("sptrsv shape mismatch");
     }
 
+    /// Announces `t` as the solver's derived SpMV operand: a matrix built
+    /// from the coefficient matrix whose pattern depends only on that
+    /// matrix's pattern (Jacobi's iteration matrix). Executors holding a
+    /// [`DerivedPlan`] memo run `t`'s SpMVs through its compiled plan —
+    /// bitwise the generic walk — until the next solver starts; the
+    /// default ignores the announcement.
+    fn derived_operand(&mut self, t: &CsrMatrix<T>) {
+        let _ = t;
+    }
+
     /// Notifies the executor that the solver entered `phase`.
     fn set_phase(&mut self, phase: Phase) {
         let _ = phase;
@@ -263,6 +313,10 @@ pub struct SoftwareKernels {
     /// The operand the plan is bound to: the first one that passed
     /// [`CompiledSpmv::matches`] since the current solver started.
     plan_operand: Option<OperandId>,
+    derived: Option<Arc<DerivedPlan>>,
+    /// The second slot: the derived operand the current solver announced,
+    /// with its plan from the memo.
+    derived_slot: Option<(OperandId, Arc<CompiledSpmv>)>,
     telemetry: TelemetrySink,
     policy: DeterminismPolicy,
 }
@@ -274,6 +328,8 @@ impl Default for SoftwareKernels {
             workspace: None,
             plan: None,
             plan_operand: None,
+            derived: None,
+            derived_slot: None,
             telemetry: TelemetrySink::disabled(),
             policy: DeterminismPolicy::Deterministic,
         }
@@ -296,11 +352,12 @@ impl SoftwareKernels {
     /// Installs a compiled SpMV execution plan (see
     /// [`CompiledSpmv`]). [`Kernels::spmv`] and [`Kernels::spmv_dot`] use
     /// the plan's format-specialized band kernels — bitwise identical to
-    /// the generic CSR walk — for the operand the plan is bound to, and
-    /// the generic path for every other operand (solvers pass derived
-    /// matrices through the same executor: Jacobi's iteration matrix,
-    /// BiCG's `Aᵀ`). Either way the SpMV runs serially on the calling
-    /// thread.
+    /// the generic CSR walk — for the operand the plan is bound to. Solvers
+    /// pass derived matrices through the same executor: Jacobi's iteration
+    /// matrix runs on its own plan once a memo is installed
+    /// ([`Self::with_derived_plan`]); BiCG's `Aᵀ`, and any operand of an
+    /// executor without the matching plan, takes the generic path. Either
+    /// way the SpMV runs serially on the calling thread.
     ///
     /// The plan binds, by [`OperandId`], to the first operand of its shape
     /// multiplied after construction or after the last
@@ -315,6 +372,17 @@ impl SoftwareKernels {
     /// The installed compiled plan, if any.
     pub fn compiled_plan(&self) -> Option<&Arc<CompiledSpmv>> {
         self.plan.as_ref()
+    }
+
+    /// Installs the pattern's [`DerivedPlan`] memo: the operand a solver
+    /// announces through [`Kernels::derived_operand`] is multiplied
+    /// through the memo's plan (compiled from that operand by the first
+    /// attempt on the pattern), bound by [`OperandId`] like the
+    /// coefficient matrix's.
+    pub fn with_derived_plan(mut self, memo: Arc<DerivedPlan>) -> Self {
+        self.derived = Some(memo);
+        self.derived_slot = None;
+        self
     }
 
     /// Selects the numeric determinism tier (see
@@ -355,24 +423,37 @@ impl SoftwareKernels {
         self.counts
     }
 
-    /// Unbinds the compiled plan from its operand: the next operand of the
-    /// plan's shape rebinds it. Called whenever a solver starts, since an
-    /// [`OperandId`] says nothing once the matrix behind it may be gone.
+    /// Unbinds both plans from their operands: the next operand of the
+    /// coefficient plan's shape rebinds it, the next announced derived
+    /// operand rebinds the memo's. Called whenever a solver starts, since
+    /// an [`OperandId`] says nothing once the matrix behind it may be gone.
     pub fn forget_operands(&mut self) {
         self.plan_operand = None;
+        self.derived_slot = None;
     }
 
-    /// The installed plan, if `a` is the operand it is bound to.
+    /// The plan bound to `a`, if either slot is.
     ///
     /// [`CompiledSpmv::matches`] compares shape and entry count only, and
     /// `Aᵀ` has both in common with `A`, so a shape match alone would run
     /// `A`'s column slots over `Aᵀ`'s values. Binding by storage identity
     /// is O(1) per call and needs no second pattern check: whoever
-    /// installed the plan vouched for `A`.
+    /// installed the plan vouched for `A`, and the solver that announced
+    /// the derived operand built it from `A`. An SpMV that finds neither
+    /// slot bound to its operand is counted.
     fn plan_for<T: Scalar>(&mut self, a: &CsrMatrix<T>) -> Option<&CompiledSpmv> {
-        let plan = self.plan.as_deref().filter(|p| p.matches(a))?;
         let id = OperandId::of(a);
-        (*self.plan_operand.get_or_insert(id) == id).then_some(plan)
+        if self.derived_slot.as_ref().is_some_and(|(t, _)| *t == id) {
+            return self.derived_slot.as_ref().map(|(_, plan)| &**plan);
+        }
+        let bound = self.plan.as_deref().filter(|p| p.matches(a));
+        if let Some(plan) = bound {
+            if *self.plan_operand.get_or_insert(id) == id {
+                return Some(plan);
+            }
+        }
+        self.telemetry.counter_add(Counter::PlanlessSpmvs, 1);
+        None
     }
 }
 
@@ -492,10 +573,24 @@ impl<T: Scalar> Kernels<T> for SoftwareKernels {
             .expect("sptrsv shape mismatch");
     }
 
+    fn derived_operand(&mut self, t: &CsrMatrix<T>) {
+        let Some(memo) = &self.derived else {
+            return;
+        };
+        let plan = memo.plan.get_or_init(|| {
+            self.telemetry.counter_add(Counter::DerivedPlansBuilt, 1);
+            CompiledSpmv::compile(t, &memo.hints).ok().map(Arc::new)
+        });
+        self.derived_slot = plan
+            .as_ref()
+            .filter(|p| p.matches(t))
+            .map(|p| (OperandId::of(t), Arc::clone(p)));
+    }
+
     fn set_phase(&mut self, phase: Phase) {
         if phase == Phase::Initialize {
             // A solver is starting: its first same-shape operand rebinds
-            // the plan.
+            // the plan, and it announces its own derived operand.
             self.forget_operands();
         }
     }

@@ -57,7 +57,7 @@ pub use gauss_seidel::{gauss_seidel, sor};
 pub use gmres::gmres;
 pub use ic0::Ic0;
 pub use jacobi::jacobi;
-pub use kernels::{Kernels, OpCounts, OperandId, Phase, SoftwareKernels};
+pub use kernels::{DerivedPlan, Kernels, OpCounts, OperandId, Phase, SoftwareKernels};
 pub use pcg::{ic0_preconditioned_cg, preconditioned_cg, preconditioned_cg_with, Preconditioner};
 pub use report::SolveReport;
 pub use selection::{

@@ -26,10 +26,18 @@
 //!   underutilization). Slots are packed like `Fixed`, but each lane is
 //!   bounded by its own row length so padding slots are *never* accumulated
 //!   (adding `0.0` is not a bitwise no-op: `-0.0 + 0.0 == +0.0`).
-//! * [`BandKind::Unrolled`] — a moderate band run as a fixed-width unrolled
-//!   CSR loop, monomorphized for U ∈ {1, 2, 4, 8, 16} taken from the MSID
-//!   schedule's unroll factor.
-//! * [`BandKind::Scalar`] — irregular rows on the generic CSR walk.
+//! * [`BandKind::Sorted`] — a ragged band of short rows (`width <= 16`)
+//!   that fails the `Ell` padding test. Rows are stably counting-sorted by
+//!   length inside windows of at most [`SORTED_WINDOW_ROWS`] rows (one
+//!   window's values, slots and `y` stay L1-resident); each window stores
+//!   that row order and the rows' `u32` column slots packed in it, and the
+//!   kernel walks each run of equal length `L` through a body monomorphized
+//!   on `L`, four rows in flight, scattering `y` — no trip count depends on
+//!   a row's length, which is where a CSR walk over 1–6-entry rows spends
+//!   its time (one or two mispredicted branches per row).
+//! * [`BandKind::Unrolled`] — a ragged band with rows too wide for `Sorted`,
+//!   run as a fixed-width unrolled CSR loop, monomorphized for
+//!   U ∈ {1, 2, 4, 8, 16} taken from the MSID schedule's unroll factor.
 //! * [`BandKind::DenseRow`] — heavy outlier rows: deep-unrolled gather, with
 //!   a contiguous-column fast path that reads `x` as a slice.
 //!
@@ -54,12 +62,12 @@
 //! ## The `Fast` tier
 //!
 //! Both entry points take the job's [`DeterminismPolicy`]. `Diagonal`,
-//! `Fixed` and `Ell` bands run the *same* kernels on both tiers: their
-//! lanes interleave rows, each lane is one row's serial chain, so there
-//! is nothing to reassociate and the bytes are equal.
+//! `Fixed`, `Ell` and `Sorted` bands run the *same* kernels on both tiers:
+//! their lanes interleave rows, each lane is one row's serial chain, so
+//! there is nothing to reassociate and the bytes are equal.
 //! The tiers differ only where `Fast` breaks a row's serial FP-add
 //! chain into partial sums reduced once at the end: long contiguous or
-//! scattered rows of `Unrolled`/`Scalar` bands, `DenseRow` outliers, and
+//! scattered rows of `Unrolled` bands, `DenseRow` outliers, and
 //! the fused dot. `Fast` results therefore agree with `Deterministic`
 //! ones only to a few ULP per element on those kinds; compilation itself
 //! is policy-independent — the same plan object serves both tiers.
@@ -100,16 +108,28 @@ pub const ELL_NARROW_WIDTH: usize = 12;
 /// 4-lane kernel little common prefix to amortize its per-group setup, so
 /// a ragged narrow band (epb3-shaped: width ~9, mean ~6) loses to the
 /// packed-`u32` CSR walk it would otherwise displace — those bands
-/// classify as `Unrolled`/`Scalar` instead, which by construction track
-/// the generic walk with half the index traffic.
+/// classify as `Sorted` instead.
 pub const ELL_NARROW_MAX_PADDING: f64 = 0.2;
+
+/// Rows per window of a [`BandKind::Sorted`] band: rows are sorted by
+/// length inside a window, never across one, so the values, slots and `y`
+/// a window touches (512 rows × 6 entries × 12 B + 4 KB) stay L1-resident
+/// while `y` is scattered.
+pub const SORTED_WINDOW_ROWS: usize = 512;
+
+/// Widest row of a [`BandKind::Sorted`] band; a ragged band with a wider
+/// row runs as `Unrolled`. Measured in one process, plans alternated batch
+/// by batch, minimum ns/nnz, as no plan / `Unrolled` / cut 8 / cut 16:
+/// dominant n=4000 rows 2–6 (`T`) 1.12 / 1.67 / 0.63 / 0.63; Table II `Eb`
+/// (width ~11, mean 6) 0.60 / 0.72 / 0.72 / 0.59; `Th` (mean 7) 0.76 /
+/// 0.65 / 0.64 / 0.55 — a cut at 8 leaves `Eb` and `Th` on the walk that
+/// loses to no plan, so the classes are monomorphized to 16 like `Fixed`.
+/// Bands with a longer row (`Wi`, `Mo`, dominant rows 1–40: mean 20–38)
+/// stay `Unrolled{16}`, 0.55–0.64 against 0.67–0.93 without a plan.
+pub const SORTED_MAX_WIDTH: usize = MAX_FIXED_WIDTH;
 
 /// Unroll factors with monomorphized kernels, mirroring the paper's U set.
 pub const UNROLL_FACTORS: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// Minimum mean row NNZ for an `Unrolled` band; sparser irregular rows fall
-/// back to [`BandKind::Scalar`].
-pub const UNROLL_MIN_MEAN_NNZ: usize = 4;
 
 /// A contiguous row range and the unroll factor the MSID schedule assigned
 /// to it. The plan compiler never emits a band that crosses a hint boundary,
@@ -144,13 +164,19 @@ pub enum BandKind {
         /// The slot width (max row NNZ in the band).
         width: usize,
     },
-    /// Moderate band: CSR walk with a `U`-wide unrolled inner loop.
+    /// Ragged band of short rows (`width <= SORTED_MAX_WIDTH`): rows
+    /// counting-sorted by length inside [`SORTED_WINDOW_ROWS`]-row windows,
+    /// each run of equal length executed at a constant trip count.
+    Sorted {
+        /// The longest row in the band.
+        width: usize,
+    },
+    /// Ragged band with wider rows: CSR walk with a `U`-wide unrolled
+    /// inner loop.
     Unrolled {
         /// The unroll factor, one of [`UNROLL_FACTORS`].
         unroll: usize,
     },
-    /// Irregular band: generic scalar CSR walk.
-    Scalar,
     /// Heavy outlier rows: deep-unrolled gather with a contiguous-column
     /// fast path.
     DenseRow,
@@ -297,8 +323,11 @@ pub struct CompiledSpmv {
     /// first row's `width` columns and nothing else. `Fixed` and `Ell` bands
     /// use `EllMatrix`'s row-major slot layout (`width` slots per row,
     /// padding slots repeat the row's last column and are never read —
-    /// lanes are length-bounded); the other kinds pack their columns
-    /// CSR-contiguous with no padding. Empty when the matrix is too wide to pack
+    /// lanes are length-bounded). A `Sorted` band stores, per window, its
+    /// `width + 1` length-class row counts, the window's row order (offsets
+    /// from the window's first row, ascending length, stable) and the
+    /// rows' columns packed in that order. The other kinds pack their
+    /// columns CSR-contiguous with no padding. Empty when the matrix is too wide to pack
     /// (`ncols > u32::MAX`), in which case every band runs the generic
     /// fallback walk over the CSR's own columns.
     slot_cols: Vec<u32>,
@@ -348,8 +377,9 @@ impl CompiledSpmv {
         for h in hints {
             plan.compile_hint(a, h);
         }
-        // The `nnz` reserve is a guess: padded Ell bands outgrow it and a
-        // Diagonal band uses `width` slots of it, not `rows × width`.
+        // The `nnz` reserve is a guess: padded Ell bands and Sorted bands'
+        // row orders outgrow it, and a Diagonal band uses `width` slots of
+        // it, not `rows × width`.
         plan.slot_cols.shrink_to_fit();
         Ok(plan)
     }
@@ -519,7 +549,7 @@ impl CompiledSpmv {
     }
 
     /// Segments a run of non-heavy rows: uniform runs become `Diagonal` and
-    /// `Fixed` bands, the gaps become `Ell`, `Unrolled`, or `Scalar` bands.
+    /// `Fixed` bands, the gaps become `Ell`, `Sorted`, or `Unrolled` bands.
     fn compile_light_segment<T: Scalar>(
         &mut self,
         a: &CsrMatrix<T>,
@@ -567,7 +597,7 @@ impl CompiledSpmv {
         self.push_band(rows, kind, a);
     }
 
-    /// Classifies a mixed-width segment as `Ell`, `Unrolled`, or `Scalar`.
+    /// Classifies a mixed-width segment as `Ell`, `Sorted`, or `Unrolled`.
     fn push_mixed_band<T: Scalar>(&mut self, a: &CsrMatrix<T>, rows: Range<usize>, unroll: usize) {
         let rp = a.row_ptr();
         let nnz = rp[rows.end] - rp[rows.start];
@@ -586,20 +616,21 @@ impl CompiledSpmv {
         };
         let kind = if self.packed && max_w <= ELL_MAX_WIDTH && padding <= padding_limit {
             BandKind::Ell { width: max_w }
-        } else if nnz >= len * UNROLL_MIN_MEAN_NNZ {
+        } else if self.packed && max_w <= SORTED_MAX_WIDTH {
+            BandKind::Sorted { width: max_w }
+        } else {
             BandKind::Unrolled {
                 unroll: clamp_unroll(unroll),
             }
-        } else {
-            BandKind::Scalar
         };
         self.push_band(rows, kind, a);
     }
 
     /// Records a band, packing its `u32` slot columns: the first row only
-    /// for `Diagonal`, ELL slot layout for `Fixed`/`Ell`, CSR-contiguous for
-    /// the other kinds (skipped entirely for an unpackable matrix, whose
-    /// bands run the generic fallback). An empty row range is ignored.
+    /// for `Diagonal`, ELL slot layout for `Fixed`/`Ell`, length-sorted
+    /// windows for `Sorted`, CSR-contiguous for the other kinds (skipped
+    /// entirely for an unpackable matrix, whose bands run the generic
+    /// fallback). An empty row range is ignored.
     fn push_band<T: Scalar>(&mut self, rows: Range<usize>, kind: BandKind, a: &CsrMatrix<T>) {
         if rows.is_empty() {
             return;
@@ -626,6 +657,14 @@ impl CompiledSpmv {
                     }
                 }
             }
+            BandKind::Sorted { width } => {
+                let mut start = rows.start;
+                while start < rows.end {
+                    let end = rows.end.min(start + SORTED_WINDOW_ROWS);
+                    self.push_sorted_window(a, start..end, width);
+                    start = end;
+                }
+            }
             _ if self.packed => {
                 let cols = a.col_idx();
                 self.slot_cols
@@ -639,6 +678,47 @@ impl CompiledSpmv {
             kind,
             slot_base,
         });
+    }
+
+    /// Packs one window of a `Sorted` band: the `width + 1` length-class
+    /// row counts, the rows' offsets in ascending length (a counting sort,
+    /// so rows of one length keep their order), then each row's columns
+    /// in that order.
+    fn push_sorted_window<T: Scalar>(
+        &mut self,
+        a: &CsrMatrix<T>,
+        rows: Range<usize>,
+        width: usize,
+    ) {
+        let band_rp = &a.row_ptr()[rows.start..rows.end + 1];
+        let cols = a.col_idx();
+        let base = self.slot_cols.len();
+        let nnz = band_rp[rows.len()] - band_rp[0];
+        self.slot_cols
+            .resize(base + width + 1 + rows.len() + nnz, 0);
+        let (counts, rest) = self.slot_cols[base..].split_at_mut(width + 1);
+        let (order, slots) = rest.split_at_mut(rows.len());
+        for w in band_rp.windows(2) {
+            counts[w[1] - w[0]] += 1;
+        }
+        // Where each length class starts in the order.
+        let mut next = [0usize; SORTED_MAX_WIDTH + 1];
+        for l in 0..width {
+            next[l + 1] = next[l] + counts[l] as usize;
+        }
+        for (i, w) in band_rp.windows(2).enumerate() {
+            let at = &mut next[w[1] - w[0]];
+            order[*at] = i as u32;
+            *at += 1;
+        }
+        let mut filled = 0usize;
+        for &i in order.iter() {
+            let row = &cols[band_rp[i as usize]..band_rp[i as usize + 1]];
+            for (slot, &c) in slots[filled..filled + row.len()].iter_mut().zip(row) {
+                *slot = c as u32;
+            }
+            filled += row.len();
+        }
     }
 
     /// Number of rows the plan was compiled for.
@@ -663,13 +743,17 @@ impl CompiledSpmv {
 
     /// The packed `u32` slot columns of band `band`: the first row's
     /// `width` columns for `Diagonal`, `rows × width` row-major slots for
-    /// `Fixed`/`Ell`, the band's CSR columns for the other kinds, and empty
-    /// for a matrix too wide to pack.
+    /// `Fixed`/`Ell`, counts + order + columns per window for `Sorted`, the
+    /// band's CSR columns for the other kinds, and empty for a matrix too
+    /// wide to pack.
     fn band_slots(&self, band: usize) -> &[u32] {
         let b = &self.bands[band];
         let len = match b.kind {
             BandKind::Diagonal { width } => width,
             BandKind::Fixed { width } | BandKind::Ell { width } => b.len() * width,
+            BandKind::Sorted { width } => {
+                b.len().div_ceil(SORTED_WINDOW_ROWS) * (width + 1) + b.len() + b.nnz
+            }
             _ if self.packed => b.nnz,
             _ => 0,
         };
@@ -722,6 +806,42 @@ impl CompiledSpmv {
                             .any(|(&c, &s)| c as u32 != s)
                         {
                             return false;
+                        }
+                    }
+                }
+                BandKind::Sorted { width } => {
+                    let band_rp = &a.row_ptr()[band.rows.start..band.rows.end + 1];
+                    if band_rp[band.len()] - band_rp[0] != band.nnz {
+                        return false;
+                    }
+                    for (w0, counts, order, cols) in sorted_windows(width, band_rp, slots) {
+                        if counts.iter().map(|&c| c as usize).sum::<usize>() != order.len() {
+                            return false;
+                        }
+                        let lens = counts
+                            .iter()
+                            .enumerate()
+                            .flat_map(|(len, &count)| std::iter::repeat(len).take(count as usize));
+                        // Strictly ascending (length, row) pairs, every row
+                        // in the window and as long as its class says: the
+                        // order is the counting sort's permutation.
+                        let mut prev = None;
+                        let mut at = 0usize;
+                        for (&r, len) in order.iter().zip(lens) {
+                            if r as usize >= order.len() || prev >= Some((len, r)) {
+                                return false;
+                            }
+                            prev = Some((len, r));
+                            let row = a.row(band.rows.start + w0 + r as usize).0;
+                            if row.len() != len
+                                || row
+                                    .iter()
+                                    .zip(&cols[at..at + len])
+                                    .any(|(&c, &s)| c as u32 != s)
+                            {
+                                return false;
+                            }
+                            at += len;
                         }
                     }
                 }
@@ -859,8 +979,8 @@ impl CompiledSpmv {
 
     /// The band walk behind both tiers: runs the contiguous `bands` into
     /// `y_span`, which covers exactly their rows. `FAST` selects the
-    /// reassociating kernels for the CSR-walk kinds and `DenseRow`;
-    /// `Diagonal`, `Fixed` and `Ell` bands run the same kernel either way.
+    /// reassociating kernels for `Unrolled` and `DenseRow`; `Diagonal`,
+    /// `Fixed`, `Ell` and `Sorted` bands run the same kernel either way.
     /// The matrix is not checked against the plan here ([`Self::check`]
     /// does that once per call).
     fn run_span<T: Scalar, const FAST: bool>(
@@ -902,11 +1022,10 @@ impl CompiledSpmv {
                     for_width!(width, y, run_fixed(band_rp[0], slots, vals, x, y))
                 }
                 BandKind::Ell { width } => run_ell(width, band_rp, slots, vals, x, y),
+                BandKind::Sorted { width } => run_sorted(width, band_rp, slots, vals, x, y),
                 // The unroll factor is irrelevant on the fast tier: each
                 // CSR-walk row picks serial vs. lane gather by length.
-                BandKind::Unrolled { .. } | BandKind::Scalar if FAST => {
-                    run_rows_fast(band_rp, slots, vals, x, y)
-                }
+                BandKind::Unrolled { .. } if FAST => run_rows_fast(band_rp, slots, vals, x, y),
                 BandKind::Unrolled { unroll } => match unroll {
                     1 => run_unrolled::<T, 1>(band_rp, slots, vals, x, y),
                     2 => run_unrolled::<T, 2>(band_rp, slots, vals, x, y),
@@ -914,7 +1033,6 @@ impl CompiledSpmv {
                     8 => run_unrolled::<T, 8>(band_rp, slots, vals, x, y),
                     _ => run_unrolled::<T, 16>(band_rp, slots, vals, x, y),
                 },
-                BandKind::Scalar => run_scalar(band_rp, slots, vals, x, y),
                 BandKind::DenseRow if FAST => run_dense_row_fast(band_rp, slots, vals, x, y),
                 BandKind::DenseRow => run_dense_row(band_rp, slots, vals, x, y),
             }
@@ -1006,11 +1124,40 @@ fn run_diagonal<T: Scalar, const W: usize>(
     }
 }
 
-/// Uniform-width band: four rows in flight as the lanes of a [`Lanes4`]
-/// multiply-accumulate — each lane is one row's serial chain, so per-row
-/// numerics are exactly the generic walk's — with `W` a compile-time
-/// constant so the inner loop fully unrolls over fixed-size arrays, and
-/// the `x` gathers through the unchecked [`gather`].
+/// Four rows of exactly `W` entries as the lanes of a [`Lanes4`]
+/// multiply-accumulate: each lane is one row's serial chain in CSR entry
+/// order, so per-row numerics are exactly the generic walk's. `W` is a
+/// compile-time constant, so the loop fully unrolls over fixed-size
+/// arrays; the `x` gathers go through the unchecked [`gather`].
+#[inline(always)]
+fn mac_rows4<T: Scalar, const W: usize>(v: [&[T; W]; 4], s: [&[u32; W]; 4], x: &[T]) -> [T; 4] {
+    let mut acc = Lanes4::zero();
+    for k in 0..W {
+        acc = acc.mul_add(
+            Lanes4::new([v[0][k], v[1][k], v[2][k], v[3][k]]),
+            Lanes4::new([
+                gather(x, s[0][k]),
+                gather(x, s[1][k]),
+                gather(x, s[2][k]),
+                gather(x, s[3][k]),
+            ]),
+        );
+    }
+    acc.to_array()
+}
+
+/// One row of exactly `W` entries: the scalar tail of [`mac_rows4`].
+#[inline(always)]
+fn mac_row<T: Scalar, const W: usize>(v: &[T; W], s: &[u32; W], x: &[T]) -> T {
+    let mut acc = T::ZERO;
+    for k in 0..W {
+        acc += v[k] * gather(x, s[k]);
+    }
+    acc
+}
+
+/// Uniform-width band: four rows in flight through [`mac_rows4`], slots
+/// and values both at arithmetic offsets.
 #[inline]
 fn run_fixed<T: Scalar, const W: usize>(
     val_base: usize,
@@ -1021,42 +1168,28 @@ fn run_fixed<T: Scalar, const W: usize>(
 ) {
     debug_assert_slots_in_bounds(slots, x);
     let n = y.len();
+    let slot_row = |r: usize| -> &[u32; W] { slots[r * W..(r + 1) * W].try_into().unwrap() };
+    let val_row = |r: usize| -> &[T; W] {
+        let o = val_base + r * W;
+        vals[o..o + W].try_into().unwrap()
+    };
     let mut r = 0usize;
     while r + 4 <= n {
-        let b0 = r * W;
-        let s0: &[u32; W] = slots[b0..b0 + W].try_into().unwrap();
-        let s1: &[u32; W] = slots[b0 + W..b0 + 2 * W].try_into().unwrap();
-        let s2: &[u32; W] = slots[b0 + 2 * W..b0 + 3 * W].try_into().unwrap();
-        let s3: &[u32; W] = slots[b0 + 3 * W..b0 + 4 * W].try_into().unwrap();
-        let v = val_base + b0;
-        let v0: &[T; W] = vals[v..v + W].try_into().unwrap();
-        let v1: &[T; W] = vals[v + W..v + 2 * W].try_into().unwrap();
-        let v2: &[T; W] = vals[v + 2 * W..v + 3 * W].try_into().unwrap();
-        let v3: &[T; W] = vals[v + 3 * W..v + 4 * W].try_into().unwrap();
-        let mut acc = Lanes4::zero();
-        for k in 0..W {
-            acc = acc.mul_add(
-                Lanes4::new([v0[k], v1[k], v2[k], v3[k]]),
-                Lanes4::new([
-                    gather(x, s0[k]),
-                    gather(x, s1[k]),
-                    gather(x, s2[k]),
-                    gather(x, s3[k]),
-                ]),
-            );
-        }
-        y[r..r + 4].copy_from_slice(&acc.to_array());
+        let acc = mac_rows4(
+            [val_row(r), val_row(r + 1), val_row(r + 2), val_row(r + 3)],
+            [
+                slot_row(r),
+                slot_row(r + 1),
+                slot_row(r + 2),
+                slot_row(r + 3),
+            ],
+            x,
+        );
+        y[r..r + 4].copy_from_slice(&acc);
         r += 4;
     }
     while r < n {
-        let b = r * W;
-        let s: &[u32; W] = slots[b..b + W].try_into().unwrap();
-        let v: &[T; W] = vals[val_base + b..val_base + b + W].try_into().unwrap();
-        let mut acc = T::ZERO;
-        for k in 0..W {
-            acc += v[k] * gather(x, s[k]);
-        }
-        y[r] = acc;
+        y[r] = mac_row(val_row(r), slot_row(r), x);
         r += 1;
     }
 }
@@ -1181,18 +1314,99 @@ fn run_unrolled<T: Scalar, const U: usize>(
     }
 }
 
-/// Irregular band: scalar CSR walk over packed `u32` slot columns.
+/// Splits a `Sorted` band's slots into its windows: each window's first
+/// row (as an offset into the band), its `width + 1` length-class counts,
+/// its row order and its packed columns. `band_rp` is the band's slice of
+/// the CSR row pointers.
+fn sorted_windows<'a>(
+    width: usize,
+    band_rp: &'a [usize],
+    slots: &'a [u32],
+) -> impl Iterator<Item = (usize, &'a [u32], &'a [u32], &'a [u32])> {
+    let n = band_rp.len() - 1;
+    let mut rest = slots;
+    (0..n).step_by(SORTED_WINDOW_ROWS).map(move |w0| {
+        let rows = (n - w0).min(SORTED_WINDOW_ROWS);
+        let (counts, tail) = rest.split_at(width + 1);
+        let (order, tail) = tail.split_at(rows);
+        let (cols, tail) = tail.split_at(band_rp[w0 + rows] - band_rp[w0]);
+        rest = tail;
+        (w0, counts, order, cols)
+    })
+}
+
+/// Length-sorted band: per window, each run of rows of equal length `L`
+/// goes through [`run_sorted_class`] monomorphized on `L`, so the only
+/// data-dependent trip count left is the run's row count — `width + 1`
+/// loop exits per window instead of one or two mispredicted branches per
+/// row. Rows are reached through the window's stored order with checked
+/// indexing into the window's own slices of `row_ptr` and `y`: a
+/// corrupted order panics, it never writes outside its window.
 #[inline]
-fn run_scalar<T: Scalar>(band_rp: &[usize], slots: &[u32], vals: &[T], x: &[T], y: &mut [T]) {
-    debug_assert_slots_in_bounds(slots, x);
-    let base = band_rp[0];
-    for (r, yr) in y.iter_mut().enumerate() {
-        let (o, e) = (band_rp[r], band_rp[r + 1]);
-        let mut acc = T::ZERO;
-        for (&c, &v) in slots[o - base..e - base].iter().zip(&vals[o..e]) {
-            acc += v * x[c as usize];
+fn run_sorted<T: Scalar>(
+    width: usize,
+    band_rp: &[usize],
+    slots: &[u32],
+    vals: &[T],
+    x: &[T],
+    y: &mut [T],
+) {
+    for (w0, counts, order, cols) in sorted_windows(width, band_rp, slots) {
+        debug_assert_slots_in_bounds(cols, x);
+        let rp = &band_rp[w0..w0 + order.len()];
+        let y = &mut y[w0..w0 + order.len()];
+        let (mut row, mut col) = (0usize, 0usize);
+        for (len, &count) in counts.iter().enumerate() {
+            let count = count as usize;
+            let rows = &order[row..row + count];
+            let run = &cols[col..col + count * len];
+            row += count;
+            col += count * len;
+            if len == 0 {
+                for &r in rows {
+                    y[r as usize] = T::ZERO;
+                }
+                continue;
+            }
+            for_width!(len, y, run_sorted_class(rows, run, rp, vals, x, y))
         }
-        *yr = acc;
+    }
+}
+
+/// One run of a `Sorted` window: `rows` all hold exactly `W >= 1` entries
+/// and `cols` packs their columns in the same order. Four rows in flight
+/// as the lanes of a [`Lanes4`], like [`run_fixed`], with each row's
+/// values read from the live CSR at `rp[row]` — each lane is one row's
+/// serial chain in CSR entry order.
+#[inline]
+fn run_sorted_class<T: Scalar, const W: usize>(
+    rows: &[u32],
+    cols: &[u32],
+    rp: &[usize],
+    vals: &[T],
+    x: &[T],
+    y: &mut [T],
+) {
+    let val_row = |r: u32| -> &[T; W] {
+        let o = rp[r as usize];
+        vals[o..o + W].try_into().unwrap()
+    };
+    let mut groups = rows.chunks_exact(4);
+    let mut group_cols = cols.chunks_exact(4 * W);
+    for (g, s) in groups.by_ref().zip(group_cols.by_ref()) {
+        let slot_row = |i: usize| -> &[u32; W] { s[i * W..(i + 1) * W].try_into().unwrap() };
+        let acc = mac_rows4(
+            [val_row(g[0]), val_row(g[1]), val_row(g[2]), val_row(g[3])],
+            [slot_row(0), slot_row(1), slot_row(2), slot_row(3)],
+            x,
+        );
+        for (&r, a) in g.iter().zip(acc) {
+            y[r as usize] = a;
+        }
+    }
+    let tail_cols = group_cols.remainder().chunks_exact(W);
+    for (&r, s) in groups.remainder().iter().zip(tail_cols) {
+        y[r as usize] = mac_row(val_row(r), s.try_into().unwrap(), x);
     }
 }
 
@@ -1319,7 +1533,7 @@ fn row_gather_fast<T: Scalar>(rc: &[u32], rv: &[T], x: &[T]) -> T {
     acc0.add(acc1).reduce() + tail
 }
 
-/// `Unrolled`/`Scalar` bands, fast tier: contiguous-column runs become a
+/// `Unrolled` bands, fast tier: contiguous-column runs become a
 /// [`dot_fast`] (long runs) or a serial slice walk (short ones); scattered
 /// rows keep the serial per-row chain — plain below
 /// [`ROW_UNROLL_LEN`] slots (the out-of-order window already overlaps
@@ -1612,7 +1826,7 @@ mod tests {
     #[test]
     fn fast_execution_matches_deterministic_within_ulp_on_all_kinds() {
         // Same matrix mix as the bitwise suite: covers Fixed, Ell,
-        // Unrolled, Scalar, and DenseRow bands.
+        // Sorted, Unrolled, and DenseRow bands.
         let mats: Vec<CsrMatrix<f64>> = vec![
             generate::poisson1d(64),
             generate::poisson2d(13, 17),
@@ -2047,6 +2261,100 @@ mod tests {
                 assert!(!stale.verify_pattern(&a), "band {b} slot {at} -> {bad}");
             }
         }
+    }
+
+    /// A ragged matrix whose default plan is one Sorted band: lengths
+    /// 0..=6 in a period of seven, columns scattered.
+    fn ragged(n: usize) -> CsrMatrix<f64> {
+        let mut coo = CooMatrix::<f64>::new(n, 61);
+        for r in 0..n {
+            for k in 0..(r * 5 + r / 7) % 7 {
+                coo.push(r, (r * 3 + k * 5) % 61, 1.0 + k as f64).unwrap();
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// Offsets into `slot_cols` of a Sorted band's first window: its
+    /// counts, its order and its columns.
+    fn first_window(plan: &CompiledSpmv, band: usize) -> (usize, usize, usize) {
+        let b = &plan.bands[band];
+        let BandKind::Sorted { width } = b.kind else {
+            panic!("band {band} is {:?}", b.kind);
+        };
+        let counts = b.slot_base;
+        let order = counts + width + 1;
+        (counts, order, order + b.len().min(SORTED_WINDOW_ROWS))
+    }
+
+    #[test]
+    fn corrupted_sorted_order_counts_or_slot_fails_pattern_verification() {
+        let a = ragged(700);
+        let plan = CompiledSpmv::compile_default(&a);
+        assert!(plan.verify_pattern(&a));
+        let (counts, order, cols) = first_window(&plan, 0);
+        let stale = |edit: &dyn Fn(&mut Vec<u32>)| {
+            let mut stale = plan.clone();
+            edit(&mut stale.slot_cols);
+            stale.verify_pattern(&a)
+        };
+        // Not a permutation: one row twice (its twin never runs), or an
+        // entry outside the window.
+        assert!(!stale(&|s| s[order + 1] = s[order]));
+        assert!(!stale(&|s| s[order] = SORTED_WINDOW_ROWS as u32));
+        // A permutation, but not in ascending length: the first row of the
+        // shortest class traded with the last of the longest.
+        assert!(!stale(&|s| s.swap(order, order + SORTED_WINDOW_ROWS - 1)));
+        // Ascending length but unstable: two rows of one class traded.
+        assert!(!stale(&|s| s.swap(order, order + 1)));
+        // Class counts that move a row into its neighbour's class, or that
+        // no longer cover the window.
+        assert!(!stale(&|s| {
+            s[counts + 1] += 1;
+            s[counts + 2] -= 1;
+        }));
+        assert!(!stale(&|s| s[counts + 3] -= 1));
+        // A shifted or out-of-range column slot, first and last of the band.
+        assert!(!stale(&|s| s[cols] += 1));
+        assert!(!stale(&|s| s[cols] = a.ncols() as u32 + 7));
+        let last = plan.bands[0].slot_base + plan.band_slots(0).len() - 1;
+        assert!(!stale(&|s| s[last] ^= 1));
+    }
+
+    #[test]
+    fn corrupted_sorted_order_panics_and_never_writes_outside_its_band() {
+        // Three hints, the middle one a Sorted band of 600 rows whose order
+        // is corrupted to reach past its window, run without the entry
+        // points' debug-build pattern check: the checked index into the
+        // window's own slices stops it, and the rows of the bands around
+        // it keep what they held.
+        let a = ragged(1000);
+        let hints: Vec<BandHint> = [0..200, 200..800, 800..1000]
+            .into_iter()
+            .map(|rows| BandHint { rows, unroll: 4 })
+            .collect();
+        let mut plan = CompiledSpmv::compile(&a, &hints).unwrap();
+        let (_, order, _) = first_window(&plan, 1);
+        for (at, bad) in [(order, 512), (order + 300, 700), (order + 511, u32::MAX)] {
+            let mut stale = plan.clone();
+            stale.slot_cols[at] = bad;
+            let x = dense_x(a.ncols());
+            let mut y = vec![f64::NAN; a.nrows()];
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // Only the corrupted band: the others never run.
+                stale.run_span::<f64, false>(1..2, &a, &x, &mut y[200..800]);
+            }));
+            assert!(run.is_err(), "order[{at}] = {bad} did not panic");
+            assert!(y[..200].iter().chain(&y[800..]).all(|v| v.is_nan()));
+        }
+        // An in-window duplicate is not a panic — and still stays inside
+        // the window it names.
+        let first = plan.slot_cols[order];
+        plan.slot_cols[order + 1] = first;
+        let x = dense_x(a.ncols());
+        let mut y = vec![f64::NAN; a.nrows()];
+        plan.run_span::<f64, false>(1..2, &a, &x, &mut y[200..800]);
+        assert!(y[..200].iter().chain(&y[800..]).all(|v| v.is_nan()));
     }
 
     #[cfg(debug_assertions)]

@@ -471,7 +471,8 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// The off-diagonal part with row `i` multiplied by `row_scale[i]`:
     /// with `row_scale = 1 / diag(A)` this is Jacobi's iteration matrix
-    /// `T = D⁻¹(L + U)` (Algorithm 1's Initialize lines).
+    /// `T = D⁻¹(L + U)` (Algorithm 1's Initialize lines;
+    /// [`Self::split_jacobi`] reads the diagonal in the same sweep).
     ///
     /// One sweep over the stored entries into freshly reserved arrays —
     /// the result shares nothing with `self` — with no sort: dropping one
@@ -484,37 +485,76 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Returns [`SparseError::DimensionMismatch`] if
     /// `row_scale.len() != nrows`.
     pub fn off_diagonal_scaled(&self, row_scale: &[T]) -> Result<CsrMatrix<T>, SparseError> {
-        if row_scale.len() != self.nrows {
-            return Err(SparseError::DimensionMismatch {
+        self.check_row_vector(row_scale.len(), "row scale length")?;
+        Ok(self.off_diagonal_with(|i, _| row_scale[i]))
+    }
+
+    /// Jacobi's set-up in one sweep: writes `diag[i] = a_ii` (zero where
+    /// no diagonal entry is stored) and `inv_diag[i] = 1 / a_ii`, and
+    /// returns `T = D⁻¹(L + U)` — bit for bit
+    /// `off_diagonal_scaled(inv_diag)`, without searching each row for its
+    /// diagonal a second time. A zero diagonal yields an infinite scale;
+    /// the caller checks `diag` before using `T`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if `diag` or `inv_diag`
+    /// is not `nrows` long.
+    pub fn split_jacobi(
+        &self,
+        diag: &mut [T],
+        inv_diag: &mut [T],
+    ) -> Result<CsrMatrix<T>, SparseError> {
+        self.check_row_vector(diag.len(), "diagonal length")?;
+        self.check_row_vector(inv_diag.len(), "inverse diagonal length")?;
+        Ok(self.off_diagonal_with(|i, d| {
+            diag[i] = d.unwrap_or(T::ZERO);
+            inv_diag[i] = T::ONE / diag[i];
+            inv_diag[i]
+        }))
+    }
+
+    fn check_row_vector(&self, found: usize, what: &'static str) -> Result<(), SparseError> {
+        if found == self.nrows {
+            Ok(())
+        } else {
+            Err(SparseError::DimensionMismatch {
                 expected: self.nrows,
-                found: row_scale.len(),
-                what: "row scale length",
-            });
+                found,
+                what,
+            })
         }
+    }
+
+    /// The sweep behind [`Self::off_diagonal_scaled`] and
+    /// [`Self::split_jacobi`]: `scale_of(i, a_ii)` sees row `i`'s stored
+    /// diagonal entry, if any, and returns the row's multiplier.
+    fn off_diagonal_with(&self, mut scale_of: impl FnMut(usize, Option<T>) -> T) -> CsrMatrix<T> {
         let kept = self.nnz() - self.nrows.min(self.ncols).min(self.nnz());
         let mut row_ptr = Vec::with_capacity(self.nrows + 1);
         let mut col_idx = Vec::with_capacity(kept);
         let mut values = Vec::with_capacity(kept);
         row_ptr.push(0);
-        for ((i, cols, vals), &s) in self.iter_rows().zip(row_scale) {
+        for (i, cols, vals) in self.iter_rows() {
             // The diagonal's slot splits the row into two runs that are
             // copied (columns) and scaled (values) whole.
-            let (below, above) = match cols.binary_search(&i) {
-                Ok(k) => (k, k + 1),
-                Err(k) => (k, k),
+            let (below, above, diagonal) = match cols.binary_search(&i) {
+                Ok(k) => (k, k + 1, Some(vals[k])),
+                Err(k) => (k, k, None),
             };
+            let s = scale_of(i, diagonal);
             col_idx.extend_from_slice(&cols[..below]);
             col_idx.extend_from_slice(&cols[above..]);
             values.extend(vals[..below].iter().map(|&v| v * s));
             values.extend(vals[above..].iter().map(|&v| v * s));
             row_ptr.push(col_idx.len());
         }
-        Ok(if cfg!(debug_assertions) {
+        if cfg!(debug_assertions) {
             CsrMatrix::try_from_parts(self.nrows, self.ncols, row_ptr, col_idx, values)
                 .expect("a sorted row minus one column is a sorted row")
         } else {
             CsrMatrix::from_raw_parts_unchecked(self.nrows, self.ncols, row_ptr, col_idx, values)
-        })
+        }
     }
 
     /// Extracts rows `range` as a new matrix with the same column count.

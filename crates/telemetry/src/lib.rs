@@ -473,11 +473,18 @@ pub enum Counter {
     SptrsvApplies,
     /// SOR/Gauss-Seidel relaxation sweeps executed.
     SorSweeps,
+    /// SpMV calls whose operand had no compiled plan bound to it (the
+    /// generic CSR walk ran): BiCG's `Aᵀ`, or a derived operand without
+    /// its memoised plan.
+    PlanlessSpmvs,
+    /// Derived-operand (Jacobi `T`) SpMV plans compiled, one per pattern
+    /// the first time a solver derives an operand from it.
+    DerivedPlansBuilt,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 35;
+    pub const COUNT: usize = 37;
 
     /// Every counter, in `repr` order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -516,6 +523,8 @@ impl Counter {
         Counter::CacheEvictions,
         Counter::SptrsvApplies,
         Counter::SorSweeps,
+        Counter::PlanlessSpmvs,
+        Counter::DerivedPlansBuilt,
     ];
 
     /// The counter's index into a `[u64; Counter::COUNT]` snapshot.
@@ -561,6 +570,8 @@ impl Counter {
             Counter::CacheEvictions => "acamar_plan_cache_evictions_total",
             Counter::SptrsvApplies => "acamar_sptrsv_applies_total",
             Counter::SorSweeps => "acamar_sor_sweeps_total",
+            Counter::PlanlessSpmvs => "acamar_planless_spmvs_total",
+            Counter::DerivedPlansBuilt => "acamar_derived_plans_built_total",
         }
     }
 
@@ -602,6 +613,10 @@ impl Counter {
             Counter::CacheEvictions => "Plan-cache entries evicted at capacity",
             Counter::SptrsvApplies => "Level-scheduled SpTRSV substitution passes executed",
             Counter::SorSweeps => "SOR/Gauss-Seidel relaxation sweeps executed",
+            Counter::PlanlessSpmvs => {
+                "SpMV calls that found no compiled plan bound to their operand"
+            }
+            Counter::DerivedPlansBuilt => "Derived-operand SpMV plans compiled (once per pattern)",
         }
     }
 }

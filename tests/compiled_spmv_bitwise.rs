@@ -96,7 +96,10 @@ fn compiled_walk_is_bitwise_the_csr_walk_on_both_entry_points() {
             for band in plan.bands() {
                 let rows = band.rows.clone();
                 match band.kind {
-                    BandKind::Diagonal { .. } | BandKind::Fixed { .. } | BandKind::Ell { .. } => {
+                    BandKind::Diagonal { .. }
+                    | BandKind::Fixed { .. }
+                    | BandKind::Ell { .. }
+                    | BandKind::Sorted { .. } => {
                         assert_bits_eq(
                             &fast[rows.clone()],
                             &expected[rows],

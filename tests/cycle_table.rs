@@ -22,7 +22,7 @@ use acamar::fabric::{
 use acamar::faultline::{FaultCategory, FaultContext, FaultInjector, FaultPlan};
 use acamar::solvers::{
     bicg, bicgstab, conjugate_gradient, gmres, ic0_preconditioned_cg, jacobi, sor,
-    ConvergenceCriteria, Kernels, OpCounts, Phase, SoftwareKernels, SolveReport,
+    ConvergenceCriteria, DerivedPlan, Kernels, OpCounts, Phase, SoftwareKernels, SolveReport,
 };
 use acamar::sparse::generate::{self, RowDistribution};
 use acamar::sparse::rng::DetRng;
@@ -435,13 +435,19 @@ impl Run<'_> {
     }
 
     fn fabric(&self, schedule: UnrollSchedule) -> FabricKernels {
+        let schedule_hints = schedule.band_hints();
         let mut hw = FabricKernels::new(FabricSpec::alveo_u55c(), schedule, INIT_UNROLL)
             .with_overlap(self.overlap)
             .with_policy(self.policy)
             .with_trace(TRACE_EVENTS)
             .with_telemetry(self.telemetry.clone());
         if let Some(plan) = self.plan {
-            hw = hw.with_compiled_plan(Arc::clone(plan));
+            // Both plan slots: the coefficient matrix's, and a memo for
+            // the operand Jacobi derives (the reference walks it plan-less).
+            let memo = DerivedPlan::new(schedule_hints);
+            hw = hw
+                .with_compiled_plan(Arc::clone(plan))
+                .with_derived_plan(Arc::new(memo));
         }
         if let Some(ctx) = self.fault_context() {
             hw = hw.with_fault_context(ctx);
@@ -601,6 +607,9 @@ struct Observed {
     /// Normalized events, printed: a diverging run's residual samples
     /// are NaN, which no `PartialEq` equates.
     telemetry: Vec<String>,
+    /// Every counter but the two that say which *host* kernel ran an SpMV
+    /// (`PlanlessSpmvs`, `DerivedPlansBuilt`): the reference walks its
+    /// derived operand without a plan by construction.
     counters: Vec<u64>,
 }
 
@@ -628,7 +637,11 @@ fn observe(
             .into_iter()
             .map(|e| format!("{:?}", Event::normalized(e)))
             .collect(),
-        counters: ring.counters().to_vec(),
+        counters: Counter::ALL
+            .iter()
+            .filter(|c| !matches!(c, Counter::PlanlessSpmvs | Counter::DerivedPlansBuilt))
+            .map(|c| ring.counters()[c.index()])
+            .collect(),
     }
 }
 

@@ -1,0 +1,255 @@
+//! The derived-operand plan memo and the cross-tier artifact sharing,
+//! through the engine.
+//!
+//! Jacobi multiplies by `T = D⁻¹(L + U)`, never by `A`. Its plan lives in
+//! a pattern-only memo beside `A`'s (`AnalysisArtifacts::derived`): empty
+//! after analysis, filled by the first Jacobi attempt on the pattern from
+//! the `T` it built, replayed by every later one. Whether a solve found
+//! the memo full or empty must not show in a byte of its answer or a
+//! cycle of its charges — and whether any SpMV ran without a plan must be
+//! answerable from the telemetry counters, not from a bench run.
+
+use acamar::core::{Acamar, AcamarConfig, RunOptions};
+use acamar::engine::{Engine, PatternFingerprint, SequenceConfig, SequenceJob, SolveJob};
+use acamar::fabric::FabricSpec;
+use acamar::solvers::{jacobi, SoftwareKernels, SolverKind};
+use acamar::sparse::generate::{self, RowDistribution};
+use acamar::sparse::{CsrMatrix, DeterminismPolicy};
+use acamar::telemetry::{Counter, RingRecorder, TelemetrySink};
+use std::sync::Arc;
+
+fn acamar() -> Acamar {
+    Acamar::new(FabricSpec::alveo_u55c(), AcamarConfig::paper())
+}
+
+/// A strictly dominant, pattern-nonsymmetric system: Jacobi's by Table I.
+fn dominant(n: usize, seed: u64) -> CsrMatrix<f64> {
+    generate::diagonally_dominant(n, RowDistribution::Uniform { min: 2, max: 6 }, 1.5, seed)
+}
+
+fn rhs(n: usize) -> Vec<f64> {
+    (0..n).map(|i| 1.0 + (i % 5) as f64 * 0.25).collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn first_and_second_jacobi_solve_agree_with_each_other_and_with_no_plan_at_all() {
+    let (a, b) = (dominant(700, 3), rhs(700));
+    let engine = Engine::with_workers(acamar(), 1);
+    let cold = engine.solve_one(&a, &b).unwrap();
+    let artifacts = engine.cache().get_or_analyze(engine.acamar(), &a);
+    let t_plan = Arc::clone(
+        artifacts
+            .derived
+            .get()
+            .expect("the cold solve filled the memo"),
+    );
+    assert_eq!(t_plan.nnz(), a.nnz() - a.nrows());
+    let warm = engine.solve_one(&a, &b).unwrap();
+    assert!(Arc::ptr_eq(artifacts.derived.get().unwrap(), &t_plan));
+
+    assert_eq!(cold.final_solver(), SolverKind::Jacobi);
+    assert_eq!(cold.attempts, warm.attempts);
+    assert_eq!(bits(&cold.solve.solution), bits(&warm.solve.solution));
+    assert_eq!(cold.solve.residual_history, warm.solve.residual_history);
+    assert_eq!(cold.solve.counts, warm.solve.counts);
+    assert_eq!(format!("{:?}", cold.stats), format!("{:?}", warm.stats));
+
+    // No plan for either operand: the generic walk, start to finish.
+    let criteria = engine.acamar().config().criteria;
+    let plain = jacobi(&a, &b, None, &criteria, &mut SoftwareKernels::new()).unwrap();
+    assert_eq!(bits(&plain.solution), bits(&warm.solve.solution));
+    assert_eq!(plain.residual_history, warm.solve.residual_history);
+    assert_eq!(plain.counts, warm.solve.counts);
+}
+
+#[test]
+fn workers_racing_on_a_cold_pattern_build_the_memo_once() {
+    let ring = Arc::new(RingRecorder::new(1 << 12));
+    let engine = Engine::with_workers(acamar(), 4).with_recorder(Arc::clone(&ring) as Arc<_>);
+    let a = Arc::new(dominant(900, 5));
+    let jobs = |count: usize| -> Vec<SolveJob<f64>> {
+        (0..count)
+            .map(|_| SolveJob::new(Arc::clone(&a), rhs(900)))
+            .collect()
+    };
+    let report = engine.solve_jobs(jobs(16));
+    assert_eq!(report.converged, 16);
+    let counters = ring.counters();
+    assert_eq!(counters[Counter::CacheMisses.index()], 1);
+    assert_eq!(counters[Counter::DerivedPlansBuilt.index()], 1);
+    assert_eq!(counters[Counter::PlanlessSpmvs.index()], 0);
+    // Warm: nothing more is built, and still no SpMV walks without a plan.
+    engine.solve_jobs(jobs(8));
+    let counters = ring.counters();
+    assert_eq!(counters[Counter::DerivedPlansBuilt.index()], 1);
+    assert_eq!(counters[Counter::PlanlessSpmvs.index()], 0);
+    // A second pattern is a second memo.
+    engine.solve_one(&dominant(900, 6), &rhs(900)).unwrap();
+    assert_eq!(ring.counters()[Counter::DerivedPlansBuilt.index()], 2);
+}
+
+#[test]
+fn only_bicg_transpose_runs_without_a_plan() {
+    // Symmetric and strictly dominant: every solver converges on it.
+    let a: CsrMatrix<f64> =
+        generate::spd_from_pattern(300, RowDistribution::Uniform { min: 2, max: 6 }, 0.3, 9);
+    let b = rhs(300);
+    let acamar = acamar();
+    let artifacts = acamar.analyze(&a);
+    let planless_spmvs = |solver: SolverKind| {
+        let ring = Arc::new(RingRecorder::new(1 << 12));
+        let report = acamar
+            .run_with_plan_opts(
+                &a,
+                &b,
+                None,
+                &artifacts,
+                RunOptions {
+                    solver: Some(solver),
+                    telemetry: TelemetrySink::new(Arc::clone(&ring) as Arc<_>),
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
+        assert!(report.converged(), "{solver:?}");
+        (
+            ring.counters()[Counter::PlanlessSpmvs.index()],
+            report.solve.iterations as u64,
+        )
+    };
+    for solver in [
+        SolverKind::Jacobi,
+        SolverKind::ConjugateGradient,
+        SolverKind::BiCgStab,
+        SolverKind::PreconditionedCg,
+        SolverKind::ConjugateResidual,
+        SolverKind::Gmres,
+    ] {
+        assert_eq!(planless_spmvs(solver).0, 0, "{solver:?}");
+    }
+    // BiCG multiplies by Aᵀ once per iteration; nothing compiles that.
+    let (planless, iterations) = planless_spmvs(SolverKind::BiCg);
+    assert_eq!(planless, iterations);
+}
+
+/// `a` without the last off-diagonal entry of each listed row.
+fn drop_an_off_diagonal(a: &CsrMatrix<f64>, rows: &[usize]) -> CsrMatrix<f64> {
+    let (mut row_ptr, mut cols, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+    for i in 0..a.nrows() {
+        let (rc, rv) = a.row(i);
+        let victim = rows
+            .contains(&i)
+            .then(|| rc.iter().rposition(|&c| c != i))
+            .flatten();
+        for (k, (&c, &v)) in rc.iter().zip(rv).enumerate() {
+            if Some(k) != victim {
+                cols.push(c);
+                vals.push(v);
+            }
+        }
+        row_ptr.push(cols.len());
+    }
+    CsrMatrix::try_from_parts(a.nrows(), a.ncols(), row_ptr, cols, vals).unwrap()
+}
+
+#[test]
+fn a_sequence_keeps_the_memo_on_a_retile_and_resets_it_on_a_pattern_delta() {
+    let engine = Engine::with_workers(acamar(), 1);
+    let a0 = Arc::new(dominant(800, 11));
+    let b = rhs(800);
+    engine.solve_one(&a0, &b).unwrap();
+    let analyzed = engine.cache().get_or_analyze(engine.acamar(), &*a0);
+    let t_plan = Arc::clone(analyzed.derived.get().expect("filled by the solve"));
+
+    // Opening a sequence re-tiles A's plan at patch granularity; T's plan
+    // hangs off the MSID hints and the unchanged pattern, so it is kept.
+    let mut seq = engine
+        .open_sequence(Arc::clone(&a0), SequenceConfig::default())
+        .unwrap();
+    assert!(!Arc::ptr_eq(seq.artifacts(), &analyzed), "re-tiled");
+    assert!(Arc::ptr_eq(&seq.artifacts().derived, &analyzed.derived));
+    let step = seq
+        .step(SequenceJob::new(Arc::clone(&a0), b.clone()))
+        .unwrap();
+    assert!(step.report.converged());
+    assert!(Arc::ptr_eq(seq.artifacts().derived.get().unwrap(), &t_plan));
+
+    // A pattern delta patches A's plan and starts T's memo over: the step's
+    // own Jacobi attempt refills it from the new T.
+    let a1 = Arc::new(drop_an_off_diagonal(&a0, &[7, 300]));
+    let step = seq.step(SequenceJob::new(Arc::clone(&a1), b)).unwrap();
+    assert!(step.report.converged());
+    assert!(matches!(
+        step.plan,
+        acamar::engine::PlanAction::Patched { dirty_rows: 2 }
+    ));
+    let patched = Arc::clone(&seq.artifacts().derived);
+    assert!(!Arc::ptr_eq(&patched, &analyzed.derived));
+    let t1 = patched.get().expect("refilled by the step");
+    assert_eq!(t1.nnz(), a1.nnz() - 800);
+    let (mut diag, mut inv) = (vec![0.0; 800], vec![0.0; 800]);
+    assert!(t1.verify_pattern(&a1.split_jacobi(&mut diag, &mut inv).unwrap()));
+    // The old pattern's memo is untouched.
+    assert!(Arc::ptr_eq(analyzed.derived.get().unwrap(), &t_plan));
+}
+
+#[test]
+fn a_fast_request_after_a_deterministic_one_misses_but_shares_the_artifacts() {
+    let engine = Engine::with_workers(acamar(), 1);
+    engine.cache().set_capacity(2);
+    let a = Arc::new(dominant(500, 13));
+    let fp = PatternFingerprint::of(&*a);
+    let sink = TelemetrySink::disabled();
+    let solve = |m: &Arc<CsrMatrix<f64>>, policy| {
+        let job = SolveJob::new(Arc::clone(m), rhs(500)).with_policy(policy);
+        let report = engine.solve_jobs(vec![job]);
+        assert_eq!(report.converged, 1);
+        report.cache
+    };
+    let det = solve(&a, DeterminismPolicy::Deterministic);
+    assert_eq!((det.hits, det.misses), (0, 1));
+    let nanos_after_det = engine.cache().stats().analysis_nanos;
+    let fast = solve(&a, DeterminismPolicy::Fast);
+    assert_eq!((fast.hits, fast.misses), (0, 1), "its own tier's miss");
+    assert_eq!(engine.cache().stats().entries, 2);
+    let det_art = engine
+        .cache()
+        .touch(&fp, DeterminismPolicy::Deterministic, &sink)
+        .unwrap();
+    let fast_art = engine
+        .cache()
+        .touch(&fp, DeterminismPolicy::Fast, &sink)
+        .unwrap();
+    assert!(Arc::ptr_eq(&det_art, &fast_art), "one copy per pattern");
+    // Adopting skips the analysis: a few hundred nanoseconds of lookup,
+    // not the tens of microseconds the first tier paid.
+    let adopted = engine.cache().stats().analysis_nanos - nanos_after_det;
+    assert!(
+        adopted * 4 < nanos_after_det,
+        "{adopted} ns vs {nanos_after_det} ns"
+    );
+    // Both tiers share T's plan with the artifacts.
+    assert!(fast_art.derived.get().is_some());
+
+    // Evicting the Deterministic entry (least recently used after the
+    // touches above) leaves the Fast one, and the shared artifacts, whole.
+    drop((det_art, fast_art));
+    engine
+        .cache()
+        .touch(&fp, DeterminismPolicy::Fast, &sink)
+        .unwrap();
+    solve(
+        &Arc::new(dominant(500, 14)),
+        DeterminismPolicy::Deterministic,
+    );
+    assert!(!engine
+        .cache()
+        .contains_policy(&fp, DeterminismPolicy::Deterministic));
+    assert!(engine.cache().contains_policy(&fp, DeterminismPolicy::Fast));
+    let again = solve(&a, DeterminismPolicy::Fast);
+    assert_eq!((again.hits, again.misses), (1, 0));
+}

@@ -69,7 +69,10 @@ fn interleaved_only(plan: &CompiledSpmv) -> bool {
     plan.bands().iter().all(|b| {
         matches!(
             b.kind,
-            BandKind::Diagonal { .. } | BandKind::Fixed { .. } | BandKind::Ell { .. }
+            BandKind::Diagonal { .. }
+                | BandKind::Fixed { .. }
+                | BandKind::Ell { .. }
+                | BandKind::Sorted { .. }
         )
     })
 }

@@ -3,7 +3,8 @@
 //! Jacobi is the one solver that builds a second matrix per solve
 //! (`T = D⁻¹(L + U)`). Built through `CooMatrix` that was a dozen
 //! allocations, several of them growing with the row lengths; built by
-//! `CsrMatrix::off_diagonal_scaled` it is the operand's three arrays. The
+//! `CsrMatrix::split_jacobi` it is the operand's three arrays (the
+//! diagonal and its inverse land in pooled buffers in the same sweep). The
 //! count below is the whole solve's — with a warm buffer pool and a
 //! one-iteration budget, set-up is all that is left — and it must not
 //! depend on the matrix.
@@ -76,10 +77,10 @@ fn warm_setup_allocations(n: usize, rows: RowDistribution) -> u64 {
 
 #[test]
 fn a_warm_jacobi_set_up_allocates_a_fixed_small_number_of_times() {
-    // The diagonal copy, the operand's row_ptr / col_idx / values, the
-    // pooled buffer that replaces the solution the previous solve kept,
-    // and the one-entry residual history.
-    const EXPECTED: u64 = 6;
+    // The operand's row_ptr / col_idx / values, the pooled buffer that
+    // replaces the solution the previous solve kept, and the one-entry
+    // residual history.
+    const EXPECTED: u64 = 5;
     let small = warm_setup_allocations(300, RowDistribution::Uniform { min: 2, max: 6 });
     let large = warm_setup_allocations(3000, RowDistribution::Uniform { min: 1, max: 40 });
     assert_eq!(small, large, "set-up allocations depend on the matrix");

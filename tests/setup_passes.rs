@@ -2,7 +2,9 @@
 //!
 //! `CsrMatrix::off_diagonal_scaled` builds Jacobi's `T = D⁻¹(L + U)` in
 //! one sweep; it must be bit for bit the matrix the `CooMatrix` round
-//! trip built. `analysis::analyze` reads the matrix in one row sweep plus
+//! trip built. `CsrMatrix::split_jacobi` reads the diagonal and inverts it
+//! in that same sweep; it must return what `diagonal()`, a division and
+//! `off_diagonal_scaled` returned one after the other. `analysis::analyze` reads the matrix in one row sweep plus
 //! one CSR→CSC conversion; it must report what the five-sweep version
 //! reported. Both references are restated here from the public API, so
 //! they share no code with the passes they check.
@@ -139,6 +141,38 @@ fn off_diagonal_scaled_is_bitwise_the_coo_route() {
         // The operand owns its storage: the fabric prices it by identity.
         assert_ne!(t.row_ptr().as_ptr(), a.row_ptr().as_ptr());
     }
+}
+
+#[test]
+fn split_jacobi_is_bitwise_the_three_separate_passes() {
+    fn check<T: Scalar>(a: &CsrMatrix<T>, what: &str) {
+        let n = a.nrows();
+        // Stale contents: every slot must be overwritten.
+        let (mut diag, mut inv) = (vec![T::from_f64(7.0); n], vec![T::from_f64(7.0); n]);
+        let t = a
+            .split_jacobi(&mut diag, &mut inv)
+            .expect("one slot per row");
+        let want_diag: Vec<T> = (0..n).map(|i| a.get(i, i)).collect();
+        let want_inv: Vec<T> = want_diag.iter().map(|&d| T::ONE / d).collect();
+        let bits = |v: &[T]| -> Vec<u64> { v.iter().map(|x| x.to_f64().to_bits()).collect() };
+        assert_eq!(bits(&diag), bits(&want_diag), "{what}: diagonal");
+        assert_eq!(bits(&inv), bits(&want_inv), "{what}: inverse diagonal");
+        let want = a.off_diagonal_scaled(&want_inv).expect("square");
+        assert_bitwise_equal(&t, &want, what);
+        assert_bitwise_equal(&t, &coo_route(a, &want_inv), &format!("{what} (coo)"));
+        assert_ne!(t.row_ptr().as_ptr(), a.row_ptr().as_ptr());
+    }
+    // Missing and stored-zero diagonals are in the pool: their rows scale
+    // by an infinity, as `1 / diagonal()` always did.
+    for (k, a) in square_pool().iter().enumerate() {
+        check(a, &format!("matrix {k}"));
+        check(&a.cast::<f32>(), &format!("matrix {k}, f32"));
+    }
+    let a = &square_pool()[0];
+    let mut short = vec![0.0; a.nrows() - 1];
+    let mut full = vec![0.0; a.nrows()];
+    assert!(a.split_jacobi(&mut short, &mut full).is_err());
+    assert!(a.split_jacobi(&mut full, &mut short).is_err());
 }
 
 #[test]
