@@ -60,14 +60,15 @@ struct OperandPrices {
     pinned: Vec<SegmentPrice>,
 }
 
-/// Memoised SpMV prices, keyed by operand storage identity.
+/// Memoised SpMV prices, keyed by operand pattern identity.
 ///
 /// Solvers multiply by more than the coefficient matrix — Jacobi by its
 /// iteration matrix, BiCG by `Aᵀ`, which shares `A`'s shape and entry
-/// count but not its rows — so entries are keyed by [`OperandId`]. An
-/// identity says nothing once the matrix behind it is gone, so the owner
-/// [`clear`](CycleTable::clear)s the table whenever a solver attempt
-/// starts or the schedule changes.
+/// count but not its rows — so entries are keyed by [`OperandId`]: two
+/// matrices on one pattern's storage have the same row lengths and so
+/// the same prices. An identity says nothing once the pattern behind it
+/// is gone, so the owner [`clear`](CycleTable::clear)s the table whenever
+/// a solver attempt starts or the schedule changes.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CycleTable {
     operands: Vec<OperandPrices>,

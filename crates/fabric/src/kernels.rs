@@ -427,11 +427,12 @@ impl FabricKernels {
         self
     }
 
-    /// Installs the pattern's derived-operand plan memo (see
-    /// [`SoftwareKernels::with_derived_plan`]): host arithmetic for
-    /// Jacobi's iteration matrix runs through its own compiled plan.
-    /// Nothing new is charged — the cycle table already prices that
-    /// operand apart from the coefficient matrix.
+    /// Installs the pattern's derived-operand memo (see
+    /// [`SoftwareKernels::with_derived_plan`]): Jacobi's iteration matrix
+    /// is filled from the memo's split and its host arithmetic runs
+    /// through its own compiled plan. Nothing new is charged — the cycle
+    /// table already prices that operand apart from the coefficient
+    /// matrix.
     pub fn with_derived_plan(mut self, memo: Arc<DerivedPlan>) -> Self {
         self.inner = self.inner.with_derived_plan(memo);
         self
@@ -673,6 +674,12 @@ impl FabricKernels {
         self.capacity_flops += cyc as f64 * 2.0 * DENSE_VECTOR_WIDTH as f64;
     }
 
+    /// Charges a buffer move of `n` elements: the dense unit's cycles, none
+    /// of its MAC capacity.
+    fn charge_move(&mut self, n: usize) {
+        self.cycles.dense += dense_cycles(n, false);
+    }
+
     /// Charges a pass of `cyc` cycles through a serial sparse pipeline
     /// (one stored entry per cycle: the SOR sweep, a triangular solve).
     fn charge_serial_sparse(&mut self, cyc: u64) {
@@ -850,8 +857,7 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
     }
 
     fn copy(&mut self, src: &[T], dst: &mut [T]) {
-        // Buffer move: the unit's cycles, none of its MAC capacity.
-        self.cycles.dense += dense_cycles(src.len(), false);
+        self.charge_move(src.len());
         self.inner.copy(src, dst);
     }
 
@@ -889,8 +895,31 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
         }
     }
 
-    fn derived_operand(&mut self, t: &CsrMatrix<T>) {
-        self.inner.derived_operand(t);
+    fn derived_operand(
+        &mut self,
+        a: &CsrMatrix<T>,
+        diag: &mut [T],
+        inv_diag: &mut [T],
+    ) -> CsrMatrix<T> {
+        // Forming T is host set-up: nothing is charged for it.
+        self.inner.derived_operand(a, diag, inv_diag)
+    }
+
+    fn release_operand(&mut self, t: CsrMatrix<T>) {
+        self.inner.release_operand(t);
+    }
+
+    fn jacobi_step(&mut self, c: &[T], tx: &[T], x: &[T], diag: &[T], x_new: &mut [T]) -> T {
+        // Fusion saves host memory passes, not fabric work: charged as the
+        // unfused copy, axpy, copy, axpy, hadamard, dot, in that order.
+        let n = x_new.len();
+        for _ in 0..2 {
+            self.charge_move(n);
+            self.charge_dense(n, false);
+        }
+        self.charge_dense(n, false);
+        self.charge_dense(n, true);
+        self.inner.jacobi_step(c, tx, x, diag, x_new)
     }
 
     fn set_phase(&mut self, phase: Phase) {
@@ -1061,6 +1090,46 @@ mod tests {
             Kernels::<f64>::counts(&unfused)
         );
         assert_eq!(fused.cycles(), unfused.cycles());
+    }
+
+    #[test]
+    fn fused_jacobi_step_matches_unfused_bitwise_counts_and_cycles() {
+        use acamar_sparse::DeterminismPolicy;
+
+        for policy in DeterminismPolicy::ALL {
+            for n in [0usize, 1, 15, 16, 17, 63] {
+                let c: Vec<f64> = (0..n).map(|i| ((i % 11) as f64) * 0.5 - 2.0).collect();
+                let tx: Vec<f64> = (0..n).map(|i| ((i % 5) as f64) - 1.0).collect();
+                let x: Vec<f64> = (0..n).map(|i| ((i % 13) as f64) * 0.25 - 1.0).collect();
+                let diag: Vec<f64> = (0..n).map(|i| 1.5 + (i % 7) as f64).collect();
+                let executor = || {
+                    FabricKernels::new(spec(), UnrollSchedule::uniform(n, 4), 4).with_policy(policy)
+                };
+
+                let mut fused = executor();
+                let mut x_fused = vec![f64::NAN; n];
+                let nsq_fused = fused.jacobi_step(&c, &tx, &x, &diag, &mut x_fused);
+
+                let mut unfused = executor();
+                let (mut x_ref, mut diff, mut r) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+                unfused.copy(&c, &mut x_ref);
+                unfused.axpy(-1.0, &tx, &mut x_ref);
+                unfused.copy(&x_ref, &mut diff);
+                unfused.axpy(-1.0, &x, &mut diff);
+                unfused.hadamard(&diag, &diff, &mut r);
+                let nsq_ref = unfused.dot(&r, &r);
+
+                assert_eq!(nsq_fused.to_bits(), nsq_ref.to_bits(), "{policy} n={n}");
+                assert_eq!(x_fused, x_ref, "{policy} n={n}");
+                assert_eq!(
+                    Kernels::<f64>::counts(&fused),
+                    Kernels::<f64>::counts(&unfused)
+                );
+                assert_eq!(fused.cycles(), unfused.cycles(), "{policy} n={n}");
+                let (fused, unfused) = (fused.finish(), unfused.finish());
+                assert_eq!(fused.capacity_flops, unfused.capacity_flops);
+            }
+        }
     }
 
     #[test]
@@ -1305,8 +1374,13 @@ mod tests {
     fn compiled_plan_leaves_numerics_counts_cycles_and_faults_unchanged() {
         use acamar_faultline::{FaultCategory, FaultContext, FaultInjector, FaultPlan};
 
-        let a =
-            generate::random_pattern::<f64>(96, RowDistribution::Uniform { min: 1, max: 12 }, 21);
+        // Every diagonal entry stored, so Jacobi's operand has a memo.
+        let a = generate::diagonally_dominant::<f64>(
+            96,
+            RowDistribution::Uniform { min: 1, max: 12 },
+            1.5,
+            21,
+        );
         let schedule = UnrollSchedule::from_entries(
             96,
             vec![
@@ -1322,6 +1396,7 @@ mod tests {
         );
         let plan = Arc::new(CompiledSpmv::compile(&a, &schedule.band_hints()).unwrap());
         let x: Vec<f64> = (0..96).map(|i| ((i % 9) as f64) * 0.5 - 2.0).collect();
+        let (mut diag, mut inv) = (vec![0.0_f64; 96], vec![0.0_f64; 96]);
 
         // Fault-free: compiled host arithmetic is bitwise identical and
         // the cycle model doesn't notice the host kernel swap.
@@ -1330,11 +1405,13 @@ mod tests {
         let mut y_ref = vec![0.0_f64; 96];
         Kernels::<f64>::spmv(&mut plain, &a, &x, &mut y_ref);
 
-        // A derived operand too (Jacobi's shape: `a` without its diagonal),
-        // which the planned executor runs through the memo's second plan.
-        let t = a.off_diagonal_scaled(&[0.5; 96]).unwrap();
+        // A derived operand too (Jacobi's `a` without its diagonal, rows
+        // scaled), which the planned executor fills from the memo's split
+        // and runs through the memo's second plan.
+        let t_ref = Kernels::<f64>::derived_operand(&mut plain, &a, &mut diag, &mut inv);
+        assert_eq!(t_ref, a.split_jacobi(&mut diag, &mut inv).unwrap());
         let mut ty_ref = vec![0.0_f64; 96];
-        Kernels::<f64>::spmv(&mut plain, &t, &x, &mut ty_ref);
+        Kernels::<f64>::spmv(&mut plain, &t_ref, &x, &mut ty_ref);
 
         let memo = Arc::new(DerivedPlan::new(schedule.band_hints()));
         let mut comp = FabricKernels::new(spec(), schedule.clone(), 4)
@@ -1343,12 +1420,10 @@ mod tests {
         Kernels::<f64>::set_phase(&mut comp, Phase::Loop);
         let mut y = vec![0.0_f64; 96];
         Kernels::<f64>::spmv(&mut comp, &a, &x, &mut y);
-        assert!(
-            memo.get().is_none(),
-            "nothing derived yet, nothing compiled"
-        );
-        Kernels::<f64>::derived_operand(&mut comp, &t);
-        let t_plan = Arc::clone(memo.get().expect("the announcement fills the memo"));
+        assert!(memo.get().is_none(), "nothing derived yet, nothing built");
+        let t = Kernels::<f64>::derived_operand(&mut comp, &a, &mut diag, &mut inv);
+        assert_eq!(t, t_ref);
+        let t_plan = Arc::clone(memo.get().expect("the first build fills the memo"));
         assert!(t_plan.verify_pattern(&t));
         let mut ty = vec![0.0_f64; 96];
         Kernels::<f64>::spmv(&mut comp, &t, &x, &mut ty);
@@ -1376,7 +1451,8 @@ mod tests {
             }
             hw.set_schedule(schedule.clone());
             Kernels::<f64>::set_phase(&mut hw, Phase::Loop);
-            Kernels::<f64>::derived_operand(&mut hw, &t);
+            let (mut diag, mut inv) = (vec![0.0_f64; 96], vec![0.0_f64; 96]);
+            let t = Kernels::<f64>::derived_operand(&mut hw, &a, &mut diag, &mut inv);
             let mut y = vec![0.0_f64; 96];
             let d = hw.spmv_dot(&a, &x, &mut y, &x);
             let mut ty = vec![0.0_f64; 96];
@@ -1392,8 +1468,13 @@ mod tests {
         assert_eq!(fd.to_bits(), fd_ref.to_bits());
         assert_eq!(ftd.to_bits(), ftd_ref.to_bits());
         assert_eq!(cycles, cycles_ref);
-        // The replay reused the memo's plan: one compile per pattern.
+        // The replay refilled from the memo: one split, one compile per
+        // pattern, and every operand of the pattern on the same arrays.
         assert!(Arc::ptr_eq(memo.get().unwrap(), &t_plan));
+        assert_eq!(
+            memo.split().unwrap().pattern().row_ptr().as_ptr(),
+            t.row_ptr().as_ptr()
+        );
     }
 
     #[test]
@@ -1538,6 +1619,38 @@ mod tests {
         assert_eq!(memo.get().map(|p| p.nnz()), Some(a.nnz() - 150));
         let again = acamar_solvers::bicg(&a, &b, None, &crit, &mut hw_plan).unwrap();
         assert_eq!(again.iterations, 17);
+
+        // An operand's identity is its pattern's storage. On a
+        // pattern-symmetric matrix Aᵀ's arrays *equal* A's, but
+        // `transpose` builds its own, so Aᵀ still binds apart from A: the
+        // plan runs A, Aᵀ walks generically once per iteration, and the
+        // fabric prices the two as two operands.
+        let s: CsrMatrix<f64> = generate::convection_diffusion_2d(12, 12, 6.0);
+        let st = s.transpose();
+        assert_eq!(s.pattern(), st.pattern());
+        assert_ne!(s.values(), st.values(), "numerically nonsymmetric");
+        assert_ne!(
+            acamar_solvers::OperandId::of(&s),
+            acamar_solvers::OperandId::of(&st)
+        );
+        assert_eq!(
+            acamar_solvers::OperandId::of(&s),
+            acamar_solvers::OperandId::of(&s.clone())
+        );
+        let b = vec![1.0_f64; 144];
+        let plain = acamar_solvers::bicg(&s, &b, None, &crit, &mut SoftwareKernels::new()).unwrap();
+        assert!(plain.converged());
+        let ring = Arc::new(acamar_telemetry::RingRecorder::new(64));
+        let mut sw = SoftwareKernels::new()
+            .with_compiled_plan(Arc::new(CompiledSpmv::compile_default(&s)))
+            .with_telemetry(TelemetrySink::new(ring.clone()));
+        let planned = acamar_solvers::bicg(&s, &b, None, &crit, &mut sw).unwrap();
+        assert_eq!(planned.residual_history, plain.residual_history);
+        assert_eq!(planned.solution, plain.solution);
+        assert_eq!(
+            ring.counters()[Counter::PlanlessSpmvs.index()],
+            planned.iterations as u64
+        );
     }
 
     #[test]

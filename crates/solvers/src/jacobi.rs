@@ -51,12 +51,13 @@ pub fn jacobi<T: Scalar, K: Kernels<T>>(
 
     // --- Initialize unit work (Algorithm 1 lines 1-7) ---
     kernels.set_phase(Phase::Initialize);
-    // One sweep reads the diagonal, inverts it, and builds
+    // One sweep reads the diagonal, inverts it, and fills
     // T = D^{-1}(L + U): all off-diagonal entries of A scaled by 1/d_i.
     let mut diag = kernels.acquire_buffer(n);
     let mut inv_d = kernels.acquire_buffer(n);
-    let t_mat = a.split_jacobi(&mut diag, &mut inv_d)?;
+    let t_mat = kernels.derived_operand(a, &mut diag, &mut inv_d);
     if diag.contains(&T::ZERO) {
+        kernels.release_operand(t_mat);
         kernels.release_buffer(diag);
         kernels.release_buffer(inv_d);
         return Ok(SolveReport {
@@ -68,7 +69,6 @@ pub fn jacobi<T: Scalar, K: Kernels<T>>(
             counts: kernels.counts().since(&start_counts),
         });
     }
-    kernels.derived_operand(&t_mat);
 
     // c = D^{-1} b
     let mut c = kernels.acquire_buffer(n);
@@ -83,8 +83,6 @@ pub fn jacobi<T: Scalar, K: Kernels<T>>(
     }
     let mut tx = kernels.acquire_buffer(n);
     let mut x_new = kernels.acquire_buffer(n);
-    let mut diff = kernels.acquire_buffer(n);
-    let mut r = kernels.acquire_buffer(n);
 
     // --- Solver loop (Algorithm 1 lines 8-10) ---
     kernels.set_phase(Phase::Loop);
@@ -93,17 +91,11 @@ pub fn jacobi<T: Scalar, K: Kernels<T>>(
     let outcome = loop {
         kernels.begin_iteration(iterations);
         kernels.spmv(&t_mat, &x, &mut tx);
-        // x_new = c - T x
-        kernels.copy(&c, &mut x_new);
-        kernels.axpy(-T::ONE, &tx, &mut x_new);
-        // Residual: r = b - A x_new = D (x_prev-free form): using the
-        // identity r = D (x_{j+1} - x_j) shifted one step, compute
-        // diff = x_new - x, r = D .* diff (one cheap diagonal scaling
-        // instead of a second SpMV).
-        kernels.copy(&x_new, &mut diff);
-        kernels.axpy(-T::ONE, &x, &mut diff);
-        kernels.hadamard(&diag, &diff, &mut r);
-        let res = kernels.norm2(&r).to_f64() / scale;
+        // x_new = c - T x, and its residual without a second SpMV: by the
+        // identity r = b - A x_new = D (x_new - x) shifted one step, one
+        // diagonal scaling of the difference, reduced in the same pass.
+        let r_normsq = kernels.jacobi_step(&c, &tx, &x, &diag, &mut x_new);
+        let res = r_normsq.sqrt().to_f64() / scale;
         std::mem::swap(&mut x, &mut x_new);
         iterations += 1;
         kernels.observe_residual(monitor.history().len(), res);
@@ -113,13 +105,12 @@ pub fn jacobi<T: Scalar, K: Kernels<T>>(
         }
     };
 
+    kernels.release_operand(t_mat);
     kernels.release_buffer(diag);
     kernels.release_buffer(inv_d);
     kernels.release_buffer(c);
     kernels.release_buffer(tx);
     kernels.release_buffer(x_new);
-    kernels.release_buffer(diff);
-    kernels.release_buffer(r);
     Ok(SolveReport {
         solver: SolverKind::Jacobi,
         outcome,
@@ -203,6 +194,41 @@ mod tests {
             rep.outcome,
             Outcome::Diverged(DivergenceReason::Breakdown(_))
         ));
+    }
+
+    #[test]
+    fn a_breakdown_returns_every_buffer_it_borrowed() {
+        use crate::workspace::WorkspaceHandle;
+        // A stored zero on the diagonal (the operand is built, then found
+        // unusable) and a structurally missing one.
+        let stored_zero = CsrMatrix::try_from_parts(
+            3,
+            3,
+            vec![0, 2, 4, 6],
+            vec![0, 1, 0, 1, 1, 2],
+            vec![2.0_f64, 1.0, 1.0, 0.0, 1.0, 2.0],
+        )
+        .unwrap();
+        let missing =
+            CsrMatrix::try_from_parts(2, 2, vec![0, 1, 2], vec![1, 0], vec![1.0_f64, 1.0]).unwrap();
+        for a in [stored_zero, missing] {
+            let b = vec![1.0; a.nrows()];
+            let ws = WorkspaceHandle::new();
+            let mut k = SoftwareKernels::new().with_workspace(ws.clone());
+            let solve = |k: &mut SoftwareKernels| {
+                let rep = jacobi(&a, &b, None, &criteria(), k).unwrap();
+                assert!(matches!(
+                    rep.outcome,
+                    Outcome::Diverged(DivergenceReason::Breakdown(_))
+                ));
+            };
+            solve(&mut k);
+            let fresh = ws.stats().1;
+            for _ in 0..100 {
+                solve(&mut k);
+            }
+            assert_eq!(ws.stats().1, fresh, "a breakdown leaked a pooled buffer");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::workspace::WorkspaceHandle;
 use acamar_sparse::{
-    simd, BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar,
+    simd, BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, JacobiSplit, Scalar,
 };
 use acamar_telemetry::{Counter, TelemetrySink};
 use std::sync::{Arc, OnceLock};
@@ -75,17 +75,23 @@ impl OpCounts {
     }
 }
 
-/// Storage identity of a sparse operand: where its row pointers live, plus
+/// Pattern identity of a sparse operand: where its row pointers live, plus
 /// its row and stored-entry counts.
 ///
 /// Solvers pass the coefficient matrix *and* derived operands of the same
 /// shape through [`Kernels::spmv`] — BiCG's `Aᵀ` even has `A`'s entry
 /// count — so per-matrix artifacts (a compiled plan, memoised fabric cycle
 /// prices) are tied to the operand they were built for by identity, in
-/// O(1), instead of by shape. The identity is only meaningful while the
-/// matrix is alive and unmodified, which holds within one solver attempt
-/// (every operand outlives the loop that multiplies by it); holders drop
-/// their records when an attempt starts.
+/// O(1), instead of by shape. A matrix's index arrays are shared by
+/// reference count (`CsrPattern`), so the identity names a *pattern*:
+/// clones of a matrix, and every Jacobi operand filled from one
+/// [`JacobiSplit`], carry the same identity — as they should, since a plan
+/// and a cycle price depend on nothing but the pattern — while `Aᵀ`, built
+/// into arrays of its own, never carries `A`'s, even when the two patterns
+/// are equal. The identity is only meaningful while some matrix of the
+/// pattern is alive, which holds within one solver attempt (every operand
+/// outlives the loop that multiplies by it); holders drop their records
+/// when an attempt starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OperandId {
     row_ptr: usize,
@@ -94,7 +100,7 @@ pub struct OperandId {
 }
 
 impl OperandId {
-    /// The identity of `a`'s current storage.
+    /// The identity of `a`'s pattern storage.
     pub fn of<T: Scalar>(a: &CsrMatrix<T>) -> Self {
         OperandId {
             row_ptr: a.row_ptr().as_ptr() as usize,
@@ -104,22 +110,32 @@ impl OperandId {
     }
 }
 
-/// Pattern-only memo of the compiled plan for a solver's *derived*
-/// operand — Jacobi's `T = D⁻¹(L + U)`, whose pattern is the coefficient
-/// matrix's minus the diagonal and so a pure function of it.
+/// Pattern-only memo of everything about a solver's *derived* operand
+/// that does not depend on values — Jacobi's `T = D⁻¹(L + U)`, whose
+/// pattern is the coefficient matrix's minus the diagonal and so a pure
+/// function of it: the [`JacobiSplit`] (`T`'s index arrays and each row's
+/// diagonal slot) and `T`'s [`CompiledSpmv`].
 ///
 /// The memo carries the coefficient matrix's MSID band hints (`T` has the
-/// same rows) and starts empty: nothing is compiled for a pattern no
-/// solver derives an operand from. The first attempt that announces its
-/// operand through [`Kernels::derived_operand`] compiles the plan *from
-/// that operand* — exactly once, however many workers race on a cold
-/// pattern — and every later attempt on the pattern replays it.
+/// same rows) and starts empty: nothing is built for a pattern no solver
+/// derives an operand from. The first attempt that asks for its operand
+/// through [`Kernels::derived_operand`] builds split and plan together —
+/// exactly once, however many workers race on a cold pattern — and every
+/// later attempt on the pattern only fills values.
 #[derive(Debug)]
 pub struct DerivedPlan {
     hints: Vec<BandHint>,
-    /// `Some(None)` records hints that do not tile the operand: such a
-    /// pattern stays on the plan-less walk instead of recompiling per solve.
-    plan: OnceLock<Option<Arc<CompiledSpmv>>>,
+    /// `Some(None)` records a pattern with a structurally missing
+    /// diagonal: Jacobi breaks down on it, so nothing is kept.
+    operand: OnceLock<Option<DerivedOperand>>,
+}
+
+#[derive(Debug)]
+struct DerivedOperand {
+    split: JacobiSplit,
+    /// `None` records hints that do not tile the operand: such a pattern
+    /// stays on the plan-less walk instead of recompiling per solve.
+    plan: Option<Arc<CompiledSpmv>>,
 }
 
 impl DerivedPlan {
@@ -127,7 +143,7 @@ impl DerivedPlan {
     pub fn new(hints: Vec<BandHint>) -> Self {
         DerivedPlan {
             hints,
-            plan: OnceLock::new(),
+            operand: OnceLock::new(),
         }
     }
 
@@ -138,8 +154,78 @@ impl DerivedPlan {
 
     /// The memoised plan, if an attempt has built it.
     pub fn get(&self) -> Option<&Arc<CompiledSpmv>> {
-        self.plan.get().and_then(Option::as_ref)
+        self.built().and_then(|o| o.plan.as_ref())
     }
+
+    /// The memoised split, if an attempt has built it.
+    pub fn split(&self) -> Option<&JacobiSplit> {
+        self.built().map(|o| &o.split)
+    }
+
+    fn built(&self) -> Option<&DerivedOperand> {
+        self.operand.get().and_then(Option::as_ref)
+    }
+
+    /// `T` for `a` with its plan: built with the memo by the first caller
+    /// on the pattern, filled from the memo by every later one. A memo
+    /// that does not fit `a` — a pattern without a full diagonal, or a
+    /// split whose slots `a` contradicts — is left alone and `T` is built
+    /// as if there were none, which is counted.
+    fn operand_for<T: Scalar>(
+        &self,
+        a: &CsrMatrix<T>,
+        mut values: Vec<T>,
+        diag: &mut [T],
+        inv_diag: &mut [T],
+        telemetry: &TelemetrySink,
+    ) -> (CsrMatrix<T>, Option<Arc<CompiledSpmv>>) {
+        let mut first = None;
+        let memo = self.operand.get_or_init(|| {
+            let split = JacobiSplit::of(a);
+            if !split.has_full_diagonal() {
+                return None;
+            }
+            telemetry.counter_add(Counter::DerivedPlansBuilt, 1);
+            let t = fill_own_split(&split, a, std::mem::take(&mut values), diag, inv_diag);
+            let plan = CompiledSpmv::compile(&t, &self.hints).ok().map(Arc::new);
+            first = Some(t);
+            Some(DerivedOperand { split, plan })
+        });
+        if let (Some(t), Some(memo)) = (first, memo) {
+            return (t, memo.plan.clone());
+        }
+        let values = match memo {
+            Some(memo) => match memo.split.fill(a, values, diag, inv_diag) {
+                Ok(t) => return (t, memo.plan.clone()),
+                Err(values) => values,
+            },
+            None => values,
+        };
+        telemetry.counter_add(Counter::DerivedSplitRebuilds, 1);
+        (uncached_operand(a, values, diag, inv_diag), None)
+    }
+}
+
+/// `T` for `a` with no memo to consult: split and fill, one after the other.
+fn uncached_operand<T: Scalar>(
+    a: &CsrMatrix<T>,
+    values: Vec<T>,
+    diag: &mut [T],
+    inv_diag: &mut [T],
+) -> CsrMatrix<T> {
+    fill_own_split(&JacobiSplit::of(a), a, values, diag, inv_diag)
+}
+
+fn fill_own_split<T: Scalar>(
+    split: &JacobiSplit,
+    a: &CsrMatrix<T>,
+    values: Vec<T>,
+    diag: &mut [T],
+    inv_diag: &mut [T],
+) -> CsrMatrix<T> {
+    split
+        .fill(a, values, diag, inv_diag)
+        .expect("a split fits the matrix it was built from")
 }
 
 /// Executor for the primitive operations of the iterative solvers.
@@ -255,14 +341,61 @@ pub trait Kernels<T: Scalar> {
             .expect("sptrsv shape mismatch");
     }
 
-    /// Announces `t` as the solver's derived SpMV operand: a matrix built
-    /// from the coefficient matrix whose pattern depends only on that
-    /// matrix's pattern (Jacobi's iteration matrix). Executors holding a
-    /// [`DerivedPlan`] memo run `t`'s SpMVs through its compiled plan —
-    /// bitwise the generic walk — until the next solver starts; the
-    /// default ignores the announcement.
-    fn derived_operand(&mut self, t: &CsrMatrix<T>) {
-        let _ = t;
+    /// Builds the solver's derived SpMV operand for `a`: Jacobi's
+    /// iteration matrix `T = D⁻¹(L + U)`, with `diag[i] = a_ii` (zero
+    /// where none is stored) and `inv_diag[i] = 1 / a_ii` written on the
+    /// way — bit for bit [`CsrMatrix::split_jacobi`]. `T`'s pattern
+    /// depends only on `a`'s, so executors holding a [`DerivedPlan`] memo
+    /// keep everything but the values there: later calls on the pattern
+    /// only fill, and `T`'s SpMVs run through its compiled plan — bitwise
+    /// the generic walk — until the next solver starts. The default
+    /// builds `T` from scratch. Hand `T` back through
+    /// [`release_operand`](Kernels::release_operand) when done.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `diag` or `inv_diag` is not
+    /// `a.nrows()` long.
+    fn derived_operand(
+        &mut self,
+        a: &CsrMatrix<T>,
+        diag: &mut [T],
+        inv_diag: &mut [T],
+    ) -> CsrMatrix<T> {
+        uncached_operand(a, Vec::new(), diag, inv_diag)
+    }
+
+    /// Hands a [`derived_operand`](Kernels::derived_operand) back so its
+    /// value buffer can serve the next one. Dropping the operand instead
+    /// is always correct; it just forfeits the reuse.
+    fn release_operand(&mut self, t: CsrMatrix<T>) {
+        drop(t);
+    }
+
+    /// Fused Jacobi update: `x_new = c − tx`, returning
+    /// `‖diag ∘ (x_new − x)‖₂²` (*squared*) — the residual of the step
+    /// just taken, by the identity `b − A x_new = D (x_new − x)` shifted
+    /// one step — in one pass that never stores the difference.
+    ///
+    /// Same contract as [`spmv_dot`](Kernels::spmv_dot): bitwise and
+    /// accounting parity with the unfused sequence
+    /// [`copy`](Kernels::copy)`(c, x_new)`,
+    /// [`axpy`](Kernels::axpy)`(-1, tx, x_new)`, `copy(x_new, diff)`,
+    /// `axpy(-1, x, diff)`, [`hadamard`](Kernels::hadamard)`(diag, diff,
+    /// r)`, [`dot`](Kernels::dot)`(r, r)`, which is what the default runs
+    /// (on two borrowed scratch buffers).
+    fn jacobi_step(&mut self, c: &[T], tx: &[T], x: &[T], diag: &[T], x_new: &mut [T]) -> T {
+        let mut diff = self.acquire_buffer(x.len());
+        let mut r = self.acquire_buffer(x.len());
+        self.copy(c, x_new);
+        self.axpy(-T::ONE, tx, x_new);
+        self.copy(x_new, &mut diff);
+        self.axpy(-T::ONE, x, &mut diff);
+        self.hadamard(diag, &diff, &mut r);
+        let normsq = self.dot(&r, &r);
+        self.release_buffer(diff);
+        self.release_buffer(r);
+        normsq
     }
 
     /// Notifies the executor that the solver entered `phase`.
@@ -314,7 +447,7 @@ pub struct SoftwareKernels {
     /// [`CompiledSpmv::matches`] since the current solver started.
     plan_operand: Option<OperandId>,
     derived: Option<Arc<DerivedPlan>>,
-    /// The second slot: the derived operand the current solver announced,
+    /// The second slot: the derived operand built for the current solver,
     /// with its plan from the memo.
     derived_slot: Option<(OperandId, Arc<CompiledSpmv>)>,
     telemetry: TelemetrySink,
@@ -375,9 +508,9 @@ impl SoftwareKernels {
     }
 
     /// Installs the pattern's [`DerivedPlan`] memo: the operand a solver
-    /// announces through [`Kernels::derived_operand`] is multiplied
-    /// through the memo's plan (compiled from that operand by the first
-    /// attempt on the pattern), bound by [`OperandId`] like the
+    /// asks for through [`Kernels::derived_operand`] is filled from the
+    /// memo's split and multiplied through the memo's plan (both built by
+    /// the first attempt on the pattern), bound by [`OperandId`] like the
     /// coefficient matrix's.
     pub fn with_derived_plan(mut self, memo: Arc<DerivedPlan>) -> Self {
         self.derived = Some(memo);
@@ -424,8 +557,8 @@ impl SoftwareKernels {
     }
 
     /// Unbinds both plans from their operands: the next operand of the
-    /// coefficient plan's shape rebinds it, the next announced derived
-    /// operand rebinds the memo's. Called whenever a solver starts, since
+    /// coefficient plan's shape rebinds it, the next derived operand
+    /// built rebinds the memo's. Called whenever a solver starts, since
     /// an [`OperandId`] says nothing once the matrix behind it may be gone.
     pub fn forget_operands(&mut self) {
         self.plan_operand = None;
@@ -438,8 +571,8 @@ impl SoftwareKernels {
     /// `Aᵀ` has both in common with `A`, so a shape match alone would run
     /// `A`'s column slots over `Aᵀ`'s values. Binding by storage identity
     /// is O(1) per call and needs no second pattern check: whoever
-    /// installed the plan vouched for `A`, and the solver that announced
-    /// the derived operand built it from `A`. An SpMV that finds neither
+    /// installed the plan vouched for `A`, and the derived operand was
+    /// built from `A` against the memo's own split. An SpMV that finds neither
     /// slot bound to its operand is counted.
     fn plan_for<T: Scalar>(&mut self, a: &CsrMatrix<T>) -> Option<&CompiledSpmv> {
         let id = OperandId::of(a);
@@ -573,24 +706,36 @@ impl<T: Scalar> Kernels<T> for SoftwareKernels {
             .expect("sptrsv shape mismatch");
     }
 
-    fn derived_operand(&mut self, t: &CsrMatrix<T>) {
-        let Some(memo) = &self.derived else {
-            return;
+    fn derived_operand(
+        &mut self,
+        a: &CsrMatrix<T>,
+        diag: &mut [T],
+        inv_diag: &mut [T],
+    ) -> CsrMatrix<T> {
+        let values = match &self.workspace {
+            Some(ws) => ws.take_operand_values(a.nnz().saturating_sub(a.nrows())),
+            None => Vec::new(),
         };
-        let plan = memo.plan.get_or_init(|| {
-            self.telemetry.counter_add(Counter::DerivedPlansBuilt, 1);
-            CompiledSpmv::compile(t, &memo.hints).ok().map(Arc::new)
-        });
+        let (t, plan) = match &self.derived {
+            Some(memo) => memo.operand_for(a, values, diag, inv_diag, &self.telemetry),
+            None => (uncached_operand(a, values, diag, inv_diag), None),
+        };
         self.derived_slot = plan
-            .as_ref()
-            .filter(|p| p.matches(t))
-            .map(|p| (OperandId::of(t), Arc::clone(p)));
+            .filter(|p| p.matches(&t))
+            .map(|p| (OperandId::of(&t), p));
+        t
+    }
+
+    fn release_operand(&mut self, t: CsrMatrix<T>) {
+        if let Some(ws) = &self.workspace {
+            ws.give_operand_values(t.into_values());
+        }
     }
 
     fn set_phase(&mut self, phase: Phase) {
         if phase == Phase::Initialize {
             // A solver is starting: its first same-shape operand rebinds
-            // the plan, and it announces its own derived operand.
+            // the plan, and it builds its own derived operand.
             self.forget_operands();
         }
     }
@@ -645,6 +790,31 @@ impl<T: Scalar> Kernels<T> for SoftwareKernels {
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi += alpha * xi;
             acc += *yi * *yi;
+        }
+        acc
+    }
+
+    fn jacobi_step(&mut self, c: &[T], tx: &[T], x: &[T], diag: &[T], x_new: &mut [T]) -> T {
+        let n = x_new.len();
+        assert!(
+            c.len() == n && tx.len() == n && x.len() == n && diag.len() == n,
+            "jacobi step length mismatch"
+        );
+        // copy, axpy, copy, axpy, hadamard, dot: six calls, of which the
+        // copies carry no FLOPs and the hadamard one per element.
+        self.counts.dense_calls += 6;
+        self.counts.dense_flops += 7 * n as u64;
+        if self.policy.is_fast() {
+            return simd::jacobi_step_fast(c, tx, x, diag, x_new);
+        }
+        // Row-ascending, one chain: the order of `dot(r, r)` over the
+        // `r` the unfused sequence would have stored.
+        let mut acc = T::ZERO;
+        let rows = c.iter().zip(tx).zip(x).zip(diag).zip(x_new);
+        for ((((&ci, &txi), &xi), &di), next) in rows {
+            *next = ci + -T::ONE * txi;
+            let r = di * (*next + -T::ONE * xi);
+            acc += r * r;
         }
         acc
     }
@@ -762,6 +932,37 @@ mod tests {
             Kernels::<f64>::counts(&unfused),
             Kernels::<f64>::counts(&fused)
         );
+    }
+
+    #[test]
+    fn fused_jacobi_step_matches_unfused_bitwise_and_in_counts_on_both_tiers() {
+        for policy in DeterminismPolicy::ALL {
+            for n in [0usize, 1, 15, 16, 17, 63] {
+                let c: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+                let tx: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
+                let x: Vec<f64> = (0..n).map(|i| (i as f64).sqrt() - 3.0).collect();
+                let diag: Vec<f64> = (0..n).map(|i| 1.5 + (i % 7) as f64).collect();
+
+                // What `jacobi` issued before the fused pass (and what the
+                // trait's default still does).
+                let mut unfused = SoftwareKernels::new().with_policy(policy);
+                let (mut x1, mut diff, mut r) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+                unfused.copy(&c, &mut x1);
+                unfused.axpy(-1.0, &tx, &mut x1);
+                unfused.copy(&x1, &mut diff);
+                unfused.axpy(-1.0, &x, &mut diff);
+                unfused.hadamard(&diag, &diff, &mut r);
+                let d1 = unfused.dot(&r, &r);
+
+                let mut fused = SoftwareKernels::new().with_policy(policy);
+                let mut x2 = vec![f64::NAN; n];
+                let d2 = fused.jacobi_step(&c, &tx, &x, &diag, &mut x2);
+
+                assert_eq!(d1.to_bits(), d2.to_bits(), "{policy} n={n}");
+                assert_eq!(x1, x2, "{policy} n={n}");
+                assert_eq!(unfused.counts(), fused.counts(), "{policy} n={n}");
+            }
+        }
     }
 
     #[test]

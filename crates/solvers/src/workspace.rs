@@ -11,6 +11,13 @@
 //!
 //! Buffers are zero-filled on loan, so a solve that borrows from the
 //! workspace is bitwise identical to one that allocates fresh.
+//!
+//! One buffer is kept apart from the free list: the value array of a
+//! solver's derived operand (Jacobi's `T`), whose length is a property of
+//! the *pattern*, not of the row count. A per-length list would strand one
+//! such array per distinct pattern a worker ever saw; the operand slot
+//! keeps a single grow-only buffer per scalar type, handed out as it is —
+//! the fill overwrites every element — so it is never zero-filled either.
 
 use acamar_sparse::Scalar;
 use std::any::{Any, TypeId};
@@ -31,6 +38,8 @@ pub struct SolverWorkspace {
 
 struct TypedPool<T> {
     free: HashMap<usize, Vec<Vec<T>>>,
+    /// The operand-values slot: at most one buffer, the largest returned.
+    operand: Vec<T>,
 }
 
 impl SolverWorkspace {
@@ -43,9 +52,7 @@ impl SolverWorkspace {
     /// one when available.
     pub fn take<T: Scalar>(&mut self, n: usize) -> Vec<T> {
         let recycled = self
-            .pools
-            .get_mut(&TypeId::of::<T>())
-            .and_then(|p| p.downcast_mut::<TypedPool<T>>())
+            .pool::<T>()
             .and_then(|p| p.free.get_mut(&n))
             .and_then(Vec::pop);
         match recycled {
@@ -67,14 +74,60 @@ impl SolverWorkspace {
             return;
         }
         let n = buf.len();
-        let pool = self.pools.entry(TypeId::of::<T>()).or_insert_with(|| {
-            Box::new(TypedPool::<T> {
-                free: HashMap::new(),
-            })
-        });
-        if let Some(p) = pool.downcast_mut::<TypedPool<T>>() {
-            p.free.entry(n).or_default().push(buf);
+        self.pool_or_default::<T>()
+            .free
+            .entry(n)
+            .or_default()
+            .push(buf);
+    }
+
+    /// Borrows the operand-values buffer with exactly `len` elements of
+    /// *unspecified* content (the caller overwrites them all). Counts as a
+    /// reuse when the retained buffer is large enough, as a fresh
+    /// allocation otherwise.
+    fn take_operand_values<T: Scalar>(&mut self, len: usize) -> Vec<T> {
+        let mut buf = self
+            .pool::<T>()
+            .map(|p| std::mem::take(&mut p.operand))
+            .unwrap_or_default();
+        if buf.capacity() >= len {
+            self.reuses += 1;
+            buf.resize(len, T::ZERO);
+            buf
+        } else {
+            // Too small to be worth carrying over: reallocating would copy
+            // contents nobody reads.
+            self.fresh += 1;
+            vec![T::ZERO; len]
         }
+    }
+
+    /// Returns the operand-values buffer. The slot holds one buffer; of
+    /// two, the larger stays.
+    fn give_operand_values<T: Scalar>(&mut self, buf: Vec<T>) {
+        let slot = &mut self.pool_or_default::<T>().operand;
+        if buf.capacity() > slot.capacity() {
+            *slot = buf;
+        }
+    }
+
+    fn pool<T: Scalar>(&mut self) -> Option<&mut TypedPool<T>> {
+        self.pools
+            .get_mut(&TypeId::of::<T>())
+            .and_then(|p| p.downcast_mut())
+    }
+
+    fn pool_or_default<T: Scalar>(&mut self) -> &mut TypedPool<T> {
+        self.pools
+            .entry(TypeId::of::<T>())
+            .or_insert_with(|| {
+                Box::new(TypedPool::<T> {
+                    free: HashMap::new(),
+                    operand: Vec::new(),
+                })
+            })
+            .downcast_mut()
+            .expect("pools are keyed by their own element type")
     }
 
     /// Buffers served from the free list so far.
@@ -124,6 +177,18 @@ impl WorkspaceHandle {
     /// Returns a buffer for reuse.
     pub fn give<T: Scalar>(&self, buf: Vec<T>) {
         self.lock().give(buf);
+    }
+
+    /// Borrows the operand-values buffer — one grow-only buffer per scalar
+    /// type, kept apart from the free list — with exactly `len` elements
+    /// of *unspecified* content (the caller overwrites them all).
+    pub fn take_operand_values<T: Scalar>(&self, len: usize) -> Vec<T> {
+        self.lock().take_operand_values(len)
+    }
+
+    /// Returns the operand-values buffer.
+    pub fn give_operand_values<T: Scalar>(&self, buf: Vec<T>) {
+        self.lock().give_operand_values(buf);
     }
 
     /// `(reuses, fresh_allocations)` counters of the underlying arena.
@@ -181,6 +246,33 @@ mod tests {
         let _b: Vec<f32> = ws.take(5);
         assert_eq!(ws.fresh_allocations(), 2);
         assert_eq!(ws.reuses(), 0);
+    }
+
+    #[test]
+    fn the_operand_slot_keeps_one_grow_only_buffer_per_type_and_never_zero_fills_it() {
+        let mut ws = SolverWorkspace::new();
+        let mut a: Vec<f64> = ws.take_operand_values(8);
+        assert_eq!((a.len(), ws.fresh_allocations()), (8, 1));
+        a.fill(7.0);
+        let ptr = a.as_ptr();
+        ws.give_operand_values(a);
+        // Shorter or equal: the same allocation, contents as they were.
+        let b: Vec<f64> = ws.take_operand_values(5);
+        assert_eq!((b.as_ptr(), &b[..]), (ptr, &[7.0; 5][..]));
+        ws.give_operand_values(b);
+        // Longer: a fresh one, and the slot moves on to it.
+        let c: Vec<f64> = ws.take_operand_values(20);
+        assert_eq!((c.len(), ws.fresh_allocations(), ws.reuses()), (20, 2, 1));
+        ws.give_operand_values(c);
+        // Of two returned buffers the larger stays; no free list grows.
+        ws.give_operand_values(vec![1.0_f64; 3]);
+        assert_eq!(ws.take_operand_values::<f64>(20).capacity(), 20);
+        assert_eq!(ws.fresh_allocations(), 2);
+        // Per scalar type, and apart from the per-length free list.
+        assert_eq!(ws.take_operand_values::<f32>(4).len(), 4);
+        assert_eq!(ws.fresh_allocations(), 3);
+        let _: Vec<f64> = ws.take(20);
+        assert_eq!(ws.fresh_allocations(), 4);
     }
 
     #[test]

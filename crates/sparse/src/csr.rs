@@ -7,6 +7,46 @@ use crate::csc::CscMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
+use std::fmt;
+use std::sync::Arc;
+
+/// The sparsity pattern of a [`CsrMatrix`]: its shape and index arrays.
+///
+/// The arrays are immutable once built and held by reference count
+/// (`Arc<[usize]>`: the slice pointers sit in the struct, so `row(i)` in a
+/// loop costs what it cost on a `Vec` — see DESIGN §11), so a clone is
+/// two reference bumps and every matrix made from one pattern —
+/// [`CsrMatrix::clone`], [`CsrMatrix::map_values`], [`CsrMatrix::cast`],
+/// [`CsrMatrix::from_pattern`] — reads the same storage. A pattern only
+/// ever comes out of a validated matrix (or a [`JacobiSplit`]), so it
+/// always satisfies the [`CsrMatrix`] invariants.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CsrPattern {
+    nrows: usize,
+    ncols: usize,
+    row_ptr: Arc<[usize]>,
+    col_idx: Arc<[usize]>,
+}
+
+impl CsrPattern {
+    /// Number of stored entries.
+    #[inline]
+    pub fn nnz(&self) -> usize {
+        self.col_idx.len()
+    }
+
+    /// The row-pointer array (`nrows + 1` offsets).
+    #[inline]
+    pub fn row_ptr(&self) -> &[usize] {
+        &self.row_ptr
+    }
+
+    /// The column-index array.
+    #[inline]
+    pub fn col_idx(&self) -> &[usize] {
+        &self.col_idx
+    }
+}
 
 /// A sparse matrix in Compressed Sparse Row format.
 ///
@@ -36,13 +76,27 @@ use crate::scalar::Scalar;
 /// let y = a.mul_vec(&[1.0, 1.0, 1.0]).unwrap();
 /// assert_eq!(y, vec![1.0, 0.0, 1.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The index arrays live in a shared [`CsrPattern`]: cloning a matrix, or
+/// deriving one with the same pattern, copies the values only.
+#[derive(Clone, PartialEq)]
 pub struct CsrMatrix<T> {
-    nrows: usize,
-    ncols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    pattern: CsrPattern,
     values: Vec<T>,
+}
+
+impl<T: fmt::Debug> fmt::Debug for CsrMatrix<T> {
+    /// The flat five-field form the struct had before its index arrays
+    /// moved behind [`CsrPattern`].
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CsrMatrix")
+            .field("nrows", &self.pattern.nrows)
+            .field("ncols", &self.pattern.ncols)
+            .field("row_ptr", &self.pattern.row_ptr)
+            .field("col_idx", &self.pattern.col_idx)
+            .field("values", &self.values)
+            .finish()
+    }
 }
 
 impl<T: Scalar> CsrMatrix<T> {
@@ -113,13 +167,9 @@ impl<T: Scalar> CsrMatrix<T> {
                 prev = Some(c);
             }
         }
-        Ok(CsrMatrix {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
-            values,
-        })
+        Ok(Self::from_raw_parts_unchecked(
+            nrows, ncols, row_ptr, col_idx, values,
+        ))
     }
 
     /// Internal constructor for callers that already guarantee the
@@ -135,53 +185,73 @@ impl<T: Scalar> CsrMatrix<T> {
         debug_assert_eq!(*row_ptr.last().unwrap(), col_idx.len());
         debug_assert_eq!(col_idx.len(), values.len());
         CsrMatrix {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
+            pattern: CsrPattern {
+                nrows,
+                ncols,
+                row_ptr: row_ptr.into(),
+                col_idx: col_idx.into(),
+            },
             values,
         }
     }
 
+    /// A matrix over an existing pattern, sharing its index arrays.
+    ///
+    /// The pattern is valid by construction, so the only check is O(1).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if
+    /// `values.len() != pattern.nnz()`.
+    pub fn from_pattern(pattern: CsrPattern, values: Vec<T>) -> Result<Self, SparseError> {
+        if values.len() != pattern.nnz() {
+            return Err(SparseError::DimensionMismatch {
+                expected: pattern.nnz(),
+                found: values.len(),
+                what: "values length vs pattern entries",
+            });
+        }
+        Ok(CsrMatrix { pattern, values })
+    }
+
+    /// The sparsity pattern; clone it to share the index arrays.
+    #[inline]
+    pub fn pattern(&self) -> &CsrPattern {
+        &self.pattern
+    }
+
+    /// Gives up the matrix for its value array.
+    pub fn into_values(self) -> Vec<T> {
+        self.values
+    }
+
     /// The `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
-        CsrMatrix {
-            nrows: n,
-            ncols: n,
-            row_ptr: (0..=n).collect(),
-            col_idx: (0..n).collect(),
-            values: vec![T::ONE; n],
-        }
+        Self::from_raw_parts_unchecked(n, n, (0..=n).collect(), (0..n).collect(), vec![T::ONE; n])
     }
 
     /// A square matrix with `diag` on the diagonal and zeros elsewhere.
     pub fn from_diagonal(diag: &[T]) -> Self {
         let n = diag.len();
-        CsrMatrix {
-            nrows: n,
-            ncols: n,
-            row_ptr: (0..=n).collect(),
-            col_idx: (0..n).collect(),
-            values: diag.to_vec(),
-        }
+        Self::from_raw_parts_unchecked(n, n, (0..=n).collect(), (0..n).collect(), diag.to_vec())
     }
 
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
-        self.nrows
+        self.pattern.nrows
     }
 
     /// Number of columns.
     #[inline]
     pub fn ncols(&self) -> usize {
-        self.ncols
+        self.pattern.ncols
     }
 
     /// Number of stored (explicit) entries.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.col_idx.len()
+        self.values.len()
     }
 
     /// Fraction of entries that are stored: `nnz / (nrows * ncols)`.
@@ -189,22 +259,22 @@ impl<T: Scalar> CsrMatrix<T> {
     /// This is the "Sparsity%" column of the paper's Table II (expressed as
     /// a fraction, not a percentage).
     pub fn density(&self) -> f64 {
-        if self.nrows == 0 || self.ncols == 0 {
+        if self.nrows() == 0 || self.ncols() == 0 {
             return 0.0;
         }
-        self.nnz() as f64 / (self.nrows as f64 * self.ncols as f64)
+        self.nnz() as f64 / (self.nrows() as f64 * self.ncols() as f64)
     }
 
     /// The row-pointer array (`nrows + 1` offsets).
     #[inline]
     pub fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
+        &self.pattern.row_ptr
     }
 
     /// The column-index array.
     #[inline]
     pub fn col_idx(&self) -> &[usize] {
-        &self.col_idx
+        &self.pattern.col_idx
     }
 
     /// The value array.
@@ -213,7 +283,8 @@ impl<T: Scalar> CsrMatrix<T> {
         &self.values
     }
 
-    /// Mutable access to the value array (pattern is immutable).
+    /// Mutable access to the value array (pattern is immutable). Values
+    /// are never shared: a write here shows in no other matrix.
     #[inline]
     pub fn values_mut(&mut self) -> &mut [T] {
         &mut self.values
@@ -226,8 +297,9 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Panics if `i >= nrows`.
     #[inline]
     pub fn row(&self, i: usize) -> (&[usize], &[T]) {
-        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-        (&self.col_idx[lo..hi], &self.values[lo..hi])
+        let row_ptr = self.row_ptr();
+        let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+        (&self.col_idx()[lo..hi], &self.values[lo..hi])
     }
 
     /// Number of stored entries in row `i`.
@@ -237,12 +309,12 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Panics if `i >= nrows`.
     #[inline]
     pub fn row_nnz(&self, i: usize) -> usize {
-        self.row_ptr[i + 1] - self.row_ptr[i]
+        self.row_ptr()[i + 1] - self.row_ptr()[i]
     }
 
     /// Stored entries per row, as a vector of counts.
     pub fn row_nnz_counts(&self) -> Vec<usize> {
-        (0..self.nrows).map(|i| self.row_nnz(i)).collect()
+        (0..self.nrows()).map(|i| self.row_nnz(i)).collect()
     }
 
     /// Iterates over rows as `(row_index, cols, values)`.
@@ -256,7 +328,7 @@ impl<T: Scalar> CsrMatrix<T> {
     ///
     /// Panics if `i >= nrows` or `j >= ncols`.
     pub fn get(&self, i: usize, j: usize) -> T {
-        assert!(j < self.ncols, "column index {j} out of bounds");
+        assert!(j < self.ncols(), "column index {j} out of bounds");
         let (cols, vals) = self.row(i);
         match cols.binary_search(&j) {
             Ok(k) => vals[k],
@@ -268,13 +340,13 @@ impl<T: Scalar> CsrMatrix<T> {
     ///
     /// Works for rectangular matrices too (length `min(nrows, ncols)`).
     pub fn diagonal(&self) -> Vec<T> {
-        let n = self.nrows.min(self.ncols);
+        let n = self.nrows().min(self.ncols());
         (0..n).map(|i| self.get(i, i)).collect()
     }
 
     /// Returns `true` if every diagonal entry is stored and nonzero.
     pub fn has_nonzero_diagonal(&self) -> bool {
-        let n = self.nrows.min(self.ncols);
+        let n = self.nrows().min(self.ncols());
         (0..n).all(|i| self.get(i, i) != T::ZERO)
     }
 
@@ -284,7 +356,7 @@ impl<T: Scalar> CsrMatrix<T> {
     ///
     /// Returns [`SparseError::DimensionMismatch`] if `x.len() != ncols`.
     pub fn mul_vec(&self, x: &[T]) -> Result<Vec<T>, SparseError> {
-        let mut y = vec![T::ZERO; self.nrows];
+        let mut y = vec![T::ZERO; self.nrows()];
         self.mul_vec_into(x, &mut y)?;
         Ok(y)
     }
@@ -296,16 +368,16 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Returns [`SparseError::DimensionMismatch`] if `x.len() != ncols` or
     /// `y.len() != nrows`.
     pub fn mul_vec_into(&self, x: &[T], y: &mut [T]) -> Result<(), SparseError> {
-        if x.len() != self.ncols {
+        if x.len() != self.ncols() {
             return Err(SparseError::DimensionMismatch {
-                expected: self.ncols,
+                expected: self.ncols(),
                 found: x.len(),
                 what: "input vector length",
             });
         }
-        if y.len() != self.nrows {
+        if y.len() != self.nrows() {
             return Err(SparseError::DimensionMismatch {
-                expected: self.nrows,
+                expected: self.nrows(),
                 found: y.len(),
                 what: "output vector length",
             });
@@ -338,7 +410,7 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Materializes as a dense matrix (intended for tests and small systems).
     pub fn to_dense(&self) -> DenseMatrix<T> {
-        let mut d = DenseMatrix::zeros(self.nrows, self.ncols);
+        let mut d = DenseMatrix::zeros(self.nrows(), self.ncols());
         for (i, cols, vals) in self.iter_rows() {
             for (&c, &v) in cols.iter().zip(vals) {
                 d[(i, c)] = v;
@@ -347,13 +419,10 @@ impl<T: Scalar> CsrMatrix<T> {
         d
     }
 
-    /// Applies `f` to every stored value, preserving the pattern.
+    /// Applies `f` to every stored value; the result shares the pattern.
     pub fn map_values<F: FnMut(T) -> T>(&self, mut f: F) -> CsrMatrix<T> {
         CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.clone(),
+            pattern: self.pattern.clone(),
             values: self.values.iter().map(|&v| f(v)).collect(),
         }
     }
@@ -363,13 +432,11 @@ impl<T: Scalar> CsrMatrix<T> {
         self.map_values(|v| v * s)
     }
 
-    /// Converts the value type (e.g. `f64 -> f32` for the hardware model).
+    /// Converts the value type (e.g. `f64 -> f32` for the hardware
+    /// model); the result shares the pattern.
     pub fn cast<U: Scalar>(&self) -> CsrMatrix<U> {
         CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.clone(),
+            pattern: self.pattern.clone(),
             values: self
                 .values
                 .iter()
@@ -386,13 +453,13 @@ impl<T: Scalar> CsrMatrix<T> {
     /// [`analysis::symmetric_via_csc`](crate::analysis::symmetric_via_csc);
     /// both agree on well-formed matrices.
     pub fn is_symmetric(&self, tol: T) -> bool {
-        if self.nrows != self.ncols {
+        if self.nrows() != self.ncols() {
             return false;
         }
         // Compare against the CSC view directly: CSC arrays of A are the
         // CSR arrays of Aᵀ, so no transpose matrix needs materializing.
         let csc = self.to_csc();
-        if csc.col_ptr() != &self.row_ptr[..] || csc.row_idx() != &self.col_idx[..] {
+        if csc.col_ptr() != self.row_ptr() || csc.row_idx() != self.col_idx() {
             return false;
         }
         self.values
@@ -403,34 +470,34 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Structural (pattern-only) symmetry test.
     pub fn is_pattern_symmetric(&self) -> bool {
-        if self.nrows != self.ncols {
+        if self.nrows() != self.ncols() {
             return false;
         }
-        let n = self.ncols;
+        let n = self.ncols();
+        let (row_ptr, col_idx) = (self.row_ptr(), self.col_idx());
         // Column histogram + prefix sum yields the transpose's row_ptr;
         // reject early if it already disagrees.
         let mut col_ptr = vec![0usize; n + 1];
-        for &c in &self.col_idx {
+        for &c in col_idx {
             col_ptr[c + 1] += 1;
         }
         for c in 0..n {
             col_ptr[c + 1] += col_ptr[c];
         }
-        if col_ptr != self.row_ptr {
+        if col_ptr != row_ptr {
             return false;
         }
         // Pattern-only scatter: build just the transpose's column indices,
         // skipping the value pass a full transpose would pay for.
-        let mut t_col = vec![0usize; self.col_idx.len()];
+        let mut t_col = vec![0usize; col_idx.len()];
         let mut next = col_ptr;
         for i in 0..n {
-            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            for &c in &self.col_idx[lo..hi] {
+            for &c in &col_idx[row_ptr[i]..row_ptr[i + 1]] {
                 t_col[next[c]] = i;
                 next[c] += 1;
             }
         }
-        t_col == self.col_idx
+        t_col == col_idx
     }
 
     /// Splits off the strictly-lower, diagonal, and strictly-upper parts:
@@ -442,7 +509,7 @@ impl<T: Scalar> CsrMatrix<T> {
         let mut u_ptr = vec![0usize];
         let mut u_col = Vec::new();
         let mut u_val = Vec::new();
-        let n = self.nrows.min(self.ncols);
+        let n = self.nrows().min(self.ncols());
         let mut d = vec![T::ZERO; n];
         for (i, cols, vals) in self.iter_rows() {
             for (&c, &v) in cols.iter().zip(vals) {
@@ -463,9 +530,9 @@ impl<T: Scalar> CsrMatrix<T> {
             u_ptr.push(u_col.len());
         }
         (
-            CsrMatrix::from_raw_parts_unchecked(self.nrows, self.ncols, l_ptr, l_col, l_val),
+            CsrMatrix::from_raw_parts_unchecked(self.nrows(), self.ncols(), l_ptr, l_col, l_val),
             d,
-            CsrMatrix::from_raw_parts_unchecked(self.nrows, self.ncols, u_ptr, u_col, u_val),
+            CsrMatrix::from_raw_parts_unchecked(self.nrows(), self.ncols(), u_ptr, u_col, u_val),
         )
     }
 
@@ -474,11 +541,9 @@ impl<T: Scalar> CsrMatrix<T> {
     /// `T = D⁻¹(L + U)` (Algorithm 1's Initialize lines;
     /// [`Self::split_jacobi`] reads the diagonal in the same sweep).
     ///
-    /// One sweep over the stored entries into freshly reserved arrays —
-    /// the result shares nothing with `self` — with no sort: dropping one
-    /// column from a sorted row leaves it sorted. The reservation is exact
-    /// when every diagonal entry is stored (the only case Jacobi gets this
-    /// far with); a structurally missing diagonal just grows the arrays.
+    /// A [`JacobiSplit`] built and filled on the spot: the result shares
+    /// nothing with `self`. Callers that see one pattern many times keep
+    /// the split and call [`JacobiSplit::fill`] instead.
     ///
     /// # Errors
     ///
@@ -486,15 +551,18 @@ impl<T: Scalar> CsrMatrix<T> {
     /// `row_scale.len() != nrows`.
     pub fn off_diagonal_scaled(&self, row_scale: &[T]) -> Result<CsrMatrix<T>, SparseError> {
         self.check_row_vector(row_scale.len(), "row scale length")?;
-        Ok(self.off_diagonal_with(|i, _| row_scale[i]))
+        Ok(JacobiSplit::of(self)
+            .fill_with(self, Vec::new(), |i, _| row_scale[i])
+            .expect("a split fits the matrix it was built from"))
     }
 
-    /// Jacobi's set-up in one sweep: writes `diag[i] = a_ii` (zero where
+    /// Jacobi's set-up in one call: writes `diag[i] = a_ii` (zero where
     /// no diagonal entry is stored) and `inv_diag[i] = 1 / a_ii`, and
     /// returns `T = D⁻¹(L + U)` — bit for bit
-    /// `off_diagonal_scaled(inv_diag)`, without searching each row for its
-    /// diagonal a second time. A zero diagonal yields an infinite scale;
-    /// the caller checks `diag` before using `T`.
+    /// `off_diagonal_scaled(inv_diag)`. A zero diagonal yields an infinite
+    /// scale; the caller checks `diag` before using `T`. Like
+    /// [`Self::off_diagonal_scaled`], a [`JacobiSplit`] built and filled
+    /// on the spot.
     ///
     /// # Errors
     ///
@@ -507,53 +575,20 @@ impl<T: Scalar> CsrMatrix<T> {
     ) -> Result<CsrMatrix<T>, SparseError> {
         self.check_row_vector(diag.len(), "diagonal length")?;
         self.check_row_vector(inv_diag.len(), "inverse diagonal length")?;
-        Ok(self.off_diagonal_with(|i, d| {
-            diag[i] = d.unwrap_or(T::ZERO);
-            inv_diag[i] = T::ONE / diag[i];
-            inv_diag[i]
-        }))
+        Ok(JacobiSplit::of(self)
+            .fill(self, Vec::new(), diag, inv_diag)
+            .expect("a split fits the matrix it was built from"))
     }
 
     fn check_row_vector(&self, found: usize, what: &'static str) -> Result<(), SparseError> {
-        if found == self.nrows {
+        if found == self.nrows() {
             Ok(())
         } else {
             Err(SparseError::DimensionMismatch {
-                expected: self.nrows,
+                expected: self.nrows(),
                 found,
                 what,
             })
-        }
-    }
-
-    /// The sweep behind [`Self::off_diagonal_scaled`] and
-    /// [`Self::split_jacobi`]: `scale_of(i, a_ii)` sees row `i`'s stored
-    /// diagonal entry, if any, and returns the row's multiplier.
-    fn off_diagonal_with(&self, mut scale_of: impl FnMut(usize, Option<T>) -> T) -> CsrMatrix<T> {
-        let kept = self.nnz() - self.nrows.min(self.ncols).min(self.nnz());
-        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
-        let mut col_idx = Vec::with_capacity(kept);
-        let mut values = Vec::with_capacity(kept);
-        row_ptr.push(0);
-        for (i, cols, vals) in self.iter_rows() {
-            // The diagonal's slot splits the row into two runs that are
-            // copied (columns) and scaled (values) whole.
-            let (below, above, diagonal) = match cols.binary_search(&i) {
-                Ok(k) => (k, k + 1, Some(vals[k])),
-                Err(k) => (k, k, None),
-            };
-            let s = scale_of(i, diagonal);
-            col_idx.extend_from_slice(&cols[..below]);
-            col_idx.extend_from_slice(&cols[above..]);
-            values.extend(vals[..below].iter().map(|&v| v * s));
-            values.extend(vals[above..].iter().map(|&v| v * s));
-            row_ptr.push(col_idx.len());
-        }
-        if cfg!(debug_assertions) {
-            CsrMatrix::try_from_parts(self.nrows, self.ncols, row_ptr, col_idx, values)
-                .expect("a sorted row minus one column is a sorted row")
-        } else {
-            CsrMatrix::from_raw_parts_unchecked(self.nrows, self.ncols, row_ptr, col_idx, values)
         }
     }
 
@@ -563,21 +598,194 @@ impl<T: Scalar> CsrMatrix<T> {
     ///
     /// Panics if `range.end > nrows`.
     pub fn row_slice(&self, range: std::ops::Range<usize>) -> CsrMatrix<T> {
-        assert!(range.end <= self.nrows, "row range out of bounds");
-        let base = self.row_ptr[range.start];
-        let row_ptr: Vec<usize> = self.row_ptr[range.start..=range.end]
+        assert!(range.end <= self.nrows(), "row range out of bounds");
+        let (lo, hi) = (self.row_ptr()[range.start], self.row_ptr()[range.end]);
+        let row_ptr: Vec<usize> = self.row_ptr()[range.start..=range.end]
             .iter()
-            .map(|&p| p - base)
+            .map(|&p| p - lo)
             .collect();
-        let lo = self.row_ptr[range.start];
-        let hi = self.row_ptr[range.end];
-        CsrMatrix {
-            nrows: range.end - range.start,
-            ncols: self.ncols,
+        Self::from_raw_parts_unchecked(
+            range.end - range.start,
+            self.ncols(),
             row_ptr,
-            col_idx: self.col_idx[lo..hi].to_vec(),
-            values: self.values[lo..hi].to_vec(),
+            self.col_idx()[lo..hi].to_vec(),
+            self.values[lo..hi].to_vec(),
+        )
+    }
+}
+
+/// [`JacobiSplit`]'s mark for a row that stores no diagonal entry.
+const NO_DIAGONAL: u32 = u32::MAX;
+
+/// Writes `row` through `f` into `out`, stepping over the entry at `below`
+/// when `out` is the shorter by one (`below` past the end steps over
+/// nothing). One run indexed past the gap: splitting it in two at `below`
+/// would end two loops at lengths only the data knows, which a short
+/// ragged row mispredicts once or twice.
+fn copy_without<U: Copy>(out: &mut [U], row: &[U], below: usize, f: impl Fn(U) -> U) {
+    for (j, o) in out.iter_mut().enumerate() {
+        *o = f(row[j + usize::from(j >= below)]);
+    }
+}
+
+/// The pattern-only half of Jacobi's set-up (Algorithm 1's Initialize
+/// lines): the pattern of `T = D⁻¹(L + U)` — the source pattern minus each
+/// row's diagonal entry — and where in its row each diagonal entry sits.
+///
+/// Both are pure functions of the source *pattern*, so one split serves
+/// every matrix of that pattern, in any scalar type: [`Self::of`] finds
+/// the slots and builds the index arrays once, and each later
+/// [`Self::fill`] only reads values through the remembered slots and
+/// writes values, wrapping them with the shared [`CsrPattern`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JacobiSplit {
+    pattern: CsrPattern,
+    /// Per source row, the diagonal entry's offset from the row's first
+    /// entry, or [`NO_DIAGONAL`].
+    diag_slot: Vec<u32>,
+    source_nnz: usize,
+}
+
+impl JacobiSplit {
+    /// Splits `a`'s pattern. One sweep with no search and no sort: a row's
+    /// columns left of `i` count the diagonal's slot (rows are sorted), and
+    /// dropping one column from a sorted row leaves it sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row stores 2³² − 1 or more entries left of its
+    /// diagonal.
+    pub fn of<T: Scalar>(a: &CsrMatrix<T>) -> Self {
+        let mut row_ptr = Vec::with_capacity(a.nrows() + 1);
+        // Exact when every diagonal entry is stored — the patterns that
+        // are kept; a structurally missing one grows it.
+        let mut col_idx = vec![0usize; a.nnz() - a.nrows().min(a.ncols()).min(a.nnz())];
+        let mut diag_slot = Vec::with_capacity(a.nrows());
+        let mut kept = 0usize;
+        row_ptr.push(0);
+        for (i, cols, _) in a.iter_rows() {
+            let below = cols.iter().filter(|&&c| c < i).count();
+            // Where the copy steps over an entry: the diagonal's slot, or
+            // nowhere.
+            let (t_len, gap) = if cols.get(below) == Some(&i) {
+                let slot = u32::try_from(below).ok().filter(|&s| s != NO_DIAGONAL);
+                diag_slot.push(slot.expect("diagonal offset fits u32"));
+                (cols.len() - 1, below)
+            } else {
+                diag_slot.push(NO_DIAGONAL);
+                (cols.len(), cols.len())
+            };
+            if kept + t_len > col_idx.len() {
+                col_idx.resize(a.nnz(), 0);
+            }
+            copy_without(&mut col_idx[kept..kept + t_len], cols, gap, |c| c);
+            kept += t_len;
+            row_ptr.push(kept);
         }
+        col_idx.truncate(kept);
+        JacobiSplit {
+            pattern: CsrPattern {
+                nrows: a.nrows(),
+                ncols: a.ncols(),
+                row_ptr: row_ptr.into(),
+                col_idx: col_idx.into(),
+            },
+            diag_slot,
+            source_nnz: a.nnz(),
+        }
+    }
+
+    /// The pattern of `T`.
+    pub fn pattern(&self) -> &CsrPattern {
+        &self.pattern
+    }
+
+    /// Whether every row of the source pattern stores its diagonal entry —
+    /// the only patterns Jacobi can iterate on.
+    pub fn has_full_diagonal(&self) -> bool {
+        !self.diag_slot.contains(&NO_DIAGONAL)
+    }
+
+    /// Jacobi's per-matrix set-up against this split: writes
+    /// `diag[i] = a_ii` (zero where no diagonal entry is stored) and
+    /// `inv_diag[i] = 1 / a_ii`, scales row `i`'s other entries by
+    /// `inv_diag[i]` into `values` (resized to fit; what it held is
+    /// overwritten) and returns them as `T` over the shared pattern. A
+    /// zero diagonal yields an infinite scale; the caller checks `diag`
+    /// before using `T`.
+    ///
+    /// The split is trusted for the off-diagonal columns only as far as a
+    /// compiled plan is (shape and entry count); the diagonal is checked.
+    /// `a` must have the split's shape and entry count, every row the
+    /// length the split recorded, and every remembered slot must hold
+    /// column `i` (rows marked diagonal-free must have none), so a stale
+    /// split never scales a row by the wrong entry.
+    ///
+    /// # Errors
+    ///
+    /// Hands `values` back if `a` fails those checks; `diag` and
+    /// `inv_diag` are then partly written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `diag` or `inv_diag` is not `a.nrows()` long.
+    pub fn fill<T: Scalar>(
+        &self,
+        a: &CsrMatrix<T>,
+        values: Vec<T>,
+        diag: &mut [T],
+        inv_diag: &mut [T],
+    ) -> Result<CsrMatrix<T>, Vec<T>> {
+        assert_eq!(diag.len(), a.nrows(), "diagonal length");
+        assert_eq!(inv_diag.len(), a.nrows(), "inverse diagonal length");
+        self.fill_with(a, values, |i, d| {
+            diag[i] = d.unwrap_or(T::ZERO);
+            inv_diag[i] = T::ONE / diag[i];
+            inv_diag[i]
+        })
+    }
+
+    /// The sweep behind [`Self::fill`]: `scale_of(i, a_ii)` sees row `i`'s
+    /// stored diagonal entry, if any, and returns the row's multiplier.
+    fn fill_with<T: Scalar>(
+        &self,
+        a: &CsrMatrix<T>,
+        mut values: Vec<T>,
+        mut scale_of: impl FnMut(usize, Option<T>) -> T,
+    ) -> Result<CsrMatrix<T>, Vec<T>> {
+        let t = &self.pattern;
+        if (a.nrows(), a.ncols(), a.nnz()) != (t.nrows, t.ncols, self.source_nnz) {
+            return Err(values);
+        }
+        // A recycled buffer usually has the right length already; only a
+        // longer operand zero-fills, and only the difference.
+        values.resize(t.nnz(), T::ZERO);
+        let (cols, vals) = (a.col_idx(), a.values());
+        let rows = a.row_ptr().windows(2).zip(t.row_ptr.windows(2));
+        for (i, ((src, dst), &slot)) in rows.zip(&self.diag_slot).enumerate() {
+            let (lo, hi) = (src[0], src[1]);
+            let out = &mut values[dst[0]..dst[1]];
+            // `below` entries sit left of the diagonal; a row without one
+            // has them all there.
+            let (below, diagonal) = if slot == NO_DIAGONAL {
+                if out.len() != hi - lo || cols[lo..hi].binary_search(&i).is_ok() {
+                    return Err(values);
+                }
+                (hi - lo, None)
+            } else {
+                let below = slot as usize;
+                if below >= hi - lo || out.len() + 1 != hi - lo || cols[lo + below] != i {
+                    return Err(values);
+                }
+                (below, Some(vals[lo + below]))
+            };
+            let s = scale_of(i, diagonal);
+            copy_without(out, &vals[lo..hi], below, |v| v * s);
+        }
+        Ok(CsrMatrix {
+            pattern: t.clone(),
+            values,
+        })
     }
 }
 
@@ -593,7 +801,7 @@ impl<'a, T: Scalar> Iterator for RowIter<'a, T> {
     type Item = (usize, &'a [usize], &'a [T]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.m.nrows {
+        if self.next >= self.m.nrows() {
             return None;
         }
         let i = self.next;
@@ -603,7 +811,7 @@ impl<'a, T: Scalar> Iterator for RowIter<'a, T> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.m.nrows - self.next;
+        let rem = self.m.nrows() - self.next;
         (rem, Some(rem))
     }
 }
@@ -742,6 +950,144 @@ mod tests {
         let f: CsrMatrix<f32> = a.cast();
         assert_eq!(f.get(1, 1), 2.0_f32);
         assert_eq!(f.nnz(), a.nnz());
+    }
+
+    fn shares_pattern<T, U>(a: &CsrMatrix<T>, b: &CsrMatrix<U>) -> bool {
+        Arc::ptr_eq(&a.pattern.row_ptr, &b.pattern.row_ptr)
+            && Arc::ptr_eq(&a.pattern.col_idx, &b.pattern.col_idx)
+    }
+
+    #[test]
+    fn value_only_derivations_share_the_pattern_and_structural_ones_own_theirs() {
+        let a = tri3();
+        let mut b = a.clone();
+        assert!(shares_pattern(&a, &b));
+        assert!(shares_pattern(&a, &a.scale(2.0)));
+        assert!(shares_pattern(&a, &a.map_values(|v| v - 1.0)));
+        assert!(shares_pattern(&a, &a.cast::<f32>()));
+        let same = CsrMatrix::from_pattern(a.pattern().clone(), vec![1.0_f32; 7]).unwrap();
+        assert!(shares_pattern(&a, &same));
+        assert!(CsrMatrix::from_pattern(a.pattern().clone(), vec![1.0; 6]).is_err());
+        assert_eq!(a.clone().into_values(), a.values());
+
+        // Values are never shared.
+        b.values_mut()[0] = 9.0;
+        assert_eq!((a.get(0, 0), b.get(0, 0)), (2.0, 9.0));
+        assert_ne!(a, b);
+
+        // Equal arrays, separate storage: still equal matrices.
+        let rebuilt = CsrMatrix::try_from_parts(
+            3,
+            3,
+            a.row_ptr().to_vec(),
+            a.col_idx().to_vec(),
+            a.values().to_vec(),
+        )
+        .unwrap();
+        assert!(!shares_pattern(&a, &rebuilt));
+        assert_eq!(a, rebuilt);
+        assert_eq!(a.pattern(), rebuilt.pattern());
+
+        // The symmetric tri3 transposes onto an equal pattern of its own.
+        let t = a.transpose();
+        assert_eq!(t, a);
+        assert!(!shares_pattern(&a, &t));
+        assert!(!shares_pattern(&a, &a.row_slice(0..3)));
+        let (l, _, u) = a.split_ldu();
+        assert!(!shares_pattern(&l, &u) && !shares_pattern(&a, &l));
+        let mut coo = crate::CooMatrix::with_capacity(3, 3, 7);
+        for (i, cols, vals) in a.iter_rows() {
+            for (&c, &v) in cols.iter().zip(vals) {
+                coo.push(i, c, v).unwrap();
+            }
+        }
+        assert!(!shares_pattern(&a, &coo.to_csr()));
+        assert_eq!(coo.to_csr(), a);
+    }
+
+    #[test]
+    fn debug_output_is_the_flat_five_fields() {
+        let a = CsrMatrix::try_from_parts(2, 2, vec![0, 1, 2], vec![1, 0], vec![1.5_f64, -2.0])
+            .unwrap();
+        assert_eq!(
+            format!("{a:?}"),
+            "CsrMatrix { nrows: 2, ncols: 2, row_ptr: [0, 1, 2], col_idx: [1, 0], \
+             values: [1.5, -2.0] }"
+        );
+    }
+
+    #[test]
+    fn a_split_fills_its_own_pattern_and_hands_back_the_buffer_on_any_other() {
+        // Diagonal first, middle, last, only; then a row without one.
+        let p = CsrMatrix::try_from_parts(
+            5,
+            5,
+            vec![0, 2, 5, 7, 8, 10],
+            vec![0, 3, 0, 1, 4, 1, 2, 3, 0, 2],
+            vec![2.0_f64, 1.0, 3.0, 4.0, 5.0, 6.0, 8.0, -1.0, 7.0, 9.0],
+        )
+        .unwrap();
+        let split = JacobiSplit::of(&p);
+        assert!(!split.has_full_diagonal());
+        assert_eq!(split.pattern().row_ptr(), &[0, 1, 3, 4, 4, 6]);
+        assert_eq!(split.pattern().col_idx(), &[3, 0, 4, 1, 0, 2]);
+        let (mut diag, mut inv) = (vec![7.0; 5], vec![7.0; 5]);
+        // A recycled buffer: wrong length, stale contents.
+        let t = split
+            .fill(&p, vec![f64::NAN; 9], &mut diag, &mut inv)
+            .unwrap();
+        assert_eq!(diag, vec![2.0, 4.0, 8.0, -1.0, 0.0]);
+        assert_eq!(inv, vec![0.5, 0.25, 0.125, -1.0, f64::INFINITY]);
+        assert_eq!(
+            t.values(),
+            &[0.5, 0.75, 1.25, 0.75, f64::INFINITY, f64::INFINITY]
+        );
+        assert_eq!(t.pattern(), split.pattern());
+        assert!(shares_pattern(
+            &t,
+            &split
+                .fill(&p.cast::<f32>(), Vec::new(), &mut [0.0; 5], &mut [0.0; 5])
+                .unwrap()
+        ));
+
+        // A hole with columns on both sides of it keeps the whole row.
+        let holed =
+            CsrMatrix::try_from_parts(3, 3, vec![0, 1, 3, 4], vec![0, 0, 2, 2], vec![1.0; 4])
+                .unwrap();
+        let split_holed = JacobiSplit::of(&holed);
+        assert_eq!(split_holed.pattern().row_ptr(), &[0, 0, 2, 2]);
+        assert_eq!(split_holed.pattern().col_idx(), &[0, 2]);
+
+        // Same shape and entry count, one column moved across a diagonal
+        // (row 1: 0 1 4 -> 1 2 4), across nothing (row 0: 0 3 -> 0 4, not
+        // the split's business), onto a missing diagonal (row 4), or one
+        // entry moved between rows (lengths differ): the first, third and
+        // fourth are refused, and the buffer comes back.
+        let with_cols = |cols: Vec<usize>, row_ptr: Vec<usize>| {
+            CsrMatrix::try_from_parts(5, 5, row_ptr, cols, p.values().to_vec()).unwrap()
+        };
+        let rp = p.row_ptr().to_vec();
+        let slot_moved = with_cols(vec![0, 3, 1, 2, 4, 1, 2, 3, 0, 2], rp.clone());
+        let off_diagonal_moved = with_cols(vec![0, 4, 0, 1, 4, 1, 2, 3, 0, 2], rp.clone());
+        let diagonal_appeared = with_cols(vec![0, 3, 0, 1, 4, 1, 2, 3, 0, 4], rp);
+        let row_lengths_moved =
+            with_cols(vec![0, 3, 4, 0, 1, 1, 2, 3, 0, 2], vec![0, 3, 5, 7, 8, 10]);
+        for (q, fits) in [
+            (&slot_moved, false),
+            (&off_diagonal_moved, true),
+            (&diagonal_appeared, false),
+            (&row_lengths_moved, false),
+        ] {
+            let got = split.fill(q, vec![1.0; 3], &mut diag, &mut inv);
+            assert_eq!(got.is_ok(), fits);
+            if let Err(buffer) = got {
+                assert!(buffer.capacity() >= 3, "the caller's buffer comes back");
+            }
+        }
+        // Another shape or entry count never gets as far as a row.
+        assert!(split
+            .fill(&tri3(), Vec::new(), &mut [0.0; 3], &mut [0.0; 3])
+            .is_err());
     }
 
     #[test]

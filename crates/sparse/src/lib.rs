@@ -66,7 +66,7 @@ pub use analysis::{Definiteness, StructureReport};
 pub use compiled::{Band, BandHint, BandKind, CompiledSpmv, PatternDelta};
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
-pub use csr::{CsrMatrix, RowIter};
+pub use csr::{CsrMatrix, CsrPattern, JacobiSplit, RowIter};
 pub use dense::DenseMatrix;
 pub use ell::EllMatrix;
 pub use error::{IoError, SparseError};

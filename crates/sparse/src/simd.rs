@@ -241,6 +241,61 @@ pub fn axpy_normsq_fast<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) -> T {
     acc0.add(acc1).add(acc2.add(acc3)).reduce() + tail
 }
 
+/// Fused reassociated Jacobi update: `x_new = c − tx`, returning
+/// `‖d ∘ (x_new − x)‖²` without ever storing the difference or its
+/// scaling. Element-wise arithmetic is the unfused
+/// copy/axpy/copy/axpy/hadamard sequence's, and the reduction has exactly
+/// [`dot_fast`]'s shape — sixteen-element steps over four chains, a
+/// four-wide and then serial cleanup — so the result is bitwise
+/// `dot_fast(r, r)` of the materialized `r`.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+#[inline]
+pub fn jacobi_step_fast<T: Scalar>(c: &[T], tx: &[T], x: &[T], d: &[T], x_new: &mut [T]) -> T {
+    let n = x_new.len();
+    assert!(
+        c.len() == n && tx.len() == n && x.len() == n && d.len() == n,
+        "jacobi step length mismatch"
+    );
+    // Updates `len` elements from `k` on and returns their scaled
+    // differences, zero-padded to a full step.
+    let mut step = |k: usize, len: usize| {
+        let mut r = [T::ZERO; 16];
+        for (j, rj) in r[..len].iter_mut().enumerate() {
+            let i = k + j;
+            let next = c[i] + -T::ONE * tx[i];
+            x_new[i] = next;
+            *rj = d[i] * (next + -T::ONE * x[i]);
+        }
+        r
+    };
+    let mut acc0 = Lanes4::zero();
+    let mut acc1 = Lanes4::zero();
+    let mut acc2 = Lanes4::zero();
+    let mut acc3 = Lanes4::zero();
+    let mut k = 0usize;
+    while k + 16 <= n {
+        let r = step(k, 16);
+        acc0 = acc0.mul_add(Lanes4::from_slice(&r), Lanes4::from_slice(&r));
+        acc1 = acc1.mul_add(Lanes4::from_slice(&r[4..]), Lanes4::from_slice(&r[4..]));
+        acc2 = acc2.mul_add(Lanes4::from_slice(&r[8..]), Lanes4::from_slice(&r[8..]));
+        acc3 = acc3.mul_add(Lanes4::from_slice(&r[12..]), Lanes4::from_slice(&r[12..]));
+        k += 16;
+    }
+    while k + 4 <= n {
+        let r = step(k, 4);
+        acc0 = acc0.mul_add(Lanes4::from_slice(&r), Lanes4::from_slice(&r));
+        k += 4;
+    }
+    let mut tail = T::ZERO;
+    for &rj in &step(k, n - k)[..n - k] {
+        tail += rj * rj;
+    }
+    acc0.add(acc1).add(acc2.add(acc3)).reduce() + tail
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,6 +373,22 @@ mod tests {
             }
             let tol = 1e-12 * (1.0 + nsq_ref.abs());
             assert!((nsq_fast - nsq_ref).abs() <= tol, "n={n}");
+        }
+    }
+
+    #[test]
+    fn jacobi_step_fast_is_bitwise_the_materialized_update_and_dot_fast() {
+        for n in [0usize, 1, 3, 4, 15, 16, 17, 20, 63, 130] {
+            let (c, tx) = (seq(n, 0.37, 2.5), seq(n, -0.21, 1.0));
+            let (x, d) = (seq(n, 0.5, 2.0), seq(n, 0.3, -1.5));
+            let mut x_new = vec![f64::NAN; n];
+            let got = jacobi_step_fast(&c, &tx, &x, &d, &mut x_new);
+            // The unfused sequence: two axpys with alpha = -1, a hadamard.
+            let alpha = -1.0;
+            let want_x: Vec<f64> = c.iter().zip(&tx).map(|(c, t)| c + alpha * t).collect();
+            let r: Vec<f64> = (0..n).map(|i| d[i] * (want_x[i] + alpha * x[i])).collect();
+            assert_eq!(x_new, want_x, "n={n}");
+            assert_eq!(got.to_bits(), dot_fast(&r, &r).to_bits(), "n={n}");
         }
     }
 

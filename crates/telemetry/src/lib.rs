@@ -477,14 +477,19 @@ pub enum Counter {
     /// generic CSR walk ran): BiCG's `Aᵀ`, or a derived operand without
     /// its memoised plan.
     PlanlessSpmvs,
-    /// Derived-operand (Jacobi `T`) SpMV plans compiled, one per pattern
-    /// the first time a solver derives an operand from it.
+    /// Derived-operand (Jacobi `T`) memos built — pattern split and SpMV
+    /// plan together — one per pattern the first time a solver derives an
+    /// operand from it.
     DerivedPlansBuilt,
+    /// Derived operands built from scratch although a memo was installed:
+    /// the pattern has no full diagonal (nothing is kept for it), or the
+    /// memoised split did not fit the matrix it was handed.
+    DerivedSplitRebuilds,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 37;
+    pub const COUNT: usize = 38;
 
     /// Every counter, in `repr` order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -525,6 +530,7 @@ impl Counter {
         Counter::SorSweeps,
         Counter::PlanlessSpmvs,
         Counter::DerivedPlansBuilt,
+        Counter::DerivedSplitRebuilds,
     ];
 
     /// The counter's index into a `[u64; Counter::COUNT]` snapshot.
@@ -572,6 +578,7 @@ impl Counter {
             Counter::SorSweeps => "acamar_sor_sweeps_total",
             Counter::PlanlessSpmvs => "acamar_planless_spmvs_total",
             Counter::DerivedPlansBuilt => "acamar_derived_plans_built_total",
+            Counter::DerivedSplitRebuilds => "acamar_derived_split_rebuilds_total",
         }
     }
 
@@ -616,7 +623,12 @@ impl Counter {
             Counter::PlanlessSpmvs => {
                 "SpMV calls that found no compiled plan bound to their operand"
             }
-            Counter::DerivedPlansBuilt => "Derived-operand SpMV plans compiled (once per pattern)",
+            Counter::DerivedPlansBuilt => {
+                "Derived-operand memos (pattern split + SpMV plan) built, once per pattern"
+            }
+            Counter::DerivedSplitRebuilds => {
+                "Derived operands rebuilt from scratch past a memo that did not fit"
+            }
         }
     }
 }

@@ -607,9 +607,10 @@ struct Observed {
     /// Normalized events, printed: a diverging run's residual samples
     /// are NaN, which no `PartialEq` equates.
     telemetry: Vec<String>,
-    /// Every counter but the two that say which *host* kernel ran an SpMV
-    /// (`PlanlessSpmvs`, `DerivedPlansBuilt`): the reference walks its
-    /// derived operand without a plan by construction.
+    /// Every counter but the three that say which *host* path built or
+    /// multiplied an operand (`PlanlessSpmvs`, `DerivedPlansBuilt`,
+    /// `DerivedSplitRebuilds`): the reference builds its derived operand
+    /// without a memo and walks it without a plan by construction.
     counters: Vec<u64>,
 }
 
@@ -639,7 +640,14 @@ fn observe(
             .collect(),
         counters: Counter::ALL
             .iter()
-            .filter(|c| !matches!(c, Counter::PlanlessSpmvs | Counter::DerivedPlansBuilt))
+            .filter(|c| {
+                !matches!(
+                    c,
+                    Counter::PlanlessSpmvs
+                        | Counter::DerivedPlansBuilt
+                        | Counter::DerivedSplitRebuilds
+                )
+            })
             .map(|c| ring.counters()[c.index()])
             .collect(),
     }

@@ -1,20 +1,23 @@
-//! The derived-operand plan memo and the cross-tier artifact sharing,
-//! through the engine.
+//! The derived-operand memo and the cross-tier artifact sharing, through
+//! the engine.
 //!
-//! Jacobi multiplies by `T = D⁻¹(L + U)`, never by `A`. Its plan lives in
-//! a pattern-only memo beside `A`'s (`AnalysisArtifacts::derived`): empty
-//! after analysis, filled by the first Jacobi attempt on the pattern from
-//! the `T` it built, replayed by every later one. Whether a solve found
-//! the memo full or empty must not show in a byte of its answer or a
-//! cycle of its charges — and whether any SpMV ran without a plan must be
-//! answerable from the telemetry counters, not from a bench run.
+//! Jacobi multiplies by `T = D⁻¹(L + U)`, never by `A`. Everything about
+//! `T` but its values — its index arrays, each row's diagonal slot, its
+//! compiled plan — lives in a pattern-only memo beside `A`'s plan
+//! (`AnalysisArtifacts::derived`): empty after analysis, built by the
+//! first Jacobi attempt on the pattern, and only *filled from* by every
+//! later one. Whether a solve found the memo full or empty, or found one
+//! that does not fit its matrix, must not show in a byte of its answer or
+//! a cycle of its charges — and whether any SpMV ran without a plan, or
+//! any operand was built past its memo, must be answerable from the
+//! telemetry counters, not from a bench run.
 
 use acamar::core::{Acamar, AcamarConfig, RunOptions};
 use acamar::engine::{Engine, PatternFingerprint, SequenceConfig, SequenceJob, SolveJob};
 use acamar::fabric::FabricSpec;
-use acamar::solvers::{jacobi, SoftwareKernels, SolverKind};
+use acamar::solvers::{jacobi, DerivedPlan, SoftwareKernels, SolverKind};
 use acamar::sparse::generate::{self, RowDistribution};
-use acamar::sparse::{CsrMatrix, DeterminismPolicy};
+use acamar::sparse::{BandHint, CsrMatrix, DeterminismPolicy};
 use acamar::telemetry::{Counter, RingRecorder, TelemetrySink};
 use std::sync::Arc;
 
@@ -81,11 +84,19 @@ fn workers_racing_on_a_cold_pattern_build_the_memo_once() {
     let counters = ring.counters();
     assert_eq!(counters[Counter::CacheMisses.index()], 1);
     assert_eq!(counters[Counter::DerivedPlansBuilt.index()], 1);
+    assert_eq!(counters[Counter::DerivedSplitRebuilds.index()], 0);
     assert_eq!(counters[Counter::PlanlessSpmvs.index()], 0);
+    // Split and plan went in together, for T's pattern.
+    let memo = engine.cache().get_or_analyze(engine.acamar(), &*a);
+    let split = memo.derived.split().expect("built with the plan");
+    assert!(split.has_full_diagonal());
+    assert_eq!(split.pattern().nnz(), a.nnz() - 900);
+    assert_eq!(memo.derived.get().unwrap().nnz(), split.pattern().nnz());
     // Warm: nothing more is built, and still no SpMV walks without a plan.
     engine.solve_jobs(jobs(8));
     let counters = ring.counters();
     assert_eq!(counters[Counter::DerivedPlansBuilt.index()], 1);
+    assert_eq!(counters[Counter::DerivedSplitRebuilds.index()], 0);
     assert_eq!(counters[Counter::PlanlessSpmvs.index()], 0);
     // A second pattern is a second memo.
     engine.solve_one(&dominant(900, 6), &rhs(900)).unwrap();
@@ -164,9 +175,11 @@ fn a_sequence_keeps_the_memo_on_a_retile_and_resets_it_on_a_pattern_delta() {
     engine.solve_one(&a0, &b).unwrap();
     let analyzed = engine.cache().get_or_analyze(engine.acamar(), &*a0);
     let t_plan = Arc::clone(analyzed.derived.get().expect("filled by the solve"));
+    let t_arrays = |memo: &DerivedPlan| memo.split().unwrap().pattern().col_idx().as_ptr();
 
-    // Opening a sequence re-tiles A's plan at patch granularity; T's plan
-    // hangs off the MSID hints and the unchanged pattern, so it is kept.
+    // Opening a sequence re-tiles A's plan at patch granularity; T's split
+    // and plan hang off the MSID hints and the unchanged pattern, so both
+    // are kept.
     let mut seq = engine
         .open_sequence(Arc::clone(&a0), SequenceConfig::default())
         .unwrap();
@@ -177,9 +190,13 @@ fn a_sequence_keeps_the_memo_on_a_retile_and_resets_it_on_a_pattern_delta() {
         .unwrap();
     assert!(step.report.converged());
     assert!(Arc::ptr_eq(seq.artifacts().derived.get().unwrap(), &t_plan));
+    assert_eq!(
+        t_arrays(&seq.artifacts().derived),
+        t_arrays(&analyzed.derived)
+    );
 
     // A pattern delta patches A's plan and starts T's memo over: the step's
-    // own Jacobi attempt refills it from the new T.
+    // own Jacobi attempt rebuilds split and plan from the new pattern.
     let a1 = Arc::new(drop_an_off_diagonal(&a0, &[7, 300]));
     let step = seq.step(SequenceJob::new(Arc::clone(&a1), b)).unwrap();
     assert!(step.report.converged());
@@ -189,12 +206,19 @@ fn a_sequence_keeps_the_memo_on_a_retile_and_resets_it_on_a_pattern_delta() {
     ));
     let patched = Arc::clone(&seq.artifacts().derived);
     assert!(!Arc::ptr_eq(&patched, &analyzed.derived));
-    let t1 = patched.get().expect("refilled by the step");
+    let t1 = patched.get().expect("rebuilt by the step");
     assert_eq!(t1.nnz(), a1.nnz() - 800);
     let (mut diag, mut inv) = (vec![0.0; 800], vec![0.0; 800]);
-    assert!(t1.verify_pattern(&a1.split_jacobi(&mut diag, &mut inv).unwrap()));
+    let t_of_a1 = a1.split_jacobi(&mut diag, &mut inv).unwrap();
+    assert!(t1.verify_pattern(&t_of_a1));
+    assert_eq!(patched.split().unwrap().pattern(), t_of_a1.pattern());
+    assert_ne!(t_arrays(&patched), t_arrays(&analyzed.derived));
     // The old pattern's memo is untouched.
     assert!(Arc::ptr_eq(analyzed.derived.get().unwrap(), &t_plan));
+    assert_eq!(
+        analyzed.derived.split().unwrap().pattern().nnz(),
+        a0.nnz() - 800
+    );
 }
 
 #[test]
@@ -252,4 +276,115 @@ fn a_fast_request_after_a_deterministic_one_misses_but_shares_the_artifacts() {
     assert!(engine.cache().contains_policy(&fp, DeterminismPolicy::Fast));
     let again = solve(&a, DeterminismPolicy::Fast);
     assert_eq!((again.hits, again.misses), (1, 0));
+}
+
+/// `a` with row `row`'s first off-diagonal entry left of the diagonal moved
+/// to the first free column right of it: same shape, same entry count,
+/// same row lengths — and a diagonal one slot further left.
+fn shift_an_entry_across_the_diagonal(a: &CsrMatrix<f64>, row: usize) -> CsrMatrix<f64> {
+    let (mut cols, mut vals) = (a.col_idx().to_vec(), a.values().to_vec());
+    let (lo, hi) = (a.row_ptr()[row], a.row_ptr()[row + 1]);
+    assert!(cols[lo] < row, "row {row} has nothing left of its diagonal");
+    let free = (row + 1..a.ncols())
+        .find(|c| !cols[lo..hi].contains(c))
+        .expect("a free column right of the diagonal");
+    let mut entries: Vec<(usize, f64)> = cols[lo + 1..hi]
+        .iter()
+        .copied()
+        .zip(vals[lo + 1..hi].iter().copied())
+        .chain([(free, vals[lo])])
+        .collect();
+    entries.sort_by_key(|&(c, _)| c);
+    for (k, (c, v)) in entries.into_iter().enumerate() {
+        (cols[lo + k], vals[lo + k]) = (c, v);
+    }
+    CsrMatrix::try_from_parts(a.nrows(), a.ncols(), a.row_ptr().to_vec(), cols, vals).unwrap()
+}
+
+#[test]
+fn a_memo_that_does_not_fit_its_matrix_is_bypassed_and_counted() {
+    let n = 400;
+    let p = dominant(n, 17);
+    let row = (0..n)
+        .find(|&i| p.row(i).0[0] < i && p.row_nnz(i) >= 3)
+        .unwrap();
+    let q = shift_an_entry_across_the_diagonal(&p, row);
+    assert_eq!((q.nrows(), q.nnz()), (p.nrows(), p.nnz()));
+    assert_eq!(q.row_ptr(), p.row_ptr());
+    let b = rhs(n);
+    let criteria = acamar().config().criteria;
+    let hints = vec![BandHint {
+        rows: 0..n,
+        unroll: 8,
+    }];
+
+    // P's memo, built by a solve on P.
+    let memo = Arc::new(DerivedPlan::new(hints));
+    let ring = Arc::new(RingRecorder::new(64));
+    let mut with_memo = SoftwareKernels::new()
+        .with_derived_plan(Arc::clone(&memo))
+        .with_telemetry(TelemetrySink::new(Arc::clone(&ring) as Arc<_>));
+    let on_p = jacobi(&p, &b, None, &criteria, &mut with_memo).unwrap();
+    assert!(on_p.converged());
+    let split_of_p = memo.split().expect("built on P").clone();
+    assert_eq!(
+        ring.counters()[Counter::DerivedSplitRebuilds.index()],
+        0,
+        "P fits its own memo"
+    );
+
+    // Q through P's memo: the slot check refuses it in row `row`, T is
+    // built as if there were no memo, and the answer is the memo-less one.
+    let stale = jacobi(&q, &b, None, &criteria, &mut with_memo).unwrap();
+    let plain = jacobi(&q, &b, None, &criteria, &mut SoftwareKernels::new()).unwrap();
+    assert!(plain.converged());
+    assert_eq!(bits(&stale.solution), bits(&plain.solution));
+    assert_eq!(stale.residual_history, plain.residual_history);
+    assert_eq!(stale.counts, plain.counts);
+    assert_ne!(bits(&stale.solution), bits(&on_p.solution));
+    let counters = ring.counters();
+    assert_eq!(counters[Counter::DerivedSplitRebuilds.index()], 1);
+    assert_eq!(counters[Counter::DerivedPlansBuilt.index()], 1);
+    // The rebuilt T ran without P's plan, and P's memo is as it was.
+    assert_eq!(
+        counters[Counter::PlanlessSpmvs.index()],
+        stale.iterations as u64
+    );
+    assert_eq!(memo.split(), Some(&split_of_p));
+
+    // A pattern with a hole in its diagonal memoises nothing: every solve
+    // on it rebuilds, breaks down, and is counted.
+    let holed = drop_the_diagonal(&p, row);
+    let memo = Arc::new(DerivedPlan::new(vec![BandHint {
+        rows: 0..n,
+        unroll: 8,
+    }]));
+    let mut k = SoftwareKernels::new()
+        .with_derived_plan(Arc::clone(&memo))
+        .with_telemetry(TelemetrySink::new(Arc::clone(&ring) as Arc<_>));
+    for solves in 1..=2 {
+        let report = jacobi(&holed, &b, None, &criteria, &mut k).unwrap();
+        assert!(!report.converged());
+        assert!(memo.split().is_none() && memo.get().is_none());
+        assert_eq!(
+            ring.counters()[Counter::DerivedSplitRebuilds.index()],
+            1 + solves
+        );
+    }
+    assert_eq!(ring.counters()[Counter::DerivedPlansBuilt.index()], 1);
+}
+
+/// `a` without row `row`'s diagonal entry.
+fn drop_the_diagonal(a: &CsrMatrix<f64>, row: usize) -> CsrMatrix<f64> {
+    let (mut row_ptr, mut cols, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+    for (i, rc, rv) in a.iter_rows() {
+        for (&c, &v) in rc.iter().zip(rv) {
+            if (i, c) != (row, row) {
+                cols.push(c);
+                vals.push(v);
+            }
+        }
+        row_ptr.push(cols.len());
+    }
+    CsrMatrix::try_from_parts(a.nrows(), a.ncols(), row_ptr, cols, vals).unwrap()
 }

@@ -1,18 +1,20 @@
 //! A warm Jacobi set-up allocates a fixed, small number of times.
 //!
-//! Jacobi is the one solver that builds a second matrix per solve
-//! (`T = D⁻¹(L + U)`). Built through `CooMatrix` that was a dozen
-//! allocations, several of them growing with the row lengths; built by
-//! `CsrMatrix::split_jacobi` it is the operand's three arrays (the
-//! diagonal and its inverse land in pooled buffers in the same sweep). The
-//! count below is the whole solve's — with a warm buffer pool and a
-//! one-iteration budget, set-up is all that is left — and it must not
-//! depend on the matrix.
+//! Jacobi is the one solver that multiplies by a second matrix
+//! (`T = D⁻¹(L + U)`). With the pattern's `DerivedPlan` memo installed —
+//! what production runs — everything about `T` but its values is cached
+//! and the values land in the workspace's operand slot, so a warm solve
+//! allocates for nothing but what escapes it. Without a memo the split is
+//! rebuilt per solve: five allocations more. The counts below are the
+//! whole solve's — with a warm buffer pool and a one-iteration budget,
+//! set-up is all that is left — and they must not depend on the matrix.
 
-use acamar::solvers::{jacobi, ConvergenceCriteria, SoftwareKernels, WorkspaceHandle};
+use acamar::solvers::{jacobi, ConvergenceCriteria, DerivedPlan, SoftwareKernels, WorkspaceHandle};
 use acamar::sparse::generate::{self, RowDistribution};
+use acamar::sparse::BandHint;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// Counts the calling thread's heap allocations, so the libtest harness
 /// and any other test thread stay out of the measurement.
@@ -59,12 +61,20 @@ fn allocations() -> u64 {
 
 /// Allocations of the third one-iteration Jacobi solve on a strictly
 /// dominant system of `n` rows: two warm-ups settle the buffer pool (the
-/// first fills it, the second replaces the escaped solution buffer).
-fn warm_setup_allocations(n: usize, rows: RowDistribution) -> u64 {
+/// first fills it — and the memo, if there is one — the second replaces
+/// the escaped solution buffer).
+fn warm_setup_allocations(n: usize, rows: RowDistribution, memoised: bool) -> u64 {
     let a = generate::diagonally_dominant::<f64>(n, rows, 1.5, 7);
     let b = vec![1.0; n];
     let criteria = ConvergenceCriteria::paper().with_max_iterations(1);
     let mut kernels = SoftwareKernels::new().with_workspace(WorkspaceHandle::new());
+    if memoised {
+        let hints = vec![BandHint {
+            rows: 0..n,
+            unroll: 8,
+        }];
+        kernels = kernels.with_derived_plan(Arc::new(DerivedPlan::new(hints)));
+    }
     for _ in 0..2 {
         jacobi(&a, &b, None, &criteria, &mut kernels).expect("square system");
     }
@@ -77,12 +87,15 @@ fn warm_setup_allocations(n: usize, rows: RowDistribution) -> u64 {
 
 #[test]
 fn a_warm_jacobi_set_up_allocates_a_fixed_small_number_of_times() {
-    // The operand's row_ptr / col_idx / values, the pooled buffer that
-    // replaces the solution the previous solve kept, and the one-entry
-    // residual history.
-    const EXPECTED: u64 = 5;
-    let small = warm_setup_allocations(300, RowDistribution::Uniform { min: 2, max: 6 });
-    let large = warm_setup_allocations(3000, RowDistribution::Uniform { min: 1, max: 40 });
-    assert_eq!(small, large, "set-up allocations depend on the matrix");
-    assert_eq!(small, EXPECTED);
+    let small = RowDistribution::Uniform { min: 2, max: 6 };
+    let large = RowDistribution::Uniform { min: 1, max: 40 };
+    // Memoised: the pooled buffer that replaces the solution the previous
+    // solve kept, and the one-entry residual history.
+    assert_eq!(warm_setup_allocations(300, small, true), 2);
+    assert_eq!(warm_setup_allocations(3000, large, true), 2);
+    // No memo: the split's row_ptr / col_idx / diagonal slots and the two
+    // shared arrays made from the first two, on top of those two. `T`'s
+    // values are pooled either way.
+    assert_eq!(warm_setup_allocations(300, small, false), 7);
+    assert_eq!(warm_setup_allocations(3000, large, false), 7);
 }

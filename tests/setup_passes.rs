@@ -4,15 +4,19 @@
 //! one sweep; it must be bit for bit the matrix the `CooMatrix` round
 //! trip built. `CsrMatrix::split_jacobi` reads the diagonal and inverts it
 //! in that same sweep; it must return what `diagonal()`, a division and
-//! `off_diagonal_scaled` returned one after the other. `analysis::analyze` reads the matrix in one row sweep plus
+//! `off_diagonal_scaled` returned one after the other. Both are a
+//! `JacobiSplit` built and filled on the spot; a split kept and refilled —
+//! what a warm request does — must write those same bytes into whatever
+//! buffer it is handed, for every matrix of the pattern, in either
+//! precision. `analysis::analyze` reads the matrix in one row sweep plus
 //! one CSR→CSC conversion; it must report what the five-sweep version
-//! reported. Both references are restated here from the public API, so
+//! reported. The references are restated here from the public API, so
 //! they share no code with the passes they check.
 
 use acamar::datasets::{laplacian_suite, suite};
 use acamar::sparse::analysis::{self, Definiteness, StructureReport};
 use acamar::sparse::rng::DetRng;
-use acamar::sparse::{CooMatrix, CscMatrix, CsrMatrix, Scalar};
+use acamar::sparse::{CooMatrix, CscMatrix, CsrMatrix, JacobiSplit, Scalar};
 
 /// Sixty-four seeded square patterns that mix, row by row, what the
 /// generators never produce together: empty rows, diagonal-only rows,
@@ -173,6 +177,66 @@ fn split_jacobi_is_bitwise_the_three_separate_passes() {
     let mut full = vec![0.0; a.nrows()];
     assert!(a.split_jacobi(&mut short, &mut full).is_err());
     assert!(a.split_jacobi(&mut full, &mut short).is_err());
+}
+
+#[test]
+fn a_kept_split_refills_every_matrix_of_its_pattern_bitwise() {
+    /// Fills `a` from `split` into a stale buffer of the wrong length and
+    /// holds `T`, the diagonal and its inverse to the separate passes.
+    fn check<T: Scalar>(
+        split: &JacobiSplit,
+        a: &CsrMatrix<T>,
+        recycled: Vec<T>,
+        what: &str,
+    ) -> Vec<T> {
+        let n = a.nrows();
+        let (mut diag, mut inv) = (vec![T::from_f64(7.0); n], vec![T::from_f64(7.0); n]);
+        let t = split
+            .fill(a, recycled, &mut diag, &mut inv)
+            .unwrap_or_else(|_| panic!("{what}: a split fits its own pattern"));
+        let want_diag: Vec<T> = (0..n).map(|i| a.get(i, i)).collect();
+        let want_inv: Vec<T> = want_diag.iter().map(|&d| T::ONE / d).collect();
+        let bits = |v: &[T]| -> Vec<u64> { v.iter().map(|x| x.to_f64().to_bits()).collect() };
+        assert_eq!(bits(&diag), bits(&want_diag), "{what}: diagonal");
+        assert_eq!(bits(&inv), bits(&want_inv), "{what}: inverse diagonal");
+        assert_bitwise_equal(&t, &coo_route(a, &want_inv), what);
+        // T reads the split's index arrays, not copies and not A's.
+        assert_eq!(t.row_ptr().as_ptr(), split.pattern().row_ptr().as_ptr());
+        assert_eq!(t.col_idx().as_ptr(), split.pattern().col_idx().as_ptr());
+        assert_ne!(t.row_ptr().as_ptr(), a.row_ptr().as_ptr());
+        t.into_values()
+    }
+    let (mut full, mut partial) = (0, 0);
+    for (k, a) in square_pool().iter().enumerate() {
+        let split = JacobiSplit::of(a);
+        let stored = (0..a.nrows()).all(|i| a.row(i).0.contains(&i));
+        assert_eq!(split.has_full_diagonal(), stored, "matrix {k}");
+        full += usize::from(stored);
+        partial += usize::from(!stored);
+        // The pattern's first matrix, a second with other values through
+        // the buffer the first one left, and both again in f32 — one split.
+        let other = a.map_values(|v| 0.75 * v - 0.125);
+        let buffer = check(&split, a, vec![f64::NAN; 3], &format!("matrix {k}"));
+        let buffer = check(&split, &other, buffer, &format!("matrix {k}, other values"));
+        assert_eq!(buffer.len(), split.pattern().nnz());
+        let buffer = check(
+            &split,
+            &a.cast::<f32>(),
+            vec![f32::NAN; a.nnz() + 5],
+            &format!("matrix {k}, f32"),
+        );
+        check(
+            &split,
+            &other.cast::<f32>(),
+            buffer,
+            &format!("matrix {k}, other f32"),
+        );
+    }
+    // Both kinds of pattern are in the pool.
+    assert!(
+        full >= 33 && partial >= 16,
+        "{full} full, {partial} partial"
+    );
 }
 
 #[test]
