@@ -13,7 +13,7 @@ use acamar_solvers::{
 use acamar_sparse::{
     CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar, SparseError,
 };
-use acamar_telemetry::{EventKind, TelemetrySink};
+use acamar_telemetry::TelemetrySink;
 use std::sync::Arc;
 
 /// The cacheable product of Acamar's two host-side decision loops: the
@@ -467,7 +467,6 @@ impl Acamar {
         if let Some(ws) = opts.workspace {
             hw = hw.with_workspace(ws);
         }
-        let telemetry = opts.telemetry.clone();
         if opts.telemetry.enabled() {
             hw = hw.with_telemetry(opts.telemetry);
         }
@@ -492,13 +491,11 @@ impl Acamar {
                 // Forced PCG replays the cached triangular plans when the
                 // analysis built them (symmetric pattern): IC(0)'s factor
                 // shares tril(A)'s pattern, so the level schedules are
-                // interchangeable. Without plans (or on an indefinite
-                // pivot) the solver degrades to Jacobi preconditioning.
+                // interchangeable. Without them the solver compiles its
+                // own from the factor; only a factorization that breaks
+                // down degrades to Jacobi preconditioning, and the solver
+                // reports which of the two ran (`PreconditionerSelected`).
                 let plans = artifacts.sptrsv.as_deref().map(|(l, u)| (l, u));
-                telemetry.emit(EventKind::PreconditionerSelected {
-                    ic0: plans.is_some(),
-                    levels: plans.map_or(0, |(l, _)| l.level_count() as u32),
-                });
                 ic0_preconditioned_cg(a, b, x0, &criteria, &mut hw, plans)?
             } else {
                 solve_with(kind, a, b, x0, &criteria, &mut hw)?
@@ -787,6 +784,64 @@ mod tests {
             "IC(0)-PCG {} vs CG {}",
             rep.solve.iterations,
             cg.solve.iterations
+        );
+    }
+
+    /// The `(ic0, levels)` of the one `PreconditionerSelected` event a
+    /// forced PCG run on `artifacts` emits.
+    fn forced_pcg_preconditioner(a: &CsrMatrix<f64>, artifacts: &AnalysisArtifacts) -> (bool, u32) {
+        use acamar_telemetry::{EventKind, RingRecorder};
+        let ring = Arc::new(RingRecorder::new(1 << 12));
+        let opts = RunOptions {
+            solver: Some(SolverKind::PreconditionedCg),
+            telemetry: TelemetrySink::new(Arc::clone(&ring) as Arc<_>),
+            ..RunOptions::default()
+        };
+        let b = vec![1.0_f64; a.nrows()];
+        acamar()
+            .run_with_plan_opts(a, &b, None, artifacts, opts)
+            .unwrap();
+        let selected: Vec<(bool, u32)> = ring
+            .drain()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::PreconditionerSelected { ic0, levels } => Some((ic0, levels)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(selected.len(), 1, "one event per forced PCG run");
+        selected[0]
+    }
+
+    #[test]
+    fn preconditioner_selected_reports_what_ran_not_what_was_cached() {
+        // SPD with cached plans: IC(0) on the cached level schedule.
+        let spd = generate::poisson2d::<f64>(12, 9);
+        let artifacts = acamar().analyze(&spd);
+        let cached_levels = artifacts.sptrsv.as_ref().unwrap().0.level_count() as u32;
+        assert_eq!(cached_levels, 12 + 9 - 1);
+        assert_eq!(
+            forced_pcg_preconditioner(&spd, &artifacts),
+            (true, cached_levels)
+        );
+
+        // Symmetric indefinite: the plans are cached all the same, the
+        // factor breaks down at the first pivot, Jacobi scaling runs.
+        let indefinite = spd.scale(-1.0);
+        let artifacts = acamar().analyze(&indefinite);
+        assert!(artifacts.sptrsv.is_some());
+        assert_eq!(
+            forced_pcg_preconditioner(&indefinite, &artifacts),
+            (false, 0)
+        );
+
+        // No cached pair (what a pattern delta leaves behind), yet the
+        // lower triangle factors: IC(0) runs on plans compiled from it.
+        let mut bare = acamar().analyze(&spd);
+        bare.sptrsv = None;
+        assert_eq!(
+            forced_pcg_preconditioner(&spd, &bare),
+            (true, cached_levels)
         );
     }
 

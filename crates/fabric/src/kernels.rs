@@ -15,8 +15,12 @@ use crate::spec::{FabricSpec, ResourceVector};
 use crate::spmv::SpmvExecution;
 use crate::trace::{ExecutionTrace, TraceEvent};
 use acamar_faultline::{FaultContext, FaultInjector};
-use acamar_solvers::{DerivedPlan, Kernels, OpCounts, Phase, SoftwareKernels, WorkspaceHandle};
-use acamar_sparse::{BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar};
+use acamar_solvers::{
+    DerivedPlan, Ic0, Kernels, OpCounts, Phase, SoftwareKernels, WorkspaceHandle,
+};
+use acamar_sparse::{
+    BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar, SparseError,
+};
 use acamar_telemetry::{Counter, EventKind, TelemetrySink};
 use std::ops::Range;
 use std::sync::Arc;
@@ -907,6 +911,20 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
 
     fn release_operand(&mut self, t: CsrMatrix<T>) {
         self.inner.release_operand(t);
+    }
+
+    fn ic0_factors(&mut self, a: &CsrMatrix<T>) -> Result<Ic0<T>, SparseError> {
+        // Factoring is host set-up too: the fabric is charged for the
+        // substitutions, through the plans' triangles and levels.
+        self.inner.ic0_factors(a)
+    }
+
+    fn release_ic0_factors(&mut self, factors: Ic0<T>) {
+        self.inner.release_ic0_factors(factors);
+    }
+
+    fn observe_preconditioner(&mut self, ic0: bool, levels: usize) {
+        Kernels::<T>::observe_preconditioner(&mut self.inner, ic0, levels);
     }
 
     fn jacobi_step(&mut self, c: &[T], tx: &[T], x: &[T], diag: &[T], x_new: &mut [T]) -> T {

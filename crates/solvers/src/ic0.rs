@@ -9,9 +9,16 @@
 //! [`CompiledSptrsv`] substitution through the [`Kernels`] executor —
 //! including the fabric twin, which prices the plan's level schedule in
 //! its cycle model and carries the fault seam.
+//!
+//! Everything about the factors but their values is a function of `A`'s
+//! pattern and lives in an [`Ic0Schedule`]; this type is the values half,
+//! two buffers wrapped with the schedule's patterns. Executors keep the
+//! schedule in the pattern's memo and the buffers in their workspace
+//! ([`Kernels::ic0_factors`]), so a warm factorization writes values and
+//! nothing else.
 
 use crate::kernels::Kernels;
-use acamar_sparse::{CompiledSptrsv, CsrMatrix, Scalar, SparseError};
+use acamar_sparse::{CompiledSptrsv, CsrMatrix, Ic0Refusal, Ic0Schedule, Scalar, SparseError};
 
 /// An IC(0) factorization `A ≈ L Lᵀ` on the lower-triangle pattern of `A`.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,7 +29,9 @@ pub struct Ic0<T> {
 
 impl<T: Scalar> Ic0<T> {
     /// Factors the lower triangle of `a` (upper entries are ignored, so
-    /// symmetric matrices need no pre-extraction).
+    /// symmetric matrices need no pre-extraction): builds the pattern's
+    /// [`Ic0Schedule`] and replays it once. Callers that factor a pattern
+    /// repeatedly keep the schedule and call [`Ic0::replay`].
     ///
     /// # Errors
     ///
@@ -32,72 +41,63 @@ impl<T: Scalar> Ic0<T> {
     /// incomplete Cholesky factorization does not exist (the classic
     /// breakdown callers handle by falling back to Jacobi scaling).
     pub fn factor(a: &CsrMatrix<T>) -> Result<Self, SparseError> {
-        if a.nrows() != a.ncols() {
-            return Err(SparseError::NotSquare {
-                nrows: a.nrows(),
-                ncols: a.ncols(),
-            });
+        Self::factor_into(a, Vec::new(), Vec::new()).map_err(|(e, _)| e)
+    }
+
+    /// [`Ic0::factor`] into the two value buffers given, which come back
+    /// with the error when there is no factor.
+    pub(crate) fn factor_into(
+        a: &CsrMatrix<T>,
+        lower: Vec<T>,
+        upper: Vec<T>,
+    ) -> Result<Self, (SparseError, [Vec<T>; 2])> {
+        let schedule = match Ic0Schedule::of(a) {
+            Ok(schedule) => schedule,
+            Err(e) => return Err((e, [lower, upper])),
+        };
+        Self::replay(&schedule, a, lower, upper).map_err(Self::breakdown)
+    }
+
+    /// A replay's refusal as [`Ic0::factor`] reports it, for callers that
+    /// have ruled a stale schedule out.
+    pub(crate) fn breakdown<B>((refusal, buffers): (Ic0Refusal, B)) -> (SparseError, B) {
+        match refusal {
+            Ic0Refusal::Breakdown { row } => (SparseError::ZeroDiagonal { row }, buffers),
+            Ic0Refusal::Stale => unreachable!("the schedule was built for this matrix"),
         }
-        let n = a.nrows();
-        // Extract tril(a) including the diagonal into fresh CSR arrays.
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        let mut diag_pos = vec![usize::MAX; n];
-        row_ptr.push(0usize);
-        for (i, dp) in diag_pos.iter_mut().enumerate() {
-            let (rcols, rvals) = a.row(i);
-            for (&c, &v) in rcols.iter().zip(rvals) {
-                if c > i {
-                    continue;
-                }
-                if c == i {
-                    *dp = cols.len();
-                }
-                cols.push(c);
-                vals.push(v);
-            }
-            if *dp == usize::MAX {
-                return Err(SparseError::ZeroDiagonal { row: i });
-            }
-            row_ptr.push(cols.len());
+    }
+
+    /// The per-matrix half of a factorization: `a`'s values along
+    /// `schedule` into the two value buffers (resized to fit; what they
+    /// held is overwritten), wrapped with the schedule's shared patterns.
+    /// Bitwise [`Ic0::factor`].
+    ///
+    /// # Errors
+    ///
+    /// Hands the buffers back with the [`Ic0Refusal`]: `a` is not of the
+    /// schedule's pattern, or a pivot is not positive.
+    pub fn replay(
+        schedule: &Ic0Schedule,
+        a: &CsrMatrix<T>,
+        mut lower: Vec<T>,
+        mut upper: Vec<T>,
+    ) -> Result<Self, (Ic0Refusal, [Vec<T>; 2])> {
+        if let Err(refusal) = schedule.fill(a, &mut lower, &mut upper) {
+            return Err((refusal, [lower, upper]));
         }
-        // Left-looking IC(0): for each in-pattern entry (i, j), j <= i,
-        //   l_ij = (a_ij - Σ_k l_ik l_jk) / l_jj          for j < i
-        //   l_ii = sqrt(a_ii - Σ_k l_ik²)
-        // with the correction sum running over the common pattern k < j.
-        for i in 0..n {
-            for idx in row_ptr[i]..row_ptr[i + 1] {
-                let j = cols[idx];
-                // Two-pointer merge of rows i and j over columns < j.
-                let mut s = vals[idx];
-                let mut pi = row_ptr[i];
-                let mut pj = row_ptr[j];
-                let i_end = row_ptr[i + 1];
-                let j_end = row_ptr[j + 1];
-                while pi < i_end && pj < j_end && cols[pi] < j && cols[pj] < j {
-                    match cols[pi].cmp(&cols[pj]) {
-                        std::cmp::Ordering::Less => pi += 1,
-                        std::cmp::Ordering::Greater => pj += 1,
-                        std::cmp::Ordering::Equal => {
-                            s -= vals[pi] * vals[pj];
-                            pi += 1;
-                            pj += 1;
-                        }
-                    }
-                }
-                if j < i {
-                    vals[idx] = s / vals[diag_pos[j]];
-                } else if s.to_f64() > 0.0 {
-                    vals[idx] = s.sqrt();
-                } else {
-                    return Err(SparseError::ZeroDiagonal { row: i });
-                }
-            }
-        }
-        let l = CsrMatrix::try_from_parts(n, n, row_ptr, cols, vals)?;
-        let lt = l.transpose();
-        Ok(Ic0 { l, lt })
+        let wrap = |pattern: &acamar_sparse::CsrPattern, values| {
+            CsrMatrix::from_pattern(pattern.clone(), values)
+                .expect("fill sizes the values to the schedule's patterns")
+        };
+        Ok(Ic0 {
+            l: wrap(schedule.lower(), lower),
+            lt: wrap(schedule.upper(), upper),
+        })
+    }
+
+    /// Gives up the factors for their two value buffers (`L`'s, `Lᵀ`'s).
+    pub fn into_values(self) -> [Vec<T>; 2] {
+        [self.l.into_values(), self.lt.into_values()]
     }
 
     /// The lower-triangular factor `L`.

@@ -7,11 +7,13 @@
 //! mirrors the paper's split between the algorithms (Section II-B) and
 //! their hardware execution (Section IV).
 
+use crate::ic0::Ic0;
 use crate::workspace::WorkspaceHandle;
 use acamar_sparse::{
-    simd, BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, JacobiSplit, Scalar,
+    simd, BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Ic0Refusal,
+    Ic0Schedule, JacobiSplit, Scalar, SparseError,
 };
-use acamar_telemetry::{Counter, TelemetrySink};
+use acamar_telemetry::{Counter, EventKind, TelemetrySink};
 use std::sync::{Arc, OnceLock};
 
 /// Execution phase of a solver, reported to the kernel executor.
@@ -110,24 +112,31 @@ impl OperandId {
     }
 }
 
-/// Pattern-only memo of everything about a solver's *derived* operand
-/// that does not depend on values — Jacobi's `T = D⁻¹(L + U)`, whose
-/// pattern is the coefficient matrix's minus the diagonal and so a pure
-/// function of it: the [`JacobiSplit`] (`T`'s index arrays and each row's
-/// diagonal slot) and `T`'s [`CompiledSpmv`].
+/// Pattern-only memo of everything about the operands solvers *derive*
+/// from the coefficient matrix that does not depend on values. Two
+/// halves, filled independently:
+///
+/// * Jacobi's `T = D⁻¹(L + U)`, whose pattern is the coefficient matrix's
+///   minus the diagonal: the [`JacobiSplit`] (`T`'s index arrays and each
+///   row's diagonal slot) and `T`'s [`CompiledSpmv`].
+/// * IC(0)'s factors `L` and `Lᵀ`, whose patterns are the coefficient
+///   matrix's lower triangle and its transpose: the [`Ic0Schedule`].
 ///
 /// The memo carries the coefficient matrix's MSID band hints (`T` has the
 /// same rows) and starts empty: nothing is built for a pattern no solver
 /// derives an operand from. The first attempt that asks for its operand
-/// through [`Kernels::derived_operand`] builds split and plan together —
-/// exactly once, however many workers race on a cold pattern — and every
-/// later attempt on the pattern only fills values.
+/// through [`Kernels::derived_operand`] or [`Kernels::ic0_factors`] builds
+/// that half — exactly once, however many workers race on a cold pattern —
+/// and every later attempt on the pattern only fills values.
 #[derive(Debug)]
 pub struct DerivedPlan {
     hints: Vec<BandHint>,
     /// `Some(None)` records a pattern with a structurally missing
     /// diagonal: Jacobi breaks down on it, so nothing is kept.
     operand: OnceLock<Option<DerivedOperand>>,
+    /// `Some(None)` records a pattern IC(0) cannot be scheduled on (a
+    /// structurally missing diagonal).
+    ic0: OnceLock<Option<Ic0Schedule>>,
 }
 
 #[derive(Debug)]
@@ -144,6 +153,7 @@ impl DerivedPlan {
         DerivedPlan {
             hints,
             operand: OnceLock::new(),
+            ic0: OnceLock::new(),
         }
     }
 
@@ -160,6 +170,11 @@ impl DerivedPlan {
     /// The memoised split, if an attempt has built it.
     pub fn split(&self) -> Option<&JacobiSplit> {
         self.built().map(|o| &o.split)
+    }
+
+    /// The memoised IC(0) schedule, if a preconditioned attempt has built it.
+    pub fn ic0_schedule(&self) -> Option<&Ic0Schedule> {
+        self.ic0.get().and_then(Option::as_ref)
     }
 
     fn built(&self) -> Option<&DerivedOperand> {
@@ -203,6 +218,33 @@ impl DerivedPlan {
         };
         telemetry.counter_add(Counter::DerivedSplitRebuilds, 1);
         (uncached_operand(a, values, diag, inv_diag), None)
+    }
+
+    /// IC(0) of `a` into the two buffers: the schedule is built by the
+    /// first caller on the pattern and replayed by every one. A memo that
+    /// does not fit `a` — a pattern that cannot be scheduled, or a
+    /// schedule whose diagonal slots `a` contradicts — is left alone and
+    /// `a` is factored as if there were none, which is counted.
+    fn ic0_for<T: Scalar>(
+        &self,
+        a: &CsrMatrix<T>,
+        mut lower: Vec<T>,
+        mut upper: Vec<T>,
+        telemetry: &TelemetrySink,
+    ) -> Result<Ic0<T>, (SparseError, [Vec<T>; 2])> {
+        let memo = self.ic0.get_or_init(|| {
+            let schedule = Ic0Schedule::of(a).ok()?;
+            telemetry.counter_add(Counter::Ic0SchedulesBuilt, 1);
+            Some(schedule)
+        });
+        if let Some(schedule) = memo {
+            match Ic0::replay(schedule, a, lower, upper) {
+                Err((Ic0Refusal::Stale, buffers)) => [lower, upper] = buffers,
+                settled => return settled.map_err(Ic0::<T>::breakdown),
+            }
+        }
+        telemetry.counter_add(Counter::Ic0ScheduleRebuilds, 1);
+        Ic0::factor_into(a, lower, upper)
     }
 }
 
@@ -370,6 +412,42 @@ pub trait Kernels<T: Scalar> {
     /// is always correct; it just forfeits the reuse.
     fn release_operand(&mut self, t: CsrMatrix<T>) {
         drop(t);
+    }
+
+    /// Factors `a` by IC(0) for a preconditioned solve — bit for bit
+    /// [`Ic0::factor`]. The factors' patterns and the elimination schedule
+    /// depend only on `a`'s pattern, so executors holding a
+    /// [`DerivedPlan`] memo keep them there and later calls on the pattern
+    /// only write values, into buffers the workspace keeps. The default
+    /// factors from scratch. Hand the factors back through
+    /// [`release_ic0_factors`](Kernels::release_ic0_factors) when done;
+    /// nothing is held when this returns an error. Factoring is host
+    /// set-up: no executor counts or charges it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ic0::factor`]: the factorization does not exist.
+    fn ic0_factors(&mut self, a: &CsrMatrix<T>) -> Result<Ic0<T>, SparseError> {
+        Ic0::factor(a)
+    }
+
+    /// Hands [`ic0_factors`](Kernels::ic0_factors) back so their value
+    /// buffers can serve the next pair. Dropping the factors instead is
+    /// always correct; it just forfeits the reuse.
+    fn release_ic0_factors(&mut self, factors: Ic0<T>) {
+        drop(factors);
+    }
+
+    /// Reports which preconditioner a preconditioned solve applies, once
+    /// it is known: `ic0` is whether the incomplete factorization exists
+    /// (Jacobi scaling otherwise) and `levels` the level count of the
+    /// forward substitution plan in use (0 without one).
+    ///
+    /// Purely observational, like
+    /// [`observe_residual`](Kernels::observe_residual); the default
+    /// discards it.
+    fn observe_preconditioner(&mut self, ic0: bool, levels: usize) {
+        let _ = (ic0, levels);
     }
 
     /// Fused Jacobi update: `x_new = c − tx`, returning
@@ -730,6 +808,43 @@ impl<T: Scalar> Kernels<T> for SoftwareKernels {
         if let Some(ws) = &self.workspace {
             ws.give_operand_values(t.into_values());
         }
+    }
+
+    fn ic0_factors(&mut self, a: &CsrMatrix<T>) -> Result<Ic0<T>, SparseError> {
+        // The triangle's entry count when the pattern is symmetric; `fill`
+        // resizes when it is not.
+        let tri = (a.nnz() + a.nrows()) / 2;
+        let [lower, upper] = match &self.workspace {
+            Some(ws) => [ws.take_operand_values(tri), ws.take_operand_values(tri)],
+            None => [Vec::new(), Vec::new()],
+        };
+        let factored = match &self.derived {
+            Some(memo) => memo.ic0_for(a, lower, upper, &self.telemetry),
+            None => Ic0::factor_into(a, lower, upper),
+        };
+        factored.map_err(|(e, buffers)| {
+            if let Some(ws) = &self.workspace {
+                for values in buffers {
+                    ws.give_operand_values(values);
+                }
+            }
+            e
+        })
+    }
+
+    fn release_ic0_factors(&mut self, factors: Ic0<T>) {
+        if let Some(ws) = &self.workspace {
+            for values in factors.into_values() {
+                ws.give_operand_values(values);
+            }
+        }
+    }
+
+    fn observe_preconditioner(&mut self, ic0: bool, levels: usize) {
+        self.telemetry.emit(EventKind::PreconditionerSelected {
+            ic0,
+            levels: levels as u32,
+        });
     }
 
     fn set_phase(&mut self, phase: Phase) {

@@ -219,10 +219,13 @@ pub fn preconditioned_cg_with<T: Scalar, K: Kernels<T>>(
     })
 }
 
-/// Solves with IC(0)-preconditioned CG, factoring `A` up front and
-/// reusing cached level schedules for the substitution passes; falls back
-/// to Jacobi scaling when the incomplete factorization breaks down (the
-/// classic non-SPD/indefinite-pivot case).
+/// Solves with IC(0)-preconditioned CG, factoring `A` up front through
+/// [`Kernels::ic0_factors`] and reusing cached level schedules for the
+/// substitution passes; falls back to Jacobi scaling when the incomplete
+/// factorization breaks down (the classic non-SPD/indefinite-pivot case).
+/// Which of the two runs is reported through
+/// [`Kernels::observe_preconditioner`], and the factors go back to the
+/// executor on every exit.
 ///
 /// `plans`, when provided, must be the `(lower, upper)` schedules
 /// compiled from `A`'s own triangles — exactly what the engine caches per
@@ -240,31 +243,29 @@ pub fn ic0_preconditioned_cg<T: Scalar, K: Kernels<T>>(
     kernels: &mut K,
     plans: Option<(&CompiledSptrsv, &CompiledSptrsv)>,
 ) -> Result<SolveReport<T>, SparseError> {
-    match Ic0::factor(a) {
-        Ok(ic) => {
-            let compiled;
-            let (lower, upper) = match plans {
-                Some(pair) => pair,
-                None => {
-                    compiled = ic.plans()?;
-                    (&compiled.0, &compiled.1)
-                }
-            };
-            preconditioned_cg_with(
-                a,
-                b,
-                x0,
-                criteria,
-                kernels,
-                &Preconditioner::Ic0 {
-                    factors: &ic,
-                    lower,
-                    upper,
-                },
-            )
-        }
-        Err(_) => preconditioned_cg(a, b, x0, criteria, kernels),
-    }
+    let Ok(factors) = kernels.ic0_factors(a) else {
+        kernels.observe_preconditioner(false, 0);
+        return preconditioned_cg(a, b, x0, criteria, kernels);
+    };
+    let report = (|| {
+        let compiled;
+        let (lower, upper) = match plans {
+            Some(pair) => pair,
+            None => {
+                compiled = factors.plans()?;
+                (&compiled.0, &compiled.1)
+            }
+        };
+        kernels.observe_preconditioner(true, lower.level_count());
+        let precond = Preconditioner::Ic0 {
+            factors: &factors,
+            lower,
+            upper,
+        };
+        preconditioned_cg_with(a, b, x0, criteria, kernels, &precond)
+    })();
+    kernels.release_ic0_factors(factors);
+    report
 }
 
 #[cfg(test)]
@@ -369,6 +370,47 @@ mod tests {
         let mut k = SoftwareKernels::new();
         let rep = ic0_preconditioned_cg(&a, &b, None, &criteria(), &mut k, None).unwrap();
         assert_eq!(rep.solver, SolverKind::PreconditionedCg);
+    }
+
+    #[test]
+    fn every_exit_returns_the_factor_buffers_it_borrowed() {
+        use crate::kernels::DerivedPlan;
+        use crate::workspace::WorkspaceHandle;
+        use std::sync::Arc;
+        // Converges; breaks down at a late pivot and hands over to Jacobi
+        // scaling, which then diverges (indefinite); never factors at all
+        // (a hole in the diagonal).
+        let spd = generate::poisson2d::<f64>(9, 7);
+        let mut indefinite = spd.clone();
+        indefinite.values_mut()[spd.row_ptr()[40]..]
+            .iter_mut()
+            .for_each(|v| *v = -*v);
+        let holed =
+            CsrMatrix::try_from_parts(2, 2, vec![0, 1, 2], vec![1, 0], vec![1.0_f64, 1.0]).unwrap();
+        for (a, converges) in [(spd, true), (indefinite, false), (holed, false)] {
+            for memoised in [false, true] {
+                let b = vec![1.0; a.nrows()];
+                let ws = WorkspaceHandle::new();
+                let mut k = SoftwareKernels::new().with_workspace(ws.clone());
+                if memoised {
+                    k = k.with_derived_plan(Arc::new(DerivedPlan::new(Vec::new())));
+                }
+                let mut solve = || {
+                    let rep = ic0_preconditioned_cg(&a, &b, None, &criteria(), &mut k, None);
+                    let rep = rep.unwrap();
+                    assert_eq!(rep.converged(), converges);
+                    // The solution is the caller's; hand it back so that
+                    // only a leak can make the pool allocate.
+                    ws.give(rep.solution);
+                };
+                solve();
+                let fresh = ws.stats().1;
+                for _ in 0..100 {
+                    solve();
+                }
+                assert_eq!(ws.stats().1, fresh, "memoised: {memoised}");
+            }
+        }
     }
 
     #[test]

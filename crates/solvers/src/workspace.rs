@@ -12,12 +12,13 @@
 //! Buffers are zero-filled on loan, so a solve that borrows from the
 //! workspace is bitwise identical to one that allocates fresh.
 //!
-//! One buffer is kept apart from the free list: the value array of a
-//! solver's derived operand (Jacobi's `T`), whose length is a property of
-//! the *pattern*, not of the row count. A per-length list would strand one
-//! such array per distinct pattern a worker ever saw; the operand slot
-//! keeps a single grow-only buffer per scalar type, handed out as it is —
-//! the fill overwrites every element — so it is never zero-filled either.
+//! Two buffers are kept apart from the free list: the value arrays of a
+//! solver's derived operands (Jacobi's `T`; IC(0)'s `L` and `Lᵀ`, equal in
+//! length and alive together), whose length is a property of the
+//! *pattern*, not of the row count. A per-length list would strand such
+//! arrays per distinct pattern a worker ever saw; the operand slot keeps
+//! the two largest returned per scalar type, grow-only, handed out as they
+//! are — the fill overwrites every element — so never zero-filled either.
 
 use acamar_sparse::Scalar;
 use std::any::{Any, TypeId};
@@ -38,8 +39,8 @@ pub struct SolverWorkspace {
 
 struct TypedPool<T> {
     free: HashMap<usize, Vec<Vec<T>>>,
-    /// The operand-values slot: at most one buffer, the largest returned.
-    operand: Vec<T>,
+    /// The operand-values slot: at most two buffers, the largest returned.
+    operand: [Vec<T>; 2],
 }
 
 impl SolverWorkspace {
@@ -81,33 +82,37 @@ impl SolverWorkspace {
             .push(buf);
     }
 
-    /// Borrows the operand-values buffer with exactly `len` elements of
-    /// *unspecified* content (the caller overwrites them all). Counts as a
-    /// reuse when the retained buffer is large enough, as a fresh
-    /// allocation otherwise.
+    /// Borrows an operand-values buffer with exactly `len` elements of
+    /// *unspecified* content (the caller overwrites them all): the smaller
+    /// of the retained buffers that are large enough, counted as a reuse,
+    /// or a fresh allocation when neither is.
     fn take_operand_values<T: Scalar>(&mut self, len: usize) -> Vec<T> {
-        let mut buf = self
-            .pool::<T>()
-            .map(|p| std::mem::take(&mut p.operand))
-            .unwrap_or_default();
-        if buf.capacity() >= len {
-            self.reuses += 1;
-            buf.resize(len, T::ZERO);
-            buf
-        } else {
-            // Too small to be worth carrying over: reallocating would copy
-            // contents nobody reads.
-            self.fresh += 1;
-            vec![T::ZERO; len]
+        let fit = self.pool::<T>().and_then(|p| {
+            let fits = p.operand.iter_mut().filter(|b| b.capacity() >= len);
+            fits.min_by_key(|b| b.capacity()).map(std::mem::take)
+        });
+        match fit {
+            Some(mut buf) => {
+                self.reuses += 1;
+                buf.resize(len, T::ZERO);
+                buf
+            }
+            None => {
+                // A retained buffer that is too small stays where it is:
+                // growing it would copy contents nobody reads.
+                self.fresh += 1;
+                vec![T::ZERO; len]
+            }
         }
     }
 
-    /// Returns the operand-values buffer. The slot holds one buffer; of
-    /// two, the larger stays.
+    /// Returns an operand-values buffer. The slot holds two; of three, the
+    /// smallest goes.
     fn give_operand_values<T: Scalar>(&mut self, buf: Vec<T>) {
-        let slot = &mut self.pool_or_default::<T>().operand;
-        if buf.capacity() > slot.capacity() {
-            *slot = buf;
+        let [a, b] = &mut self.pool_or_default::<T>().operand;
+        let smallest = if a.capacity() <= b.capacity() { a } else { b };
+        if buf.capacity() > smallest.capacity() {
+            *smallest = buf;
         }
     }
 
@@ -123,7 +128,7 @@ impl SolverWorkspace {
             .or_insert_with(|| {
                 Box::new(TypedPool::<T> {
                     free: HashMap::new(),
-                    operand: Vec::new(),
+                    operand: [Vec::new(), Vec::new()],
                 })
             })
             .downcast_mut()
@@ -179,14 +184,14 @@ impl WorkspaceHandle {
         self.lock().give(buf);
     }
 
-    /// Borrows the operand-values buffer — one grow-only buffer per scalar
+    /// Borrows an operand-values buffer — two grow-only buffers per scalar
     /// type, kept apart from the free list — with exactly `len` elements
     /// of *unspecified* content (the caller overwrites them all).
     pub fn take_operand_values<T: Scalar>(&self, len: usize) -> Vec<T> {
         self.lock().take_operand_values(len)
     }
 
-    /// Returns the operand-values buffer.
+    /// Returns an operand-values buffer.
     pub fn give_operand_values<T: Scalar>(&self, buf: Vec<T>) {
         self.lock().give_operand_values(buf);
     }
@@ -249,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn the_operand_slot_keeps_one_grow_only_buffer_per_type_and_never_zero_fills_it() {
+    fn the_operand_slot_is_grow_only_per_type_and_never_zero_fills() {
         let mut ws = SolverWorkspace::new();
         let mut a: Vec<f64> = ws.take_operand_values(8);
         assert_eq!((a.len(), ws.fresh_allocations()), (8, 1));
@@ -260,19 +265,64 @@ mod tests {
         let b: Vec<f64> = ws.take_operand_values(5);
         assert_eq!((b.as_ptr(), &b[..]), (ptr, &[7.0; 5][..]));
         ws.give_operand_values(b);
-        // Longer: a fresh one, and the slot moves on to it.
+        // Longer: a fresh one, and the slot keeps both.
         let c: Vec<f64> = ws.take_operand_values(20);
         assert_eq!((c.len(), ws.fresh_allocations(), ws.reuses()), (20, 2, 1));
         ws.give_operand_values(c);
-        // Of two returned buffers the larger stays; no free list grows.
+        // Of three returned buffers the two largest stay; no free list grows.
         ws.give_operand_values(vec![1.0_f64; 3]);
         assert_eq!(ws.take_operand_values::<f64>(20).capacity(), 20);
+        let first: Vec<f64> = ws.take_operand_values(2);
+        assert_eq!(first.as_ptr(), ptr);
         assert_eq!(ws.fresh_allocations(), 2);
         // Per scalar type, and apart from the per-length free list.
         assert_eq!(ws.take_operand_values::<f32>(4).len(), 4);
         assert_eq!(ws.fresh_allocations(), 3);
         let _: Vec<f64> = ws.take(20);
         assert_eq!(ws.fresh_allocations(), 4);
+    }
+
+    #[test]
+    fn the_operand_slot_holds_an_equal_length_pair_and_hands_out_the_tighter_fit() {
+        let mut ws = SolverWorkspace::new();
+        // A pair alive at once (IC(0)'s L and Lᵀ): two fresh, then none.
+        let (l, lt): (Vec<f64>, Vec<f64>) =
+            (ws.take_operand_values(12), ws.take_operand_values(12));
+        assert_eq!(ws.fresh_allocations(), 2);
+        let (l_ptr, lt_ptr) = (l.as_ptr(), lt.as_ptr());
+        ws.give_operand_values(l);
+        ws.give_operand_values(lt);
+        for _ in 0..3 {
+            let (l, lt): (Vec<f64>, Vec<f64>) =
+                (ws.take_operand_values(12), ws.take_operand_values(12));
+            let mut got = [l.as_ptr(), lt.as_ptr()];
+            got.sort();
+            let mut kept = [l_ptr, lt_ptr];
+            kept.sort();
+            assert_eq!(got, kept);
+            ws.give_operand_values(l);
+            ws.give_operand_values(lt);
+        }
+        assert_eq!((ws.fresh_allocations(), ws.reuses()), (2, 6));
+        // A larger single operand (Jacobi's T) displaces one of the pair;
+        // the pair's next round then allocates once and settles again.
+        let t: Vec<f64> = ws.take_operand_values(30);
+        let t_ptr = t.as_ptr();
+        ws.give_operand_values(t);
+        assert_eq!(ws.fresh_allocations(), 3);
+        // The tighter fit goes out first, so the large buffer is still
+        // there for the request that needs it.
+        let small: Vec<f64> = ws.take_operand_values(10);
+        assert_eq!(small.capacity(), 12);
+        let large: Vec<f64> = ws.take_operand_values(25);
+        assert_eq!(large.as_ptr(), t_ptr);
+        assert_eq!(ws.fresh_allocations(), 3);
+        ws.give_operand_values(small);
+        ws.give_operand_values(large);
+        let (l, lt): (Vec<f64>, Vec<f64>) =
+            (ws.take_operand_values(12), ws.take_operand_values(12));
+        assert_eq!((l.capacity(), lt.capacity()), (12, 30));
+        assert_eq!(ws.fresh_allocations(), 3);
     }
 
     #[test]

@@ -18,8 +18,9 @@ use std::sync::Arc;
 /// two reference bumps and every matrix made from one pattern —
 /// [`CsrMatrix::clone`], [`CsrMatrix::map_values`], [`CsrMatrix::cast`],
 /// [`CsrMatrix::from_pattern`] — reads the same storage. A pattern only
-/// ever comes out of a validated matrix (or a [`JacobiSplit`]), so it
-/// always satisfies the [`CsrMatrix`] invariants.
+/// ever comes out of a validated matrix (or a [`JacobiSplit`], or an
+/// [`Ic0Schedule`](crate::Ic0Schedule)), so it always satisfies the
+/// [`CsrMatrix`] invariants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrPattern {
     nrows: usize,
@@ -29,6 +30,30 @@ pub struct CsrPattern {
 }
 
 impl CsrPattern {
+    /// For in-crate builders whose arrays satisfy the [`CsrMatrix`]
+    /// invariants by construction.
+    pub(crate) fn from_raw_parts_unchecked(
+        nrows: usize,
+        ncols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+    ) -> Self {
+        debug_assert_eq!(row_ptr.len(), nrows + 1);
+        debug_assert_eq!(*row_ptr.last().unwrap(), col_idx.len());
+        CsrPattern {
+            nrows,
+            ncols,
+            row_ptr: row_ptr.into(),
+            col_idx: col_idx.into(),
+        }
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub(crate) fn nrows(&self) -> usize {
+        self.nrows
+    }
+
     /// Number of stored entries.
     #[inline]
     pub fn nnz(&self) -> usize {
@@ -181,16 +206,9 @@ impl<T: Scalar> CsrMatrix<T> {
         col_idx: Vec<usize>,
         values: Vec<T>,
     ) -> Self {
-        debug_assert_eq!(row_ptr.len(), nrows + 1);
-        debug_assert_eq!(*row_ptr.last().unwrap(), col_idx.len());
         debug_assert_eq!(col_idx.len(), values.len());
         CsrMatrix {
-            pattern: CsrPattern {
-                nrows,
-                ncols,
-                row_ptr: row_ptr.into(),
-                col_idx: col_idx.into(),
-            },
+            pattern: CsrPattern::from_raw_parts_unchecked(nrows, ncols, row_ptr, col_idx),
             values,
         }
     }
@@ -684,12 +702,7 @@ impl JacobiSplit {
         }
         col_idx.truncate(kept);
         JacobiSplit {
-            pattern: CsrPattern {
-                nrows: a.nrows(),
-                ncols: a.ncols(),
-                row_ptr: row_ptr.into(),
-                col_idx: col_idx.into(),
-            },
+            pattern: CsrPattern::from_raw_parts_unchecked(a.nrows(), a.ncols(), row_ptr, col_idx),
             diag_slot,
             source_nnz: a.nnz(),
         }

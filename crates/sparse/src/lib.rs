@@ -39,6 +39,8 @@
 //!   [`DeterminismPolicy`] two-tier numeric contract (DESIGN §15).
 //! * [`sptrsv`] — sparse triangular solve plans and their level schedules
 //!   for incomplete-factorization preconditioners (DESIGN §17).
+//! * [`Ic0Schedule`] — the pattern half of IC(0): the factors' patterns
+//!   and the elimination schedule, built once and replayed per matrix.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -53,6 +55,7 @@ mod dense;
 mod ell;
 mod error;
 pub mod generate;
+mod ic0;
 pub mod io;
 pub mod ops;
 pub mod permute;
@@ -70,6 +73,7 @@ pub use csr::{CsrMatrix, CsrPattern, JacobiSplit, RowIter};
 pub use dense::DenseMatrix;
 pub use ell::EllMatrix;
 pub use error::{IoError, SparseError};
+pub use ic0::{Ic0Refusal, Ic0Schedule};
 pub use scalar::Scalar;
 pub use simd::DeterminismPolicy;
 pub use sptrsv::{CompiledSptrsv, Triangle};

@@ -290,6 +290,17 @@ impl CompiledSptrsv {
         }
     }
 
+    /// One row of substitution: `(b_i − Σ m_ic x_c) / m_ii` over the row's
+    /// in-triangle entries `c ≠ i`.
+    ///
+    /// A triangular operand — an incomplete factor — keeps its diagonal at
+    /// the end of the row its triangle closes on (a lower row's last
+    /// column is `i`, an upper row's first), and a sorted row that does is
+    /// wholly in-triangle: one test per row finds it, and its other
+    /// entries accumulate with no test per entry. Any other row (a full
+    /// symmetric operand, a missing diagonal) tests each entry against the
+    /// triangle and the diagonal. Both visit the same entries in the same
+    /// order, so they agree bitwise on either tier.
     #[inline]
     fn row_solve<T: Scalar, const FAST: bool>(
         m: &CsrMatrix<T>,
@@ -298,65 +309,44 @@ impl CompiledSptrsv {
         x: &[T],
         tri: Triangle,
     ) -> T {
-        if FAST {
-            Self::row_solve_fast(m, i, bi, x, tri)
-        } else {
-            Self::row_solve_deterministic(m, i, bi, x, tri)
-        }
-    }
-
-    /// One row of substitution, CSR entry order, scalar accumulation.
-    #[inline]
-    fn row_solve_deterministic<T: Scalar>(
-        m: &CsrMatrix<T>,
-        i: usize,
-        bi: T,
-        x: &[T],
-        tri: Triangle,
-    ) -> T {
         let (cols, vals) = m.row(i);
-        let mut acc = bi;
+        let split = match tri {
+            Triangle::Lower => cols.split_last().zip(vals.split_last()),
+            Triangle::Upper => cols.split_first().zip(vals.split_first()),
+        };
+        if let Some(((&c, cols), (&diag, vals))) = split {
+            if c == i {
+                let others = cols.iter().zip(vals).map(|(&c, &v)| v * x[c]);
+                return Self::subtract_all::<T, FAST>(bi, others) / diag;
+            }
+        }
         let mut diag = T::ZERO;
-        for (&c, &v) in cols.iter().zip(vals) {
+        let others = cols.iter().zip(vals).filter_map(|(&c, &v)| {
             let in_triangle = match tri {
                 Triangle::Lower => c <= i,
                 Triangle::Upper => c >= i,
             };
-            if !in_triangle {
-                continue;
-            }
-            if c == i {
+            if in_triangle && c == i {
                 diag = v;
-            } else {
-                acc -= v * x[c];
             }
-        }
-        acc / diag
+            (in_triangle && c != i).then(|| v * x[c])
+        });
+        Self::subtract_all::<T, FAST>(bi, others) / diag
     }
 
-    /// Fast-tier row substitution: gather the in-triangle off-diagonal
-    /// products into four lanes, reduce once. Matches the SpMV fast
-    /// tier's re-association contract.
+    /// `bi` minus every product, in the tier's order: one scalar chain in
+    /// arrival order, or (fast) four lanes filled in arrival order and
+    /// reduced once — the SpMV fast tier's re-association contract.
     #[inline]
-    fn row_solve_fast<T: Scalar>(m: &CsrMatrix<T>, i: usize, bi: T, x: &[T], tri: Triangle) -> T {
-        let (cols, vals) = m.row(i);
+    fn subtract_all<T: Scalar, const FAST: bool>(bi: T, products: impl Iterator<Item = T>) -> T {
+        if !FAST {
+            return products.fold(bi, |acc, p| acc - p);
+        }
         let mut lanes = Lanes4::zero();
         let mut buf = [T::ZERO; 4];
         let mut fill = 0usize;
-        let mut diag = T::ZERO;
-        for (&c, &v) in cols.iter().zip(vals) {
-            let in_triangle = match tri {
-                Triangle::Lower => c <= i,
-                Triangle::Upper => c >= i,
-            };
-            if !in_triangle {
-                continue;
-            }
-            if c == i {
-                diag = v;
-                continue;
-            }
-            buf[fill] = v * x[c];
+        for p in products {
+            buf[fill] = p;
             fill += 1;
             if fill == 4 {
                 lanes = lanes.add(Lanes4::new(buf));
@@ -367,7 +357,7 @@ impl CompiledSptrsv {
         if fill > 0 {
             lanes = lanes.add(Lanes4::new(buf));
         }
-        (bi - lanes.reduce()) / diag
+        bi - lanes.reduce()
     }
 }
 

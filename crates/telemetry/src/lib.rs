@@ -353,15 +353,18 @@ pub enum EventKind {
     /// The plan cache evicted its least-recently-used entry to stay within
     /// its configured capacity.
     CacheEvicted,
-    /// A forced PreconditionedCg attempt selected its preconditioner: the
-    /// cached level-scheduled IC(0) pair, or the Jacobi diagonal fallback
-    /// when the incomplete factorization broke down.
+    /// An IC(0)-preconditioned CG attempt settled on its preconditioner.
+    /// Emitted after the factorization was attempted, so it reports what
+    /// runs, not what was asked for.
     PreconditionerSelected {
-        /// `true` when the IC(0) factors and cached SpTRSV plans ran;
-        /// `false` for the Jacobi-diagonal fallback.
+        /// `true` when the incomplete factorization exists and its two
+        /// substitutions are the preconditioner; `false` when it broke
+        /// down (a missing or non-positive pivot) and Jacobi diagonal
+        /// scaling runs instead.
         ic0: bool,
-        /// Topological level count of the lower-triangle schedule
-        /// (0 when no cached schedule existed).
+        /// Topological level count of the forward-substitution plan that
+        /// is applied — the pattern's cached one, or one compiled from the
+        /// factor when the analysis carried none; 0 when `ic0` is `false`.
         levels: u32,
     },
 }
@@ -485,11 +488,19 @@ pub enum Counter {
     /// the pattern has no full diagonal (nothing is kept for it), or the
     /// memoised split did not fit the matrix it was handed.
     DerivedSplitRebuilds,
+    /// IC(0) schedules memoised (the factors' patterns and the
+    /// elimination schedule), one per pattern the first time a
+    /// preconditioned attempt factors it.
+    Ic0SchedulesBuilt,
+    /// IC(0) factorizations that built a schedule of their own although a
+    /// memo was installed: the pattern cannot be scheduled (nothing is
+    /// kept for it), or the memoised schedule did not fit the matrix.
+    Ic0ScheduleRebuilds,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 38;
+    pub const COUNT: usize = 40;
 
     /// Every counter, in `repr` order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -531,6 +542,8 @@ impl Counter {
         Counter::PlanlessSpmvs,
         Counter::DerivedPlansBuilt,
         Counter::DerivedSplitRebuilds,
+        Counter::Ic0SchedulesBuilt,
+        Counter::Ic0ScheduleRebuilds,
     ];
 
     /// The counter's index into a `[u64; Counter::COUNT]` snapshot.
@@ -579,6 +592,8 @@ impl Counter {
             Counter::PlanlessSpmvs => "acamar_planless_spmvs_total",
             Counter::DerivedPlansBuilt => "acamar_derived_plans_built_total",
             Counter::DerivedSplitRebuilds => "acamar_derived_split_rebuilds_total",
+            Counter::Ic0SchedulesBuilt => "acamar_ic0_schedules_built_total",
+            Counter::Ic0ScheduleRebuilds => "acamar_ic0_schedule_rebuilds_total",
         }
     }
 
@@ -628,6 +643,12 @@ impl Counter {
             }
             Counter::DerivedSplitRebuilds => {
                 "Derived operands rebuilt from scratch past a memo that did not fit"
+            }
+            Counter::Ic0SchedulesBuilt => {
+                "IC(0) schedules (factor patterns + elimination schedule) built, once per pattern"
+            }
+            Counter::Ic0ScheduleRebuilds => {
+                "IC(0) factorizations scheduled from scratch past a memo that did not fit"
             }
         }
     }

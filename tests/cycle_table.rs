@@ -387,6 +387,10 @@ impl Kernels<f64> for WalkPriced {
         self.telemetry.observe_residual(iter, relative);
     }
 
+    fn observe_preconditioner(&mut self, ic0: bool, levels: usize) {
+        Kernels::<f64>::observe_preconditioner(&mut self.inner, ic0, levels);
+    }
+
     fn acquire_buffer(&mut self, n: usize) -> Vec<f64> {
         self.inner.acquire_buffer(n)
     }
@@ -607,10 +611,11 @@ struct Observed {
     /// Normalized events, printed: a diverging run's residual samples
     /// are NaN, which no `PartialEq` equates.
     telemetry: Vec<String>,
-    /// Every counter but the three that say which *host* path built or
+    /// Every counter but the five that say which *host* path built or
     /// multiplied an operand (`PlanlessSpmvs`, `DerivedPlansBuilt`,
-    /// `DerivedSplitRebuilds`): the reference builds its derived operand
-    /// without a memo and walks it without a plan by construction.
+    /// `DerivedSplitRebuilds`, `Ic0SchedulesBuilt`, `Ic0ScheduleRebuilds`):
+    /// the reference builds its derived operands without a memo and walks
+    /// them without a plan by construction.
     counters: Vec<u64>,
 }
 
@@ -646,6 +651,8 @@ fn observe(
                     Counter::PlanlessSpmvs
                         | Counter::DerivedPlansBuilt
                         | Counter::DerivedSplitRebuilds
+                        | Counter::Ic0SchedulesBuilt
+                        | Counter::Ic0ScheduleRebuilds
                 )
             })
             .map(|c| ring.counters()[c.index()])

@@ -11,15 +11,21 @@
 //! a cycle of its charges — and whether any SpMV ran without a plan, or
 //! any operand was built past its memo, must be answerable from the
 //! telemetry counters, not from a bench run.
+//!
+//! IC(0)-preconditioned CG keeps its pattern half — the factors' patterns
+//! and the elimination schedule — in the same memo, under the same rules:
+//! built once by the first attempt, replayed by every later one, bypassed
+//! and counted when it does not fit, kept on a re-tile and dropped on a
+//! pattern delta, and filled independently of Jacobi's half.
 
 use acamar::core::{Acamar, AcamarConfig, RunOptions};
 use acamar::engine::{Engine, PatternFingerprint, SequenceConfig, SequenceJob, SolveJob};
 use acamar::fabric::FabricSpec;
-use acamar::solvers::{jacobi, DerivedPlan, SoftwareKernels, SolverKind};
+use acamar::solvers::{ic0_preconditioned_cg, jacobi, DerivedPlan, SoftwareKernels, SolverKind};
 use acamar::sparse::generate::{self, RowDistribution};
 use acamar::sparse::{BandHint, CsrMatrix, DeterminismPolicy};
 use acamar::telemetry::{Counter, RingRecorder, TelemetrySink};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn acamar() -> Acamar {
     Acamar::new(FabricSpec::alveo_u55c(), AcamarConfig::paper())
@@ -387,4 +393,297 @@ fn drop_the_diagonal(a: &CsrMatrix<f64>, row: usize) -> CsrMatrix<f64> {
         row_ptr.push(cols.len());
     }
     CsrMatrix::try_from_parts(a.nrows(), a.ncols(), row_ptr, cols, vals).unwrap()
+}
+
+/// Symmetric, strictly dominant with a positive diagonal: SPD, and every
+/// solver's system.
+fn spd(n: usize, seed: u64) -> CsrMatrix<f64> {
+    generate::spd_from_pattern(n, RowDistribution::Uniform { min: 2, max: 6 }, 0.3, seed)
+}
+
+fn forced(solver: SolverKind, telemetry: TelemetrySink) -> RunOptions {
+    RunOptions {
+        solver: Some(solver),
+        telemetry,
+        ..RunOptions::default()
+    }
+}
+
+#[test]
+fn workers_racing_on_a_cold_pattern_build_the_ic0_schedule_once() {
+    let (a, b) = (spd(1200, 21), rhs(1200));
+    let acamar = acamar();
+    let artifacts = acamar.analyze(&a);
+    assert!(artifacts.derived.ic0_schedule().is_none(), "lazy");
+    let ring = Arc::new(RingRecorder::new(1 << 12));
+    let start = Barrier::new(2);
+    let reports: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let sink = TelemetrySink::new(Arc::clone(&ring) as Arc<_>);
+                    start.wait();
+                    acamar
+                        .run_with_plan_opts(
+                            &a,
+                            &b,
+                            None,
+                            &artifacts,
+                            forced(SolverKind::PreconditionedCg, sink),
+                        )
+                        .unwrap()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert!(reports[0].converged());
+    assert_eq!(
+        bits(&reports[0].solve.solution),
+        bits(&reports[1].solve.solution)
+    );
+    let counters = ring.counters();
+    assert_eq!(counters[Counter::Ic0SchedulesBuilt.index()], 1);
+    assert_eq!(counters[Counter::Ic0ScheduleRebuilds.index()], 0);
+    let schedule = artifacts.derived.ic0_schedule().expect("built by the race");
+    assert_eq!(schedule.lower().nnz(), (a.nnz() + 1200) / 2);
+
+    // Warm, cold and memo-less agree to the byte; nothing more is built.
+    let sink = TelemetrySink::new(Arc::clone(&ring) as Arc<_>);
+    let warm = acamar
+        .run_with_plan_opts(
+            &a,
+            &b,
+            None,
+            &artifacts,
+            forced(SolverKind::PreconditionedCg, sink),
+        )
+        .unwrap();
+    assert_eq!(
+        format!("{:?}", warm.solve),
+        format!("{:?}", reports[0].solve)
+    );
+    assert_eq!(
+        format!("{:?}", warm.stats),
+        format!("{:?}", reports[0].stats)
+    );
+    assert_eq!(ring.counters()[Counter::Ic0SchedulesBuilt.index()], 1);
+    let criteria = acamar.config().criteria;
+    let plain =
+        ic0_preconditioned_cg(&a, &b, None, &criteria, &mut SoftwareKernels::new(), None).unwrap();
+    assert_eq!(bits(&plain.solution), bits(&warm.solve.solution));
+    assert_eq!(plain.residual_history, warm.solve.residual_history);
+    assert_eq!(plain.counts, warm.solve.counts);
+}
+
+#[test]
+fn the_jacobi_half_and_the_ic0_half_of_the_memo_fill_independently() {
+    let (a, b) = (spd(600, 23), rhs(600));
+    let acamar = acamar();
+    let run = |artifacts: &acamar::core::AnalysisArtifacts, solver| {
+        let report = acamar
+            .run_with_plan_opts(
+                &a,
+                &b,
+                None,
+                artifacts,
+                forced(solver, TelemetrySink::disabled()),
+            )
+            .unwrap();
+        assert!(report.converged(), "{solver:?}");
+    };
+    // PCG first: only the schedule.
+    let artifacts = acamar.analyze(&a);
+    run(&artifacts, SolverKind::PreconditionedCg);
+    let schedule = artifacts.derived.ic0_schedule().expect("PCG built it") as *const _;
+    assert!(artifacts.derived.split().is_none() && artifacts.derived.get().is_none());
+    run(&artifacts, SolverKind::Jacobi);
+    assert!(artifacts.derived.split().is_some() && artifacts.derived.get().is_some());
+    assert!(std::ptr::eq(
+        artifacts.derived.ic0_schedule().unwrap(),
+        schedule
+    ));
+    // Jacobi first: only the split and T's plan. CG builds neither.
+    let artifacts = acamar.analyze(&a);
+    run(&artifacts, SolverKind::ConjugateGradient);
+    assert!(artifacts.derived.split().is_none() && artifacts.derived.ic0_schedule().is_none());
+    run(&artifacts, SolverKind::Jacobi);
+    let t_plan = Arc::clone(artifacts.derived.get().expect("Jacobi built it"));
+    assert!(artifacts.derived.ic0_schedule().is_none());
+    run(&artifacts, SolverKind::PreconditionedCg);
+    assert!(artifacts.derived.ic0_schedule().is_some());
+    assert!(Arc::ptr_eq(artifacts.derived.get().unwrap(), &t_plan));
+    // An emptied memo starts both halves over.
+    let emptied = artifacts.derived.emptied();
+    assert!(emptied.ic0_schedule().is_none() && emptied.split().is_none());
+}
+
+#[test]
+fn a_sequence_keeps_the_ic0_schedule_on_a_retile_and_resets_it_on_a_pattern_delta() {
+    let engine = Engine::with_workers(acamar(), 1);
+    let a0 = Arc::new(spd(800, 27));
+    let b = rhs(800);
+    engine.solve_one(&a0, &b).unwrap();
+    let analyzed = engine.cache().get_or_analyze(engine.acamar(), &*a0);
+    let pcg = |a: &CsrMatrix<f64>, artifacts: &acamar::core::AnalysisArtifacts| {
+        let opts = forced(SolverKind::PreconditionedCg, TelemetrySink::disabled());
+        let report = engine
+            .acamar()
+            .run_with_plan_opts(a, &b, None, artifacts, opts);
+        assert!(report.unwrap().converged());
+    };
+    pcg(&a0, &analyzed);
+    let schedule = analyzed.derived.ic0_schedule().expect("built by the solve") as *const _;
+
+    // Re-tiling A's plan leaves the pattern, and so the schedule, alone.
+    let mut seq = engine
+        .open_sequence(Arc::clone(&a0), SequenceConfig::default())
+        .unwrap();
+    assert!(!Arc::ptr_eq(seq.artifacts(), &analyzed), "re-tiled");
+    pcg(&a0, seq.artifacts());
+    assert!(std::ptr::eq(
+        seq.artifacts().derived.ic0_schedule().unwrap(),
+        schedule
+    ));
+
+    // A pattern delta starts the memo over; the next preconditioned
+    // attempt schedules the new pattern (and compiles its own substitution
+    // plans: the delta dropped the cached pair).
+    let a1 = Arc::new(drop_a_symmetric_pair(&a0, 300));
+    let step = seq
+        .step(SequenceJob::new(Arc::clone(&a1), b.clone()))
+        .unwrap();
+    assert!(step.report.converged());
+    assert!(matches!(
+        step.plan,
+        acamar::engine::PlanAction::Patched { .. }
+    ));
+    let patched = Arc::clone(seq.artifacts());
+    assert!(patched.derived.ic0_schedule().is_none() && patched.sptrsv.is_none());
+    pcg(&a1, &patched);
+    let rescheduled = patched.derived.ic0_schedule().expect("rebuilt");
+    assert_eq!(rescheduled.lower().nnz(), (a1.nnz() + 800) / 2);
+    assert_eq!(rescheduled, &acamar::sparse::Ic0Schedule::of(&*a1).unwrap());
+    // The old pattern's memo is untouched.
+    assert!(std::ptr::eq(
+        analyzed.derived.ic0_schedule().unwrap(),
+        schedule
+    ));
+}
+
+/// `a` without row `row`'s last off-diagonal entry and its mirror image.
+fn drop_a_symmetric_pair(a: &CsrMatrix<f64>, row: usize) -> CsrMatrix<f64> {
+    let col = *a.row(row).0.iter().rfind(|&&c| c != row).unwrap();
+    let mut coo = acamar::sparse::CooMatrix::new(a.nrows(), a.ncols());
+    for (i, rc, rv) in a.iter_rows() {
+        for (&c, &v) in rc.iter().zip(rv) {
+            if (i, c) != (row, col) && (i, c) != (col, row) {
+                coo.push(i, c, v).unwrap();
+            }
+        }
+    }
+    coo.to_csr()
+}
+
+/// `p` with one symmetric pair of entries moved: `(i, j)`/`(j, i)` with
+/// `j < i` becomes `(i, k)`/`(k, i)` with `k > i`, the diagonal of row `k`
+/// lifted by the moved magnitude. Still SPD (dominant, positive diagonal),
+/// same shape, same entry count — and row `i`'s diagonal one slot further
+/// left, row `k`'s one further right.
+fn move_a_pair_across_the_diagonal(p: &CsrMatrix<f64>) -> (CsrMatrix<f64>, usize) {
+    let n = p.nrows();
+    let (i, j, k) = (1..n - 1)
+        .find_map(|i| {
+            let cols = p.row(i).0;
+            let j = *cols.first().filter(|&&c| c < i)?;
+            let k = (i + 1..n).find(|k| !cols.contains(k))?;
+            Some((i, j, k))
+        })
+        .expect("a row with a lower entry and a free upper column");
+    let moved = p.get(i, j);
+    let mut coo = acamar::sparse::CooMatrix::new(n, n);
+    for (r, rc, rv) in p.iter_rows() {
+        for (&c, &v) in rc.iter().zip(rv) {
+            if (r, c) == (i, j) || (r, c) == (j, i) {
+                continue;
+            }
+            let lift = if (r, c) == (k, k) { moved.abs() } else { 0.0 };
+            coo.push(r, c, v + lift).unwrap();
+        }
+    }
+    coo.push(i, k, moved).unwrap();
+    coo.push(k, i, moved).unwrap();
+    (coo.to_csr(), i)
+}
+
+#[test]
+fn an_ic0_schedule_that_does_not_fit_its_matrix_is_bypassed_and_counted() {
+    let n = 400;
+    let p = spd(n, 31);
+    let (q, moved_row) = move_a_pair_across_the_diagonal(&p);
+    assert_eq!((q.nrows(), q.nnz()), (p.nrows(), p.nnz()));
+    assert!(q.is_symmetric(0.0) && q.row_nnz(moved_row) == p.row_nnz(moved_row));
+    let b = rhs(n);
+    let criteria = acamar().config().criteria;
+    let hints = |n| {
+        vec![BandHint {
+            rows: 0..n,
+            unroll: 8,
+        }]
+    };
+
+    // P's schedule, built by a solve on P.
+    let memo = Arc::new(DerivedPlan::new(hints(n)));
+    let ring = Arc::new(RingRecorder::new(64));
+    let mut with_memo = SoftwareKernels::new()
+        .with_derived_plan(Arc::clone(&memo))
+        .with_telemetry(TelemetrySink::new(Arc::clone(&ring) as Arc<_>));
+    let on_p = ic0_preconditioned_cg(&p, &b, None, &criteria, &mut with_memo, None).unwrap();
+    assert!(on_p.converged());
+    let schedule_of_p = memo.ic0_schedule().expect("built on P").clone();
+    let counters = ring.counters();
+    assert_eq!(counters[Counter::Ic0SchedulesBuilt.index()], 1);
+    assert_eq!(
+        counters[Counter::Ic0ScheduleRebuilds.index()],
+        0,
+        "P fits its own schedule"
+    );
+
+    // Q through P's memo: the diagonal check refuses it, Q is factored as
+    // if there were no memo, and the answer is the memo-less one.
+    let stale = ic0_preconditioned_cg(&q, &b, None, &criteria, &mut with_memo, None).unwrap();
+    let plain =
+        ic0_preconditioned_cg(&q, &b, None, &criteria, &mut SoftwareKernels::new(), None).unwrap();
+    assert!(plain.converged());
+    assert_eq!(bits(&stale.solution), bits(&plain.solution));
+    assert_eq!(stale.residual_history, plain.residual_history);
+    assert_eq!(stale.counts, plain.counts);
+    assert_ne!(bits(&stale.solution), bits(&on_p.solution));
+    let counters = ring.counters();
+    assert_eq!(counters[Counter::Ic0ScheduleRebuilds.index()], 1);
+    assert_eq!(counters[Counter::Ic0SchedulesBuilt.index()], 1);
+    assert_eq!(
+        memo.ic0_schedule(),
+        Some(&schedule_of_p),
+        "P's memo is as it was"
+    );
+
+    // A pattern with a hole in its diagonal memoises nothing: every solve
+    // on it tries to schedule, falls back to Jacobi scaling — which breaks
+    // down on the same hole — and is counted.
+    let holed = drop_the_diagonal(&p, moved_row);
+    let memo = Arc::new(DerivedPlan::new(hints(n)));
+    let mut k = SoftwareKernels::new()
+        .with_derived_plan(Arc::clone(&memo))
+        .with_telemetry(TelemetrySink::new(Arc::clone(&ring) as Arc<_>));
+    for solves in 1..=2 {
+        let report = ic0_preconditioned_cg(&holed, &b, None, &criteria, &mut k, None).unwrap();
+        assert!(!report.converged());
+        assert!(memo.ic0_schedule().is_none());
+        assert_eq!(
+            ring.counters()[Counter::Ic0ScheduleRebuilds.index()],
+            1 + solves
+        );
+    }
+    assert_eq!(ring.counters()[Counter::Ic0SchedulesBuilt.index()], 1);
 }

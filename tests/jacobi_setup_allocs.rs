@@ -12,52 +12,11 @@
 use acamar::solvers::{jacobi, ConvergenceCriteria, DerivedPlan, SoftwareKernels, WorkspaceHandle};
 use acamar::sparse::generate::{self, RowDistribution};
 use acamar::sparse::BandHint;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
-/// Counts the calling thread's heap allocations, so the libtest harness
-/// and any other test thread stay out of the measurement.
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: the allocator also runs while a thread's locals are
-    // being torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a plain thread-local `Cell`
-// with no destructor and no allocation of its own.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: `ptr` came from `System`; layout and size are the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 /// Allocations of the third one-iteration Jacobi solve on a strictly
 /// dominant system of `n` rows: two warm-ups settle the buffer pool (the

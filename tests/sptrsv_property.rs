@@ -7,7 +7,11 @@
 //! * `level_count` is the longest dependency chain of the triangle;
 //! * a plan compiled for one pattern, applied to a same-size factor of
 //!   another pattern, still returns that factor's substitution result —
-//!   the plan prices a solve, it does not order it.
+//!   the plan prices a solve, it does not order it;
+//! * the row kernel's shortcut for rows that end on their diagonal changes
+//!   nothing: a triangular operand (every row takes it), the full
+//!   symmetric matrix (no row with an entry past the diagonal does) and an
+//!   operand with a row whose diagonal is missing all match the loop.
 //!
 //! Runs 64 seeded random triangular patterns (sizes 4..100, densities
 //! 5%..40%); each failure message carries the seed, so any counterexample
@@ -49,8 +53,9 @@ fn substitution_order(n: usize, tri: Triangle) -> Vec<usize> {
     }
 }
 
-/// Textbook substitution over a triangular `m`: subtract the known
-/// terms in stored order, divide by the diagonal.
+/// Textbook substitution over `m`'s triangle: subtract the known terms
+/// in stored order, divide by the diagonal. Entries on the other side of
+/// the diagonal are not part of the system.
 fn substitute(m: &CsrMatrix<f64>, b: &[f64], tri: Triangle) -> Vec<f64> {
     let mut x = vec![0.0; b.len()];
     for i in substitution_order(b.len(), tri) {
@@ -58,6 +63,13 @@ fn substitute(m: &CsrMatrix<f64>, b: &[f64], tri: Triangle) -> Vec<f64> {
         let mut acc = b[i];
         let mut diag = 0.0;
         for (&c, &v) in cols.iter().zip(vals) {
+            let outside = match tri {
+                Triangle::Lower => c > i,
+                Triangle::Upper => c < i,
+            };
+            if outside {
+                continue;
+            }
             if c == i {
                 diag = v;
             } else {
@@ -168,6 +180,87 @@ fn a_plan_for_another_pattern_still_solves_the_factor_it_is_given() {
         plan.solve(Fast, &given, &b, &mut x).unwrap();
         for (f, r) in x.iter().zip(&reference) {
             assert!((f - r).abs() <= 1e-9 * (1.0 + r.abs()), "seed {seed}: fast");
+        }
+    }
+}
+
+/// `m` without the entry `(row, row)`.
+fn without_diagonal_of(m: &CsrMatrix<f64>, row: usize) -> CsrMatrix<f64> {
+    let mut coo = CooMatrix::new(m.nrows(), m.ncols());
+    for (i, cols, vals) in m.iter_rows() {
+        for (&c, &v) in cols.iter().zip(vals) {
+            if (i, c) != (row, row) {
+                coo.push(i, c, v).unwrap();
+            }
+        }
+    }
+    coo.to_csr()
+}
+
+#[test]
+fn rows_that_end_on_their_diagonal_and_rows_that_do_not_are_one_substitution() {
+    for seed in 0..CASES {
+        let mut rng = DetRng::seed_from_u64(0xD1A6_0000 + seed);
+        let l = random_lower(&mut rng);
+        let n = l.nrows();
+        let u = l.transpose();
+        // L + Lᵀ with the diagonal once, upper values their own.
+        let mut full = CooMatrix::new(n, n);
+        for (i, cols, vals) in l.iter_rows() {
+            for (&c, &v) in cols.iter().zip(vals) {
+                full.push(i, c, v).unwrap();
+                if c != i {
+                    full.push(c, i, v * 0.5 - 0.125).unwrap();
+                }
+            }
+        }
+        let full = full.to_csr();
+        let b: Vec<f64> = (0..n).map(|_| rng.gen_f64() * 4.0 - 2.0).collect();
+
+        for (triangular, tri) in [(&l, Triangle::Lower), (&u, Triangle::Upper)] {
+            let plan = match tri {
+                Triangle::Lower => CompiledSptrsv::compile_lower(&full),
+                Triangle::Upper => CompiledSptrsv::compile_upper(&full),
+            }
+            .unwrap();
+            // The row substitution visits last depends on every other and
+            // nothing depends on it: without its diagonal exactly one
+            // unknown is not finite.
+            let last = *substitution_order(n, tri).last().unwrap();
+            let operands = [
+                ("triangular", triangular.clone()),
+                ("full", full.clone()),
+                ("holed triangular", without_diagonal_of(triangular, last)),
+                ("holed full", without_diagonal_of(&full, last)),
+            ];
+            for (what, m) in &operands {
+                let ctx = format!("seed {seed} {} {what}", tri.label());
+                let reference = substitute(m, &b, tri);
+                assert_eq!(
+                    reference.iter().filter(|v| !v.is_finite()).count(),
+                    usize::from(what.starts_with("holed")),
+                    "{ctx}: reference"
+                );
+                let mut x = vec![f64::NAN; n];
+                plan.solve(Deterministic, m, &b, &mut x).unwrap();
+                assert_eq!(bits(&x), bits(&reference), "{ctx}: deterministic");
+                x.fill(f64::NAN);
+                plan.solve(Fast, m, &b, &mut x).unwrap();
+                for (i, (f, r)) in x.iter().zip(&reference).enumerate() {
+                    let close = (f - r).abs() <= 1e-9 * (1.0 + r.abs());
+                    assert!(
+                        close || (!f.is_finite() && !r.is_finite()),
+                        "{ctx}: fast row {i}: {f} vs {r}"
+                    );
+                }
+            }
+            // The full operand's triangle is the triangular operand's
+            // pattern, with values of its own in the upper half.
+            if tri == Triangle::Lower {
+                let mut x = vec![f64::NAN; n];
+                plan.solve(Deterministic, &full, &b, &mut x).unwrap();
+                assert_eq!(bits(&x), bits(&substitute(&l, &b, tri)), "seed {seed}");
+            }
         }
     }
 }
