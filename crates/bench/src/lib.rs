@@ -1,8 +1,7 @@
 //! # acamar-bench
 //!
 //! Experiment harnesses regenerating every table and figure of the Acamar
-//! paper's evaluation (Tables I–II, Figures 1–2 and 5–13), plus Criterion
-//! microbenchmarks for the software kernels.
+//! paper's evaluation (Tables I–II, Figures 1–2 and 5–13).
 //!
 //! Run everything with `cargo bench` — each bench target prints the
 //! paper-style rows followed by `paper:` / `measured:` comparison lines —

@@ -22,8 +22,8 @@
 //!    routing ([`shard_for`]) maps each sparsity pattern to one shard as
 //!    a *pure function of the fingerprint*, so every repeat of a
 //!    structural class lands where its compiled SpMV plan is already
-//!    warm. The `service` bench's A/B (affinity vs. random routing)
-//!    measures exactly this effect on warm p99 latency.
+//!    warm. `tests/service_routing.rs` counts exactly this effect in
+//!    plan-cache hits (affinity vs. round-robin routing).
 //! 4. **Supervision and failover** — every shard has a count-based
 //!    health state machine ([`ShardHealth`]:
 //!    `Healthy → Suspect → Broken → Probing → Healthy`) fed by dispatch

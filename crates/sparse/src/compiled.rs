@@ -55,7 +55,7 @@
 //! [`CompiledSpmv::execute_dot`] walk the bands in row order on the calling
 //! thread. Concurrency lives across solves (engine workers × service
 //! shards), not inside an SpMV — spawning threads per call measured 0.79×
-//! serial on a 646k-entry matrix (`BENCH_PR4.json`). Bands write disjoint
+//! serial on a 646k-entry matrix (CHANGES.md, PR 15). Bands write disjoint
 //! row ranges and are independent of each other, which is what a persistent
 //! worker team would start from if a workload ever argues for one.
 //!

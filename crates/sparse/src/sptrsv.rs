@@ -26,7 +26,7 @@
 //! benchmark's `sparse.sptrsv_*` rows report. Concurrency on the host
 //! lives across solves (engine workers × service shards); a level-parallel
 //! walk that spawned threads per level measured 186–494× slower than this
-//! loop on poisson2d-40 (`BENCH_PR10.json`) and was removed.
+//! loop on poisson2d-40 (CHANGES.md, PR 15) and was removed.
 //!
 //! ## Determinism contract
 //!

@@ -11,7 +11,7 @@
 //!   collapse it to `None` at construction time: the instrumented hot paths
 //!   then pay exactly one predictable branch per site — no virtual call, no
 //!   clock read, no allocation — preserving the zero-allocation warm-path
-//!   guarantee proven by the bench harness.
+//!   guarantee `tests/loop_allocs.rs` proves.
 //! - [`RingRecorder`] — a lock-free bounded MPMC ring (drop-on-full, with a
 //!   dropped-event counter) plus a fixed array of atomic counters, cheap
 //!   enough to leave on in production batches.

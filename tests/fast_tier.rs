@@ -10,7 +10,9 @@
 //!   (iterations / final residual / verdict) does not depend on how many
 //!   engine workers ran the batch — reassociation is a *kernel* choice,
 //!   fixed at plan compile, not a scheduling artifact.
-//! - **Verdict equivalence**: both tiers agree on converged/diverged.
+//! - **Verdict equivalence**: both tiers agree on converged/diverged, and
+//!   on the Table II suite `Fast` ends within 10× of the `Deterministic`
+//!   residual.
 
 use acamar::core::{Acamar, AcamarConfig};
 use acamar::engine::{Engine, SolveJob};
@@ -193,5 +195,26 @@ fn convergence_triple_is_worker_count_independent_in_both_tiers() {
     let fast = triples(&systems, 1, DeterminismPolicy::Fast);
     for (k, (d, f)) in det.iter().zip(&fast).enumerate() {
         assert_eq!(d.2, f.2, "job {k}: tiers disagree on the verdict");
+    }
+}
+
+/// The accuracy half of the `Fast` contract on the paper's own systems:
+/// all 25 Table II analogs reach the same verdict under both tiers, and
+/// reassociation costs at most one decimal digit of final residual.
+#[test]
+fn table_two_verdicts_match_and_fast_residual_stays_within_ten_times() {
+    let suite = acamar::datasets::suite();
+    let systems: Vec<_> = suite.iter().map(|d| Arc::new(d.matrix_f64())).collect();
+    let det = triples(&systems, 2, DeterminismPolicy::Deterministic);
+    let fast = triples(&systems, 2, DeterminismPolicy::Fast);
+    for ((d, det), fast) in suite.iter().zip(&det).zip(&fast) {
+        assert_eq!(det.2, fast.2, "{}: tiers disagree on the verdict", d.name);
+        assert!(
+            fast.1 <= 10.0 * det.1,
+            "{}: Fast residual {:e} is more than 10x Deterministic's {:e}",
+            d.name,
+            fast.1,
+            det.1
+        );
     }
 }

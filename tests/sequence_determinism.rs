@@ -72,9 +72,13 @@ type StepTrace = Vec<(
 )>;
 
 fn replay(engine: &Engine) -> (StepTrace, SequenceStats) {
+    replay_with(engine, SequenceConfig::default())
+}
+
+fn replay_with(engine: &Engine, config: SequenceConfig) -> (StepTrace, SequenceStats) {
     let jobs = workload();
     let mut seq = engine
-        .open_sequence(Arc::clone(&jobs[0].matrix), SequenceConfig::default())
+        .open_sequence(Arc::clone(&jobs[0].matrix), config)
         .unwrap();
     let mut trace = Vec::new();
     for job in jobs {
@@ -150,6 +154,34 @@ fn worker_count_does_not_change_the_sequence() {
     let (one, _) = replay(&Engine::with_workers(acamar(), 1));
     let (eight, _) = replay(&Engine::with_workers(acamar(), 8));
     assert_traces_identical(&one, &eight, "1 vs 8 workers");
+}
+
+/// Warm starts pay for themselves in iterations — exact counts, not a
+/// timing: the same drifting workload with the previous step's solution
+/// as the initial guess needs strictly fewer iterations in total than
+/// with every step started cold, and every step converges either way.
+#[test]
+fn warm_starts_cut_the_drifting_workloads_iterations() {
+    let total_iterations = |trace: &StepTrace| -> usize {
+        trace
+            .iter()
+            .enumerate()
+            .map(|(i, (_, _, outcome))| {
+                let (converged, iterations, _) = outcome.as_ref().expect("every step solves");
+                assert!(converged, "step {i} did not converge");
+                *iterations
+            })
+            .sum()
+    };
+    let run = |config| replay_with(&Engine::with_workers(acamar(), 1), config);
+    let (warm, stats) = run(SequenceConfig::default());
+    let (cold, _) = run(SequenceConfig::default().with_warm_start(false));
+    assert!(stats.plans_patched >= 1, "stats: {stats:?}");
+    let (warm, cold) = (total_iterations(&warm), total_iterations(&cold));
+    assert!(
+        warm < cold,
+        "{warm} iterations with warm starts, {cold} without"
+    );
 }
 
 /// Chaos replay: the same seeded fault plan over the same sequence twice

@@ -89,6 +89,7 @@ fn trace_reconfig_counts_match_fabric_stats() {
     let events = rec.drain();
     assert_eq!(rec.dropped(), 0, "ring sized for the whole trace");
     let counts = timeline::reconfig_counts(&events, None);
+    assert!(counts.spmv > 0, "the mixed matrix must reconfigure");
     assert_eq!(
         counts.spmv, batch.stats.spmv_reconfig_events as u64,
         "every fabric reconfiguration appears in the trace exactly once"
@@ -108,7 +109,7 @@ fn trace_reconfig_counts_match_fabric_stats() {
     assert_eq!(
         counters[Counter::AnalysisNanos.index()],
         batch.cache.analysis_nanos,
-        "bench and Prometheus export share one analysis-time source"
+        "cache stats and Prometheus export share one analysis-time source"
     );
 }
 
