@@ -306,11 +306,13 @@ impl WorkerPool {
                         loop {
                             // Hold the receiver lock only for the dequeue,
                             // never across task execution. The blocked
-                            // interval is charged to the shared idle clock
-                            // once the wait ends.
+                            // interval — queued on the lock behind another
+                            // idle worker as much as inside `recv` — is
+                            // charged to the shared idle clock once the
+                            // wait ends.
                             let task = {
-                                let rx = receiver.lock().unwrap_or_else(|p| p.into_inner());
                                 let waited = Instant::now();
+                                let rx = receiver.lock().unwrap_or_else(|p| p.into_inner());
                                 let task = rx.recv();
                                 idle_nanos.fetch_add(
                                     waited.elapsed().as_nanos() as u64,
@@ -429,11 +431,17 @@ fn drain_batch<T: Scalar>(inner: &EngineInner, ctx: &BatchCtx<T>, workspace: &Wo
 /// across callers via [`Arc`]. Worker threads are spawned once at
 /// construction and live until the engine is dropped (which joins them);
 /// each keeps a thread-resident buffer pool, so warm solves recycle
-/// their scratch vectors instead of heap-allocating. Batch jobs are
-/// pulled from a shared atomic index and results land by submission
-/// slot, so result order — and, because [`Acamar::run_with_plan`] is
-/// deterministic and pooled buffers are re-zeroed on reuse, every
-/// solution vector — is independent of scheduling and of pool warmth.
+/// their scratch vectors instead of heap-allocating. Who runs what: a
+/// batch that `min(workers, jobs)` says needs two or more runners goes to
+/// the pool, one runner task per participating worker; a batch that needs
+/// one — any batch on a one-worker engine, any one-job batch — and
+/// [`Engine::solve_one`] run on the calling thread against the engine's
+/// own buffer pool, with the same per-job hardening and no hand-off.
+/// Batch jobs are pulled from a shared atomic index and results land by
+/// submission slot, so result order — and, because
+/// [`Acamar::run_with_plan`] is deterministic and pooled buffers are
+/// re-zeroed on reuse, every solution vector — is independent of
+/// scheduling, of which thread ran the job, and of pool warmth.
 ///
 /// # Hardening
 ///
@@ -489,9 +497,9 @@ struct EngineInner {
     pool_idle: Arc<AtomicU64>,
     jobs_completed: AtomicU64,
     attempts: [AtomicU64; SolverKind::COUNT],
-    /// Buffer pool for [`Engine::solve_one`], which runs on the calling
-    /// thread: repeated single solves recycle scratch vectors just like
-    /// pool workers do.
+    /// Buffer pool for what runs on the calling thread —
+    /// [`Engine::solve_one`] and one-runner batches: repeated solves
+    /// recycle scratch vectors just like pool workers do.
     solo_workspace: WorkspaceHandle,
 }
 
@@ -717,7 +725,8 @@ impl Engine {
         Ok(self.solve_jobs(jobs))
     }
 
-    /// Runs `jobs` across the worker pool and aggregates a
+    /// Runs `jobs` across the worker pool — or, when one runner would
+    /// drain them all, on the calling thread — and aggregates a
     /// [`BatchReport`].
     ///
     /// Jobs are pulled from a shared queue (no static sharding, so a few
@@ -738,19 +747,26 @@ impl Engine {
             latch: Latch::new(runners),
         });
 
-        // One runner task per participating worker; each drains the shared
-        // index until the batch is empty, then counts down the latch. The
-        // submitting thread blocks here, not in the pool, so concurrent
-        // batches interleave their runners without deadlock.
-        for _ in 0..runners {
-            let inner = Arc::clone(&self.inner);
-            let ctx = Arc::clone(&ctx);
-            self.pool.submit(Box::new(move |scratch| {
-                drain_batch(&inner, &ctx, &scratch.workspace);
-                ctx.latch.count_down();
-            }));
+        if runners == 1 {
+            // A batch one runner drains gains nothing from a pool thread
+            // and pays two wake-ups for it: run it here, like `solve_one`.
+            drain_batch(&self.inner, &ctx, &self.inner.solo_workspace);
+        } else {
+            // One runner task per participating worker; each drains the
+            // shared index until the batch is empty, then counts down the
+            // latch. The submitting thread blocks here, not in the pool,
+            // so concurrent batches interleave their runners without
+            // deadlock.
+            for _ in 0..runners {
+                let inner = Arc::clone(&self.inner);
+                let ctx = Arc::clone(&ctx);
+                self.pool.submit(Box::new(move |scratch| {
+                    drain_batch(&inner, &ctx, &scratch.workspace);
+                    ctx.latch.count_down();
+                }));
+            }
+            ctx.latch.wait();
         }
-        ctx.latch.wait();
 
         let mut results = Vec::with_capacity(n);
         let mut dispositions = Vec::with_capacity(n);

@@ -16,7 +16,8 @@ use crate::spmv::SpmvExecution;
 use crate::trace::{ExecutionTrace, TraceEvent};
 use acamar_faultline::{FaultContext, FaultInjector};
 use acamar_solvers::{
-    DerivedPlan, Ic0, Kernels, OpCounts, Phase, SoftwareKernels, WorkspaceHandle,
+    DenseOp, DerivedPlan, FusedPass, Ic0, Kernels, OpCounts, Phase, SoftwareKernels,
+    WorkspaceHandle,
 };
 use acamar_sparse::{
     BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar, SparseError,
@@ -684,6 +685,22 @@ impl FabricKernels {
         self.cycles.dense += dense_cycles(n, false);
     }
 
+    /// Charges the dense primitive calls `ops`, each over `n` elements, one
+    /// after the other — a fused pass is priced as the sequence it stands
+    /// for ([`FusedPass::unfused`]): fusion saves host memory passes, not
+    /// fabric work.
+    fn charge(&mut self, ops: &[DenseOp], n: usize) {
+        for op in ops {
+            match op {
+                DenseOp::Copy => self.charge_move(n),
+                DenseOp::Dot => self.charge_dense(n, true),
+                DenseOp::Axpy | DenseOp::Xpby | DenseOp::Scale | DenseOp::Hadamard => {
+                    self.charge_dense(n, false)
+                }
+            }
+        }
+    }
+
     /// Charges a pass of `cyc` cycles through a serial sparse pipeline
     /// (one stored entry per cycle: the SOR sweep, a triangular solve).
     fn charge_serial_sparse(&mut self, cyc: u64) {
@@ -807,8 +824,15 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
     }
 
     fn dot(&mut self, x: &[T], y: &[T]) -> T {
-        self.charge_dense(x.len(), true);
+        self.charge(&[DenseOp::Dot], x.len());
         self.inner.dot(x, y)
+    }
+
+    fn dot_carried(&mut self, x: &[T], y: &[T], carried: Option<T>) -> T {
+        // The reduction tree runs where the algorithm asks for the product,
+        // whichever host pass happened to accumulate it.
+        self.charge(&[DenseOp::Dot], x.len());
+        self.inner.dot_carried(x, y, carried)
     }
 
     fn spmv_dot(&mut self, a: &CsrMatrix<T>, x: &[T], y: &mut [T], z: &[T]) -> T {
@@ -826,15 +850,8 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
             None => self.inner.spmv_dot(a, x, y, z),
         };
         self.charge_spmv(a);
-        self.charge_dense(y.len(), true);
+        self.charge(&[DenseOp::Dot], y.len());
         dot
-    }
-
-    fn axpy_normsq(&mut self, alpha: T, x: &[T], y: &mut [T]) -> T {
-        // Charged as the unfused axpy + dot(y, y) pair.
-        self.charge_dense(x.len(), false);
-        self.charge_dense(x.len(), true);
-        self.inner.axpy_normsq(alpha, x, y)
     }
 
     fn acquire_buffer(&mut self, n: usize) -> Vec<T> {
@@ -846,27 +863,27 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
     }
 
     fn axpy(&mut self, alpha: T, x: &[T], y: &mut [T]) {
-        self.charge_dense(x.len(), false);
+        self.charge(&[DenseOp::Axpy], x.len());
         self.inner.axpy(alpha, x, y);
     }
 
     fn xpby(&mut self, x: &[T], beta: T, y: &mut [T]) {
-        self.charge_dense(x.len(), false);
+        self.charge(&[DenseOp::Xpby], x.len());
         self.inner.xpby(x, beta, y);
     }
 
     fn scale(&mut self, alpha: T, x: &mut [T]) {
-        self.charge_dense(x.len(), false);
+        self.charge(&[DenseOp::Scale], x.len());
         self.inner.scale(alpha, x);
     }
 
     fn copy(&mut self, src: &[T], dst: &mut [T]) {
-        self.charge_move(src.len());
+        self.charge(&[DenseOp::Copy], src.len());
         self.inner.copy(src, dst);
     }
 
     fn hadamard(&mut self, a: &[T], x: &[T], y: &mut [T]) {
-        self.charge_dense(a.len(), false);
+        self.charge(&[DenseOp::Hadamard], a.len());
         self.inner.hadamard(a, x, y);
     }
 
@@ -928,16 +945,44 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
     }
 
     fn jacobi_step(&mut self, c: &[T], tx: &[T], x: &[T], diag: &[T], x_new: &mut [T]) -> T {
-        // Fusion saves host memory passes, not fabric work: charged as the
-        // unfused copy, axpy, copy, axpy, hadamard, dot, in that order.
-        let n = x_new.len();
-        for _ in 0..2 {
-            self.charge_move(n);
-            self.charge_dense(n, false);
-        }
-        self.charge_dense(n, false);
-        self.charge_dense(n, true);
+        self.charge(FusedPass::JacobiStep.unfused(), x_new.len());
         self.inner.jacobi_step(c, tx, x, diag, x_new)
+    }
+
+    fn waxpy(&mut self, alpha: T, x: &[T], y: &[T], w: &mut [T]) {
+        self.charge(FusedPass::Waxpy.unfused(), w.len());
+        self.inner.waxpy(alpha, x, y, w);
+    }
+
+    fn dot_pair(&mut self, x: &[T], y: &[T]) -> (T, T) {
+        self.charge(FusedPass::DotPair.unfused(), x.len());
+        self.inner.dot_pair(x, y)
+    }
+
+    fn cg_update(&mut self, alpha: T, p: &[T], ap: &[T], x: &mut [T], r: &mut [T]) -> Option<T> {
+        self.charge(FusedPass::CgUpdate.unfused(), r.len());
+        self.inner.cg_update(alpha, p, ap, x, r)
+    }
+
+    fn bicgstab_update(
+        &mut self,
+        alpha: T,
+        p: &[T],
+        omega: T,
+        s: &[T],
+        as_: &[T],
+        r0s: &[T],
+        x: &mut [T],
+        r: &mut [T],
+    ) -> (Option<T>, Option<T>) {
+        self.charge(FusedPass::BicgstabUpdate.unfused(), r.len());
+        self.inner
+            .bicgstab_update(alpha, p, omega, s, as_, r0s, x, r)
+    }
+
+    fn bicgstab_direction(&mut self, r: &[T], beta: T, omega: T, ap: &[T], p: &mut [T]) {
+        self.charge(FusedPass::BicgstabDirection.unfused(), p.len());
+        self.inner.bicgstab_direction(r, beta, omega, ap, p);
     }
 
     fn set_phase(&mut self, phase: Phase) {
@@ -1046,108 +1091,6 @@ mod tests {
         assert_eq!(hw_rep.iterations, sw_rep.iterations);
         assert_eq!(hw_rep.solution, sw_rep.solution);
         assert_eq!(hw_rep.counts.spmv_calls, sw_rep.counts.spmv_calls);
-    }
-
-    #[test]
-    fn fused_spmv_dot_matches_unfused_bitwise_counts_and_cycles() {
-        let a = generate::poisson2d::<f64>(9, 9);
-        let x: Vec<f64> = (0..81).map(|i| ((i % 13) as f64) * 0.25 - 1.0).collect();
-        let z: Vec<f64> = (0..81).map(|i| ((i % 7) as f64) - 3.0).collect();
-        let sched = UnrollSchedule::from_entries(
-            81,
-            vec![
-                ScheduleEntry {
-                    rows: 0..40,
-                    unroll: 2,
-                },
-                ScheduleEntry {
-                    rows: 40..81,
-                    unroll: 8,
-                },
-            ],
-        );
-        let mut fused = FabricKernels::new(spec(), sched.clone(), 4);
-        Kernels::<f64>::set_phase(&mut fused, Phase::Loop);
-        let mut y_fused = vec![0.0_f64; 81];
-        let d_fused = fused.spmv_dot(&a, &x, &mut y_fused, &z);
-
-        let mut unfused = FabricKernels::new(spec(), sched, 4);
-        Kernels::<f64>::set_phase(&mut unfused, Phase::Loop);
-        let mut y_ref = vec![0.0_f64; 81];
-        Kernels::<f64>::spmv(&mut unfused, &a, &x, &mut y_ref);
-        let d_ref = unfused.dot(&y_ref, &z);
-
-        assert_eq!(d_fused.to_bits(), d_ref.to_bits());
-        assert_eq!(y_fused, y_ref);
-        assert_eq!(
-            Kernels::<f64>::counts(&fused),
-            Kernels::<f64>::counts(&unfused)
-        );
-        assert_eq!(fused.cycles(), unfused.cycles());
-    }
-
-    #[test]
-    fn fused_axpy_normsq_matches_unfused_bitwise_counts_and_cycles() {
-        let x: Vec<f64> = (0..77).map(|i| ((i % 11) as f64) * 0.5 - 2.0).collect();
-        let y0: Vec<f64> = (0..77).map(|i| ((i % 5) as f64) - 1.0).collect();
-        let alpha = -0.37_f64;
-
-        let mut fused = FabricKernels::new(spec(), UnrollSchedule::uniform(77, 4), 4);
-        let mut y_fused = y0.clone();
-        let nsq_fused = fused.axpy_normsq(alpha, &x, &mut y_fused);
-
-        let mut unfused = FabricKernels::new(spec(), UnrollSchedule::uniform(77, 4), 4);
-        let mut y_ref = y0;
-        unfused.axpy(alpha, &x, &mut y_ref);
-        let nsq_ref = unfused.dot(&y_ref, &y_ref);
-
-        assert_eq!(nsq_fused.to_bits(), nsq_ref.to_bits());
-        assert_eq!(y_fused, y_ref);
-        assert_eq!(
-            Kernels::<f64>::counts(&fused),
-            Kernels::<f64>::counts(&unfused)
-        );
-        assert_eq!(fused.cycles(), unfused.cycles());
-    }
-
-    #[test]
-    fn fused_jacobi_step_matches_unfused_bitwise_counts_and_cycles() {
-        use acamar_sparse::DeterminismPolicy;
-
-        for policy in DeterminismPolicy::ALL {
-            for n in [0usize, 1, 15, 16, 17, 63] {
-                let c: Vec<f64> = (0..n).map(|i| ((i % 11) as f64) * 0.5 - 2.0).collect();
-                let tx: Vec<f64> = (0..n).map(|i| ((i % 5) as f64) - 1.0).collect();
-                let x: Vec<f64> = (0..n).map(|i| ((i % 13) as f64) * 0.25 - 1.0).collect();
-                let diag: Vec<f64> = (0..n).map(|i| 1.5 + (i % 7) as f64).collect();
-                let executor = || {
-                    FabricKernels::new(spec(), UnrollSchedule::uniform(n, 4), 4).with_policy(policy)
-                };
-
-                let mut fused = executor();
-                let mut x_fused = vec![f64::NAN; n];
-                let nsq_fused = fused.jacobi_step(&c, &tx, &x, &diag, &mut x_fused);
-
-                let mut unfused = executor();
-                let (mut x_ref, mut diff, mut r) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-                unfused.copy(&c, &mut x_ref);
-                unfused.axpy(-1.0, &tx, &mut x_ref);
-                unfused.copy(&x_ref, &mut diff);
-                unfused.axpy(-1.0, &x, &mut diff);
-                unfused.hadamard(&diag, &diff, &mut r);
-                let nsq_ref = unfused.dot(&r, &r);
-
-                assert_eq!(nsq_fused.to_bits(), nsq_ref.to_bits(), "{policy} n={n}");
-                assert_eq!(x_fused, x_ref, "{policy} n={n}");
-                assert_eq!(
-                    Kernels::<f64>::counts(&fused),
-                    Kernels::<f64>::counts(&unfused)
-                );
-                assert_eq!(fused.cycles(), unfused.cycles(), "{policy} n={n}");
-                let (fused, unfused) = (fused.finish(), unfused.finish());
-                assert_eq!(fused.capacity_flops, unfused.capacity_flops);
-            }
-        }
     }
 
     #[test]
@@ -1527,7 +1470,9 @@ mod tests {
             Kernels::<f64>::set_phase(&mut hw, Phase::Loop);
             let mut y = vec![0.0_f64; 96];
             let d = hw.spmv_dot(&a, &x, &mut y, &x);
-            let n = hw.axpy_normsq(0.25, &x, &mut y);
+            let mut w = x.clone();
+            let n = hw.cg_update(0.25, &x, &x, &mut w, &mut y);
+            let n = hw.dot_carried(&y, &y, n);
             (Kernels::<f64>::counts(&hw), hw.cycles(), y, d, n)
         };
         let (counts_det, cycles_det, y_det, d_det, n_det) = run(DeterminismPolicy::Deterministic);
@@ -1721,12 +1666,23 @@ mod tests {
             keep(&[k.dot(x, z), k.norm2(x)]);
             k.axpy(0.625, x, &mut y);
             keep(&y);
-            keep(&[k.axpy_normsq(-0.375, z, &mut y)]);
             k.xpby(x, 1.75, &mut y);
             k.scale(0.5, &mut y);
             keep(&y);
             let mut w = vec![0.0; 96];
             k.copy(&y, &mut w);
+            let rr = k.cg_update(-0.375, z, x, &mut w, &mut y);
+            keep(&[k.dot_carried(&y, &y, rr)]);
+            k.waxpy(0.75, z, &y, &mut w);
+            let (ww, wy) = k.dot_pair(&w, &y);
+            keep(&[ww, wy]);
+            let mut v = z.to_vec();
+            let (rr, rho) = k.bicgstab_update(0.5, x, -0.25, z, &w, x, &mut v, &mut y);
+            keep(&[k.dot_carried(&y, &y, rr), k.dot_carried(&y, x, rho)]);
+            k.bicgstab_direction(&y, 1.25, 0.5, z, &mut v);
+            keep(&v);
+            k.jacobi_step(x, z, &v, diag, &mut w);
+            keep(&w);
             k.hadamard(z, &w, &mut y);
             keep(&y);
             k.sor_sweep(a, diag, 1.25, x, &mut y);

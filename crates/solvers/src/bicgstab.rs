@@ -71,9 +71,13 @@ pub fn bicgstab<T: Scalar, K: Kernels<T>>(
     let tiny = T::epsilon().to_f64() * T::epsilon().to_f64();
 
     // --- Loop (Algorithm 3 lines 4-12) ---
+    // Four dense sweeps and two SpMVs per iteration. `rr` and `rho_new`
+    // are accumulated by the sweep that writes `r` and charged where the
+    // algorithm asks for them (`dot_carried`).
     kernels.set_phase(Phase::Loop);
+    let mut rr = None;
     let outcome = loop {
-        let r_norm = kernels.norm2(&r).to_f64();
+        let r_norm = kernels.dot_carried(&r, &r, rr).sqrt().to_f64();
         if r_norm / scale < criteria.tolerance {
             break Outcome::Converged;
         }
@@ -85,12 +89,9 @@ pub fn bicgstab<T: Scalar, K: Kernels<T>>(
             break Outcome::Diverged(DivergenceReason::Breakdown("(Ap, r0*) vanished"));
         }
         let alpha = rho / denom;
-        // s = r - alpha A p
-        kernels.copy(&r, &mut s);
-        kernels.axpy(-alpha, &ap, &mut s);
+        kernels.waxpy(-alpha, &ap, &r, &mut s); // s = r - alpha A p
         kernels.spmv(a, &s, &mut as_);
-        let as_as = kernels.dot(&as_, &as_);
-        let as_s = kernels.dot(&as_, &s);
+        let (as_as, as_s) = kernels.dot_pair(&as_, &s);
         if as_as == T::ZERO {
             // s = 0: the half-step already converged.
             kernels.axpy(alpha, &p, &mut x);
@@ -98,18 +99,18 @@ pub fn bicgstab<T: Scalar, K: Kernels<T>>(
             break Outcome::Converged;
         }
         let omega = as_s / as_as;
-        // x += alpha p + omega s
-        kernels.axpy(alpha, &p, &mut x);
-        kernels.axpy(omega, &s, &mut x);
-        // r = s - omega A s
-        kernels.copy(&s, &mut r);
-        let res = kernels.axpy_normsq(-omega, &as_, &mut r).sqrt().to_f64() / scale;
+        // x += alpha p + omega s; r = s - omega A s
+        let (rr_new, rho_new) =
+            kernels.bicgstab_update(alpha, &p, omega, &s, &as_, &r0s, &mut x, &mut r);
+        let rr_new = kernels.dot_carried(&r, &r, rr_new);
+        rr = Some(rr_new);
+        let res = rr_new.sqrt().to_f64() / scale;
         kernels.observe_residual(monitor.history().len(), res);
         match monitor.observe(res) {
             Verdict::Continue => {}
             Verdict::Done(o) => break o,
         }
-        let rho_new = kernels.dot(&r, &r0s);
+        let rho_new = kernels.dot_carried(&r, &r0s, rho_new);
         if !rho_new.is_finite() || rho_new.to_f64().abs() <= tiny * scale * scale {
             break Outcome::Diverged(DivergenceReason::Breakdown("rho = (r, r0*) vanished"));
         }
@@ -118,9 +119,7 @@ pub fn bicgstab<T: Scalar, K: Kernels<T>>(
         }
         let beta = (rho_new / rho) * (alpha / omega);
         rho = rho_new;
-        // p = r + beta (p - omega A p)
-        kernels.axpy(-omega, &ap, &mut p);
-        kernels.xpby(&r, beta, &mut p);
+        kernels.bicgstab_direction(&r, beta, omega, &ap, &mut p); // p = r + beta (p - omega A p)
     };
 
     kernels.release_buffer(r);

@@ -83,8 +83,9 @@ pub fn conjugate_gradient<T: Scalar, K: Kernels<T>>(
             ));
         }
         let alpha = rr / p_ap;
-        kernels.axpy(alpha, &p, &mut x); // x += alpha p
-        let rr_new = kernels.axpy_normsq(-alpha, &ap, &mut r); // r -= alpha A p
+        // x += alpha p; r -= alpha A p, with the new r's norm on the way
+        let rr_new = kernels.cg_update(alpha, &p, &ap, &mut x, &mut r);
+        let rr_new = kernels.dot_carried(&r, &r, rr_new);
         let res = rr_new.to_f64().max(0.0).sqrt() / scale;
         kernels.observe_residual(monitor.history().len(), res);
         match monitor.observe(res) {

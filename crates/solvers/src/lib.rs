@@ -38,6 +38,7 @@ mod bicgstab;
 mod cg;
 mod convergence;
 mod diagnostics;
+mod fused;
 mod gauss_seidel;
 mod gmres;
 mod ic0;
@@ -57,7 +58,9 @@ pub use gauss_seidel::{gauss_seidel, sor};
 pub use gmres::gmres;
 pub use ic0::Ic0;
 pub use jacobi::jacobi;
-pub use kernels::{DerivedPlan, Kernels, OpCounts, OperandId, Phase, SoftwareKernels};
+pub use kernels::{
+    DenseOp, DerivedPlan, FusedPass, Kernels, OpCounts, OperandId, Phase, SoftwareKernels,
+};
 pub use pcg::{ic0_preconditioned_cg, preconditioned_cg, preconditioned_cg_with, Preconditioner};
 pub use report::SolveReport;
 pub use selection::{

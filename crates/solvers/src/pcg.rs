@@ -167,8 +167,9 @@ pub fn preconditioned_cg_with<T: Scalar, K: Kernels<T>>(
     let mut iterations = 0usize;
 
     kernels.set_phase(Phase::Loop);
+    let mut rr = None;
     let outcome = loop {
-        let r_norm = kernels.norm2(&r).to_f64();
+        let r_norm = kernels.dot_carried(&r, &r, rr).sqrt().to_f64();
         if r_norm / scale < criteria.tolerance {
             break Outcome::Converged;
         }
@@ -186,11 +187,14 @@ pub fn preconditioned_cg_with<T: Scalar, K: Kernels<T>>(
             ));
         }
         let alpha = rz / p_ap;
-        kernels.axpy(alpha, &p, &mut x);
-        kernels.axpy(-alpha, &ap, &mut r);
+        // ‖r‖² rides the update and is charged where it is read: after
+        // the preconditioner, and again when the loop turns.
+        let rr_new = kernels.cg_update(alpha, &p, &ap, &mut x, &mut r);
         apply_precond(kernels, precond, &mut state, &r, &mut z);
         let rz_new = kernels.dot(&r, &z);
-        let res = kernels.norm2(&r).to_f64() / scale;
+        let rr_new = kernels.dot_carried(&r, &r, rr_new);
+        rr = Some(rr_new);
+        let res = rr_new.sqrt().to_f64() / scale;
         kernels.observe_residual(monitor.history().len(), res);
         match monitor.observe(res) {
             Verdict::Continue => {}

@@ -11,8 +11,8 @@
 //! plain `[T; 4]` newtype whose `#[inline]` element-wise operations give
 //! LLVM straight-line code it reliably autovectorizes (no nightly
 //! features, no target-specific intrinsics, MSRV unchanged). The free
-//! functions ([`dot_fast`], [`axpy_normsq_fast`]) are the reassociated
-//! reduction kernels the `Fast` tier swaps in for the hot serial folds.
+//! function [`dot_fast`] and the [`FastDot`] accumulator behind it are the
+//! reassociated reduction the `Fast` tier swaps in for the hot serial folds.
 //!
 //! Reassociation changes results only in the last few ULP on
 //! well-conditioned data (four partial sums instead of one), which is why
@@ -144,10 +144,115 @@ impl<T: Scalar> Lanes4<T> {
     }
 }
 
-/// Reassociated dot product: four independent four-lane partial-sum
-/// chains over the aligned body (sixteen elements per step, enough
-/// in-flight accumulators to hide the FP-add latency of each chain), a
-/// four-wide and then serial cleanup, one horizontal reduce at the end.
+/// The `Fast` tier's one reduction shape: four independent four-lane
+/// partial-sum chains (enough in-flight accumulators to hide the FP-add
+/// latency of each), fed sixteen products per step over the aligned body,
+/// then four at a time into the first chain, then one at a time into a
+/// serial tail; [`finish`](FastDot::finish) folds the chains pairwise,
+/// reduces the lanes once and adds the tail.
+///
+/// Every `Fast` reduction — [`dot_fast`] and each fused pass of the
+/// solver kernels — pushes its products through this type over
+/// [`reduction_blocks!`]'s walk, so a fused pass returns the bits
+/// `dot_fast` computes from the vector it stored, by construction rather
+/// than by a second copy of the clean-up logic.
+///
+/// [`reduction_blocks!`]: crate::reduction_blocks
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FastDot<T> {
+    chains: [Lanes4<T>; 4],
+    tail: T,
+}
+
+impl<T: Scalar> Default for FastDot<T> {
+    fn default() -> Self {
+        FastDot {
+            chains: [Lanes4::zero(); 4],
+            tail: T::ZERO,
+        }
+    }
+}
+
+impl<T: Scalar> FastDot<T> {
+    /// Adds one block of the walk's products `x[j] * y[j]`: sixteen go four
+    /// to a chain, four go to the first chain, one goes to the tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `products` is not 16, 4 or 1 long.
+    #[inline(always)]
+    pub fn push(&mut self, products: &[T]) {
+        match products.len() {
+            16 => {
+                for (c, chain) in self.chains.iter_mut().enumerate() {
+                    *chain = chain.add(Lanes4::from_slice(&products[4 * c..]));
+                }
+            }
+            4 => self.chains[0] = self.chains[0].add(Lanes4::from_slice(products)),
+            1 => self.tail += products[0],
+            len => panic!("a reduction block is 16, 4 or 1 long, not {len}"),
+        }
+    }
+
+    /// The sum: `(c0 + c1) + (c2 + c3)` lane-wise, one horizontal reduce,
+    /// plus the tail.
+    #[inline]
+    pub fn finish(self) -> T {
+        let [c0, c1, c2, c3] = self.chains;
+        c0.add(c1).add(c2.add(c3)).reduce() + self.tail
+    }
+}
+
+/// Walks `0..n` in [`FastDot`]'s block sizes — sixteens, then fours, then
+/// ones — evaluating the body once per block with `$k` bound to the
+/// block's first index and `$len` a *constant* 16, 4 or 1, so each of the
+/// three loops is compiled at its own fixed trip count (a closure would
+/// leave that to the inliner).
+///
+/// ```
+/// use acamar_sparse::simd::FastDot;
+///
+/// let x: Vec<f64> = (0..23).map(f64::from).collect();
+/// let mut acc = FastDot::default();
+/// acamar_sparse::reduction_blocks!(x.len(), |k, LEN| {
+///     let mut squares = [0.0; LEN];
+///     for (s, v) in squares.iter_mut().zip(&x[k..k + LEN]) {
+///         *s = v * v;
+///     }
+///     acc.push(&squares);
+/// });
+/// assert_eq!(acc.finish(), acamar_sparse::simd::dot_fast(&x, &x));
+/// ```
+#[macro_export]
+macro_rules! reduction_blocks {
+    ($n:expr, |$k:ident, $len:ident| $body:block) => {{
+        let n: usize = $n;
+        let mut $k = 0usize;
+        {
+            const $len: usize = 16;
+            while $k + $len <= n {
+                $body
+                $k += $len;
+            }
+        }
+        {
+            const $len: usize = 4;
+            while $k + $len <= n {
+                $body
+                $k += $len;
+            }
+        }
+        {
+            const $len: usize = 1;
+            while $k < n {
+                $body
+                $k += $len;
+            }
+        }
+    }};
+}
+
+/// Reassociated dot product in [`FastDot`]'s shape.
 ///
 /// Agrees with the serial fold to a few ULP on well-conditioned inputs;
 /// the `Fast` tier's replacement for the deterministic `dot`.
@@ -158,142 +263,22 @@ impl<T: Scalar> Lanes4<T> {
 #[inline]
 pub fn dot_fast<T: Scalar>(x: &[T], y: &[T]) -> T {
     assert_eq!(x.len(), y.len(), "dot length mismatch");
-    let n = x.len();
-    let mut acc0 = Lanes4::zero();
-    let mut acc1 = Lanes4::zero();
-    let mut acc2 = Lanes4::zero();
-    let mut acc3 = Lanes4::zero();
-    let mut k = 0usize;
-    while k + 16 <= n {
-        acc0 = acc0.mul_add(Lanes4::from_slice(&x[k..]), Lanes4::from_slice(&y[k..]));
-        acc1 = acc1.mul_add(
-            Lanes4::from_slice(&x[k + 4..]),
-            Lanes4::from_slice(&y[k + 4..]),
-        );
-        acc2 = acc2.mul_add(
-            Lanes4::from_slice(&x[k + 8..]),
-            Lanes4::from_slice(&y[k + 8..]),
-        );
-        acc3 = acc3.mul_add(
-            Lanes4::from_slice(&x[k + 12..]),
-            Lanes4::from_slice(&y[k + 12..]),
-        );
-        k += 16;
-    }
-    while k + 4 <= n {
-        acc0 = acc0.mul_add(Lanes4::from_slice(&x[k..]), Lanes4::from_slice(&y[k..]));
-        k += 4;
-    }
-    let mut tail = T::ZERO;
-    for j in k..n {
-        tail += x[j] * y[j];
-    }
-    acc0.add(acc1).add(acc2.add(acc3)).reduce() + tail
+    let mut acc = FastDot::default();
+    reduction_blocks!(x.len(), |k, LEN| {
+        let (x, y) = (&x[k..k + LEN], &y[k..k + LEN]);
+        let mut products = [T::ZERO; LEN];
+        for j in 0..LEN {
+            products[j] = x[j] * y[j];
+        }
+        acc.push(&products);
+    });
+    acc.finish()
 }
 
 /// Reassociated squared norm: [`dot_fast`]`(x, x)`.
 #[inline]
 pub fn norm_sq_fast<T: Scalar>(x: &[T]) -> T {
     dot_fast(x, x)
-}
-
-/// Fused reassociated `y += alpha * x; return ||y||²` in one pass, with
-/// four independent four-lane partial-sum chains (sixteen elements per
-/// step). The update to `y` is element-wise (identical to the serial
-/// fused kernel); only the norm reduction reassociates.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn axpy_normsq_fast<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) -> T {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    let n = y.len();
-    let mut acc0 = Lanes4::zero();
-    let mut acc1 = Lanes4::zero();
-    let mut acc2 = Lanes4::zero();
-    let mut acc3 = Lanes4::zero();
-    let mut i = 0usize;
-    while i + 16 <= n {
-        for k in i..i + 16 {
-            y[k] += alpha * x[k];
-        }
-        acc0 = acc0.mul_add(Lanes4::from_slice(&y[i..]), Lanes4::from_slice(&y[i..]));
-        acc1 = acc1.mul_add(
-            Lanes4::from_slice(&y[i + 4..]),
-            Lanes4::from_slice(&y[i + 4..]),
-        );
-        acc2 = acc2.mul_add(
-            Lanes4::from_slice(&y[i + 8..]),
-            Lanes4::from_slice(&y[i + 8..]),
-        );
-        acc3 = acc3.mul_add(
-            Lanes4::from_slice(&y[i + 12..]),
-            Lanes4::from_slice(&y[i + 12..]),
-        );
-        i += 16;
-    }
-    let mut tail = T::ZERO;
-    for k in i..n {
-        y[k] += alpha * x[k];
-        tail += y[k] * y[k];
-    }
-    acc0.add(acc1).add(acc2.add(acc3)).reduce() + tail
-}
-
-/// Fused reassociated Jacobi update: `x_new = c − tx`, returning
-/// `‖d ∘ (x_new − x)‖²` without ever storing the difference or its
-/// scaling. Element-wise arithmetic is the unfused
-/// copy/axpy/copy/axpy/hadamard sequence's, and the reduction has exactly
-/// [`dot_fast`]'s shape — sixteen-element steps over four chains, a
-/// four-wide and then serial cleanup — so the result is bitwise
-/// `dot_fast(r, r)` of the materialized `r`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn jacobi_step_fast<T: Scalar>(c: &[T], tx: &[T], x: &[T], d: &[T], x_new: &mut [T]) -> T {
-    let n = x_new.len();
-    assert!(
-        c.len() == n && tx.len() == n && x.len() == n && d.len() == n,
-        "jacobi step length mismatch"
-    );
-    // Updates `len` elements from `k` on and returns their scaled
-    // differences, zero-padded to a full step.
-    let mut step = |k: usize, len: usize| {
-        let mut r = [T::ZERO; 16];
-        for (j, rj) in r[..len].iter_mut().enumerate() {
-            let i = k + j;
-            let next = c[i] + -T::ONE * tx[i];
-            x_new[i] = next;
-            *rj = d[i] * (next + -T::ONE * x[i]);
-        }
-        r
-    };
-    let mut acc0 = Lanes4::zero();
-    let mut acc1 = Lanes4::zero();
-    let mut acc2 = Lanes4::zero();
-    let mut acc3 = Lanes4::zero();
-    let mut k = 0usize;
-    while k + 16 <= n {
-        let r = step(k, 16);
-        acc0 = acc0.mul_add(Lanes4::from_slice(&r), Lanes4::from_slice(&r));
-        acc1 = acc1.mul_add(Lanes4::from_slice(&r[4..]), Lanes4::from_slice(&r[4..]));
-        acc2 = acc2.mul_add(Lanes4::from_slice(&r[8..]), Lanes4::from_slice(&r[8..]));
-        acc3 = acc3.mul_add(Lanes4::from_slice(&r[12..]), Lanes4::from_slice(&r[12..]));
-        k += 16;
-    }
-    while k + 4 <= n {
-        let r = step(k, 4);
-        acc0 = acc0.mul_add(Lanes4::from_slice(&r), Lanes4::from_slice(&r));
-        k += 4;
-    }
-    let mut tail = T::ZERO;
-    for &rj in &step(k, n - k)[..n - k] {
-        tail += rj * rj;
-    }
-    acc0.add(acc1).add(acc2.add(acc3)).reduce() + tail
 }
 
 #[cfg(test)]
@@ -352,44 +337,44 @@ mod tests {
     }
 
     #[test]
-    fn axpy_normsq_fast_updates_y_exactly_and_norm_approximately() {
-        for n in [0usize, 2, 4, 9, 130] {
-            let x = seq(n, 0.5, 2.0);
-            let y0 = seq(n, -0.25, 0.5);
-            let alpha = -0.37f64;
-
-            let mut y_fast = y0.clone();
-            let nsq_fast = axpy_normsq_fast(alpha, &x, &mut y_fast);
-
-            let mut y_ref = y0;
-            let mut nsq_ref = 0.0f64;
-            for (yi, &xi) in y_ref.iter_mut().zip(&x) {
-                *yi += alpha * xi;
-                nsq_ref += *yi * *yi;
+    fn dot_fast_keeps_its_written_out_shape_at_every_remainder() {
+        // The shape spelled out: four chains over sixteens, fours into the
+        // first chain, a serial tail, pairwise fold, one reduce.
+        fn spelled_out(x: &[f64], y: &[f64]) -> f64 {
+            let lanes = |s: &[f64], k: usize| Lanes4::from_slice(&s[k..]);
+            let mut acc = [Lanes4::zero(); 4];
+            let mut k = 0;
+            while k + 16 <= x.len() {
+                for (c, a) in acc.iter_mut().enumerate() {
+                    *a = a.mul_add(lanes(x, k + 4 * c), lanes(y, k + 4 * c));
+                }
+                k += 16;
             }
-            // The vector update is element-wise: bitwise identical.
-            for (a, b) in y_fast.iter().zip(&y_ref) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            while k + 4 <= x.len() {
+                acc[0] = acc[0].mul_add(lanes(x, k), lanes(y, k));
+                k += 4;
             }
-            let tol = 1e-12 * (1.0 + nsq_ref.abs());
-            assert!((nsq_fast - nsq_ref).abs() <= tol, "n={n}");
+            let mut tail = 0.0;
+            for j in k..x.len() {
+                tail += x[j] * y[j];
+            }
+            acc[0].add(acc[1]).add(acc[2].add(acc[3])).reduce() + tail
+        }
+        for n in (0..=40).chain([63, 64, 130, 257]) {
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let y: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 2.0)).collect();
+            assert_eq!(
+                dot_fast(&x, &y).to_bits(),
+                spelled_out(&x, &y).to_bits(),
+                "n={n}"
+            );
         }
     }
 
     #[test]
-    fn jacobi_step_fast_is_bitwise_the_materialized_update_and_dot_fast() {
-        for n in [0usize, 1, 3, 4, 15, 16, 17, 20, 63, 130] {
-            let (c, tx) = (seq(n, 0.37, 2.5), seq(n, -0.21, 1.0));
-            let (x, d) = (seq(n, 0.5, 2.0), seq(n, 0.3, -1.5));
-            let mut x_new = vec![f64::NAN; n];
-            let got = jacobi_step_fast(&c, &tx, &x, &d, &mut x_new);
-            // The unfused sequence: two axpys with alpha = -1, a hadamard.
-            let alpha = -1.0;
-            let want_x: Vec<f64> = c.iter().zip(&tx).map(|(c, t)| c + alpha * t).collect();
-            let r: Vec<f64> = (0..n).map(|i| d[i] * (want_x[i] + alpha * x[i])).collect();
-            assert_eq!(x_new, want_x, "n={n}");
-            assert_eq!(got.to_bits(), dot_fast(&r, &r).to_bits(), "n={n}");
-        }
+    #[should_panic(expected = "a reduction block is 16, 4 or 1 long")]
+    fn fast_dot_refuses_a_block_outside_its_walk() {
+        FastDot::default().push(&[1.0f64; 5]);
     }
 
     #[test]

@@ -496,11 +496,15 @@ pub enum Counter {
     /// memo was installed: the pattern cannot be scheduled (nothing is
     /// kept for it), or the memoised schedule did not fit the matrix.
     Ic0ScheduleRebuilds,
+    /// Dot products a solver took from the fused pass that had already
+    /// accumulated them (a carried reduction) instead of sweeping the
+    /// vectors again. Counted and priced as a dot product all the same.
+    CarriedDots,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 40;
+    pub const COUNT: usize = 41;
 
     /// Every counter, in `repr` order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -544,6 +548,7 @@ impl Counter {
         Counter::DerivedSplitRebuilds,
         Counter::Ic0SchedulesBuilt,
         Counter::Ic0ScheduleRebuilds,
+        Counter::CarriedDots,
     ];
 
     /// The counter's index into a `[u64; Counter::COUNT]` snapshot.
@@ -594,6 +599,7 @@ impl Counter {
             Counter::DerivedSplitRebuilds => "acamar_derived_split_rebuilds_total",
             Counter::Ic0SchedulesBuilt => "acamar_ic0_schedules_built_total",
             Counter::Ic0ScheduleRebuilds => "acamar_ic0_schedule_rebuilds_total",
+            Counter::CarriedDots => "acamar_carried_dots_total",
         }
     }
 
@@ -650,6 +656,7 @@ impl Counter {
             Counter::Ic0ScheduleRebuilds => {
                 "IC(0) factorizations scheduled from scratch past a memo that did not fit"
             }
+            Counter::CarriedDots => "Dot products taken from a fused pass instead of recomputed",
         }
     }
 }

@@ -310,12 +310,6 @@ impl Kernels<f64> for WalkPriced {
         self.inner.axpy(alpha, x, y);
     }
 
-    fn axpy_normsq(&mut self, alpha: f64, x: &[f64], y: &mut [f64]) -> f64 {
-        self.charge_dense(x.len(), false, true);
-        self.charge_dense(x.len(), true, true);
-        self.inner.axpy_normsq(alpha, x, y)
-    }
-
     fn xpby(&mut self, x: &[f64], beta: f64, y: &mut [f64]) {
         self.charge_dense(x.len(), false, true);
         self.inner.xpby(x, beta, y);
@@ -611,12 +605,22 @@ struct Observed {
     /// Normalized events, printed: a diverging run's residual samples
     /// are NaN, which no `PartialEq` equates.
     telemetry: Vec<String>,
-    /// Every counter but the five that say which *host* path built or
-    /// multiplied an operand (`PlanlessSpmvs`, `DerivedPlansBuilt`,
-    /// `DerivedSplitRebuilds`, `Ic0SchedulesBuilt`, `Ic0ScheduleRebuilds`):
-    /// the reference builds its derived operands without a memo and walks
-    /// them without a plan by construction.
+    /// Every counter but the six that say which *host* path built,
+    /// multiplied or reduced an operand (`PlanlessSpmvs`,
+    /// `DerivedPlansBuilt`, `DerivedSplitRebuilds`, `Ic0SchedulesBuilt`,
+    /// `Ic0ScheduleRebuilds`, `CarriedDots`): the reference builds its
+    /// derived operands without a memo, walks them without a plan and
+    /// recomputes every dot product by construction.
     counters: Vec<u64>,
+}
+
+/// `(residuals observed, dot products taken from a fused pass)` so far.
+fn carried(ring: &RingRecorder) -> (u64, u64) {
+    let counters = ring.counters();
+    (
+        counters[Counter::ResidualSamples.index()],
+        counters[Counter::CarriedDots.index()],
+    )
 }
 
 fn observe(
@@ -653,6 +657,7 @@ fn observe(
                         | Counter::DerivedSplitRebuilds
                         | Counter::Ic0SchedulesBuilt
                         | Counter::Ic0ScheduleRebuilds
+                        | Counter::CarriedDots
                 )
             })
             .map(|c| ring.counters()[c.index()])
@@ -669,6 +674,9 @@ fn ring() -> (Arc<RingRecorder>, TelemetrySink) {
 #[test]
 fn table_replay_equals_the_row_walk_on_every_solver_and_fault_mode() {
     let (mut solves, mut aborted_mid_run, mut iterations) = (0u32, 0u32, 0usize);
+    // BiCG-STAB runs by how many of the last update's three carried dots
+    // were still asked for: [rho never, the loop-top norm never, all].
+    let mut stab_endings = [0u32; 3];
     for seed in 0..64u64 {
         let a = pattern(seed);
         let n = a.nrows();
@@ -704,6 +712,7 @@ fn table_replay_equals_the_row_walk_on_every_solver_and_fault_mode() {
                         if stats.reconfig_aborts > 0 && stats.spmv_reconfig_events > 3 {
                             aborted_mid_run += 1;
                         }
+                        let (updates, carried_hw) = carried(&ring_hw);
                         let got = observe(report, stats, &trace, &ring_hw);
 
                         let (ring_ref, sink) = ring();
@@ -711,7 +720,32 @@ fn table_replay_equals_the_row_walk_on_every_solver_and_fault_mode() {
                         reference.begin_attempt();
                         let report = solve(solver, &a, &b, &mut reference);
                         let (stats, trace) = reference.finish();
+                        let (_, carried_ref) = carried(&ring_ref);
                         let want = observe(report, stats, &trace, &ring_ref);
+
+                        // The fabric side took every dot product a fused
+                        // pass had accumulated from that pass — one per
+                        // update in CG, up to two in PCG and three in
+                        // BiCG-STAB, fewer only where the last iteration
+                        // broke off before asking — and the reference,
+                        // which overrides no fused pass, recomputed them
+                        // all; `got == want` below then says each was
+                        // charged at the same cycle either way.
+                        let per_update = match solver {
+                            Solver::Cg => 1,
+                            Solver::Ic0Pcg => 2,
+                            Solver::BiCgStab => 3,
+                            _ => 0,
+                        };
+                        let unasked = (per_update * updates)
+                            .checked_sub(carried_hw)
+                            .filter(|&u| u < per_update.max(1) && carried_ref == 0)
+                            .unwrap_or_else(|| {
+                                panic!("{case}: {carried_hw} carried over {updates} updates")
+                            });
+                        if matches!(solver, Solver::BiCgStab) && updates > 0 {
+                            stab_endings[2 - unasked as usize] += 1;
+                        }
 
                         assert_eq!(got.trace_dropped, 0, "{case}: trace buffer too small");
                         assert_eq!(ring_hw.dropped(), 0, "{case}: ring too small");
@@ -727,6 +761,13 @@ fn table_replay_equals_the_row_walk_on_every_solver_and_fault_mode() {
     // aborts that land after the table has been replayed a few times.
     assert!(iterations / solves as usize >= 8, "{iterations} iterations");
     assert!(aborted_mid_run >= 100, "{aborted_mid_run} mid-run aborts");
+    // Runs the monitor ended (rho never charged) and runs a vanished rho
+    // or omega ended; none here leaves through the loop top, where the
+    // monitor's own tolerance has always fired first.
+    assert!(
+        stab_endings[..2].iter().all(|&n| n >= 20),
+        "{stab_endings:?}"
+    );
 }
 
 /// The 2D Poisson operator with its diagonal lowered by `shift`: symmetric

@@ -9,7 +9,7 @@ use acamar::core::{Acamar, AcamarConfig};
 use acamar::engine::{Engine, SolveJob};
 use acamar::fabric::FabricSpec;
 use acamar::solvers::ConvergenceCriteria;
-use acamar::sparse::{generate, CsrMatrix};
+use acamar::sparse::{generate, CsrMatrix, DeterminismPolicy};
 use std::sync::Arc;
 
 fn acamar() -> Acamar {
@@ -144,4 +144,75 @@ fn solve_batch_of_eight_rhs_analyzes_exactly_once() {
     let again = engine.solve_batch(&a, &rhss).unwrap();
     assert_eq!(again.cache.misses, 0);
     assert_eq!(again.cache.hits, 8);
+}
+
+#[test]
+fn a_one_job_batch_runs_on_the_caller_and_answers_like_any_other_path() {
+    // One runner is enough for a one-job batch, so it runs on the calling
+    // thread; two jobs on two workers go through the pool. Which thread
+    // ran a job must not show in its report.
+    let a = Arc::new(generate::convection_diffusion_2d::<f64>(12, 11, 1.5));
+    let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + i as f64 * 1e-3).collect();
+    let other = SolveJob::new(Arc::new(generate::poisson2d::<f64>(9, 9)), vec![1.0; 81]);
+
+    let alone = |policy| {
+        let batch = Engine::with_workers(acamar(), 2).solve_jobs(vec![SolveJob::new(
+            Arc::clone(&a),
+            b.clone(),
+        )
+        .with_policy(policy)]);
+        assert_eq!(batch.jobs(), 1);
+        format!("{:?}", batch.results[0].as_ref().unwrap())
+    };
+    let direct = Engine::with_workers(acamar(), 2).solve_one(&a, &b).unwrap();
+    assert!(direct.converged());
+    assert_eq!(
+        alone(DeterminismPolicy::Deterministic),
+        format!("{direct:?}")
+    );
+
+    for policy in DeterminismPolicy::ALL {
+        let pair = Engine::with_workers(acamar(), 2).solve_jobs(vec![
+            other.clone(),
+            SolveJob::new(Arc::clone(&a), b.clone()).with_policy(policy),
+        ]);
+        let paired = format!("{:?}", pair.results[1].as_ref().unwrap());
+        assert_eq!(alone(policy), paired, "{policy}");
+    }
+}
+
+#[cfg(feature = "fault-injection")]
+#[test]
+fn a_panic_in_a_one_job_batch_is_typed_and_leaves_the_engine_usable() {
+    use acamar::engine::SolveError;
+    use acamar::faultline::{FaultCategory, FaultInjector, FaultPlan};
+
+    let a = Arc::new(generate::poisson2d::<f64>(8, 8));
+    let job = || SolveJob::new(Arc::clone(&a), vec![1.0; 64]);
+    // Every job is disrupted, by a panic or a stall as its index rolls:
+    // take the first seed that panics job 0 and only stalls job 1.
+    let mut checked = false;
+    for seed in 0..64 {
+        let plan = FaultPlan::new(seed).with_rate(FaultCategory::WorkerDisruption, 1.0);
+        let engine = Engine::with_workers(acamar(), 2)
+            .with_fault_injection(Arc::new(FaultInjector::new(plan)));
+        // The panic unwinds on this thread, inside the job's own guard.
+        let lone = engine.solve_jobs(vec![job()]);
+        if !matches!(lone.results[0], Err(SolveError::Panicked { .. })) {
+            continue;
+        }
+        assert_eq!(lone.robustness.panics_caught, 1);
+        let pair = engine.solve_jobs(vec![job(), job()]);
+        assert!(matches!(pair.results[0], Err(SolveError::Panicked { .. })));
+        if !matches!(&pair.results[1], Ok(r) if r.converged()) {
+            continue;
+        }
+        // And the calling-thread path still works after unwinding once.
+        let again = engine.solve_jobs(vec![job()]);
+        assert!(matches!(again.results[0], Err(SolveError::Panicked { .. })));
+        assert_eq!(engine.counters().jobs_completed, 4);
+        checked = true;
+        break;
+    }
+    assert!(checked, "no seed under 64 panics job 0 and stalls job 1");
 }

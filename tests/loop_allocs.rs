@@ -10,8 +10,8 @@ use acamar::core::{Acamar, AcamarConfig};
 use acamar::datasets::suite;
 use acamar::fabric::{FabricKernels, FabricSpec, ScheduleEntry, UnrollSchedule};
 use acamar::solvers::{
-    bicgstab, conjugate_gradient, jacobi, ConvergenceCriteria, Kernels, SoftwareKernels,
-    SolveReport, WorkspaceHandle,
+    bicgstab, conjugate_gradient, ic0_preconditioned_cg, jacobi, ConvergenceCriteria, Kernels,
+    SoftwareKernels, SolveReport, WorkspaceHandle,
 };
 use acamar::sparse::generate::{self, RowDistribution};
 use acamar::sparse::{CsrMatrix, DeterminismPolicy, SparseError};
@@ -20,7 +20,8 @@ use acamar::sparse::{CsrMatrix, DeterminismPolicy, SparseError};
 mod counting_alloc;
 use counting_alloc::allocations;
 
-/// The signature `conjugate_gradient`, `bicgstab` and `jacobi` share.
+/// The signature `conjugate_gradient`, `bicgstab`, `jacobi` and [`ic0_pcg`]
+/// share.
 type Solver<K> = fn(
     &CsrMatrix<f64>,
     &[f64],
@@ -70,6 +71,18 @@ fn assert_loop_allocates_nothing<K: Kernels<f64>>(
     );
 }
 
+/// IC(0)-PCG in the shared signature. It factors and compiles its
+/// substitution schedules inside the solve — the same at either budget.
+fn ic0_pcg<K: Kernels<f64>>(
+    a: &CsrMatrix<f64>,
+    b: &[f64],
+    x0: Option<&[f64]>,
+    criteria: &ConvergenceCriteria,
+    kernels: &mut K,
+) -> Result<SolveReport<f64>, SparseError> {
+    ic0_preconditioned_cg(a, b, x0, criteria, kernels, None)
+}
+
 fn software(_: &CsrMatrix<f64>) -> SoftwareKernels {
     SoftwareKernels::new().with_workspace(WorkspaceHandle::new())
 }
@@ -98,6 +111,8 @@ fn doubling_the_iteration_budget_adds_no_allocation() {
     assert_loop_allocates_nothing("cg on the fabric", &spd, fabric, conjugate_gradient);
     assert_loop_allocates_nothing("jacobi on the fabric", &dominant, fabric, jacobi);
     assert_loop_allocates_nothing("bicgstab", &nonsymmetric, software, bicgstab);
+    assert_loop_allocates_nothing("bicgstab on the fabric", &nonsymmetric, fabric, bicgstab);
+    assert_loop_allocates_nothing("ic0-pcg on the fabric", &spd, fabric, ic0_pcg);
     assert_loop_allocates_nothing("jacobi", &dominant, software, jacobi);
 }
 
