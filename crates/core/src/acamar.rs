@@ -845,6 +845,81 @@ mod tests {
         );
     }
 
+    fn forced_pcg(a: &CsrMatrix<f64>, b: &[f64]) -> Result<AcamarRunReport<f64>, SparseError> {
+        let opts = RunOptions {
+            solver: Some(SolverKind::PreconditionedCg),
+            ..RunOptions::default()
+        };
+        let ac = acamar();
+        ac.run_with_plan_opts(a, b, None, &ac.analyze(a), opts)
+    }
+
+    #[test]
+    fn forced_pcg_survives_a_breakdown_and_refuses_or_rejects_non_finite_input() {
+        // Kershaw's matrix is SPD (eigenvalues 3 ± 2√2), yet IC(0) on its
+        // pattern meets a negative pivot at row 3: Jacobi scaling runs.
+        let mut coo = acamar_sparse::CooMatrix::new(4, 4);
+        let rows = [
+            [3.0, -2.0, 0.0, 2.0],
+            [-2.0, 3.0, -2.0, 0.0],
+            [0.0, -2.0, 3.0, -2.0],
+            [2.0, 0.0, -2.0, 3.0],
+        ];
+        for (i, row) in rows.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate().filter(|(_, &v)| v != 0.0) {
+                coo.push(i, j, v).unwrap();
+            }
+        }
+        let kershaw: CsrMatrix<f64> = coo.to_csr();
+        assert_eq!(
+            acamar_solvers::Ic0::factor(&kershaw).err(),
+            Some(SparseError::ZeroDiagonal { row: 3 })
+        );
+        let artifacts = acamar().analyze(&kershaw);
+        assert_eq!(forced_pcg_preconditioner(&kershaw, &artifacts), (false, 0));
+        let rep = forced_pcg(&kershaw, &[1.0, -2.0, 0.5, 4.0]).unwrap();
+        assert!(rep.converged(), "{:?}", rep.solve.outcome);
+        assert_eq!(rep.final_solver(), SolverKind::PreconditionedCg);
+
+        let a = generate::poisson2d::<f64>(6, 6);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // In b: a typed error before any work.
+            let mut b = vec![1.0; 36];
+            b[7] = bad;
+            assert_eq!(
+                forced_pcg(&a, &b).err(),
+                Some(SparseError::NonFiniteValue {
+                    what: "right-hand side",
+                    index: 7,
+                }),
+                "{bad} in b"
+            );
+            // On A's diagonal, first, middle and last row: IC(0) refuses
+            // the pivot, and what runs instead ends in a verdict that is
+            // not convergence (or a typed error) — never a panic, never a
+            // non-finite x reported as converged.
+            for row in [0, 17, 35] {
+                let mut m = a.clone();
+                let slot = (m.row_ptr()[row]..m.row_ptr()[row + 1])
+                    .find(|&k| m.col_idx()[k] == row)
+                    .unwrap();
+                m.values_mut()[slot] = bad;
+                assert_eq!(
+                    forced_pcg_preconditioner(&m, &acamar().analyze(&m)),
+                    (false, 0),
+                    "{bad} at ({row}, {row}) is a breakdown"
+                );
+                if let Ok(rep) = forced_pcg(&m, &[1.0; 36]) {
+                    assert!(
+                        !rep.converged(),
+                        "{bad} at ({row}, {row}): {:?}",
+                        rep.solve.outcome
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn extended_solvers_pick_sor_for_dominant_symmetric_intake() {
         // Shift the Poisson diagonal so it is strictly dominant: the

@@ -1307,6 +1307,9 @@ mod tests {
 
         let a = generate::poisson2d::<f64>(6, 6);
         let plan = CompiledSptrsv::compile_lower(&a).unwrap();
+        // The operand substitution meets in production: an IC(0) factor,
+        // reciprocal pivots in its diagonal slots.
+        let ic0 = acamar_solvers::Ic0::factor(&a).unwrap();
         let inj = Arc::new(FaultInjector::new(
             FaultPlan::new(3).with_rate(FaultCategory::SpmvBitFlip, 1.0),
         ));
@@ -1317,12 +1320,12 @@ mod tests {
         // Roll the attempt's stuck bit; the Initialize-phase substitution
         // (preconditioner setup) must stay clean regardless.
         hw.set_schedule(UnrollSchedule::uniform(36, 4));
-        Kernels::<f64>::sptrsv(&mut hw, &plan, &a, &b, &mut x);
+        Kernels::<f64>::sptrsv(&mut hw, &plan, ic0.lower(), &b, &mut x);
         assert!(x.iter().all(|v| v.is_finite() && v.abs() < 1e3));
         // Loop phase: the substitution datapath seam corrupts exactly one
         // element of the freshly produced vector, like the SpMV seam.
         Kernels::<f64>::set_phase(&mut hw, Phase::Loop);
-        Kernels::<f64>::sptrsv(&mut hw, &plan, &a, &b, &mut x);
+        Kernels::<f64>::sptrsv(&mut hw, &plan, ic0.lower(), &b, &mut x);
         let loud = x
             .iter()
             .filter(|v| !v.is_finite() || v.abs() > 1e100)

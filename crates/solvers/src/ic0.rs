@@ -37,7 +37,7 @@ impl<T: Scalar> Ic0<T> {
     ///
     /// Returns [`SparseError::NotSquare`] for rectangular input and
     /// [`SparseError::ZeroDiagonal`] when a pivot is structurally missing
-    /// or collapses to a non-positive value — on this pattern the
+    /// or is not finite and positive — on this pattern the
     /// incomplete Cholesky factorization does not exist (the classic
     /// breakdown callers handle by falling back to Jacobi scaling).
     pub fn factor(a: &CsrMatrix<T>) -> Result<Self, SparseError> {
@@ -75,7 +75,7 @@ impl<T: Scalar> Ic0<T> {
     /// # Errors
     ///
     /// Hands the buffers back with the [`Ic0Refusal`]: `a` is not of the
-    /// schedule's pattern, or a pivot is not positive.
+    /// schedule's pattern, or a pivot is not finite and positive.
     pub fn replay(
         schedule: &Ic0Schedule,
         a: &CsrMatrix<T>,
@@ -100,12 +100,16 @@ impl<T: Scalar> Ic0<T> {
         [self.l.into_values(), self.lt.into_values()]
     }
 
-    /// The lower-triangular factor `L`.
+    /// The lower-triangular factor `L` in substitution form: each row's
+    /// diagonal slot holds the reciprocal pivot `1 / l_ii`, the value
+    /// [`Kernels::sptrsv`] multiplies by. The off-diagonal entries are
+    /// `L`'s own.
     pub fn lower(&self) -> &CsrMatrix<T> {
         &self.l
     }
 
-    /// The transposed factor `Lᵀ` (upper triangular).
+    /// The transposed factor `Lᵀ` (upper triangular), in the same form as
+    /// [`Ic0::lower`]: reciprocal pivots on the diagonal.
     pub fn upper(&self) -> &CsrMatrix<T> {
         &self.lt
     }
@@ -155,12 +159,28 @@ mod tests {
     use crate::kernels::SoftwareKernels;
     use acamar_sparse::generate;
 
+    /// `m` with each diagonal slot's reciprocal pivot turned back into
+    /// the pivot: the factor as a matrix.
+    fn with_pivots(m: &CsrMatrix<f64>) -> CsrMatrix<f64> {
+        let mut t = m.clone();
+        let row_of: Vec<usize> = (0..m.nrows())
+            .flat_map(|i| std::iter::repeat(i).take(m.row_nnz(i)))
+            .collect();
+        let entries = t.values_mut().iter_mut().zip(m.col_idx()).zip(&row_of);
+        for ((v, &c), &i) in entries {
+            if c == i {
+                *v = 1.0 / *v;
+            }
+        }
+        t
+    }
+
     #[test]
     fn ic0_reconstructs_tridiagonal_exactly() {
         // Tridiagonal SPD matrices factor with zero fill, so L Lᵀ = A.
         let a = generate::poisson1d::<f64>(16);
         let ic = Ic0::factor(&a).unwrap();
-        let l = ic.lower();
+        let l = with_pivots(ic.lower());
         let n = a.nrows();
         for i in 0..n {
             for j in 0..n {
@@ -186,9 +206,11 @@ mod tests {
         ic.apply(&mut k, &lp, &up, &r, &mut tmp, &mut z);
         // L Lᵀ z should reproduce r.
         let mut ltz = vec![0.0; n];
-        ic.upper().mul_vec_into(&z, &mut ltz).unwrap();
+        with_pivots(ic.upper()).mul_vec_into(&z, &mut ltz).unwrap();
         let mut back = vec![0.0; n];
-        ic.lower().mul_vec_into(&ltz, &mut back).unwrap();
+        with_pivots(ic.lower())
+            .mul_vec_into(&ltz, &mut back)
+            .unwrap();
         for (bi, ri) in back.iter().zip(&r) {
             assert!((bi - ri).abs() < 1e-9);
         }

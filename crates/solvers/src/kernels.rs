@@ -522,10 +522,12 @@ pub trait Kernels<T: Scalar> {
 
     /// Sparse triangular solve `x = tri(m)⁻¹ b` against a compiled plan
     /// (see [`CompiledSptrsv`]) — the substitution kernel of the
-    /// incomplete-factorization preconditioners. Entries of `m` outside
-    /// the plan's triangle are ignored. Substitution is serial, rows in
-    /// natural order; the plan's level schedule is what the fabric
-    /// executor prices, not an execution order.
+    /// incomplete-factorization preconditioners. `m`'s diagonal slots hold
+    /// the triangle's *reciprocal* pivots, as [`crate::Ic0`]'s factors do,
+    /// so every row ends in a multiply (`CompiledSptrsv::solve`). Entries
+    /// of `m` outside the plan's triangle are ignored. Substitution is
+    /// serial, rows in natural order; the plan's level schedule is what
+    /// the fabric executor prices, not an execution order.
     ///
     /// The default runs the deterministic substitution and charges
     /// nothing; [`SoftwareKernels`] adds operation accounting and its
@@ -938,8 +940,8 @@ impl<T: Scalar> Kernels<T> for SoftwareKernels {
 
     fn sptrsv(&mut self, plan: &CompiledSptrsv, m: &CsrMatrix<T>, b: &[T], x: &mut [T]) {
         // Charged to the sparse bucket: one mul+sub per off-diagonal
-        // entry plus the diagonal division, ~2 FLOPs per stored entry —
-        // the same rate as SpMV over the triangle.
+        // entry plus the reciprocal-pivot multiply, ~2 FLOPs per stored
+        // entry — the same rate as SpMV over the triangle.
         self.counts.spmv_calls += 1;
         self.counts.spmv_nnz_processed += plan.tri_nnz() as u64;
         self.counts.spmv_flops += 2 * plan.tri_nnz() as u64;

@@ -17,8 +17,8 @@ pub enum Ic0Refusal {
     /// The matrix is not of the schedule's pattern: its shape, its entry
     /// count, or a row whose diagonal is not where the schedule has it.
     Stale,
-    /// The pivot of `row` is not positive: on this pattern the incomplete
-    /// factorization of these values does not exist.
+    /// The pivot of `row` is not finite and positive: on this pattern the
+    /// incomplete factorization of these values does not exist.
     Breakdown {
         /// Row of the failed pivot.
         row: usize,
@@ -177,8 +177,13 @@ impl Ic0Schedule {
     /// values into `lower` and `Lᵀ`'s into `upper` (both resized to fit;
     /// what they held is overwritten). Per entry the operations of the
     /// left-looking factorization in its order — `a_ij`, minus each
-    /// `l_ik · l_jk` by ascending `k`, over `l_jj` or under the root — so
-    /// the factor is bitwise what a merge of rows `i` and `j` produces.
+    /// `l_ik · l_jk` by ascending `k`, times `1 / l_jj` or under the root —
+    /// so the factor is bitwise what a merge of rows `i` and `j` produces.
+    ///
+    /// The diagonal slot of each row holds the *reciprocal* pivot
+    /// `1 / l_ii`, not `l_ii`: the form substitution multiplies by
+    /// ([`crate::CompiledSptrsv::solve`]), and the one the off-diagonal
+    /// updates of later rows read. A row pays one divide; its entries none.
     ///
     /// The schedule is trusted for the off-diagonal columns only as far as
     /// a compiled plan is (shape and entry count); per row, `a` must store
@@ -191,8 +196,9 @@ impl Ic0Schedule {
     /// # Errors
     ///
     /// [`Ic0Refusal::Stale`] if `a` fails those checks and
-    /// [`Ic0Refusal::Breakdown`] at the first pivot that is not positive;
-    /// the buffers then hold a partial factor.
+    /// [`Ic0Refusal::Breakdown`] at the first pivot that is not finite and
+    /// positive (`+∞` would store a reciprocal of 0 and silently zero its
+    /// row of the preconditioner); the buffers then hold a partial factor.
     pub fn fill<T: Scalar>(
         &self,
         a: &CsrMatrix<T>,
@@ -224,11 +230,16 @@ impl Ic0Schedule {
                     s -= v[ik as usize] * v[jk as usize];
                     next += 1;
                 }
-                v[slot] = s / v[l_ptr[l_cols[slot] + 1] - 1];
+                v[slot] = s * v[l_ptr[l_cols[slot] + 1] - 1];
             }
             let s = v[first..diag].iter().fold(v[diag], |s, &l| s - l * l);
-            if s.to_f64() > 0.0 {
-                v[diag] = s.sqrt();
+            // The pivot must be finite and positive. `+∞` passes `> 0` and
+            // leaves a reciprocal of 0, which is what rules it out: a finite
+            // test on `s` beside the sign test made short-row fills up to
+            // 15 % slower.
+            let reciprocal = T::ONE / s.sqrt();
+            if s.to_f64() > 0.0 && reciprocal != T::ZERO {
+                v[diag] = reciprocal;
             } else {
                 return Err(Ic0Refusal::Breakdown { row: i });
             }
@@ -272,8 +283,11 @@ mod tests {
         let (mut l, mut u) = (Vec::new(), Vec::new());
         assert_eq!(s.fill(&a, &mut l, &mut u), Ok(()));
         assert_eq!((l.len(), u.len()), (11, 11));
-        assert_eq!(l[0], 2.0_f64.sqrt());
+        // The diagonal slot holds the reciprocal pivot, in both factors.
+        assert_eq!(l[0], 1.0 / 2.0_f64.sqrt());
         assert_eq!(u[0], l[0]);
+        // l_10 = a_10 · (1 / l_00), and a_10 = −1.
+        assert_eq!(l[1], -l[0]);
         // Another shape, and the same shape with another entry count.
         let other = generate::poisson1d::<f64>(7);
         assert_eq!(s.fill(&other, &mut l, &mut u), Err(Ic0Refusal::Stale));
@@ -285,6 +299,36 @@ mod tests {
             s.fill(&negated, &mut l, &mut u),
             Err(Ic0Refusal::Breakdown { row: 0 })
         );
+    }
+
+    /// `diag(4, pivot)`: row 1's pivot is `pivot` itself.
+    fn fill_with_second_pivot(pivot: f64) -> (Result<(), Ic0Refusal>, Vec<f64>) {
+        let a =
+            CsrMatrix::try_from_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![4.0, pivot]).unwrap();
+        let (mut l, mut u) = (Vec::new(), Vec::new());
+        let outcome = Ic0Schedule::of(&a).unwrap().fill(&a, &mut l, &mut u);
+        (outcome, l)
+    }
+
+    #[test]
+    fn a_pivot_that_is_not_finite_and_positive_is_a_breakdown() {
+        for pivot in [f64::INFINITY, f64::NAN, 0.0, -3.0, f64::NEG_INFINITY] {
+            assert_eq!(
+                fill_with_second_pivot(pivot).0,
+                Err(Ic0Refusal::Breakdown { row: 1 }),
+                "pivot {pivot}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_subnormal_pivot_still_factors_to_a_finite_reciprocal() {
+        let pivot = 5e-324_f64;
+        assert!(pivot > 0.0 && !pivot.is_normal());
+        let (outcome, l) = fill_with_second_pivot(pivot);
+        assert_eq!(outcome, Ok(()));
+        assert_eq!(l, [0.5, 1.0 / pivot.sqrt()]);
+        assert!(l[1].is_finite());
     }
 
     #[test]

@@ -65,11 +65,13 @@ impl Triangle {
 ///
 /// Build once per sparsity pattern with [`CompiledSptrsv::compile_lower`]
 /// or [`CompiledSptrsv::compile_upper`], then solve against any matrix
-/// sharing that triangle's pattern — the original matrix itself (its
-/// off-triangle entries are ignored) or an incomplete factor with the
-/// identical triangle. A matrix of the same size and a different pattern
-/// is still solved correctly; only the recorded level statistics, and so
-/// the modeled cycle price, would describe the wrong pattern.
+/// sharing that triangle's pattern — an incomplete factor with the
+/// identical triangle, or the original matrix itself (its off-triangle
+/// entries are ignored; like a factor's, its diagonal is read as
+/// reciprocal pivots, see [`CompiledSptrsv::solve`]). A matrix of the
+/// same size and a different pattern is still solved correctly; only the
+/// recorded level statistics, and so the modeled cycle price, would
+/// describe the wrong pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledSptrsv {
     triangle: Triangle,
@@ -91,7 +93,8 @@ impl CompiledSptrsv {
     ///
     /// [`SparseError::NotSquare`] if `a` is not square, and
     /// [`SparseError::ZeroDiagonal`] if any row lacks a structural
-    /// diagonal entry (substitution needs to divide by it).
+    /// diagonal entry (the slot substitution reads the row's reciprocal
+    /// pivot from).
     pub fn compile_lower<T: Scalar>(a: &CsrMatrix<T>) -> Result<Self, SparseError> {
         Self::compile(a, Triangle::Lower)
     }
@@ -206,8 +209,17 @@ impl CompiledSptrsv {
         }
     }
 
-    /// Solves `tri(m) x = b` by substitution, rows in natural order
-    /// (ascending for a lower triangle, descending for an upper one).
+    /// Solves `T x = b` by substitution, rows in natural order (ascending
+    /// for a lower triangle, descending for an upper one), where `T` is
+    /// `m`'s triangle with each diagonal entry *inverted*:
+    /// `x_i = (b_i − Σ_{c≠i} m_ic x_c) · m_ii`.
+    ///
+    /// A triangular operand stores its **reciprocal pivot** `1 / t_ii` in
+    /// the diagonal slot — the form an incomplete factor is filled in
+    /// ([`crate::Ic0Schedule::fill`]) — so a row ends in a multiply and
+    /// the divide stays off the row-to-row chain. A row with no stored
+    /// diagonal reads it as 0, like any absent entry — an infinite pivot —
+    /// so its unknown comes out 0.
     ///
     /// Entries of `m` outside the plan's triangle are skipped, so passing
     /// the full matrix solves against its triangle implicitly. Under
@@ -290,8 +302,8 @@ impl CompiledSptrsv {
         }
     }
 
-    /// One row of substitution: `(b_i − Σ m_ic x_c) / m_ii` over the row's
-    /// in-triangle entries `c ≠ i`.
+    /// One row of substitution: `(b_i − Σ m_ic x_c) · m_ii` over the row's
+    /// in-triangle entries `c ≠ i`, `m_ii` being the reciprocal pivot.
     ///
     /// A triangular operand — an incomplete factor — keeps its diagonal at
     /// the end of the row its triangle closes on (a lower row's last
@@ -317,7 +329,7 @@ impl CompiledSptrsv {
         if let Some(((&c, cols), (&diag, vals))) = split {
             if c == i {
                 let others = cols.iter().zip(vals).map(|(&c, &v)| v * x[c]);
-                return Self::subtract_all::<T, FAST>(bi, others) / diag;
+                return Self::subtract_all::<T, FAST>(bi, others) * diag;
             }
         }
         let mut diag = T::ZERO;
@@ -331,7 +343,7 @@ impl CompiledSptrsv {
             }
             (in_triangle && c != i).then(|| v * x[c])
         });
-        Self::subtract_all::<T, FAST>(bi, others) / diag
+        Self::subtract_all::<T, FAST>(bi, others) * diag
     }
 
     /// `bi` minus every product, in the tier's order: one scalar chain in
@@ -367,7 +379,8 @@ mod tests {
     use crate::generate;
     use crate::rng::DetRng;
 
-    /// Random sparse unit-ish lower-triangular matrix with a safe diagonal.
+    /// Random sparse lower-triangular matrix with safe pivots (2..3),
+    /// stored as their reciprocals.
     fn random_lower(n: usize, seed: u64) -> CsrMatrix<f64> {
         let mut rng = DetRng::seed_from_u64(seed);
         let mut coo = crate::CooMatrix::new(n, n);
@@ -377,9 +390,26 @@ mod tests {
                     coo.push(i, j, rng.gen_f64() * 2.0 - 1.0).unwrap();
                 }
             }
-            coo.push(i, i, 2.0 + rng.gen_f64()).unwrap();
+            coo.push(i, i, 1.0 / (2.0 + rng.gen_f64())).unwrap();
         }
         coo.to_csr()
+    }
+
+    /// `m` with each diagonal value `d` replaced by `1 / d`: the matrix a
+    /// solve against `m` inverts, whose diagonal slots are read as
+    /// reciprocal pivots.
+    fn with_pivots(m: &CsrMatrix<f64>) -> CsrMatrix<f64> {
+        let mut t = m.clone();
+        let row_of: Vec<usize> = (0..m.nrows())
+            .flat_map(|i| std::iter::repeat(i).take(m.row_nnz(i)))
+            .collect();
+        let entries = t.values_mut().iter_mut().zip(m.col_idx()).zip(&row_of);
+        for ((v, &c), &i) in entries {
+            if c == i {
+                *v = 1.0 / *v;
+            }
+        }
+        t
     }
 
     #[test]
@@ -390,9 +420,9 @@ mod tests {
         let mut x = vec![0.0; 40];
         plan.solve(DeterminismPolicy::Deterministic, &l, &b, &mut x)
             .unwrap();
-        // L x should reproduce b.
+        // L x should reproduce b, L's pivots the inverses of the slots.
         let mut back = vec![0.0; 40];
-        l.mul_vec_into(&x, &mut back).unwrap();
+        with_pivots(&l).mul_vec_into(&x, &mut back).unwrap();
         for (bi, ri) in b.iter().zip(&back) {
             assert!((bi - ri).abs() < 1e-10, "{bi} vs {ri}");
         }
@@ -408,7 +438,7 @@ mod tests {
         plan.solve(DeterminismPolicy::Deterministic, &u, &b, &mut x)
             .unwrap();
         let mut back = vec![0.0; 32];
-        u.mul_vec_into(&x, &mut back).unwrap();
+        with_pivots(&u).mul_vec_into(&x, &mut back).unwrap();
         for (bi, ri) in b.iter().zip(&back) {
             assert!((bi - ri).abs() < 1e-10);
         }
@@ -425,13 +455,16 @@ mod tests {
         let mut x = vec![0.0; n];
         plan.solve(DeterminismPolicy::Deterministic, &a, &b, &mut x)
             .unwrap();
-        // Verify against explicit tril(A) substitution.
+        // Verify against explicit tril(A) substitution, `a_ii` read as
+        // the reciprocal pivot.
         for (i, &bi) in b.iter().enumerate() {
             let (cols, vals) = a.row(i);
             let mut acc = 0.0;
             for (&c, &v) in cols.iter().zip(vals) {
-                if c <= i {
+                if c < i {
                     acc += v * x[c];
+                } else if c == i {
+                    acc += x[c] / v;
                 }
             }
             assert!((acc - bi).abs() < 1e-10);

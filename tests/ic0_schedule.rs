@@ -18,10 +18,11 @@ use acamar::sparse::{CsrMatrix, Ic0Refusal, Ic0Schedule, Scalar, SparseError};
 
 /// The factorization as it was: `tril(A)` into fresh arrays, then for each
 /// in-pattern entry `(i, j)`, `j <= i`,
-///   `l_ij = (a_ij − Σ_k l_ik l_jk) / l_jj` for `j < i`,
-///   `l_ii = sqrt(a_ii − Σ_k l_ik²)`,
+///   `l_ij = (a_ij − Σ_k l_ik l_jk) · (1 / l_jj)` for `j < i`,
+///   `1 / l_ii = 1 / sqrt(a_ii − Σ_k l_ik²)`, stored in the diagonal slot,
 /// the sum running over the common pattern `k < j` by a merge of the two
-/// rows; `Lᵀ` by an explicit transpose.
+/// rows, and a pivot that is not finite and positive a breakdown; `Lᵀ` by
+/// an explicit transpose.
 fn merge_factor<T: Scalar>(a: &CsrMatrix<T>) -> Result<(CsrMatrix<T>, CsrMatrix<T>), SparseError> {
     if a.nrows() != a.ncols() {
         return Err(SparseError::NotSquare {
@@ -68,9 +69,9 @@ fn merge_factor<T: Scalar>(a: &CsrMatrix<T>) -> Result<(CsrMatrix<T>, CsrMatrix<
                 }
             }
             if j < i {
-                vals[idx] = s / vals[diag_pos[j]];
-            } else if s.to_f64() > 0.0 {
-                vals[idx] = s.sqrt();
+                vals[idx] = s * vals[diag_pos[j]];
+            } else if s.is_finite() && s.to_f64() > 0.0 {
+                vals[idx] = T::ONE / s.sqrt();
             } else {
                 return Err(SparseError::ZeroDiagonal { row: i });
             }
