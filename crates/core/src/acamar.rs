@@ -10,9 +10,7 @@ use acamar_solvers::{
     ic0_preconditioned_cg, solve_with, ConvergenceCriteria, DerivedPlan, Outcome, SolveReport,
     SolverKind, WorkspaceHandle,
 };
-use acamar_sparse::{
-    CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar, SparseError,
-};
+use acamar_sparse::{CompiledSpmv, CsrMatrix, DeterminismPolicy, Scalar, SparseError};
 use acamar_telemetry::TelemetrySink;
 use std::sync::Arc;
 
@@ -38,25 +36,20 @@ pub struct AnalysisArtifacts {
     /// matrices with the same sparsity pattern but different values —
     /// and behind an `Arc` so replaying it per solve costs nothing.
     pub compiled: Arc<CompiledSpmv>,
-    /// Level-scheduled triangular-solve plans (lower, upper) over `a`'s
-    /// own triangle patterns, built only for symmetric matrices: the
-    /// IC(0) factor's pattern is exactly `tril(A)`, so these plans replay
-    /// for preconditioned-CG runs without recompiling the level schedule
-    /// per solve. Pattern-only and `Arc`-shared like `compiled`; `None`
-    /// for nonsymmetric matrices or a structurally missing diagonal.
-    pub sptrsv: Option<Arc<(CompiledSptrsv, CompiledSptrsv)>>,
-    /// Memo for the [`CompiledSpmv`] of the operand Jacobi derives from
-    /// the matrix (`T = D⁻¹(L + U)`, same rows and MSID hints, the
-    /// pattern minus its diagonal). Empty after [`Acamar::analyze`] —
-    /// compiling it there costs every miss a second plan (+11 % on a
-    /// cold-pattern request) whether or not Jacobi ever runs — and filled
-    /// by the first Jacobi attempt on the pattern from the `T` it has
-    /// already built. Pattern-only and shared by every clone; a cache of
-    /// derived state, so it takes no part in equality or `build_cost`.
+    /// Memo for what solvers derive from the matrix's pattern: the
+    /// [`CompiledSpmv`] of Jacobi's operand (`T = D⁻¹(L + U)`, same rows
+    /// and MSID hints, the pattern minus its diagonal), and IC(0)'s
+    /// elimination schedule with the two substitution plans over its
+    /// factors. Empty after [`Acamar::analyze`] — compiling any of it
+    /// there costs every miss the work whether or not that solver ever
+    /// runs (+11 % on a cold-pattern request for `T`'s plan alone) — and
+    /// filled by the first attempt that needs each part. Pattern-only and
+    /// shared by every clone; a cache of derived state, so it takes no
+    /// part in equality or `build_cost`.
     pub derived: Arc<DerivedPlan>,
     /// Estimated host-side work of building these artifacts, in
-    /// row/entry traversals: the structure unit's CSR→CSC symmetry
-    /// compare and dominance scan are each O(nnz), the Row Length Trace
+    /// row/entry traversals: the structure unit's symmetry walk and
+    /// dominance scan are each O(nnz), the Row Length Trace
     /// is O(rows), and the SpMV plan compile is one more O(nnz) pass —
     /// this is what a cache hit saves.
     pub build_cost: u64,
@@ -69,7 +62,6 @@ impl PartialEq for AnalysisArtifacts {
         self.structure == other.structure
             && self.plan == other.plan
             && self.compiled == other.compiled
-            && self.sptrsv == other.sptrsv
             && self.build_cost == other.build_cost
     }
 }
@@ -336,25 +328,10 @@ impl Acamar {
         let compiled = Arc::new(
             CompiledSpmv::compile(a, &hints).expect("MSID schedules always tile the matrix rows"),
         );
-        // Symmetric matrices get triangular-solve schedules alongside the
-        // SpMV plan: the IC(0) preconditioner's substitution passes run
-        // over exactly tril(A)/triu(A), so the level analysis is shareable
-        // across every same-pattern solve. A structurally missing diagonal
-        // (compile error) simply leaves the preconditioner to compile its
-        // own plans if it is ever forced.
-        let sptrsv = if structure.report.symmetric {
-            CompiledSptrsv::compile_lower(a)
-                .ok()
-                .zip(CompiledSptrsv::compile_upper(a).ok())
-                .map(Arc::new)
-        } else {
-            None
-        };
         AnalysisArtifacts {
             structure,
             plan,
             compiled,
-            sptrsv,
             derived: Arc::new(DerivedPlan::new(hints)),
             build_cost: AnalysisArtifacts::cost_model(a.nrows(), a.nnz()),
         }
@@ -488,15 +465,12 @@ impl Acamar {
                     &mut hw,
                 )?
             } else if kind == SolverKind::PreconditionedCg {
-                // Forced PCG replays the cached triangular plans when the
-                // analysis built them (symmetric pattern): IC(0)'s factor
-                // shares tril(A)'s pattern, so the level schedules are
-                // interchangeable. Without them the solver compiles its
-                // own from the factor; only a factorization that breaks
-                // down degrades to Jacobi preconditioning, and the solver
+                // The elimination schedule and the substitution plans come
+                // from the pattern's memo, built by the first forced PCG
+                // that factors on it. A factorization that breaks down
+                // degrades to Jacobi preconditioning, and the solver
                 // reports which of the two ran (`PreconditionerSelected`).
-                let plans = artifacts.sptrsv.as_deref().map(|(l, u)| (l, u));
-                ic0_preconditioned_cg(a, b, x0, &criteria, &mut hw, plans)?
+                ic0_preconditioned_cg(a, b, x0, &criteria, &mut hw)?
             } else {
                 solve_with(kind, a, b, x0, &criteria, &mut hw)?
             };
@@ -736,27 +710,33 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_analysis_carries_triangular_plans() {
+    fn the_first_forced_pcg_memoises_the_triangular_plans_of_the_pattern() {
         let a = generate::poisson2d::<f64>(9, 7);
         let artifacts = acamar().analyze(&a);
-        let (lower, upper) = &**artifacts
-            .sptrsv
-            .as_ref()
-            .expect("symmetric pattern gets plans");
+        assert!(artifacts.derived.sptrsv().is_none(), "analysis builds none");
+        assert_eq!(forced_pcg_preconditioner(&a, &artifacts), (true, 9 + 7 - 1));
+        let (lower, upper) = &**artifacts.derived.sptrsv().expect("memoised");
         assert!(lower.matches(&a) && upper.matches(&a));
         assert!(lower.verify_pattern(&a) && upper.verify_pattern(&a));
-        // Nonsymmetric matrices skip the triangular analysis entirely.
-        let ns = generate::convection_diffusion_2d::<f64>(6, 6, 2.0);
-        assert!(acamar().analyze(&ns).sptrsv.is_none());
+        // Nonsymmetric values on the pattern factor all the same (IC(0)
+        // reads the lower triangle), and memoise their plans too.
+        let mut skewed = a.clone();
+        let first_of_row_3 = a.row_ptr()[3];
+        assert!(a.col_idx()[first_of_row_3] < 3);
+        skewed.values_mut()[first_of_row_3] *= 1.25;
+        let artifacts = acamar().analyze(&skewed);
+        let report = &artifacts.structure.report;
+        assert!(report.pattern_symmetric && !report.symmetric);
+        assert!(forced_pcg_preconditioner(&skewed, &artifacts).0);
+        assert!(artifacts.derived.sptrsv().is_some());
     }
 
     #[test]
-    fn forced_pcg_replays_cached_plans_and_converges() {
+    fn forced_pcg_converges_and_beats_cg() {
         let a = generate::poisson2d::<f64>(12, 12);
         let b = vec![1.0_f64; 144];
         let ac = acamar();
         let artifacts = ac.analyze(&a);
-        assert!(artifacts.sptrsv.is_some());
         let opts = RunOptions {
             solver: Some(SolverKind::PreconditionedCg),
             ..RunOptions::default()
@@ -814,35 +794,32 @@ mod tests {
     }
 
     #[test]
-    fn preconditioner_selected_reports_what_ran_not_what_was_cached() {
-        // SPD with cached plans: IC(0) on the cached level schedule.
+    fn preconditioner_selected_reports_what_ran() {
+        // SPD: IC(0) on the plans the first run memoised, then on the same
+        // plans again.
         let spd = generate::poisson2d::<f64>(12, 9);
         let artifacts = acamar().analyze(&spd);
-        let cached_levels = artifacts.sptrsv.as_ref().unwrap().0.level_count() as u32;
-        assert_eq!(cached_levels, 12 + 9 - 1);
         assert_eq!(
             forced_pcg_preconditioner(&spd, &artifacts),
-            (true, cached_levels)
+            (true, 12 + 9 - 1)
         );
+        let plans = Arc::clone(artifacts.derived.sptrsv().unwrap());
+        assert_eq!(plans.0.level_count(), 12 + 9 - 1);
+        assert_eq!(
+            forced_pcg_preconditioner(&spd, &artifacts),
+            (true, 12 + 9 - 1)
+        );
+        assert!(Arc::ptr_eq(artifacts.derived.sptrsv().unwrap(), &plans));
 
-        // Symmetric indefinite: the plans are cached all the same, the
-        // factor breaks down at the first pivot, Jacobi scaling runs.
+        // Symmetric indefinite: the factor breaks down at the first pivot,
+        // Jacobi scaling runs, and no plans are memoised.
         let indefinite = spd.scale(-1.0);
         let artifacts = acamar().analyze(&indefinite);
-        assert!(artifacts.sptrsv.is_some());
         assert_eq!(
             forced_pcg_preconditioner(&indefinite, &artifacts),
             (false, 0)
         );
-
-        // No cached pair (what a pattern delta leaves behind), yet the
-        // lower triangle factors: IC(0) runs on plans compiled from it.
-        let mut bare = acamar().analyze(&spd);
-        bare.sptrsv = None;
-        assert_eq!(
-            forced_pcg_preconditioner(&spd, &bare),
-            (true, cached_levels)
-        );
+        assert!(artifacts.derived.sptrsv().is_none());
     }
 
     fn forced_pcg(a: &CsrMatrix<f64>, b: &[f64]) -> Result<AcamarRunReport<f64>, SparseError> {

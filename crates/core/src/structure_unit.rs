@@ -31,9 +31,10 @@ impl MatrixStructureUnit {
 
     /// Analyzes `a` and recommends the initial solver.
     ///
-    /// Symmetry is established the paper's way — converting CSR to CSC and
-    /// comparing the arrays (see
-    /// [`analysis::symmetric_via_csc`]); dominance by Eq. 1.
+    /// Symmetry is the paper's test — does the CSC form equal the CSR form?
+    /// ([`analysis::symmetric_via_csc`]) — answered by one walk that pairs
+    /// each CSR entry with its mirror, so no CSC matrix is built;
+    /// dominance by Eq. 1.
     pub fn analyze<T: Scalar>(&self, a: &CsrMatrix<T>) -> StructureDecision {
         let report = analysis::analyze(a);
         let solver = recommend(&report);

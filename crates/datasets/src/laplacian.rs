@@ -156,7 +156,7 @@ mod tests {
             let mut kc = SoftwareKernels::new();
             let cg = conjugate_gradient(&a, &b, None, &criteria, &mut kc).unwrap();
             let mut kp = SoftwareKernels::new();
-            let pcg = ic0_preconditioned_cg(&a, &b, None, &criteria, &mut kp, None).unwrap();
+            let pcg = ic0_preconditioned_cg(&a, &b, None, &criteria, &mut kp).unwrap();
             assert!(cg.converged(), "{}: CG {:?}", w.name, cg.outcome);
             assert!(pcg.converged(), "{}: PCG {:?}", w.name, pcg.outcome);
             assert!(

@@ -345,10 +345,9 @@ fn adopt_analysis<T: Scalar>(
         structure: artifacts.structure.clone(),
         plan: artifacts.plan.clone(),
         compiled: Arc::new(compiled),
-        // Retiling SpMV bands does not disturb the triangular plans or
-        // the derived operand's plan: they are built over the same
-        // unchanged pattern (the derived plan from the MSID hints).
-        sptrsv: artifacts.sptrsv.clone(),
+        // Retiling SpMV bands does not disturb the derived memo: it is
+        // built over the same unchanged pattern (`T`'s plan from the MSID
+        // hints).
         derived: Arc::clone(&artifacts.derived),
         build_cost: artifacts.build_cost,
     });
@@ -532,11 +531,9 @@ impl<'e, T: Scalar> Sequence<'e, T> {
                     structure: self.artifacts.structure.clone(),
                     plan: self.artifacts.plan.clone(),
                     compiled: Arc::new(patched),
-                    // The pattern changed, so the cached level schedules
-                    // and the derived operand's plan are stale; drop them
-                    // and let the next full analyze (or the preconditioner,
-                    // or the next Jacobi attempt) rebuild.
-                    sptrsv: None,
+                    // The pattern changed, so the derived memo is stale;
+                    // start it over and let the next attempt that needs a
+                    // part of it (Jacobi, or the preconditioner) rebuild.
                     derived: Arc::new(self.artifacts.derived.emptied()),
                     build_cost: AnalysisArtifacts::cost_model(a.nrows(), a.nnz()),
                 });

@@ -13,18 +13,31 @@
 //! Everything about the factors but their values is a function of `A`'s
 //! pattern and lives in an [`Ic0Schedule`]; this type is the values half,
 //! two buffers wrapped with the schedule's patterns. Executors keep the
-//! schedule in the pattern's memo and the buffers in their workspace
+//! schedule and the substitution plans in the pattern's memo and the
+//! buffers in their workspace
 //! ([`Kernels::ic0_factors`]), so a warm factorization writes values and
 //! nothing else.
 
 use crate::kernels::Kernels;
 use acamar_sparse::{CompiledSptrsv, CsrMatrix, Ic0Refusal, Ic0Schedule, Scalar, SparseError};
+use std::sync::Arc;
 
 /// An IC(0) factorization `A ≈ L Lᵀ` on the lower-triangle pattern of `A`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Ic0<T> {
     l: CsrMatrix<T>,
     lt: CsrMatrix<T>,
+    /// The substitution plans of the pattern's memo, when the factors were
+    /// replayed from one ([`Kernels::ic0_factors`]); the solver compiles
+    /// its own from the factors otherwise. Equality compares the factors
+    /// only: a memo does not change their values.
+    pub(crate) memoised_plans: Option<Arc<(CompiledSptrsv, CompiledSptrsv)>>,
+}
+
+impl<T: PartialEq> PartialEq for Ic0<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.l == other.l && self.lt == other.lt
+    }
 }
 
 impl<T: Scalar> Ic0<T> {
@@ -92,6 +105,7 @@ impl<T: Scalar> Ic0<T> {
         Ok(Ic0 {
             l: wrap(schedule.lower(), lower),
             lt: wrap(schedule.upper(), upper),
+            memoised_plans: None,
         })
     }
 
@@ -114,11 +128,10 @@ impl<T: Scalar> Ic0<T> {
         &self.lt
     }
 
-    /// Compiles level schedules for the two substitution passes.
-    ///
-    /// When the factored matrix was symmetric these equal the plans
-    /// compiled from the matrix itself, which is what lets the engine
-    /// cache them per pattern fingerprint ahead of factorization.
+    /// Compiles level schedules for the two substitution passes. They
+    /// depend on the factors' patterns only, so executors holding the
+    /// pattern's memo compile them once, from the first factors replayed
+    /// on it.
     ///
     /// # Errors
     ///
@@ -238,5 +251,16 @@ mod tests {
         let (lp, up) = ic.plans().unwrap();
         assert_eq!(lp, CompiledSptrsv::compile_lower(&a).unwrap());
         assert_eq!(up, CompiledSptrsv::compile_upper(&a).unwrap());
+    }
+
+    #[test]
+    fn factors_replayed_from_a_memo_equal_a_fresh_factor() {
+        use crate::kernels::DerivedPlan;
+        let a = generate::poisson2d::<f64>(5, 7);
+        let memo = Arc::new(DerivedPlan::new(Vec::new()));
+        let mut k = SoftwareKernels::new().with_derived_plan(memo);
+        let replayed = k.ic0_factors(&a).unwrap();
+        assert!(replayed.memoised_plans.is_some());
+        assert_eq!(replayed, Ic0::factor(&a).unwrap());
     }
 }

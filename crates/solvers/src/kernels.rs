@@ -213,14 +213,17 @@ impl OperandId {
 ///   minus the diagonal: the [`JacobiSplit`] (`T`'s index arrays and each
 ///   row's diagonal slot) and `T`'s [`CompiledSpmv`].
 /// * IC(0)'s factors `L` and `Lᵀ`, whose patterns are the coefficient
-///   matrix's lower triangle and its transpose: the [`Ic0Schedule`].
+///   matrix's lower triangle and its transpose: the [`Ic0Schedule`], and
+///   the two substitution plans compiled from its `L` and `Lᵀ` patterns.
 ///
 /// The memo carries the coefficient matrix's MSID band hints (`T` has the
 /// same rows) and starts empty: nothing is built for a pattern no solver
 /// derives an operand from. The first attempt that asks for its operand
 /// through [`Kernels::derived_operand`] or [`Kernels::ic0_factors`] builds
 /// that half — exactly once, however many workers race on a cold pattern —
-/// and every later attempt on the pattern only fills values.
+/// and every later attempt on the pattern only fills values. The
+/// substitution plans wait for the first factorization that succeeds on
+/// the pattern.
 #[derive(Debug)]
 pub struct DerivedPlan {
     hints: Vec<BandHint>,
@@ -230,6 +233,7 @@ pub struct DerivedPlan {
     /// `Some(None)` records a pattern IC(0) cannot be scheduled on (a
     /// structurally missing diagonal).
     ic0: OnceLock<Option<Ic0Schedule>>,
+    sptrsv: OnceLock<Arc<(CompiledSptrsv, CompiledSptrsv)>>,
 }
 
 #[derive(Debug)]
@@ -247,6 +251,7 @@ impl DerivedPlan {
             hints,
             operand: OnceLock::new(),
             ic0: OnceLock::new(),
+            sptrsv: OnceLock::new(),
         }
     }
 
@@ -268,6 +273,12 @@ impl DerivedPlan {
     /// The memoised IC(0) schedule, if a preconditioned attempt has built it.
     pub fn ic0_schedule(&self) -> Option<&Ic0Schedule> {
         self.ic0.get().and_then(Option::as_ref)
+    }
+
+    /// The memoised substitution plans (`L`'s, `Lᵀ`'s), if an attempt has
+    /// factored on the pattern.
+    pub fn sptrsv(&self) -> Option<&Arc<(CompiledSptrsv, CompiledSptrsv)>> {
+        self.sptrsv.get()
     }
 
     fn built(&self) -> Option<&DerivedOperand> {
@@ -314,10 +325,12 @@ impl DerivedPlan {
     }
 
     /// IC(0) of `a` into the two buffers: the schedule is built by the
-    /// first caller on the pattern and replayed by every one. A memo that
-    /// does not fit `a` — a pattern that cannot be scheduled, or a
-    /// schedule whose diagonal slots `a` contradicts — is left alone and
-    /// `a` is factored as if there were none, which is counted.
+    /// first caller on the pattern and replayed by every one, and factors
+    /// replayed from it carry the memo's substitution plans, compiled by
+    /// the first replay that succeeds. A memo that does not fit `a` — a
+    /// pattern that cannot be scheduled, or a schedule whose diagonal
+    /// slots `a` contradicts — is left alone and `a` is factored as if
+    /// there were none, which is counted.
     fn ic0_for<T: Scalar>(
         &self,
         a: &CsrMatrix<T>,
@@ -332,8 +345,15 @@ impl DerivedPlan {
         });
         if let Some(schedule) = memo {
             match Ic0::replay(schedule, a, lower, upper) {
+                Ok(mut factors) => {
+                    let plans = self.sptrsv.get_or_init(|| {
+                        Arc::new(factors.plans().expect("a factor stores every pivot"))
+                    });
+                    factors.memoised_plans = Some(Arc::clone(plans));
+                    return Ok(factors);
+                }
                 Err((Ic0Refusal::Stale, buffers)) => [lower, upper] = buffers,
-                settled => return settled.map_err(Ic0::<T>::breakdown),
+                Err(breakdown) => return Err(Ic0::<T>::breakdown(breakdown)),
             }
         }
         telemetry.counter_add(Counter::Ic0ScheduleRebuilds, 1);

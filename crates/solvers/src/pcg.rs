@@ -224,17 +224,16 @@ pub fn preconditioned_cg_with<T: Scalar, K: Kernels<T>>(
 }
 
 /// Solves with IC(0)-preconditioned CG, factoring `A` up front through
-/// [`Kernels::ic0_factors`] and reusing cached level schedules for the
-/// substitution passes; falls back to Jacobi scaling when the incomplete
-/// factorization breaks down (the classic non-SPD/indefinite-pivot case).
-/// Which of the two runs is reported through
-/// [`Kernels::observe_preconditioner`], and the factors go back to the
-/// executor on every exit.
+/// [`Kernels::ic0_factors`]; falls back to Jacobi scaling when the
+/// incomplete factorization breaks down (the classic
+/// non-SPD/indefinite-pivot case). Which of the two runs is reported
+/// through [`Kernels::observe_preconditioner`], and the factors go back to
+/// the executor on every exit.
 ///
-/// `plans`, when provided, must be the `(lower, upper)` schedules
-/// compiled from `A`'s own triangles — exactly what the engine caches per
-/// pattern fingerprint. When `None`, schedules are compiled here from
-/// the factors.
+/// The substitution passes run on the level schedules of the pattern's
+/// [`DerivedPlan`](crate::DerivedPlan) memo when the executor holds one
+/// (compiled by the first factorization on the pattern), and on
+/// schedules compiled here from the factors otherwise.
 ///
 /// # Errors
 ///
@@ -245,7 +244,6 @@ pub fn ic0_preconditioned_cg<T: Scalar, K: Kernels<T>>(
     x0: Option<&[T]>,
     criteria: &ConvergenceCriteria,
     kernels: &mut K,
-    plans: Option<(&CompiledSptrsv, &CompiledSptrsv)>,
 ) -> Result<SolveReport<T>, SparseError> {
     let Ok(factors) = kernels.ic0_factors(a) else {
         kernels.observe_preconditioner(false, 0);
@@ -253,11 +251,11 @@ pub fn ic0_preconditioned_cg<T: Scalar, K: Kernels<T>>(
     };
     let report = (|| {
         let compiled;
-        let (lower, upper) = match plans {
-            Some(pair) => pair,
+        let (lower, upper) = match &factors.memoised_plans {
+            Some(pair) => &**pair,
             None => {
                 compiled = factors.plans()?;
-                (&compiled.0, &compiled.1)
+                &compiled
             }
         };
         kernels.observe_preconditioner(true, lower.level_count());
@@ -318,7 +316,7 @@ mod tests {
         let a = generate::poisson2d::<f64>(24, 24);
         let b = vec![1.0; a.nrows()];
         let mut k1 = SoftwareKernels::new();
-        let icpcg = ic0_preconditioned_cg(&a, &b, None, &criteria(), &mut k1, None).unwrap();
+        let icpcg = ic0_preconditioned_cg(&a, &b, None, &criteria(), &mut k1).unwrap();
         let mut k2 = SoftwareKernels::new();
         let cg = conjugate_gradient(&a, &b, None, &criteria(), &mut k2).unwrap();
         assert!(icpcg.converged());
@@ -332,18 +330,22 @@ mod tests {
     }
 
     #[test]
-    fn ic0_with_cached_plans_matches_self_compiled() {
+    fn ic0_with_memoised_plans_matches_self_compiled() {
+        use crate::kernels::DerivedPlan;
+        use std::sync::Arc;
         let a = generate::poisson2d::<f64>(12, 12);
         let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 3) as f64).collect();
-        let lower = CompiledSptrsv::compile_lower(&a).unwrap();
-        let upper = CompiledSptrsv::compile_upper(&a).unwrap();
-        let mut k1 = SoftwareKernels::new();
-        let cached =
-            ic0_preconditioned_cg(&a, &b, None, &criteria(), &mut k1, Some((&lower, &upper)))
-                .unwrap();
+        let memo = Arc::new(DerivedPlan::new(Vec::new()));
+        let mut k1 = SoftwareKernels::new().with_derived_plan(Arc::clone(&memo));
+        ic0_preconditioned_cg(&a, &b, None, &criteria(), &mut k1).unwrap();
+        let cached = ic0_preconditioned_cg(&a, &b, None, &criteria(), &mut k1).unwrap();
+        let (lower, upper) = &**memo.sptrsv().expect("memoised by the first solve");
+        assert_eq!(lower, &CompiledSptrsv::compile_lower(&a).unwrap());
+        assert_eq!(upper, &CompiledSptrsv::compile_upper(&a).unwrap());
         let mut k2 = SoftwareKernels::new();
-        let fresh = ic0_preconditioned_cg(&a, &b, None, &criteria(), &mut k2, None).unwrap();
+        let fresh = ic0_preconditioned_cg(&a, &b, None, &criteria(), &mut k2).unwrap();
         assert_eq!(cached.iterations, fresh.iterations);
+        assert_eq!(cached.counts, fresh.counts);
         assert_eq!(
             cached
                 .solution
@@ -372,7 +374,7 @@ mod tests {
         );
         let b = vec![1.0; 60];
         let mut k = SoftwareKernels::new();
-        let rep = ic0_preconditioned_cg(&a, &b, None, &criteria(), &mut k, None).unwrap();
+        let rep = ic0_preconditioned_cg(&a, &b, None, &criteria(), &mut k).unwrap();
         assert_eq!(rep.solver, SolverKind::PreconditionedCg);
     }
 
@@ -400,7 +402,7 @@ mod tests {
                     k = k.with_derived_plan(Arc::new(DerivedPlan::new(Vec::new())));
                 }
                 let mut solve = || {
-                    let rep = ic0_preconditioned_cg(&a, &b, None, &criteria(), &mut k, None);
+                    let rep = ic0_preconditioned_cg(&a, &b, None, &criteria(), &mut k);
                     let rep = rep.unwrap();
                     assert_eq!(rep.converged(), converges);
                     // The solution is the caller's; hand it back so that

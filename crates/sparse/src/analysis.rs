@@ -1,8 +1,9 @@
 //! Structural analysis of coefficient matrices.
 //!
 //! Implements the checks the paper's **Matrix Structure unit** performs
-//! (strict diagonal dominance, symmetry via CSR↔CSC comparison; Section
-//! IV-B), plus the cheap spectral estimates (Gershgorin discs, power
+//! (strict diagonal dominance, and symmetry — the paper's CSR↔CSC
+//! comparison, answered without building the CSC matrix; Section IV-B),
+//! plus the cheap spectral estimates (Gershgorin discs, power
 //! iteration) used to reason about definiteness in tests and dataset
 //! generators.
 
@@ -84,19 +85,14 @@ impl StructureReport {
 /// Paper-faithful symmetry test: convert CSR to CSC and compare the arrays
 /// (Section IV-B: "If the CSC format matches the CSR format, the matrix A
 /// is considered symmetric").
+/// Kept as the reference: [`analyze`] and [`CsrMatrix::is_symmetric`]`(0.0)`
+/// give the same answer without the conversion.
 pub fn symmetric_via_csc<T: Scalar>(a: &CsrMatrix<T>) -> bool {
-    symmetry_via_csc(a).1
-}
-
-/// `(pattern symmetric, numerically symmetric)` from one CSR→CSC
-/// conversion: the index arrays answer the first, the values the second.
-fn symmetry_via_csc<T: Scalar>(a: &CsrMatrix<T>) -> (bool, bool) {
     if a.nrows() != a.ncols() {
-        return (false, false);
+        return false;
     }
     let csc = CscMatrix::from_csr(a);
-    let pattern = csc.col_ptr() == a.row_ptr() && csc.row_idx() == a.col_idx();
-    (pattern, pattern && csc.values() == a.values())
+    csc.col_ptr() == a.row_ptr() && csc.row_idx() == a.col_idx() && csc.values() == a.values()
 }
 
 /// Strict diagonal dominance per paper Eq. 1:
@@ -161,16 +157,12 @@ impl Discs {
         }
     }
 
-    /// Adds the disc `[diag - radius, diag + radius]`.
+    /// Adds the disc `[diag - radius, diag + radius]`; a NaN bound certifies no sign.
     fn observe(&mut self, diag: f64, radius: f64) {
         let lo = diag - radius;
         let hi = diag + radius;
-        if lo <= 0.0 {
-            self.all_positive = false;
-        }
-        if hi >= 0.0 {
-            self.all_negative = false;
-        }
+        self.all_positive &= lo > 0.0;
+        self.all_negative &= hi < 0.0;
         if hi < 0.0 {
             self.any_certain_negative = true;
         }
@@ -283,7 +275,9 @@ pub fn analyze<T: Scalar>(a: &CsrMatrix<T>) -> StructureReport {
     } else if a.nrows() == 0 {
         margin = 0.0;
     }
-    let (pattern_symmetric, symmetric) = symmetry_via_csc(a);
+    // The CSR == CSC question, without the CSC matrix: the arrays agree
+    // exactly when every entry's mirror is stored and `==` it.
+    let (pattern_symmetric, symmetric) = a.symmetry(|x, y| x == y);
     StructureReport {
         nrows: a.nrows(),
         ncols: a.ncols(),
@@ -351,6 +345,37 @@ mod tests {
         let nd = csr(&[(0, 0, -4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, -4.0)], 2);
         assert_eq!(gershgorin_definiteness(&nd), Definiteness::NegativeDefinite);
         let indef = csr(&[(0, 0, 5.0), (1, 1, -5.0)], 2);
+        assert_eq!(gershgorin_definiteness(&indef), Definiteness::Indefinite);
+    }
+
+    #[test]
+    fn a_nan_disc_certifies_no_definiteness() {
+        let nan = f64::NAN;
+        let lone = csr(&[(0, 0, nan)], 1);
+        assert_eq!(gershgorin_definiteness(&lone), Definiteness::Unknown);
+        assert_eq!(
+            analyze(&lone).gershgorin_definiteness,
+            Definiteness::Unknown
+        );
+        for sign in [1.0, -1.0] {
+            let mirrored = csr(
+                &[
+                    (0, 0, 4.0 * sign),
+                    (0, 1, nan),
+                    (1, 0, nan),
+                    (1, 1, 4.0 * sign),
+                    (2, 2, 4.0 * sign),
+                ],
+                3,
+            );
+            assert_eq!(gershgorin_definiteness(&mirrored), Definiteness::Unknown);
+            assert_eq!(
+                analyze(&mirrored).gershgorin_definiteness,
+                Definiteness::Unknown
+            );
+        }
+        // A NaN disc beside two certain ones of opposite sign.
+        let indef = csr(&[(0, 0, 5.0), (1, 1, nan), (2, 2, -5.0)], 3);
         assert_eq!(gershgorin_definiteness(&indef), Definiteness::Indefinite);
     }
 

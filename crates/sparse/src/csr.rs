@@ -413,8 +413,8 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Converts to Compressed Sparse Column format.
     ///
-    /// This is the operation the paper's Matrix Structure unit performs to
-    /// test symmetry (Section IV-B).
+    /// The paper's Matrix Structure unit tests symmetry by this conversion
+    /// (Section IV-B); [`CsrMatrix::is_symmetric`] answers without it.
     pub fn to_csc(&self) -> CscMatrix<T> {
         CscMatrix::from_csr(self)
     }
@@ -463,59 +463,57 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// Numeric symmetry test: `A[i][j] == A[j][i]` within relative
-    /// tolerance `tol` on every stored entry (and pattern symmetry).
-    ///
-    /// For the paper-faithful CSR-vs-CSC comparison used by the Matrix
-    /// Structure unit, see
-    /// [`analysis::symmetric_via_csc`](crate::analysis::symmetric_via_csc);
-    /// both agree on well-formed matrices.
+    /// Numeric symmetry test: pattern symmetry, and every stored `A[i][j]`
+    /// equal to `A[j][i]` or within relative tolerance `tol` of it (the
+    /// diagonal against itself, so a NaN anywhere fails). `tol = 0` is
+    /// exactly [`analysis::symmetric_via_csc`](crate::analysis::symmetric_via_csc).
     pub fn is_symmetric(&self, tol: T) -> bool {
-        if self.nrows() != self.ncols() {
-            return false;
-        }
-        // Compare against the CSC view directly: CSC arrays of A are the
-        // CSR arrays of Aᵀ, so no transpose matrix needs materializing.
-        let csc = self.to_csc();
-        if csc.col_ptr() != self.row_ptr() || csc.row_idx() != self.col_idx() {
-            return false;
-        }
-        self.values
-            .iter()
-            .zip(csc.values())
-            .all(|(&a, &b)| (a - b).abs() <= tol * T::ONE.max(a.abs().max(b.abs())))
+        self.symmetry(|a, b| a == b || (a - b).abs() <= tol * T::ONE.max(a.abs().max(b.abs())))
+            .1
     }
 
     /// Structural (pattern-only) symmetry test.
     pub fn is_pattern_symmetric(&self) -> bool {
-        if self.nrows() != self.ncols() {
-            return false;
+        self.symmetry(|_, _| true).0
+    }
+
+    /// `(pattern symmetric, and same(A[i][j], A[j][i]) on every stored
+    /// entry too)` — what a CSR-vs-CSC comparison answers, without the CSC.
+    /// Rows are swept in order; each upper entry `(i, j)` claims the next
+    /// unclaimed lower entry of row `j`, which must be `(j, i)` (mirrors
+    /// arrive in column order), and each diagonal is compared with itself.
+    /// The first entry without its mirror ends the walk.
+    pub(crate) fn symmetry(&self, same: impl Fn(T, T) -> bool) -> (bool, bool) {
+        let n = self.nrows();
+        if n != self.ncols() {
+            return (false, false);
         }
-        let n = self.ncols();
-        let (row_ptr, col_idx) = (self.row_ptr(), self.col_idx());
-        // Column histogram + prefix sum yields the transpose's row_ptr;
-        // reject early if it already disagrees.
-        let mut col_ptr = vec![0usize; n + 1];
-        for &c in col_idx {
-            col_ptr[c + 1] += 1;
-        }
-        for c in 0..n {
-            col_ptr[c + 1] += col_ptr[c];
-        }
-        if col_ptr != row_ptr {
-            return false;
-        }
-        // Pattern-only scatter: build just the transpose's column indices,
-        // skipping the value pass a full transpose would pay for.
-        let mut t_col = vec![0usize; col_idx.len()];
-        let mut next = col_ptr;
+        let (row_ptr, col_idx, values) = (self.row_ptr(), self.col_idx(), &self.values[..]);
+        // next[j]: row j's first lower entry no upper entry has claimed.
+        let mut next = row_ptr[..n].to_vec();
+        let mut same_values = true;
         for i in 0..n {
-            for &c in &col_idx[row_ptr[i]..row_ptr[i + 1]] {
-                t_col[next[c]] = i;
-                next[c] += 1;
+            let (start, end) = (next[i], row_ptr[i + 1]);
+            // A lower entry the rows above left unclaimed has no mirror.
+            if start < end && col_idx[start] < i {
+                return (false, false);
+            }
+            for k in start..end {
+                let j = col_idx[k];
+                let mirror = if j == i {
+                    k
+                } else {
+                    let m = next[j];
+                    if m == row_ptr[j + 1] || col_idx[m] != i {
+                        return (false, false);
+                    }
+                    next[j] = m + 1;
+                    m
+                };
+                same_values &= same(values[k], values[mirror]);
             }
         }
-        t_col == col_idx
+        (true, same_values)
     }
 
     /// Splits off the strictly-lower, diagonal, and strictly-upper parts:
@@ -929,6 +927,38 @@ mod tests {
             .unwrap();
         assert!(!b.is_pattern_symmetric());
         assert!(!b.is_symmetric(1e-12));
+    }
+
+    #[test]
+    fn zero_tolerance_symmetry_is_the_csc_comparison() {
+        // `==` on every mirrored pair, the diagonal against itself: equal
+        // infinities pass (their difference is NaN), NaN never does.
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let m = |d0: f64, upper: f64, lower: f64| {
+            let values = vec![d0, upper, lower, 1.0];
+            CsrMatrix::try_from_parts(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1], values).unwrap()
+        };
+        for (a, want) in [
+            (m(1.0, inf, inf), true),
+            (m(1.0, -inf, -inf), true),
+            (m(inf, 2.0, 2.0), true),
+            (m(1.0, 0.0, -0.0), true),
+            (m(1.0, inf, -inf), false),
+            (m(1.0, inf, 2.0), false),
+            (m(1.0, nan, nan), false),
+            (m(nan, 2.0, 2.0), false),
+        ] {
+            assert_eq!(a.is_symmetric(0.0), want, "{:?}", a.values());
+            assert_eq!(
+                crate::analysis::symmetric_via_csc(&a),
+                want,
+                "{:?}",
+                a.values()
+            );
+            assert!(a.is_pattern_symmetric());
+            let a32 = a.cast::<f32>();
+            assert_eq!(a32.is_symmetric(0.0), want, "{:?} in f32", a.values());
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn main() -> Result<(), SparseError> {
     report("PCG (diagonal)", &pcg);
 
     let mut k = SoftwareKernels::new();
-    let ic0 = ic0_preconditioned_cg(&a, &b, None, &criteria, &mut k, None)?;
+    let ic0 = ic0_preconditioned_cg(&a, &b, None, &criteria, &mut k)?;
     report("PCG (IC(0))", &ic0);
 
     let mut k = SoftwareKernels::new();

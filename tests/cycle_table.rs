@@ -492,7 +492,7 @@ fn solve<K: Kernels<f64>>(
         Solver::BiCgStab => bicgstab(a, b, None, &crit, k),
         Solver::BiCg => bicg(a, b, None, &crit, k),
         Solver::Sor => sor(a, b, None, 1.25, &crit, k),
-        Solver::Ic0Pcg => ic0_preconditioned_cg(a, b, None, &crit, k, None),
+        Solver::Ic0Pcg => ic0_preconditioned_cg(a, b, None, &crit, k),
         Solver::Gmres => gmres(a, b, None, 6, &crit, k),
     }
 }

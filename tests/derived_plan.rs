@@ -16,9 +16,13 @@
 //! and the elimination schedule — in the same memo, under the same rules:
 //! built once by the first attempt, replayed by every later one, bypassed
 //! and counted when it does not fit, kept on a re-tile and dropped on a
-//! pattern delta, and filled independently of Jacobi's half.
+//! pattern delta, and filled independently of Jacobi's half. The two
+//! substitution plans over the factors' patterns join it the first time a
+//! factor exists on the pattern, and a forced PCG on them is bitwise the
+//! run that compiles its own.
 
 use acamar::core::{Acamar, AcamarConfig, RunOptions};
+use acamar::datasets::{suite, StructuralClass};
 use acamar::engine::{Engine, PatternFingerprint, SequenceConfig, SequenceJob, SolveJob};
 use acamar::fabric::FabricSpec;
 use acamar::solvers::{ic0_preconditioned_cg, jacobi, DerivedPlan, SoftwareKernels, SolverKind};
@@ -470,7 +474,7 @@ fn workers_racing_on_a_cold_pattern_build_the_ic0_schedule_once() {
     assert_eq!(ring.counters()[Counter::Ic0SchedulesBuilt.index()], 1);
     let criteria = acamar.config().criteria;
     let plain =
-        ic0_preconditioned_cg(&a, &b, None, &criteria, &mut SoftwareKernels::new(), None).unwrap();
+        ic0_preconditioned_cg(&a, &b, None, &criteria, &mut SoftwareKernels::new()).unwrap();
     assert_eq!(bits(&plain.solution), bits(&warm.solve.solution));
     assert_eq!(plain.residual_history, warm.solve.residual_history);
     assert_eq!(plain.counts, warm.solve.counts);
@@ -547,8 +551,8 @@ fn a_sequence_keeps_the_ic0_schedule_on_a_retile_and_resets_it_on_a_pattern_delt
     ));
 
     // A pattern delta starts the memo over; the next preconditioned
-    // attempt schedules the new pattern (and compiles its own substitution
-    // plans: the delta dropped the cached pair).
+    // attempt schedules the new pattern and memoises its substitution
+    // plans.
     let a1 = Arc::new(drop_a_symmetric_pair(&a0, 300));
     let step = seq
         .step(SequenceJob::new(Arc::clone(&a1), b.clone()))
@@ -559,11 +563,13 @@ fn a_sequence_keeps_the_ic0_schedule_on_a_retile_and_resets_it_on_a_pattern_delt
         acamar::engine::PlanAction::Patched { .. }
     ));
     let patched = Arc::clone(seq.artifacts());
-    assert!(patched.derived.ic0_schedule().is_none() && patched.sptrsv.is_none());
+    assert!(patched.derived.ic0_schedule().is_none() && patched.derived.sptrsv().is_none());
     pcg(&a1, &patched);
     let rescheduled = patched.derived.ic0_schedule().expect("rebuilt");
     assert_eq!(rescheduled.lower().nnz(), (a1.nnz() + 800) / 2);
     assert_eq!(rescheduled, &acamar::sparse::Ic0Schedule::of(&*a1).unwrap());
+    let (lower, upper) = &**patched.derived.sptrsv().expect("memoised by the attempt");
+    assert!(lower.verify_pattern(&*a1) && upper.verify_pattern(&*a1));
     // The old pattern's memo is untouched.
     assert!(std::ptr::eq(
         analyzed.derived.ic0_schedule().unwrap(),
@@ -638,7 +644,7 @@ fn an_ic0_schedule_that_does_not_fit_its_matrix_is_bypassed_and_counted() {
     let mut with_memo = SoftwareKernels::new()
         .with_derived_plan(Arc::clone(&memo))
         .with_telemetry(TelemetrySink::new(Arc::clone(&ring) as Arc<_>));
-    let on_p = ic0_preconditioned_cg(&p, &b, None, &criteria, &mut with_memo, None).unwrap();
+    let on_p = ic0_preconditioned_cg(&p, &b, None, &criteria, &mut with_memo).unwrap();
     assert!(on_p.converged());
     let schedule_of_p = memo.ic0_schedule().expect("built on P").clone();
     let counters = ring.counters();
@@ -651,9 +657,9 @@ fn an_ic0_schedule_that_does_not_fit_its_matrix_is_bypassed_and_counted() {
 
     // Q through P's memo: the diagonal check refuses it, Q is factored as
     // if there were no memo, and the answer is the memo-less one.
-    let stale = ic0_preconditioned_cg(&q, &b, None, &criteria, &mut with_memo, None).unwrap();
+    let stale = ic0_preconditioned_cg(&q, &b, None, &criteria, &mut with_memo).unwrap();
     let plain =
-        ic0_preconditioned_cg(&q, &b, None, &criteria, &mut SoftwareKernels::new(), None).unwrap();
+        ic0_preconditioned_cg(&q, &b, None, &criteria, &mut SoftwareKernels::new()).unwrap();
     assert!(plain.converged());
     assert_eq!(bits(&stale.solution), bits(&plain.solution));
     assert_eq!(stale.residual_history, plain.residual_history);
@@ -677,7 +683,7 @@ fn an_ic0_schedule_that_does_not_fit_its_matrix_is_bypassed_and_counted() {
         .with_derived_plan(Arc::clone(&memo))
         .with_telemetry(TelemetrySink::new(Arc::clone(&ring) as Arc<_>));
     for solves in 1..=2 {
-        let report = ic0_preconditioned_cg(&holed, &b, None, &criteria, &mut k, None).unwrap();
+        let report = ic0_preconditioned_cg(&holed, &b, None, &criteria, &mut k).unwrap();
         assert!(!report.converged());
         assert!(memo.ic0_schedule().is_none());
         assert_eq!(
@@ -686,4 +692,152 @@ fn an_ic0_schedule_that_does_not_fit_its_matrix_is_bypassed_and_counted() {
         );
     }
     assert_eq!(ring.counters()[Counter::Ic0SchedulesBuilt.index()], 1);
+}
+
+#[test]
+fn the_substitution_plans_are_built_by_the_first_forced_pcg_and_reused() {
+    let (a, b) = (spd(500, 41), rhs(500));
+    let acamar = acamar();
+    let artifacts = acamar.analyze(&a);
+    let ring = Arc::new(RingRecorder::new(1 << 12));
+    let run = |solver: Option<SolverKind>| {
+        let opts = RunOptions {
+            solver,
+            telemetry: TelemetrySink::new(Arc::clone(&ring) as Arc<_>),
+            ..RunOptions::default()
+        };
+        acamar
+            .run_with_plan_opts(&a, &b, None, &artifacts, opts)
+            .unwrap()
+    };
+    // Analysis and every attempt that does not precondition leave it be.
+    assert!(artifacts.derived.sptrsv().is_none(), "analysis builds none");
+    run(None);
+    for solver in [
+        SolverKind::Jacobi,
+        SolverKind::ConjugateGradient,
+        SolverKind::BiCgStab,
+        SolverKind::Sor,
+    ] {
+        run(Some(solver));
+        assert!(artifacts.derived.sptrsv().is_none(), "{solver:?}");
+    }
+    // The first forced PCG compiles the pair from its factors' patterns;
+    // the second replays it.
+    assert!(run(Some(SolverKind::PreconditionedCg)).converged());
+    let plans = Arc::clone(artifacts.derived.sptrsv().expect("built by PCG"));
+    let schedule = artifacts.derived.ic0_schedule().unwrap();
+    assert_eq!(plans.0.tri_nnz(), schedule.lower().nnz());
+    assert_eq!(plans.1.tri_nnz(), schedule.upper().nnz());
+    assert!(plans.0.verify_pattern(&a) && plans.1.verify_pattern(&a));
+    assert!(run(Some(SolverKind::PreconditionedCg)).converged());
+    assert!(Arc::ptr_eq(artifacts.derived.sptrsv().unwrap(), &plans));
+    let counters = ring.counters();
+    assert_eq!(counters[Counter::Ic0SchedulesBuilt.index()], 1);
+    assert_eq!(counters[Counter::Ic0ScheduleRebuilds.index()], 0);
+    // An emptied memo starts the pair over too.
+    assert!(artifacts.derived.emptied().sptrsv().is_none());
+
+    // A pattern whose factor breaks down (the first pivot of -A) is
+    // scheduled, yet has no factor to compile a pair from.
+    let negated = a.scale(-1.0);
+    let artifacts = acamar.analyze(&negated);
+    let opts = forced(SolverKind::PreconditionedCg, TelemetrySink::disabled());
+    acamar
+        .run_with_plan_opts(&negated, &b, None, &artifacts, opts)
+        .unwrap();
+    assert!(artifacts.derived.ic0_schedule().is_some());
+    assert!(artifacts.derived.sptrsv().is_none());
+}
+
+/// `ic0_preconditioned_cg` the way a forced PCG attempt runs it — the
+/// analysis' schedule and SpMV plan on the fabric executor, one solver
+/// configuration charged — but with no derived memo: the schedule and the
+/// substitution plans are built inside the solve.
+fn memo_less_forced_pcg(
+    acamar: &Acamar,
+    artifacts: &acamar::core::AnalysisArtifacts,
+    a: &CsrMatrix<f64>,
+    b: &[f64],
+) -> (
+    acamar::solvers::SolveReport<f64>,
+    acamar::fabric::FabricRunStats,
+) {
+    use acamar::fabric::{cost, FabricKernels};
+    let config = acamar.config();
+    let schedule = artifacts.plan.schedule.clone();
+    let module = cost::solver_control_unit()
+        + cost::dense_vector_unit()
+        + cost::spmv_engine(schedule.max_unroll());
+    let mut hw = FabricKernels::new(acamar.spec().clone(), schedule, config.init_unroll)
+        .with_overlap(config.overlap_reconfiguration)
+        .with_compiled_plan(Arc::clone(&artifacts.compiled));
+    hw.charge_solver_reconfig(&module);
+    hw.begin_attempt();
+    let report = ic0_preconditioned_cg(a, b, None, &config.criteria, &mut hw).unwrap();
+    (report, hw.finish())
+}
+
+#[test]
+fn forced_pcg_on_the_memoised_plans_is_bitwise_a_memo_less_run() {
+    let mut systems: Vec<(String, CsrMatrix<f64>)> = suite()
+        .into_iter()
+        .filter(|d| {
+            matches!(
+                d.class,
+                StructuralClass::DominantSpd { .. }
+                    | StructuralClass::JacobiDivergentSpd { .. }
+                    | StructuralClass::IllConditionedSpd { .. }
+                    | StructuralClass::Poisson3d { .. }
+                    | StructuralClass::ShiftedGridLaplacian { .. }
+            )
+        })
+        .map(|d| (format!("table2-{}", d.id), d.matrix_f64()))
+        .collect();
+    assert_eq!(systems.len(), 17, "the SPD Table II analogs");
+    // A grid's pattern with nonsymmetric values: IC(0) reads the lower
+    // triangle only, so it factors, and the analysis calls it
+    // nonsymmetric.
+    let mut skewed = generate::poisson2d::<f64>(48, 48);
+    let row_ptr = skewed.row_ptr().to_vec();
+    for i in (1..skewed.nrows()).step_by(7) {
+        skewed.values_mut()[row_ptr[i]] *= 1.25;
+    }
+    systems.extend([
+        ("poisson2d-128".into(), generate::poisson2d(128, 128)),
+        ("poisson3d-32".into(), generate::poisson3d(32, 32, 32)),
+        (
+            "anisotropic-40".into(),
+            generate::anisotropic_poisson2d(40, 40, 1.0, 0.05),
+        ),
+        ("jump-64".into(), generate::jump_poisson2d(64, 64, 1e3)),
+        ("poisson2d-48 skewed".into(), skewed),
+    ]);
+    let acamar = acamar();
+    for (what, a) in &systems {
+        let b = rhs(a.nrows());
+        let artifacts = acamar.analyze(a);
+        let (plain, plain_stats) = memo_less_forced_pcg(&acamar, &artifacts, a, &b);
+        if what.ends_with("skewed") {
+            let report = &artifacts.structure.report;
+            assert!(report.pattern_symmetric && !report.symmetric);
+        }
+        for round in ["builds the pair", "replays it"] {
+            let opts = forced(SolverKind::PreconditionedCg, TelemetrySink::disabled());
+            let forced = acamar
+                .run_with_plan_opts(a, &b, None, &artifacts, opts)
+                .unwrap();
+            assert!(artifacts.derived.sptrsv().is_some(), "{what}: {round}");
+            let solve = &forced.solve;
+            assert_eq!(solve.iterations, plain.iterations, "{what}: {round}");
+            assert_eq!(solve.counts, plain.counts, "{what}: {round}");
+            assert_eq!(bits(&solve.solution), bits(&plain.solution), "{what}");
+            assert_eq!(solve.residual_history, plain.residual_history, "{what}");
+            assert_eq!(
+                format!("{:?}", forced.stats),
+                format!("{plain_stats:?}"),
+                "{what}: {round}"
+            );
+        }
+    }
 }

@@ -80,7 +80,7 @@ fn ic0_pcg<K: Kernels<f64>>(
     criteria: &ConvergenceCriteria,
     kernels: &mut K,
 ) -> Result<SolveReport<f64>, SparseError> {
-    ic0_preconditioned_cg(a, b, x0, criteria, kernels, None)
+    ic0_preconditioned_cg(a, b, x0, criteria, kernels)
 }
 
 fn software(_: &CsrMatrix<f64>) -> SoftwareKernels {

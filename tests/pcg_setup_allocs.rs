@@ -3,10 +3,10 @@
 //! IC(0)-preconditioned CG is the one solver that *factors* before it
 //! iterates. With the pattern's `DerivedPlan` memo installed — what
 //! production runs — the factors' patterns and the elimination schedule
-//! are cached (`Ic0Schedule`), the two value arrays land in the
-//! workspace's operand slot, and the substitution plans come from the
-//! analysis: a warm solve allocates for nothing but what escapes it.
-//! Without a memo the schedule is rebuilt per solve. The counts below are
+//! are cached (`Ic0Schedule`) with the substitution plans compiled from
+//! them, and the two value arrays land in the workspace's operand slot: a
+//! warm solve allocates for nothing but what escapes it. Without a memo
+//! the schedule and the plans are rebuilt per solve. The counts below are
 //! the whole solve's — with a warm buffer pool and a one-iteration budget,
 //! set-up is all that is left — and the memoised one must not depend on
 //! the matrix.
@@ -15,7 +15,7 @@ use acamar::solvers::{
     ic0_preconditioned_cg, ConvergenceCriteria, DerivedPlan, SoftwareKernels, WorkspaceHandle,
 };
 use acamar::sparse::generate::{self, RowDistribution};
-use acamar::sparse::{BandHint, CompiledSptrsv, CsrMatrix};
+use acamar::sparse::{BandHint, CsrMatrix};
 use std::sync::Arc;
 
 #[path = "common/counting_alloc.rs"]
@@ -29,8 +29,6 @@ fn warm_setup_allocations(a: &CsrMatrix<f64>, memoised: bool) -> u64 {
     let n = a.nrows();
     let b = vec![1.0; n];
     let criteria = ConvergenceCriteria::paper().with_max_iterations(1);
-    let lower = CompiledSptrsv::compile_lower(a).expect("full diagonal");
-    let upper = CompiledSptrsv::compile_upper(a).expect("full diagonal");
     let mut kernels = SoftwareKernels::new().with_workspace(WorkspaceHandle::new());
     if memoised {
         let hints = vec![BandHint {
@@ -39,10 +37,8 @@ fn warm_setup_allocations(a: &CsrMatrix<f64>, memoised: bool) -> u64 {
         }];
         kernels = kernels.with_derived_plan(Arc::new(DerivedPlan::new(hints)));
     }
-    let mut solve = || {
-        ic0_preconditioned_cg(a, &b, None, &criteria, &mut kernels, Some((&lower, &upper)))
-            .expect("square system")
-    };
+    let mut solve =
+        || ic0_preconditioned_cg(a, &b, None, &criteria, &mut kernels).expect("square system");
     for _ in 0..2 {
         solve();
     }
@@ -72,9 +68,10 @@ fn a_warm_ic0_pcg_set_up_allocates_a_fixed_small_number_of_times() {
     // transpose's cursors and source slots, the column map), the four
     // shared arrays made from the patterns', and the correction list — one
     // block on a stencil, which has no correction to record (a pattern
-    // that has some grows the list as it finds them). The factors' values
-    // are pooled either way.
-    assert_eq!(warm_setup_allocations(&stencil, false), 2 + 12);
-    assert_eq!(warm_setup_allocations(&large_stencil, false), 2 + 12);
-    assert!(warm_setup_allocations(&ragged, false) > 2 + 12);
+    // that has some grows the list as it finds them), and three per
+    // substitution plan (the level array, the row order, the level
+    // widths). The factors' values are pooled either way.
+    assert_eq!(warm_setup_allocations(&stencil, false), 2 + 12 + 6);
+    assert_eq!(warm_setup_allocations(&large_stencil, false), 2 + 12 + 6);
+    assert!(warm_setup_allocations(&ragged, false) > 2 + 12 + 6);
 }

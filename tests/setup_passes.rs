@@ -9,23 +9,27 @@
 //! what a warm request does — must write those same bytes into whatever
 //! buffer it is handed, for every matrix of the pattern, in either
 //! precision. `analysis::analyze` reads the matrix in one row sweep plus
-//! one CSR→CSC conversion; it must report what the five-sweep version
-//! reported. The references are restated here from the public API, so
+//! one walk that pairs every entry with its mirror; it must report what
+//! the five-sweep version, with its CSR→CSC conversion, reported — and
+//! so must `is_pattern_symmetric` and `is_symmetric(0.0)`, which take the
+//! same walk. The references are restated here from the public API, so
 //! they share no code with the passes they check.
 
 use acamar::datasets::{laplacian_suite, suite};
 use acamar::sparse::analysis::{self, Definiteness, StructureReport};
+use acamar::sparse::generate::{self, RowDistribution};
 use acamar::sparse::rng::DetRng;
 use acamar::sparse::{CooMatrix, CscMatrix, CsrMatrix, JacobiSplit, Scalar};
 
-/// Sixty-four seeded square patterns that mix, row by row, what the
+/// `count` seeded square patterns that mix, row by row, what the
 /// generators never produce together: empty rows, diagonal-only rows,
 /// rows with no stored diagonal, a stored zero on the diagonal, and
 /// explicit off-diagonal zeros. Every fourth pattern is symmetrized in
-/// pattern, every eighth in values too.
-fn seeded_patterns() -> Vec<CsrMatrix<f64>> {
+/// pattern, every eighth in values too. A longer list starts with the
+/// shorter one.
+fn seeded_patterns(count: usize) -> Vec<CsrMatrix<f64>> {
     let mut rng = DetRng::seed_from_u64(0x5e7_0b5);
-    (0..64)
+    (0..count)
         .map(|case| {
             let n = rng.gen_range(1..=48usize);
             let mut dense = vec![vec![None; n]; n];
@@ -83,11 +87,11 @@ fn from_dense(nrows: usize, ncols: usize, dense: &[Vec<Option<f64>>]) -> CsrMatr
         .expect("valid by construction")
 }
 
-/// The suites the benchmark runs plus the seeded patterns.
+/// The suites the benchmark runs plus sixty-four seeded patterns.
 fn square_pool() -> Vec<CsrMatrix<f64>> {
     let mut pool: Vec<CsrMatrix<f64>> = suite().iter().map(|d| d.matrix_f64()).collect();
     pool.extend(laplacian_suite().iter().map(|w| w.matrix_f64()));
-    pool.extend(seeded_patterns());
+    pool.extend(seeded_patterns(64));
     pool
 }
 
@@ -263,15 +267,23 @@ fn off_diagonal_scaled_handles_rectangles_and_rejects_a_short_scale() {
     assert_eq!(empty.off_diagonal_scaled(&[]).expect("0x0").nnz(), 0);
 }
 
-/// `analyze` as it was: one sweep (or per-row binary search) per field.
+/// `(pattern symmetric, symmetric)` the paper's way: convert to CSC and
+/// compare the index arrays, then the values.
+fn csc_symmetry<T: Scalar>(a: &CsrMatrix<T>) -> (bool, bool) {
+    if a.nrows() != a.ncols() {
+        return (false, false);
+    }
+    let csc = CscMatrix::from_csr(a);
+    let pattern = csc.col_ptr() == a.row_ptr() && csc.row_idx() == a.col_idx();
+    (pattern, pattern && csc.values() == a.values())
+}
+
+/// `analyze` as it was: one sweep (or per-row binary search) per field,
+/// and symmetry from a CSC conversion.
 fn multi_sweep_report<T: Scalar>(a: &CsrMatrix<T>) -> StructureReport {
     let square = a.nrows() == a.ncols();
     let diag: Vec<T> = (0..a.nrows().min(a.ncols())).map(|i| a.get(i, i)).collect();
-
-    let symmetric = square && {
-        let csc = CscMatrix::from_csr(a);
-        csc.col_ptr() == a.row_ptr() && csc.row_idx() == a.col_idx() && csc.values() == a.values()
-    };
+    let (pattern_symmetric, symmetric) = csc_symmetry(a);
 
     let margin = if !square {
         f64::NEG_INFINITY
@@ -337,7 +349,7 @@ fn multi_sweep_report<T: Scalar>(a: &CsrMatrix<T>) -> StructureReport {
         nnz: a.nnz(),
         density: a.density(),
         symmetric,
-        pattern_symmetric: a.is_pattern_symmetric(),
+        pattern_symmetric,
         strictly_diagonally_dominant: margin > 0.0,
         weakly_diagonally_dominant: margin >= 0.0,
         nonzero_diagonal: diag.iter().all(|&d| d != T::ZERO),
@@ -348,9 +360,113 @@ fn multi_sweep_report<T: Scalar>(a: &CsrMatrix<T>) -> StructureReport {
     }
 }
 
+/// An `n`×`n` matrix holding exactly `entries`.
+fn from_entries(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix<f64> {
+    let mut dense = vec![vec![None; n]; n];
+    for &(i, j, v) in entries {
+        dense[i][j] = Some(v);
+    }
+    from_dense(n, n, &dense)
+}
+
+/// The cases a mirror walk can get wrong: a lone entry at either end of
+/// the sweep, a mirror one column off, values `==` treats specially, and
+/// the smallest matrices.
+fn symmetry_edge_cases() -> Vec<CsrMatrix<f64>> {
+    let (inf, nan) = (f64::INFINITY, f64::NAN);
+    let diagonal = |n: usize| (0..n).map(|i| (i, i, 2.0 + i as f64)).collect::<Vec<_>>();
+    let with = |n: usize, extra: &[(usize, usize, f64)]| {
+        let mut entries = diagonal(n);
+        entries.extend_from_slice(extra);
+        from_entries(n, &entries)
+    };
+    let pair = |u: f64, l: f64| with(4, &[(1, 2, u), (2, 1, l)]);
+    vec![
+        // A lower entry with no mirror: in column 0, in the last row.
+        with(5, &[(3, 0, 1.0)]),
+        with(5, &[(4, 2, 1.0)]),
+        with(5, &[(4, 0, 1.0), (0, 4, 1.0), (4, 3, 1.0)]),
+        // An upper entry with no mirror: in row 0, in the last column.
+        with(5, &[(0, 3, 1.0)]),
+        with(5, &[(2, 4, 1.0)]),
+        // An upper entry whose mirror sits in the neighbouring column,
+        // left and right of where it belongs.
+        with(5, &[(1, 3, 1.0), (3, 0, 1.0)]),
+        with(5, &[(1, 3, 1.0), (3, 2, 1.0)]),
+        with(5, &[(0, 4, 1.0), (4, 1, 1.0)]),
+        // An upper entry whose mirror row is empty, and whose next row
+        // opens with the mirror's column.
+        from_entries(
+            4,
+            &[
+                (0, 0, 1.0),
+                (0, 2, 1.0),
+                (0, 3, 1.0),
+                (1, 1, 1.0),
+                (3, 0, 1.0),
+                (3, 3, 1.0),
+            ],
+        ),
+        // Every other row's lower part left unclaimed by one entry.
+        with(
+            6,
+            &[
+                (0, 2, 1.0),
+                (2, 0, 1.0),
+                (2, 1, 1.0),
+                (5, 3, 1.0),
+                (3, 5, 1.0),
+            ],
+        ),
+        // Mirrored values `==` treats specially.
+        pair(0.0, -0.0),
+        pair(nan, nan),
+        pair(inf, inf),
+        pair(-inf, -inf),
+        pair(inf, -inf),
+        pair(inf, 1.0),
+        pair(1.0, 1.0 + f64::EPSILON),
+        // A NaN on the diagonal only, first and last row.
+        from_entries(3, &[(0, 0, nan), (0, 1, 1.0), (1, 0, 1.0), (2, 2, 1.0)]),
+        from_entries(3, &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, nan)]),
+        // 1×1, and diagonal-only (one with a hole, one all zeros).
+        from_entries(1, &[(0, 0, 3.0)]),
+        from_entries(1, &[(0, 0, nan)]),
+        from_entries(1, &[]),
+        from_entries(6, &diagonal(6)),
+        from_entries(6, &diagonal(6)[1..]),
+        from_entries(4, &(0..4).map(|i| (i, i, 0.0)).collect::<Vec<_>>()),
+    ]
+}
+
+/// The seven stencil and dominant generators at small sides.
+fn small_stencils() -> Vec<CsrMatrix<f64>> {
+    let mut helmholtz = generate::poisson2d::<f64>(7, 7);
+    let (row_ptr, col_idx) = (helmholtz.row_ptr().to_vec(), helmholtz.col_idx().to_vec());
+    for i in 0..49 {
+        let k = (row_ptr[i]..row_ptr[i + 1])
+            .find(|&k| col_idx[k] == i)
+            .unwrap();
+        helmholtz.values_mut()[k] -= 0.02;
+    }
+    vec![
+        helmholtz,
+        generate::poisson2d(6, 5),
+        generate::poisson3d(3, 4, 2),
+        generate::anisotropic_poisson2d(5, 6, 1.0, 0.05),
+        generate::jump_poisson2d(4, 5, 1e3),
+        generate::convection_diffusion_2d(8, 7, 0.5),
+        generate::diagonally_dominant(100, RowDistribution::Uniform { min: 6, max: 20 }, 1.5, 3),
+    ]
+}
+
 #[test]
 fn one_sweep_analyze_reports_what_the_multi_sweep_version_did() {
-    let mut pool = square_pool();
+    let mut pool: Vec<CsrMatrix<f64>> = suite().iter().map(|d| d.matrix_f64()).collect();
+    pool.extend(laplacian_suite().iter().map(|w| w.matrix_f64()));
+    pool.extend(seeded_patterns(256));
+    pool.extend(symmetry_edge_cases());
+    pool.extend(small_stencils());
     // Rectangles (a diagonal shorter than the row count, and than the
     // column count), an all-empty square and the 0x0 matrix.
     let wide = from_dense(
@@ -372,19 +488,25 @@ fn one_sweep_analyze_reports_what_the_multi_sweep_version_did() {
         &[vec![Some(f64::NAN), Some(1.0)], vec![Some(1.0), Some(-0.0)]],
     ));
 
-    let mut seen_symmetric = 0;
-    let mut seen_pattern_only = 0;
-    for (k, a) in pool.iter().enumerate() {
+    fn check<T: Scalar>(a: &CsrMatrix<T>, what: &str) -> StructureReport {
         let got = analysis::analyze(a);
-        assert_eq!(got, multi_sweep_report(a), "matrix {k}");
-        assert_eq!(
-            analysis::analyze(&a.cast::<f32>()),
-            multi_sweep_report(&a.cast::<f32>()),
-            "matrix {k} in f32"
-        );
+        assert_eq!(got, multi_sweep_report(a), "{what}");
+        let (pattern, values) = csc_symmetry(a);
+        assert_eq!(a.is_pattern_symmetric(), pattern, "{what}: pattern");
+        assert_eq!(a.is_symmetric(T::ZERO), values, "{what}: values");
+        got
+    }
+    let (mut seen_symmetric, mut seen_pattern_only, mut seen_neither) = (0, 0, 0);
+    for (k, a) in pool.iter().enumerate() {
+        let got = check(a, &format!("matrix {k}"));
+        check(&a.cast::<f32>(), &format!("matrix {k} in f32"));
         seen_symmetric += usize::from(got.symmetric);
         seen_pattern_only += usize::from(got.pattern_symmetric && !got.symmetric);
+        seen_neither += usize::from(!got.pattern_symmetric);
     }
-    // The pool exercises both ways the single CSC conversion can answer.
-    assert!(seen_symmetric >= 8 && seen_pattern_only >= 4);
+    // The pool exercises all three answers the CSC comparison can give.
+    assert!(
+        seen_symmetric >= 40 && seen_pattern_only >= 40 && seen_neither >= 150,
+        "{seen_symmetric} symmetric, {seen_pattern_only} in pattern only, {seen_neither} neither"
+    );
 }
