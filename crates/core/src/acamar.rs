@@ -45,14 +45,8 @@ pub struct AnalysisArtifacts {
     /// runs (+11 % on a cold-pattern request for `T`'s plan alone) — and
     /// filled by the first attempt that needs each part. Pattern-only and
     /// shared by every clone; a cache of derived state, so it takes no
-    /// part in equality or `build_cost`.
+    /// part in equality.
     pub derived: Arc<DerivedPlan>,
-    /// Estimated host-side work of building these artifacts, in
-    /// row/entry traversals: the structure unit's symmetry walk and
-    /// dominance scan are each O(nnz), the Row Length Trace
-    /// is O(rows), and the SpMV plan compile is one more O(nnz) pass —
-    /// this is what a cache hit saves.
-    pub build_cost: u64,
 }
 
 impl PartialEq for AnalysisArtifacts {
@@ -62,17 +56,10 @@ impl PartialEq for AnalysisArtifacts {
         self.structure == other.structure
             && self.plan == other.plan
             && self.compiled == other.compiled
-            && self.build_cost == other.build_cost
     }
 }
 
 impl AnalysisArtifacts {
-    /// Cost model for building the artifacts of an `nrows` x `nnz` matrix
-    /// (see the field docs on `build_cost`).
-    pub fn cost_model(nrows: usize, nnz: usize) -> u64 {
-        3 * nnz as u64 + 2 * nrows as u64
-    }
-
     /// Relative residual `‖b − A·x‖₂ / ‖b‖₂` of a warm-start candidate
     /// `x`, computed through the compiled plan's deterministic SpMV and a
     /// fixed-order `f64` accumulation — two replays of the same sequence
@@ -333,7 +320,6 @@ impl Acamar {
             plan,
             compiled,
             derived: Arc::new(DerivedPlan::new(hints)),
-            build_cost: AnalysisArtifacts::cost_model(a.nrows(), a.nnz()),
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::fingerprint::PatternFingerprint;
 use acamar_core::{Acamar, AnalysisArtifacts};
-use acamar_sparse::{CsrMatrix, DeterminismPolicy, Scalar};
+use acamar_sparse::{CsrMatrix, Scalar};
 use acamar_telemetry::{Counter, EventKind, TelemetrySink};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -22,10 +22,6 @@ pub struct CacheStats {
     pub collisions: u64,
     /// Distinct patterns currently cached.
     pub entries: usize,
-    /// Host decision-loop work avoided by hits, in row/entry traversals
-    /// (the sum of each hit entry's
-    /// [`build_cost`](AnalysisArtifacts::build_cost)).
-    pub plan_build_cycles_saved: u64,
     /// Wall-clock nanoseconds spent inside [`Acamar::analyze`] on misses
     /// — structure analysis, MSID planning, and SpMV plan compilation.
     /// Hits pay none of this; dividing by `misses` gives the one-time
@@ -55,7 +51,6 @@ impl CacheStats {
             misses: self.misses - earlier.misses,
             collisions: self.collisions - earlier.collisions,
             entries: self.entries,
-            plan_build_cycles_saved: self.plan_build_cycles_saved - earlier.plan_build_cycles_saved,
             analysis_nanos: self.analysis_nanos - earlier.analysis_nanos,
             evictions: self.evictions - earlier.evictions,
         }
@@ -89,16 +84,13 @@ impl CacheEntry {
     }
 }
 
-/// Concurrent map from `(PatternFingerprint, DeterminismPolicy)` to
-/// shared [`AnalysisArtifacts`].
+/// Concurrent map from [`PatternFingerprint`] to shared
+/// [`AnalysisArtifacts`].
 ///
-/// Entries are keyed by determinism tier as well as pattern, so each tier
-/// warms, counts and is evicted on its own. The artifacts themselves are
-/// policy-independent — one compiled plan serves both tiers — so a tier's
-/// first lookup on a pattern the other tier holds is still a miss in
-/// [`CacheStats`] but skips the analysis: it adopts the other entry's
-/// `Arc<AnalysisArtifacts>`. One copy per pattern whichever tier asks,
-/// which survives the eviction of either entry.
+/// One entry per pattern, whichever determinism tier asks: the structure
+/// decision and the compiled plan are functions of the matrix alone, and
+/// one plan serves both tiers, so a `Fast` request on a pattern a
+/// `Deterministic` one warmed is an ordinary hit (and vice versa).
 ///
 /// Reads take the `RwLock` shared, so concurrent workers hitting warm
 /// patterns never serialize. A miss upgrades to the exclusive lock and
@@ -117,11 +109,10 @@ impl CacheEntry {
 /// entry is rebuilt from the incoming matrix.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    map: RwLock<HashMap<(PatternFingerprint, DeterminismPolicy), CacheEntry>>,
+    map: RwLock<HashMap<PatternFingerprint, CacheEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     collisions: AtomicU64,
-    saved: AtomicU64,
     analysis_nanos: AtomicU64,
     evictions: AtomicU64,
     /// Logical clock stamping entry recency; bumped on every hit/insert.
@@ -136,20 +127,14 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// Returns `a`'s artifacts for the `Deterministic` tier, analyzing on
-    /// first sight of its pattern (or on a verification failure of the
-    /// stored entry).
+    /// Returns `a`'s artifacts, analyzing on first sight of its pattern
+    /// (or on a verification failure of the stored entry).
     pub fn get_or_analyze<T: Scalar>(
         &self,
         acamar: &Acamar,
         a: &CsrMatrix<T>,
     ) -> Arc<AnalysisArtifacts> {
-        self.get_or_analyze_with(
-            acamar,
-            a,
-            DeterminismPolicy::Deterministic,
-            &TelemetrySink::disabled(),
-        )
+        self.get_or_analyze_with(acamar, a, &TelemetrySink::disabled())
     }
 
     /// [`PlanCache::get_or_analyze`] with the lookup's outcome mirrored
@@ -158,22 +143,17 @@ impl PlanCache {
     /// [`EventKind::CacheCollision`] event plus the matching counters. The
     /// cache's own statistics and the telemetry counters are fed from the
     /// same observations, so a batch's [`CacheStats`] delta and its
-    /// exported metrics always agree. The entry is keyed by `(pattern,
-    /// policy)`; a miss adopts the other tier's verified entry for the
-    /// pattern, if there is one, instead of analyzing again.
+    /// exported metrics always agree.
     pub fn get_or_analyze_with<T: Scalar>(
         &self,
         acamar: &Acamar,
         a: &CsrMatrix<T>,
-        policy: DeterminismPolicy,
         sink: &TelemetrySink,
     ) -> Arc<AnalysisArtifacts> {
-        let fp = (PatternFingerprint::of(a), policy);
+        let fp = PatternFingerprint::of(a);
         if let Some(entry) = self.map.read().expect("cache lock poisoned").get(&fp) {
             if entry.verifies_against(a) {
-                self.record_hit(entry);
-                sink.emit(EventKind::CacheHit);
-                sink.counter_add(Counter::CacheHits, 1);
+                self.record_hit(entry, sink);
                 return Arc::clone(&entry.artifacts);
             }
             // Corrupted entry: fall through to the exclusive path and
@@ -183,9 +163,7 @@ impl PlanCache {
         if let Some(entry) = map.get(&fp) {
             if entry.verifies_against(a) {
                 // Another worker built (or repaired) it between our locks.
-                self.record_hit(entry);
-                sink.emit(EventKind::CacheHit);
-                sink.counter_add(Counter::CacheHits, 1);
+                self.record_hit(entry, sink);
                 return Arc::clone(&entry.artifacts);
             }
             self.collisions.fetch_add(1, Ordering::Relaxed);
@@ -194,60 +172,59 @@ impl PlanCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let started = std::time::Instant::now();
-        let other_tier = DeterminismPolicy::ALL
-            .iter()
-            .filter(|&&p| p != policy)
-            .filter_map(|&p| map.get(&(fp.0, p)))
-            .find(|entry| entry.verifies_against(a));
-        let art = match other_tier {
-            Some(entry) => Arc::clone(&entry.artifacts),
-            None => Arc::new(acamar.analyze(a)),
-        };
+        let art = Arc::new(acamar.analyze(a));
         let analysis_nanos = started.elapsed().as_nanos() as u64;
         self.analysis_nanos
             .fetch_add(analysis_nanos, Ordering::Relaxed);
         sink.emit(EventKind::CacheMiss { analysis_nanos });
         sink.counter_add(Counter::CacheMisses, 1);
         sink.counter_add(Counter::AnalysisNanos, analysis_nanos);
-        map.insert(
-            fp,
-            CacheEntry {
-                artifacts: Arc::clone(&art),
-                nrows: a.nrows(),
-                ncols: a.ncols(),
-                nnz: a.nnz(),
-                last_used: Arc::new(AtomicU64::new(self.next_tick())),
-            },
-        );
-        self.evict_over_capacity(&mut map, &fp, sink);
+        self.insert(&mut map, fp, Arc::clone(&art), sink);
         art
     }
 
     /// Registers externally built artifacts — a sequence's band-patched
-    /// plan — under `a`'s pattern for `policy`, so subsequent same-pattern
-    /// lookups hit instead of re-analyzing. Counts neither a hit nor a
-    /// miss (the caller accounts the patch itself); the capacity bound and
-    /// LRU eviction apply as on the analyze path.
-    pub fn insert_artifacts<T: Scalar>(
+    /// or re-tiled plan — under the pattern `fp`, so subsequent lookups of
+    /// that pattern hit instead of re-analyzing. `fp` must be the
+    /// fingerprint of the matrix the artifacts were built for (the caller
+    /// already holds it; nothing is digested here). Counts neither a hit
+    /// nor a miss (the caller accounts the patch itself); the capacity
+    /// bound and LRU eviction apply as on the analyze path.
+    pub fn insert_artifacts(
         &self,
-        a: &CsrMatrix<T>,
-        policy: DeterminismPolicy,
+        fp: PatternFingerprint,
         artifacts: Arc<AnalysisArtifacts>,
         sink: &TelemetrySink,
     ) {
-        let key = (PatternFingerprint::of(a), policy);
         let mut map = self.map.write().expect("cache lock poisoned");
+        self.insert(&mut map, fp, artifacts, sink);
+    }
+
+    /// Stores `artifacts` under `fp`, then evicts down to the capacity
+    /// bound, never evicting the entry just inserted.
+    fn insert(
+        &self,
+        map: &mut HashMap<PatternFingerprint, CacheEntry>,
+        fp: PatternFingerprint,
+        artifacts: Arc<AnalysisArtifacts>,
+        sink: &TelemetrySink,
+    ) {
         map.insert(
-            key,
+            fp,
             CacheEntry {
                 artifacts,
-                nrows: a.nrows(),
-                ncols: a.ncols(),
-                nnz: a.nnz(),
+                nrows: fp.nrows,
+                ncols: fp.ncols,
+                nnz: fp.nnz,
                 last_used: Arc::new(AtomicU64::new(self.next_tick())),
             },
         );
-        self.evict_over_capacity(&mut map, &key, sink);
+        let cap = self.capacity.load(Ordering::Relaxed);
+        // Over a bound of at least one, at least two entries: there is
+        // always a victim besides `fp`.
+        while cap > 0 && map.len() > cap {
+            self.evict_lru(map, Some(&fp), sink);
+        }
     }
 
     /// Bounds the cache to at most `capacity` entries, evicting
@@ -275,63 +252,40 @@ impl PlanCache {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Evicts LRU entries until the map respects the capacity bound,
-    /// never evicting `keep` (the entry just inserted).
-    fn evict_over_capacity(
-        &self,
-        map: &mut HashMap<(PatternFingerprint, DeterminismPolicy), CacheEntry>,
-        keep: &(PatternFingerprint, DeterminismPolicy),
-        sink: &TelemetrySink,
-    ) {
-        let cap = self.capacity.load(Ordering::Relaxed);
-        if cap == 0 {
-            return;
-        }
-        while map.len() > cap {
-            if !self.evict_lru(map, Some(keep), sink) {
-                break;
-            }
-        }
-    }
-
     fn evict_lru(
         &self,
-        map: &mut HashMap<(PatternFingerprint, DeterminismPolicy), CacheEntry>,
-        keep: Option<&(PatternFingerprint, DeterminismPolicy)>,
+        map: &mut HashMap<PatternFingerprint, CacheEntry>,
+        keep: Option<&PatternFingerprint>,
         sink: &TelemetrySink,
-    ) -> bool {
+    ) {
         let victim = map
             .iter()
             .filter(|(k, _)| Some(*k) != keep)
             .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
             .map(|(k, _)| *k);
-        let Some(k) = victim else {
-            return false;
-        };
-        map.remove(&k);
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        sink.emit(EventKind::CacheEvicted);
-        sink.counter_add(Counter::CacheEvictions, 1);
-        true
+        if let Some(k) = victim {
+            map.remove(&k);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            sink.emit(EventKind::CacheEvicted);
+            sink.counter_add(Counter::CacheEvictions, 1);
+        }
     }
 
-    /// Whether `fp`'s pattern is already cached under *any* determinism
-    /// tier (no counter updates, no verification). The serving layer's
-    /// affinity router and its tests use this to ask "is this shard warm
-    /// for this pattern?" without perturbing the hit/miss accounting —
-    /// affinity cares about pattern warmth, not which tier warmed it.
+    /// Whether `fp`'s pattern is already cached (no counter updates, no
+    /// verification). The serving layer's affinity router and its tests
+    /// use this to ask "is this shard warm for this pattern?" without
+    /// perturbing the hit/miss accounting.
     pub fn contains(&self, fp: &PatternFingerprint) -> bool {
         self.map
             .read()
             .expect("cache lock poisoned")
-            .keys()
-            .any(|(f, _)| f == fp)
+            .contains_key(fp)
     }
 
     /// Hit-path lookup by a **precomputed** key: returns the cached
-    /// artifacts for `(fp, policy)` and records an ordinary hit (LRU
-    /// refresh, [`CacheStats::hits`], [`EventKind::CacheHit`]), or
-    /// `None` — counting nothing — when the entry is absent.
+    /// artifacts for `fp` and records an ordinary hit (LRU refresh,
+    /// [`CacheStats::hits`], [`EventKind::CacheHit`]), or `None` —
+    /// counting nothing — when the entry is absent.
     ///
     /// Unlike [`PlanCache::get_or_analyze_with`], this neither hashes nor
     /// re-verifies the matrix pattern, so the caller must already have
@@ -343,57 +297,26 @@ impl PlanCache {
     /// an honest `None` that forces the caller back through the full
     /// analyze path.
     ///
-    /// The lookup is strict about the tier: touching a `(fp, policy)`
-    /// whose entry was evicted returns `None` without refreshing the
-    /// recency of a surviving sibling-tier entry for the same pattern —
-    /// otherwise a miss on one tier could keep the other tier's entry
-    /// pinned in a bounded cache it no longer earns its slot in.
-    ///
     /// [`Sequence`]: crate::Sequence
     pub fn touch(
         &self,
         fp: &PatternFingerprint,
-        policy: DeterminismPolicy,
         sink: &TelemetrySink,
     ) -> Option<Arc<AnalysisArtifacts>> {
         let map = self.map.read().expect("cache lock poisoned");
-        let entry = map.get(&(*fp, policy))?;
-        self.record_hit(entry);
-        sink.emit(EventKind::CacheHit);
-        sink.counter_add(Counter::CacheHits, 1);
+        let entry = map.get(fp)?;
+        self.record_hit(entry, sink);
         Some(Arc::clone(&entry.artifacts))
     }
 
-    /// Whether `fp`'s pattern is cached for the specific `policy` tier.
-    pub fn contains_policy(&self, fp: &PatternFingerprint, policy: DeterminismPolicy) -> bool {
-        self.map
-            .read()
-            .expect("cache lock poisoned")
-            .contains_key(&(*fp, policy))
-    }
-
-    /// The cached artifacts for `fp`, if present under any tier
-    /// (`Deterministic` preferred; no counter updates, no verification).
-    pub fn peek(&self, fp: &PatternFingerprint) -> Option<Arc<AnalysisArtifacts>> {
-        let map = self.map.read().expect("cache lock poisoned");
-        DeterminismPolicy::ALL
-            .iter()
-            .find_map(|&p| map.get(&(*fp, p)).map(|e| Arc::clone(&e.artifacts)))
-    }
-
-    /// Fault-injection seam: corrupts the stored provenance of every tier's
-    /// entry for `fp` (if cached) so the next lookup fails verification.
-    /// Returns `true` if at least one entry was corrupted.
+    /// Fault-injection seam: corrupts the stored provenance of `fp`'s
+    /// entry (if cached) so the next lookup fails verification. Returns
+    /// `true` if an entry was corrupted.
     pub fn corrupt_entry(&self, fp: &PatternFingerprint) -> bool {
         let mut map = self.map.write().expect("cache lock poisoned");
-        let mut corrupted = false;
-        for policy in DeterminismPolicy::ALL {
-            if let Some(entry) = map.get_mut(&(*fp, policy)) {
-                entry.nnz = entry.nnz.wrapping_add(1);
-                corrupted = true;
-            }
-        }
-        corrupted
+        map.get_mut(fp)
+            .map(|entry| entry.nnz = entry.nnz.wrapping_add(1))
+            .is_some()
     }
 
     /// Current counters.
@@ -403,7 +326,6 @@ impl PlanCache {
             misses: self.misses.load(Ordering::Relaxed),
             collisions: self.collisions.load(Ordering::Relaxed),
             entries: self.map.read().expect("cache lock poisoned").len(),
-            plan_build_cycles_saved: self.saved.load(Ordering::Relaxed),
             analysis_nanos: self.analysis_nanos.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
@@ -414,11 +336,11 @@ impl PlanCache {
         self.map.write().expect("cache lock poisoned").clear();
     }
 
-    fn record_hit(&self, entry: &CacheEntry) {
+    fn record_hit(&self, entry: &CacheEntry, sink: &TelemetrySink) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        self.saved
-            .fetch_add(entry.artifacts.build_cost, Ordering::Relaxed);
         entry.last_used.store(self.next_tick(), Ordering::Relaxed);
+        sink.emit(EventKind::CacheHit);
+        sink.counter_add(Counter::CacheHits, 1);
     }
 }
 
@@ -434,7 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn second_lookup_hits_and_banks_the_build_cost() {
+    fn second_lookup_hits() {
         let cache = PlanCache::new();
         let a = generate::poisson2d::<f64>(12, 12);
         let first = cache.get_or_analyze(&acamar(), &a);
@@ -443,7 +365,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert_eq!(s.collisions, 0);
-        assert_eq!(s.plan_build_cycles_saved, first.build_cost);
         assert!(s.hit_rate() > 0.49 && s.hit_rate() < 0.51);
     }
 
@@ -504,7 +425,6 @@ mod tests {
             misses: 2,
             collisions: 0,
             entries: 2,
-            plan_build_cycles_saved: 100,
             analysis_nanos: 1_000,
             evictions: 1,
         };
@@ -513,13 +433,11 @@ mod tests {
             misses: 3,
             collisions: 1,
             entries: 3,
-            plan_build_cycles_saved: 450,
             analysis_nanos: 5_500,
             evictions: 3,
         };
         let d = after.since(&before);
         assert_eq!((d.hits, d.misses, d.collisions), (7, 1, 1));
-        assert_eq!(d.plan_build_cycles_saved, 350);
         assert_eq!(d.entries, 3);
         assert_eq!(d.analysis_nanos, 4_500);
         assert_eq!(d.evictions, 2);
@@ -550,8 +468,12 @@ mod tests {
         assert!(cache.contains(&fa));
         assert!(!cache.contains(&fb));
         assert!(cache.contains(&fc));
-        // The evicted pattern's next lookup is an honest miss that
-        // re-analyzes and re-inserts — never a dangling reuse.
+        // Touching the evicted pattern is an honest `None`, not a hit...
+        let hits = cache.stats().hits;
+        assert!(cache.touch(&fb, &TelemetrySink::disabled()).is_none());
+        assert_eq!(cache.stats().hits, hits);
+        // ...and its next lookup is an honest miss that re-analyzes and
+        // re-inserts — never a dangling reuse.
         let misses_before = cache.stats().misses;
         cache.get_or_analyze(&ac, &b);
         let s = cache.stats();
@@ -582,92 +504,22 @@ mod tests {
     }
 
     #[test]
-    fn touch_of_evicted_tier_does_not_refresh_surviving_sibling() {
-        let cache = PlanCache::new();
-        cache.set_capacity(2);
-        let ac = acamar();
-        let a = generate::poisson2d::<f64>(8, 8);
-        let b = generate::poisson2d::<f64>(9, 9);
-        let c = generate::poisson2d::<f64>(10, 10);
-        let (fa, fb, fc) = (
-            PatternFingerprint::of(&a),
-            PatternFingerprint::of(&b),
-            PatternFingerprint::of(&c),
-        );
-        let sink = TelemetrySink::disabled();
-        // Warm `a` under both tiers; the deterministic entry is the LRU.
-        cache.get_or_analyze_with(&ac, &a, DeterminismPolicy::Deterministic, &sink);
-        cache.get_or_analyze_with(&ac, &a, DeterminismPolicy::Fast, &sink);
-        // `b` evicts `(a, Deterministic)`; `(a, Fast)` survives.
-        cache.get_or_analyze_with(&ac, &b, DeterminismPolicy::Deterministic, &sink);
-        assert!(!cache.contains_policy(&fa, DeterminismPolicy::Deterministic));
-        assert!(cache.contains_policy(&fa, DeterminismPolicy::Fast));
-        // Touching the evicted tier is an honest `None`: no hit counted,
-        // and crucially no recency refresh leaking onto the Fast sibling.
-        let hits = cache.stats().hits;
-        assert!(cache
-            .touch(&fa, DeterminismPolicy::Deterministic, &sink)
-            .is_none());
-        assert_eq!(cache.stats().hits, hits, "a failed touch is not a hit");
-        // `(a, Fast)` is still the LRU, so `c` must evict it — if the
-        // failed touch had refreshed it, `(b, Deterministic)` would have
-        // been evicted instead.
-        cache.get_or_analyze_with(&ac, &c, DeterminismPolicy::Deterministic, &sink);
-        assert!(!cache.contains_policy(&fa, DeterminismPolicy::Fast));
-        assert!(cache.contains_policy(&fb, DeterminismPolicy::Deterministic));
-        assert!(cache.contains_policy(&fc, DeterminismPolicy::Deterministic));
-        // A touch of a *present* key still hits and refreshes as before.
-        assert!(cache
-            .touch(&fb, DeterminismPolicy::Deterministic, &sink)
-            .is_some());
-        assert_eq!(cache.stats().hits, hits + 1);
-    }
-
-    #[test]
     fn insert_artifacts_registers_pattern_for_hits() {
         let cache = PlanCache::new();
         let ac = acamar();
         let a = generate::poisson2d::<f64>(8, 8);
         let art = Arc::new(ac.analyze(&a));
-        let sink = TelemetrySink::disabled();
-        cache.insert_artifacts(
-            &a,
-            DeterminismPolicy::Deterministic,
-            Arc::clone(&art),
-            &sink,
-        );
+        let fp = PatternFingerprint::of(&a);
+        cache.insert_artifacts(fp, Arc::clone(&art), &TelemetrySink::disabled());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 0, 1));
         let got = cache.get_or_analyze(&ac, &a);
         assert!(Arc::ptr_eq(&got, &art));
         assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn policies_warm_independently_and_coexist() {
-        let cache = PlanCache::new();
-        let ac = acamar();
-        let a = generate::poisson2d::<f64>(10, 10);
-        let fp = PatternFingerprint::of(&a);
-        let sink = TelemetrySink::disabled();
-        let det = cache.get_or_analyze_with(&ac, &a, DeterminismPolicy::Deterministic, &sink);
-        // The fast tier's first lookup is its own miss, not a hit on the
-        // deterministic entry — but it adopts that entry's artifacts
-        // instead of analyzing again...
-        let fast = cache.get_or_analyze_with(&ac, &a, DeterminismPolicy::Fast, &sink);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
-        assert!(Arc::ptr_eq(&det, &fast));
-        // ...and both entries verify per tier thereafter.
-        assert!(cache.contains(&fp));
-        assert!(cache.contains_policy(&fp, DeterminismPolicy::Deterministic));
-        assert!(cache.contains_policy(&fp, DeterminismPolicy::Fast));
-        let det2 = cache.get_or_analyze_with(&ac, &a, DeterminismPolicy::Deterministic, &sink);
-        let fast2 = cache.get_or_analyze_with(&ac, &a, DeterminismPolicy::Fast, &sink);
-        assert!(Arc::ptr_eq(&det, &det2));
-        assert!(Arc::ptr_eq(&fast, &fast2));
+        // A precomputed-key touch finds the same entry and counts a hit.
+        let touched = cache.touch(&fp, &TelemetrySink::disabled()).unwrap();
+        assert!(Arc::ptr_eq(&touched, &art));
         assert_eq!(cache.stats().hits, 2);
-        assert!(cache.peek(&fp).is_some());
     }
 
     #[test]

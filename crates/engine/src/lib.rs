@@ -15,13 +15,18 @@
 //! * [`PlanCache`] maps fingerprints to shared
 //!   [`AnalysisArtifacts`](acamar_core::AnalysisArtifacts) behind an
 //!   `RwLock`, building each pattern's artifacts exactly once even under
-//!   concurrent misses;
-//! * [`Engine`] shards [`SolveJob`]s across scoped worker threads,
-//!   replays cached artifacts through
+//!   concurrent misses — one entry per pattern, which both determinism
+//!   tiers share;
+//! * [`Engine`] drains [`SolveJob`]s through a persistent worker pool
+//!   (or on the calling thread when one runner suffices), replays cached
+//!   artifacts through
 //!   [`Acamar::run_with_plan`](acamar_core::Acamar::run_with_plan), and
 //!   aggregates a [`BatchReport`] (per-job results in submission order,
 //!   merged fabric statistics, per-solver attempt histogram, cache
-//!   hits/misses and plan-build cycles saved, jobs/sec).
+//!   hits/misses and analysis time, jobs/sec);
+//! * [`Sequence`] solves an evolving series of systems, reusing,
+//!   band-patching or recompiling the plan per step and warm-starting
+//!   from the previous solution.
 //!
 //! Determinism: job results are written back by submission slot and
 //! `run_with_plan` is a pure function of `(matrix, rhs, guess,
@@ -77,5 +82,5 @@ pub use error::SolveError;
 pub use fingerprint::PatternFingerprint;
 pub use robustness::{FaultTally, JobDisposition, RobustnessReport, DEPTH_BUCKETS};
 pub use sequence::{
-    PlanAction, Sequence, SequenceConfig, SequenceJob, SequenceStats, SequenceStepReport, WarmStart,
+    PlanAction, Sequence, SequenceJob, SequenceStats, SequenceStepReport, WarmStart,
 };

@@ -6,29 +6,24 @@
 //! handful of rows. A [`Sequence`] exploits both regularities:
 //!
 //! * **Plan reuse** — a step whose pattern is unchanged reuses the cached
-//!   `(fingerprint, policy)` artifacts through the [`PlanCache`] lookup
-//!   path, so eviction is always an honest miss and never a dangling
-//!   reuse.
+//!   artifacts of its pattern through the [`PlanCache`] lookup path, so
+//!   eviction is always an honest miss and never a dangling reuse.
 //! * **Band patching** — a step whose pattern changed in few rows patches
 //!   only the affected [`CompiledSpmv`](acamar_sparse::CompiledSpmv)
 //!   bands via [`CompiledSpmv::patch`](acamar_sparse::CompiledSpmv::patch)
-//!   (the MSID `band_hints()` boundaries are the patch units), skipping
-//!   the full structure/MSID re-analysis. A delta larger than
-//!   [`SequenceConfig::patch_max_dirty_fraction`] falls back to a full
+//!   (the MSID `band_hints()` boundaries, cut into 64-row tiles, are the
+//!   patch units), skipping the full structure/MSID re-analysis. A delta
+//!   dirtying more than a quarter of the rows falls back to a full
 //!   recompile, as does a shape change or an evicted base plan.
 //! * **Warm starts** — the previous step's solution seeds the next solve
-//!   when its relative residual against the new `(A, b)` passes
-//!   [`SequenceConfig::warm_start_max_residual`]; a rejection falls back
-//!   to the deterministic cold start, so replaying a sequence is bitwise
+//!   when its relative residual against the new `(A, b)` is at most `1.0`,
+//!   the zero cold start's own residual; a rejection falls back to the
+//!   deterministic cold start, so replaying a sequence is bitwise
 //!   reproducible either way.
-//! * **NNZ-sort pre-pass** — [`SequenceConfig::with_reorder`] applies the
-//!   row-NNZ sort permutation once at [`Sequence`] open and transparently
-//!   permutes every step's inputs and solutions, amortizing the paper's
-//!   §V-A pre-pass over the whole sequence.
 //!
 //! ```
 //! use acamar_core::{Acamar, AcamarConfig};
-//! use acamar_engine::{Engine, PlanAction, SequenceConfig, SequenceJob};
+//! use acamar_engine::{Engine, PlanAction, SequenceJob};
 //! use acamar_fabric::FabricSpec;
 //! use acamar_sparse::generate;
 //! use std::sync::Arc;
@@ -38,9 +33,7 @@
 //!     2,
 //! );
 //! let a = Arc::new(generate::poisson2d::<f64>(16, 16));
-//! let mut seq = engine
-//!     .open_sequence(Arc::clone(&a), SequenceConfig::default())
-//!     .unwrap();
+//! let mut seq = engine.open_sequence(Arc::clone(&a)).unwrap();
 //! for k in 0..4 {
 //!     let rhs = vec![1.0 + k as f64; 256];
 //!     let step = seq.step(SequenceJob::new(Arc::clone(&a), rhs)).unwrap();
@@ -53,106 +46,35 @@
 //! // The whole sequence ran on one analysis.
 //! assert_eq!(engine.counters().cache.misses, 1);
 //! ```
+//!
+//! [`PlanCache`]: crate::PlanCache
 
 use crate::engine::{Engine, SolveJob};
 use crate::error::SolveError;
 use crate::fingerprint::PatternFingerprint;
 use acamar_core::{AcamarRunReport, AnalysisArtifacts};
-use acamar_sparse::permute::{
-    permutation_by_row_nnz, permute_symmetric, permute_vec, unpermute_vec,
-};
-use acamar_sparse::{BandHint, CompiledSpmv, CsrMatrix, DeterminismPolicy, PatternDelta, Scalar};
+use acamar_sparse::{BandHint, CompiledSpmv, CsrMatrix, PatternDelta, Scalar};
 use acamar_telemetry::{Counter, EventKind};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Knobs governing a [`Sequence`]'s amortization machinery. The defaults
-/// are safe for any workload: warm starts gate on a relative residual of
-/// `1.0` (the residual of the zero cold start, so a warm start is never
-/// *worse* than cold), and patching engages only below a quarter of the
-/// rows dirty.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SequenceConfig {
-    /// Determinism tier every step solves under (and the plan-cache key
-    /// tier). Default: [`DeterminismPolicy::Deterministic`].
-    pub policy: DeterminismPolicy,
-    /// Whether to seed each step with the previous step's solution when
-    /// the residual gate passes. Default: `true`.
-    pub warm_start: bool,
-    /// Relative-residual gate `‖b − A·x_prev‖ / ‖b‖` above which the
-    /// previous solution is rejected in favor of the deterministic cold
-    /// start. Default: `1.0` — the zero guess's own residual, so a warm
-    /// start is accepted exactly when it is at least as good as cold.
-    pub warm_start_max_residual: f64,
-    /// Largest fraction of dirty rows a pattern delta may touch and still
-    /// be band-patched; larger deltas re-run the full analysis. Default:
-    /// `0.25`.
-    pub patch_max_dirty_fraction: f64,
-    /// Patch-unit granularity: MSID hints wider than this many rows are
-    /// split into tiles of at most this size when the sequence (re)compiles
-    /// its plan, so a small delta recompiles one tile instead of one
-    /// monolithic hint. The MSID schedule legitimately emits hints spanning
-    /// most of a structurally uniform matrix — useless as patch units —
-    /// and per-row SpMV accumulation is band-local, so retiling cannot
-    /// change results. `0` keeps the MSID hints verbatim. Default: `64`.
-    pub patch_tile_rows: usize,
-    /// Apply the row-NNZ sort permutation once at open and permute every
-    /// step through it. Default: `false`.
-    pub reorder: bool,
-}
+/// Relative-residual gate `‖b − A·x_prev‖ / ‖b‖` above which the previous
+/// solution is rejected in favor of the deterministic cold start: the zero
+/// guess's own residual, so a warm start is accepted exactly when it is at
+/// least as good as cold.
+const WARM_START_MAX_RESIDUAL: f64 = 1.0;
 
-impl Default for SequenceConfig {
-    fn default() -> SequenceConfig {
-        SequenceConfig {
-            policy: DeterminismPolicy::Deterministic,
-            warm_start: true,
-            warm_start_max_residual: 1.0,
-            patch_max_dirty_fraction: 0.25,
-            patch_tile_rows: 64,
-            reorder: false,
-        }
-    }
-}
+/// Largest fraction of dirty rows a pattern delta may touch and still be
+/// band-patched; larger deltas re-run the full analysis.
+const PATCH_MAX_DIRTY_FRACTION: f64 = 0.25;
 
-impl SequenceConfig {
-    /// Sets the determinism tier.
-    pub fn with_policy(mut self, policy: DeterminismPolicy) -> SequenceConfig {
-        self.policy = policy;
-        self
-    }
-
-    /// Enables or disables warm starts.
-    pub fn with_warm_start(mut self, enabled: bool) -> SequenceConfig {
-        self.warm_start = enabled;
-        self
-    }
-
-    /// Sets the warm-start relative-residual gate.
-    pub fn with_warm_start_max_residual(mut self, residual: f64) -> SequenceConfig {
-        self.warm_start_max_residual = residual;
-        self
-    }
-
-    /// Sets the dirty-row fraction above which a delta recompiles instead
-    /// of patching (`0.0` disables patching entirely).
-    pub fn with_patch_max_dirty_fraction(mut self, fraction: f64) -> SequenceConfig {
-        self.patch_max_dirty_fraction = fraction;
-        self
-    }
-
-    /// Sets the patch-unit tile size in rows (`0` keeps the MSID hints
-    /// verbatim).
-    pub fn with_patch_tile_rows(mut self, rows: usize) -> SequenceConfig {
-        self.patch_tile_rows = rows;
-        self
-    }
-
-    /// Enables or disables the one-shot NNZ-sort pre-pass at open.
-    pub fn with_reorder(mut self, enabled: bool) -> SequenceConfig {
-        self.reorder = enabled;
-        self
-    }
-}
+/// Patch-unit granularity: MSID hints wider than this many rows are split
+/// into tiles of at most this size when the sequence (re)compiles its
+/// plan, so a small delta recompiles one tile instead of one monolithic
+/// hint. The MSID schedule legitimately emits hints spanning most of a
+/// structurally uniform matrix — useless as patch units — and per-row SpMV
+/// accumulation is band-local, so retiling cannot change results.
+const PATCH_TILE_ROWS: usize = 64;
 
 /// One step of a [`Sequence`]: the evolved matrix and its right-hand
 /// side. The matrix may differ from the previous step's in values,
@@ -175,8 +97,8 @@ impl<T: Scalar> SequenceJob<T> {
 /// How a step obtained its execution plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanAction {
-    /// Pattern unchanged: the cached `(fingerprint, policy)` artifacts
-    /// were reused (via the honest cache-lookup path).
+    /// Pattern unchanged: the pattern's cached artifacts were reused (via
+    /// the honest cache-lookup path).
     Reused,
     /// Small pattern delta: only the dirty bands of the compiled SpMV
     /// plan were recompiled and spliced.
@@ -192,8 +114,8 @@ pub enum PlanAction {
 /// How a step's initial guess was chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WarmStart {
-    /// No previous solution was available (or warm starts are disabled):
-    /// the deterministic zero cold start.
+    /// No previous solution of this shape was available: the
+    /// deterministic zero cold start.
     Cold,
     /// The previous solution passed the residual gate and seeded the
     /// solve.
@@ -214,9 +136,7 @@ pub enum WarmStart {
 /// initial guess were obtained.
 #[derive(Debug, Clone)]
 pub struct SequenceStepReport<T> {
-    /// The underlying Acamar run report. When the sequence reorders, the
-    /// solution vector has already been mapped back to the caller's row
-    /// ordering.
+    /// The underlying Acamar run report.
     pub report: AcamarRunReport<T>,
     /// How this step's execution plan was obtained.
     pub plan: PlanAction,
@@ -260,49 +180,39 @@ impl SequenceStats {
 }
 
 /// A stateful handle for solving an evolving sequence of systems on one
-/// [`Engine`]. Opened with [`Engine::open_sequence`]; see that method
-/// and [`SequenceConfig`] for the amortization model (plan reuse, band
-/// patching, warm starts, optional NNZ-sort pre-pass).
-///
-/// All internal state (pattern, previous solution) lives in the
-/// sequence's *plan space* — the reordered row space when
-/// [`SequenceConfig::reorder`] is on, the caller's space otherwise.
-/// Inputs are mapped in and solutions mapped back out per step.
+/// [`Engine`], opened with [`Engine::open_sequence`]. It amortizes the
+/// per-step cost three ways: plan reuse, band patching and warm starts.
+/// Every step solves under
+/// [`DeterminismPolicy::Deterministic`](acamar_sparse::DeterminismPolicy).
 #[derive(Debug)]
 pub struct Sequence<'e, T> {
     engine: &'e Engine,
-    config: SequenceConfig,
-    /// NNZ-sort permutation fixed at open (`None` without `reorder`).
-    perm: Option<Vec<usize>>,
-    /// The previous step's pattern, in plan space.
+    /// The previous step's pattern.
     pattern: Arc<CsrMatrix<T>>,
     /// Fingerprint of `pattern`.
     fingerprint: PatternFingerprint,
     /// The current plan artifacts.
     artifacts: Arc<AnalysisArtifacts>,
     /// Band-hint tiling of the current plan — the patch units: the MSID
-    /// hints refined to [`SequenceConfig::patch_tile_rows`] granularity.
-    /// Refreshed on recompile, deliberately kept across patches (a
-    /// patched plan is still tiled by its ancestor's hints).
+    /// hints refined to [`PATCH_TILE_ROWS`] granularity. Refreshed on
+    /// recompile, deliberately kept across patches (a patched plan is
+    /// still tiled by its ancestor's hints).
     hints: Vec<BandHint>,
-    /// The previous step's solution, in plan space.
+    /// The previous step's solution.
     prev_solution: Option<Vec<T>>,
     stats: SequenceStats,
 }
 
-/// Splits every hint wider than `tile` rows into tiles of at most `tile`
-/// rows (keeping each tile's unroll), so a pattern delta dirties tiles,
-/// not monolithic hints. `0` keeps the hints verbatim. The output tiles
-/// rows exactly as contiguously as the input did.
-fn refine_hints(hints: &[BandHint], tile: usize) -> Vec<BandHint> {
-    if tile == 0 {
-        return hints.to_vec();
-    }
+/// Splits every hint wider than [`PATCH_TILE_ROWS`] into tiles of at most
+/// that many rows (keeping each tile's unroll), so a pattern delta dirties
+/// tiles, not monolithic hints. The output tiles rows exactly as
+/// contiguously as the input did.
+fn refine_hints(hints: &[BandHint]) -> Vec<BandHint> {
     let mut out = Vec::new();
     for h in hints {
         let mut start = h.rows.start;
         while start < h.rows.end {
-            let end = (start + tile).min(h.rows.end);
+            let end = (start + PATCH_TILE_ROWS).min(h.rows.end);
             out.push(BandHint {
                 rows: start..end,
                 unroll: h.unroll,
@@ -313,34 +223,37 @@ fn refine_hints(hints: &[BandHint], tile: usize) -> Vec<BandHint> {
     out
 }
 
+/// A plan the sequence installs: the pattern's fingerprint, its
+/// artifacts and the patch units they were compiled at.
+type Adopted = (PatternFingerprint, Arc<AnalysisArtifacts>, Vec<BandHint>);
+
 /// Runs (or cache-hits) the full analysis for `pattern`, then retiles the
-/// compiled plan at patch-unit granularity
-/// ([`SequenceConfig::patch_tile_rows`]) when the MSID hints are coarser.
-/// The retiled artifacts replace the cache entry under the same key, so
-/// same-pattern lookups — the sequence's own [`PlanCache::touch`] path
-/// and any concurrent solver — all agree on one plan. Per-row SpMV
-/// accumulation is band-local, so retiling never changes a result bit.
+/// compiled plan at patch-unit granularity ([`PATCH_TILE_ROWS`]) when the
+/// MSID hints are coarser. The retiled artifacts replace the cache entry
+/// under the same key, so same-pattern lookups — the sequence's own
+/// [`PlanCache::touch`] path and any concurrent solver — all agree on one
+/// plan. Per-row SpMV accumulation is band-local, so retiling never
+/// changes a result bit. Digests the pattern twice: once here, once in
+/// the lookup.
 ///
 /// [`PlanCache::touch`]: crate::PlanCache::touch
 fn adopt_analysis<T: Scalar>(
     engine: &Engine,
-    config: &SequenceConfig,
-    pattern: &Arc<CsrMatrix<T>>,
-) -> Result<(Arc<AnalysisArtifacts>, Vec<BandHint>), SolveError> {
-    let artifacts = engine.cache().get_or_analyze_with(
-        engine.acamar(),
-        pattern.as_ref(),
-        config.policy,
-        engine.telemetry(),
-    );
+    pattern: &CsrMatrix<T>,
+) -> Result<Adopted, SolveError> {
+    let fingerprint = PatternFingerprint::of(pattern);
+    let artifacts =
+        engine
+            .cache()
+            .get_or_analyze_with(engine.acamar(), pattern, engine.telemetry());
     let msid = artifacts.plan.schedule.band_hints();
-    let hints = refine_hints(&msid, config.patch_tile_rows);
+    let hints = refine_hints(&msid);
     if hints.len() == msid.len() {
         // Nothing was split: the analysis' own compiled plan is already
         // at patch granularity.
-        return Ok((artifacts, hints));
+        return Ok((fingerprint, artifacts, hints));
     }
-    let compiled = CompiledSpmv::compile(pattern.as_ref(), &hints)?;
+    let compiled = CompiledSpmv::compile(pattern, &hints)?;
     let artifacts = Arc::new(AnalysisArtifacts {
         structure: artifacts.structure.clone(),
         plan: artifacts.plan.clone(),
@@ -349,57 +262,32 @@ fn adopt_analysis<T: Scalar>(
         // built over the same unchanged pattern (`T`'s plan from the MSID
         // hints).
         derived: Arc::clone(&artifacts.derived),
-        build_cost: artifacts.build_cost,
     });
-    engine.cache().insert_artifacts(
-        pattern.as_ref(),
-        config.policy,
-        Arc::clone(&artifacts),
-        engine.telemetry(),
-    );
-    Ok((artifacts, hints))
+    engine
+        .cache()
+        .insert_artifacts(fingerprint, Arc::clone(&artifacts), engine.telemetry());
+    Ok((fingerprint, artifacts, hints))
 }
 
 impl Engine {
     /// Opens a solve sequence anchored on `matrix`'s pattern: runs (or
-    /// cache-hits) the full analysis once, applies the optional NNZ-sort
-    /// pre-pass, and returns the stateful [`Sequence`] handle.
+    /// cache-hits) the full analysis once and returns the stateful
+    /// [`Sequence`] handle.
     ///
     /// # Errors
     ///
-    /// [`SolveError::Invalid`] if `config.reorder` is set and `matrix` is
-    /// not square (the symmetric permutation is undefined).
+    /// [`SolveError::Invalid`] if the plan does not compile at patch-unit
+    /// granularity.
     pub fn open_sequence<T: Scalar>(
         &self,
         matrix: Arc<CsrMatrix<T>>,
-        config: SequenceConfig,
     ) -> Result<Sequence<'_, T>, SolveError> {
-        Sequence::open(self, matrix, config)
-    }
-}
-
-impl<'e, T: Scalar> Sequence<'e, T> {
-    fn open(
-        engine: &'e Engine,
-        matrix: Arc<CsrMatrix<T>>,
-        config: SequenceConfig,
-    ) -> Result<Sequence<'e, T>, SolveError> {
-        let (perm, pattern) = if config.reorder {
-            let perm = permutation_by_row_nnz(&matrix);
-            let permuted = permute_symmetric(&matrix, &perm)?;
-            (Some(perm), Arc::new(permuted))
-        } else {
-            (None, matrix)
-        };
-        let fingerprint = PatternFingerprint::of(&pattern);
         let started = Instant::now();
-        let (artifacts, hints) = adopt_analysis(engine, &config, &pattern)?;
+        let (fingerprint, artifacts, hints) = adopt_analysis(self, &matrix)?;
         let analysis_nanos = started.elapsed().as_nanos() as u64;
         Ok(Sequence {
-            engine,
-            config,
-            perm,
-            pattern,
+            engine: self,
+            pattern: matrix,
             fingerprint,
             artifacts,
             hints,
@@ -410,29 +298,21 @@ impl<'e, T: Scalar> Sequence<'e, T> {
             },
         })
     }
+}
 
-    /// The sequence's configuration.
-    pub fn config(&self) -> &SequenceConfig {
-        &self.config
-    }
-
+impl<'e, T: Scalar> Sequence<'e, T> {
     /// Running totals so far.
     pub fn stats(&self) -> SequenceStats {
         self.stats
     }
 
-    /// Fingerprint of the current (plan-space) pattern — the sticky
-    /// routing key for sequence-scoped service requests.
+    /// Fingerprint of the current pattern — the sticky routing key for
+    /// sequence-scoped service requests.
     pub fn fingerprint(&self) -> PatternFingerprint {
         self.fingerprint
     }
 
-    /// The NNZ-sort permutation applied at open, if reordering is on.
-    pub fn permutation(&self) -> Option<&[usize]> {
-        self.perm.as_deref()
-    }
-
-    /// The current plan artifacts (plan space).
+    /// The current plan artifacts.
     pub fn artifacts(&self) -> &Arc<AnalysisArtifacts> {
         &self.artifacts
     }
@@ -443,63 +323,31 @@ impl<'e, T: Scalar> Sequence<'e, T> {
     ///
     /// # Errors
     ///
-    /// Any [`SolveError`] the engine reports for the job; additionally
-    /// [`SolveError::Invalid`] for shape mismatches against a reordered
-    /// sequence's fixed permutation. A failed step leaves the sequence
-    /// usable: the plan state advances to the step's pattern, but the
-    /// previous *successful* solution is retained for warm starts.
+    /// Any [`SolveError`] the engine reports for the job. A failed step
+    /// leaves the sequence usable: the plan state advances to the step's
+    /// pattern, but the previous *successful* solution is retained for
+    /// warm starts.
     pub fn step(&mut self, job: SequenceJob<T>) -> Result<SequenceStepReport<T>, SolveError> {
         let step_index = self.stats.steps;
-        let (a, b) = self.map_in(job)?;
+        let SequenceJob { matrix: a, rhs: b } = job;
         let plan = self.advance_plan(&a)?;
 
         let (guess, warm_start) = self.gate_warm_start(&a, &b, step_index)?;
 
-        let mut solve_job = SolveJob::new(Arc::clone(&a), b).with_policy(self.config.policy);
+        let mut solve_job = SolveJob::new(a, b);
         if let Some(g) = guess {
             solve_job = solve_job.with_guess(g);
         }
         let mut batch = self.engine.solve_jobs(vec![solve_job]);
         self.stats.steps += 1;
-        let mut report = batch.results.pop().expect("one job was submitted")?;
+        let report = batch.results.pop().expect("one job was submitted")?;
 
         self.prev_solution = Some(report.solve.solution.clone());
-        if let Some(p) = &self.perm {
-            report.solve.solution = unpermute_vec(&report.solve.solution, p);
-        }
         Ok(SequenceStepReport {
             report,
             plan,
             warm_start,
         })
-    }
-
-    /// Maps a caller-space job into plan space (a no-op without reorder).
-    fn map_in(&self, job: SequenceJob<T>) -> Result<(Arc<CsrMatrix<T>>, Vec<T>), SolveError> {
-        let Some(p) = &self.perm else {
-            return Ok((job.matrix, job.rhs));
-        };
-        if job.matrix.nrows() != p.len() || job.matrix.ncols() != p.len() {
-            return Err(SolveError::Invalid(
-                acamar_sparse::SparseError::DimensionMismatch {
-                    expected: p.len(),
-                    found: job.matrix.nrows(),
-                    what: "reordered sequence matrix rows",
-                },
-            ));
-        }
-        if job.rhs.len() != p.len() {
-            return Err(SolveError::Invalid(
-                acamar_sparse::SparseError::DimensionMismatch {
-                    expected: p.len(),
-                    found: job.rhs.len(),
-                    what: "reordered sequence rhs length",
-                },
-            ));
-        }
-        let a = Arc::new(permute_symmetric(&job.matrix, p)?);
-        let b = permute_vec(&job.rhs, p);
-        Ok((a, b))
     }
 
     /// Picks and installs this step's plan from the pattern delta. Also
@@ -516,11 +364,8 @@ impl<'e, T: Scalar> Sequence<'e, T> {
         match delta {
             Some(d) if d.is_empty() => self.reuse_plan(a),
             Some(d)
-                if d.dirty_fraction() <= self.config.patch_max_dirty_fraction
-                    && self
-                        .engine
-                        .cache()
-                        .contains_policy(&self.fingerprint, self.config.policy) =>
+                if d.dirty_fraction() <= PATCH_MAX_DIRTY_FRACTION
+                    && self.engine.cache().contains(&self.fingerprint) =>
             {
                 // Small delta on a still-cached base: recompile only the
                 // dirty bands and splice the rest.
@@ -535,11 +380,11 @@ impl<'e, T: Scalar> Sequence<'e, T> {
                     // start it over and let the next attempt that needs a
                     // part of it (Jacobi, or the preconditioner) rebuild.
                     derived: Arc::new(self.artifacts.derived.emptied()),
-                    build_cost: AnalysisArtifacts::cost_model(a.nrows(), a.nnz()),
                 });
+                // The step's one digest of its new pattern.
+                let fingerprint = PatternFingerprint::of(a.as_ref());
                 self.engine.cache().insert_artifacts(
-                    a.as_ref(),
-                    self.config.policy,
+                    fingerprint,
                     Arc::clone(&artifacts),
                     self.engine.telemetry(),
                 );
@@ -555,22 +400,14 @@ impl<'e, T: Scalar> Sequence<'e, T> {
                 self.stats.patch_nanos += patch_nanos;
                 self.artifacts = artifacts;
                 self.pattern = Arc::clone(a);
-                self.fingerprint = PatternFingerprint::of(a.as_ref());
+                self.fingerprint = fingerprint;
                 Ok(PlanAction::Patched { dirty_rows })
             }
             _ => {
                 // Shape change, large delta, or evicted base: full
                 // analysis (cache-mediated, so identical shapes across
                 // sequences still share).
-                let started = Instant::now();
-                let (artifacts, hints) = adopt_analysis(self.engine, &self.config, a)?;
-                self.stats.analysis_nanos += started.elapsed().as_nanos() as u64;
-                self.artifacts = artifacts;
-                self.hints = hints;
-                self.pattern = Arc::clone(a);
-                self.fingerprint = PatternFingerprint::of(a.as_ref());
-                self.stats.plans_recompiled += 1;
-                Ok(PlanAction::Recompiled)
+                self.recompile(a)
             }
         }
     }
@@ -582,30 +419,33 @@ impl<'e, T: Scalar> Sequence<'e, T> {
     /// back through the full analysis.
     fn reuse_plan(&mut self, a: &Arc<CsrMatrix<T>>) -> Result<PlanAction, SolveError> {
         let started = Instant::now();
-        let touched = self.engine.cache().touch(
-            &self.fingerprint,
-            self.config.policy,
-            self.engine.telemetry(),
-        );
+        let Some(artifacts) = self
+            .engine
+            .cache()
+            .touch(&self.fingerprint, self.engine.telemetry())
+        else {
+            // Evicted since the last step: re-analyze through the cache
+            // so the miss is counted exactly once.
+            return self.recompile(a);
+        };
+        self.stats.analysis_nanos += started.elapsed().as_nanos() as u64;
+        self.artifacts = artifacts;
         self.pattern = Arc::clone(a);
-        match touched {
-            Some(artifacts) => {
-                self.stats.analysis_nanos += started.elapsed().as_nanos() as u64;
-                self.artifacts = artifacts;
-                self.stats.plans_reused += 1;
-                Ok(PlanAction::Reused)
-            }
-            None => {
-                // Evicted since the last step: re-analyze through the
-                // cache so the miss is counted exactly once.
-                let (artifacts, hints) = adopt_analysis(self.engine, &self.config, a)?;
-                self.stats.analysis_nanos += started.elapsed().as_nanos() as u64;
-                self.artifacts = artifacts;
-                self.hints = hints;
-                self.stats.plans_recompiled += 1;
-                Ok(PlanAction::Recompiled)
-            }
-        }
+        self.stats.plans_reused += 1;
+        Ok(PlanAction::Reused)
+    }
+
+    /// Installs a full, cache-mediated analysis of `a`'s pattern.
+    fn recompile(&mut self, a: &Arc<CsrMatrix<T>>) -> Result<PlanAction, SolveError> {
+        let started = Instant::now();
+        let (fingerprint, artifacts, hints) = adopt_analysis(self.engine, a)?;
+        self.stats.analysis_nanos += started.elapsed().as_nanos() as u64;
+        self.fingerprint = fingerprint;
+        self.artifacts = artifacts;
+        self.hints = hints;
+        self.pattern = Arc::clone(a);
+        self.stats.plans_recompiled += 1;
+        Ok(PlanAction::Recompiled)
     }
 
     /// Applies the warm-start residual gate against this step's system.
@@ -615,9 +455,6 @@ impl<'e, T: Scalar> Sequence<'e, T> {
         b: &[T],
         step_index: u64,
     ) -> Result<(Option<Vec<T>>, WarmStart), SolveError> {
-        if !self.config.warm_start {
-            return Ok((None, WarmStart::Cold));
-        }
         let Some(prev) = &self.prev_solution else {
             return Ok((None, WarmStart::Cold));
         };
@@ -626,7 +463,7 @@ impl<'e, T: Scalar> Sequence<'e, T> {
             return Ok((None, WarmStart::Cold));
         }
         let residual = self.artifacts.warm_start_residual(a, b, prev)?;
-        if residual.is_finite() && residual <= self.config.warm_start_max_residual {
+        if residual.is_finite() && residual <= WARM_START_MAX_RESIDUAL {
             self.engine
                 .telemetry()
                 .emit(EventKind::WarmStartUsed { step: step_index });
@@ -666,6 +503,11 @@ mod tests {
     /// pattern in exactly two rows while preserving symmetry and
     /// diagonal dominance.
     fn drop_pair(a: &CsrMatrix<f64>, r: usize, c: usize) -> CsrMatrix<f64> {
+        drop_pairs(a, &[(r, c)])
+    }
+
+    /// [`drop_pair`] for every listed pair.
+    fn drop_pairs(a: &CsrMatrix<f64>, pairs: &[(usize, usize)]) -> CsrMatrix<f64> {
         let mut row_ptr = Vec::with_capacity(a.nrows() + 1);
         row_ptr.push(0usize);
         let mut cols = Vec::new();
@@ -673,7 +515,7 @@ mod tests {
         for i in 0..a.nrows() {
             let (rc, rv) = a.row(i);
             for (&j, &v) in rc.iter().zip(rv) {
-                if (i == r && j == c) || (i == c && j == r) {
+                if pairs.contains(&(i, j)) || pairs.contains(&(j, i)) {
                     continue;
                 }
                 cols.push(j);
@@ -689,9 +531,7 @@ mod tests {
         let engine = engine();
         let a = Arc::new(generate::poisson2d::<f64>(16, 16));
         let b = vec![1.0; 256];
-        let mut seq = engine
-            .open_sequence(Arc::clone(&a), SequenceConfig::default())
-            .unwrap();
+        let mut seq = engine.open_sequence(Arc::clone(&a)).unwrap();
         let mut first_solution = None;
         for k in 0..4 {
             let step = seq
@@ -728,9 +568,7 @@ mod tests {
         let engine = engine();
         let a0 = Arc::new(generate::poisson2d::<f64>(16, 16));
         let b = vec![1.0; 256];
-        let mut seq = engine
-            .open_sequence(Arc::clone(&a0), SequenceConfig::default())
-            .unwrap();
+        let mut seq = engine.open_sequence(Arc::clone(&a0)).unwrap();
         seq.step(SequenceJob::new(Arc::clone(&a0), b.clone()))
             .unwrap();
 
@@ -753,20 +591,25 @@ mod tests {
     }
 
     #[test]
-    fn large_delta_or_zero_threshold_recompiles() {
+    fn a_delta_over_a_quarter_of_the_rows_recompiles() {
         let engine = engine();
         let a0 = Arc::new(generate::poisson2d::<f64>(16, 16));
         let b = vec![1.0; 256];
-        let config = SequenceConfig::default().with_patch_max_dirty_fraction(0.0);
-        let mut seq = engine.open_sequence(Arc::clone(&a0), config).unwrap();
+        let mut seq = engine.open_sequence(Arc::clone(&a0)).unwrap();
         seq.step(SequenceJob::new(Arc::clone(&a0), b.clone()))
             .unwrap();
-        let a1 = Arc::new(drop_pair(&a0, 7, 8));
+        // Forty horizontal couplings dropped: rows 0..80 dirty, 31 % of
+        // the 256.
+        let pairs: Vec<_> = (0..80).step_by(2).map(|i| (i, i + 1)).collect();
+        let a1 = Arc::new(drop_pairs(&a0, &pairs));
+        let delta = PatternDelta::between(&a0, &a1).unwrap();
+        assert_eq!(delta.dirty_row_count(), 80);
         let step = seq.step(SequenceJob::new(Arc::clone(&a1), b)).unwrap();
         assert_eq!(step.plan, PlanAction::Recompiled);
         assert!(step.report.solve.converged());
         assert_eq!(engine.counters().cache.misses, 2);
         assert_eq!(seq.stats().plans_recompiled, 1);
+        assert_eq!(seq.stats().plans_patched, 0);
     }
 
     #[test]
@@ -775,9 +618,7 @@ mod tests {
         engine.cache().set_capacity(1);
         let a0 = Arc::new(generate::poisson2d::<f64>(16, 16));
         let b = vec![1.0; 256];
-        let mut seq = engine
-            .open_sequence(Arc::clone(&a0), SequenceConfig::default())
-            .unwrap();
+        let mut seq = engine.open_sequence(Arc::clone(&a0)).unwrap();
         seq.step(SequenceJob::new(Arc::clone(&a0), b.clone()))
             .unwrap();
         // Evict the sequence's base entry by warming an unrelated pattern.
@@ -795,33 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn reordered_sequence_returns_solutions_in_caller_order() {
-        let engine = engine();
-        let a = Arc::new(generate::poisson2d::<f64>(12, 12));
-        let b: Vec<f64> = (0..144).map(|i| 1.0 + (i % 7) as f64).collect();
-        let config = SequenceConfig::default().with_reorder(true);
-        let mut seq = engine.open_sequence(Arc::clone(&a), config).unwrap();
-        assert!(seq.permutation().is_some());
-        let step = seq
-            .step(SequenceJob::new(Arc::clone(&a), b.clone()))
-            .unwrap();
-        assert!(step.report.solve.converged());
-        let x = &step.report.solve.solution;
-        // The returned solution solves the *original* system.
-        let mut worst: f64 = 0.0;
-        for (i, &bi) in b.iter().enumerate() {
-            let (cols, vals) = a.row(i);
-            let ax: f64 = cols.iter().zip(vals).map(|(&j, &v)| v * x[j]).sum();
-            worst = worst.max((ax - bi).abs());
-        }
-        assert!(worst < 1e-3, "residual in caller ordering: {worst}");
-        // A second identical step reuses the permuted pattern's plan.
-        let step = seq.step(SequenceJob::new(Arc::clone(&a), b)).unwrap();
-        assert_eq!(step.plan, PlanAction::Reused);
-        assert!(matches!(step.warm_start, WarmStart::Used { .. }));
-    }
-
-    #[test]
     fn replaying_a_drifting_sequence_is_bitwise_identical() {
         use acamar_sparse::{BandKind, CompiledSpmv};
         // Every 14-row grid-line interior of poisson2d-16 is one Diagonal
@@ -833,9 +647,7 @@ mod tests {
         let run = || {
             let engine = engine();
             let a0 = Arc::new(generate::poisson2d::<f64>(16, 16));
-            let mut seq = engine
-                .open_sequence(Arc::clone(&a0), SequenceConfig::default())
-                .unwrap();
+            let mut seq = engine.open_sequence(Arc::clone(&a0)).unwrap();
             let mut solutions = Vec::new();
             let mut diagonal_rows = Vec::new();
             let mut a = a0;
@@ -870,33 +682,26 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_gate_rejects_distant_solutions() {
+    fn warm_start_gate_rejects_a_solution_worse_than_the_cold_start() {
         let engine = engine();
         let a = Arc::new(generate::poisson2d::<f64>(12, 12));
-        let config = SequenceConfig::default().with_warm_start_max_residual(1e-12);
-        let mut seq = engine.open_sequence(Arc::clone(&a), config).unwrap();
+        let mut seq = engine.open_sequence(Arc::clone(&a)).unwrap();
         seq.step(SequenceJob::new(Arc::clone(&a), vec![1.0; 144]))
             .unwrap();
-        // A completely different RHS: the old solution's residual is far
-        // above the (tiny) gate.
+        // `x` solves `A·x = 1`; against `b = −3` it leaves `b − A·x ≈ −4`
+        // in every row, a relative residual of 4/3 — above the cold
+        // start's own 1.
         let step = seq
             .step(SequenceJob::new(Arc::clone(&a), vec![-3.0; 144]))
             .unwrap();
-        assert!(matches!(step.warm_start, WarmStart::Rejected { .. }));
+        let WarmStart::Rejected { residual } = step.warm_start else {
+            panic!("expected a rejection, got {:?}", step.warm_start);
+        };
+        assert!((residual - 4.0 / 3.0).abs() < 1e-4, "{residual}");
         assert!(step.report.solve.converged());
         assert_eq!(seq.stats().warm_starts_rejected, 1);
-        // Disabling warm starts keeps every step cold.
-        let mut cold = engine
-            .open_sequence(
-                Arc::clone(&a),
-                SequenceConfig::default().with_warm_start(false),
-            )
-            .unwrap();
-        for _ in 0..2 {
-            let step = cold
-                .step(SequenceJob::new(Arc::clone(&a), vec![1.0; 144]))
-                .unwrap();
-            assert_eq!(step.warm_start, WarmStart::Cold);
-        }
+        // The rejected step cold-started: bitwise the plain engine solve.
+        let cold = engine.solve_one(&a, &vec![-3.0; 144]).unwrap();
+        assert_eq!(step.report.solve.solution, cold.solve.solution);
     }
 }

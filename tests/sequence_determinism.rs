@@ -6,7 +6,7 @@
 //! the deterministic cold start without breaking the replay contract.
 
 use acamar::core::{Acamar, AcamarConfig};
-use acamar::engine::{Engine, PlanAction, SequenceConfig, SequenceJob, SequenceStats, WarmStart};
+use acamar::engine::{Engine, PlanAction, SequenceJob, SequenceStats, WarmStart};
 use acamar::fabric::FabricSpec;
 use acamar::solvers::ConvergenceCriteria;
 use acamar::sparse::{generate, CsrMatrix};
@@ -72,14 +72,8 @@ type StepTrace = Vec<(
 )>;
 
 fn replay(engine: &Engine) -> (StepTrace, SequenceStats) {
-    replay_with(engine, SequenceConfig::default())
-}
-
-fn replay_with(engine: &Engine, config: SequenceConfig) -> (StepTrace, SequenceStats) {
     let jobs = workload();
-    let mut seq = engine
-        .open_sequence(Arc::clone(&jobs[0].matrix), config)
-        .unwrap();
+    let mut seq = engine.open_sequence(Arc::clone(&jobs[0].matrix)).unwrap();
     let mut trace = Vec::new();
     for job in jobs {
         match seq.step(job) {
@@ -157,30 +151,31 @@ fn worker_count_does_not_change_the_sequence() {
 }
 
 /// Warm starts pay for themselves in iterations — exact counts, not a
-/// timing: the same drifting workload with the previous step's solution
-/// as the initial guess needs strictly fewer iterations in total than
-/// with every step started cold, and every step converges either way.
+/// timing: the drifting workload with the previous step's solution as the
+/// initial guess needs strictly fewer iterations in total than the same
+/// steps solved cold, one `solve_one` each, and every step converges
+/// either way. A step the gate sent cold is bitwise its `solve_one`.
 #[test]
 fn warm_starts_cut_the_drifting_workloads_iterations() {
-    let total_iterations = |trace: &StepTrace| -> usize {
-        trace
-            .iter()
-            .enumerate()
-            .map(|(i, (_, _, outcome))| {
-                let (converged, iterations, _) = outcome.as_ref().expect("every step solves");
-                assert!(converged, "step {i} did not converge");
-                *iterations
-            })
-            .sum()
-    };
-    let run = |config| replay_with(&Engine::with_workers(acamar(), 1), config);
-    let (warm, stats) = run(SequenceConfig::default());
-    let (cold, _) = run(SequenceConfig::default().with_warm_start(false));
+    let (warm, stats) = replay(&Engine::with_workers(acamar(), 1));
     assert!(stats.plans_patched >= 1, "stats: {stats:?}");
-    let (warm, cold) = (total_iterations(&warm), total_iterations(&cold));
+    let engine = Engine::with_workers(acamar(), 1);
+    let (mut warm_total, mut cold_total) = (0, 0);
+    for (i, (job, (_, warm_start, outcome))) in workload().iter().zip(&warm).enumerate() {
+        let (converged, iterations, solution) = outcome.as_ref().expect("every step solves");
+        assert!(converged, "step {i} did not converge warm");
+        let cold = engine.solve_one(&job.matrix, &job.rhs).unwrap();
+        assert!(cold.solve.converged(), "step {i} did not converge cold");
+        if !matches!(warm_start, WarmStart::Used { .. }) {
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(solution), bits(&cold.solve.solution), "step {i}");
+        }
+        warm_total += iterations;
+        cold_total += cold.solve.iterations;
+    }
     assert!(
-        warm < cold,
-        "{warm} iterations with warm starts, {cold} without"
+        warm_total < cold_total,
+        "{warm_total} iterations with warm starts, {cold_total} without"
     );
 }
 
