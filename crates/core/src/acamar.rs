@@ -59,57 +59,6 @@ impl PartialEq for AnalysisArtifacts {
     }
 }
 
-impl AnalysisArtifacts {
-    /// Relative residual `‖b − A·x‖₂ / ‖b‖₂` of a warm-start candidate
-    /// `x`, computed through the compiled plan's deterministic SpMV and a
-    /// fixed-order `f64` accumulation — two replays of the same sequence
-    /// gate identically, which is what lets a warm-start rejection fall
-    /// back to a cold start without breaking the bitwise replay contract.
-    ///
-    /// A zero `b` falls back to the absolute residual norm (an exact
-    /// solution still gates in); a non-finite residual reports `+∞` so
-    /// any threshold rejects it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError`] for shape mismatches between `a`, `b`, `x`,
-    /// and the compiled plan.
-    pub fn warm_start_residual<T: Scalar>(
-        &self,
-        a: &CsrMatrix<T>,
-        b: &[T],
-        x: &[T],
-    ) -> Result<f64, SparseError> {
-        if b.len() != a.nrows() {
-            return Err(SparseError::DimensionMismatch {
-                expected: a.nrows(),
-                found: b.len(),
-                what: "warm-start rhs length",
-            });
-        }
-        let mut ax = vec![T::ZERO; a.nrows()];
-        self.compiled
-            .execute(DeterminismPolicy::Deterministic, a, x, &mut ax)?;
-        let mut rr = 0.0f64;
-        let mut bb = 0.0f64;
-        for (bi, axi) in b.iter().zip(&ax) {
-            let bf = bi.to_f64();
-            let r = bf - axi.to_f64();
-            rr += r * r;
-            bb += bf * bf;
-        }
-        if !rr.is_finite() {
-            return Ok(f64::INFINITY);
-        }
-        let denom = bb.sqrt();
-        Ok(if denom > 0.0 {
-            rr.sqrt() / denom
-        } else {
-            rr.sqrt()
-        })
-    }
-}
-
 /// One solver attempt inside an Acamar run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveAttempt {

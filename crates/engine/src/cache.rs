@@ -92,6 +92,11 @@ impl CacheEntry {
 /// one plan serves both tiers, so a `Fast` request on a pattern a
 /// `Deterministic` one warmed is an ordinary hit (and vice versa).
 ///
+/// The lookup is the only plan path: every engine request, each
+/// [`Sequence`](crate::Sequence) step included, takes its artifacts from
+/// here, so all requests of a pattern run on what its first miss
+/// analyzed, whoever sent them.
+///
 /// Reads take the `RwLock` shared, so concurrent workers hitting warm
 /// patterns never serialize. A miss upgrades to the exclusive lock and
 /// runs the analysis while holding it: the first worker to see a new
@@ -179,40 +184,10 @@ impl PlanCache {
         sink.emit(EventKind::CacheMiss { analysis_nanos });
         sink.counter_add(Counter::CacheMisses, 1);
         sink.counter_add(Counter::AnalysisNanos, analysis_nanos);
-        self.insert(&mut map, fp, Arc::clone(&art), sink);
-        art
-    }
-
-    /// Registers externally built artifacts — a sequence's band-patched
-    /// or re-tiled plan — under the pattern `fp`, so subsequent lookups of
-    /// that pattern hit instead of re-analyzing. `fp` must be the
-    /// fingerprint of the matrix the artifacts were built for (the caller
-    /// already holds it; nothing is digested here). Counts neither a hit
-    /// nor a miss (the caller accounts the patch itself); the capacity
-    /// bound and LRU eviction apply as on the analyze path.
-    pub fn insert_artifacts(
-        &self,
-        fp: PatternFingerprint,
-        artifacts: Arc<AnalysisArtifacts>,
-        sink: &TelemetrySink,
-    ) {
-        let mut map = self.map.write().expect("cache lock poisoned");
-        self.insert(&mut map, fp, artifacts, sink);
-    }
-
-    /// Stores `artifacts` under `fp`, then evicts down to the capacity
-    /// bound, never evicting the entry just inserted.
-    fn insert(
-        &self,
-        map: &mut HashMap<PatternFingerprint, CacheEntry>,
-        fp: PatternFingerprint,
-        artifacts: Arc<AnalysisArtifacts>,
-        sink: &TelemetrySink,
-    ) {
         map.insert(
             fp,
             CacheEntry {
-                artifacts,
+                artifacts: Arc::clone(&art),
                 nrows: fp.nrows,
                 ncols: fp.ncols,
                 nnz: fp.nnz,
@@ -223,8 +198,9 @@ impl PlanCache {
         // Over a bound of at least one, at least two entries: there is
         // always a victim besides `fp`.
         while cap > 0 && map.len() > cap {
-            self.evict_lru(map, Some(&fp), sink);
+            self.evict_lru(&mut map, Some(&fp), sink);
         }
+        art
     }
 
     /// Bounds the cache to at most `capacity` entries, evicting
@@ -280,33 +256,6 @@ impl PlanCache {
             .read()
             .expect("cache lock poisoned")
             .contains_key(fp)
-    }
-
-    /// Hit-path lookup by a **precomputed** key: returns the cached
-    /// artifacts for `fp` and records an ordinary hit (LRU refresh,
-    /// [`CacheStats::hits`], [`EventKind::CacheHit`]), or `None` —
-    /// counting nothing — when the entry is absent.
-    ///
-    /// Unlike [`PlanCache::get_or_analyze_with`], this neither hashes nor
-    /// re-verifies the matrix pattern, so the caller must already have
-    /// proven that its matrix matches `fp` (a [`Sequence`] does: the
-    /// steady-state step takes this path only after an exact pattern
-    /// comparison against the previous step reported an empty delta).
-    /// That makes it O(1) per call — the point of the sequence API's
-    /// analysis amortization — while an evicted entry still surfaces as
-    /// an honest `None` that forces the caller back through the full
-    /// analyze path.
-    ///
-    /// [`Sequence`]: crate::Sequence
-    pub fn touch(
-        &self,
-        fp: &PatternFingerprint,
-        sink: &TelemetrySink,
-    ) -> Option<Arc<AnalysisArtifacts>> {
-        let map = self.map.read().expect("cache lock poisoned");
-        let entry = map.get(fp)?;
-        self.record_hit(entry, sink);
-        Some(Arc::clone(&entry.artifacts))
     }
 
     /// Fault-injection seam: corrupts the stored provenance of `fp`'s
@@ -468,12 +417,8 @@ mod tests {
         assert!(cache.contains(&fa));
         assert!(!cache.contains(&fb));
         assert!(cache.contains(&fc));
-        // Touching the evicted pattern is an honest `None`, not a hit...
-        let hits = cache.stats().hits;
-        assert!(cache.touch(&fb, &TelemetrySink::disabled()).is_none());
-        assert_eq!(cache.stats().hits, hits);
-        // ...and its next lookup is an honest miss that re-analyzes and
-        // re-inserts — never a dangling reuse.
+        // The evicted pattern's next lookup is an honest miss that
+        // re-analyzes and re-inserts — never a dangling reuse.
         let misses_before = cache.stats().misses;
         cache.get_or_analyze(&ac, &b);
         let s = cache.stats();
@@ -501,25 +446,6 @@ mod tests {
         }
         assert_eq!(cache.stats().entries, 5, "unbounded again");
         assert_eq!(cache.stats().evictions, 3);
-    }
-
-    #[test]
-    fn insert_artifacts_registers_pattern_for_hits() {
-        let cache = PlanCache::new();
-        let ac = acamar();
-        let a = generate::poisson2d::<f64>(8, 8);
-        let art = Arc::new(ac.analyze(&a));
-        let fp = PatternFingerprint::of(&a);
-        cache.insert_artifacts(fp, Arc::clone(&art), &TelemetrySink::disabled());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 1));
-        let got = cache.get_or_analyze(&ac, &a);
-        assert!(Arc::ptr_eq(&got, &art));
-        assert_eq!(cache.stats().hits, 1);
-        // A precomputed-key touch finds the same entry and counts a hit.
-        let touched = cache.touch(&fp, &TelemetrySink::disabled()).unwrap();
-        assert!(Arc::ptr_eq(&touched, &art));
-        assert_eq!(cache.stats().hits, 2);
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   aggregates a [`BatchReport`] (per-job results in submission order,
 //!   merged fabric statistics, per-solver attempt histogram, cache
 //!   hits/misses and analysis time, jobs/sec);
-//! * [`Sequence`] solves an evolving series of systems, reusing,
-//!   band-patching or recompiling the plan per step and warm-starting
-//!   from the previous solution.
+//! * [`Sequence`] solves an evolving series of systems, one engine
+//!   request per step — the plan comes from the cache like any other
+//!   request's — warm-starting from the previous solution.
 //!
 //! Determinism: job results are written back by submission slot and
 //! `run_with_plan` is a pure function of `(matrix, rhs, guess,

@@ -99,8 +99,8 @@ impl<T> ServiceRequest<T> {
 
     /// Pins affinity routing to `fingerprint` — typically
     /// [`Sequence::fingerprint`](acamar_engine::Sequence::fingerprint) —
-    /// so every step of a sequence keeps hitting the shard that holds
-    /// its (possibly band-patched) plans even as the pattern drifts.
+    /// so every step of a sequence keeps going to one shard even as the
+    /// pattern drifts.
     pub fn with_sequence(mut self, fingerprint: PatternFingerprint) -> ServiceRequest<T> {
         self.sequence = Some(fingerprint);
         self

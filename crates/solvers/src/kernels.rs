@@ -255,11 +255,6 @@ impl DerivedPlan {
         }
     }
 
-    /// An empty memo with this one's hints — what a pattern change leaves.
-    pub fn emptied(&self) -> Self {
-        DerivedPlan::new(self.hints.clone())
-    }
-
     /// The memoised plan, if an attempt has built it.
     pub fn get(&self) -> Option<&Arc<CompiledSpmv>> {
         self.built().and_then(|o| o.plan.as_ref())

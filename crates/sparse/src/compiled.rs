@@ -212,90 +212,6 @@ impl Band {
     }
 }
 
-/// A pattern-level diff between two same-shape CSR matrices: the merged,
-/// ascending row ranges whose column structure differs (row-local inserts,
-/// removes, or column moves). Values are ignored — two matrices with the
-/// same pattern and different values produce an empty delta.
-///
-/// Sequence solvers use the delta to decide between *patching* the dirty
-/// bands of a cached [`CompiledSpmv`] ([`CompiledSpmv::patch`]) and a full
-/// recompile: [`Self::dirty_fraction`] is the natural threshold input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PatternDelta {
-    nrows: usize,
-    ncols: usize,
-    dirty: Vec<Range<usize>>,
-    dirty_rows: usize,
-}
-
-impl PatternDelta {
-    /// Diffs the patterns of `old` and `new`. Returns `None` when the
-    /// shapes differ (a shape change is never patchable — callers fall
-    /// back to full re-analysis). O(nnz); the scalar types may differ
-    /// because patterns are value-independent.
-    pub fn between<T: Scalar, U: Scalar>(
-        old: &CsrMatrix<T>,
-        new: &CsrMatrix<U>,
-    ) -> Option<PatternDelta> {
-        if old.nrows() != new.nrows() || old.ncols() != new.ncols() {
-            return None;
-        }
-        let (orp, nrp) = (old.row_ptr(), new.row_ptr());
-        let (oc, nc) = (old.col_idx(), new.col_idx());
-        let row_changed = |r: usize| {
-            orp[r + 1] - orp[r] != nrp[r + 1] - nrp[r]
-                || oc[orp[r]..orp[r + 1]] != nc[nrp[r]..nrp[r + 1]]
-        };
-        let mut dirty = Vec::new();
-        let mut dirty_rows = 0usize;
-        let mut r = 0usize;
-        while r < old.nrows() {
-            if row_changed(r) {
-                let start = r;
-                r += 1;
-                while r < old.nrows() && row_changed(r) {
-                    r += 1;
-                }
-                dirty_rows += r - start;
-                dirty.push(start..r);
-            } else {
-                r += 1;
-            }
-        }
-        Some(PatternDelta {
-            nrows: old.nrows(),
-            ncols: old.ncols(),
-            dirty,
-            dirty_rows,
-        })
-    }
-
-    /// `true` when the two patterns are identical.
-    pub fn is_empty(&self) -> bool {
-        self.dirty.is_empty()
-    }
-
-    /// The merged, ascending row ranges whose pattern changed.
-    pub fn dirty_ranges(&self) -> &[Range<usize>] {
-        &self.dirty
-    }
-
-    /// Total number of rows whose pattern changed.
-    pub fn dirty_row_count(&self) -> usize {
-        self.dirty_rows
-    }
-
-    /// Changed rows as a fraction of all rows, in `[0, 1]` (`0` for an
-    /// empty matrix).
-    pub fn dirty_fraction(&self) -> f64 {
-        if self.nrows == 0 {
-            0.0
-        } else {
-            self.dirty_rows as f64 / self.nrows as f64
-        }
-    }
-}
-
 /// A compiled, pattern-only SpMV execution plan. See the module docs.
 ///
 /// # Examples
@@ -373,22 +289,6 @@ impl CompiledSpmv {
     /// Returns [`SparseError::InvalidStructure`] if the hints do not tile
     /// the matrix rows.
     pub fn compile<T: Scalar>(a: &CsrMatrix<T>, hints: &[BandHint]) -> Result<Self, SparseError> {
-        let mut plan = Self::start(a, hints)?;
-        for h in hints {
-            plan.compile_hint(a, h);
-        }
-        // The `nnz` reserve is a guess: padded Ell bands and Sorted bands'
-        // row orders outgrow it, and a Diagonal band uses `width` slots of
-        // it, not `rows × width`.
-        plan.slot_cols.shrink_to_fit();
-        Ok(plan)
-    }
-
-    /// Checks that `hints` tile `a`'s rows and returns an empty plan for
-    /// `a`. Columns pack into `u32` slots unless the matrix is too wide
-    /// for that (never the case for the paper's datasets), in which case
-    /// every band runs the generic fallback walk.
-    fn start<T: Scalar>(a: &CsrMatrix<T>, hints: &[BandHint]) -> Result<Self, SparseError> {
         let mut expected = 0usize;
         for h in hints {
             if h.rows.start != expected || h.rows.end < h.rows.start || h.rows.end > a.nrows() {
@@ -406,15 +306,26 @@ impl CompiledSpmv {
                 a.nrows()
             )));
         }
+        // Columns pack into `u32` slots unless the matrix is too wide for
+        // that (never the case for the paper's datasets), in which case
+        // every band runs the generic fallback walk.
         let packed = a.ncols() <= u32::MAX as usize;
-        Ok(CompiledSpmv {
+        let mut plan = CompiledSpmv {
             nrows: a.nrows(),
             ncols: a.ncols(),
             nnz: a.nnz(),
             bands: Vec::new(),
             slot_cols: Vec::with_capacity(if packed { a.nnz() } else { 0 }),
             packed,
-        })
+        };
+        for h in hints {
+            plan.compile_hint(a, h);
+        }
+        // The `nnz` reserve is a guess: padded Ell bands and Sorted bands'
+        // row orders outgrow it, and a Diagonal band uses `width` slots of
+        // it, not `rows × width`.
+        plan.slot_cols.shrink_to_fit();
+        Ok(plan)
     }
 
     /// Compiles a plan with a single full-matrix hint at unroll 8 — the
@@ -425,104 +336,6 @@ impl CompiledSpmv {
             unroll: 8,
         }];
         Self::compile(a, &hint).expect("single full hint always tiles")
-    }
-
-    /// Recompiles only the hints touched by `delta`, splicing every clean
-    /// hint's bands (and their packed slot columns) verbatim from this
-    /// plan. Band classification is hint-local — [`Self::compile`] never
-    /// lets a band cross a hint boundary and segments each hint from its
-    /// own rows only — so the patched plan is **bitwise-identical** to
-    /// `CompiledSpmv::compile(a, hints)` at a fraction of the cost when
-    /// the delta is small: clean hints reduce to `memcpy`s of their slot
-    /// runs.
-    ///
-    /// `self` must have been compiled from the *same* `hints` against a
-    /// matrix with `delta`'s old pattern; `a` is the mutated matrix. (A
-    /// clean `Diagonal` band splices its `width` slots, not `rows × width`.) The
-    /// splice validates that the plan's band boundaries tile every clean
-    /// hint exactly, so a hint mismatch fails loudly instead of producing
-    /// a mis-sliced plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::InvalidStructure`] if the hints do not tile
-    /// `a`'s rows, if the shapes of `self`, `a`, and `delta` disagree, or
-    /// if this plan's bands do not align with `hints`.
-    pub fn patch<T: Scalar>(
-        &self,
-        a: &CsrMatrix<T>,
-        hints: &[BandHint],
-        delta: &PatternDelta,
-    ) -> Result<CompiledSpmv, SparseError> {
-        if self.nrows != a.nrows()
-            || self.ncols != a.ncols()
-            || delta.nrows != a.nrows()
-            || delta.ncols != a.ncols()
-        {
-            return Err(SparseError::InvalidStructure(format!(
-                "patch shape mismatch: plan {}x{}, delta {}x{}, matrix {}x{}",
-                self.nrows,
-                self.ncols,
-                delta.nrows,
-                delta.ncols,
-                a.nrows(),
-                a.ncols()
-            )));
-        }
-        let mut plan = Self::start(a, hints)?;
-        plan.bands.reserve(self.bands.len());
-        let dirty = delta.dirty_ranges();
-        let mut di = 0usize;
-        let mut bi = 0usize;
-        for h in hints {
-            while di < dirty.len() && dirty[di].end <= h.rows.start {
-                di += 1;
-            }
-            let hint_dirty = di < dirty.len() && dirty[di].start < h.rows.end;
-            if hint_dirty {
-                // Skip the stale bands and resegment the hint from the
-                // mutated rows — exactly what `compile` would do here.
-                while bi < self.bands.len() && self.bands[bi].rows.start < h.rows.end {
-                    bi += 1;
-                }
-                plan.compile_hint(a, h);
-            } else {
-                // Clean hint: its rows are pattern-identical in `a`, so the
-                // old bands (structure and slot columns) are exactly what
-                // `compile` would emit — splice them in, re-based onto the
-                // new slot array.
-                let mut covered = h.rows.start;
-                while bi < self.bands.len() && self.bands[bi].rows.start < h.rows.end {
-                    let band = &self.bands[bi];
-                    if band.rows.start != covered || band.rows.end > h.rows.end {
-                        return Err(SparseError::InvalidStructure(format!(
-                            "plan band {:?} does not align with hint {:?}: \
-                             the plan was not compiled from these hints",
-                            band.rows, h.rows
-                        )));
-                    }
-                    let slot_base = plan.slot_cols.len();
-                    plan.slot_cols.extend_from_slice(self.band_slots(bi));
-                    plan.bands.push(Band {
-                        rows: band.rows.clone(),
-                        kind: band.kind,
-                        slot_base,
-                        nnz: band.nnz,
-                    });
-                    covered = band.rows.end;
-                    bi += 1;
-                }
-                if covered != h.rows.end {
-                    return Err(SparseError::InvalidStructure(format!(
-                        "plan bands cover rows {}..{covered} of hint {:?}: \
-                         the plan was not compiled from these hints",
-                        h.rows.start, h.rows
-                    )));
-                }
-            }
-        }
-        plan.slot_cols.shrink_to_fit();
-        Ok(plan)
     }
 
     /// Segments one schedule entry into specialized bands. Bands never
@@ -1929,233 +1742,6 @@ mod tests {
         assert!(plan.execute_dot(Fast, &a, &x, &mut y, &z[1..]).is_err());
     }
 
-    /// Row-local pattern mutation: each listed row drops its first entry
-    /// and gains a fresh trailing column, so both the row length and the
-    /// column set change without touching any other row.
-    fn mutate_rows(a: &CsrMatrix<f64>, rows: &[usize]) -> CsrMatrix<f64> {
-        let mut coo = CooMatrix::new(a.nrows(), a.ncols());
-        for r in 0..a.nrows() {
-            let (cols, vals) = a.row(r);
-            if rows.contains(&r) {
-                for (&c, &v) in cols.iter().zip(vals).skip(1) {
-                    coo.push(r, c, v).unwrap();
-                }
-                let extra = (cols.last().copied().unwrap_or(0) + 1) % a.ncols();
-                if !cols.contains(&extra) {
-                    coo.push(r, extra, 0.5).unwrap();
-                }
-            } else {
-                for (&c, &v) in cols.iter().zip(vals) {
-                    coo.push(r, c, v).unwrap();
-                }
-            }
-        }
-        coo.to_csr()
-    }
-
-    #[test]
-    fn pattern_delta_reports_dirty_rows_and_shape_mismatches() {
-        let a = generate::random_pattern::<f64>(64, RowDistribution::Uniform { min: 2, max: 9 }, 3);
-        let same = PatternDelta::between(&a, &a).unwrap();
-        assert!(same.is_empty());
-        assert_eq!(same.dirty_row_count(), 0);
-        assert_eq!(same.dirty_fraction(), 0.0);
-
-        let m = mutate_rows(&a, &[5, 6, 40]);
-        let d = PatternDelta::between(&a, &m).unwrap();
-        assert_eq!(d.dirty_ranges(), &[5..7, 40..41]);
-        assert_eq!(d.dirty_row_count(), 3);
-        assert!((d.dirty_fraction() - 3.0 / 64.0).abs() < 1e-15);
-        // Values alone never dirty a row.
-        let b = CsrMatrix::try_from_parts(
-            a.nrows(),
-            a.ncols(),
-            a.row_ptr().to_vec(),
-            a.col_idx().to_vec(),
-            a.values().iter().map(|v| v * 2.0).collect(),
-        )
-        .unwrap();
-        assert!(PatternDelta::between(&a, &b).unwrap().is_empty());
-
-        let shorter = generate::poisson1d::<f64>(63);
-        assert!(PatternDelta::between(&a, &shorter).is_none());
-    }
-
-    #[test]
-    fn patched_plan_is_bitwise_identical_to_recompile() {
-        let mats: Vec<CsrMatrix<f64>> = vec![
-            generate::poisson2d(10, 10),
-            generate::random_pattern(300, RowDistribution::Uniform { min: 1, max: 40 }, 7),
-            generate::random_pattern(
-                257,
-                RowDistribution::Bimodal {
-                    low: 3,
-                    high: 150,
-                    high_fraction: 0.04,
-                },
-                11,
-            ),
-            generate::random_pattern(128, RowDistribution::Constant(6), 3),
-        ];
-        for a in &mats {
-            let third = a.nrows() / 3;
-            let hints = vec![
-                BandHint {
-                    rows: 0..third,
-                    unroll: 2,
-                },
-                BandHint {
-                    rows: third..2 * third,
-                    unroll: 8,
-                },
-                BandHint {
-                    rows: 2 * third..a.nrows(),
-                    unroll: 16,
-                },
-            ];
-            let plan = CompiledSpmv::compile(a, &hints).unwrap();
-            for dirty in [
-                vec![1usize],
-                vec![third + 2, third + 3],
-                vec![2, a.nrows() - 1],
-            ] {
-                let m = mutate_rows(a, &dirty);
-                let delta = PatternDelta::between(a, &m).unwrap();
-                assert!(!delta.is_empty());
-                let patched = plan.patch(&m, &hints, &delta).unwrap();
-                let scratch = CompiledSpmv::compile(&m, &hints).unwrap();
-                assert_eq!(patched, scratch, "patched plan diverges from recompile");
-                assert!(patched.verify_pattern(&m));
-                assert_bitwise_equal(&m, &patched);
-            }
-            // An empty delta splices every hint and reproduces the plan.
-            let empty = PatternDelta::between(a, a).unwrap();
-            assert_eq!(plan.patch(a, &hints, &empty).unwrap(), plan);
-        }
-    }
-
-    /// Row-local mutation that drops each listed row's first entry and,
-    /// with `refill`, gives it the smallest column it does not hold instead:
-    /// the row then keeps its length (the uniform run survives) but no
-    /// longer continues its neighbours' diagonals; without `refill` the row
-    /// gets shorter and splits the uniform run it sat in.
-    fn drop_first(a: &CsrMatrix<f64>, rows: &[usize], refill: bool) -> CsrMatrix<f64> {
-        let mut coo = CooMatrix::new(a.nrows(), a.ncols());
-        for r in 0..a.nrows() {
-            let (cols, vals) = a.row(r);
-            let hit = rows.contains(&r);
-            for (&c, &v) in cols.iter().zip(vals).skip(usize::from(hit)) {
-                coo.push(r, c, v).unwrap();
-            }
-            if hit && refill {
-                let fresh = (0..a.ncols()).find(|c| !cols.contains(c)).unwrap();
-                coo.push(r, fresh, 0.5).unwrap();
-            }
-        }
-        coo.to_csr()
-    }
-
-    /// `(start, end)` row bounds of the plan's Diagonal bands.
-    fn diagonal_bands(plan: &CompiledSpmv) -> Vec<(usize, usize)> {
-        plan.bands()
-            .iter()
-            .filter(|b| matches!(b.kind, BandKind::Diagonal { .. }))
-            .map(|b| (b.rows.start, b.rows.end))
-            .collect()
-    }
-
-    #[test]
-    fn patch_matches_recompile_when_deltas_hit_diagonal_bands() {
-        // 120-row grid lines: the interior of each is one 118-row, 5-wide
-        // Diagonal band. Two hints, so a delta dirties one and splices the
-        // other.
-        let a = generate::poisson2d::<f64>(120, 6);
-        let hints = vec![
-            BandHint {
-                rows: 0..360,
-                unroll: 4,
-            },
-            BandHint {
-                rows: 360..720,
-                unroll: 8,
-            },
-        ];
-        let plan = CompiledSpmv::compile(&a, &hints).unwrap();
-        let line = diagonal_bands(&plan)
-            .into_iter()
-            .find(|b| b.0 > 120)
-            .unwrap();
-        assert_eq!(line, (121, 239));
-        let line = line.0..line.1;
-        let check = |refill: bool, dirty: &[usize], expect: &[(usize, usize)]| {
-            let m = drop_first(&a, dirty, refill);
-            let delta = PatternDelta::between(&a, &m).unwrap();
-            assert_eq!(delta.dirty_row_count(), dirty.len());
-            let patched = plan.patch(&m, &hints, &delta).unwrap();
-            assert_eq!(patched, CompiledSpmv::compile(&m, &hints).unwrap());
-            assert!(patched.verify_pattern(&m));
-            assert_bitwise_equal(&m, &patched);
-            let bands = diagonal_bands(&patched);
-            let in_line: Vec<_> = bands.iter().filter(|b| b.0 >= 120 && b.1 <= 240).collect();
-            assert!(
-                in_line.into_iter().eq(expect),
-                "dirty rows {dirty:?}: {bands:?}"
-            );
-            // The clean hint's Diagonal bands were spliced, W slots each.
-            let clean: Vec<_> = bands.iter().filter(|b| b.0 >= 360).collect();
-            assert!(clean.into_iter().eq(&[(361, 479), (481, 599), (601, 719)]));
-        };
-        // A row that keeps its width but leaves its neighbours' diagonals
-        // — inside the band, or its first or last row — breaks the shift,
-        // and the whole uniform run falls back to Fixed.
-        check(true, &[line.start + 20], &[]);
-        check(true, &[line.start], &[]);
-        check(true, &[line.end - 1], &[]);
-        // A width change splits the uniform run itself: each side is
-        // promoted if it keeps MIN_FIXED_RUN rows, however short.
-        check(false, &[line.start + 5], &[(127, 239)]);
-        check(false, &[line.start + 108], &[(121, 229), (230, 239)]);
-        // ... and a side cut below the minimum is no uniform run at all.
-        check(false, &[line.end - 5], &[(121, 234)]);
-    }
-
-    #[test]
-    fn patch_rejects_foreign_hints_and_shapes() {
-        let a = generate::poisson1d::<f64>(32);
-        let plan = CompiledSpmv::compile_default(&a);
-        let empty = PatternDelta::between(&a, &a).unwrap();
-        // Hints that split the plan's interior Fixed band cannot splice.
-        let split = vec![
-            BandHint {
-                rows: 0..16,
-                unroll: 8,
-            },
-            BandHint {
-                rows: 16..32,
-                unroll: 8,
-            },
-        ];
-        assert!(plan.patch(&a, &split, &empty).is_err());
-        // Hints must still tile the rows.
-        assert!(plan
-            .patch(
-                &a,
-                &[BandHint {
-                    rows: 0..16,
-                    unroll: 8
-                }],
-                &empty
-            )
-            .is_err());
-        // Shape disagreements are rejected up front.
-        let b = generate::poisson1d::<f64>(33);
-        let hints_b = [BandHint {
-            rows: 0..33,
-            unroll: 8,
-        }];
-        assert!(plan.patch(&b, &hints_b, &empty).is_err());
-    }
-
     /// ROADMAP item 5's audit: every packed slot (padding included) is a
     /// column of the matrix, and a Diagonal band's windows
     /// `first[k] .. first[k] + rows` end inside `x` — the preconditions of
@@ -2183,7 +1769,7 @@ mod tests {
     }
 
     #[test]
-    fn every_slot_and_window_stays_in_bounds_for_compile_default_and_patch() {
+    fn every_slot_and_window_stays_in_bounds_for_compile_and_compile_default() {
         let mut systems: Vec<(String, CsrMatrix<f64>)> = vec![
             ("poisson2d".into(), generate::poisson2d(31, 9)),
             ("poisson3d".into(), generate::poisson3d(9, 6, 5)),
@@ -2228,13 +1814,6 @@ mod tests {
             assert_slots_in_bounds(&plan, &format!("{name}: compile"));
             let default = CompiledSpmv::compile_default(a);
             assert_slots_in_bounds(&default, &format!("{name}: compile_default"));
-
-            let m = drop_first(a, &[1, n / 3, n / 2, n - 2], true);
-            let delta = PatternDelta::between(a, &m).unwrap();
-            assert!(!delta.is_empty(), "{name}: perturbation changed nothing");
-            let patched = plan.patch(&m, &hints, &delta).unwrap();
-            assert_eq!(patched, CompiledSpmv::compile(&m, &hints).unwrap());
-            assert_slots_in_bounds(&patched, &format!("{name}: patch"));
         }
     }
 

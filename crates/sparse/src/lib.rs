@@ -66,7 +66,7 @@ pub mod sptrsv;
 pub mod stats;
 
 pub use analysis::{Definiteness, StructureReport};
-pub use compiled::{Band, BandHint, BandKind, CompiledSpmv, PatternDelta};
+pub use compiled::{Band, BandHint, BandKind, CompiledSpmv};
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::{CsrMatrix, CsrPattern, JacobiSplit, RowIter};

@@ -179,14 +179,6 @@ pub fn event_json(e: &Event) -> String {
                 ",\"kind\":\"dispatcher_restarted\",\"shard\":{shard},\"restarts\":{restarts}"
             ));
         }
-        EventKind::PlanPatched {
-            dirty_rows,
-            patch_nanos,
-        } => {
-            s.push_str(&format!(
-                ",\"kind\":\"plan_patched\",\"dirty_rows\":{dirty_rows},\"patch_nanos\":{patch_nanos}"
-            ));
-        }
         EventKind::WarmStartUsed { step } => {
             s.push_str(&format!(",\"kind\":\"warm_start_used\",\"step\":{step}"));
         }
@@ -337,10 +329,6 @@ mod tests {
             EventKind::DispatcherRestarted {
                 shard: 2,
                 restarts: 1,
-            },
-            EventKind::PlanPatched {
-                dirty_rows: 12,
-                patch_nanos: 800,
             },
             EventKind::WarmStartUsed { step: 5 },
             EventKind::WarmStartRejected { step: 6 },

@@ -330,14 +330,6 @@ pub enum EventKind {
         /// Lifetime restart count for the shard (1 = first respawn).
         restarts: u32,
     },
-    /// A sequence step patched only the dirty bands of its cached compiled
-    /// plan instead of running a full re-analysis.
-    PlanPatched {
-        /// Rows whose pattern changed in the step's delta.
-        dirty_rows: u32,
-        /// Wall-clock nanoseconds the band patch took.
-        patch_nanos: u64,
-    },
     /// A sequence step passed the warm-start residual gate and seeded its
     /// solve with the previous step's solution.
     WarmStartUsed {
@@ -391,7 +383,6 @@ impl Event {
             EventKind::CacheMiss { analysis_nanos } => *analysis_nanos = 0,
             EventKind::JobShed { waited_nanos, .. } => *waited_nanos = 0,
             EventKind::JobDispatched { wait_nanos, .. } => *wait_nanos = 0,
-            EventKind::PlanPatched { patch_nanos, .. } => *patch_nanos = 0,
             _ => {}
         }
         self
@@ -463,9 +454,6 @@ pub enum Counter {
     FastTierSolves,
     /// `Fast`-tier jobs whose final attempt converged.
     FastTierConverged,
-    /// Compiled plans band-patched by sequence steps (full recompiles
-    /// avoided).
-    PlansPatched,
     /// Sequence steps that passed the warm-start residual gate.
     WarmStartsUsed,
     /// Sequence steps that failed the warm-start residual gate.
@@ -504,7 +492,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 41;
+    pub const COUNT: usize = 40;
 
     /// Every counter, in `repr` order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -537,7 +525,6 @@ impl Counter {
         Counter::EventsDropped,
         Counter::FastTierSolves,
         Counter::FastTierConverged,
-        Counter::PlansPatched,
         Counter::WarmStartsUsed,
         Counter::WarmStartsRejected,
         Counter::CacheEvictions,
@@ -588,7 +575,6 @@ impl Counter {
             Counter::EventsDropped => "acamar_trace_events_dropped_total",
             Counter::FastTierSolves => "acamar_fast_tier_solves_total",
             Counter::FastTierConverged => "acamar_fast_tier_converged_total",
-            Counter::PlansPatched => "acamar_plans_patched_total",
             Counter::WarmStartsUsed => "acamar_warm_starts_used_total",
             Counter::WarmStartsRejected => "acamar_warm_starts_rejected_total",
             Counter::CacheEvictions => "acamar_plan_cache_evictions_total",
@@ -635,7 +621,6 @@ impl Counter {
             Counter::EventsDropped => "Trace events dropped (ring full)",
             Counter::FastTierSolves => "Jobs solved under the Fast determinism tier",
             Counter::FastTierConverged => "Fast-tier jobs whose final attempt converged",
-            Counter::PlansPatched => "Compiled plans band-patched by sequence steps",
             Counter::WarmStartsUsed => "Sequence steps that passed the warm-start gate",
             Counter::WarmStartsRejected => "Sequence steps that failed the warm-start gate",
             Counter::CacheEvictions => "Plan-cache entries evicted at capacity",

@@ -15,15 +15,15 @@
 //! IC(0)-preconditioned CG keeps its pattern half — the factors' patterns
 //! and the elimination schedule — in the same memo, under the same rules:
 //! built once by the first attempt, replayed by every later one, bypassed
-//! and counted when it does not fit, kept on a re-tile and dropped on a
-//! pattern delta, and filled independently of Jacobi's half. The two
+//! and counted when it does not fit, built afresh for a sequence step's new
+//! pattern, and filled independently of Jacobi's half. The two
 //! substitution plans over the factors' patterns join it the first time a
 //! factor exists on the pattern, and a forced PCG on them is bitwise the
 //! run that compiles its own.
 
 use acamar::core::{Acamar, AcamarConfig, RunOptions};
 use acamar::datasets::{suite, StructuralClass};
-use acamar::engine::{Engine, PatternFingerprint, SequenceJob, SolveJob};
+use acamar::engine::{Engine, PlanAction, SequenceJob, SolveJob};
 use acamar::fabric::FabricSpec;
 use acamar::solvers::{ic0_preconditioned_cg, jacobi, DerivedPlan, SoftwareKernels, SolverKind};
 use acamar::sparse::generate::{self, RowDistribution};
@@ -177,6 +177,9 @@ fn drop_an_off_diagonal(a: &CsrMatrix<f64>, rows: &[usize]) -> CsrMatrix<f64> {
     CsrMatrix::try_from_parts(a.nrows(), a.ncols(), row_ptr, cols, vals).unwrap()
 }
 
+/// A sequence holds no plan of its own, so "re-tiling" on open is now
+/// nothing at all: the open and every same-pattern step read the one cache
+/// entry, memo included, and a pattern delta is the new pattern's miss.
 #[test]
 fn a_sequence_keeps_the_memo_on_a_retile_and_resets_it_on_a_pattern_delta() {
     let engine = Engine::with_workers(acamar(), 1);
@@ -185,42 +188,30 @@ fn a_sequence_keeps_the_memo_on_a_retile_and_resets_it_on_a_pattern_delta() {
     engine.solve_one(&a0, &b).unwrap();
     let analyzed = engine.cache().get_or_analyze(engine.acamar(), &*a0);
     let t_plan = Arc::clone(analyzed.derived.get().expect("filled by the solve"));
-    let t_arrays = |memo: &DerivedPlan| memo.split().unwrap().pattern().col_idx().as_ptr();
 
-    // Opening a sequence re-tiles A's plan at patch granularity; T's split
-    // and plan hang off the MSID hints and the unchanged pattern, so both
-    // are kept.
-    let mut seq = engine.open_sequence(Arc::clone(&a0)).unwrap();
-    assert!(!Arc::ptr_eq(seq.artifacts(), &analyzed), "re-tiled");
-    assert!(Arc::ptr_eq(&seq.artifacts().derived, &analyzed.derived));
+    let mut seq = engine.open_sequence(Arc::clone(&a0));
     let step = seq
         .step(SequenceJob::new(Arc::clone(&a0), b.clone()))
         .unwrap();
     assert!(step.report.converged());
-    assert!(Arc::ptr_eq(seq.artifacts().derived.get().unwrap(), &t_plan));
-    assert_eq!(
-        t_arrays(&seq.artifacts().derived),
-        t_arrays(&analyzed.derived)
-    );
+    assert_eq!(step.plan, PlanAction::Reused);
+    let reread = engine.cache().get_or_analyze(engine.acamar(), &*a0);
+    assert!(Arc::ptr_eq(&reread, &analyzed), "one entry per pattern");
+    assert!(Arc::ptr_eq(analyzed.derived.get().unwrap(), &t_plan));
 
-    // A pattern delta patches A's plan and starts T's memo over: the step's
-    // own Jacobi attempt rebuilds split and plan from the new pattern.
+    // A pattern delta is an entry of its own, whose memo the step's Jacobi
+    // attempt builds from the new pattern.
     let a1 = Arc::new(drop_an_off_diagonal(&a0, &[7, 300]));
     let step = seq.step(SequenceJob::new(Arc::clone(&a1), b)).unwrap();
     assert!(step.report.converged());
-    assert!(matches!(
-        step.plan,
-        acamar::engine::PlanAction::Patched { dirty_rows: 2 }
-    ));
-    let patched = Arc::clone(&seq.artifacts().derived);
-    assert!(!Arc::ptr_eq(&patched, &analyzed.derived));
-    let t1 = patched.get().expect("rebuilt by the step");
+    assert_eq!(step.plan, PlanAction::Recompiled);
+    let moved = engine.cache().get_or_analyze(engine.acamar(), &*a1);
+    let t1 = moved.derived.get().expect("built by the step");
     assert_eq!(t1.nnz(), a1.nnz() - 800);
     let (mut diag, mut inv) = (vec![0.0; 800], vec![0.0; 800]);
     let t_of_a1 = a1.split_jacobi(&mut diag, &mut inv).unwrap();
     assert!(t1.verify_pattern(&t_of_a1));
-    assert_eq!(patched.split().unwrap().pattern(), t_of_a1.pattern());
-    assert_ne!(t_arrays(&patched), t_arrays(&analyzed.derived));
+    assert_eq!(moved.derived.split().unwrap().pattern(), t_of_a1.pattern());
     // The old pattern's memo is untouched.
     assert!(Arc::ptr_eq(analyzed.derived.get().unwrap(), &t_plan));
     assert_eq!(
@@ -234,7 +225,6 @@ fn a_fast_request_after_a_deterministic_one_hits_the_same_artifacts() {
     let engine = Engine::with_workers(acamar(), 1);
     engine.cache().set_capacity(2);
     let a = Arc::new(dominant(500, 13));
-    let fp = PatternFingerprint::of(&*a);
     let solve = |m: &Arc<CsrMatrix<f64>>, policy| {
         let job = SolveJob::new(Arc::clone(m), rhs(500)).with_policy(policy);
         let report = engine.solve_jobs(vec![job]);
@@ -254,10 +244,7 @@ fn a_fast_request_after_a_deterministic_one_hits_the_same_artifacts() {
     );
     assert_eq!(fast.analysis_nanos, 0, "a hit analyzes nothing");
     assert_eq!(engine.cache().stats().entries, 1);
-    let fast_art = engine
-        .cache()
-        .touch(&fp, &TelemetrySink::disabled())
-        .unwrap();
+    let fast_art = engine.cache().get_or_analyze(engine.acamar(), &*a);
     assert!(Arc::ptr_eq(&det_art, &fast_art), "one copy per pattern");
     // The Deterministic Jacobi solve built T's plan; the Fast one ran on
     // it.
@@ -505,11 +492,10 @@ fn the_jacobi_half_and_the_ic0_half_of_the_memo_fill_independently() {
     run(&artifacts, SolverKind::PreconditionedCg);
     assert!(artifacts.derived.ic0_schedule().is_some());
     assert!(Arc::ptr_eq(artifacts.derived.get().unwrap(), &t_plan));
-    // An emptied memo starts both halves over.
-    let emptied = artifacts.derived.emptied();
-    assert!(emptied.ic0_schedule().is_none() && emptied.split().is_none());
 }
 
+/// As for the Jacobi memo: opening a sequence leaves the cache entry, and
+/// so its schedule, alone; a pattern delta schedules the new pattern.
 #[test]
 fn a_sequence_keeps_the_ic0_schedule_on_a_retile_and_resets_it_on_a_pattern_delta() {
     let engine = Engine::with_workers(acamar(), 1);
@@ -527,34 +513,31 @@ fn a_sequence_keeps_the_ic0_schedule_on_a_retile_and_resets_it_on_a_pattern_delt
     pcg(&a0, &analyzed);
     let schedule = analyzed.derived.ic0_schedule().expect("built by the solve") as *const _;
 
-    // Re-tiling A's plan leaves the pattern, and so the schedule, alone.
-    let mut seq = engine.open_sequence(Arc::clone(&a0)).unwrap();
-    assert!(!Arc::ptr_eq(seq.artifacts(), &analyzed), "re-tiled");
-    pcg(&a0, seq.artifacts());
+    let mut seq = engine.open_sequence(Arc::clone(&a0));
+    let opened = engine.cache().get_or_analyze(engine.acamar(), &*a0);
+    assert!(Arc::ptr_eq(&opened, &analyzed), "one entry per pattern");
+    pcg(&a0, &opened);
     assert!(std::ptr::eq(
-        seq.artifacts().derived.ic0_schedule().unwrap(),
+        opened.derived.ic0_schedule().unwrap(),
         schedule
     ));
 
-    // A pattern delta starts the memo over; the next preconditioned
-    // attempt schedules the new pattern and memoises its substitution
-    // plans.
+    // The delta step's entry starts with an empty memo; the next
+    // preconditioned attempt schedules the new pattern and memoises its
+    // substitution plans.
     let a1 = Arc::new(drop_a_symmetric_pair(&a0, 300));
     let step = seq
         .step(SequenceJob::new(Arc::clone(&a1), b.clone()))
         .unwrap();
     assert!(step.report.converged());
-    assert!(matches!(
-        step.plan,
-        acamar::engine::PlanAction::Patched { .. }
-    ));
-    let patched = Arc::clone(seq.artifacts());
-    assert!(patched.derived.ic0_schedule().is_none() && patched.derived.sptrsv().is_none());
-    pcg(&a1, &patched);
-    let rescheduled = patched.derived.ic0_schedule().expect("rebuilt");
+    assert_eq!(step.plan, PlanAction::Recompiled);
+    let moved = engine.cache().get_or_analyze(engine.acamar(), &*a1);
+    assert!(moved.derived.ic0_schedule().is_none() && moved.derived.sptrsv().is_none());
+    pcg(&a1, &moved);
+    let rescheduled = moved.derived.ic0_schedule().expect("rebuilt");
     assert_eq!(rescheduled.lower().nnz(), (a1.nnz() + 800) / 2);
     assert_eq!(rescheduled, &acamar::sparse::Ic0Schedule::of(&*a1).unwrap());
-    let (lower, upper) = &**patched.derived.sptrsv().expect("memoised by the attempt");
+    let (lower, upper) = &**moved.derived.sptrsv().expect("memoised by the attempt");
     assert!(lower.verify_pattern(&*a1) && upper.verify_pattern(&*a1));
     // The old pattern's memo is untouched.
     assert!(std::ptr::eq(
@@ -721,8 +704,6 @@ fn the_substitution_plans_are_built_by_the_first_forced_pcg_and_reused() {
     let counters = ring.counters();
     assert_eq!(counters[Counter::Ic0SchedulesBuilt.index()], 1);
     assert_eq!(counters[Counter::Ic0ScheduleRebuilds.index()], 0);
-    // An emptied memo starts the pair over too.
-    assert!(artifacts.derived.emptied().sptrsv().is_none());
 
     // A pattern whose factor breaks down (the first pivot of -A) is
     // scheduled, yet has no factor to compile a pair from.

@@ -1,15 +1,20 @@
 //! Sequence replay determinism: a drifting matrix sequence solved twice
 //! under `DeterminismPolicy::Deterministic` must reproduce itself exactly
-//! — the same plan actions (reuse / patch / recompile), the same
-//! warm-start verdicts, and bitwise-identical solutions — including under
-//! seeded chaos injection, where warm-start rejections must fall back to
-//! the deterministic cold start without breaking the replay contract.
+//! — the same plan actions (cache hit / miss), the same warm-start
+//! verdicts, and bitwise-identical solutions — including under seeded
+//! chaos injection, where warm-start rejections must fall back to the
+//! deterministic cold start without breaking the replay contract.
+//!
+//! A step is the engine request it submits: its report is a cold
+//! engine's answer to the same job, a step that changes the pattern runs
+//! what a cold engine picks for the new matrix, and the plan cache counts
+//! one lookup per step.
 
-use acamar::core::{Acamar, AcamarConfig};
-use acamar::engine::{Engine, PlanAction, SequenceJob, SequenceStats, WarmStart};
+use acamar::core::{Acamar, AcamarConfig, AcamarRunReport};
+use acamar::engine::{Engine, PlanAction, SequenceJob, SequenceStats, SolveJob, WarmStart};
 use acamar::fabric::FabricSpec;
-use acamar::solvers::ConvergenceCriteria;
-use acamar::sparse::{generate, CsrMatrix};
+use acamar::solvers::{ConvergenceCriteria, SolverKind};
+use acamar::sparse::{generate, CooMatrix, CsrMatrix};
 use std::sync::Arc;
 
 fn acamar() -> Acamar {
@@ -39,13 +44,12 @@ fn drop_pair(a: &CsrMatrix<f64>, r: usize, c: usize) -> CsrMatrix<f64> {
     CsrMatrix::try_from_parts(a.nrows(), a.ncols(), row_ptr, cols, vals).unwrap()
 }
 
-/// The evolving workload: mostly fixed pattern, two small drifts (band
-/// patches), one structural break (full recompile), varying right-hand
-/// sides throughout.
+/// The evolving workload: mostly fixed pattern, two small drifts and one
+/// structural break (each a new pattern: a cache miss), varying
+/// right-hand sides throughout.
 fn workload() -> Vec<SequenceJob<f64>> {
     let mut a = Arc::new(generate::poisson2d::<f64>(16, 16));
-    // A different *shape*, so the delta is undefined and the sequence
-    // must re-run the full analysis.
+    // A different *shape* as well as a different pattern.
     let fresh = Arc::new(generate::poisson2d::<f64>(18, 18));
     let mut jobs = Vec::new();
     for k in 0..10usize {
@@ -73,7 +77,7 @@ type StepTrace = Vec<(
 
 fn replay(engine: &Engine) -> (StepTrace, SequenceStats) {
     let jobs = workload();
-    let mut seq = engine.open_sequence(Arc::clone(&jobs[0].matrix)).unwrap();
+    let mut seq = engine.open_sequence(Arc::clone(&jobs[0].matrix));
     let mut trace = Vec::new();
     for job in jobs {
         match seq.step(job) {
@@ -94,11 +98,10 @@ fn replay(engine: &Engine) -> (StepTrace, SequenceStats) {
 
 /// The replay-stable subset of [`SequenceStats`] (everything except the
 /// wall-clock timing fields).
-fn stat_counts(s: &SequenceStats) -> (u64, u64, u64, u64, u64, u64) {
+fn stat_counts(s: &SequenceStats) -> (u64, u64, u64, u64, u64) {
     (
         s.steps,
         s.plans_reused,
-        s.plans_patched,
         s.plans_recompiled,
         s.warm_starts_used,
         s.warm_starts_rejected,
@@ -135,10 +138,12 @@ fn replayed_sequence_is_bitwise_identical() {
     let (second, s2) = replay(&Engine::with_workers(acamar(), 4));
     assert_traces_identical(&first, &second, "replay");
     assert_eq!(stat_counts(&s1), stat_counts(&s2), "sequence stats differ");
-    // The workload exercises every plan path...
-    assert!(s1.plans_reused >= 5, "stats: {s1:?}");
-    assert_eq!(s1.plans_patched, 2, "stats: {s1:?}");
-    assert_eq!(s1.plans_recompiled, 1, "stats: {s1:?}");
+    // Steps 3, 6 and 8 bring a new pattern: three misses, seven hits...
+    for (k, step) in first.iter().enumerate() {
+        let miss = matches!(k, 3 | 6 | 8);
+        assert_eq!(step.0 == PlanAction::Recompiled, miss, "step {k}");
+    }
+    assert_eq!((s1.plans_reused, s1.plans_recompiled), (7, 3));
     // ...and warm starts engaged on the quiet steps.
     assert!(s1.warm_starts_used >= 4, "stats: {s1:?}");
 }
@@ -157,8 +162,7 @@ fn worker_count_does_not_change_the_sequence() {
 /// either way. A step the gate sent cold is bitwise its `solve_one`.
 #[test]
 fn warm_starts_cut_the_drifting_workloads_iterations() {
-    let (warm, stats) = replay(&Engine::with_workers(acamar(), 1));
-    assert!(stats.plans_patched >= 1, "stats: {stats:?}");
+    let (warm, _) = replay(&Engine::with_workers(acamar(), 1));
     let engine = Engine::with_workers(acamar(), 1);
     let (mut warm_total, mut cold_total) = (0, 0);
     for (i, (job, (_, warm_start, outcome))) in workload().iter().zip(&warm).enumerate() {
@@ -177,6 +181,142 @@ fn warm_starts_cut_the_drifting_workloads_iterations() {
         warm_total < cold_total,
         "{warm_total} iterations with warm starts, {cold_total} without"
     );
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Asserts two runs are the same request's answer: the structure
+/// decision, every attempt, the fabric statistics and the solution bits.
+fn assert_same_run(got: &AcamarRunReport<f64>, want: &AcamarRunReport<f64>, what: &str) {
+    assert_eq!(got.structure, want.structure, "{what}: structure decision");
+    assert_eq!(got.attempts, want.attempts, "{what}: attempts");
+    assert_eq!(
+        format!("{:?}", got.stats),
+        format!("{:?}", want.stats),
+        "{what}: fabric statistics"
+    );
+    assert_eq!(
+        bits(&got.solve.solution),
+        bits(&want.solve.solution),
+        "{what}: solution bits"
+    );
+}
+
+/// One request on a fresh engine: what a step is held to.
+fn cold(job: SolveJob<f64>) -> AcamarRunReport<f64> {
+    let mut batch = Engine::with_workers(acamar(), 1).solve_jobs(vec![job]);
+    batch.results.pop().unwrap().unwrap()
+}
+
+/// Every step is the engine request it submits: a cold engine's
+/// `solve_jobs` of `SolveJob::new(a_k, b_k)`, seeded with the guess the
+/// warm-start gate chose, reports the same structure decision, attempts,
+/// fabric statistics and solution bits.
+#[test]
+fn every_step_is_the_request_it_submits() {
+    let engine = Engine::with_workers(acamar(), 1);
+    let jobs = workload();
+    let mut seq = engine.open_sequence(Arc::clone(&jobs[0].matrix));
+    let mut prev: Option<Vec<f64>> = None;
+    for (k, job) in jobs.into_iter().enumerate() {
+        let request = SolveJob::new(Arc::clone(&job.matrix), job.rhs.clone());
+        let step = seq.step(job).unwrap();
+        let request = match step.warm_start {
+            WarmStart::Used { .. } => request.with_guess(prev.take().unwrap()),
+            WarmStart::Cold | WarmStart::Rejected { .. } => request,
+        };
+        assert_same_run(&step.report, &cold(request), &format!("step {k}"));
+        prev = Some(step.report.solve.solution);
+    }
+}
+
+/// `a` plus the listed entries, each outside `a`'s pattern.
+fn with_entries(a: &CsrMatrix<f64>, extra: &[(usize, usize, f64)]) -> CsrMatrix<f64> {
+    let mut coo = CooMatrix::new(a.nrows(), a.ncols());
+    for (i, cols, vals) in a.iter_rows() {
+        for (&j, &v) in cols.iter().zip(vals) {
+            coo.push(i, j, v).unwrap();
+        }
+    }
+    for &(i, j, v) in extra {
+        coo.push(i, j, v).unwrap();
+    }
+    coo.to_csr()
+}
+
+/// A step onto a pattern with two entries added on one side of the
+/// diagonal: the matrix is no longer symmetric, so the structure unit
+/// picks BiCG-STAB, not the CG the previous pattern's decision says — on
+/// the step and on every later request of the matrix on that engine.
+#[test]
+fn a_step_onto_a_new_pattern_runs_what_a_cold_engine_picks() {
+    let a0 = Arc::new(generate::poisson2d::<f64>(24, 24));
+    let n = a0.nrows();
+    let a1 = Arc::new(with_entries(&a0, &[(3, n - 5, -1.0), (40, n - 50, -1.0)]));
+    let b = vec![1.0; n];
+    let engine = Engine::with_workers(acamar(), 1);
+    let mut seq = engine.open_sequence(Arc::clone(&a0));
+    seq.step(SequenceJob::new(Arc::clone(&a0), b.clone()))
+        .unwrap();
+    let step = seq
+        .step(SequenceJob::new(Arc::clone(&a1), b.clone()))
+        .unwrap();
+
+    let cold = Engine::with_workers(acamar(), 1)
+        .solve_one(&a1, &b)
+        .unwrap();
+    assert!(!cold.structure.report.symmetric);
+    assert_eq!(cold.final_solver(), SolverKind::BiCgStab);
+    assert_eq!(step.report.structure, cold.structure);
+    let solvers =
+        |r: &AcamarRunReport<f64>| r.attempts.iter().map(|a| a.solver).collect::<Vec<_>>();
+    assert_eq!(solvers(&step.report), solvers(&cold));
+    // The engine the sequence ran on answers a plain request of the
+    // matrix like a cold one.
+    let later = engine.solve_one(&a1, &b).unwrap();
+    assert_same_run(&later, &cold, "solve_one after the step");
+    assert_eq!(step.plan, PlanAction::Recompiled);
+}
+
+/// One cache lookup per step: `open_sequence` is the pattern's one miss,
+/// each same-pattern step one hit, and a step onto a new pattern one miss
+/// and no hit — an evicted pattern's included.
+#[test]
+fn the_plan_cache_counts_one_lookup_per_step() {
+    let engine = Engine::with_workers(acamar(), 1);
+    let a0 = Arc::new(generate::poisson2d::<f64>(16, 16));
+    let b = vec![1.0; 256];
+    let mut seq = engine.open_sequence(Arc::clone(&a0));
+    let counts = || {
+        let c = engine.counters().cache;
+        (c.hits, c.misses)
+    };
+    assert_eq!(counts(), (0, 1));
+    for k in 1..=3 {
+        seq.step(SequenceJob::new(Arc::clone(&a0), b.clone()))
+            .unwrap();
+        assert_eq!(counts(), (k, 1), "after {k} same-pattern steps");
+    }
+    let a1 = Arc::new(drop_pair(&a0, 7, 8));
+    let step = seq
+        .step(SequenceJob::new(Arc::clone(&a1), b.clone()))
+        .unwrap();
+    assert_eq!(step.plan, PlanAction::Recompiled);
+    assert_eq!(counts(), (3, 2), "a new pattern is one miss, no hit");
+
+    // Evicted under the sequence: the next step is an honest miss.
+    engine.cache().set_capacity(1);
+    engine
+        .solve_one(&generate::poisson2d::<f64>(9, 9), &vec![1.0; 81])
+        .unwrap();
+    assert!(!engine.is_warm(&*a1));
+    let step = seq.step(SequenceJob::new(Arc::clone(&a1), b)).unwrap();
+    assert_eq!(step.plan, PlanAction::Recompiled);
+    assert_eq!(counts(), (3, 4));
+    assert_eq!(seq.stats().plans_recompiled, 2);
+    assert_eq!(seq.stats().plans_reused, 3);
 }
 
 /// Chaos replay: the same seeded fault plan over the same sequence twice

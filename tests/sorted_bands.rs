@@ -1,4 +1,4 @@
-//! Property, plan-shape and patch suite for `BandKind::Sorted`.
+//! Property and plan-shape suite for `BandKind::Sorted`.
 //!
 //! A Sorted band executes its rows out of order — by length inside each
 //! 512-row window — and scatters `y`, so what has to hold wherever the
@@ -14,9 +14,7 @@
 //!   reordered add would show (`-0.0`, subnormals, `1e300`);
 //! * **shape** — the dominant systems of `service_mixed` really are Sorted
 //!   end to end, `A` and `T` alike, and no plan carries a band kind the
-//!   compiler no longer emits;
-//! * **patch** — `CompiledSpmv::patch` equals a recompile when a delta
-//!   lands inside a window, across a window edge, and beside the band.
+//!   compiler no longer emits.
 //!
 //! That `verify_pattern` rejects a corrupted order or slot, and that a
 //! corrupted order panics instead of writing outside its band, is tested
@@ -29,9 +27,7 @@ use acamar::sparse::compiled::{SORTED_MAX_WIDTH, SORTED_WINDOW_ROWS};
 use acamar::sparse::generate::{self, RowDistribution};
 use acamar::sparse::simd::dot_fast;
 use acamar::sparse::DeterminismPolicy::{Deterministic, Fast};
-use acamar::sparse::{
-    BandHint, BandKind, CompiledSpmv, CooMatrix, CsrMatrix, PatternDelta, Scalar,
-};
+use acamar::sparse::{BandKind, CompiledSpmv, CooMatrix, CsrMatrix, Scalar};
 
 fn bits<T: Scalar>(v: T) -> u64 {
     v.to_f64().to_bits()
@@ -322,68 +318,6 @@ fn empty_rows_single_classes_and_every_length_are_bitwise() {
     let plan = CompiledSpmv::compile_default(&a);
     assert_eq!(sorted_share(&plan), 0.0, "{:?}", plan.bands());
     check_plan(&a, &plan, "one row too wide");
-}
-
-/// `a` with each listed row given `extra` more entries (fresh columns), so
-/// the row changes length class and its window's order changes.
-fn lengthen(a: &CsrMatrix<f64>, rows: &[usize], extra: usize) -> CsrMatrix<f64> {
-    let mut coo = CooMatrix::new(a.nrows(), a.ncols());
-    for r in 0..a.nrows() {
-        let (cols, vals) = a.row(r);
-        for (&c, &v) in cols.iter().zip(vals) {
-            coo.push(r, c, v).unwrap();
-        }
-        if rows.contains(&r) {
-            let fresh = (0..a.ncols()).filter(|c| !cols.contains(c)).take(extra);
-            for c in fresh {
-                coo.push(r, c, 0.5).unwrap();
-            }
-        }
-    }
-    coo.to_csr()
-}
-
-#[test]
-fn patch_equals_recompile_in_beside_and_across_a_window() {
-    // Two hints; the first holds a Sorted band of three windows (0..512,
-    // 512..1024, 1024..1200), the second one of two.
-    let a = ragged(2000, |r| (r * 5 + r / 7) % 7);
-    let hints = vec![
-        BandHint {
-            rows: 0..1200,
-            unroll: 4,
-        },
-        BandHint {
-            rows: 1200..2000,
-            unroll: 8,
-        },
-    ];
-    let plan = CompiledSpmv::compile(&a, &hints).unwrap();
-    assert_eq!(sorted_share(&plan), 1.0, "{:?}", plan.bands());
-    assert_eq!(plan.bands().len(), 2);
-    check_plan(&a, &plan, "unpatched");
-
-    let cases: [(&str, &[usize]); 5] = [
-        ("inside the first window", &[100, 101]),
-        ("across a window edge", &[511, 512]),
-        ("in the short last window", &[1199]),
-        ("beside the band, in the other hint", &[1200, 1711]),
-        ("in both hints", &[3, 1023, 1024, 1999]),
-    ];
-    for (what, dirty) in cases {
-        let m = lengthen(&a, dirty, 2);
-        let delta = PatternDelta::between(&a, &m).unwrap();
-        assert_eq!(delta.dirty_row_count(), dirty.len(), "{what}");
-        let patched = plan.patch(&m, &hints, &delta).unwrap();
-        assert_eq!(
-            patched,
-            CompiledSpmv::compile(&m, &hints).unwrap(),
-            "{what}: patch diverges from recompile"
-        );
-        check_plan(&m, &patched, what);
-        // The stale plan no longer describes the mutated matrix.
-        assert!(!plan.verify_pattern(&m), "{what}");
-    }
 }
 
 #[test]
