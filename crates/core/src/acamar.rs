@@ -7,8 +7,7 @@ use crate::structure_unit::{MatrixStructureUnit, StructureDecision};
 use acamar_fabric::{cost, FabricKernels, FabricRunStats, FabricSpec, HwRun, ResourceVector};
 use acamar_faultline::FaultContext;
 use acamar_solvers::{
-    ic0_preconditioned_cg, solve_with, ConvergenceCriteria, DerivedPlan, Outcome, SolveReport,
-    SolverKind, WorkspaceHandle,
+    solve_with, ConvergenceCriteria, DerivedPlan, Outcome, SolveReport, SolverKind, WorkspaceHandle,
 };
 use acamar_sparse::{CompiledSpmv, CsrMatrix, DeterminismPolicy, Scalar, SparseError};
 use acamar_telemetry::TelemetrySink;
@@ -137,9 +136,9 @@ pub struct RunOptions {
     /// Convergence criteria replacing the configuration's (rescue rungs
     /// shrink the iteration budget per step).
     pub criteria: Option<ConvergenceCriteria>,
-    /// Force this single solver, bypassing the Matrix Structure pick, the
-    /// Solver Modifier loop, and the GMRES fallback (used by rescue rungs
-    /// that escalate to a specific solver).
+    /// Force this single solver, bypassing the Matrix Structure pick and
+    /// the Solver Modifier loop (used by rescue rungs that escalate to a
+    /// specific solver).
     pub solver: Option<SolverKind>,
     /// Fault-injection context threaded down to the fabric kernels.
     pub fault: Option<FaultContext>,
@@ -253,12 +252,7 @@ impl Acamar {
         // Initialize units "have no dependencies and run concurrently"
         // (paper §IV); their latency is host-side and overlapped, so only
         // fabric work is charged cycles.
-        let unit = MatrixStructureUnit::new();
-        let structure = if self.config.extended_solvers {
-            unit.analyze_extended(a)
-        } else {
-            unit.analyze(a)
-        };
+        let structure = MatrixStructureUnit::new().analyze(a);
         let plan = FineGrainedReconfigUnit::new(self.config.clone()).plan(a);
         let hints = plan.schedule.band_hints();
         let compiled = Arc::new(
@@ -385,82 +379,25 @@ impl Acamar {
         let mut attempts = Vec::new();
         let module = self.solver_module(plan.schedule.max_unroll());
 
+        // A forced solver (a rescue rung) runs alone; otherwise the Solver
+        // Modifier cycles from the Matrix Structure unit's pick.
+        let mut modifier = SolverModifier::new(opts.solver.unwrap_or(structure.solver));
+        let budget = if opts.solver.is_some() { 1 } else { usize::MAX };
         let mut last: Option<SolveReport<T>> = None;
-        if let Some(kind) = opts.solver {
-            // Rescue-rung mode: one configured solver, no modifier loop.
+        for kind in std::iter::from_fn(|| modifier.next_solver()).take(budget) {
+            // Host configures the Reconfigurable Solver region.
             hw.charge_solver_reconfig(&module);
             hw.begin_attempt();
-            let report = if kind == SolverKind::Gmres {
-                acamar_solvers::gmres(
-                    a,
-                    b,
-                    x0,
-                    self.config.gmres_restart.max(1),
-                    &criteria,
-                    &mut hw,
-                )?
-            } else if kind == SolverKind::PreconditionedCg {
-                // The elimination schedule and the substitution plans come
-                // from the pattern's memo, built by the first forced PCG
-                // that factors on it. A factorization that breaks down
-                // degrades to Jacobi preconditioning, and the solver
-                // reports which of the two ran (`PreconditionerSelected`).
-                ic0_preconditioned_cg(a, b, x0, &criteria, &mut hw)?
-            } else {
-                solve_with(kind, a, b, x0, &criteria, &mut hw)?
-            };
+            let report = solve_with(kind, a, b, x0, &criteria, &mut hw)?;
             attempts.push(SolveAttempt {
                 solver: kind,
                 outcome: report.outcome,
                 iterations: report.iterations,
             });
+            let done = report.outcome.converged();
             last = Some(report);
-        } else {
-            let mut modifier = if self.config.extended_solvers {
-                SolverModifier::extended(structure.solver)
-            } else {
-                SolverModifier::new(structure.solver)
-            };
-            while let Some(kind) = modifier.next_solver() {
-                // Host configures the Reconfigurable Solver region.
-                hw.charge_solver_reconfig(&module);
-                hw.begin_attempt();
-                let report = solve_with(kind, a, b, x0, &criteria, &mut hw)?;
-                attempts.push(SolveAttempt {
-                    solver: kind,
-                    outcome: report.outcome,
-                    iterations: report.iterations,
-                });
-                let done = report.outcome.converged();
-                last = Some(report);
-                if done {
-                    break;
-                }
-            }
-
-            // Extension: last-resort GMRES after all three solvers failed.
-            if self.config.gmres_fallback
-                && !last
-                    .as_ref()
-                    .map(|r| r.outcome.converged())
-                    .unwrap_or(false)
-            {
-                hw.charge_solver_reconfig(&module);
-                hw.begin_attempt();
-                let report = acamar_solvers::gmres(
-                    a,
-                    b,
-                    x0,
-                    self.config.gmres_restart.max(1),
-                    &criteria,
-                    &mut hw,
-                )?;
-                attempts.push(SolveAttempt {
-                    solver: SolverKind::Gmres,
-                    outcome: report.outcome,
-                    iterations: report.iterations,
-                });
-                last = Some(report);
+            if done {
+                break;
             }
         }
 
@@ -833,36 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn extended_solvers_pick_sor_for_dominant_symmetric_intake() {
-        // Shift the Poisson diagonal so it is strictly dominant: the
-        // extended intake should prefer SOR, the paper intake Jacobi.
-        let mut a = generate::poisson2d::<f64>(8, 8);
-        let (rp, ci): (Vec<usize>, Vec<usize>) = (a.row_ptr().to_vec(), a.col_idx().to_vec());
-        for i in 0..64 {
-            for (k, &c) in ci.iter().enumerate().take(rp[i + 1]).skip(rp[i]) {
-                if c == i {
-                    a.values_mut()[k] += 1.0;
-                }
-            }
-        }
-        let b = vec![1.0_f64; 64];
-        let paper = acamar();
-        assert_eq!(paper.analyze(&a).structure.solver, SolverKind::Jacobi);
-        let ext = Acamar::new(
-            FabricSpec::alveo_u55c(),
-            AcamarConfig::paper()
-                .with_criteria(ConvergenceCriteria::paper().with_max_iterations(2000))
-                .with_extended_solvers(true),
-        );
-        let artifacts = ext.analyze(&a);
-        assert_eq!(artifacts.structure.solver, SolverKind::Sor);
-        let rep = ext.run_with_plan(&a, &b, None, &artifacts).unwrap();
-        assert!(rep.converged());
-        assert_eq!(rep.final_solver(), SolverKind::Sor);
-        assert_eq!(rep.attempts.len(), 1);
-    }
-
-    #[test]
     fn every_attempt_charges_a_solver_reconfiguration() {
         let a = generate::poisson2d::<f32>(10, 10);
         let b = vec![1.0_f32; 100];
@@ -901,38 +808,6 @@ mod tests {
             rep.stats.spmv.underutilization(),
             baseline.stats.spmv.underutilization()
         );
-    }
-
-    #[test]
-    fn gmres_fallback_rescues_matrices_all_three_solvers_lose() {
-        // Mildly-spread symmetric indefinite + asymmetry: JB/CG/BiCG all
-        // fail, but restarted GMRES handles it.
-        let base = generate::spread_spectrum_blocks::<f64>(120, 0.6, 100.0, true, 9);
-        let ns = generate::nonsymmetric_perturbation(&base, 0.3, 10);
-        let a: acamar_sparse::CsrMatrix<f32> = ns.cast();
-        let b = vec![1.0_f32; 120];
-        let criteria = ConvergenceCriteria::paper().with_max_iterations(800);
-        let plain = Acamar::new(
-            FabricSpec::alveo_u55c(),
-            AcamarConfig::paper().with_criteria(criteria),
-        )
-        .run(&a, &b)
-        .unwrap();
-        if plain.converged() {
-            // The construction happened to be solvable; nothing to test.
-            return;
-        }
-        let rescued = Acamar::new(
-            FabricSpec::alveo_u55c(),
-            AcamarConfig::paper()
-                .with_criteria(criteria)
-                .with_gmres_fallback(true),
-        )
-        .run(&a, &b)
-        .unwrap();
-        assert!(rescued.converged(), "attempts {:?}", rescued.attempts);
-        assert_eq!(rescued.final_solver(), SolverKind::Gmres);
-        assert_eq!(rescued.attempts.len(), 4);
     }
 
     #[test]

@@ -27,21 +27,9 @@ pub struct AcamarConfig {
     pub chunk_rows: usize,
     /// Convergence policy shared by all solver attempts.
     pub criteria: ConvergenceCriteria,
-    /// Reconfigure to restarted GMRES if all three Acamar solvers diverge
-    /// (an extension beyond the paper's design; default off).
-    pub gmres_fallback: bool,
-    /// Restart dimension for the GMRES fallback (default 60: wide enough
-    /// for the indefinite spectra that defeat the three Acamar solvers).
-    pub gmres_restart: usize,
     /// Overlap SpMV-region partial reconfiguration with compute
     /// (double-buffered DFX regions; extension, default off).
     pub overlap_reconfiguration: bool,
-    /// Consider the extended solver set in the intake decision and the
-    /// Solver Modifier ladder: symmetric strictly-dominant matrices with a
-    /// positive diagonal select SOR first, and SOR joins the fallback
-    /// order after the paper's three solvers (extension, default off —
-    /// the paper's behavior is bit-for-bit unchanged when disabled).
-    pub extended_solvers: bool,
 }
 
 impl AcamarConfig {
@@ -55,29 +43,13 @@ impl AcamarConfig {
             max_unroll: 64,
             chunk_rows: 4096,
             criteria: ConvergenceCriteria::paper(),
-            gmres_fallback: false,
-            gmres_restart: 60,
             overlap_reconfiguration: false,
-            extended_solvers: false,
         }
-    }
-
-    /// Returns a copy with the GMRES last-resort fallback enabled.
-    pub fn with_gmres_fallback(mut self, enabled: bool) -> Self {
-        self.gmres_fallback = enabled;
-        self
     }
 
     /// Returns a copy with overlapped reconfiguration enabled.
     pub fn with_overlap(mut self, enabled: bool) -> Self {
         self.overlap_reconfiguration = enabled;
-        self
-    }
-
-    /// Returns a copy with the extended solver set (SOR in the intake
-    /// decision and the modifier ladder) enabled.
-    pub fn with_extended_solvers(mut self, enabled: bool) -> Self {
-        self.extended_solvers = enabled;
         self
     }
 
@@ -124,7 +96,6 @@ mod tests {
         assert!((c.msid_tolerance - 0.15).abs() < 1e-12);
         assert_eq!(c.chunk_rows, 4096);
         assert_eq!(c.criteria.setup_iterations, 200);
-        assert!(!c.extended_solvers, "extensions default off");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! low in a temporary register", and triggers the Initialize unit to
 //! reset. This module models that register.
 
-use acamar_solvers::{extended_fallback_order, fallback_order, SolverKind};
+use acamar_solvers::{fallback_order, SolverKind};
 
 /// Tracks which of Acamar's three solvers have been attempted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,16 +20,6 @@ impl SolverModifier {
     pub fn new(first: SolverKind) -> Self {
         SolverModifier {
             order: fallback_order(first),
-            tried: 0,
-        }
-    }
-
-    /// Like [`SolverModifier::new`] but cycling the extended register:
-    /// SOR is appended after the paper's three solvers (engaged by
-    /// `AcamarConfig::with_extended_solvers`).
-    pub fn extended(first: SolverKind) -> Self {
-        SolverModifier {
-            order: extended_fallback_order(first),
             tried: 0,
         }
     }

@@ -7,7 +7,7 @@
 //! task"): symmetry alone selects CG, and the Solver Modifier catches the
 //! resulting occasional divergence.
 
-use acamar_solvers::{recommend, recommend_extended, SolverKind};
+use acamar_solvers::{recommend, SolverKind};
 use acamar_sparse::{analysis, CsrMatrix, Scalar, StructureReport};
 
 /// The decision produced by the Matrix Structure unit.
@@ -38,17 +38,6 @@ impl MatrixStructureUnit {
     pub fn analyze<T: Scalar>(&self, a: &CsrMatrix<T>) -> StructureDecision {
         let report = analysis::analyze(a);
         let solver = recommend(&report);
-        StructureDecision { report, solver }
-    }
-
-    /// Like [`MatrixStructureUnit::analyze`], but recommending from the
-    /// extended solver set: symmetric strictly-dominant matrices with a
-    /// positive diagonal select SOR ahead of Jacobi (see
-    /// [`recommend_extended`]). Engaged by
-    /// `AcamarConfig::with_extended_solvers`.
-    pub fn analyze_extended<T: Scalar>(&self, a: &CsrMatrix<T>) -> StructureDecision {
-        let report = analysis::analyze(a);
-        let solver = recommend_extended(&report);
         StructureDecision { report, solver }
     }
 }

@@ -169,7 +169,7 @@ impl<T> BatchReport<T> {
     }
 
     /// Total solver attempts (≥ jobs; the excess is Solver Modifier
-    /// interventions, GMRES fallbacks, and rescue rungs).
+    /// interventions and rescue rungs).
     pub fn total_attempts(&self) -> u64 {
         self.attempts_by_solver.iter().sum()
     }
@@ -908,8 +908,8 @@ impl EngineInner {
             self.cache.get_or_analyze_with(&self.acamar, matrix, &sink)
         };
 
-        // Primary attempt: the accelerator's own defenses (Solver
-        // Modifier switching, GMRES fallback) run inside it.
+        // Primary attempt: the accelerator's own defense (Solver
+        // Modifier switching) runs inside it.
         let mut result = {
             let _solve = sink.span(Span::Solve);
             self.attempt(

@@ -6,9 +6,9 @@
 //! sweep runs as a [`Kernels::sor_sweep`] executor primitive — so the
 //! fabric twin models its cycles — and all scratch comes from the
 //! executor's buffer pool, making warm solves allocation-free. SOR is a
-//! first-class [`SolverKind`] choice wired into the intake decision and
-//! the rescue ladder (behind
-//! `AcamarConfig::with_extended_solvers` in `acamar-core`).
+//! first-class [`SolverKind`] choice: the rescue ladder's next-solver rung
+//! reaches it once the three paper solvers are spent
+//! ([`extended_fallback_order`](crate::extended_fallback_order)).
 //!
 //! The sweep itself is a strict serial dependence chain (each `x[i]`
 //! reads the values updated earlier in the same sweep), so it executes

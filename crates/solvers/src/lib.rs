@@ -61,22 +61,28 @@ pub use jacobi::jacobi;
 pub use kernels::{
     DenseOp, DerivedPlan, FusedPass, Kernels, OpCounts, OperandId, Phase, SoftwareKernels,
 };
-pub use pcg::{ic0_preconditioned_cg, preconditioned_cg, preconditioned_cg_with, Preconditioner};
+pub use pcg::{ic0_preconditioned_cg, preconditioned_cg};
 pub use report::SolveReport;
 pub use selection::{
-    extended_fallback_order, fallback_order, paper_table1, recommend, recommend_extended,
-    satisfies, Criterion, SolverKind,
+    extended_fallback_order, fallback_order, paper_table1, recommend, satisfies, Criterion,
+    SolverKind,
 };
 pub use workspace::{SolverWorkspace, WorkspaceHandle};
 
 use acamar_sparse::{CsrMatrix, Scalar, SparseError};
 
-/// Default GMRES restart dimension used by [`solve_with`].
-pub const DEFAULT_GMRES_RESTART: usize = 30;
+/// GMRES restart dimension used by [`solve_with`]: wide enough for the
+/// indefinite spectra that defeat the three Acamar solvers.
+pub const DEFAULT_GMRES_RESTART: usize = 60;
 
 /// Runs the solver selected by `kind` (dynamic dispatch over
 /// [`SolverKind`]) — the software analog of reconfiguring the
-/// Reconfigurable Solver unit.
+/// Reconfigurable Solver unit, and the one mapping from a kind to a
+/// solver (Acamar's attempts, forced or not, run through it).
+/// [`SolverKind::PreconditionedCg`] is IC(0)-preconditioned CG
+/// ([`ic0_preconditioned_cg`], Jacobi scaling when the factorization
+/// breaks down); [`SolverKind::Gmres`] restarts every
+/// [`DEFAULT_GMRES_RESTART`] iterations.
 ///
 /// # Errors
 ///
@@ -95,7 +101,7 @@ pub fn solve_with<T: Scalar, K: Kernels<T>>(
         SolverKind::Jacobi => jacobi(a, b, x0, criteria, kernels),
         SolverKind::ConjugateGradient => conjugate_gradient(a, b, x0, criteria, kernels),
         SolverKind::BiCgStab => bicgstab(a, b, x0, criteria, kernels),
-        SolverKind::PreconditionedCg => preconditioned_cg(a, b, x0, criteria, kernels),
+        SolverKind::PreconditionedCg => ic0_preconditioned_cg(a, b, x0, criteria, kernels),
         SolverKind::BiCg => bicg(a, b, x0, criteria, kernels),
         SolverKind::ConjugateResidual => conjugate_residual(a, b, x0, criteria, kernels),
         SolverKind::GaussSeidel => gauss_seidel(a, b, x0, criteria, kernels),

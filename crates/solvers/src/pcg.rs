@@ -17,18 +17,15 @@ use crate::selection::SolverKind;
 use acamar_sparse::{CompiledSptrsv, CsrMatrix, Scalar, SparseError};
 
 /// Which preconditioner [`preconditioned_cg_with`] applies each iteration.
-#[derive(Debug)]
-pub enum Preconditioner<'a, T> {
+enum Preconditioner<'a, T> {
     /// Diagonal (Jacobi) scaling: `M = diag(A)`.
     Jacobi,
     /// Incomplete Cholesky: `M = L Lᵀ`, applied as forward + backward
-    /// substitution through the executor's [`Kernels::sptrsv`].
+    /// substitution through the executor's [`Kernels::sptrsv`] on the
+    /// level schedules of the `L` and `Lᵀ` passes.
     Ic0 {
-        /// The factorization to apply.
         factors: &'a Ic0<T>,
-        /// Level schedule for the forward (`L`) pass.
         lower: &'a CompiledSptrsv,
-        /// Level schedule for the backward (`Lᵀ`) pass.
         upper: &'a CompiledSptrsv,
     },
 }
@@ -104,11 +101,7 @@ pub fn preconditioned_cg<T: Scalar, K: Kernels<T>>(
 /// identical across preconditioners; only the `z = M⁻¹ r` application
 /// differs. All scratch comes from the executor's buffer pool, so warm
 /// solves are allocation-free.
-///
-/// # Errors
-///
-/// Returns [`SparseError`] for shape problems.
-pub fn preconditioned_cg_with<T: Scalar, K: Kernels<T>>(
+fn preconditioned_cg_with<T: Scalar, K: Kernels<T>>(
     a: &CsrMatrix<T>,
     b: &[T],
     x0: Option<&[T]>,

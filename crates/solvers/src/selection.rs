@@ -17,8 +17,9 @@ pub enum SolverKind {
     ConjugateGradient,
     /// Bi-Conjugate Gradient Stabilized (Algorithm 3).
     BiCgStab,
-    /// Diagonally-preconditioned CG (software reference, Table I row
-    /// "Preconditioned CG").
+    /// IC(0)-preconditioned CG, with Jacobi scaling when the incomplete
+    /// factorization breaks down (software reference, Table I row
+    /// "Preconditioned CG"; the rescue ladder's preconditioned rung).
     PreconditionedCg,
     /// Plain Bi-Conjugate Gradient (software reference, Table I row
     /// "BiCG").
@@ -182,10 +183,8 @@ pub fn satisfies(report: &StructureReport, criterion: Criterion) -> bool {
 /// 2. else symmetric → CG (symmetry is the only PD proxy checked);
 /// 3. else → BiCG-STAB.
 pub fn recommend(report: &StructureReport) -> SolverKind {
-    if report.strictly_diagonally_dominant && !report.mixed_sign_diagonal {
-        SolverKind::Jacobi
-    } else if report.strictly_diagonally_dominant {
-        // Mixed-sign dominant diagonals still satisfy the Jacobi criterion.
+    // Mixed-sign dominant diagonals satisfy the Jacobi criterion too.
+    if report.strictly_diagonally_dominant {
         SolverKind::Jacobi
     } else if report.symmetric {
         SolverKind::ConjugateGradient
@@ -215,25 +214,12 @@ pub fn fallback_order(first: SolverKind) -> Vec<SolverKind> {
     order
 }
 
-/// Intake recommendation over the *extended* solver set (paper Table I
-/// beyond the three reconfiguration targets): symmetric **and** strictly
-/// diagonally dominant systems — where the SOR iteration matrix is
-/// provably contractive and over-relaxation beats both Jacobi and plain
-/// Gauss-Seidel — pick [`SolverKind::Sor`]; everything else falls through
-/// to [`recommend`]. Engaged by `AcamarConfig::with_extended_solvers`.
-pub fn recommend_extended(report: &StructureReport) -> SolverKind {
-    if report.strictly_diagonally_dominant && report.symmetric && report.positive_diagonal {
-        SolverKind::Sor
-    } else {
-        recommend(report)
-    }
-}
-
 /// [`fallback_order`] over the extended solver set: the Acamar trio
 /// first (unchanged relative order), then [`SolverKind::Sor`] as the
 /// final stationary-method fallback. Used by the rescue ladder's
-/// NextSolver rung so a fourth genuinely different iteration is
-/// available before escalating to preconditioning/GMRES.
+/// NextSolver rung — the one place SOR is reached without being forced —
+/// so a fourth genuinely different iteration is available before
+/// escalating to preconditioning/GMRES.
 pub fn extended_fallback_order(first: SolverKind) -> Vec<SolverKind> {
     let mut order = fallback_order(first);
     if !order.contains(&SolverKind::Sor) {
@@ -246,37 +232,6 @@ pub fn extended_fallback_order(first: SolverKind) -> Vec<SolverKind> {
 mod tests {
     use super::*;
     use acamar_sparse::{analysis, generate, generate::RowDistribution};
-
-    #[test]
-    fn extended_recommendation_picks_sor_for_symmetric_dominant() {
-        // Shifted Poisson: symmetric, positive diagonal, and strictly
-        // dominant once the identity shift is added.
-        let mut a = generate::poisson2d::<f64>(6, 6);
-        let row_ptr = a.row_ptr().to_vec();
-        let col_idx = a.col_idx().to_vec();
-        for i in 0..36 {
-            for (k, &c) in col_idx
-                .iter()
-                .enumerate()
-                .take(row_ptr[i + 1])
-                .skip(row_ptr[i])
-            {
-                if c == i {
-                    a.values_mut()[k] += 1.0;
-                }
-            }
-        }
-        let report = analysis::analyze(&a);
-        assert!(report.symmetric && report.strictly_diagonally_dominant);
-        assert_eq!(recommend_extended(&report), SolverKind::Sor);
-        // The base recommendation is unchanged by the extension.
-        assert_eq!(recommend(&report), SolverKind::Jacobi);
-
-        // Plain (weakly dominant) Poisson still routes to CG.
-        let p = generate::poisson2d::<f64>(6, 6);
-        let report = analysis::analyze(&p);
-        assert_eq!(recommend_extended(&report), recommend(&report));
-    }
 
     #[test]
     fn extended_fallback_appends_sor_once() {

@@ -59,6 +59,7 @@ fn usage() -> String {
        analyze  <file.mtx>                     structural report (Matrix Structure unit)\n\
        solve    <file.mtx> [options]           solve Ax=b (b = ones) on the fabric model\n\
          --solver auto|jb|cg|bicgstab|pcg|bicg|cr|gs|sor|gmres (default auto)\n\
+           (pcg: IC(0)-PCG, Jacobi-scaled if IC(0) breaks down; gmres: restart 60)\n\
          --tol <t>                                convergence tolerance (default 1e-5)\n\
          --max-iters <n>                          iteration budget (default 10000)\n\
          --static-urb <u>                         run the static baseline at SpMV_URB=u\n\

@@ -14,7 +14,7 @@ use acamar::core::{Acamar, AcamarConfig, RescuePolicy};
 use acamar::engine::{Engine, ResilienceConfig, SolveError, SolveJob};
 use acamar::fabric::FabricSpec;
 use acamar::faultline::{FaultCategory, FaultInjector, FaultPlan};
-use acamar::solvers::{ConvergenceCriteria, DivergenceReason, Outcome};
+use acamar::solvers::{ConvergenceCriteria, DivergenceReason, Outcome, SolverKind};
 use acamar::sparse::{generate, CsrMatrix, SparseError};
 use std::sync::Arc;
 
@@ -291,4 +291,41 @@ fn ladder_climb_is_visible_in_the_merged_report() {
     );
     assert!(!report.attempts[0].outcome.converged());
     assert!(report.attempts.last().unwrap().outcome.converged());
+}
+
+/// A system all three paper solvers lose is the GMRES rung's to win: the
+/// plain accelerator ends unconverged, and a hardened engine climbs past
+/// the retry, SOR and PCG to a converged restarted GMRES. (Perturbed
+/// indefinite blocks are no test of this rung: SOR, one rung earlier,
+/// solves them.)
+#[test]
+fn the_gmres_rung_rescues_a_system_all_three_solvers_lose() {
+    // Convection-dominated centred differences: not dominant, not
+    // symmetric, and BiCG-STAB stagnates.
+    let a = generate::convection_diffusion_2d_centered::<f64>(12, 10, 100.0);
+    let b = vec![1.0; a.nrows()];
+    let cfg =
+        AcamarConfig::paper().with_criteria(ConvergenceCriteria::paper().with_max_iterations(800));
+    let acamar = Acamar::new(FabricSpec::alveo_u55c(), cfg);
+    let plain = acamar.run(&a, &b).unwrap();
+    assert!(!plain.converged(), "attempts {:?}", plain.attempts);
+    assert_eq!(plain.attempts.len(), 3);
+
+    // The budget floor lets the fourth rung's GMRES run to convergence.
+    let engine = Engine::with_workers(acamar, 1).with_resilience(ResilienceConfig {
+        rescue: Some(RescuePolicy {
+            min_iterations: 800,
+            ..RescuePolicy::default()
+        }),
+        ..ResilienceConfig::hardened()
+    });
+    let report = engine.solve_one(&a, &b).unwrap();
+    assert!(report.converged(), "attempts {:?}", report.attempts);
+    assert_eq!(report.final_solver(), SolverKind::Gmres);
+    let (last, climbed) = report.attempts.split_last().unwrap();
+    assert_eq!(last.solver, SolverKind::Gmres);
+    assert!(climbed.iter().all(|at| !at.outcome.converged()));
+    for rung in [SolverKind::Sor, SolverKind::PreconditionedCg] {
+        assert!(climbed.iter().any(|at| at.solver == rung), "{rung} tried");
+    }
 }

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from matrix
 //! generation through analysis, hardware-modeled solving, and metrics.
 
-use acamar::core::{Acamar, AcamarConfig, MatrixStructureUnit};
+use acamar::core::{Acamar, AcamarConfig, MatrixStructureUnit, RunOptions};
 use acamar::fabric::{FabricKernels, FabricSpec, StaticAccelerator, UnrollSchedule};
 use acamar::gpu::{model_csr_spmv, GpuSpec};
 use acamar::prelude::*;
@@ -31,6 +31,41 @@ fn acamar_solution_matches_software_solver_bit_for_bit() {
     let sw_report = solve_with(report.final_solver(), &a, &b, None, &criteria(), &mut sw).unwrap();
     assert_eq!(report.solve.iterations, sw_report.iterations);
     assert_eq!(report.solve.solution, sw_report.solution);
+
+    // And a kind means one solver at every entry point: a forced run
+    // through the accelerator is `solve_with` of that kind. Grids large
+    // enough that GMRES restarts, so the restart length shows.
+    let systems = [
+        generate::poisson2d::<f64>(24, 24),
+        generate::convection_diffusion_2d::<f64>(16, 16, 2.0),
+    ];
+    let acamar = Acamar::new(FabricSpec::alveo_u55c(), config());
+    for a in &systems {
+        let b = vec![1.0_f64; a.nrows()];
+        let artifacts = acamar.analyze(a);
+        for kind in SolverKind::ALL {
+            let opts = RunOptions {
+                solver: Some(kind),
+                ..RunOptions::default()
+            };
+            let forced = acamar
+                .run_with_plan_opts(a, &b, None, &artifacts, opts)
+                .unwrap()
+                .solve;
+            let mut sw = SoftwareKernels::new();
+            let direct = solve_with(kind, a, &b, None, &criteria(), &mut sw).unwrap();
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let n = a.nrows();
+            assert_eq!(forced.outcome, direct.outcome, "{kind} on n = {n}");
+            assert_eq!(forced.iterations, direct.iterations, "{kind} on n = {n}");
+            assert_eq!(forced.counts, direct.counts, "{kind} on n = {n}");
+            assert_eq!(
+                bits(&forced.solution),
+                bits(&direct.solution),
+                "{kind} on n = {n}"
+            );
+        }
+    }
 }
 
 #[test]
