@@ -20,7 +20,8 @@ use acamar_solvers::{
     WorkspaceHandle,
 };
 use acamar_sparse::{
-    BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Scalar, SparseError,
+    BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, LevelOrdered, Scalar,
+    SparseError,
 };
 use acamar_telemetry::{Counter, EventKind, TelemetrySink};
 use std::ops::Range;
@@ -898,12 +899,12 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
         self.inner.sor_sweep(a, diag, omega, b, x);
     }
 
-    fn sptrsv(&mut self, plan: &CompiledSptrsv, m: &CsrMatrix<T>, b: &[T], x: &mut [T]) {
+    fn sptrsv(&mut self, plan: &CompiledSptrsv, m: &LevelOrdered<T>, b: &[T], x: &mut [T]) {
         // Substitution streams the triangle once like an SpMV pass, but
         // every topological level must drain before the next may issue, so
         // each level pays a pipeline refill. Narrow schedules (many
-        // levels) therefore cost proportionally more. The host arithmetic
-        // below is serial substitution; the levels exist to be priced.
+        // levels) therefore cost proportionally more. The host walks the
+        // same levels in order, one row after another.
         self.charge_serial_sparse(
             plan.tri_nnz() as u64 + plan.level_count() as u64 * PIPELINE_DEPTH,
         );
@@ -1335,6 +1336,48 @@ mod tests {
     }
 
     #[test]
+    fn the_sptrsv_fault_seam_flips_the_same_natural_entry_in_a_level_ordered_walk() {
+        use acamar_faultline::{FaultCategory, FaultContext, FaultInjector, FaultPlan};
+        use std::sync::Arc;
+
+        // On a grid the level order is not the row order: row 1 and row
+        // `nx` share the second wavefront, ahead of row 2.
+        let a = generate::poisson2d::<f64>(9, 7);
+        let ic0 = acamar_solvers::Ic0::factor(&a).unwrap();
+        let plan = &ic0.plans().0;
+        assert_eq!(plan.order()[..4], [0, 1, 9, 2]);
+        let b: Vec<f64> = (0..63).map(|i| 1.0 + (i % 5) as f64).collect();
+        let mut clean = vec![0.0_f64; 63];
+        let mut sw = SoftwareKernels::new();
+        Kernels::<f64>::sptrsv(&mut sw, plan, ic0.lower(), &b, &mut clean);
+
+        for seed in 0..8 {
+            let inj = Arc::new(FaultInjector::new(
+                FaultPlan::new(seed).with_rate(FaultCategory::SpmvBitFlip, 1.0),
+            ));
+            let mut hw = FabricKernels::new(spec(), UnrollSchedule::uniform(63, 4), 4)
+                .with_fault_context(FaultContext::new(Arc::clone(&inj), 7));
+            hw.set_schedule(UnrollSchedule::uniform(63, 4));
+            Kernels::<f64>::set_phase(&mut hw, Phase::Loop);
+            let raw = hw.stuck_bit().expect("a stuck bit is armed");
+            let mut x = vec![0.0_f64; 63];
+            Kernels::<f64>::sptrsv(&mut hw, plan, ic0.lower(), &b, &mut x);
+            // The fault-free answer with the flip where the seam puts it on
+            // a natural-order vector.
+            let mut want = clean.clone();
+            FaultInjector::apply_flip(raw, &mut want);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x), bits(&want), "seed {seed}");
+            let flipped = (raw % 63) as usize;
+            assert_ne!(
+                x[flipped].to_bits(),
+                clean[flipped].to_bits(),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
     fn compiled_plan_leaves_numerics_counts_cycles_and_faults_unchanged() {
         use acamar_faultline::{FaultCategory, FaultContext, FaultInjector, FaultPlan};
 
@@ -1640,6 +1683,7 @@ mod tests {
         );
         let plan = Arc::new(CompiledSpmv::compile(&a, &schedule.band_hints()).unwrap());
         let lower = CompiledSptrsv::compile_lower(&a).unwrap();
+        let laid = lower.layout(&a).unwrap();
         let diag = a.diagonal();
         let x: Vec<f64> = (0..96).map(|i| ((i % 9) as f64) * 0.37 - 1.5).collect();
         let z: Vec<f64> = (0..96).map(|i| 1.0 / (i as f64 + 1.5)).collect();
@@ -1650,6 +1694,7 @@ mod tests {
             k: &mut K,
             a: &CsrMatrix<f64>,
             lower: &CompiledSptrsv,
+            laid: &LevelOrdered<f64>,
             diag: &[f64],
             x: &[f64],
             z: &[f64],
@@ -1690,7 +1735,7 @@ mod tests {
             keep(&y);
             k.sor_sweep(a, diag, 1.25, x, &mut y);
             keep(&y);
-            k.sptrsv(lower, a, z, &mut w);
+            k.sptrsv(lower, laid, z, &mut w);
             keep(&w);
             k.observe_residual(0, 0.5);
             k.release_buffer(y);
@@ -1704,8 +1749,8 @@ mod tests {
             let mut hw = FabricKernels::new(spec(), schedule.clone(), 4)
                 .with_compiled_plan(Arc::clone(&plan))
                 .with_policy(policy);
-            let want = exercise(&mut sw, &a, &lower, &diag, &x, &z);
-            let got = exercise(&mut hw, &a, &lower, &diag, &x, &z);
+            let want = exercise(&mut sw, &a, &lower, &laid, &diag, &x, &z);
+            let got = exercise(&mut hw, &a, &lower, &laid, &diag, &x, &z);
             assert_eq!(got, want, "{policy:?}");
             assert_eq!(Kernels::<f64>::counts(&hw), sw.counts(), "{policy:?}");
         }

@@ -4,40 +4,33 @@
 //! the lower-triangle pattern of `A` is the natural symmetric analogue
 //! of ILU(0): half the storage, and the preconditioner of choice for the
 //! Laplacian/stencil systems the new dataset generators produce (DESIGN
-//! §17). Both factors are materialized (`L` and `Lᵀ` as CSR), so the
-//! two applications per CG iteration each run as one serial
-//! [`CompiledSptrsv`] substitution through the [`Kernels`] executor —
-//! including the fabric twin, which prices the plan's level schedule in
-//! its cycle model and carries the fault seam.
+//! §17). Both factors are materialized, each in its substitution plan's
+//! level order ([`LevelOrdered`]), so the two applications per CG
+//! iteration each run as one [`CompiledSptrsv`] substitution through the
+//! [`Kernels`] executor — including the fabric twin, which prices the
+//! plan's level schedule in its cycle model and carries the fault seam.
 //!
 //! Everything about the factors but their values is a function of `A`'s
-//! pattern and lives in an [`Ic0Schedule`]; this type is the values half,
-//! two buffers wrapped with the schedule's patterns. Executors keep the
-//! schedule and the substitution plans in the pattern's memo and the
-//! buffers in their workspace
-//! ([`Kernels::ic0_factors`]), so a warm factorization writes values and
-//! nothing else.
+//! pattern and lives in an [`Ic0Schedule`] — the two plans among it;
+//! this type is the values half, two buffers in the plans' layouts.
+//! Executors keep the schedule in the pattern's memo and the buffers in
+//! their workspace ([`Kernels::ic0_factors`]), so a warm factorization
+//! writes values and nothing else.
 
 use crate::kernels::Kernels;
-use acamar_sparse::{CompiledSptrsv, CsrMatrix, Ic0Refusal, Ic0Schedule, Scalar, SparseError};
+use acamar_sparse::{
+    CompiledSptrsv, CsrMatrix, Ic0Refusal, Ic0Schedule, LevelOrdered, Scalar, SparseError,
+};
 use std::sync::Arc;
 
 /// An IC(0) factorization `A ≈ L Lᵀ` on the lower-triangle pattern of `A`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ic0<T> {
-    l: CsrMatrix<T>,
-    lt: CsrMatrix<T>,
-    /// The substitution plans of the pattern's memo, when the factors were
-    /// replayed from one ([`Kernels::ic0_factors`]); the solver compiles
-    /// its own from the factors otherwise. Equality compares the factors
-    /// only: a memo does not change their values.
-    pub(crate) memoised_plans: Option<Arc<(CompiledSptrsv, CompiledSptrsv)>>,
-}
-
-impl<T: PartialEq> PartialEq for Ic0<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.l == other.l && self.lt == other.lt
-    }
+    l: LevelOrdered<T>,
+    lt: LevelOrdered<T>,
+    /// The schedule's substitution plans (`L`'s, `Lᵀ`'s): the layouts the
+    /// factors are stored in.
+    plans: Arc<(CompiledSptrsv, CompiledSptrsv)>,
 }
 
 impl<T: Scalar> Ic0<T> {
@@ -82,8 +75,8 @@ impl<T: Scalar> Ic0<T> {
 
     /// The per-matrix half of a factorization: `a`'s values along
     /// `schedule` into the two value buffers (resized to fit; what they
-    /// held is overwritten), wrapped with the schedule's shared patterns.
-    /// Bitwise [`Ic0::factor`].
+    /// held is overwritten), laid out in — and sharing — the schedule's
+    /// plans. Bitwise [`Ic0::factor`].
     ///
     /// # Errors
     ///
@@ -98,14 +91,14 @@ impl<T: Scalar> Ic0<T> {
         if let Err(refusal) = schedule.fill(a, &mut lower, &mut upper) {
             return Err((refusal, [lower, upper]));
         }
-        let wrap = |pattern: &acamar_sparse::CsrPattern, values| {
-            CsrMatrix::from_pattern(pattern.clone(), values)
-                .expect("fill sizes the values to the schedule's patterns")
+        let wrap = |plan, values| {
+            LevelOrdered::from_values(plan, values)
+                .expect("fill sizes the values to the schedule's plans")
         };
         Ok(Ic0 {
             l: wrap(schedule.lower(), lower),
             lt: wrap(schedule.upper(), upper),
-            memoised_plans: None,
+            plans: Arc::clone(schedule.plans()),
         })
     }
 
@@ -114,34 +107,26 @@ impl<T: Scalar> Ic0<T> {
         [self.l.into_values(), self.lt.into_values()]
     }
 
-    /// The lower-triangular factor `L` in substitution form: each row's
-    /// diagonal slot holds the reciprocal pivot `1 / l_ii`, the value
-    /// [`Kernels::sptrsv`] multiplies by. The off-diagonal entries are
-    /// `L`'s own.
-    pub fn lower(&self) -> &CsrMatrix<T> {
+    /// The lower-triangular factor `L` in substitution form, laid out in
+    /// the order of [`Ic0::plans`]' first plan: each row's reciprocal
+    /// pivot `1 / l_ii` in its diagonal slot, the value
+    /// [`Kernels::sptrsv`] multiplies by, and `L`'s own off-diagonal
+    /// entries. [`CompiledSptrsv::to_csr`] maps it back to rows and
+    /// columns.
+    pub fn lower(&self) -> &LevelOrdered<T> {
         &self.l
     }
 
     /// The transposed factor `Lᵀ` (upper triangular), in the same form as
-    /// [`Ic0::lower`]: reciprocal pivots on the diagonal.
-    pub fn upper(&self) -> &CsrMatrix<T> {
+    /// [`Ic0::lower`], laid out in the order of the second plan.
+    pub fn upper(&self) -> &LevelOrdered<T> {
         &self.lt
     }
 
-    /// Compiles level schedules for the two substitution passes. They
-    /// depend on the factors' patterns only, so executors holding the
-    /// pattern's memo compile them once, from the first factors replayed
-    /// on it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompiledSptrsv`] compile errors (cannot occur for a
-    /// successfully factored matrix).
-    pub fn plans(&self) -> Result<(CompiledSptrsv, CompiledSptrsv), SparseError> {
-        Ok((
-            CompiledSptrsv::compile_lower(&self.l)?,
-            CompiledSptrsv::compile_upper(&self.lt)?,
-        ))
+    /// The substitution plans of the two passes (`L`'s, `Lᵀ`'s): the
+    /// schedule's, shared by every factor replayed from it.
+    pub fn plans(&self) -> &(CompiledSptrsv, CompiledSptrsv) {
+        &self.plans
     }
 
     /// Applies the preconditioner: `z = (L Lᵀ)⁻¹ r` via forward then
@@ -150,19 +135,12 @@ impl<T: Scalar> Ic0<T> {
     ///
     /// # Panics
     ///
-    /// Panics (in the executor) if the plans do not match the factors or
-    /// the vector lengths disagree.
-    pub fn apply<K: Kernels<T>>(
-        &self,
-        kernels: &mut K,
-        lower_plan: &CompiledSptrsv,
-        upper_plan: &CompiledSptrsv,
-        r: &[T],
-        tmp: &mut [T],
-        z: &mut [T],
-    ) {
-        kernels.sptrsv(lower_plan, &self.l, r, tmp);
-        kernels.sptrsv(upper_plan, &self.lt, tmp, z);
+    /// Panics (in the executor) if the vector lengths disagree with the
+    /// factors.
+    pub fn apply<K: Kernels<T>>(&self, kernels: &mut K, r: &[T], tmp: &mut [T], z: &mut [T]) {
+        let (lower, upper) = self.plans();
+        kernels.sptrsv(lower, &self.l, r, tmp);
+        kernels.sptrsv(upper, &self.lt, tmp, z);
     }
 }
 
@@ -172,9 +150,10 @@ mod tests {
     use crate::kernels::SoftwareKernels;
     use acamar_sparse::generate;
 
-    /// `m` with each diagonal slot's reciprocal pivot turned back into
-    /// the pivot: the factor as a matrix.
-    fn with_pivots(m: &CsrMatrix<f64>) -> CsrMatrix<f64> {
+    /// `m`, laid out by `plan`, with each diagonal slot's reciprocal
+    /// pivot turned back into the pivot: the factor as a matrix.
+    fn with_pivots(plan: &CompiledSptrsv, m: &LevelOrdered<f64>) -> CsrMatrix<f64> {
+        let m = plan.to_csr(m).unwrap();
         let mut t = m.clone();
         let row_of: Vec<usize> = (0..m.nrows())
             .flat_map(|i| std::iter::repeat(i).take(m.row_nnz(i)))
@@ -193,7 +172,7 @@ mod tests {
         // Tridiagonal SPD matrices factor with zero fill, so L Lᵀ = A.
         let a = generate::poisson1d::<f64>(16);
         let ic = Ic0::factor(&a).unwrap();
-        let l = with_pivots(ic.lower());
+        let l = with_pivots(&ic.plans().0, ic.lower());
         let n = a.nrows();
         for i in 0..n {
             for j in 0..n {
@@ -210,18 +189,20 @@ mod tests {
     fn ic0_apply_inverts_l_lt() {
         let a = generate::poisson2d::<f64>(6, 6);
         let ic = Ic0::factor(&a).unwrap();
-        let (lp, up) = ic.plans().unwrap();
+        let (lp, up) = ic.plans();
         let n = a.nrows();
         let r: Vec<f64> = (0..n).map(|i| 1.0 + (i % 4) as f64).collect();
         let mut tmp = vec![0.0; n];
         let mut z = vec![0.0; n];
         let mut k = SoftwareKernels::new();
-        ic.apply(&mut k, &lp, &up, &r, &mut tmp, &mut z);
+        ic.apply(&mut k, &r, &mut tmp, &mut z);
         // L Lᵀ z should reproduce r.
         let mut ltz = vec![0.0; n];
-        with_pivots(ic.upper()).mul_vec_into(&z, &mut ltz).unwrap();
+        with_pivots(up, ic.upper())
+            .mul_vec_into(&z, &mut ltz)
+            .unwrap();
         let mut back = vec![0.0; n];
-        with_pivots(ic.lower())
+        with_pivots(lp, ic.lower())
             .mul_vec_into(&ltz, &mut back)
             .unwrap();
         for (bi, ri) in back.iter().zip(&r) {
@@ -248,9 +229,9 @@ mod tests {
         // from A are interchangeable with plans compiled from L.
         let a = generate::poisson2d::<f64>(5, 7);
         let ic = Ic0::factor(&a).unwrap();
-        let (lp, up) = ic.plans().unwrap();
-        assert_eq!(lp, CompiledSptrsv::compile_lower(&a).unwrap());
-        assert_eq!(up, CompiledSptrsv::compile_upper(&a).unwrap());
+        let (lp, up) = ic.plans();
+        assert_eq!(lp, &CompiledSptrsv::compile_lower(&a).unwrap());
+        assert_eq!(up, &CompiledSptrsv::compile_upper(&a).unwrap());
     }
 
     #[test]
@@ -258,9 +239,10 @@ mod tests {
         use crate::kernels::DerivedPlan;
         let a = generate::poisson2d::<f64>(5, 7);
         let memo = Arc::new(DerivedPlan::new(Vec::new()));
-        let mut k = SoftwareKernels::new().with_derived_plan(memo);
+        let mut k = SoftwareKernels::new().with_derived_plan(Arc::clone(&memo));
         let replayed = k.ic0_factors(&a).unwrap();
-        assert!(replayed.memoised_plans.is_some());
+        let memoised = memo.ic0_schedule().unwrap().plans();
+        assert!(Arc::ptr_eq(&replayed.plans, memoised));
         assert_eq!(replayed, Ic0::factor(&a).unwrap());
     }
 }

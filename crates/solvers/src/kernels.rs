@@ -13,7 +13,7 @@ use crate::workspace::WorkspaceHandle;
 use acamar_sparse::simd::{self, FastDot};
 use acamar_sparse::{
     BandHint, CompiledSpmv, CompiledSptrsv, CsrMatrix, DeterminismPolicy, Ic0Refusal, Ic0Schedule,
-    JacobiSplit, Scalar, SparseError,
+    JacobiSplit, LevelOrdered, Scalar, SparseError,
 };
 use acamar_telemetry::{Counter, EventKind, TelemetrySink};
 use std::sync::{Arc, OnceLock};
@@ -213,8 +213,8 @@ impl OperandId {
 ///   minus the diagonal: the [`JacobiSplit`] (`T`'s index arrays and each
 ///   row's diagonal slot) and `T`'s [`CompiledSpmv`].
 /// * IC(0)'s factors `L` and `Lᵀ`, whose patterns are the coefficient
-///   matrix's lower triangle and its transpose: the [`Ic0Schedule`], and
-///   the two substitution plans compiled from its `L` and `Lᵀ` patterns.
+///   matrix's lower triangle and its transpose: the [`Ic0Schedule`], which
+///   holds the two substitution plans the factors are laid out in.
 ///
 /// The memo carries the coefficient matrix's MSID band hints (`T` has the
 /// same rows) and starts empty: nothing is built for a pattern no solver
@@ -222,8 +222,8 @@ impl OperandId {
 /// through [`Kernels::derived_operand`] or [`Kernels::ic0_factors`] builds
 /// that half — exactly once, however many workers race on a cold pattern —
 /// and every later attempt on the pattern only fills values. The
-/// substitution plans wait for the first factorization that succeeds on
-/// the pattern.
+/// substitution plans are published ([`DerivedPlan::sptrsv`]) by the first
+/// factorization that succeeds on the pattern.
 #[derive(Debug)]
 pub struct DerivedPlan {
     hints: Vec<BandHint>,
@@ -270,8 +270,8 @@ impl DerivedPlan {
         self.ic0.get().and_then(Option::as_ref)
     }
 
-    /// The memoised substitution plans (`L`'s, `Lᵀ`'s), if an attempt has
-    /// factored on the pattern.
+    /// The memoised substitution plans (`L`'s, `Lᵀ`'s) — the schedule's —
+    /// if an attempt has factored on the pattern.
     pub fn sptrsv(&self) -> Option<&Arc<(CompiledSptrsv, CompiledSptrsv)>> {
         self.sptrsv.get()
     }
@@ -320,9 +320,9 @@ impl DerivedPlan {
     }
 
     /// IC(0) of `a` into the two buffers: the schedule is built by the
-    /// first caller on the pattern and replayed by every one, and factors
-    /// replayed from it carry the memo's substitution plans, compiled by
-    /// the first replay that succeeds. A memo that does not fit `a` — a
+    /// first caller on the pattern and replayed by every one, and the
+    /// first replay that succeeds publishes its substitution plans. A memo
+    /// that does not fit `a` — a
     /// pattern that cannot be scheduled, or a schedule whose diagonal
     /// slots `a` contradicts — is left alone and `a` is factored as if
     /// there were none, which is counted.
@@ -340,11 +340,8 @@ impl DerivedPlan {
         });
         if let Some(schedule) = memo {
             match Ic0::replay(schedule, a, lower, upper) {
-                Ok(mut factors) => {
-                    let plans = self.sptrsv.get_or_init(|| {
-                        Arc::new(factors.plans().expect("a factor stores every pivot"))
-                    });
-                    factors.memoised_plans = Some(Arc::clone(plans));
+                Ok(factors) => {
+                    self.sptrsv.get_or_init(|| Arc::clone(schedule.plans()));
                     return Ok(factors);
                 }
                 Err((Ic0Refusal::Stale, buffers)) => [lower, upper] = buffers,
@@ -537,12 +534,13 @@ pub trait Kernels<T: Scalar> {
 
     /// Sparse triangular solve `x = tri(m)⁻¹ b` against a compiled plan
     /// (see [`CompiledSptrsv`]) — the substitution kernel of the
-    /// incomplete-factorization preconditioners. `m`'s diagonal slots hold
-    /// the triangle's *reciprocal* pivots, as [`crate::Ic0`]'s factors do,
-    /// so every row ends in a multiply (`CompiledSptrsv::solve`). Entries
-    /// of `m` outside the plan's triangle are ignored. Substitution is
-    /// serial, rows in natural order; the plan's level schedule is what
-    /// the fabric executor prices, not an execution order.
+    /// incomplete-factorization preconditioners. `m` is the triangle laid
+    /// out in the plan's level order ([`LevelOrdered`]), its diagonal
+    /// slots holding the *reciprocal* pivots, as [`crate::Ic0`]'s factors
+    /// do, so every row ends in a multiply (`CompiledSptrsv::solve`).
+    /// Substitution walks the rows level by level — the order the fabric
+    /// executor prices — bitwise the natural-order walk; `b` and `x` are
+    /// in natural order.
     ///
     /// The default runs the deterministic substitution and charges
     /// nothing; [`SoftwareKernels`] adds operation accounting and its
@@ -552,7 +550,7 @@ pub trait Kernels<T: Scalar> {
     /// # Panics
     ///
     /// Implementations may panic if operand shapes disagree with the plan.
-    fn sptrsv(&mut self, plan: &CompiledSptrsv, m: &CsrMatrix<T>, b: &[T], x: &mut [T]) {
+    fn sptrsv(&mut self, plan: &CompiledSptrsv, m: &LevelOrdered<T>, b: &[T], x: &mut [T]) {
         plan.solve(DeterminismPolicy::Deterministic, m, b, x)
             .expect("sptrsv shape mismatch");
     }
@@ -953,7 +951,7 @@ impl<T: Scalar> Kernels<T> for SoftwareKernels {
         sor_sweep_reference(a, diag, omega, b, x);
     }
 
-    fn sptrsv(&mut self, plan: &CompiledSptrsv, m: &CsrMatrix<T>, b: &[T], x: &mut [T]) {
+    fn sptrsv(&mut self, plan: &CompiledSptrsv, m: &LevelOrdered<T>, b: &[T], x: &mut [T]) {
         // Charged to the sparse bucket: one mul+sub per off-diagonal
         // entry plus the reciprocal-pivot multiply, ~2 FLOPs per stored
         // entry — the same rate as SpMV over the triangle.
@@ -1336,6 +1334,7 @@ mod tests {
         use crate::workspace::WorkspaceHandle;
         let a = generate::poisson2d::<f64>(12, 9);
         let plan = CompiledSptrsv::compile_lower(&a).unwrap();
+        let laid = plan.layout(&a).unwrap();
         let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 5) as f64).collect();
         let mut solutions = Vec::new();
         for policy in DeterminismPolicy::ALL {
@@ -1344,8 +1343,8 @@ mod tests {
                 .with_workspace(ws.clone())
                 .with_policy(policy);
             let mut x = vec![0.0; a.nrows()];
-            k.sptrsv(&plan, &a, &b, &mut x);
-            k.sptrsv(&plan, &a, &b, &mut x);
+            k.sptrsv(&plan, &laid, &b, &mut x);
+            k.sptrsv(&plan, &laid, &b, &mut x);
             assert_eq!(ws.stats(), (0, 0), "{policy}: workspace takes");
             let c = k.counts();
             assert_eq!(c.spmv_calls, 2);

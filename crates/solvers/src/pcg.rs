@@ -5,8 +5,8 @@
 //! the diagonal (Jacobi) scaling `M = diag(A)` — a cheap elementwise
 //! kernel that maps onto the dense units the fabric already has — and
 //! incomplete Cholesky `M = L Lᵀ` (see [`Ic0`]), whose two substitution
-//! passes run as serial [`acamar_sparse::CompiledSptrsv`] solves whose
-//! level schedules the fabric executor prices (DESIGN §17).
+//! passes run as [`acamar_sparse::CompiledSptrsv`] solves, level by level,
+//! on the level schedules the fabric executor prices (DESIGN §17).
 
 use crate::convergence::{ConvergenceCriteria, DivergenceReason, Monitor, Outcome, Verdict};
 use crate::ic0::Ic0;
@@ -14,7 +14,7 @@ use crate::jacobi::check_square_system;
 use crate::kernels::{Kernels, Phase};
 use crate::report::SolveReport;
 use crate::selection::SolverKind;
-use acamar_sparse::{CompiledSptrsv, CsrMatrix, Scalar, SparseError};
+use acamar_sparse::{CsrMatrix, Scalar, SparseError};
 
 /// Which preconditioner [`preconditioned_cg_with`] applies each iteration.
 enum Preconditioner<'a, T> {
@@ -22,12 +22,8 @@ enum Preconditioner<'a, T> {
     Jacobi,
     /// Incomplete Cholesky: `M = L Lᵀ`, applied as forward + backward
     /// substitution through the executor's [`Kernels::sptrsv`] on the
-    /// level schedules of the `L` and `Lᵀ` passes.
-    Ic0 {
-        factors: &'a Ic0<T>,
-        lower: &'a CompiledSptrsv,
-        upper: &'a CompiledSptrsv,
-    },
+    /// factors' own plans.
+    Ic0(&'a Ic0<T>),
 }
 
 /// Per-solve scratch owned by the preconditioner application.
@@ -47,15 +43,8 @@ fn apply_precond<T: Scalar, K: Kernels<T>>(
         (Preconditioner::Jacobi, PrecondState::Jacobi { inv_d }) => {
             kernels.hadamard(inv_d, r, z);
         }
-        (
-            Preconditioner::Ic0 {
-                factors,
-                lower,
-                upper,
-            },
-            PrecondState::Ic0 { tmp },
-        ) => {
-            factors.apply(kernels, lower, upper, r, tmp, z);
+        (Preconditioner::Ic0(factors), PrecondState::Ic0 { tmp }) => {
+            factors.apply(kernels, r, tmp, z);
         }
         _ => unreachable!("preconditioner state mismatch"),
     }
@@ -134,7 +123,7 @@ fn preconditioned_cg_with<T: Scalar, K: Kernels<T>>(
             }
             PrecondState::Jacobi { inv_d }
         }
-        Preconditioner::Ic0 { .. } => PrecondState::Ic0 {
+        Preconditioner::Ic0(_) => PrecondState::Ic0 {
             tmp: kernels.acquire_buffer(n),
         },
     };
@@ -223,10 +212,9 @@ fn preconditioned_cg_with<T: Scalar, K: Kernels<T>>(
 /// through [`Kernels::observe_preconditioner`], and the factors go back to
 /// the executor on every exit.
 ///
-/// The substitution passes run on the level schedules of the pattern's
-/// [`DerivedPlan`](crate::DerivedPlan) memo when the executor holds one
-/// (compiled by the first factorization on the pattern), and on
-/// schedules compiled here from the factors otherwise.
+/// The substitution passes run on the factors' plans: those of the
+/// pattern's [`DerivedPlan`](crate::DerivedPlan) memo when the executor
+/// holds one, and of a schedule built for this solve otherwise.
 ///
 /// # Errors
 ///
@@ -242,23 +230,9 @@ pub fn ic0_preconditioned_cg<T: Scalar, K: Kernels<T>>(
         kernels.observe_preconditioner(false, 0);
         return preconditioned_cg(a, b, x0, criteria, kernels);
     };
-    let report = (|| {
-        let compiled;
-        let (lower, upper) = match &factors.memoised_plans {
-            Some(pair) => &**pair,
-            None => {
-                compiled = factors.plans()?;
-                &compiled
-            }
-        };
-        kernels.observe_preconditioner(true, lower.level_count());
-        let precond = Preconditioner::Ic0 {
-            factors: &factors,
-            lower,
-            upper,
-        };
-        preconditioned_cg_with(a, b, x0, criteria, kernels, &precond)
-    })();
+    kernels.observe_preconditioner(true, factors.plans().0.level_count());
+    let precond = Preconditioner::Ic0(&factors);
+    let report = preconditioned_cg_with(a, b, x0, criteria, kernels, &precond);
     kernels.release_ic0_factors(factors);
     report
 }
@@ -325,6 +299,7 @@ mod tests {
     #[test]
     fn ic0_with_memoised_plans_matches_self_compiled() {
         use crate::kernels::DerivedPlan;
+        use acamar_sparse::CompiledSptrsv;
         use std::sync::Arc;
         let a = generate::poisson2d::<f64>(12, 12);
         let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 3) as f64).collect();

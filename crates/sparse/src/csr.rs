@@ -18,9 +18,8 @@ use std::sync::Arc;
 /// two reference bumps and every matrix made from one pattern —
 /// [`CsrMatrix::clone`], [`CsrMatrix::map_values`], [`CsrMatrix::cast`],
 /// [`CsrMatrix::from_pattern`] — reads the same storage. A pattern only
-/// ever comes out of a validated matrix (or a [`JacobiSplit`], or an
-/// [`Ic0Schedule`](crate::Ic0Schedule)), so it always satisfies the
-/// [`CsrMatrix`] invariants.
+/// ever comes out of a validated matrix (or a [`JacobiSplit`]), so it
+/// always satisfies the [`CsrMatrix`] invariants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrPattern {
     nrows: usize,
@@ -46,12 +45,6 @@ impl CsrPattern {
             row_ptr: row_ptr.into(),
             col_idx: col_idx.into(),
         }
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub(crate) fn nrows(&self) -> usize {
-        self.nrows
     }
 
     /// Number of stored entries.

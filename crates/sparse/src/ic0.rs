@@ -7,9 +7,11 @@
 //! against each matrix of that pattern ([`Ic0Schedule::fill`]), which
 //! then only reads and writes values (DESIGN §17).
 
-use crate::csr::{CsrMatrix, CsrPattern};
+use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
+use crate::sptrsv::{CompiledSptrsv, Triangle};
+use std::sync::Arc;
 
 /// Why [`Ic0Schedule::fill`] produced no factor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,29 +33,35 @@ const END: u32 = u32::MAX;
 
 /// Everything about an IC(0) factorization that does not depend on values.
 ///
-/// * `L`'s pattern: row `i` of `tril(A)` is the first `below + 1` entries
-///   of `A`'s sorted row, so the diagonal is each row's last slot.
-/// * `Lᵀ`'s pattern, and for each of its entries the slot of `L` it copies.
+/// * The substitution plans of `L` (`tril(A)`) and `Lᵀ`
+///   ([`CompiledSptrsv`]). Their level orders are the factors' value
+///   layouts ([`crate::LevelOrdered`]): the factorization eliminates
+///   straight into them, so a substitution reads its operand in the order
+///   it walks.
+/// * Each row's position in `L`'s level order, and for each value of
+///   `Lᵀ`'s layout the slot of `L`'s it copies.
 /// * The elimination schedule: for every strictly-lower entry `(i, j)` the
 ///   slot pairs `(l_ik, l_jk)` with `k` in both rows, ascending `k` — the
 ///   products a left-looking factorization subtracts from `a_ij`, in the
 ///   order it subtracts them. (A diagonal entry needs no list: it
-///   subtracts the squares of its own row, in slot order.)
+///   subtracts the squares of its own row, in stored order.)
 ///
 /// One schedule serves every matrix of the pattern, in any scalar type.
-/// `L` and `Lᵀ` keep patterns of their own instead of borrowing `A`'s:
-/// that would serve structurally symmetric input only, and entries right
-/// of the diagonal are documented as ignored.
+/// `Lᵀ`'s plan is built from `L`'s pattern, not from `A`'s upper
+/// triangle: that would serve structurally symmetric input only, and
+/// entries right of the diagonal are documented as ignored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ic0Schedule {
-    lower: CsrPattern,
-    upper: CsrPattern,
-    /// Per entry of `Lᵀ`, the slot of `L` holding its value.
+    plans: Arc<(CompiledSptrsv, CompiledSptrsv)>,
+    /// Per row, its position in `L`'s level order.
+    position: Vec<u32>,
+    /// Per value of `Lᵀ`'s layout, the slot of `L`'s holding it.
     upper_source: Vec<u32>,
-    /// `[slot_ij, slot_ik, slot_jk]`, ascending in `slot_ij` then `k`,
-    /// closed by an [`END`] triple. Triples rather than per-entry offsets:
-    /// the pools read 0–0.5 corrections per entry, so 12 bytes per
-    /// correction undercut 4 bytes per entry plus 8 per correction.
+    /// `[slot_ij, slot_ik, slot_jk]` in `L`'s layout, in elimination order
+    /// (by row, then entry, then `k`), closed by an [`END`] triple.
+    /// Triples rather than per-entry offsets: the pools read 0–0.5
+    /// corrections per entry, so 12 bytes per correction undercut 4 bytes
+    /// per entry plus 8 per correction.
     corrections: Vec<[u32; 3]>,
     source_nnz: usize,
 }
@@ -61,9 +69,12 @@ pub struct Ic0Schedule {
 impl Ic0Schedule {
     /// Schedules the factorization of `a`'s lower triangle (entries right
     /// of the diagonal are ignored, so a symmetric matrix needs no
-    /// extraction). One pass over the pattern: counted prefixes, no search
-    /// and no merge — common columns of rows `i` and `j` are found through
-    /// a map from column to row `i`'s slot.
+    /// extraction). One pass over the pattern — counted prefixes, no search
+    /// and no merge: common columns of rows `i` and `j` are found through
+    /// a map from column to row `i`'s slot — that also levels the rows of
+    /// both factors; then the two plans in level order, and one more pass
+    /// that writes their columns and renumbers every slot into the
+    /// layouts.
     ///
     /// # Errors
     ///
@@ -86,12 +97,15 @@ impl Ic0Schedule {
                 axis: "IC(0) schedule slot",
             });
         }
+        // `L`'s pattern in natural order, the corrections in its slots, and
+        // the two plans' levels and dependency counts: row `i` of `L`
+        // waits on the rows it stores, row `j` of `Lᵀ` on every row of `L`
+        // that stores column `j`.
         let mut row_ptr = Vec::with_capacity(n + 1);
         // Exact for a structurally symmetric pattern; grows otherwise.
         let mut col_idx = Vec::with_capacity((a.nnz() + n) / 2);
-        // Entries per column of `L`, shifted by one: `Lᵀ`'s row pointers
-        // once summed.
-        let mut upper_ptr = vec![0usize; n + 1];
+        let (mut lower_level, mut lower_deps) = (vec![0u32; n], vec![0u32; n]);
+        let (mut upper_level, mut upper_deps) = (vec![0u32; n], vec![0u32; n]);
         // Column → slot of the current row's entry in that column. A slot
         // left by an earlier row is smaller than the current row's first,
         // so the map is never cleared.
@@ -107,9 +121,10 @@ impl Ic0Schedule {
             col_idx.extend_from_slice(&cols[..=below]);
             for (slot, &c) in (first..).zip(&cols[..=below]) {
                 slot_of[c] = slot as u32;
-                upper_ptr[c + 1] += 1;
             }
             for (slot, &j) in (first..).zip(&cols[..below]) {
+                lower_level[i] = lower_level[i].max(lower_level[j] + 1);
+                upper_deps[j] += 1;
                 // Row j of L without its diagonal: every k < j it stores.
                 let others = row_ptr[j]..row_ptr[j + 1] - 1;
                 for (slot_jk, &k) in others.clone().zip(&col_idx[others]) {
@@ -120,43 +135,72 @@ impl Ic0Schedule {
                     }
                 }
             }
+            lower_deps[i] = below as u32;
             row_ptr.push(col_idx.len());
         }
         corrections.push([END; 3]);
-
-        // Lᵀ: rows of L ascending land in each column ascending, so its
-        // rows come out sorted.
-        for c in 0..n {
-            upper_ptr[c + 1] += upper_ptr[c];
-        }
-        let mut cursor = upper_ptr[..n].to_vec();
-        let mut upper_cols = vec![0usize; col_idx.len()];
-        let mut upper_source = vec![0u32; col_idx.len()];
-        for (i, row) in row_ptr.windows(2).enumerate() {
-            for slot in row[0]..row[1] {
-                let at = &mut cursor[col_idx[slot]];
-                upper_cols[*at] = i;
-                upper_source[*at] = slot as u32;
-                *at += 1;
+        for i in (0..n).rev() {
+            for &j in &col_idx[row_ptr[i]..row_ptr[i + 1] - 1] {
+                upper_level[j] = upper_level[j].max(upper_level[i] + 1);
             }
         }
+        let (mut lower, position) =
+            CompiledSptrsv::with_levels(Triangle::Lower, &lower_level, &lower_deps);
+        let (mut upper, upper_position) =
+            CompiledSptrsv::with_levels(Triangle::Upper, &upper_level, &upper_deps);
+
+        // One pass over `L` in natural order writes both plans' columns —
+        // rows of `L` ascending land in each row of `Lᵀ` ascending — and
+        // numbers every slot into the layouts: `L`'s for the corrections,
+        // `L`'s again as the source of each value of `Lᵀ`'s.
+        let mut to_layout = vec![0u32; col_idx.len()];
+        let mut upper_source = vec![0u32; col_idx.len()];
+        let mut upper_next: Vec<usize> = upper_position
+            .iter()
+            .map(|&k| upper.span(k as usize).start)
+            .collect();
+        for (i, row) in row_ptr.windows(2).enumerate() {
+            let (k, diag) = (position[i] as usize, row[1] - 1);
+            for (natural, laid) in (row[0]..diag).zip(lower.span(k)) {
+                let j = col_idx[natural];
+                lower.cols_mut()[laid] = j as u32;
+                to_layout[natural] = laid as u32;
+                let at = &mut upper_next[j];
+                upper.cols_mut()[*at] = i as u32;
+                upper_source[*at] = laid as u32;
+                *at += 1;
+            }
+            let pivot = (lower.pivots_at() + k) as u32;
+            to_layout[diag] = pivot;
+            upper_source[upper.pivots_at() + upper_position[i] as usize] = pivot;
+        }
+        for slot in corrections.iter_mut().flatten().filter(|s| **s != END) {
+            *slot = to_layout[*slot as usize];
+        }
+        debug_assert!(lower.walks_by_level(&lower_level) && upper.walks_by_level(&upper_level));
         Ok(Ic0Schedule {
-            lower: CsrPattern::from_raw_parts_unchecked(n, n, row_ptr, col_idx),
-            upper: CsrPattern::from_raw_parts_unchecked(n, n, upper_ptr, upper_cols),
+            plans: Arc::new((lower, upper)),
+            position,
             upper_source,
             corrections,
             source_nnz: a.nnz(),
         })
     }
 
-    /// The pattern of `L`: `tril(A)`, each row ending on its diagonal.
-    pub fn lower(&self) -> &CsrPattern {
-        &self.lower
+    /// The substitution plan of `L`: `tril(A)`'s pattern, level-ordered.
+    pub fn lower(&self) -> &CompiledSptrsv {
+        &self.plans.0
     }
 
-    /// The pattern of `Lᵀ`, each row starting on its diagonal.
-    pub fn upper(&self) -> &CsrPattern {
-        &self.upper
+    /// The substitution plan of `Lᵀ`.
+    pub fn upper(&self) -> &CompiledSptrsv {
+        &self.plans.1
+    }
+
+    /// Both plans (`L`'s, `Lᵀ`'s), shared with every factor replayed from
+    /// the schedule.
+    pub fn plans(&self) -> &Arc<(CompiledSptrsv, CompiledSptrsv)> {
+        &self.plans
     }
 
     /// Products the schedule subtracts from strictly-lower entries.
@@ -164,21 +208,25 @@ impl Ic0Schedule {
         self.corrections.len() - 1
     }
 
-    /// Bytes the schedule keeps alive.
+    /// Bytes the schedule keeps alive: the two plans, the level positions,
+    /// the source slots of `Lᵀ` and the correction triples.
     pub fn retained_bytes(&self) -> usize {
-        let pattern = |p: &CsrPattern| 8 * (p.row_ptr().len() + p.nnz());
-        pattern(&self.lower)
-            + pattern(&self.upper)
-            + 4 * self.upper_source.len()
+        self.lower().retained_bytes()
+            + self.upper().retained_bytes()
+            + 4 * (self.position.len() + self.upper_source.len())
             + 12 * self.corrections.len()
     }
 
     /// The values half: factors `a` along the schedule, writing `L`'s
-    /// values into `lower` and `Lᵀ`'s into `upper` (both resized to fit;
-    /// what they held is overwritten). Per entry the operations of the
-    /// left-looking factorization in its order — `a_ij`, minus each
-    /// `l_ik · l_jk` by ascending `k`, times `1 / l_jj` or under the root —
-    /// so the factor is bitwise what a merge of rows `i` and `j` produces.
+    /// values into `lower` and `Lᵀ`'s into `upper`, each in its plan's
+    /// level-ordered layout ([`crate::LevelOrdered`]; both resized to fit,
+    /// what they held is overwritten). Rows are eliminated in natural
+    /// order, and per entry the operations of the left-looking
+    /// factorization in its order — `a_ij`, minus each `l_ik · l_jk` by
+    /// ascending `k`, times `1 / l_jj` or under the root — so every value
+    /// is bitwise what a merge of rows `i` and `j` produces, and a
+    /// breakdown names the same row; only where each value is stored
+    /// differs.
     ///
     /// The diagonal slot of each row holds the *reciprocal* pivot
     /// `1 / l_ii`, not `l_ii`: the form substitution multiplies by
@@ -205,34 +253,37 @@ impl Ic0Schedule {
         lower: &mut Vec<T>,
         upper: &mut Vec<T>,
     ) -> Result<(), Ic0Refusal> {
-        let n = self.lower.nrows();
+        let plan = self.lower();
+        let n = plan.nrows();
         if (a.nrows(), a.ncols(), a.nnz()) != (n, n, self.source_nnz) {
             return Err(Ic0Refusal::Stale);
         }
         // Recycled buffers usually have the right length already.
-        lower.resize(self.lower.nnz(), T::ZERO);
-        upper.resize(self.lower.nnz(), T::ZERO);
-        let (l_ptr, l_cols) = (self.lower.row_ptr(), self.lower.col_idx());
+        lower.resize(plan.tri_nnz(), T::ZERO);
+        upper.resize(plan.tri_nnz(), T::ZERO);
+        let (cols, pivots) = (plan.cols(), plan.pivots_at());
+        let pivot_of = |row: usize| pivots + self.position[row] as usize;
         let (a_cols, a_vals) = (a.col_idx(), a.values());
         let v = &mut lower[..];
         let mut next = 0usize;
-        for (i, (row, src)) in l_ptr.windows(2).zip(a.row_ptr().windows(2)).enumerate() {
-            let (first, diag) = (row[0], row[1] - 1);
-            let src_diag = src[0] + (diag - first);
+        for (i, (src, &k)) in a.row_ptr().windows(2).zip(&self.position).enumerate() {
+            let (span, diag) = (plan.span(k as usize), pivots + k as usize);
+            let src_diag = src[0] + span.len();
             if src_diag >= src[1] || a_cols[src_diag] != i {
                 return Err(Ic0Refusal::Stale);
             }
-            v[first..=diag].copy_from_slice(&a_vals[src[0]..=src_diag]);
-            for slot in first..diag {
+            v[span.clone()].copy_from_slice(&a_vals[src[0]..src_diag]);
+            v[diag] = a_vals[src_diag];
+            for slot in span.clone() {
                 let mut s = v[slot];
                 while self.corrections[next][0] as usize == slot {
                     let [_, ik, jk] = self.corrections[next];
                     s -= v[ik as usize] * v[jk as usize];
                     next += 1;
                 }
-                v[slot] = s * v[l_ptr[l_cols[slot] + 1] - 1];
+                v[slot] = s * v[pivot_of(cols[slot] as usize)];
             }
-            let s = v[first..diag].iter().fold(v[diag], |s, &l| s - l * l);
+            let s = v[span].iter().fold(v[diag], |s, &l| s - l * l);
             // The pivot must be finite and positive. `+∞` passes `> 0` and
             // leaves a reciprocal of 0, which is what rules it out: a finite
             // test on `s` beside the sign test made short-row fills up to
@@ -256,12 +307,22 @@ mod tests {
     use super::*;
     use crate::generate;
 
+    /// `values` in `plan`'s layout, back in natural CSR form.
+    fn natural(plan: &CompiledSptrsv, values: &[f64]) -> CsrMatrix<f64> {
+        let laid = crate::LevelOrdered::from_values(plan, values.to_vec()).unwrap();
+        plan.to_csr(&laid).unwrap()
+    }
+
     #[test]
     fn a_five_point_stencil_needs_no_correction_and_a_dense_block_does() {
         let a = generate::poisson2d::<f64>(6, 5);
         let s = Ic0Schedule::of(&a).unwrap();
-        assert_eq!(s.lower().nnz(), (a.nnz() + a.nrows()) / 2);
+        assert_eq!(s.lower().tri_nnz(), (a.nnz() + a.nrows()) / 2);
         assert_eq!(s.corrections(), 0);
+        // The plans are the matrix's own: L's pattern is tril(A), and Lᵀ's
+        // is triu(A) for a symmetric pattern.
+        assert_eq!(s.lower(), &CompiledSptrsv::compile_lower(&a).unwrap());
+        assert_eq!(s.upper(), &CompiledSptrsv::compile_upper(&a).unwrap());
         // Dense 4x4: entry (i, j) subtracts one product per k < j.
         let mut dense = crate::CooMatrix::new(4, 4);
         for (i, j) in (0..4).flat_map(|i| (0..4).map(move |j| (i, j))) {
@@ -269,11 +330,15 @@ mod tests {
         }
         let dense = dense.to_csr();
         let s = Ic0Schedule::of(&dense).unwrap();
-        assert_eq!(s.lower().nnz(), 10);
+        assert_eq!(s.lower().tri_nnz(), 10);
         // (2,1): k=0; (3,1): k=0; (3,2): k=0,1.
         assert_eq!(s.corrections(), 4);
-        assert_eq!(s.upper().row_ptr(), &[0, 4, 7, 9, 10]);
-        assert_eq!(s.upper().col_idx(), &[0, 1, 2, 3, 1, 2, 3, 2, 3, 3]);
+        let (mut l, mut u) = (Vec::new(), Vec::new());
+        s.fill(&dense, &mut l, &mut u).unwrap();
+        let upper = natural(s.upper(), &u);
+        assert_eq!(upper.row_ptr(), &[0, 4, 7, 9, 10]);
+        assert_eq!(upper.col_idx(), &[0, 1, 2, 3, 1, 2, 3, 2, 3, 3]);
+        assert_eq!(upper, natural(s.lower(), &l).transpose());
     }
 
     #[test]
@@ -283,11 +348,12 @@ mod tests {
         let (mut l, mut u) = (Vec::new(), Vec::new());
         assert_eq!(s.fill(&a, &mut l, &mut u), Ok(()));
         assert_eq!((l.len(), u.len()), (11, 11));
+        let (lower, upper) = (natural(s.lower(), &l), natural(s.upper(), &u));
         // The diagonal slot holds the reciprocal pivot, in both factors.
-        assert_eq!(l[0], 1.0 / 2.0_f64.sqrt());
-        assert_eq!(u[0], l[0]);
+        assert_eq!(lower.values()[0], 1.0 / 2.0_f64.sqrt());
+        assert_eq!(upper.values()[0], lower.values()[0]);
         // l_10 = a_10 · (1 / l_00), and a_10 = −1.
-        assert_eq!(l[1], -l[0]);
+        assert_eq!(lower.values()[1], -lower.values()[0]);
         // Another shape, and the same shape with another entry count.
         let other = generate::poisson1d::<f64>(7);
         assert_eq!(s.fill(&other, &mut l, &mut u), Err(Ic0Refusal::Stale));
@@ -327,6 +393,7 @@ mod tests {
         assert!(pivot > 0.0 && !pivot.is_normal());
         let (outcome, l) = fill_with_second_pivot(pivot);
         assert_eq!(outcome, Ok(()));
+        // No dependencies: the layout is the two pivots, in row order.
         assert_eq!(l, [0.5, 1.0 / pivot.sqrt()]);
         assert!(l[1].is_finite());
     }

@@ -76,5 +76,5 @@ pub use error::{IoError, SparseError};
 pub use ic0::{Ic0Refusal, Ic0Schedule};
 pub use scalar::Scalar;
 pub use simd::DeterminismPolicy;
-pub use sptrsv::{CompiledSptrsv, Triangle};
+pub use sptrsv::{CompiledSptrsv, LevelOrdered, Triangle};
 pub use stats::RowNnzStats;

@@ -27,7 +27,8 @@ use acamar::solvers::{
 use acamar::sparse::generate::{self, RowDistribution};
 use acamar::sparse::rng::DetRng;
 use acamar::sparse::{
-    CompiledSpmv, CompiledSptrsv, CooMatrix, CsrMatrix, DeterminismPolicy, SparseError,
+    CompiledSpmv, CompiledSptrsv, CooMatrix, CsrMatrix, DeterminismPolicy, LevelOrdered,
+    SparseError,
 };
 use acamar::telemetry::{Counter, Event, EventKind, Region, RingRecorder, TelemetrySink};
 use std::sync::Arc;
@@ -345,7 +346,7 @@ impl Kernels<f64> for WalkPriced {
         self.inner.sor_sweep(a, diag, omega, b, x);
     }
 
-    fn sptrsv(&mut self, plan: &CompiledSptrsv, m: &CsrMatrix<f64>, b: &[f64], x: &mut [f64]) {
+    fn sptrsv(&mut self, plan: &CompiledSptrsv, m: &LevelOrdered<f64>, b: &[f64], x: &mut [f64]) {
         let cyc = plan.tri_nnz() as u64 + plan.level_count() as u64 * PIPELINE_DEPTH;
         self.cycles.spmv += cyc;
         self.capacity_flops += cyc as f64 * 2.0;

@@ -425,7 +425,7 @@ fn workers_racing_on_a_cold_pattern_build_the_ic0_schedule_once() {
     assert_eq!(counters[Counter::Ic0SchedulesBuilt.index()], 1);
     assert_eq!(counters[Counter::Ic0ScheduleRebuilds.index()], 0);
     let schedule = artifacts.derived.ic0_schedule().expect("built by the race");
-    assert_eq!(schedule.lower().nnz(), (a.nnz() + 1200) / 2);
+    assert_eq!(schedule.lower().tri_nnz(), (a.nnz() + 1200) / 2);
 
     // Warm, cold and memo-less agree to the byte; nothing more is built.
     let sink = TelemetrySink::new(Arc::clone(&ring) as Arc<_>);
@@ -535,7 +535,7 @@ fn a_sequence_keeps_the_ic0_schedule_on_a_retile_and_resets_it_on_a_pattern_delt
     assert!(moved.derived.ic0_schedule().is_none() && moved.derived.sptrsv().is_none());
     pcg(&a1, &moved);
     let rescheduled = moved.derived.ic0_schedule().expect("rebuilt");
-    assert_eq!(rescheduled.lower().nnz(), (a1.nnz() + 800) / 2);
+    assert_eq!(rescheduled.lower().tri_nnz(), (a1.nnz() + 800) / 2);
     assert_eq!(rescheduled, &acamar::sparse::Ic0Schedule::of(&*a1).unwrap());
     let (lower, upper) = &**moved.derived.sptrsv().expect("memoised by the attempt");
     assert!(lower.verify_pattern(&*a1) && upper.verify_pattern(&*a1));
@@ -691,13 +691,12 @@ fn the_substitution_plans_are_built_by_the_first_forced_pcg_and_reused() {
         run(Some(solver));
         assert!(artifacts.derived.sptrsv().is_none(), "{solver:?}");
     }
-    // The first forced PCG compiles the pair from its factors' patterns;
+    // The first forced PCG publishes the schedule's pair of plans;
     // the second replays it.
     assert!(run(Some(SolverKind::PreconditionedCg)).converged());
     let plans = Arc::clone(artifacts.derived.sptrsv().expect("built by PCG"));
     let schedule = artifacts.derived.ic0_schedule().unwrap();
-    assert_eq!(plans.0.tri_nnz(), schedule.lower().nnz());
-    assert_eq!(plans.1.tri_nnz(), schedule.upper().nnz());
+    assert!(Arc::ptr_eq(&plans, schedule.plans()), "the schedule's own");
     assert!(plans.0.verify_pattern(&a) && plans.1.verify_pattern(&a));
     assert!(run(Some(SolverKind::PreconditionedCg)).converged());
     assert!(Arc::ptr_eq(artifacts.derived.sptrsv().unwrap(), &plans));

@@ -6,15 +6,16 @@
 //! output and transpose it — per request. That left-looking merge now
 //! lives *here*, as the oracle: an `Ic0Schedule` built once per pattern and
 //! replayed into whatever buffers it is handed must produce `L` and `Lᵀ`
-//! bit for bit — index arrays and values — and stop at the same row when a
-//! pivot fails, for every matrix of the pattern, in either precision. The
-//! oracle shares no code with the schedule.
+//! bit for bit — index arrays and values, read back through the plans'
+//! level-ordered layouts (`CompiledSptrsv::to_csr`) — and stop at the same
+//! row when a pivot fails, for every matrix of the pattern, in either
+//! precision. The oracle shares no code with the schedule.
 
 use acamar::datasets::{laplacian_suite, suite};
 use acamar::solvers::Ic0;
 use acamar::sparse::generate::{self, RowDistribution};
 use acamar::sparse::rng::DetRng;
-use acamar::sparse::{CsrMatrix, Ic0Refusal, Ic0Schedule, Scalar, SparseError};
+use acamar::sparse::{CompiledSptrsv, CsrMatrix, Ic0Refusal, Ic0Schedule, Scalar, SparseError};
 
 /// The factorization as it was: `tril(A)` into fresh arrays, then for each
 /// in-pattern entry `(i, j)`, `j <= i`,
@@ -97,14 +98,24 @@ fn assert_same_matrix<T: Scalar>(got: &CsrMatrix<T>, want: &CsrMatrix<T>, what: 
     assert_eq!(bits(got), bits(want), "{what}: values");
 }
 
+/// The factors mapped back to rows and columns through their own plans.
+fn in_rows<T: Scalar>(ic: &Ic0<T>) -> (CsrMatrix<T>, CsrMatrix<T>) {
+    let (lower, upper) = ic.plans();
+    (
+        lower.to_csr(ic.lower()).unwrap(),
+        upper.to_csr(ic.upper()).unwrap(),
+    )
+}
+
 /// `Ic0::factor` (build + replay) and a kept schedule replayed into stale
 /// buffers of the wrong length, both against the oracle on `a`.
 fn check_against_oracle<T: Scalar>(a: &CsrMatrix<T>, schedule: Option<&Ic0Schedule>, what: &str) {
     let want = merge_factor(a);
     match (&want, Ic0::factor(a)) {
         (Ok((l, lt)), Ok(got)) => {
-            assert_same_matrix(got.lower(), l, &format!("{what}: factor L"));
-            assert_same_matrix(got.upper(), lt, &format!("{what}: factor Lᵀ"));
+            let (got_l, got_lt) = in_rows(&got);
+            assert_same_matrix(&got_l, l, &format!("{what}: factor L"));
+            assert_same_matrix(&got_lt, lt, &format!("{what}: factor Lᵀ"));
         }
         (Err(want), Err(got)) => assert_eq!(&got, want, "{what}: factor"),
         (want, got) => panic!("{what}: oracle {want:?}, factor {got:?}"),
@@ -122,14 +133,12 @@ fn check_against_oracle<T: Scalar>(a: &CsrMatrix<T>, schedule: Option<&Ic0Schedu
     let stale = |len: usize| vec![T::from_f64(f64::NAN); len];
     match (want, Ic0::replay(schedule, a, stale(3), stale(a.nnz() + 7))) {
         (Ok((l, lt)), Ok(got)) => {
-            assert_same_matrix(got.lower(), &l, &format!("{what}: replay L"));
-            assert_same_matrix(got.upper(), &lt, &format!("{what}: replay Lᵀ"));
-            // The factors sit on the schedule's own shared patterns.
-            assert_eq!(got.lower().pattern(), schedule.lower(), "{what}");
-            assert_eq!(got.upper().pattern(), schedule.upper(), "{what}");
-            assert_eq!(
-                got.lower().row_ptr().as_ptr(),
-                schedule.lower().row_ptr().as_ptr(),
+            let (got_l, got_lt) = in_rows(&got);
+            assert_same_matrix(&got_l, &l, &format!("{what}: replay L"));
+            assert_same_matrix(&got_lt, &lt, &format!("{what}: replay Lᵀ"));
+            // The factors are laid out in the schedule's own shared plans.
+            assert!(
+                std::ptr::eq(got.plans(), &**schedule.plans()),
                 "{what}: shared, not copied"
             );
         }
@@ -214,7 +223,7 @@ fn seeded_spd_patterns_are_bitwise_the_merge() {
         let a =
             generate::spd_from_pattern::<f64>(n, dist, 0.3, rng.gen_range(0..1usize << 40) as u64);
         let schedule = Ic0Schedule::of(&a).expect("a generated diagonal is full");
-        assert_eq!(schedule.lower().nnz(), (a.nnz() + n) / 2, "case {case}");
+        assert_eq!(schedule.lower().tri_nnz(), (a.nnz() + n) / 2, "case {case}");
         corrections += schedule.corrections();
         assert!(Ic0::factor(&a).is_ok(), "case {case}: SPD by Gershgorin");
         check_pattern(&a, &format!("case {case} (n = {n})"));
@@ -236,27 +245,48 @@ fn one_schedule_serves_both_precisions_and_keeps_what_the_formula_says() {
     let schedule = Ic0Schedule::of(&a).unwrap();
     let wide = Ic0::replay(&schedule, &a, Vec::new(), Vec::new()).unwrap();
     let narrow = Ic0::replay(&schedule, &a.cast::<f32>(), Vec::new(), Vec::new()).unwrap();
-    // Same index storage under both, whatever the scalar type.
-    assert_eq!(
-        wide.lower().col_idx().as_ptr(),
-        narrow.lower().col_idx().as_ptr()
-    );
-    assert_eq!(
-        wide.upper().col_idx().as_ptr(),
-        narrow.upper().col_idx().as_ptr()
-    );
+    // The same plans under both, whatever the scalar type.
+    assert!(std::ptr::eq(wide.plans(), narrow.plans()));
     assert_same_matrix(
-        narrow.lower(),
+        &in_rows(&narrow).0,
         &merge_factor(&a.cast::<f32>()).unwrap().0,
         "f32 through the f64 matrix's schedule",
     );
-    // Two triangle patterns, the source slots, and the correction triples
-    // with their end mark.
+    // Two plans, each row's level position, the source slots, and the
+    // correction triples with their end mark.
     let (rows, tri) = (a.nrows(), (a.nnz() + a.nrows()) / 2);
     assert_eq!(
         schedule.retained_bytes(),
-        2 * 8 * (rows + 1 + tri) + 4 * tri + 12 * (schedule.corrections() + 1)
+        plan_bytes(schedule.lower(), rows, tri)
+            + plan_bytes(schedule.upper(), rows, tri)
+            + 4 * rows
+            + 4 * tri
+            + 12 * (schedule.corrections() + 1)
     );
+}
+
+/// A substitution plan of `rows` rows and `tri` entries: per level its
+/// width, per row its place in the order and its offset (one more
+/// offset closes the last row), per off-diagonal entry its column — four
+/// bytes each.
+fn plan_bytes(plan: &CompiledSptrsv, rows: usize, tri: usize) -> usize {
+    4 * (plan.level_count() + rows + (rows + 1) + (tri - rows))
+}
+
+#[test]
+fn a_grid_schedule_keeps_what_the_formula_says() {
+    // poisson2d-24: 576 rows, 1 680 entries per triangle, 47 levels in
+    // each direction, no correction.
+    let a = generate::poisson2d::<f64>(24, 24);
+    let schedule = Ic0Schedule::of(&a).unwrap();
+    let (rows, tri) = (576, 1680);
+    assert_eq!(schedule.lower().tri_nnz(), tri);
+    assert_eq!(schedule.lower().level_count(), 47);
+    assert_eq!(schedule.upper().level_count(), 47);
+    assert_eq!(schedule.corrections(), 0);
+    let formula = 2 * plan_bytes(schedule.lower(), rows, tri) + 4 * rows + 4 * tri + 12;
+    assert_eq!(schedule.retained_bytes(), formula);
+    assert_eq!(formula, 27_468);
 }
 
 #[test]
@@ -285,10 +315,10 @@ fn a_nonsymmetric_input_factors_its_lower_triangle_and_ignores_the_rest() {
     }
     let lopsided = CsrMatrix::try_from_parts(120, 120, row_ptr, cols, vals).unwrap();
     assert!(!lopsided.is_pattern_symmetric());
-    let of_spd = Ic0::factor(&spd).unwrap();
-    let of_lopsided = Ic0::factor(&lopsided).unwrap();
-    assert_same_matrix(of_lopsided.lower(), of_spd.lower(), "L");
-    assert_same_matrix(of_lopsided.upper(), of_spd.upper(), "Lᵀ");
+    let of_spd = in_rows(&Ic0::factor(&spd).unwrap());
+    let of_lopsided = in_rows(&Ic0::factor(&lopsided).unwrap());
+    assert_same_matrix(&of_lopsided.0, &of_spd.0, "L");
+    assert_same_matrix(&of_lopsided.1, &of_spd.1, "Lᵀ");
     check_pattern(&lopsided, "lopsided");
     // The two patterns differ in entry count, so neither's schedule is
     // accepted for the other.

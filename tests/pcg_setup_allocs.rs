@@ -2,11 +2,11 @@
 //!
 //! IC(0)-preconditioned CG is the one solver that *factors* before it
 //! iterates. With the pattern's `DerivedPlan` memo installed — what
-//! production runs — the factors' patterns and the elimination schedule
-//! are cached (`Ic0Schedule`) with the substitution plans compiled from
-//! them, and the two value arrays land in the workspace's operand slot: a
-//! warm solve allocates for nothing but what escapes it. Without a memo
-//! the schedule and the plans are rebuilt per solve. The counts below are
+//! production runs — the elimination schedule and the substitution plans
+//! the factors are laid out in are cached (`Ic0Schedule`), and the two
+//! value arrays land in the workspace's operand slot: a warm solve
+//! allocates for nothing but what escapes it. Without a memo the schedule
+//! and its plans are rebuilt per solve. The counts below are
 //! the whole solve's — with a warm buffer pool and a one-iteration budget,
 //! set-up is all that is left — and the memoised one must not depend on
 //! the matrix.
@@ -64,14 +64,17 @@ fn a_warm_ic0_pcg_set_up_allocates_a_fixed_small_number_of_times() {
     assert_eq!(warm_setup_allocations(&stencil, true), 2);
     assert_eq!(warm_setup_allocations(&large_stencil, true), 2);
     assert_eq!(warm_setup_allocations(&ragged, true), 2);
-    // No memo: the schedule's seven arrays (two patterns of two, the
-    // transpose's cursors and source slots, the column map), the four
-    // shared arrays made from the patterns', and the correction list — one
-    // block on a stencil, which has no correction to record (a pattern
-    // that has some grows the list as it finds them), and three per
-    // substitution plan (the level array, the row order, the level
-    // widths). The factors' values are pooled either way.
-    assert_eq!(warm_setup_allocations(&stencil, false), 2 + 12 + 6);
-    assert_eq!(warm_setup_allocations(&large_stencil, false), 2 + 12 + 6);
-    assert!(warm_setup_allocations(&ragged, false) > 2 + 12 + 6);
+    // No memo: the schedule's eight working arrays (`L`'s pattern of two,
+    // the two plans' levels and dependency counts, the column map, and the
+    // correction list — one block on a stencil, which has no correction to
+    // record; a pattern that has some grows the list as it finds them),
+    // six per substitution plan (the level widths and their cursors, the
+    // row positions, the order, the row offsets, the columns), the three
+    // arrays of the layout pass (the slot renumbering, `Lᵀ`'s source slots
+    // and its row cursors), and the shared pair of plans. The factors'
+    // values are pooled either way.
+    let no_memo = 2 + 8 + 12 + 3 + 1;
+    assert_eq!(warm_setup_allocations(&stencil, false), no_memo);
+    assert_eq!(warm_setup_allocations(&large_stencil, false), no_memo);
+    assert!(warm_setup_allocations(&ragged, false) > no_memo);
 }

@@ -1,23 +1,29 @@
 //! Property test for the SpTRSV kernel (DESIGN §17), against arithmetic
 //! and graph walks written here rather than taken from the plan:
 //!
-//! * `solve(Deterministic)` is **bitwise identical** to a plain
-//!   substitution loop, lower and upper;
-//! * `solve(Fast)` stays within `1e-9 · (1 + |x|)` of it;
-//! * `level_count` is the longest dependency chain of the triangle;
-//! * a plan compiled for one pattern, applied to a same-size factor of
-//!   another pattern, still returns that factor's substitution result —
-//!   the plan prices a solve, it does not order it;
-//! * the row kernel's shortcut for rows that end on their diagonal changes
-//!   nothing: a triangular operand (every row takes it), the full
-//!   symmetric matrix (no row with an entry past the diagonal does) and an
-//!   operand with a row whose diagonal is missing all match the loop;
+//! * the level-ordered `solve(Deterministic)` is **bitwise identical** to
+//!   a plain natural-order substitution loop, lower and upper, f64 and
+//!   f32 — every row does the loop's operations in its order, and reads
+//!   only unknowns of earlier levels;
+//! * `solve(Fast)` is bitwise a four-lane row fold written here: the walk
+//!   re-associates within a row and nowhere else;
+//! * `level_count` is the longest dependency chain of the triangle, and
+//!   the walk's order is by level, ties by row index;
+//! * both hold for the IC(0) factors the preconditioner walks, on the 64
+//!   seeded patterns, the four stencil grids, the 17 SPD Table II analogs
+//!   and eight `spd_from_pattern` systems — and the plan compiled from the
+//!   full SPD matrix is the factor's own;
+//! * an operand of another shape or entry count, or a matrix of another
+//!   pattern laid out against the plan, is a typed `SparseError` that
+//!   leaves `x` alone — never a wrong answer;
+//! * a triangular operand and the full symmetric matrix lay out to the
+//!   same substitution, and a row whose diagonal is missing is refused
+//!   before anything is solved;
 //! * the IC(0) apply built on it (`Ic0::apply`, reciprocal pivots in the
 //!   diagonal slots) solves `L·Lᵀ z = r` for `L` rebuilt from the stored
 //!   form, and agrees with a divide-based substitution entry by entry —
-//!   on SPD matrices over the same 64 patterns, the four stencil grids and
-//!   the 17 SPD Table II analogs, in f64 and f32, within bounds stated
-//!   beside the test.
+//!   on the same systems, in f64 and f32, within bounds stated beside the
+//!   test.
 //!
 //! Runs 64 seeded random triangular patterns (sizes 4..100, densities
 //! 5%..40%); each failure message carries the seed, so any counterexample
@@ -25,9 +31,13 @@
 
 use acamar::datasets::{suite, StructuralClass};
 use acamar::solvers::{Ic0, SoftwareKernels};
+use acamar::sparse::generate::{self, RowDistribution};
 use acamar::sparse::rng::DetRng;
 use acamar::sparse::DeterminismPolicy::{Deterministic, Fast};
-use acamar::sparse::{generate, CompiledSptrsv, CooMatrix, CsrMatrix, Scalar, Triangle};
+use acamar::sparse::{
+    CompiledSptrsv, CooMatrix, CsrMatrix, DeterminismPolicy, LevelOrdered, Scalar, SparseError,
+    Triangle,
+};
 
 /// Number of random triangular patterns to try.
 const CASES: u64 = 64;
@@ -54,7 +64,7 @@ fn random_lower_of(rng: &mut DetRng, n: usize) -> CsrMatrix<f64> {
     coo.to_csr()
 }
 
-/// Rows in the order substitution must visit them.
+/// Rows in the order a natural substitution visits them.
 fn substitution_order(n: usize, tri: Triangle) -> Vec<usize> {
     match tri {
         Triangle::Lower => (0..n).collect(),
@@ -62,31 +72,55 @@ fn substitution_order(n: usize, tri: Triangle) -> Vec<usize> {
     }
 }
 
-/// Textbook substitution over `m`'s triangle in reciprocal-pivot form:
-/// subtract the known terms in stored order, multiply by the diagonal
-/// slot (`1 / t_ii`; a row without one reads 0 there and solves to 0).
-/// Entries on the other side of the diagonal are not part of the system.
-fn substitute(m: &CsrMatrix<f64>, b: &[f64], tri: Triangle) -> Vec<f64> {
-    let mut x = vec![0.0; b.len()];
+/// Row `i`'s off-diagonal in-triangle `(column, value)` pairs in stored
+/// order, and its diagonal slot (`1 / t_ii`).
+fn triangle_row<T: Scalar>(m: &CsrMatrix<T>, i: usize, tri: Triangle) -> (Vec<(usize, T)>, T) {
+    let (cols, vals) = m.row(i);
+    let mut diag = None;
+    let mut deps = Vec::new();
+    for (&c, &v) in cols.iter().zip(vals) {
+        let inside = match tri {
+            Triangle::Lower => c <= i,
+            Triangle::Upper => c >= i,
+        };
+        if c == i {
+            diag = Some(v);
+        } else if inside {
+            deps.push((c, v));
+        }
+    }
+    (deps, diag.expect("every row stores its diagonal"))
+}
+
+/// Textbook substitution over `m`'s triangle in reciprocal-pivot form,
+/// rows in natural order: subtract the known terms in stored order,
+/// multiply by the diagonal slot (`1 / t_ii`). Entries on the other side
+/// of the diagonal are not part of the system.
+fn substitute<T: Scalar>(m: &CsrMatrix<T>, b: &[T], tri: Triangle) -> Vec<T> {
+    let mut x = vec![T::ZERO; b.len()];
     for i in substitution_order(b.len(), tri) {
-        let (cols, vals) = m.row(i);
-        let mut acc = b[i];
-        let mut diag = 0.0;
-        for (&c, &v) in cols.iter().zip(vals) {
-            let outside = match tri {
-                Triangle::Lower => c > i,
-                Triangle::Upper => c < i,
-            };
-            if outside {
-                continue;
-            }
-            if c == i {
-                diag = v;
-            } else {
-                acc -= v * x[c];
+        let (deps, diag) = triangle_row(m, i, tri);
+        let acc = deps.iter().fold(b[i], |acc, &(c, v)| acc - v * x[c]);
+        x[i] = acc * diag;
+    }
+    x
+}
+
+/// The fast tier's row, written out: the products in stored order, four
+/// at a time into four lanes (the last group padded with zeros), the
+/// lanes summed `(l0 + l1) + (l2 + l3)` and taken from `b_i` once, then
+/// the multiply by the diagonal slot.
+fn substitute_in_lanes<T: Scalar>(m: &CsrMatrix<T>, b: &[T], tri: Triangle) -> Vec<T> {
+    let mut x = vec![T::ZERO; b.len()];
+    for i in substitution_order(b.len(), tri) {
+        let (deps, diag) = triangle_row(m, i, tri);
+        let mut lanes = [T::ZERO; 4];
+        for group in deps.chunks(4) {
+            for (k, lane) in lanes.iter_mut().enumerate() {
+                *lane += group.get(k).map_or(T::ZERO, |&(c, v)| v * x[c]);
             }
         }
-        x[i] = acc * diag;
+        x[i] = (b[i] - ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))) * diag;
     }
     x
 }
@@ -107,30 +141,66 @@ fn with_pivots(m: &CsrMatrix<f64>) -> CsrMatrix<f64> {
     t
 }
 
-/// Longest dependency chain of a triangular `m`, by peeling: each round
-/// retires every row all of whose off-diagonal columns are already
-/// retired; the number of rounds is the chain length.
-fn longest_chain(m: &CsrMatrix<f64>) -> usize {
+/// Each row's level in a triangular `m`, by peeling: each round retires
+/// every row all of whose off-diagonal columns are already retired; a
+/// row's level is the round that retires it, and the number of rounds is
+/// the longest dependency chain.
+fn peeled_levels(m: &CsrMatrix<f64>) -> Vec<usize> {
     let n = m.nrows();
-    let mut retired = vec![false; n];
+    let mut level = vec![usize::MAX; n];
     let mut left = n;
-    let mut rounds = 0;
+    let mut round = 0;
     while left > 0 {
         let ready: Vec<usize> = (0..n)
-            .filter(|&i| !retired[i] && m.row(i).0.iter().all(|&c| c == i || retired[c]))
+            .filter(|&i| {
+                let done = |c: usize| c == i || level[c] < round;
+                level[i] == usize::MAX && m.row(i).0.iter().all(|&c| done(c))
+            })
             .collect();
         assert!(!ready.is_empty(), "dependency cycle");
         for i in ready {
-            retired[i] = true;
+            level[i] = round;
             left -= 1;
         }
-        rounds += 1;
+        round += 1;
     }
-    rounds
+    level
 }
 
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
+fn bits<T: Scalar>(v: &[T]) -> Vec<u64> {
+    v.iter().map(|x| x.to_f64().to_bits()).collect()
+}
+
+fn plan_of<T: Scalar>(m: &CsrMatrix<T>, tri: Triangle) -> Result<CompiledSptrsv, SparseError> {
+    match tri {
+        Triangle::Lower => CompiledSptrsv::compile_lower(m),
+        Triangle::Upper => CompiledSptrsv::compile_upper(m),
+    }
+}
+
+/// `plan`'s solve of `laid` on both tiers against the natural loop and
+/// the lane fold over `m`, the same triangle in natural CSR form.
+fn check_walk<T: Scalar>(
+    plan: &CompiledSptrsv,
+    laid: &LevelOrdered<T>,
+    m: &CsrMatrix<T>,
+    rng: &mut DetRng,
+    ctx: &str,
+) {
+    let tri = plan.triangle();
+    let b: Vec<T> = (0..m.nrows())
+        .map(|_| T::from_f64(rng.gen_f64() * 4.0 - 2.0))
+        .collect();
+    for policy in [Deterministic, Fast] {
+        let mut x = vec![T::from_f64(f64::NAN); m.nrows()];
+        plan.solve(policy, laid, &b, &mut x)
+            .unwrap_or_else(|e| panic!("{ctx}: {policy} solve failed: {e}"));
+        let want = match policy {
+            Deterministic => substitute(m, &b, tri),
+            Fast => substitute_in_lanes(m, &b, tri),
+        };
+        assert_eq!(bits(&x), bits(&want), "{ctx}: {policy}");
+    }
 }
 
 #[test]
@@ -139,20 +209,15 @@ fn solve_is_plain_substitution_and_levels_are_the_longest_chain() {
         let mut rng = DetRng::seed_from_u64(0x5197_0000 + seed);
         let l = random_lower(&mut rng);
         let n = l.nrows();
-        let b: Vec<f64> = (0..n).map(|_| rng.gen_f64() * 4.0 - 2.0).collect();
         let u = l.transpose();
 
         for (m, tri) in [(&l, Triangle::Lower), (&u, Triangle::Upper)] {
             let ctx = format!("seed {seed} {}", tri.label());
-            let plan = match tri {
-                Triangle::Lower => CompiledSptrsv::compile_lower(m),
-                Triangle::Upper => CompiledSptrsv::compile_upper(m),
-            }
-            .unwrap_or_else(|e| panic!("{ctx}: compile failed: {e}"));
-            let reference = substitute(m, &b, tri);
-
-            // The reference must actually solve the triangle before it
+            let plan = plan_of(m, tri).unwrap_or_else(|e| panic!("{ctx}: compile failed: {e}"));
+            let b: Vec<f64> = (0..n).map(|_| rng.gen_f64() * 4.0 - 2.0).collect();
+            // The natural loop must actually solve the triangle before it
             // can serve as the bitwise oracle.
+            let reference = substitute(m, &b, tri);
             let back = with_pivots(m).mul_vec(&reference).unwrap();
             for (i, (bi, ri)) in b.iter().zip(&back).enumerate() {
                 assert!(
@@ -161,66 +226,204 @@ fn solve_is_plain_substitution_and_levels_are_the_longest_chain() {
                 );
             }
 
-            let mut x = vec![f64::NAN; n];
-            plan.solve(Deterministic, m, &b, &mut x)
-                .unwrap_or_else(|e| panic!("{ctx}: solve failed: {e}"));
-            assert_eq!(bits(&x), bits(&reference), "{ctx}: deterministic solve");
+            let laid = plan.layout(m).unwrap();
+            assert_eq!(&plan.to_csr(&laid).unwrap(), m, "{ctx}: layout round trip");
+            check_walk(&plan, &laid, m, &mut rng, &format!("{ctx} f64"));
+            let narrow = m.cast::<f32>();
+            let laid = plan.layout(&narrow).unwrap();
+            check_walk(&plan, &laid, &narrow, &mut rng, &format!("{ctx} f32"));
 
-            x.fill(f64::NAN);
-            plan.solve(Fast, m, &b, &mut x)
-                .unwrap_or_else(|e| panic!("{ctx}: fast solve failed: {e}"));
-            for (i, (f, r)) in x.iter().zip(&reference).enumerate() {
-                assert!(
-                    (f - r).abs() <= 1e-9 * (1.0 + r.abs()),
-                    "{ctx}: fast solve row {i}: {f} vs {r}"
-                );
-            }
-
-            assert_eq!(plan.level_count(), longest_chain(m), "{ctx}: level count");
+            let level = peeled_levels(m);
+            assert_eq!(
+                plan.level_count(),
+                level.iter().max().unwrap() + 1,
+                "{ctx}: level count"
+            );
+            let order: Vec<usize> = plan.order().iter().map(|&i| i as usize).collect();
+            let mut by_level: Vec<usize> = (0..n).collect();
+            by_level.sort_by_key(|&i| (level[i], i));
+            assert_eq!(order, by_level, "{ctx}: walk order");
             assert_eq!(plan.nrows(), n);
             assert_eq!(plan.tri_nnz(), m.nnz());
         }
     }
 }
 
-#[test]
-fn a_plan_for_another_pattern_still_solves_the_factor_it_is_given() {
-    for seed in 0..16u64 {
-        let mut rng = DetRng::seed_from_u64(0x07E4_0000 + seed);
-        let compiled_for = random_lower(&mut rng);
-        let n = compiled_for.nrows();
-        let given = random_lower_of(&mut rng, n);
-        let plan = CompiledSptrsv::compile_lower(&compiled_for).unwrap();
-        assert!(plan.matches(&given));
-        assert!(
-            (compiled_for.row_ptr(), compiled_for.col_idx()) != (given.row_ptr(), given.col_idx()),
-            "seed {seed}: the two patterns agree"
-        );
+/// The SPD systems the IC(0) suites run: an SPD matrix on each of the 64
+/// seeded patterns, the four stencil grids and the 17 SPD Table II
+/// analogs.
+fn spd_systems() -> Vec<(String, CsrMatrix<f64>)> {
+    let mut systems: Vec<(String, CsrMatrix<f64>)> = (0..CASES)
+        .map(|seed| {
+            let mut rng = DetRng::seed_from_u64(0x5197_0000 + seed);
+            (format!("seed {seed}"), spd_on(&random_lower(&mut rng)))
+        })
+        .collect();
+    systems.extend([
+        ("poisson2d-128".into(), generate::poisson2d(128, 128)),
+        ("poisson3d-32".into(), generate::poisson3d(32, 32, 32)),
+        (
+            "anisotropic-40".into(),
+            generate::anisotropic_poisson2d(40, 40, 1.0, 0.05),
+        ),
+        ("jump-64".into(), generate::jump_poisson2d(64, 64, 1e3)),
+    ]);
+    let spd = suite().into_iter().filter(|d| {
+        matches!(
+            d.class,
+            StructuralClass::DominantSpd { .. }
+                | StructuralClass::JacobiDivergentSpd { .. }
+                | StructuralClass::IllConditionedSpd { .. }
+                | StructuralClass::Poisson3d { .. }
+                | StructuralClass::ShiftedGridLaplacian { .. }
+        )
+    });
+    let before = systems.len();
+    systems.extend(spd.map(|d| (format!("table2-{}", d.id), d.matrix_f64())));
+    assert_eq!(systems.len() - before, 17, "the SPD Table II analogs");
+    systems
+}
 
-        let b: Vec<f64> = (0..n).map(|_| rng.gen_f64() * 4.0 - 2.0).collect();
-        let reference = substitute(&given, &b, Triangle::Lower);
-        let mut x = vec![f64::NAN; n];
-        plan.solve(Deterministic, &given, &b, &mut x).unwrap();
-        assert_eq!(bits(&x), bits(&reference), "seed {seed}: deterministic");
-        x.fill(f64::NAN);
-        plan.solve(Fast, &given, &b, &mut x).unwrap();
-        for (f, r) in x.iter().zip(&reference) {
-            assert!((f - r).abs() <= 1e-9 * (1.0 + r.abs()), "seed {seed}: fast");
-        }
+/// `a`'s IC(0) factors walked level by level against the natural loop
+/// and the lane fold over the same factors in natural form, on plans
+/// compiled from `a` itself.
+fn check_factor_walk<T: Scalar>(a: &CsrMatrix<T>, rng: &mut DetRng, what: &str) {
+    let ic = Ic0::factor(a).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let (lower, upper) = ic.plans();
+    let from_a = (
+        CompiledSptrsv::compile_lower(a).unwrap(),
+        CompiledSptrsv::compile_upper(a).unwrap(),
+    );
+    assert_eq!((lower, upper), (&from_a.0, &from_a.1), "{what}: plans");
+    let factors = [(&from_a.0, ic.lower()), (&from_a.1, ic.upper())];
+    for (plan, laid) in factors {
+        let natural = plan.to_csr(laid).unwrap();
+        let ctx = format!("{what} {}", plan.triangle().label());
+        check_walk(plan, laid, &natural, rng, &ctx);
     }
 }
 
-/// `m` without the entry `(row, row)`.
-fn without_diagonal_of(m: &CsrMatrix<f64>, row: usize) -> CsrMatrix<f64> {
+#[test]
+fn ic0_factors_walk_level_by_level_bitwise_on_the_plans_of_their_matrices() {
+    let mut systems = spd_systems();
+    let mut rng = DetRng::seed_from_u64(0x1e7e_1000);
+    systems.extend((0..8).map(|i| {
+        let a = generate::spd_from_pattern(
+            3000,
+            RowDistribution::Uniform { min: 2, max: 8 },
+            0.3,
+            rng.next_u64(),
+        );
+        (format!("spd-3000 #{i}"), a)
+    }));
+    for (what, a) in &systems {
+        check_factor_walk(a, &mut rng, &format!("{what} f64"));
+        check_factor_walk(&a.cast::<f32>(), &mut rng, &format!("{what} f32"));
+    }
+}
+
+/// `m` without the entry `(row, col)`.
+fn without(m: &CsrMatrix<f64>, row: usize, col: usize) -> CsrMatrix<f64> {
     let mut coo = CooMatrix::new(m.nrows(), m.ncols());
     for (i, cols, vals) in m.iter_rows() {
         for (&c, &v) in cols.iter().zip(vals) {
-            if (i, c) != (row, row) {
+            if (i, c) != (row, col) {
                 coo.push(i, c, v).unwrap();
             }
         }
     }
     coo.to_csr()
+}
+
+/// `plan.solve` of `laid` must fail with `want` and leave `x` as it was.
+fn assert_refused(plan: &CompiledSptrsv, laid: &LevelOrdered<f64>, want: &SparseError, ctx: &str) {
+    let b = vec![1.0; plan.nrows()];
+    for policy in DeterminismPolicy::ALL {
+        let mut x = vec![7.0; plan.nrows()];
+        let got = plan.solve(policy, laid, &b, &mut x);
+        assert_eq!(got.as_ref().err(), Some(want), "{ctx}: {policy}");
+        assert!(x.iter().all(|&v| v == 7.0), "{ctx}: {policy}: x written");
+    }
+}
+
+#[test]
+fn an_operand_of_another_shape_or_entry_count_is_a_typed_error() {
+    for seed in 0..16u64 {
+        let mut rng = DetRng::seed_from_u64(0x07E4_0000 + seed);
+        let compiled_for = random_lower(&mut rng);
+        let n = compiled_for.nrows();
+        let plan = CompiledSptrsv::compile_lower(&compiled_for).unwrap();
+        let ctx = format!("seed {seed}");
+
+        // One entry fewer: its own layout has another entry count, and
+        // laid out against the plan it is another pattern.
+        let (row, cols, _) = compiled_for
+            .iter_rows()
+            .find(|(i, cols, _)| cols[0] < *i)
+            .unwrap();
+        let thinner = without(&compiled_for, row, cols[0]);
+        let own = CompiledSptrsv::compile_lower(&thinner).unwrap();
+        let laid = own.layout(&thinner).unwrap();
+        let want = SparseError::DimensionMismatch {
+            expected: plan.tri_nnz(),
+            found: plan.tri_nnz() - 1,
+            what: "operand entries",
+        };
+        assert_refused(&plan, &laid, &want, &format!("{ctx}: thinner"));
+        assert!(
+            matches!(plan.layout(&thinner), Err(SparseError::InvalidStructure(_))),
+            "{ctx}: thinner laid out against the plan"
+        );
+
+        // Another pattern of the same size, whatever its entry count.
+        let other = random_lower_of(&mut rng, n);
+        assert!(
+            matches!(plan.layout(&other), Err(SparseError::InvalidStructure(_))),
+            "{ctx}: another pattern laid out against the plan"
+        );
+
+        // Another size.
+        let bigger = random_lower_of(&mut rng, n + 1);
+        let own = CompiledSptrsv::compile_lower(&bigger).unwrap();
+        let want = SparseError::DimensionMismatch {
+            expected: n,
+            found: n + 1,
+            what: "operand rows",
+        };
+        assert_refused(&plan, &own.layout(&bigger).unwrap(), &want, &ctx);
+        let want = SparseError::DimensionMismatch {
+            expected: n,
+            found: n + 1,
+            what: "matrix rows",
+        };
+        assert_eq!(plan.layout(&bigger).err(), Some(want), "{ctx}");
+
+        // And the vectors.
+        let laid = plan.layout(&compiled_for).unwrap();
+        let mut x = vec![0.0; n];
+        let short = plan.solve(Deterministic, &laid, &vec![1.0; n - 1], &mut x);
+        assert!(
+            matches!(
+                short,
+                Err(SparseError::DimensionMismatch {
+                    what: "right-hand side length",
+                    ..
+                })
+            ),
+            "{ctx}"
+        );
+        let long = plan.solve(Fast, &laid, &vec![1.0; n], &mut vec![0.0; n + 1]);
+        assert!(
+            matches!(
+                long,
+                Err(SparseError::DimensionMismatch {
+                    what: "solution length",
+                    ..
+                })
+            ),
+            "{ctx}"
+        );
+    }
 }
 
 #[test]
@@ -241,51 +444,31 @@ fn rows_that_end_on_their_diagonal_and_rows_that_do_not_are_one_substitution() {
             }
         }
         let full = full.to_csr();
-        let b: Vec<f64> = (0..n).map(|_| rng.gen_f64() * 4.0 - 2.0).collect();
 
         for (triangular, tri) in [(&l, Triangle::Lower), (&u, Triangle::Upper)] {
-            let plan = match tri {
-                Triangle::Lower => CompiledSptrsv::compile_lower(&full),
-                Triangle::Upper => CompiledSptrsv::compile_upper(&full),
-            }
-            .unwrap();
-            // The row substitution visits last depends on every other and
-            // nothing depends on it: without its diagonal it reads a zero
-            // slot — an infinite pivot — and that unknown alone is 0.
-            let last = *substitution_order(n, tri).last().unwrap();
-            let operands = [
-                ("triangular", triangular.clone()),
-                ("full", full.clone()),
-                ("holed triangular", without_diagonal_of(triangular, last)),
-                ("holed full", without_diagonal_of(&full, last)),
-            ];
-            for (what, m) in &operands {
+            let plan = plan_of(&full, tri).unwrap();
+            assert_eq!(plan, plan_of(triangular, tri).unwrap(), "seed {seed}");
+            for (what, m) in [("triangular", triangular), ("full", &full)] {
                 let ctx = format!("seed {seed} {} {what}", tri.label());
-                let reference = substitute(m, &b, tri);
-                assert!(reference.iter().all(|v| v.is_finite()), "{ctx}");
-                assert_eq!(
-                    reference[last] == 0.0,
-                    what.starts_with("holed"),
-                    "{ctx}: reference"
-                );
-                let mut x = vec![f64::NAN; n];
-                plan.solve(Deterministic, m, &b, &mut x).unwrap();
-                assert_eq!(bits(&x), bits(&reference), "{ctx}: deterministic");
-                x.fill(f64::NAN);
-                plan.solve(Fast, m, &b, &mut x).unwrap();
-                for (i, (f, r)) in x.iter().zip(&reference).enumerate() {
-                    assert!(
-                        (f - r).abs() <= 1e-9 * (1.0 + r.abs()),
-                        "{ctx}: fast row {i}: {f} vs {r}"
-                    );
-                }
+                let laid = plan.layout(m).unwrap();
+                check_walk(&plan, &laid, m, &mut rng, &ctx);
             }
             // The full operand's triangle is the triangular operand's
             // pattern, with values of its own in the upper half.
             if tri == Triangle::Lower {
-                let mut x = vec![f64::NAN; n];
-                plan.solve(Deterministic, &full, &b, &mut x).unwrap();
-                assert_eq!(bits(&x), bits(&substitute(&l, &b, tri)), "seed {seed}");
+                let laid = (plan.layout(&full).unwrap(), plan.layout(&l).unwrap());
+                assert_eq!(laid.0, laid.1, "seed {seed}");
+            }
+            // The row natural substitution visits last: without its
+            // diagonal there is no pivot to read, and neither compiling
+            // nor laying out gets as far as a solve.
+            let last = *substitution_order(n, tri).last().unwrap();
+            for (what, m) in [("triangular", triangular), ("full", &full)] {
+                let ctx = format!("seed {seed} {} holed {what}", tri.label());
+                let holed = without(m, last, last);
+                let want = SparseError::ZeroDiagonal { row: last };
+                assert_eq!(plan_of(&holed, tri).err(), Some(want.clone()), "{ctx}");
+                assert_eq!(plan.layout(&holed).err(), Some(want), "{ctx}");
             }
         }
     }
@@ -337,7 +520,11 @@ fn norm2(v: impl Iterator<Item = f64>) -> f64 {
 /// rebuilt pivots must reproduce `z` entry by entry.
 fn check_apply<T: Scalar>(a: &CsrMatrix<T>, what: &str) {
     let ic = Ic0::factor(a).unwrap_or_else(|e| panic!("{what}: {e}"));
-    let (lower_plan, upper_plan) = ic.plans().unwrap();
+    let (lower_plan, upper_plan) = ic.plans();
+    let (lower, upper) = (
+        lower_plan.to_csr(ic.lower()).unwrap(),
+        upper_plan.to_csr(ic.upper()).unwrap(),
+    );
     let n = a.nrows();
     let mut rng = DetRng::seed_from_u64(0xA991_0000 ^ a.nnz() as u64);
     let r: Vec<T> = (0..n)
@@ -345,12 +532,11 @@ fn check_apply<T: Scalar>(a: &CsrMatrix<T>, what: &str) {
         .collect();
     let (mut tmp, mut z) = (vec![T::ZERO; n], vec![T::ZERO; n]);
     let mut kernels = SoftwareKernels::new();
-    ic.apply(&mut kernels, &lower_plan, &upper_plan, &r, &mut tmp, &mut z);
+    ic.apply(&mut kernels, &r, &mut tmp, &mut z);
     let eps = T::epsilon().to_f64();
 
     // L·Lᵀ·z in f64, L's pivots rebuilt from the reciprocal slots.
-    let l: Vec<(usize, usize, f64)> = ic
-        .lower()
+    let l: Vec<(usize, usize, f64)> = lower
         .iter_rows()
         .flat_map(|(i, cols, vals)| {
             cols.iter().zip(vals).map(move |(&c, &v)| {
@@ -378,7 +564,7 @@ fn check_apply<T: Scalar>(a: &CsrMatrix<T>, what: &str) {
     // the factor's stored order.
     let pivot = |slot: T| T::ONE / slot;
     let mut t = vec![T::ZERO; n];
-    for (i, cols, vals) in ic.lower().iter_rows() {
+    for (i, cols, vals) in lower.iter_rows() {
         let (&slot, vals) = vals.split_last().unwrap();
         assert_eq!(cols.last(), Some(&i), "{what}: L row {i}");
         let acc = cols
@@ -389,7 +575,7 @@ fn check_apply<T: Scalar>(a: &CsrMatrix<T>, what: &str) {
     }
     let mut z_ref = vec![T::ZERO; n];
     for i in (0..n).rev() {
-        let (cols, vals) = ic.upper().row(i);
+        let (cols, vals) = upper.row(i);
         let (&slot, vals) = vals.split_first().unwrap();
         assert_eq!(cols.first(), Some(&i), "{what}: Lᵀ row {i}");
         let acc = cols[1..]
@@ -410,35 +596,7 @@ fn check_apply<T: Scalar>(a: &CsrMatrix<T>, what: &str) {
 
 #[test]
 fn the_apply_solves_l_lt_and_agrees_with_a_divide_based_substitution() {
-    let mut systems: Vec<(String, CsrMatrix<f64>)> = (0..CASES)
-        .map(|seed| {
-            let mut rng = DetRng::seed_from_u64(0x5197_0000 + seed);
-            (format!("seed {seed}"), spd_on(&random_lower(&mut rng)))
-        })
-        .collect();
-    systems.extend([
-        ("poisson2d-128".into(), generate::poisson2d(128, 128)),
-        ("poisson3d-32".into(), generate::poisson3d(32, 32, 32)),
-        (
-            "anisotropic-40".into(),
-            generate::anisotropic_poisson2d(40, 40, 1.0, 0.05),
-        ),
-        ("jump-64".into(), generate::jump_poisson2d(64, 64, 1e3)),
-    ]);
-    let spd = suite().into_iter().filter(|d| {
-        matches!(
-            d.class,
-            StructuralClass::DominantSpd { .. }
-                | StructuralClass::JacobiDivergentSpd { .. }
-                | StructuralClass::IllConditionedSpd { .. }
-                | StructuralClass::Poisson3d { .. }
-                | StructuralClass::ShiftedGridLaplacian { .. }
-        )
-    });
-    let before = systems.len();
-    systems.extend(spd.map(|d| (format!("table2-{}", d.id), d.matrix_f64())));
-    assert_eq!(systems.len() - before, 17, "the SPD Table II analogs");
-    for (what, a) in &systems {
+    for (what, a) in &spd_systems() {
         check_apply(a, &format!("{what} f64"));
         check_apply(&a.cast::<f32>(), &format!("{what} f32"));
     }
