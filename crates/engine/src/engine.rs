@@ -11,7 +11,6 @@ use acamar_fabric::FabricRunStats;
 use acamar_faultline::{FaultContext, FaultInjector, InjectedPanic, WorkerDisruption};
 use acamar_solvers::{SolverKind, WorkspaceHandle};
 use acamar_sparse::{CsrMatrix, DeterminismPolicy, Scalar};
-use acamar_telemetry::export::PrometheusWriter;
 use acamar_telemetry::{Counter, EventKind, FaultResolution, Recorder, Span, TelemetrySink};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -172,85 +171,6 @@ impl<T> BatchReport<T> {
     /// interventions and rescue rungs).
     pub fn total_attempts(&self) -> u64 {
         self.attempts_by_solver.iter().sum()
-    }
-
-    /// Renders the batch as a Prometheus text-format snapshot.
-    ///
-    /// Metric names reuse the [`Counter`] vocabulary so a scrape of this
-    /// snapshot and a scrape of a live
-    /// [`RingRecorder`](acamar_telemetry::RingRecorder) agree on naming —
-    /// both are fed from the same engine accounting (cache statistics,
-    /// fabric run statistics, the robustness ledger).
-    pub fn prometheus_text(&self) -> String {
-        let mut w = PrometheusWriter::new();
-        let c = |c: Counter| (c.metric_name(), c.help());
-        let (n, h) = c(Counter::JobsCompleted);
-        w.counter(n, h, self.jobs() as u64);
-        let (n, h) = c(Counter::CacheHits);
-        w.counter(n, h, self.cache.hits);
-        let (n, h) = c(Counter::CacheMisses);
-        w.counter(n, h, self.cache.misses);
-        let (n, h) = c(Counter::CacheCollisions);
-        w.counter(n, h, self.cache.collisions);
-        let (n, h) = c(Counter::AnalysisNanos);
-        w.counter(n, h, self.cache.analysis_nanos);
-        let (n, h) = c(Counter::PoolIdleNanos);
-        w.counter(n, h, self.pool_idle_nanos);
-        let (n, h) = c(Counter::SpmvReconfigs);
-        w.counter(n, h, self.stats.spmv_reconfig_events as u64);
-        let (n, h) = c(Counter::ReconfigAborts);
-        w.counter(n, h, self.stats.reconfig_aborts as u64);
-        let (n, h) = c(Counter::FaultsInjected);
-        w.counter(n, h, self.robustness.injected_total());
-        let (n, h) = c(Counter::FaultsDetected);
-        let detected = self.robustness.tallies.iter().map(|t| t.detected).sum();
-        w.counter(n, h, detected);
-        let (n, h) = c(Counter::FaultsRecovered);
-        let recovered = self.robustness.tallies.iter().map(|t| t.recovered).sum();
-        w.counter(n, h, recovered);
-        let (n, h) = c(Counter::FaultsExhausted);
-        let exhausted = self.robustness.tallies.iter().map(|t| t.exhausted).sum();
-        w.counter(n, h, exhausted);
-        let (n, h) = c(Counter::RescueRungs);
-        let rungs = self
-            .robustness
-            .rescue_depths
-            .iter()
-            .enumerate()
-            .map(|(d, &jobs)| d as u64 * jobs)
-            .sum();
-        w.counter(n, h, rungs);
-        w.counter(
-            "acamar_jobs_converged_total",
-            "Jobs whose final attempt converged",
-            self.converged as u64,
-        );
-        w.counter(
-            "acamar_solver_attempts_total",
-            "Solver attempts across all jobs",
-            self.total_attempts(),
-        );
-        w.counter(
-            "acamar_panics_caught_total",
-            "Worker panics caught and isolated",
-            self.robustness.panics_caught,
-        );
-        w.counter(
-            "acamar_deadline_misses_total",
-            "Jobs cut off by their wall-clock deadline",
-            self.robustness.deadline_misses,
-        );
-        w.gauge(
-            "acamar_batch_wall_seconds",
-            "Wall-clock seconds spent in the batch call",
-            self.wall_seconds,
-        );
-        w.gauge(
-            "acamar_batch_jobs_per_second",
-            "Batch throughput",
-            self.jobs_per_second(),
-        );
-        w.finish()
     }
 }
 

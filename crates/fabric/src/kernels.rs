@@ -13,7 +13,6 @@ use crate::cycle_table::{CycleTable, SegmentPrice};
 use crate::reconfig::{ReconfigController, RegionKind};
 use crate::spec::{FabricSpec, ResourceVector};
 use crate::spmv::SpmvExecution;
-use crate::trace::{ExecutionTrace, TraceEvent};
 use acamar_faultline::{FaultContext, FaultInjector};
 use acamar_solvers::{
     DenseOp, DerivedPlan, FusedPass, Ic0, Kernels, OpCounts, Phase, SoftwareKernels,
@@ -283,7 +282,7 @@ impl FabricRunStats {
 /// kernels, workspace, and [`OpCounts`] all live there, once), and this
 /// type charges what the operation costs on the modeled datapath —
 /// cycles, MAC-slot capacity, area, reconfiguration — applies injected
-/// faults, and emits the execution trace and telemetry.
+/// faults, and emits telemetry.
 ///
 /// # Examples
 ///
@@ -328,7 +327,6 @@ pub struct FabricKernels {
     used_init_spmv: bool,
     overlap_reconfig: bool,
     last_segment_cycles: u64,
-    trace: Option<ExecutionTrace>,
     /// Fault-injection seam; `None` (the default) leaves every hook inert.
     fault: Option<FaultContext>,
     /// Solver-attempt counter (bumped by [`FabricKernels::begin_attempt`])
@@ -382,7 +380,6 @@ impl FabricKernels {
             used_init_spmv: false,
             overlap_reconfig: false,
             last_segment_cycles: 0,
-            trace: None,
             fault: None,
             attempt: 0,
             stuck_raw: None,
@@ -459,38 +456,25 @@ impl FabricKernels {
         self.degraded
     }
 
-    /// Enables a cycle-stamped execution trace holding up to
-    /// `max_events` records (see [`ExecutionTrace`]).
-    pub fn with_trace(mut self, max_events: usize) -> Self {
-        self.trace = Some(ExecutionTrace::with_capacity(max_events));
-        self
-    }
-
-    /// The execution trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&ExecutionTrace> {
-        self.trace.as_ref()
-    }
-
-    /// Routes structured telemetry (reconfiguration events, per-set SpMV
-    /// segments, phase/iteration marks, sampled residuals) into `sink`.
+    /// Routes structured telemetry into `sink`: the run's cycle-stamped
+    /// timeline (phase and iteration marks, per-set SpMV segments,
+    /// reconfigurations and aborts on both regions) and sampled
+    /// residuals. This stream is the fabric model's only event record.
     ///
-    /// Every telemetry [`EventKind::Reconfig`] on the SpMV region
-    /// corresponds one-to-one with an ICAP swap counted by
-    /// [`FabricRunStats::spmv_reconfig_events`], and every
-    /// [`EventKind::ReconfigAbort`] with [`FabricRunStats::reconfig_aborts`],
-    /// so a drained trace reconstructs the run's reconfiguration ledger
-    /// exactly. Observational only: numerics, cycle charges, and fault
-    /// replay are unchanged with any sink installed.
+    /// Each fabric event's `at_cycle` is [`CycleBreakdown::total`] when
+    /// the event began, before its own charge. The stream is the run's
+    /// reconfiguration ledger: the SpMV-region [`EventKind::Reconfig`]s
+    /// and [`EventKind::ReconfigAbort`]s together are the ICAP swaps
+    /// [`FabricRunStats::spmv_reconfig_events`] counts (an abort streams
+    /// the same bits), the aborts alone are
+    /// [`FabricRunStats::reconfig_aborts`], and the `stall`s of every
+    /// swap and abort sum to [`CycleBreakdown::reconfig`]. Observational
+    /// only: numerics, cycle charges, and fault replay are unchanged with
+    /// any sink installed.
     pub fn with_telemetry(mut self, sink: TelemetrySink) -> Self {
         self.inner = self.inner.with_telemetry(sink.clone());
         self.telemetry = sink;
         self
-    }
-
-    fn record(&mut self, e: TraceEvent) {
-        if let Some(t) = self.trace.as_mut() {
-            t.record(e);
-        }
     }
 
     /// Enables double-buffered (overlapped) partial reconfiguration: the
@@ -529,7 +513,7 @@ impl FabricKernels {
                 let cycles = self
                     .reconfig
                     .reconfigure(RegionKind::SpmvKernel, &spmv_engine(max));
-                self.load_engine(max, 0, cycles, false);
+                self.load_engine(max, 0, cycles);
             }
         } else {
             self.current_unroll = self.schedule.entries().first().map(|e| e.unroll);
@@ -553,12 +537,14 @@ impl FabricKernels {
     /// `module` (Acamar's Solver Decision loop).
     pub fn charge_solver_reconfig(&mut self, module: &ResourceVector) {
         let cycles = self.reconfig.reconfigure(RegionKind::Solver, module);
-        self.cycles.reconfig += cycles;
         self.telemetry.emit(EventKind::Reconfig {
             region: acamar_telemetry::Region::Solver,
             unroll: 0,
             set: 0,
+            at_cycle: self.cycles.total(),
+            stall: cycles,
         });
+        self.cycles.reconfig += cycles;
         self.telemetry.counter_add(Counter::SolverReconfigs, 1);
     }
 
@@ -628,18 +614,13 @@ impl FabricKernels {
 
     /// Completes a swap of the nested region to `unroll` (already counted
     /// by the controller) that stalled the pipeline for `stall` cycles.
-    fn load_engine(&mut self, unroll: usize, set: usize, stall: u64, traced: bool) {
-        if traced {
-            self.record(TraceEvent::Reconfig {
-                region: RegionKind::SpmvKernel,
-                cycle: self.cycles.total(),
-                duration: stall,
-            });
-        }
+    fn load_engine(&mut self, unroll: usize, set: usize, stall: u64) {
         self.telemetry.emit(EventKind::Reconfig {
             region: acamar_telemetry::Region::SpmvKernel,
             unroll: unroll.min(u8::MAX as usize) as u8,
             set: set as u32,
+            at_cycle: self.cycles.total(),
+            stall,
         });
         self.telemetry.counter_add(Counter::SpmvReconfigs, 1);
         self.cycles.reconfig += stall;
@@ -653,13 +634,10 @@ impl FabricKernels {
     fn abort_and_degrade(&mut self, wasted: u64) {
         self.reconfig.record_abort(RegionKind::SpmvKernel, wasted);
         let stall = self.stall(wasted);
-        self.record(TraceEvent::Reconfig {
-            region: RegionKind::SpmvKernel,
-            cycle: self.cycles.total(),
-            duration: stall,
-        });
         self.telemetry.emit(EventKind::ReconfigAbort {
             region: acamar_telemetry::Region::SpmvKernel,
+            at_cycle: self.cycles.total(),
+            stall,
         });
         self.telemetry.counter_add(Counter::ReconfigAborts, 1);
         self.cycles.reconfig += stall;
@@ -668,7 +646,7 @@ impl FabricKernels {
             let cycles = self
                 .reconfig
                 .reconfigure(RegionKind::SpmvKernel, &spmv_engine(max));
-            self.load_engine(max, 0, cycles, true);
+            self.load_engine(max, 0, cycles);
         }
         self.degraded = true;
     }
@@ -770,7 +748,7 @@ impl FabricKernels {
                     self.reconfig
                         .charge(RegionKind::SpmvKernel, price.swap_cycles);
                     let stall = self.stall(price.swap_cycles);
-                    self.load_engine(unroll, idx, stall, true);
+                    self.load_engine(unroll, idx, stall);
                 }
             }
             let engaged = if self.degraded {
@@ -794,14 +772,9 @@ impl FabricKernels {
                 rows: rows.len().min(u32::MAX as usize) as u32,
                 unroll: engaged.min(u8::MAX as usize) as u8,
                 cycles: self.last_segment_cycles,
+                at_cycle: at,
             });
             self.telemetry.counter_add(Counter::SpmvSegments, 1);
-            self.record(TraceEvent::SpmvSegment {
-                rows,
-                unroll: engaged,
-                cycle: at,
-                duration: self.last_segment_cycles,
-            });
         }
     }
 
@@ -987,13 +960,12 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
     }
 
     fn set_phase(&mut self, phase: Phase) {
-        let at = self.cycles.total();
-        self.record(TraceEvent::PhaseStart { phase, cycle: at });
         self.telemetry.emit(EventKind::PhaseStart {
             phase: match phase {
                 Phase::Initialize => 0,
                 Phase::Loop => 1,
             },
+            at_cycle: self.cycles.total(),
         });
         self.phase = phase;
         if phase == Phase::Initialize {
@@ -1003,13 +975,9 @@ impl<T: Scalar> Kernels<T> for FabricKernels {
     }
 
     fn begin_iteration(&mut self, iter: usize) {
-        let at = self.cycles.total();
-        self.record(TraceEvent::IterationStart {
-            iteration: iter,
-            cycle: at,
-        });
         self.telemetry.emit(EventKind::IterationStart {
             iteration: iter.min(u32::MAX as usize) as u32,
+            at_cycle: self.cycles.total(),
         });
     }
 
@@ -1245,8 +1213,10 @@ mod tests {
         let inj = Arc::new(FaultInjector::new(
             FaultPlan::new(9).with_rate(FaultCategory::ReconfigAbort, 1.0),
         ));
+        let ring = Arc::new(acamar_telemetry::RingRecorder::new(64));
         let mut hw = FabricKernels::new(spec(), schedule, 4)
-            .with_fault_context(FaultContext::new(Arc::clone(&inj), 0));
+            .with_fault_context(FaultContext::new(Arc::clone(&inj), 0))
+            .with_telemetry(TelemetrySink::new(ring.clone()));
         let x = vec![1.0_f32; 64];
         let mut y = vec![0.0_f32; 64];
         Kernels::<f32>::set_phase(&mut hw, Phase::Loop);
@@ -1270,6 +1240,45 @@ mod tests {
             "oversized-engine cycles uncounted"
         );
         assert_eq!(inj.injected()[FaultCategory::ReconfigAbort.index()], 1);
+
+        // The stream is the run's reconfiguration ledger: the aborted
+        // swap and the recovery swap each carry their stall, and every
+        // stamp is the cycle total when its event began.
+        let events = ring.drain();
+        assert_eq!(ring.dropped(), 0);
+        let (mut stalls, mut swaps, mut aborts, mut last) = (0, 0, 0, 0);
+        for e in &events {
+            let at = match e.kind {
+                EventKind::Reconfig {
+                    region,
+                    at_cycle,
+                    stall,
+                    ..
+                } => {
+                    swaps += usize::from(region == acamar_telemetry::Region::SpmvKernel);
+                    stalls += stall;
+                    at_cycle
+                }
+                EventKind::ReconfigAbort {
+                    at_cycle, stall, ..
+                } => {
+                    aborts += 1;
+                    stalls += stall;
+                    at_cycle
+                }
+                EventKind::PhaseStart { at_cycle, .. }
+                | EventKind::IterationStart { at_cycle, .. }
+                | EventKind::SpmvSegment { at_cycle, .. } => at_cycle,
+                _ => continue,
+            };
+            assert!(last <= at, "cycle stamps go back: {events:?}");
+            last = at;
+        }
+        assert_eq!(stalls, stats.cycles.reconfig);
+        assert_eq!((swaps, aborts), (1, 1), "{events:?}");
+        assert_eq!(swaps + aborts, stats.spmv_reconfig_events);
+        assert_eq!(aborts, stats.reconfig_aborts);
+        assert!(last <= stats.cycles.total());
     }
 
     #[test]
@@ -1758,10 +1767,24 @@ mod tests {
 
     #[test]
     fn solver_region_reconfig_is_charged() {
-        let mut hw = FabricKernels::new(spec(), UnrollSchedule::uniform(8, 2), 2);
+        let ring = Arc::new(acamar_telemetry::RingRecorder::new(4));
+        let mut hw = FabricKernels::new(spec(), UnrollSchedule::uniform(8, 2), 2)
+            .with_telemetry(TelemetrySink::new(ring.clone()));
         let before = hw.cycles().reconfig;
         hw.charge_solver_reconfig(&crate::cost::solver_control_unit());
         assert!(hw.cycles().reconfig > before);
         assert_eq!(hw.reconfig_controller().count(RegionKind::Solver), 1);
+        assert!(matches!(
+            ring.drain()[..],
+            [acamar_telemetry::Event {
+                kind: EventKind::Reconfig {
+                    region: acamar_telemetry::Region::Solver,
+                    at_cycle: 0,
+                    stall,
+                    ..
+                },
+                ..
+            }] if stall == hw.cycles().reconfig
+        ));
     }
 }

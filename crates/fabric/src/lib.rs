@@ -39,11 +39,9 @@ mod kernels;
 mod reconfig;
 mod spec;
 pub mod spmv;
-pub mod trace;
 
 pub use accelerator::{HwRun, StaticAccelerator};
 pub use kernels::{CycleBreakdown, FabricKernels, FabricRunStats, ScheduleEntry, UnrollSchedule};
 pub use reconfig::{ReconfigController, RegionKind};
 pub use spec::{FabricSpec, ResourceVector};
 pub use spmv::SpmvExecution;
-pub use trace::{ExecutionTrace, TraceEvent};

@@ -35,8 +35,9 @@ struct RegionTotals {
 ///
 /// The controller keeps totals only — it sits in the solver loop, where a
 /// swap happens at every unroll change of every SpMV. The per-event view
-/// (which unroll, which set, at which cycle) is carried by the
-/// [`ExecutionTrace`](crate::ExecutionTrace) and the telemetry stream.
+/// (which unroll, which set, at which cycle, what it stalled) is carried
+/// by the telemetry stream
+/// ([`FabricKernels::with_telemetry`](crate::FabricKernels::with_telemetry)).
 #[derive(Debug, Clone)]
 pub struct ReconfigController {
     spec: FabricSpec,

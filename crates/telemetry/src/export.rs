@@ -76,27 +76,39 @@ pub fn event_json(e: &Event) -> String {
                 json_f64(relative)
             ));
         }
-        EventKind::PhaseStart { phase } => {
-            s.push_str(&format!(",\"kind\":\"phase_start\",\"phase\":{phase}"));
-        }
-        EventKind::IterationStart { iteration } => {
+        EventKind::PhaseStart { phase, at_cycle } => {
             s.push_str(&format!(
-                ",\"kind\":\"iteration_start\",\"iteration\":{iteration}"
+                ",\"kind\":\"phase_start\",\"phase\":{phase},\"at_cycle\":{at_cycle}"
+            ));
+        }
+        EventKind::IterationStart {
+            iteration,
+            at_cycle,
+        } => {
+            s.push_str(&format!(
+                ",\"kind\":\"iteration_start\",\"iteration\":{iteration},\"at_cycle\":{at_cycle}"
             ));
         }
         EventKind::Reconfig {
             region,
             unroll,
             set,
+            at_cycle,
+            stall,
         } => {
             s.push_str(&format!(
-                ",\"kind\":\"reconfig\",\"region\":\"{}\",\"unroll\":{unroll},\"set\":{set}",
+                ",\"kind\":\"reconfig\",\"region\":\"{}\",\"unroll\":{unroll},\"set\":{set},\
+                 \"at_cycle\":{at_cycle},\"stall\":{stall}",
                 region.as_str()
             ));
         }
-        EventKind::ReconfigAbort { region } => {
+        EventKind::ReconfigAbort {
+            region,
+            at_cycle,
+            stall,
+        } => {
             s.push_str(&format!(
-                ",\"kind\":\"reconfig_abort\",\"region\":\"{}\"",
+                ",\"kind\":\"reconfig_abort\",\"region\":\"{}\",\"at_cycle\":{at_cycle},\"stall\":{stall}",
                 region.as_str()
             ));
         }
@@ -105,10 +117,11 @@ pub fn event_json(e: &Event) -> String {
             rows,
             unroll,
             cycles,
+            at_cycle,
         } => {
             s.push_str(&format!(
                 ",\"kind\":\"spmv_segment\",\"set\":{set},\"rows\":{rows},\
-                 \"unroll\":{unroll},\"cycles\":{cycles}"
+                 \"unroll\":{unroll},\"cycles\":{cycles},\"at_cycle\":{at_cycle}"
             ));
         }
         EventKind::FaultInjected { category, site } => {
@@ -310,6 +323,8 @@ mod tests {
                 region: Region::SpmvKernel,
                 unroll: 8,
                 set: 1,
+                at_cycle: 40,
+                stall: 900,
             },
             EventKind::Residual {
                 iteration: 3,
@@ -346,6 +361,63 @@ mod tests {
             // Balanced braces on a single line.
             assert_eq!(line.matches('{').count(), line.matches('}').count());
             assert!(!line.contains('\n'));
+        }
+    }
+
+    #[test]
+    fn event_json_writes_the_fabric_cycle_stamps_and_stalls() {
+        let spmv = Region::SpmvKernel;
+        let cases = [
+            (
+                EventKind::PhaseStart {
+                    phase: 1,
+                    at_cycle: 12,
+                },
+                r#""phase_start","phase":1,"at_cycle":12"#,
+            ),
+            (
+                EventKind::IterationStart {
+                    iteration: 4,
+                    at_cycle: 30,
+                },
+                r#""iteration_start","iteration":4,"at_cycle":30"#,
+            ),
+            (
+                EventKind::Reconfig {
+                    region: spmv,
+                    unroll: 8,
+                    set: 2,
+                    at_cycle: 40,
+                    stall: 900,
+                },
+                r#""reconfig","region":"spmv","unroll":8,"set":2,"at_cycle":40,"stall":900"#,
+            ),
+            (
+                EventKind::ReconfigAbort {
+                    region: spmv,
+                    at_cycle: 50,
+                    stall: 450,
+                },
+                r#""reconfig_abort","region":"spmv","at_cycle":50,"stall":450"#,
+            ),
+            (
+                EventKind::SpmvSegment {
+                    set: 2,
+                    rows: 64,
+                    unroll: 8,
+                    cycles: 77,
+                    at_cycle: 60,
+                },
+                r#""spmv_segment","set":2,"rows":64,"unroll":8,"cycles":77,"at_cycle":60"#,
+            ),
+        ];
+        for (kind, fields) in cases {
+            let line = event_json(&Event {
+                job: 3,
+                t_nanos: 7,
+                kind,
+            });
+            assert_eq!(line, format!(r#"{{"job":3,"t_ns":7,"kind":{fields}}}"#));
         }
     }
 

@@ -207,11 +207,15 @@ pub enum EventKind {
     PhaseStart {
         /// Phase ordinal (executor-defined).
         phase: u8,
+        /// Modeled cycle total when the phase began.
+        at_cycle: u64,
     },
     /// The executor began a solver iteration.
     IterationStart {
         /// Iteration index.
         iteration: u32,
+        /// Modeled cycle total when the iteration began.
+        at_cycle: u64,
     },
     /// A partial reconfiguration completed on a fabric region.
     Reconfig {
@@ -222,11 +226,21 @@ pub enum EventKind {
         unroll: u8,
         /// The MSID schedule entry (set) that triggered the swap.
         set: u32,
+        /// Modeled cycle total when the swap began, before its stall.
+        at_cycle: u64,
+        /// Cycles the swap stalled the pipeline (its share of the
+        /// modeled reconfiguration cycles; less than the ICAP stream
+        /// when overlapped reconfiguration hid part of it).
+        stall: u64,
     },
     /// A partial reconfiguration was aborted mid-swap (ICAP fault).
     ReconfigAbort {
         /// Which region the aborted swap targeted.
         region: Region,
+        /// Modeled cycle total when the swap began, before its stall.
+        at_cycle: u64,
+        /// Cycles the wasted stream stalled the pipeline.
+        stall: u64,
     },
     /// One compiled-plan band / schedule-set segment of an SpMV pass.
     SpmvSegment {
@@ -238,6 +252,8 @@ pub enum EventKind {
         unroll: u8,
         /// Modeled accelerator cycles charged for the segment.
         cycles: u64,
+        /// Modeled cycle total when the segment began.
+        at_cycle: u64,
     },
     /// The fault injector fired at an instrumented seam.
     FaultInjected {
@@ -375,7 +391,8 @@ pub struct Event {
 impl Event {
     /// A copy with every wall-clock-derived field zeroed, so two replay
     /// runs of the same deterministic workload produce identical streams.
-    /// Modeled quantities (cycles, iterations, sets) are preserved.
+    /// Modeled quantities (cycles, cycle stamps, stalls, iterations,
+    /// sets) are preserved.
     pub fn normalized(mut self) -> Event {
         self.t_nanos = 0;
         match &mut self.kind {
@@ -969,27 +986,53 @@ mod tests {
         assert_eq!(e.t_nanos, 0);
         assert_eq!(e.kind, EventKind::CacheMiss { analysis_nanos: 0 });
 
-        let s = Event {
-            job: 1,
-            t_nanos: 5,
-            kind: EventKind::SpmvSegment {
-                set: 2,
-                rows: 64,
-                unroll: 8,
-                cycles: 77,
-            },
-        }
-        .normalized();
-        // Modeled cycles are deterministic and survive normalization.
-        assert_eq!(
-            s.kind,
+        // Modeled cycles, cycle stamps and stalls are deterministic and
+        // survive normalization.
+        let modeled = [
             EventKind::SpmvSegment {
                 set: 2,
                 rows: 64,
                 unroll: 8,
                 cycles: 77,
+                at_cycle: 1_000,
+            },
+            EventKind::PhaseStart {
+                phase: 1,
+                at_cycle: 11,
+            },
+            EventKind::IterationStart {
+                iteration: 3,
+                at_cycle: 12,
+            },
+            EventKind::Reconfig {
+                region: Region::SpmvKernel,
+                unroll: 8,
+                set: 1,
+                at_cycle: 13,
+                stall: 900,
+            },
+            EventKind::ReconfigAbort {
+                region: Region::SpmvKernel,
+                at_cycle: 14,
+                stall: 450,
+            },
+        ];
+        for kind in modeled {
+            let s = Event {
+                job: 1,
+                t_nanos: 5,
+                kind,
             }
-        );
+            .normalized();
+            assert_eq!(s.t_nanos, 0);
+            assert_eq!(s.kind, kind);
+        }
+    }
+
+    #[test]
+    fn an_event_fits_in_48_bytes() {
+        // The ring copies events by value on the instrumented paths.
+        assert!(std::mem::size_of::<Event>() <= 48);
     }
 
     #[test]

@@ -165,21 +165,23 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    fn iteration(i: u32) -> EventKind {
+        EventKind::IterationStart {
+            iteration: i,
+            at_cycle: u64::from(i) * 10,
+        }
+    }
+
     #[test]
     fn fifo_order_single_thread() {
         let ring = RingRecorder::new(8);
         for i in 0..5u32 {
-            ring.record(0, EventKind::IterationStart { iteration: i });
+            ring.record(0, iteration(i));
         }
         let events = ring.drain();
         assert_eq!(events.len(), 5);
         for (i, e) in events.iter().enumerate() {
-            assert_eq!(
-                e.kind,
-                EventKind::IterationStart {
-                    iteration: i as u32
-                }
-            );
+            assert_eq!(e.kind, iteration(i as u32));
         }
     }
 
@@ -187,7 +189,7 @@ mod tests {
     fn full_ring_drops_and_counts() {
         let ring = RingRecorder::new(4);
         for i in 0..10u32 {
-            ring.record(0, EventKind::IterationStart { iteration: i });
+            ring.record(0, iteration(i));
         }
         assert_eq!(ring.drain().len(), 4);
         assert_eq!(ring.dropped(), 6);
@@ -208,7 +210,7 @@ mod tests {
                 let ring = Arc::clone(&ring);
                 std::thread::spawn(move || {
                     for i in 0..512u32 {
-                        ring.record(t, EventKind::IterationStart { iteration: i });
+                        ring.record(t, iteration(i));
                     }
                 })
             })
@@ -225,7 +227,7 @@ mod tests {
                 .iter()
                 .filter(|e| e.job == job)
                 .map(|e| match e.kind {
-                    EventKind::IterationStart { iteration } => iteration,
+                    EventKind::IterationStart { iteration, .. } => iteration,
                     _ => unreachable!(),
                 })
                 .collect();

@@ -101,7 +101,7 @@ pub fn render_job(events: &[Event], job: u64, width: usize) -> String {
 
     for e in events.iter().filter(|e| e.job == job) {
         match e.kind {
-            EventKind::IterationStart { iteration } => {
+            EventKind::IterationStart { iteration, .. } => {
                 iter = iteration;
                 max_iter = max_iter.max(iteration);
             }
@@ -242,7 +242,14 @@ mod tests {
 
     fn sample_trace() -> Vec<Event> {
         vec![
-            ev(0, 0, EventKind::IterationStart { iteration: 0 }),
+            ev(
+                0,
+                0,
+                EventKind::IterationStart {
+                    iteration: 0,
+                    at_cycle: 0,
+                },
+            ),
             ev(
                 0,
                 1,
@@ -250,6 +257,8 @@ mod tests {
                     region: Region::SpmvKernel,
                     unroll: 8,
                     set: 0,
+                    at_cycle: 0,
+                    stall: 900,
                 },
             ),
             ev(
@@ -260,9 +269,17 @@ mod tests {
                     rows: 100,
                     unroll: 8,
                     cycles: 400,
+                    at_cycle: 900,
                 },
             ),
-            ev(0, 3, EventKind::IterationStart { iteration: 1 }),
+            ev(
+                0,
+                3,
+                EventKind::IterationStart {
+                    iteration: 1,
+                    at_cycle: 1_300,
+                },
+            ),
             ev(
                 0,
                 4,
@@ -270,6 +287,8 @@ mod tests {
                     region: Region::SpmvKernel,
                     unroll: 4,
                     set: 1,
+                    at_cycle: 1_300,
+                    stall: 500,
                 },
             ),
             ev(
@@ -280,6 +299,7 @@ mod tests {
                     rows: 50,
                     unroll: 4,
                     cycles: 150,
+                    at_cycle: 1_800,
                 },
             ),
             ev(
@@ -287,9 +307,18 @@ mod tests {
                 6,
                 EventKind::ReconfigAbort {
                     region: Region::SpmvKernel,
+                    at_cycle: 1_950,
+                    stall: 900,
                 },
             ),
-            ev(0, 7, EventKind::IterationStart { iteration: 2 }),
+            ev(
+                0,
+                7,
+                EventKind::IterationStart {
+                    iteration: 2,
+                    at_cycle: 2_850,
+                },
+            ),
             ev(
                 0,
                 8,
@@ -297,6 +326,8 @@ mod tests {
                     region: Region::Solver,
                     unroll: 2,
                     set: 0,
+                    at_cycle: 2_850,
+                    stall: 4_000,
                 },
             ),
             ev(1, 9, EventKind::CacheHit),

@@ -1,10 +1,11 @@
 //! Cycle-stamped execution timeline of one solve.
 //!
-//! Enables the fabric trace and prints the first iterations of a CG solve
-//! on a mixed-sparsity matrix: phase changes, per-segment SpMV execution
-//! at each scheduled unroll factor, and the DFX reconfiguration stalls
-//! between segments — the behavioral-simulator view of Acamar's Resource
-//! Decision loop.
+//! Records the fabric's telemetry into a ring and prints the first events
+//! of a Jacobi solve on a mixed-sparsity matrix — phase changes, per-set
+//! SpMV segments at each scheduled unroll factor, and the DFX
+//! reconfiguration stalls between them, each stamped with the modeled
+//! cycle it began at — then the Fig. 13-style residency timeline: the
+//! behavioral-simulator view of Acamar's Resource Decision loop.
 //!
 //! Run with `cargo run --release --example timeline`.
 
@@ -12,6 +13,8 @@ use acamar::core::{AcamarConfig, FineGrainedReconfigUnit};
 use acamar::fabric::FabricKernels;
 use acamar::prelude::*;
 use acamar::sparse::generate::RowDistribution;
+use acamar::telemetry::{export, timeline, RingRecorder, TelemetrySink};
+use std::sync::Arc;
 
 fn main() -> Result<(), SparseError> {
     // Half sparse rows, half dense rows: the schedule will alternate
@@ -38,24 +41,27 @@ fn main() -> Result<(), SparseError> {
         );
     }
 
-    let mut hw =
-        FabricKernels::new(FabricSpec::alveo_u55c(), plan.schedule.clone(), 4).with_trace(64);
+    let ring = Arc::new(RingRecorder::new(1 << 16));
+    let mut hw = FabricKernels::new(FabricSpec::alveo_u55c(), plan.schedule.clone(), 4)
+        .with_telemetry(TelemetrySink::new(ring.clone()));
     let report = acamar::solvers::jacobi(&a, &b, None, &ConvergenceCriteria::paper(), &mut hw)?;
     assert!(report.converged());
+    let stats = hw.finish();
 
-    println!("\nfirst trace events (cycle-stamped):");
-    let trace = hw.trace().expect("tracing enabled");
-    for e in trace.events().iter().take(40) {
-        println!("  {}", e.describe());
+    let events = ring.drain();
+    assert_eq!(ring.dropped(), 0, "ring sized for the whole solve");
+    println!("\nfirst events (cycle-stamped):");
+    for e in events.iter().take(40) {
+        println!("  {}", export::event_json(e));
     }
-    if trace.truncated() {
-        println!("  ... ({} further events not recorded)", trace.dropped());
-    }
+    println!("  ... {} events in all\n", events.len());
+    print!("{}", timeline::render_job(&events, 0, 72));
+
+    let spmv_swaps = timeline::reconfig_counts(&events, None).spmv;
+    assert_eq!(spmv_swaps, stats.spmv_reconfig_events as u64);
     println!(
-        "\nsolve: {} iterations; {} SpMV-region reconfigurations total",
-        report.iterations,
-        hw.reconfig_controller()
-            .count(acamar::fabric::RegionKind::SpmvKernel)
+        "\nsolve: {} iterations; {spmv_swaps} SpMV-region reconfigurations, {} stall cycles",
+        report.iterations, stats.cycles.reconfig
     );
     Ok(())
 }

@@ -7,8 +7,9 @@
 //! priced by `fabric::spmv::execute_rows` and `cost::*` directly. Over a
 //! seeded pattern suite — every solver, overlap on and off, fault-free /
 //! ICAP abort mid-run / stuck bit, both determinism tiers — the two must
-//! agree on the solve, `FabricRunStats`, `CycleBreakdown`, the
-//! `ExecutionTrace`, and the normalized telemetry stream.
+//! agree on the solve, `FabricRunStats`, `CycleBreakdown`, and the
+//! normalized telemetry stream — every cycle stamp and stall included —
+//! and the fabric's stream must be its run's reconfiguration ledger.
 
 use acamar::fabric::cost::{
     bitstream_bits, dense_vector_unit, solver_control_unit, spmv_engine, DENSE_VECTOR_WIDTH,
@@ -16,8 +17,8 @@ use acamar::fabric::cost::{
 };
 use acamar::fabric::spmv::execute_rows;
 use acamar::fabric::{
-    CycleBreakdown, ExecutionTrace, FabricKernels, FabricRunStats, FabricSpec, RegionKind,
-    ScheduleEntry, SpmvExecution, TraceEvent, UnrollSchedule,
+    CycleBreakdown, FabricKernels, FabricRunStats, FabricSpec, ScheduleEntry, SpmvExecution,
+    UnrollSchedule,
 };
 use acamar::faultline::{FaultCategory, FaultContext, FaultInjector, FaultPlan};
 use acamar::solvers::{
@@ -34,7 +35,6 @@ use acamar::telemetry::{Counter, Event, EventKind, Region, RingRecorder, Telemet
 use std::sync::Arc;
 
 const INIT_UNROLL: usize = 4;
-const TRACE_EVENTS: usize = 1 << 12;
 /// Per-invocation set-up cycles of the dense vector unit.
 const DENSE_OVERHEAD: u64 = 8;
 
@@ -46,7 +46,6 @@ struct WalkPriced {
     overlap: bool,
     fault: Option<FaultContext>,
     telemetry: TelemetrySink,
-    trace: ExecutionTrace,
     phase: Phase,
     current_unroll: Option<usize>,
     cycles: CycleBreakdown,
@@ -76,7 +75,6 @@ impl WalkPriced {
             overlap: run.overlap,
             fault: run.fault_context(),
             telemetry: run.telemetry.clone(),
-            trace: ExecutionTrace::with_capacity(TRACE_EVENTS),
             phase: Phase::Initialize,
             cycles: CycleBreakdown::default(),
             spmv: SpmvExecution::default(),
@@ -108,22 +106,19 @@ impl WalkPriced {
         }
     }
 
-    fn emit_swap(&mut self, unroll: usize, set: usize) {
+    /// Swaps the nested region to `unroll`, stalling `stall` cycles.
+    fn swap(&mut self, unroll: usize, set: usize, stall: u64) {
         self.spmv_swaps += 1;
         self.telemetry.emit(EventKind::Reconfig {
             region: Region::SpmvKernel,
             unroll: unroll.min(u8::MAX as usize) as u8,
             set: set as u32,
+            at_cycle: self.cycles.total(),
+            stall,
         });
         self.telemetry.counter_add(Counter::SpmvReconfigs, 1);
-    }
-
-    fn trace_swap(&mut self, duration: u64) {
-        self.trace.record(TraceEvent::Reconfig {
-            region: RegionKind::SpmvKernel,
-            cycle: self.cycles.total(),
-            duration,
-        });
+        self.cycles.reconfig += stall;
+        self.current_unroll = Some(unroll);
     }
 
     fn set_schedule(&mut self, schedule: UnrollSchedule) {
@@ -136,9 +131,7 @@ impl WalkPriced {
         if self.degraded {
             let max = self.schedule.max_unroll();
             if self.current_unroll != Some(max) {
-                self.cycles.reconfig += self.icap(max);
-                self.current_unroll = Some(max);
-                self.emit_swap(max, 0);
+                self.swap(max, 0, self.icap(max));
             }
         } else {
             self.current_unroll = self.schedule.entries().first().map(|e| e.unroll);
@@ -187,27 +180,23 @@ impl WalkPriced {
                     .as_ref()
                     .is_some_and(|c| c.injector().reconfig_aborts(c.job(), c.site(site)));
                 let stall = self.stall(self.icap(e.unroll));
-                self.trace_swap(stall);
-                self.cycles.reconfig += stall;
                 if aborts {
                     self.aborts += 1;
                     self.spmv_swaps += 1;
                     self.telemetry.emit(EventKind::ReconfigAbort {
                         region: Region::SpmvKernel,
+                        at_cycle: self.cycles.total(),
+                        stall,
                     });
                     self.telemetry.counter_add(Counter::ReconfigAborts, 1);
+                    self.cycles.reconfig += stall;
                     let max = self.schedule.max_unroll();
                     if self.current_unroll != Some(max) {
-                        let recovery = self.icap(max);
-                        self.trace_swap(recovery);
-                        self.cycles.reconfig += recovery;
-                        self.current_unroll = Some(max);
-                        self.emit_swap(max, 0);
+                        self.swap(max, 0, self.icap(max));
                     }
                     self.degraded = true;
                 } else {
-                    self.current_unroll = Some(e.unroll);
-                    self.emit_swap(e.unroll, idx);
+                    self.swap(e.unroll, idx, stall);
                 }
             }
             let engaged = if self.degraded {
@@ -225,14 +214,9 @@ impl WalkPriced {
                 rows: e.rows.len() as u32,
                 unroll: engaged.min(u8::MAX as usize) as u8,
                 cycles: self.last_segment_cycles,
+                at_cycle: at,
             });
             self.telemetry.counter_add(Counter::SpmvSegments, 1);
-            self.trace.record(TraceEvent::SpmvSegment {
-                rows: e.rows,
-                unroll: engaged,
-                cycle: at,
-                duration: self.last_segment_cycles,
-            });
         }
     }
 
@@ -250,7 +234,7 @@ impl WalkPriced {
         self.stuck_raw.filter(|_| self.phase == Phase::Loop)
     }
 
-    fn finish(self) -> (FabricRunStats, ExecutionTrace) {
+    fn finish(self) -> FabricRunStats {
         let area = |rv| self.spec.area_mm2(&rv);
         let init_area = if self.used_init_spmv {
             area(spmv_engine(INIT_UNROLL))
@@ -260,7 +244,7 @@ impl WalkPriced {
         let resident = area(dense_vector_unit()) + area(solver_control_unit()) + init_area;
         let idle = self.current_unroll.map_or(0.0, |u| area(spmv_engine(u)));
         let avg_engine = self.area_cycle_product / self.cycles.compute().max(1) as f64;
-        let stats = FabricRunStats {
+        FabricRunStats {
             cycles: self.cycles,
             spmv: self.spmv,
             init_spmv: self.init_spmv,
@@ -273,8 +257,7 @@ impl WalkPriced {
             reconfig_aborts: self.aborts,
             lost_area_cycles: self.lost_area_cycles,
             degraded_to_static: self.degraded,
-        };
-        (stats, self.trace)
+        }
     }
 }
 
@@ -357,24 +340,18 @@ impl Kernels<f64> for WalkPriced {
     }
 
     fn set_phase(&mut self, phase: Phase) {
-        self.trace.record(TraceEvent::PhaseStart {
-            phase,
-            cycle: self.cycles.total(),
-        });
         self.telemetry.emit(EventKind::PhaseStart {
             phase: (phase == Phase::Loop) as u8,
+            at_cycle: self.cycles.total(),
         });
         self.phase = phase;
         Kernels::<f64>::set_phase(&mut self.inner, phase);
     }
 
     fn begin_iteration(&mut self, iter: usize) {
-        self.trace.record(TraceEvent::IterationStart {
-            iteration: iter,
-            cycle: self.cycles.total(),
-        });
         self.telemetry.emit(EventKind::IterationStart {
             iteration: iter as u32,
+            at_cycle: self.cycles.total(),
         });
     }
 
@@ -400,6 +377,9 @@ enum Fault {
     None,
     /// ICAP swaps abort at a low seeded rate, so the abort lands mid-run.
     AbortMidRun,
+    /// The first ICAP swap aborts, so a later attempt on a schedule with
+    /// a larger engine re-pins the degraded region.
+    AbortFirstSwap,
     /// A stuck datapath bit afflicts every attempt.
     StuckBit,
 }
@@ -420,6 +400,7 @@ impl Run<'_> {
         let plan = match self.fault {
             Fault::None => return None,
             Fault::AbortMidRun => plan.with_rate(FaultCategory::ReconfigAbort, 0.04),
+            Fault::AbortFirstSwap => plan.with_rate(FaultCategory::ReconfigAbort, 1.0),
             Fault::StuckBit => plan.with_rate(FaultCategory::SpmvBitFlip, 1.0),
         };
         Some(FaultContext::new(Arc::new(FaultInjector::new(plan)), 5))
@@ -438,7 +419,6 @@ impl Run<'_> {
         let mut hw = FabricKernels::new(FabricSpec::alveo_u55c(), schedule, INIT_UNROLL)
             .with_overlap(self.overlap)
             .with_policy(self.policy)
-            .with_trace(TRACE_EVENTS)
             .with_telemetry(self.telemetry.clone());
         if let Some(plan) = self.plan {
             // Both plan slots: the coefficient matrix's, and a memo for
@@ -601,10 +581,9 @@ struct Observed {
     solve: String,
     solution_bits: Vec<u64>,
     stats: String,
-    trace: Vec<TraceEvent>,
-    trace_dropped: u64,
     /// Normalized events, printed: a diverging run's residual samples
-    /// are NaN, which no `PartialEq` equates.
+    /// are NaN, which no `PartialEq` equates. The fabric's events keep
+    /// their modeled cycle stamps and stalls.
     telemetry: Vec<String>,
     /// Every counter but the six that say which *host* path built,
     /// multiplied or reduced an operand (`PlanlessSpmvs`,
@@ -624,10 +603,51 @@ fn carried(ring: &RingRecorder) -> (u64, u64) {
     )
 }
 
+/// Asserts that a run's event stream is its reconfiguration ledger: the
+/// swaps and aborts it records are the ones the run counted (the
+/// controller counts an aborted swap as an event too: it streams the
+/// same bits), their stalls sum to the reconfiguration cycles, and its
+/// cycle stamps never go back or past the run's total.
+fn assert_ledger(events: &[Event], stats: &FabricRunStats, case: &str) {
+    let (mut stalls, mut swaps, mut aborts, mut last) = (0, 0, 0, 0);
+    for e in events {
+        let at = match e.kind {
+            EventKind::Reconfig {
+                region: Region::SpmvKernel,
+                at_cycle,
+                stall,
+                ..
+            } => {
+                swaps += 1;
+                stalls += stall;
+                at_cycle
+            }
+            EventKind::ReconfigAbort {
+                at_cycle, stall, ..
+            } => {
+                aborts += 1;
+                stalls += stall;
+                at_cycle
+            }
+            EventKind::PhaseStart { at_cycle, .. }
+            | EventKind::IterationStart { at_cycle, .. }
+            | EventKind::SpmvSegment { at_cycle, .. } => at_cycle,
+            EventKind::Reconfig { .. } => panic!("{case}: a solver swap outside the engine"),
+            _ => continue,
+        };
+        assert!(last <= at, "{case}: stamp {at} after {last}");
+        last = at;
+    }
+    assert_eq!(stalls, stats.cycles.reconfig, "{case}: stalls");
+    assert_eq!(swaps + aborts, stats.spmv_reconfig_events, "{case}: swaps");
+    assert_eq!(aborts, stats.reconfig_aborts, "{case}: aborts");
+    assert!(last <= stats.cycles.total(), "{case}: stamp past the end");
+}
+
 fn observe(
     report: Result<SolveReport<f64>, SparseError>,
     stats: FabricRunStats,
-    trace: &ExecutionTrace,
+    events: &[Event],
     ring: &RingRecorder,
 ) -> Observed {
     let report = report.expect("square system");
@@ -641,12 +661,9 @@ fn observe(
         // the shortest representation that round-trips, so equal strings
         // mean equal bits.
         stats: format!("{stats:?}"),
-        trace: trace.events().to_vec(),
-        trace_dropped: trace.dropped(),
-        telemetry: ring
-            .drain()
-            .into_iter()
-            .map(|e| format!("{:?}", Event::normalized(e)))
+        telemetry: events
+            .iter()
+            .map(|&e| format!("{:?}", e.normalized()))
             .collect(),
         counters: Counter::ALL
             .iter()
@@ -707,22 +724,23 @@ fn table_replay_equals_the_row_walk_on_every_solver_and_fault_mode() {
                         let mut hw = run(sink).fabric(sched.clone());
                         hw.begin_attempt();
                         let report = solve(solver, &a, &b, &mut hw);
-                        let trace = hw.trace().expect("tracing on").clone();
                         let stats = hw.finish();
                         iterations += report.as_ref().map_or(0, |r| r.iterations);
                         if stats.reconfig_aborts > 0 && stats.spmv_reconfig_events > 3 {
                             aborted_mid_run += 1;
                         }
                         let (updates, carried_hw) = carried(&ring_hw);
-                        let got = observe(report, stats, &trace, &ring_hw);
+                        let events = ring_hw.drain();
+                        assert_ledger(&events, &stats, &case);
+                        let got = observe(report, stats, &events, &ring_hw);
 
                         let (ring_ref, sink) = ring();
                         let mut reference = run(sink).reference(sched.clone());
                         reference.begin_attempt();
                         let report = solve(solver, &a, &b, &mut reference);
-                        let (stats, trace) = reference.finish();
+                        let stats = reference.finish();
                         let (_, carried_ref) = carried(&ring_ref);
-                        let want = observe(report, stats, &trace, &ring_ref);
+                        let want = observe(report, stats, &ring_ref.drain(), &ring_ref);
 
                         // The fabric side took every dot product a fused
                         // pass had accumulated from that pass — one per
@@ -748,7 +766,6 @@ fn table_replay_equals_the_row_walk_on_every_solver_and_fault_mode() {
                             stab_endings[2 - unasked as usize] += 1;
                         }
 
-                        assert_eq!(got.trace_dropped, 0, "{case}: trace buffer too small");
                         assert_eq!(ring_hw.dropped(), 0, "{case}: ring too small");
                         assert_eq!(got, want, "{case}");
                         solves += 1;
@@ -798,7 +815,7 @@ fn a_solver_switch_and_a_mid_run_degrade_reprice_instead_of_reusing() {
     // by `set_schedule` prices it right.
     let second = UnrollSchedule::from_entries(n, vec![entry(0..55, 16), entry(55..n, 1)]);
 
-    for fault in [Fault::None, Fault::AbortMidRun] {
+    for fault in [Fault::None, Fault::AbortMidRun, Fault::AbortFirstSwap] {
         let run = |telemetry| Run {
             plan: None,
             overlap: false,
@@ -815,7 +832,6 @@ fn a_solver_switch_and_a_mid_run_degrade_reprice_instead_of_reusing() {
         let cycles_after_cg = hw.cycles();
         hw.set_schedule(second.clone());
         let stab = solve(Solver::BiCgStab, &a, &b, &mut hw);
-        let trace = hw.trace().unwrap().clone();
         let stats = hw.finish();
         assert!(!cg.converged(), "CG must fail on the indefinite operator");
         if fault == Fault::AbortMidRun {
@@ -823,7 +839,15 @@ fn a_solver_switch_and_a_mid_run_degrade_reprice_instead_of_reusing() {
             assert!(stats.degraded_to_static && stats.lost_area_cycles > 0);
             assert!(stats.spmv_reconfig_events > 3, "abort landed mid-run");
         }
-        let got = observe(stab, stats, &trace, &ring_hw);
+        if fault == Fault::AbortFirstSwap {
+            // The aborted swap, the recovery to 8 and the re-pin to 16.
+            assert_eq!(stats.reconfig_aborts, 1);
+            assert_eq!(stats.spmv_reconfig_events, 3);
+        }
+        let events = ring_hw.drain();
+        assert_eq!(ring_hw.dropped(), 0, "{fault:?}: ring too small");
+        assert_ledger(&events, &stats, &format!("{fault:?}"));
+        let got = observe(stab, stats, &events, &ring_hw);
 
         let (ring_ref, sink) = ring();
         let mut reference = run(sink).reference(first.clone());
@@ -836,8 +860,8 @@ fn a_solver_switch_and_a_mid_run_degrade_reprice_instead_of_reusing() {
         );
         reference.set_schedule(second.clone());
         let stab = solve(Solver::BiCgStab, &a, &b, &mut reference);
-        let (stats, trace) = reference.finish();
-        let want = observe(stab, stats, &trace, &ring_ref);
+        let stats = reference.finish();
+        let want = observe(stab, stats, &ring_ref.drain(), &ring_ref);
 
         assert_eq!(got, want, "{fault:?}");
     }

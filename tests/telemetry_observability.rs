@@ -254,29 +254,6 @@ fn fault_join_mirrors_the_robustness_ledger() {
 }
 
 #[test]
-fn prometheus_snapshot_agrees_with_the_batch_report() {
-    let rec = Arc::new(RingRecorder::new(1 << 16));
-    let e = engine(2).with_recorder(rec.clone());
-    let a = Arc::new(mixed_matrix(200, 29));
-    let batch = e.solve_jobs(jobs_over(&a, 6));
-    let text = batch.prometheus_text();
-    for needle in [
-        format!("acamar_jobs_completed_total {}", batch.jobs()),
-        format!("acamar_plan_cache_hits_total {}", batch.cache.hits),
-        format!("acamar_plan_cache_misses_total {}", batch.cache.misses),
-        format!(
-            "acamar_spmv_reconfigs_total {}",
-            batch.stats.spmv_reconfig_events
-        ),
-        format!("acamar_jobs_converged_total {}", batch.converged),
-    ] {
-        assert!(text.contains(&needle), "missing `{needle}` in:\n{text}");
-    }
-    assert!(text.contains("# TYPE acamar_jobs_completed_total counter"));
-    assert!(text.contains("# TYPE acamar_batch_wall_seconds gauge"));
-}
-
-#[test]
 fn timeline_renders_the_reconfiguration_history() {
     let rec = Arc::new(RingRecorder::new(1 << 16));
     let e = engine(1).with_recorder(rec.clone());
