@@ -87,15 +87,9 @@ pub struct ServiceConfig {
     pub retry_after_floor: Duration,
     /// Hardening configuration installed on every shard engine.
     pub resilience: ResilienceConfig,
-    /// Consecutive dispatch failures before a shard's health drops from
-    /// `Healthy` to `Suspect`. Count-based (not wall-clock) so replays
-    /// walk the same state sequence. Clamped to at least 1.
-    pub suspect_after: u32,
-    /// Consecutive dispatch failures before the shard's circuit breaker
-    /// opens (`Broken`). Clamped to at least `suspect_after`.
-    pub break_after: u32,
     /// Requests diverted away from a `Broken` shard before its breaker
-    /// half-opens and the next request is admitted as a probe. Clamped
+    /// half-opens and the next request is admitted as a probe. Count-based
+    /// (not wall-clock) so replays walk the same state sequence. Clamped
     /// to at least 1.
     pub probe_after: u32,
     /// Delivery retries a job failed by a dispatcher panic or queue drop
@@ -122,8 +116,6 @@ impl Default for ServiceConfig {
             starvation_bound: Duration::from_millis(250),
             retry_after_floor: Duration::from_millis(1),
             resilience: ResilienceConfig::default(),
-            suspect_after: 2,
-            break_after: 4,
             probe_after: 8,
             retry_budget: 2,
             restart_backoff: Duration::from_millis(1),
@@ -174,18 +166,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the failure streak that turns a shard `Suspect`.
-    pub fn with_suspect_after(mut self, failures: u32) -> ServiceConfig {
-        self.suspect_after = failures;
-        self
-    }
-
-    /// Sets the failure streak that opens a shard's circuit breaker.
-    pub fn with_break_after(mut self, failures: u32) -> ServiceConfig {
-        self.break_after = failures;
-        self
-    }
-
     /// Sets the diverted-request count that half-opens the breaker.
     pub fn with_probe_after(mut self, diversions: u32) -> ServiceConfig {
         self.probe_after = diversions;
@@ -209,8 +189,6 @@ impl ServiceConfig {
         self.shards = self.shards.max(1);
         self.workers_per_shard = self.workers_per_shard.max(1);
         self.queue_capacity = self.queue_capacity.max(1);
-        self.suspect_after = self.suspect_after.max(1);
-        self.break_after = self.break_after.max(self.suspect_after);
         self.probe_after = self.probe_after.max(1);
         self
     }
@@ -236,22 +214,12 @@ mod tests {
             .with_shards(0)
             .with_workers_per_shard(0)
             .with_queue_capacity(0)
-            .with_suspect_after(0)
             .with_probe_after(0)
             .normalized();
         assert_eq!(
             (cfg.shards, cfg.workers_per_shard, cfg.queue_capacity),
             (1, 1, 1)
         );
-        assert_eq!((cfg.suspect_after, cfg.probe_after), (1, 1));
-    }
-
-    #[test]
-    fn normalized_keeps_break_after_at_or_above_suspect_after() {
-        let cfg = ServiceConfig::default()
-            .with_suspect_after(6)
-            .with_break_after(2)
-            .normalized();
-        assert_eq!(cfg.break_after, 6);
+        assert_eq!(cfg.probe_after, 1);
     }
 }

@@ -29,7 +29,7 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// ```text
 ///            consecutive failures          consecutive failures
-///            >= suspect_after              >= break_after
+///            >= SUSPECT_AFTER              >= BREAK_AFTER
 /// Healthy ─────────────────────> Suspect ─────────────────────> Broken
 ///    ^                              │                            │ ▲
 ///    │ success                      │ success                    │ │ probe
@@ -82,21 +82,20 @@ impl std::fmt::Display for ShardHealth {
     }
 }
 
-/// The count thresholds driving the state machine (from
-/// [`ServiceConfig`](crate::ServiceConfig), pre-normalized).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HealthThresholds {
-    pub suspect_after: u32,
-    pub break_after: u32,
-    pub probe_after: u32,
-}
+/// Consecutive dispatch failures before a shard's health drops from
+/// `Healthy` to `Suspect`.
+const SUSPECT_AFTER: u32 = 2;
+/// Consecutive dispatch failures before a shard's circuit breaker opens
+/// (`Broken`).
+const BREAK_AFTER: u32 = 4;
 
 #[derive(Debug)]
 struct HealthInner {
     state: ShardHealth,
     consecutive_failures: u32,
     /// Requests diverted away while `Broken`; reaching
-    /// [`HealthThresholds::probe_after`] flips the breaker half-open.
+    /// [`ServiceConfig::probe_after`](crate::ServiceConfig::probe_after)
+    /// flips the breaker half-open.
     diverted: u32,
 }
 
@@ -148,7 +147,7 @@ impl HealthCell {
     /// A job dispatched on this shard resolved with an error: advance the
     /// failure streak through `Suspect` toward `Broken`; a failure while
     /// `Probing` re-opens the breaker immediately.
-    pub fn record_failure(&self, shard: usize, th: HealthThresholds, sink: &TelemetrySink) {
+    pub fn record_failure(&self, shard: usize, sink: &TelemetrySink) {
         let mut inner = lock_recover(&self.inner);
         inner.consecutive_failures = inner.consecutive_failures.saturating_add(1);
         match inner.state {
@@ -157,10 +156,10 @@ impl HealthCell {
                 Self::transition(&mut inner, shard, ShardHealth::Broken, sink);
             }
             ShardHealth::Healthy | ShardHealth::Suspect => {
-                if inner.consecutive_failures >= th.break_after {
+                if inner.consecutive_failures >= BREAK_AFTER {
                     inner.diverted = 0;
                     Self::transition(&mut inner, shard, ShardHealth::Broken, sink);
-                } else if inner.consecutive_failures >= th.suspect_after {
+                } else if inner.consecutive_failures >= SUSPECT_AFTER {
                     Self::transition(&mut inner, shard, ShardHealth::Suspect, sink);
                 }
             }
@@ -194,19 +193,14 @@ impl HealthCell {
     /// breaker half-open and admit this request as the probe. Returns
     /// `true` when the request should be admitted here (as a probe),
     /// `false` when it should spill to the next-ranked shard.
-    pub fn divert_or_probe(
-        &self,
-        shard: usize,
-        th: HealthThresholds,
-        sink: &TelemetrySink,
-    ) -> bool {
+    pub fn divert_or_probe(&self, shard: usize, probe_after: u32, sink: &TelemetrySink) -> bool {
         let mut inner = lock_recover(&self.inner);
         if inner.state != ShardHealth::Broken {
             // Raced with a heal or a probe admission: admit normally.
             return true;
         }
         inner.diverted = inner.diverted.saturating_add(1);
-        if inner.diverted >= th.probe_after {
+        if inner.diverted >= probe_after {
             inner.diverted = 0;
             Self::transition(&mut inner, shard, ShardHealth::Probing, sink);
             sink.emit(EventKind::BreakerProbe {
@@ -330,12 +324,6 @@ impl LedgerInner {
 mod tests {
     use super::*;
 
-    const TH: HealthThresholds = HealthThresholds {
-        suspect_after: 2,
-        break_after: 4,
-        probe_after: 3,
-    };
-
     fn sink() -> TelemetrySink {
         TelemetrySink::disabled()
     }
@@ -344,26 +332,47 @@ mod tests {
     fn failure_streak_walks_healthy_suspect_broken() {
         let cell = HealthCell::new();
         assert_eq!(cell.state(), ShardHealth::Healthy);
-        cell.record_failure(0, TH, &sink());
+        cell.record_failure(0, &sink());
         assert_eq!(cell.state(), ShardHealth::Healthy);
-        cell.record_failure(0, TH, &sink());
+        cell.record_failure(0, &sink());
         assert_eq!(cell.state(), ShardHealth::Suspect);
-        cell.record_failure(0, TH, &sink());
+        cell.record_failure(0, &sink());
         assert_eq!(cell.state(), ShardHealth::Suspect);
-        cell.record_failure(0, TH, &sink());
+        cell.record_failure(0, &sink());
         assert_eq!(cell.state(), ShardHealth::Broken);
+    }
+
+    #[test]
+    fn consecutive_failures_cross_the_constants_and_a_success_heals() {
+        let cell = HealthCell::new();
+        for failures in 1..=BREAK_AFTER {
+            cell.record_failure(0, &sink());
+            let want = if failures >= BREAK_AFTER {
+                ShardHealth::Broken
+            } else if failures >= SUSPECT_AFTER {
+                ShardHealth::Suspect
+            } else {
+                ShardHealth::Healthy
+            };
+            assert_eq!(cell.state(), want, "after {failures} failures");
+        }
+        // Half-open on the first diversion; the probe's success heals.
+        assert!(cell.divert_or_probe(0, 1, &sink()));
+        cell.record_success(0, &sink());
+        assert_eq!(cell.state(), ShardHealth::Healthy);
     }
 
     #[test]
     fn success_resets_the_streak_and_heals_suspect() {
         let cell = HealthCell::new();
-        cell.record_failure(0, TH, &sink());
-        cell.record_failure(0, TH, &sink());
+        for _ in 0..SUSPECT_AFTER {
+            cell.record_failure(0, &sink());
+        }
         assert_eq!(cell.state(), ShardHealth::Suspect);
         cell.record_success(0, &sink());
         assert_eq!(cell.state(), ShardHealth::Healthy);
-        // The streak restarted: one more failure is below suspect_after.
-        cell.record_failure(0, TH, &sink());
+        // The streak restarted: one more failure is below SUSPECT_AFTER.
+        cell.record_failure(0, &sink());
         assert_eq!(cell.state(), ShardHealth::Healthy);
     }
 
@@ -372,16 +381,16 @@ mod tests {
         let cell = HealthCell::new();
         cell.force(0, ShardHealth::Broken, &sink());
         // probe_after = 3: two diversions spill, the third probes.
-        assert!(!cell.divert_or_probe(0, TH, &sink()));
-        assert!(!cell.divert_or_probe(0, TH, &sink()));
-        assert!(cell.divert_or_probe(0, TH, &sink()));
+        assert!(!cell.divert_or_probe(0, 3, &sink()));
+        assert!(!cell.divert_or_probe(0, 3, &sink()));
+        assert!(cell.divert_or_probe(0, 3, &sink()));
         assert_eq!(cell.state(), ShardHealth::Probing);
         // Probe failure re-opens; the diversion count restarts.
-        cell.record_failure(0, TH, &sink());
+        cell.record_failure(0, &sink());
         assert_eq!(cell.state(), ShardHealth::Broken);
-        assert!(!cell.divert_or_probe(0, TH, &sink()));
-        assert!(!cell.divert_or_probe(0, TH, &sink()));
-        assert!(cell.divert_or_probe(0, TH, &sink()));
+        assert!(!cell.divert_or_probe(0, 3, &sink()));
+        assert!(!cell.divert_or_probe(0, 3, &sink()));
+        assert!(cell.divert_or_probe(0, 3, &sink()));
         // Probe success heals.
         cell.record_success(0, &sink());
         assert_eq!(cell.state(), ShardHealth::Healthy);

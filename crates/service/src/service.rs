@@ -1,9 +1,7 @@
 //! The serving front-end: bounded admission, shard dispatch, tickets.
 
 use crate::config::{Priority, RoutingPolicy, ServiceConfig};
-use crate::health::{
-    lock_recover, HealthCell, HealthThresholds, LedgerInner, ServiceLedger, ShardHealth,
-};
+use crate::health::{lock_recover, HealthCell, LedgerInner, ServiceLedger, ShardHealth};
 use crate::queue::Scheduler;
 use crate::router::{mix64, shard_for, shard_ranking};
 use acamar_core::{Acamar, AcamarRunReport};
@@ -687,14 +685,6 @@ impl<T: Scalar> Service<T> {
         self.cfg.retry_after_floor.max(Duration::from_nanos(est))
     }
 
-    fn thresholds(&self) -> HealthThresholds {
-        HealthThresholds {
-            suspect_after: self.cfg.suspect_after,
-            break_after: self.cfg.break_after,
-            probe_after: self.cfg.probe_after,
-        }
-    }
-
     /// The shard admission `seq` actually lands on: the routed shard when
     /// its breaker is closed (the overwhelmingly common path — zero extra
     /// work, zero extra events), otherwise either this request is admitted
@@ -707,7 +697,7 @@ impl<T: Scalar> Service<T> {
         if health.state() != ShardHealth::Broken {
             return preferred;
         }
-        if health.divert_or_probe(preferred, self.thresholds(), &self.sink) {
+        if health.divert_or_probe(preferred, self.cfg.probe_after, &self.sink) {
             return preferred;
         }
         let ranking: Vec<usize> = match self.cfg.routing {
@@ -818,9 +808,8 @@ impl<T: Scalar> Service<T> {
     }
 
     /// Chaos hook: forces shard `shard`'s breaker open, as if its failure
-    /// streak had just crossed [`ServiceConfig::break_after`]. New
-    /// affinity traffic spills to the next-ranked shard until the breaker
-    /// half-opens and a probe succeeds.
+    /// streak had just opened it. New affinity traffic spills to the
+    /// next-ranked shard until the breaker half-opens and a probe succeeds.
     pub fn break_shard(&self, shard: usize) {
         self.shards[shard]
             .health
@@ -1174,11 +1163,6 @@ fn dispatcher<T: Scalar>(
         Some(r) => TelemetrySink::new(r as Arc<dyn Recorder>),
         None => TelemetrySink::disabled(),
     };
-    let th = HealthThresholds {
-        suspect_after: cfg.suspect_after,
-        break_after: cfg.break_after,
-        probe_after: cfg.probe_after,
-    };
     loop {
         let wave = {
             let mut st = lock_recover(&shared.state);
@@ -1320,7 +1304,7 @@ fn dispatcher<T: Scalar>(
                 if ok {
                     shared.health.record_success(shard, &sink);
                 } else {
-                    shared.health.record_failure(shard, th, &sink);
+                    shared.health.record_failure(shard, &sink);
                 }
                 let index = completions.fetch_add(1, Ordering::SeqCst);
                 let latency = done.saturating_duration_since(e.admitted_at);

@@ -6,7 +6,7 @@
 //! kernel that maps onto the dense units the fabric already has — and
 //! incomplete Cholesky `M = L Lᵀ` (see [`Ic0`]), whose two substitution
 //! passes run as [`acamar_sparse::CompiledSptrsv`] solves, level by level,
-//! on the level schedules the fabric executor prices (DESIGN §17).
+//! on the level schedules the fabric executor prices (DESIGN §7, §8).
 
 use crate::convergence::{ConvergenceCriteria, DivergenceReason, Monitor, Outcome, Verdict};
 use crate::ic0::Ic0;

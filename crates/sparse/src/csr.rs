@@ -14,7 +14,7 @@ use std::sync::Arc;
 ///
 /// The arrays are immutable once built and held by reference count
 /// (`Arc<[usize]>`: the slice pointers sit in the struct, so `row(i)` in a
-/// loop costs what it cost on a `Vec` — see DESIGN §11), so a clone is
+/// loop costs what it cost on a `Vec` — see DESIGN §7), so a clone is
 /// two reference bumps and every matrix made from one pattern —
 /// [`CsrMatrix::clone`], [`CsrMatrix::map_values`], [`CsrMatrix::cast`],
 /// [`CsrMatrix::from_pattern`] — reads the same storage. A pattern only

@@ -5,7 +5,7 @@
 //! `l_ik · l_jk` every entry subtracts are functions of `A`'s *pattern*
 //! alone, so they are worked out once ([`Ic0Schedule::of`]) and replayed
 //! against each matrix of that pattern ([`Ic0Schedule::fill`]), which
-//! then only reads and writes values (DESIGN §17).
+//! then only reads and writes values (DESIGN §7).
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;

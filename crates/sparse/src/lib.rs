@@ -36,9 +36,9 @@
 //! * [`compiled`] — format-specialized SpMV execution plans compiled from
 //!   the MSID unroll schedule (paper Fig. 3 / Eq. 5, host twin).
 //! * [`simd`] — portable fixed-lane accumulators and the
-//!   [`DeterminismPolicy`] two-tier numeric contract (DESIGN §15).
+//!   [`DeterminismPolicy`] two-tier numeric contract (DESIGN §4).
 //! * [`sptrsv`] — sparse triangular solve plans and their level schedules
-//!   for incomplete-factorization preconditioners (DESIGN §17).
+//!   for incomplete-factorization preconditioners (DESIGN §7).
 //! * [`Ic0Schedule`] — the pattern half of IC(0): the factors' patterns
 //!   and the elimination schedule, built once and replayed per matrix.
 

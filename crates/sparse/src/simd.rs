@@ -17,7 +17,7 @@
 //! Reassociation changes results only in the last few ULP on
 //! well-conditioned data (four partial sums instead of one), which is why
 //! the `Fast` tier is validated by residual-accuracy and
-//! convergence-verdict gates instead of bitwise ones — see DESIGN §15.
+//! convergence-verdict gates instead of bitwise ones — see DESIGN §4.
 
 use crate::scalar::Scalar;
 

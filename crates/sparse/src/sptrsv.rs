@@ -30,7 +30,7 @@
 //! waiting on each in turn. `b` and `x` stay in natural order.
 //!
 //! The same levels are what the fabric cycle model prices
-//! (`tri_nnz + levels × PIPELINE_DEPTH`, DESIGN §17) and what the
+//! (`tri_nnz + levels × PIPELINE_DEPTH`, DESIGN §7, §9) and what the
 //! benchmark's `sparse.sptrsv_*` rows report. Concurrency across threads
 //! lives across solves (engine workers × service shards); a level-parallel
 //! walk that spawned threads per level measured 186–494× slower than a

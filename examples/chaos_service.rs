@@ -8,8 +8,7 @@
 //! of `(seed, category, job, site)`, re-running this binary replays the
 //! exact same faults.
 //!
-//! Run with
-//! `cargo run --release --features fault-injection --example chaos_service`.
+//! Run with `cargo run --release --example chaos_service`.
 
 use acamar::core::{Acamar, AcamarConfig};
 use acamar::engine::{Engine, ResilienceConfig, SolveError, SolveJob};

@@ -38,13 +38,11 @@
 //!   HTTP scrape endpoint for the Prometheus snapshot and ring trace;
 //! * [`faultline`] — a seeded deterministic fault-injection harness for
 //!   exercising every recovery path (see the fault-model section of
-//!   DESIGN.md and the `fault-injection` cargo feature, which gates the
-//!   chaos test suite and example);
+//!   DESIGN.md);
 //! * [`telemetry`] — zero-overhead-when-disabled structured observability:
 //!   per-job spans, monotonic counters, a lock-free event ring, JSON-lines
 //!   and Prometheus exporters, and the Fig. 13-style reconfiguration
-//!   timeline renderer (the `telemetry` cargo feature gates the
-//!   observability test suite; the layer itself is always available).
+//!   timeline renderer.
 //!
 //! ## Quickstart
 //!

@@ -1,14 +1,11 @@
 //! Chaos suite: the deterministic fault-injection harness driving every
 //! hardening path of the batch engine at once.
 //!
-//! Gated behind the `fault-injection` cargo feature:
-//! `cargo test --features fault-injection --test chaos_engine`.
+//! Run alone with `cargo test --test chaos_engine`.
 //!
 //! Everything here is seeded — each test replays the exact same fault
 //! sequence on every run, whatever the worker interleaving, because each
 //! injection decision is a pure function of `(seed, category, job, site)`.
-
-#![cfg(feature = "fault-injection")]
 
 use acamar::core::{Acamar, AcamarConfig, RescuePolicy};
 use acamar::engine::{Engine, ResilienceConfig, SolveError, SolveJob};

@@ -181,7 +181,6 @@ fn a_one_job_batch_runs_on_the_caller_and_answers_like_any_other_path() {
     }
 }
 
-#[cfg(feature = "fault-injection")]
 #[test]
 fn a_panic_in_a_one_job_batch_is_typed_and_leaves_the_engine_usable() {
     use acamar::engine::SolveError;

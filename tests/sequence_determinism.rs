@@ -323,7 +323,6 @@ fn the_plan_cache_counts_one_lookup_per_step() {
 /// must produce identical verdicts and bitwise solutions — warm-start
 /// rejections triggered by fault-perturbed residuals fall back to the
 /// deterministic cold start, never to divergent state.
-#[cfg(feature = "fault-injection")]
 #[test]
 fn chaos_sequence_replay_is_deterministic() {
     use acamar::engine::ResilienceConfig;

@@ -1,7 +1,7 @@
 //! Supervision, failover, and service-seam chaos suite.
 //!
-//! The serving layer's self-healing acceptance tests, gated like the
-//! engine chaos suite behind `--features fault-injection`:
+//! The serving layer's self-healing acceptance tests
+//! (`cargo test --test service_failover`):
 //!
 //! - a 64-job batch with every service seam (dispatcher panic, dispatcher
 //!   stall, queue drop) firing loses zero jobs and keeps the service
@@ -13,8 +13,6 @@
 //!   successful probe;
 //! - dropping a service mid-chaos still resolves every outstanding
 //!   ticket.
-
-#![cfg(feature = "fault-injection")]
 
 use acamar::core::{Acamar, AcamarConfig};
 use acamar::engine::PatternFingerprint;

@@ -1,4 +1,4 @@
-//! Property test for the SpTRSV kernel (DESIGN §17), against arithmetic
+//! Property test for the SpTRSV kernel (DESIGN §7), against arithmetic
 //! and graph walks written here rather than taken from the plan:
 //!
 //! * the level-ordered `solve(Deterministic)` is **bitwise identical** to

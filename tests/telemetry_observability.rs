@@ -1,4 +1,4 @@
-//! Observability integration suite (`--features telemetry`).
+//! Observability integration suite (`cargo test --test telemetry_observability`).
 //!
 //! Proves the telemetry layer's two core contracts end to end:
 //!
@@ -11,7 +11,6 @@
 //!    `FabricRunStats::spmv_reconfig_events`, cache counters match
 //!    `CacheStats`, and chaos replays produce identical (normalized)
 //!    event streams.
-#![cfg(feature = "telemetry")]
 
 use acamar::core::{Acamar, AcamarConfig};
 use acamar::engine::{Engine, ResilienceConfig, SolveJob};

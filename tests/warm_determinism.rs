@@ -104,7 +104,6 @@ fn repeated_solve_one_is_bitwise_stable() {
 /// Fault-injection smoke: chaos replay is unchanged by workspace reuse —
 /// the same seeded fault plan on a cold and a warm engine yields the
 /// same ledger and the same per-job outcomes.
-#[cfg(feature = "fault-injection")]
 #[test]
 fn chaos_replay_is_unchanged_by_warm_workspaces() {
     use acamar::engine::ResilienceConfig;
