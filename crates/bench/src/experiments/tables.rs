@@ -25,7 +25,7 @@ pub fn table1() -> Table1Result {
     t.print();
     println!(
         "\npaper:    11 solver/criterion rows; Acamar executes JB, CG, BiCG-STAB \
-         (plus GS/SOR/GMRES in software here)."
+         (plus SOR/PCG/GMRES in software here)."
     );
     println!("measured: static table (definitionally identical).");
     Table1Result { rows }

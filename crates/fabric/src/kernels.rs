@@ -1574,55 +1574,83 @@ mod tests {
         assert!(fd_fast.abs() > 1e50 || !fd_fast.is_finite());
     }
 
+    /// Starts a solver on `k`, multiplies by `a` (which binds an installed
+    /// plan of `a`'s shape) and then by `at`. Returns both products' bits
+    /// and the plan-less SpMVs the `at` product added to `ring`.
+    fn multiply_a_then_at<K: Kernels<f64>>(
+        k: &mut K,
+        a: &CsrMatrix<f64>,
+        at: &CsrMatrix<f64>,
+        ring: &acamar_telemetry::RingRecorder,
+    ) -> (Vec<u64>, Vec<u64>, u64) {
+        let planless = || ring.counters()[Counter::PlanlessSpmvs.index()];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let x: Vec<f64> = (0..a.ncols()).map(|i| (i % 7) as f64 * 0.3 - 0.8).collect();
+        let mut y = vec![0.0_f64; a.nrows()];
+        k.set_phase(Phase::Initialize);
+        k.set_phase(Phase::Loop);
+        k.spmv(a, &x, &mut y);
+        let on_a = bits(&y);
+        let before = planless();
+        k.spmv(at, &x, &mut y);
+        (on_a, bits(&y), planless() - before)
+    }
+
     #[test]
-    fn bicg_with_a_plan_is_bitwise_bicg_without_one_on_both_executors() {
-        // BiCG multiplies by Aᵀ, which has A's shape and entry count: a
-        // plan matched by shape alone ran A's column slots over Aᵀ's
-        // values (10 000 iterations in release, a slot-audit panic in
-        // debug). The plan binds to A by identity; Aᵀ walks generically.
+    fn a_transpose_walks_without_the_plan_bound_to_a_on_every_executor() {
+        // Aᵀ has A's shape and entry count: a plan matched by shape alone
+        // would run A's column slots over Aᵀ's values (a slot-audit panic
+        // in debug). The plan binds to A by identity; Aᵀ walks generically
+        // and is counted.
         let a = generate::diagonally_dominant::<f64>(
             150,
             RowDistribution::Uniform { min: 2, max: 9 },
             1.5,
             7,
         );
-        assert_ne!(a.transpose().col_idx(), a.col_idx(), "pattern-nonsymmetric");
-        let b = vec![1.0_f64; 150];
-        let crit = ConvergenceCriteria::paper();
+        let at = a.transpose();
+        assert_ne!(at.col_idx(), a.col_idx(), "pattern-nonsymmetric");
+        let walked = |m: &CsrMatrix<f64>| {
+            let x: Vec<f64> = (0..m.ncols()).map(|i| (i % 7) as f64 * 0.3 - 0.8).collect();
+            let y = m.mul_vec(&x).unwrap();
+            y.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let (want_a, want_at) = (walked(&a), walked(&at));
         let plan = Arc::new(CompiledSpmv::compile_default(&a));
-
-        let plain = acamar_solvers::bicg(&a, &b, None, &crit, &mut SoftwareKernels::new()).unwrap();
-        assert!(plain.converged());
-        assert_eq!(plain.iterations, 17);
-        // With the derived-operand memo installed as well: BiCG announces
-        // no derived operand, so Aᵀ must not pick that slot up either.
+        // With the derived-operand memo installed as well: Aᵀ must not
+        // pick that slot up either.
         let schedule = UnrollSchedule::uniform(150, 4);
         let memo = Arc::new(DerivedPlan::new(schedule.band_hints()));
+        let ring = Arc::new(acamar_telemetry::RingRecorder::new(64));
+        let sink = TelemetrySink::new(ring.clone());
         let mut sw = SoftwareKernels::new()
             .with_compiled_plan(Arc::clone(&plan))
-            .with_derived_plan(Arc::clone(&memo));
-        let mut hw = FabricKernels::new(spec(), schedule.clone(), 4);
+            .with_derived_plan(Arc::clone(&memo))
+            .with_telemetry(sink.clone());
+        let mut hw = FabricKernels::new(spec(), schedule.clone(), 4).with_telemetry(sink.clone());
         let mut hw_plan = FabricKernels::new(spec(), schedule, 4)
             .with_compiled_plan(plan)
-            .with_derived_plan(Arc::clone(&memo));
-        for planned in [
-            acamar_solvers::bicg(&a, &b, None, &crit, &mut sw).unwrap(),
-            acamar_solvers::bicg(&a, &b, None, &crit, &mut hw).unwrap(),
-            acamar_solvers::bicg(&a, &b, None, &crit, &mut hw_plan).unwrap(),
-        ] {
-            assert_eq!(planned.iterations, plain.iterations);
-            assert_eq!(planned.residual_history, plain.residual_history);
-            assert_eq!(planned.solution, plain.solution);
-        }
-        assert_eq!(hw.cycles(), hw_plan.cycles());
-        assert!(
-            memo.get().is_none(),
-            "BiCG derives nothing a plan is kept for"
-        );
+            .with_derived_plan(Arc::clone(&memo))
+            .with_telemetry(sink);
+        let check =
+            |sw: &mut SoftwareKernels, hw: &mut FabricKernels, hw_plan: &mut FabricKernels| {
+                for got in [
+                    multiply_a_then_at(sw, &a, &at, &ring),
+                    multiply_a_then_at(hw, &a, &at, &ring),
+                    multiply_a_then_at(hw_plan, &a, &at, &ring),
+                ] {
+                    assert_eq!(got, (want_a.clone(), want_at.clone(), 1));
+                }
+                assert_eq!(hw.cycles(), hw_plan.cycles());
+            };
+        check(&mut sw, &mut hw, &mut hw_plan);
+        assert!(memo.get().is_none(), "a bare SpMV derives nothing");
 
         // Jacobi on the same executors does announce its operand: same
-        // bytes and cycles with both slots bound as with neither, and a
-        // BiCG attempt after it starts from unbound slots again.
+        // bytes and cycles with both slots bound as with neither, and the
+        // next solver's Aᵀ starts from unbound slots again.
+        let b = vec![1.0_f64; 150];
+        let crit = ConvergenceCriteria::paper();
         let plain = jacobi(&a, &b, None, &crit, &mut SoftwareKernels::new()).unwrap();
         assert!(plain.converged());
         for planned in [
@@ -1635,14 +1663,13 @@ mod tests {
         }
         assert_eq!(hw.cycles(), hw_plan.cycles());
         assert_eq!(memo.get().map(|p| p.nnz()), Some(a.nnz() - 150));
-        let again = acamar_solvers::bicg(&a, &b, None, &crit, &mut hw_plan).unwrap();
-        assert_eq!(again.iterations, 17);
+        check(&mut sw, &mut hw, &mut hw_plan);
 
         // An operand's identity is its pattern's storage. On a
         // pattern-symmetric matrix Aᵀ's arrays *equal* A's, but
         // `transpose` builds its own, so Aᵀ still binds apart from A: the
-        // plan runs A, Aᵀ walks generically once per iteration, and the
-        // fabric prices the two as two operands.
+        // plan runs A, Aᵀ walks generically, and the fabric prices the two
+        // as two operands.
         let s: CsrMatrix<f64> = generate::convection_diffusion_2d(12, 12, 6.0);
         let st = s.transpose();
         assert_eq!(s.pattern(), st.pattern());
@@ -1655,20 +1682,21 @@ mod tests {
             acamar_solvers::OperandId::of(&s),
             acamar_solvers::OperandId::of(&s.clone())
         );
-        let b = vec![1.0_f64; 144];
-        let plain = acamar_solvers::bicg(&s, &b, None, &crit, &mut SoftwareKernels::new()).unwrap();
-        assert!(plain.converged());
-        let ring = Arc::new(acamar_telemetry::RingRecorder::new(64));
+        let plan = Arc::new(CompiledSpmv::compile_default(&s));
+        let schedule = UnrollSchedule::uniform(144, 4);
+        let sink = TelemetrySink::new(ring.clone());
         let mut sw = SoftwareKernels::new()
-            .with_compiled_plan(Arc::new(CompiledSpmv::compile_default(&s)))
-            .with_telemetry(TelemetrySink::new(ring.clone()));
-        let planned = acamar_solvers::bicg(&s, &b, None, &crit, &mut sw).unwrap();
-        assert_eq!(planned.residual_history, plain.residual_history);
-        assert_eq!(planned.solution, plain.solution);
-        assert_eq!(
-            ring.counters()[Counter::PlanlessSpmvs.index()],
-            planned.iterations as u64
-        );
+            .with_compiled_plan(Arc::clone(&plan))
+            .with_telemetry(sink.clone());
+        let mut hw = FabricKernels::new(spec(), schedule.clone(), 4).with_telemetry(sink.clone());
+        let mut hw_plan = FabricKernels::new(spec(), schedule, 4)
+            .with_compiled_plan(plan)
+            .with_telemetry(sink);
+        let want = (walked(&s), walked(&st), 1);
+        assert_eq!(multiply_a_then_at(&mut sw, &s, &st, &ring), want);
+        assert_eq!(multiply_a_then_at(&mut hw, &s, &st, &ring), want);
+        assert_eq!(multiply_a_then_at(&mut hw_plan, &s, &st, &ring), want);
+        assert_eq!(hw.cycles(), hw_plan.cycles());
     }
 
     #[test]

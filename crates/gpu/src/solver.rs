@@ -39,9 +39,8 @@ fn kernel_mix(solver: SolverKind) -> (u64, u64, u64) {
         SolverKind::Jacobi => (1, 5, 2),
         SolverKind::ConjugateGradient => (1, 6, 2),
         SolverKind::PreconditionedCg => (1, 8, 2),
-        SolverKind::BiCgStab | SolverKind::BiCg => (2, 12, 2),
-        SolverKind::ConjugateResidual => (1, 8, 2),
-        SolverKind::GaussSeidel | SolverKind::Sor => (1, 3, 2),
+        SolverKind::BiCgStab => (2, 12, 2),
+        SolverKind::Sor => (1, 3, 2),
         // ~restart/2 orthogonalization kernels on average per inner step
         SolverKind::Gmres => (1, 16, 2),
     }

@@ -3,30 +3,6 @@
 use acamar_engine::ResilienceConfig;
 use std::time::Duration;
 
-/// How admitted jobs are mapped onto engine shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingPolicy {
-    /// Route by [`PatternFingerprint`] affinity: the shard is a pure
-    /// function of the matrix's sparsity pattern
-    /// ([`shard_for`](crate::shard_for)), so repeat structural classes
-    /// always land on the shard that already holds the warm compiled
-    /// plan and pooled workspaces.
-    ///
-    /// [`PatternFingerprint`]: acamar_engine::PatternFingerprint
-    Affinity,
-    /// Cycle shards in admission order, ignoring the pattern. The A/B
-    /// baseline the affinity bench and tests compare against.
-    RoundRobin,
-    /// Pick a shard pseudo-randomly (deterministic in `seed` and the
-    /// admission sequence). The open-loop load-generator's "no affinity"
-    /// arm.
-    Random {
-        /// Stream seed; the same seed and submission order reproduce the
-        /// same shard choices.
-        seed: u64,
-    },
-}
-
 /// Scheduling class of one admitted job. Lower classes dispatch first;
 /// [`ServiceConfig::starvation_bound`] promotes any job that has waited
 /// too long to the front class, so low-priority tenants cannot starve.
@@ -75,8 +51,6 @@ pub struct ServiceConfig {
     /// [`AdmissionError::QueueFull`](crate::AdmissionError::QueueFull)
     /// carrying a retry-after estimate. Clamped to at least 1.
     pub queue_capacity: usize,
-    /// Shard routing policy.
-    pub routing: RoutingPolicy,
     /// Once a queued job has waited this long it is promoted to the
     /// front scheduling class regardless of its [`Priority`] — the
     /// bounded-wait guarantee against priority inversion.
@@ -112,7 +86,6 @@ impl Default for ServiceConfig {
             shards: 2,
             workers_per_shard: 1,
             queue_capacity: 64,
-            routing: RoutingPolicy::Affinity,
             starvation_bound: Duration::from_millis(250),
             retry_after_floor: Duration::from_millis(1),
             resilience: ResilienceConfig::default(),
@@ -139,12 +112,6 @@ impl ServiceConfig {
     /// Sets the per-shard queue bound.
     pub fn with_queue_capacity(mut self, capacity: usize) -> ServiceConfig {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the routing policy.
-    pub fn with_routing(mut self, routing: RoutingPolicy) -> ServiceConfig {
-        self.routing = routing;
         self
     }
 

@@ -23,7 +23,7 @@
 //!    a *pure function of the fingerprint*, so every repeat of a
 //!    structural class lands where its compiled SpMV plan is already
 //!    warm. `tests/service_routing.rs` counts exactly this effect in
-//!    plan-cache hits (affinity vs. round-robin routing).
+//!    plan-cache misses (one per pattern, at every shard count).
 //! 4. **Supervision and failover** — every shard has a count-based
 //!    health state machine ([`ShardHealth`]:
 //!    `Healthy → Suspect → Broken → Probing → Healthy`) fed by dispatch
@@ -57,7 +57,7 @@ mod router;
 mod service;
 
 pub use acamar_sparse::DeterminismPolicy;
-pub use config::{Priority, RoutingPolicy, ServiceConfig};
+pub use config::{Priority, ServiceConfig};
 pub use health::{ServiceLedger, ShardHealth};
 pub use http::ScrapeServer;
 pub use router::{shard_for, shard_ranking};

@@ -1,6 +1,6 @@
 //! The serving front-end: bounded admission, shard dispatch, tickets.
 
-use crate::config::{Priority, RoutingPolicy, ServiceConfig};
+use crate::config::{Priority, ServiceConfig};
 use crate::health::{lock_recover, HealthCell, LedgerInner, ServiceLedger, ShardHealth};
 use crate::queue::Scheduler;
 use crate::router::{mix64, shard_for, shard_ranking};
@@ -41,11 +41,11 @@ pub struct ServiceRequest<T> {
     /// default) keeps the bitwise replay contract; `Fast` routes the
     /// hot kernels through the reassociated 4-lane paths.
     pub policy: DeterminismPolicy,
-    /// Sticky routing fingerprint for sequence-scoped requests. Under
-    /// affinity routing the request routes by this fingerprint (the
-    /// pattern the sequence was opened on) instead of the submitted
-    /// matrix's, so every step of an evolving sequence lands on the one
-    /// shard whose plan cache holds the sequence's patched plans.
+    /// Sticky routing fingerprint for sequence-scoped requests. The
+    /// request routes by this fingerprint (the pattern the sequence was
+    /// opened on) instead of the submitted matrix's, so every step of an
+    /// evolving sequence lands on the one shard whose plan cache holds
+    /// the sequence's patched plans.
     /// `None` (the default) routes by the matrix pattern as always.
     pub sequence: Option<PatternFingerprint>,
 }
@@ -384,9 +384,9 @@ struct ShardState<T: Scalar> {
 ///
 /// Construction spawns one dispatcher thread per shard, each owning an
 /// [`Engine`] (its own plan cache, workspace pool, and worker threads).
-/// [`Service::submit`] routes by the configured [`RoutingPolicy`] —
-/// affinity routing sends every repeat of a sparsity pattern to the one
-/// shard that already compiled its plan — and either enqueues the job
+/// [`Service::submit`] routes by fingerprint affinity ([`shard_for`]) —
+/// every repeat of a sparsity pattern goes to the one shard that already
+/// compiled its plan — and either enqueues the job
 /// (returning a [`Ticket`]) or rejects it with a typed, retry-after-
 /// carrying [`AdmissionError`] when that shard's bounded queue is full.
 ///
@@ -415,8 +415,6 @@ pub struct Service<T: Scalar> {
     /// Supervisor threads (one per shard); each owns its dispatcher.
     threads: Vec<JoinHandle<()>>,
     seq: AtomicU64,
-    rr: AtomicU64,
-    rand: AtomicU64,
     completions: Arc<AtomicU64>,
     /// Admissions per determinism tier, indexed by
     /// [`DeterminismPolicy::ALL`] order (Deterministic, Fast).
@@ -560,17 +558,11 @@ impl<T: Scalar> Service<T> {
             Some(r) => TelemetrySink::new(Arc::clone(r) as Arc<dyn Recorder>),
             None => TelemetrySink::disabled(),
         };
-        let rand_seed = match cfg.routing {
-            RoutingPolicy::Random { seed } => seed,
-            _ => 0,
-        };
         Service {
             cfg,
             shards,
             threads,
             seq: AtomicU64::new(0),
-            rr: AtomicU64::new(0),
-            rand: AtomicU64::new(rand_seed),
             completions,
             policy_admitted: [AtomicU64::new(0), AtomicU64::new(0)],
             sink,
@@ -579,35 +571,19 @@ impl<T: Scalar> Service<T> {
         }
     }
 
-    /// Routes a matrix under the configured policy. Affinity is a pure
-    /// function of the pattern ([`shard_for`]); the stateful policies
-    /// (round-robin, random) advance their cursor on every call.
+    /// The shard `matrix` routes to: [`shard_for`] its pattern's
+    /// fingerprint.
     pub fn route(&self, matrix: &CsrMatrix<T>) -> usize {
-        match self.cfg.routing {
-            RoutingPolicy::Affinity => shard_for(&PatternFingerprint::of(matrix), self.cfg.shards),
-            RoutingPolicy::RoundRobin => {
-                (self.rr.fetch_add(1, Ordering::Relaxed) % self.cfg.shards as u64) as usize
-            }
-            RoutingPolicy::Random { .. } => {
-                let n = self
-                    .rand
-                    .fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed)
-                    .wrapping_add(0x9e37_79b9_7f4a_7c15);
-                (mix64(n) % self.cfg.shards as u64) as usize
-            }
-        }
+        shard_for(&PatternFingerprint::of(matrix), self.cfg.shards)
     }
 
-    /// [`Service::route`] for a full request: under affinity routing a
-    /// sticky [`ServiceRequest::sequence`] fingerprint takes precedence
-    /// over the matrix's own pattern, so an evolving sequence's steps all
-    /// land on the shard that holds its plans. Without a sticky
-    /// fingerprint this is exactly [`Service::route`].
+    /// [`Service::route`] for a full request: a sticky
+    /// [`ServiceRequest::sequence`] fingerprint takes precedence over the
+    /// matrix's own pattern, so an evolving sequence's steps all land on
+    /// the shard that holds its plans. Without a sticky fingerprint this
+    /// is exactly [`Service::route`].
     pub fn route_request(&self, req: &ServiceRequest<T>) -> usize {
-        if let (RoutingPolicy::Affinity, Some(fp)) = (&self.cfg.routing, &req.sequence) {
-            return shard_for(fp, self.cfg.shards);
-        }
-        self.route(&req.matrix)
+        shard_for(&routing_key(req), self.cfg.shards)
     }
 
     /// Admits `req` or rejects it with backpressure.
@@ -689,10 +665,10 @@ impl<T: Scalar> Service<T> {
     /// its breaker is closed (the overwhelmingly common path — zero extra
     /// work, zero extra events), otherwise either this request is admitted
     /// as the breaker's half-open probe, or it deterministically spills to
-    /// the next-ranked live shard ([`shard_ranking`] under affinity
-    /// routing, cyclic order otherwise).
+    /// the next live shard in its [`shard_ranking`].
     fn admission_shard(&self, req: &ServiceRequest<T>, seq: u64) -> usize {
-        let preferred = self.route_request(req);
+        let key = routing_key(req);
+        let preferred = shard_for(&key, self.cfg.shards);
         let health = &self.shards[preferred].health;
         if health.state() != ShardHealth::Broken {
             return preferred;
@@ -700,17 +676,7 @@ impl<T: Scalar> Service<T> {
         if health.divert_or_probe(preferred, self.cfg.probe_after, &self.sink) {
             return preferred;
         }
-        let ranking: Vec<usize> = match self.cfg.routing {
-            RoutingPolicy::Affinity => {
-                let fp = req
-                    .sequence
-                    .unwrap_or_else(|| PatternFingerprint::of(&req.matrix));
-                shard_ranking(&fp, self.cfg.shards)
-            }
-            _ => (0..self.cfg.shards)
-                .map(|k| (preferred + k) % self.cfg.shards)
-                .collect(),
-        };
+        let ranking = shard_ranking(&key, self.cfg.shards);
         for &s in ranking.iter().skip(1) {
             if self.shards[s].health.state() != ShardHealth::Broken {
                 self.sink.with_job(seq).emit(EventKind::Failover {
@@ -974,6 +940,13 @@ impl<T: Scalar> Drop for Service<T> {
             let _ = t.join();
         }
     }
+}
+
+/// The fingerprint a request routes by: its sticky sequence fingerprint,
+/// else its matrix's pattern.
+fn routing_key<T: Scalar>(req: &ServiceRequest<T>) -> PatternFingerprint {
+    req.sequence
+        .unwrap_or_else(|| PatternFingerprint::of(&req.matrix))
 }
 
 /// Why a stranded in-flight job is taking the retry path.
@@ -1435,19 +1408,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_shards() {
-        let service = Service::<f64>::new(
-            acamar(),
-            ServiceConfig::default()
-                .with_shards(3)
-                .with_routing(RoutingPolicy::RoundRobin),
-        );
-        let a = generate::poisson2d::<f64>(6, 6);
-        let picks: Vec<usize> = (0..6).map(|_| service.route(&a)).collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
     fn crash_recovery_survives_poisoned_locks_and_serves_again() {
         let service = Service::<f64>::new(
             acamar(),
@@ -1508,27 +1468,5 @@ mod tests {
             assert!(t.wait().expect("survives the crash").converged());
         }
         assert!(service.restarts(0) >= 1);
-    }
-
-    #[test]
-    fn random_routing_is_seed_deterministic() {
-        let mk = || {
-            Service::<f64>::new(
-                acamar(),
-                ServiceConfig::default()
-                    .with_shards(4)
-                    .with_routing(RoutingPolicy::Random { seed: 7 }),
-            )
-        };
-        let a = generate::poisson2d::<f64>(6, 6);
-        let s1 = mk();
-        let s2 = mk();
-        let p1: Vec<usize> = (0..16).map(|_| s1.route(&a)).collect();
-        let p2: Vec<usize> = (0..16).map(|_| s2.route(&a)).collect();
-        assert_eq!(p1, p2);
-        assert!(
-            p1.iter().any(|&s| s != p1[0]),
-            "spreads over shards: {p1:?}"
-        );
     }
 }

@@ -1,4 +1,4 @@
-//! Gauss-Seidel and Successive Over-Relaxation (SOR).
+//! Successive Over-Relaxation (SOR); with `omega = 1`, Gauss-Seidel.
 //!
 //! The "relatively simple yet effective" stationary methods the paper
 //! lists alongside Jacobi (Section II-B, Table I), implemented in the
@@ -22,26 +22,6 @@ use crate::report::SolveReport;
 use crate::selection::SolverKind;
 use acamar_sparse::{CsrMatrix, Scalar, SparseError};
 
-/// Solves `A x = b` with Gauss-Seidel (SOR with `omega = 1`).
-///
-/// Converges for strictly diagonally dominant or SPD matrices.
-///
-/// # Errors
-///
-/// Returns [`SparseError`] for shape problems.
-pub fn gauss_seidel<T: Scalar, K: Kernels<T>>(
-    a: &CsrMatrix<T>,
-    b: &[T],
-    x0: Option<&[T]>,
-    criteria: &ConvergenceCriteria,
-    kernels: &mut K,
-) -> Result<SolveReport<T>, SparseError> {
-    sor(a, b, x0, T::ONE, criteria, kernels).map(|mut r| {
-        r.solver = SolverKind::GaussSeidel;
-        r
-    })
-}
-
 /// Solves `A x = b` with Successive Over-Relaxation.
 ///
 /// `omega` in `(0, 2)` is the relaxation factor; `omega = 1` reduces to
@@ -49,11 +29,8 @@ pub fn gauss_seidel<T: Scalar, K: Kernels<T>>(
 ///
 /// # Errors
 ///
-/// Returns [`SparseError`] for shape problems.
-///
-/// # Panics
-///
-/// Panics if `omega` is not in `(0, 2)`.
+/// Returns [`SparseError::InvalidParameter`] if `omega` is not in
+/// `(0, 2)` (NaN included), and [`SparseError`] for shape problems.
 ///
 /// # Examples
 ///
@@ -77,7 +54,11 @@ pub fn sor<T: Scalar, K: Kernels<T>>(
     kernels: &mut K,
 ) -> Result<SolveReport<T>, SparseError> {
     let w = omega.to_f64();
-    assert!(w > 0.0 && w < 2.0, "omega must lie in (0, 2), got {w}");
+    if !(w > 0.0 && w < 2.0) {
+        return Err(SparseError::InvalidParameter {
+            what: "SOR omega in (0, 2)",
+        });
+    }
     let n = check_square_system(a, b)?;
     let start_counts = kernels.counts();
 
@@ -174,9 +155,9 @@ mod tests {
         );
         let b = vec![1.0; 60];
         let mut k = SoftwareKernels::new();
-        let rep = gauss_seidel(&a, &b, None, &criteria(), &mut k).unwrap();
+        let rep = sor(&a, &b, None, 1.0, &criteria(), &mut k).unwrap();
         assert!(rep.converged());
-        assert_eq!(rep.solver, SolverKind::GaussSeidel);
+        assert_eq!(rep.solver, SolverKind::Sor);
     }
 
     #[test]
@@ -184,7 +165,7 @@ mod tests {
         let a = generate::poisson1d::<f64>(40);
         let b = vec![1.0; 40];
         let mut kg = SoftwareKernels::new();
-        let gs = gauss_seidel(&a, &b, None, &criteria(), &mut kg).unwrap();
+        let gs = sor(&a, &b, None, 1.0, &criteria(), &mut kg).unwrap();
         let mut k = SoftwareKernels::new();
         let jb = crate::jacobi::jacobi(&a, &b, None, &criteria(), &mut k).unwrap();
         assert!(gs.converged());
@@ -203,7 +184,7 @@ mod tests {
         let a = generate::poisson1d::<f64>(40);
         let b = vec![1.0; 40];
         let mut kg = SoftwareKernels::new();
-        let gs = gauss_seidel(&a, &b, None, &criteria(), &mut kg).unwrap();
+        let gs = sor(&a, &b, None, 1.0, &criteria(), &mut kg).unwrap();
         let mut ks = SoftwareKernels::new();
         let s = sor(&a, &b, None, 1.8, &criteria(), &mut ks).unwrap();
         assert!(s.converged());
@@ -248,11 +229,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "omega must lie in (0, 2)")]
     fn sor_rejects_bad_omega() {
         let a = generate::poisson1d::<f64>(4);
         let mut k = SoftwareKernels::new();
-        let _ = sor(&a, &[1.0; 4], None, 2.5, &criteria(), &mut k);
+        for omega in [0.0, 2.0, 2.5, f64::NAN] {
+            assert!(
+                matches!(
+                    sor(&a, &[1.0; 4], None, omega, &criteria(), &mut k),
+                    Err(SparseError::InvalidParameter { .. })
+                ),
+                "omega {omega}"
+            );
+        }
     }
 
     #[test]
@@ -260,7 +248,7 @@ mod tests {
         let a =
             CsrMatrix::try_from_parts(2, 2, vec![0, 1, 2], vec![1, 0], vec![1.0_f64, 1.0]).unwrap();
         let mut k = SoftwareKernels::new();
-        let rep = gauss_seidel(&a, &[1.0, 1.0], None, &criteria(), &mut k).unwrap();
+        let rep = sor(&a, &[1.0, 1.0], None, 1.0, &criteria(), &mut k).unwrap();
         assert!(matches!(
             rep.outcome,
             Outcome::Diverged(DivergenceReason::Breakdown(_))

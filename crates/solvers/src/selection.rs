@@ -7,8 +7,8 @@ use std::fmt;
 /// The iterative solvers this workspace can execute.
 ///
 /// `Jacobi`, `ConjugateGradient`, and `BiCgStab` are the three solvers
-/// Acamar reconfigures among (paper Section II-B); the others are software
-/// reference solvers completing Table I coverage.
+/// Acamar reconfigures among (paper Section II-B); `Sor`,
+/// `PreconditionedCg`, and `Gmres` are the rescue ladder's rungs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SolverKind {
     /// Jacobi iterative method (Algorithm 1).
@@ -21,15 +21,8 @@ pub enum SolverKind {
     /// factorization breaks down (software reference, Table I row
     /// "Preconditioned CG"; the rescue ladder's preconditioned rung).
     PreconditionedCg,
-    /// Plain Bi-Conjugate Gradient (software reference, Table I row
-    /// "BiCG").
-    BiCg,
-    /// Conjugate Residual (software reference, Table I row
-    /// "Conjugate Residual").
-    ConjugateResidual,
-    /// Gauss-Seidel (software reference).
-    GaussSeidel,
-    /// Successive Over-Relaxation (software reference).
+    /// Successive Over-Relaxation (software reference; the rescue
+    /// ladder's next-solver rung).
     Sor,
     /// Restarted GMRES (software reference / fallback of last resort).
     Gmres,
@@ -50,15 +43,12 @@ impl SolverKind {
         SolverKind::ConjugateGradient,
         SolverKind::BiCgStab,
         SolverKind::PreconditionedCg,
-        SolverKind::BiCg,
-        SolverKind::ConjugateResidual,
-        SolverKind::GaussSeidel,
         SolverKind::Sor,
         SolverKind::Gmres,
     ];
 
     /// Number of solver kinds (length of [`SolverKind::ALL`]).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 6;
 
     /// Dense index of this kind in [`SolverKind::ALL`] — a stable key for
     /// per-solver counters and histograms.
@@ -68,11 +58,8 @@ impl SolverKind {
             SolverKind::ConjugateGradient => 1,
             SolverKind::BiCgStab => 2,
             SolverKind::PreconditionedCg => 3,
-            SolverKind::BiCg => 4,
-            SolverKind::ConjugateResidual => 5,
-            SolverKind::GaussSeidel => 6,
-            SolverKind::Sor => 7,
-            SolverKind::Gmres => 8,
+            SolverKind::Sor => 4,
+            SolverKind::Gmres => 5,
         }
     }
 
@@ -83,9 +70,6 @@ impl SolverKind {
             SolverKind::ConjugateGradient => "CG",
             SolverKind::BiCgStab => "BiCG-STAB",
             SolverKind::PreconditionedCg => "PCG",
-            SolverKind::BiCg => "BiCG",
-            SolverKind::ConjugateResidual => "CR",
-            SolverKind::GaussSeidel => "GS",
             SolverKind::Sor => "SOR",
             SolverKind::Gmres => "GMRES",
         }
@@ -94,12 +78,11 @@ impl SolverKind {
     /// The convergence criterion the paper's Table I lists for this solver.
     pub fn criterion(self) -> Criterion {
         match self {
-            SolverKind::Jacobi | SolverKind::GaussSeidel => Criterion::StrictlyDiagonallyDominant,
+            SolverKind::Jacobi => Criterion::StrictlyDiagonallyDominant,
             SolverKind::ConjugateGradient | SolverKind::PreconditionedCg | SolverKind::Sor => {
                 Criterion::SymmetricPositiveDefinite
             }
-            SolverKind::BiCgStab | SolverKind::BiCg => Criterion::NonSymmetric,
-            SolverKind::ConjugateResidual => Criterion::SymmetricPositiveDefinite,
+            SolverKind::BiCgStab => Criterion::NonSymmetric,
             SolverKind::Gmres => Criterion::Any,
         }
     }
@@ -245,6 +228,13 @@ mod tests {
         // SOR as the primary does not duplicate itself.
         let order = extended_fallback_order(SolverKind::Sor);
         assert_eq!(order.iter().filter(|&&k| k == SolverKind::Sor).count(), 1);
+    }
+
+    #[test]
+    fn all_is_indexed_densely() {
+        for (k, kind) in SolverKind::ALL.iter().enumerate() {
+            assert_eq!(kind.index(), k, "{kind}");
+        }
     }
 
     #[test]

@@ -49,6 +49,11 @@ pub enum SparseError {
         /// Index of the first non-finite element.
         index: usize,
     },
+    /// A scalar parameter lies outside the range the operation accepts.
+    InvalidParameter {
+        /// The parameter and its valid range (e.g. `"SOR omega in (0, 2)"`).
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for SparseError {
@@ -76,6 +81,9 @@ impl fmt::Display for SparseError {
             }
             SparseError::NonFiniteValue { what, index } => {
                 write!(f, "non-finite value in {what} at index {index}")
+            }
+            SparseError::InvalidParameter { what } => {
+                write!(f, "parameter out of range: {what}")
             }
         }
     }

@@ -479,11 +479,11 @@ pub enum Counter {
     CacheEvictions,
     /// Level-scheduled SpTRSV substitution passes executed.
     SptrsvApplies,
-    /// SOR/Gauss-Seidel relaxation sweeps executed.
+    /// SOR relaxation sweeps executed.
     SorSweeps,
     /// SpMV calls whose operand had no compiled plan bound to it (the
-    /// generic CSR walk ran): BiCG's `Aᵀ`, or a derived operand without
-    /// its memoised plan.
+    /// generic CSR walk ran): a solve with no plan installed, or a derived
+    /// operand rebuilt past its memo.
     PlanlessSpmvs,
     /// Derived-operand (Jacobi `T`) memos built — pattern split and SpMV
     /// plan together — one per pattern the first time a solver derives an

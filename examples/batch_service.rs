@@ -14,7 +14,7 @@
 use acamar::core::{Acamar, AcamarConfig};
 use acamar::fabric::FabricSpec;
 use acamar::service::{
-    AdmissionError, Priority, RoutingPolicy, ScrapeServer, Service, ServiceConfig, ServiceRequest,
+    AdmissionError, Priority, ScrapeServer, Service, ServiceConfig, ServiceRequest,
 };
 use acamar::solvers::ConvergenceCriteria;
 use acamar::sparse::generate;
@@ -41,8 +41,7 @@ fn main() {
         acamar,
         ServiceConfig::default()
             .with_shards(2)
-            .with_queue_capacity(128)
-            .with_routing(RoutingPolicy::Affinity),
+            .with_queue_capacity(128),
         Arc::clone(&ring),
     ));
     println!(

@@ -1,9 +1,9 @@
 //! Solver shoot-out on a stiff SPD system: plain CG vs diagonal (Jacobi)
-//! PCG vs IC(0)-PCG vs Conjugate Residual.
+//! PCG vs IC(0)-PCG.
 //!
 //! The paper's Table I lists all of these methods; Acamar's hardware
-//! implements three of them, and the rest are `SolverKind`s the rescue
-//! ladder and `solve_with` can reach for the same `Ax = b` problems. This
+//! implements CG, and IC(0)-PCG is the `SolverKind` the rescue ladder's
+//! preconditioned rung reaches for the same `Ax = b` problems. This
 //! example shows why preconditioning matters on badly scaled systems — and
 //! why the paper's solver-selection problem is real (every method has a
 //! regime).
@@ -12,8 +12,7 @@
 
 use acamar::prelude::*;
 use acamar::solvers::{
-    conjugate_gradient, conjugate_residual, ic0_preconditioned_cg, preconditioned_cg,
-    ConvergenceSummary,
+    conjugate_gradient, ic0_preconditioned_cg, preconditioned_cg, ConvergenceSummary,
 };
 
 fn main() -> Result<(), SparseError> {
@@ -56,10 +55,6 @@ fn main() -> Result<(), SparseError> {
     let mut k = SoftwareKernels::new();
     let ic0 = ic0_preconditioned_cg(&a, &b, None, &criteria, &mut k)?;
     report("PCG (IC(0))", &ic0);
-
-    let mut k = SoftwareKernels::new();
-    let cr = conjugate_residual(&a, &b, None, &criteria, &mut k)?;
-    report("Conjugate Residual", &cr);
 
     assert!(pcg.converged() && ic0.converged());
     assert!(

@@ -108,8 +108,8 @@ pub mod prelude {
     pub use acamar_faultline::{FaultCategory, FaultInjector, FaultPlan};
     pub use acamar_gpu::{model_csr_spmv, GpuSpec};
     pub use acamar_service::{
-        AdmissionError, Priority, RoutingPolicy, ScrapeServer, Service, ServiceConfig,
-        ServiceError, ServiceRequest, Ticket,
+        AdmissionError, Priority, ScrapeServer, Service, ServiceConfig, ServiceError,
+        ServiceRequest, Ticket,
     };
     pub use acamar_solvers::{
         ConvergenceCriteria, Outcome, SoftwareKernels, SolveReport, SolverKind,

@@ -13,9 +13,7 @@
 use acamar::core::{Acamar, AcamarConfig};
 use acamar::engine::{Engine, SolveJob};
 use acamar::fabric::FabricSpec;
-use acamar::service::{
-    AdmissionError, Priority, RoutingPolicy, Service, ServiceConfig, ServiceRequest,
-};
+use acamar::service::{AdmissionError, Priority, Service, ServiceConfig, ServiceRequest};
 use acamar::sparse::{generate, CsrMatrix};
 use acamar::telemetry::{Counter, RingRecorder};
 use std::sync::Arc;
@@ -205,32 +203,29 @@ fn service_results_are_bitwise_identical_to_direct_solve_jobs() {
     assert!(direct.all_converged());
 
     for shards in [1usize, 2, 4] {
-        for routing in [RoutingPolicy::Affinity, RoutingPolicy::Random { seed: 11 }] {
-            let service = Service::<f64>::new(
-                acamar(),
-                ServiceConfig::default()
-                    .with_shards(shards)
-                    .with_queue_capacity(64)
-                    .with_routing(routing),
+        let service = Service::<f64>::new(
+            acamar(),
+            ServiceConfig::default()
+                .with_shards(shards)
+                .with_queue_capacity(64),
+        );
+        let tickets: Vec<_> = jobs
+            .iter()
+            .map(|j| {
+                service
+                    .submit(ServiceRequest::new(Arc::clone(&j.matrix), j.rhs.clone()))
+                    .expect("under capacity")
+            })
+            .collect();
+        for (i, t) in tickets.into_iter().enumerate() {
+            let served = t.wait().expect("solves");
+            let reference = direct.results[i].as_ref().expect("solves");
+            assert_eq!(
+                served.solve.solution, reference.solve.solution,
+                "{shards} shards: job {i} solution differs"
             );
-            let tickets: Vec<_> = jobs
-                .iter()
-                .map(|j| {
-                    service
-                        .submit(ServiceRequest::new(Arc::clone(&j.matrix), j.rhs.clone()))
-                        .expect("under capacity")
-                })
-                .collect();
-            for (i, t) in tickets.into_iter().enumerate() {
-                let served = t.wait().expect("solves");
-                let reference = direct.results[i].as_ref().expect("solves");
-                assert_eq!(
-                    served.solve.solution, reference.solve.solution,
-                    "{shards} shards / {routing:?}: job {i} solution differs"
-                );
-                assert_eq!(served.solve.iterations, reference.solve.iterations);
-                assert_eq!(served.final_solver(), reference.final_solver());
-            }
+            assert_eq!(served.solve.iterations, reference.solve.iterations);
+            assert_eq!(served.final_solver(), reference.final_solver());
         }
     }
 }

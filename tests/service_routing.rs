@@ -9,11 +9,14 @@
 //! 2. **Affinity beats round-robin on cache hits** — on a seeded
 //!    256-job mixed-pattern stream, affinity routing analyzes each
 //!    pattern on exactly one shard (total misses = distinct patterns),
-//!    while round-robin smears each pattern across shards (one miss per
-//!    `(pattern, shard)` pair it touches), so affinity's total per-shard
-//!    hit count is strictly higher. Both counts are timing-independent:
-//!    the plan cache guarantees `misses == distinct patterns seen` per
-//!    shard even under contention.
+//!    while round-robin dispatch smears each pattern across shards (one
+//!    miss per `(pattern, shard)` pair it touches), so affinity's total
+//!    per-shard hit count is strictly higher. The service routes by
+//!    affinity alone, so the round-robin baseline is built here: one
+//!    one-shard service per shard, request `i` going to service
+//!    `i % shards`. Both counts are timing-independent: the plan cache
+//!    guarantees `misses == distinct patterns seen` per shard even under
+//!    contention.
 //!
 //! The stream's patterns are chosen by a seeded [`DetRng`], *not* by
 //! cycling — a cycled stream whose period divides the shard count would
@@ -22,7 +25,7 @@
 use acamar::core::{Acamar, AcamarConfig};
 use acamar::engine::PatternFingerprint;
 use acamar::fabric::FabricSpec;
-use acamar::service::{shard_for, RoutingPolicy, Service, ServiceConfig, ServiceRequest};
+use acamar::service::{shard_for, Service, ServiceConfig, ServiceRequest};
 use acamar::sparse::rng::DetRng;
 use acamar::sparse::{generate, CsrMatrix};
 use std::sync::Arc;
@@ -89,9 +92,7 @@ fn affinity_is_a_pure_function_of_the_fingerprint() {
         }
         // "Across restarts": a fresh service instance (fresh caches,
         // fresh threads) routes every pattern identically.
-        let cfg = ServiceConfig::default()
-            .with_shards(shards)
-            .with_routing(RoutingPolicy::Affinity);
+        let cfg = ServiceConfig::default().with_shards(shards);
         let s1 = Service::<f64>::new(acamar(), cfg.clone());
         let s2 = Service::<f64>::new(acamar(), cfg);
         for (a, &r) in pats.iter().zip(&routes) {
@@ -108,17 +109,29 @@ fn one_shard_routes_everything_to_shard_zero() {
     }
 }
 
-/// Runs the seeded stream through a service and returns
-/// `(total hits, total misses, per-shard job counts)` summed over shards.
-fn run_stream(service: &Service<f64>, pats: &[Arc<CsrMatrix<f64>>]) -> (u64, u64, Vec<u64>) {
+fn one_shard_service() -> Service<f64> {
+    Service::<f64>::new(
+        acamar(),
+        ServiceConfig::default()
+            .with_shards(1)
+            .with_queue_capacity(512),
+    )
+}
+
+/// Runs the seeded stream, request `i` going to `services[i % len]`, and
+/// returns `(total hits, total misses, per-shard job counts)` over every
+/// shard of every service. One multi-shard service routes by affinity;
+/// several one-shard services make a round-robin dispatcher.
+fn run_stream(services: &[Service<f64>], pats: &[Arc<CsrMatrix<f64>>]) -> (u64, u64, Vec<u64>) {
     let tickets: Vec<_> = stream(pats.len())
         .into_iter()
-        .map(|(p, scale)| {
+        .enumerate()
+        .map(|(i, (p, scale))| {
             let a = Arc::clone(&pats[p]);
             let rhs = vec![scale; a.nrows()];
-            service
+            services[i % services.len()]
                 .submit(ServiceRequest::new(a, rhs))
-                .expect("stream fits the default queue bound")
+                .expect("stream fits the queue bound")
         })
         .collect();
     for t in tickets {
@@ -127,11 +140,13 @@ fn run_stream(service: &Service<f64>, pats: &[Arc<CsrMatrix<f64>>]) -> (u64, u64
     let mut hits = 0;
     let mut misses = 0;
     let mut jobs = Vec::new();
-    for s in 0..service.shards() {
-        let c = service.engine(s).counters();
-        hits += c.cache.hits;
-        misses += c.cache.misses;
-        jobs.push(c.jobs_completed);
+    for service in services {
+        for s in 0..service.shards() {
+            let c = service.engine(s).counters();
+            hits += c.cache.hits;
+            misses += c.cache.misses;
+            jobs.push(c.jobs_completed);
+        }
     }
     (hits, misses, jobs)
 }
@@ -141,32 +156,27 @@ fn affinity_yields_strictly_more_cache_hits_than_round_robin() {
     let pats = patterns();
     let k = pats.len() as u64;
     for shards in [2usize, 4] {
-        let affinity = Service::<f64>::new(
+        let affinity = [Service::<f64>::new(
             acamar(),
             ServiceConfig::default()
                 .with_shards(shards)
-                .with_queue_capacity(512)
-                .with_routing(RoutingPolicy::Affinity),
-        );
-        let (hits_aff, misses_aff, _) = run_stream(&affinity, &pats);
+                .with_queue_capacity(512),
+        )];
+        let (hits_aff, misses_aff, jobs_aff) = run_stream(&affinity, &pats);
         // Affinity analyzes each pattern on exactly one shard.
         assert_eq!(misses_aff, k, "{shards} shards: one miss per pattern");
         assert_eq!(hits_aff, 256 - k);
+        assert_eq!(jobs_aff.iter().sum::<u64>(), 256);
         // Each pattern is warm on exactly one shard.
         for a in &pats {
-            let warm = (0..shards).filter(|&s| affinity.is_warm(s, a)).count();
+            let warm = (0..shards).filter(|&s| affinity[0].is_warm(s, a)).count();
             assert_eq!(warm, 1, "{shards} shards: pattern warm on {warm} shards");
         }
 
-        let rr = Service::<f64>::new(
-            acamar(),
-            ServiceConfig::default()
-                .with_shards(shards)
-                .with_queue_capacity(512)
-                .with_routing(RoutingPolicy::RoundRobin),
-        );
-        let (hits_rr, misses_rr, _) = run_stream(&rr, &pats);
+        let rr: Vec<Service<f64>> = (0..shards).map(|_| one_shard_service()).collect();
+        let (hits_rr, misses_rr, jobs_rr) = run_stream(&rr, &pats);
         assert_eq!(hits_rr + misses_rr, 256);
+        assert_eq!(jobs_rr.iter().sum::<u64>(), 256);
         assert!(
             misses_rr > k,
             "{shards} shards: round-robin should smear at least one pattern \
@@ -184,17 +194,18 @@ fn affinity_yields_strictly_more_cache_hits_than_round_robin() {
 fn at_one_shard_routing_policy_is_irrelevant_to_hits() {
     let pats = patterns();
     let k = pats.len() as u64;
-    for routing in [RoutingPolicy::Affinity, RoutingPolicy::RoundRobin] {
-        let service = Service::<f64>::new(
-            acamar(),
-            ServiceConfig::default()
-                .with_shards(1)
-                .with_queue_capacity(512)
-                .with_routing(routing),
-        );
-        let (hits, misses, jobs) = run_stream(&service, &pats);
+    // At one shard, affinity routing and round-robin dispatch both send
+    // every request to the same engine.
+    let affinity = [one_shard_service()];
+    let round_robin = [one_shard_service()];
+    assert_eq!(affinity[0].shards(), 1);
+    for services in [&affinity, &round_robin] {
+        let (hits, misses, jobs) = run_stream(services, &pats);
         assert_eq!(misses, k);
         assert_eq!(hits, 256 - k);
         assert_eq!(jobs, vec![256]);
+        for a in &pats {
+            assert!(services[0].is_warm(0, a));
+        }
     }
 }
