@@ -4,7 +4,7 @@
 //! up to 3.5x and 6x as well as improved performance efficiency and
 //! achieved throughput over a static design and Nvidia GTX 1650 Super."
 
-use crate::runner::{DatasetRun, URB_REPRESENTATIVE, URB_SWEEP};
+use crate::runner::{self, DatasetRun, URB_REPRESENTATIVE, URB_SWEEP};
 use crate::table::{banner, f2, pct, TextTable};
 use acamar_core::metrics;
 use acamar_gpu::{model_csr_spmv, GpuSpec};
@@ -20,7 +20,8 @@ pub struct SummaryResult {
     pub max_ru_improvement: f64,
     /// Mean achieved throughput of Acamar / static / GPU.
     pub throughput: (f64, f64, f64),
-    /// Mean SpMV underutilization of Acamar / GPU.
+    /// Mean SpMV underutilization of Acamar / GPU, per pass (Eq. 5, as in
+    /// Fig. 8).
     pub underutilization: (f64, f64),
     /// Mean area saving vs the representative static design.
     pub area_saving: f64,
@@ -55,11 +56,15 @@ pub fn summary(runs: &[DatasetRun]) -> SummaryResult {
         }
         let rep = run.baseline(URB_REPRESENTATIVE).expect("swept");
         rep_speedups.push(metrics::latency_speedup(rep, &run.acamar).max(1e-9));
-        let g = model_csr_spmv(&gpu, &run.dataset.matrix());
+        let a = run.dataset.matrix();
+        let g = model_csr_spmv(&gpu, &a);
         thr.0 += run.acamar.stats.achieved_throughput();
         thr.1 += rep.stats.achieved_throughput();
         thr.2 += g.fraction_of_peak;
-        under.0 += run.acamar.stats.spmv.underutilization();
+        // Fig. 8's definition: Eq. 5 over one SpMV pass.
+        under.0 += runner::acamar_pass(&a, &runner::config())
+            .0
+            .underutilization();
         under.1 += g.lane_underutilization;
         area.push(rep.stats.avg_area_mm2 / run.acamar.stats.avg_area_mm2.max(1e-9));
     }

@@ -11,7 +11,8 @@
 //!
 //! * [`PatternFingerprint`] keys a CSR pattern by `(nrows, ncols, nnz)`
 //!   plus a 64-bit digest of `row_ptr`/`col_idx` (eight folded-multiply
-//!   lanes over the words, read once at memory speed);
+//!   lanes over the words, read once at memory speed), which the
+//!   [`CsrPattern`](acamar_sparse::CsrPattern) computes once and keeps;
 //! * [`PlanCache`] maps fingerprints to shared
 //!   [`AnalysisArtifacts`](acamar_core::AnalysisArtifacts) behind an
 //!   `RwLock`, building each pattern's artifacts exactly once even under

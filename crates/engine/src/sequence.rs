@@ -164,8 +164,6 @@ pub struct Sequence<'e, T> {
     engine: &'e Engine,
     /// The previous step's pattern.
     pattern: CsrPattern,
-    /// Fingerprint of `pattern`.
-    fingerprint: PatternFingerprint,
     /// The previous step's solution.
     prev_solution: Option<Vec<T>>,
     stats: SequenceStats,
@@ -181,8 +179,9 @@ impl Engine {
             .get_or_analyze_with(self.acamar(), &matrix, self.telemetry());
         Sequence {
             engine: self,
+            // Cloned after the lookup digested it, so the clone keeps the
+            // digest.
             pattern: matrix.pattern().clone(),
-            fingerprint: PatternFingerprint::of(matrix.as_ref()),
             prev_solution: None,
             stats: SequenceStats {
                 analysis_nanos: self.cache().stats().since(&before).analysis_nanos,
@@ -201,7 +200,7 @@ impl<'e, T: Scalar> Sequence<'e, T> {
     /// Fingerprint of the current pattern — the sticky routing key for
     /// sequence-scoped service requests.
     pub fn fingerprint(&self) -> PatternFingerprint {
-        self.fingerprint
+        PatternFingerprint::of_pattern(&self.pattern)
     }
 
     /// Solves one step: gates the warm start on its residual and submits
@@ -216,13 +215,11 @@ impl<'e, T: Scalar> Sequence<'e, T> {
     pub fn step(&mut self, job: SequenceJob<T>) -> Result<SequenceStepReport<T>, SolveError> {
         let step_index = self.stats.steps;
         let SequenceJob { matrix: a, rhs: b } = job;
-        // Shared index arrays compare by pointer first, so a step that
-        // reuses its matrix (or a clone of it) costs no O(nnz) walk; the
-        // pattern is digested again only when it changed.
-        if *a.pattern() != self.pattern {
-            self.pattern = a.pattern().clone();
-            self.fingerprint = PatternFingerprint::of(a.as_ref());
-        }
+        // Digested before the clone, so the clone keeps the digest and the
+        // step's plan-cache lookup reads it: a memo read for storage seen
+        // before, the step's one digest for fresh storage.
+        a.pattern().digest();
+        self.pattern = a.pattern().clone();
 
         let (guess, warm_start) = self.gate_warm_start(&a, &b, step_index)?;
 

@@ -8,7 +8,7 @@ use crate::dense::DenseMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The sparsity pattern of a [`CsrMatrix`]: its shape and index arrays.
 ///
@@ -20,12 +20,39 @@ use std::sync::Arc;
 /// [`CsrMatrix::from_pattern`] — reads the same storage. A pattern only
 /// ever comes out of a validated matrix (or a [`JacobiSplit`]), so it
 /// always satisfies the [`CsrMatrix`] invariants.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The pattern keeps its [`digest`](Self::digest) once computed, and a
+/// clone made after that carries it: one storage pays the O(nnz) digest
+/// once, and every later lookup, on it or on a later clone, is a read.
+#[derive(Clone)]
 pub struct CsrPattern {
     nrows: usize,
     ncols: usize,
     row_ptr: Arc<[usize]>,
     col_idx: Arc<[usize]>,
+    /// The digest of `row_ptr` and `col_idx`, held by value: a memo, not
+    /// part of the pattern, so equality and `Debug` leave it out.
+    digest: OnceLock<u64>,
+}
+
+impl PartialEq for CsrPattern {
+    fn eq(&self, other: &Self) -> bool {
+        (self.nrows, self.ncols, &self.row_ptr, &self.col_idx)
+            == (other.nrows, other.ncols, &other.row_ptr, &other.col_idx)
+    }
+}
+
+impl Eq for CsrPattern {}
+
+impl fmt::Debug for CsrPattern {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CsrPattern")
+            .field("nrows", &self.nrows)
+            .field("ncols", &self.ncols)
+            .field("row_ptr", &self.row_ptr)
+            .field("col_idx", &self.col_idx)
+            .finish()
+    }
 }
 
 impl CsrPattern {
@@ -44,7 +71,31 @@ impl CsrPattern {
             ncols,
             row_ptr: row_ptr.into(),
             col_idx: col_idx.into(),
+            digest: OnceLock::new(),
         }
+    }
+
+    /// A 64-bit digest of `row_ptr` and `col_idx`: the hash half of the
+    /// engine's pattern fingerprint. Equal patterns digest equally, and
+    /// the value is pinned across builds, processes and targets. Computed
+    /// on the first call and kept, so a later call, or one on a clone made
+    /// after it, reads the kept value.
+    pub fn digest(&self) -> u64 {
+        *self
+            .digest
+            .get_or_init(|| crate::fingerprint::digest(&self.row_ptr, &self.col_idx))
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn nrows(&self) -> usize {
+        self.nrows
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn ncols(&self) -> usize {
+        self.ncols
     }
 
     /// Number of stored entries.
@@ -626,6 +677,10 @@ impl<T: Scalar> CsrMatrix<T> {
 /// [`JacobiSplit`]'s mark for a row that stores no diagonal entry.
 const NO_DIAGONAL: u32 = u32::MAX;
 
+/// Rows of at most this many stored entries [`JacobiSplit::fill`] writes
+/// by one pass of this many slots.
+const SHORT_ROW: usize = 8;
+
 /// Writes `row` through `f` into `out`, stepping over the entry at `below`
 /// when `out` is the shorter by one (`below` past the end steps over
 /// nothing). One run indexed past the gap: splitting it in two at `below`
@@ -768,23 +823,37 @@ impl JacobiSplit {
         let rows = a.row_ptr().windows(2).zip(t.row_ptr.windows(2));
         for (i, ((src, dst), &slot)) in rows.zip(&self.diag_slot).enumerate() {
             let (lo, hi) = (src[0], src[1]);
-            let out = &mut values[dst[0]..dst[1]];
+            let (start, end) = (dst[0], dst[1]);
             // `below` entries sit left of the diagonal; a row without one
             // has them all there.
             let (below, diagonal) = if slot == NO_DIAGONAL {
-                if out.len() != hi - lo || cols[lo..hi].binary_search(&i).is_ok() {
+                if end - start != hi - lo || cols[lo..hi].binary_search(&i).is_ok() {
                     return Err(values);
                 }
                 (hi - lo, None)
             } else {
                 let below = slot as usize;
-                if below >= hi - lo || out.len() + 1 != hi - lo || cols[lo + below] != i {
+                if below >= hi - lo || end - start + 1 != hi - lo || cols[lo + below] != i {
                     return Err(values);
                 }
                 (below, Some(vals[lo + below]))
             };
             let s = scale_of(i, diagonal);
-            copy_without(out, &vals[lo..hi], below, |v| v * s);
+            // A short row is written by one pass of fixed length: its
+            // entries, then slots of the rows after it, which their own
+            // passes rewrite. The trip count is no longer the row's, so a
+            // ragged run of short rows stops mispredicting every exit.
+            match (
+                vals.get(lo..lo + SHORT_ROW + 1),
+                values.get_mut(start..start + SHORT_ROW),
+            ) {
+                (Some(from), Some(to)) if hi - lo <= SHORT_ROW => {
+                    for (j, o) in to.iter_mut().enumerate() {
+                        *o = from[j + usize::from(j >= below)] * s;
+                    }
+                }
+                _ => copy_without(&mut values[start..end], &vals[lo..hi], below, |v| v * s),
+            }
         }
         Ok(CsrMatrix {
             pattern: t.clone(),
@@ -1132,5 +1201,91 @@ mod tests {
         assert!((a.density() - 7.0 / 9.0).abs() < 1e-12);
         let b = a.scale(2.0);
         assert_eq!(b.get(0, 0), 4.0);
+    }
+
+    /// `tri3`'s pattern in storage of its own.
+    fn fresh_tri3() -> CsrMatrix<f64> {
+        let a = tri3();
+        CsrMatrix::try_from_parts(
+            3,
+            3,
+            a.row_ptr().to_vec(),
+            a.col_idx().to_vec(),
+            a.values().to_vec(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn the_kept_digest_is_not_part_of_a_patterns_equality() {
+        let (a, b) = (tri3(), fresh_tri3());
+        assert_eq!(a.pattern(), b.pattern());
+        a.pattern().digest();
+        assert_eq!(a.pattern(), b.pattern(), "one side digested");
+        assert_eq!(b.pattern(), a.pattern());
+        b.pattern().digest();
+        assert_eq!(a.pattern(), b.pattern(), "both digested");
+        assert_eq!(a, b);
+        assert_eq!(
+            format!("{:?}", a.pattern()),
+            format!("{:?}", fresh_tri3().pattern())
+        );
+    }
+
+    #[test]
+    fn a_matrix_made_after_the_digest_carries_it() {
+        let a = tri3();
+        let key = a.pattern().digest();
+        let clone = a.clone();
+        let over = CsrMatrix::from_pattern(a.pattern().clone(), vec![0.5; 7]).unwrap();
+        let mapped = a.map_values(|v| -v);
+        let cast: CsrMatrix<f32> = a.cast();
+        for (what, p) in [
+            ("clone", clone.pattern()),
+            ("from_pattern", over.pattern()),
+            ("map_values", mapped.pattern()),
+            ("cast", cast.pattern()),
+        ] {
+            assert_eq!(p.digest.get(), Some(&key), "{what} carries the digest");
+            assert_eq!(p.digest(), key, "{what}");
+        }
+        // A clone made before the digest shares the arrays, not the memo,
+        // and digests to the same key.
+        let early = fresh_tri3();
+        let before = early.clone();
+        assert_eq!(early.pattern().digest(), key);
+        assert_eq!(before.pattern().digest.get(), None);
+        assert_eq!(before.pattern().digest(), key);
+    }
+
+    #[test]
+    fn fresh_storage_with_equal_contents_digests_to_the_same_key() {
+        let (a, b) = (tri3(), fresh_tri3());
+        assert_ne!(a.row_ptr().as_ptr(), b.row_ptr().as_ptr());
+        assert_eq!(b.pattern().digest.get(), None);
+        assert_eq!(a.pattern().digest(), b.pattern().digest());
+    }
+
+    #[test]
+    fn threads_digesting_one_pattern_at_once_agree() {
+        let a = fresh_tri3();
+        let key = tri3().pattern().digest();
+        let start = std::sync::Barrier::new(4);
+        let keys: Vec<u64> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        a.pattern().digest()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("digest thread"))
+                .collect()
+        });
+        assert_eq!(keys, vec![key; 4]);
+        assert_eq!(a.pattern().digest.get(), Some(&key));
     }
 }

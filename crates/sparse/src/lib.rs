@@ -54,6 +54,7 @@ mod csr;
 mod dense;
 mod ell;
 mod error;
+mod fingerprint;
 pub mod generate;
 mod ic0;
 pub mod io;

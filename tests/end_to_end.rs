@@ -256,3 +256,58 @@ fn divergent_static_design_is_rescued_by_acamar() {
     assert!(rep.converged());
     assert!(rep.solver_switches() >= 1);
 }
+
+/// `v · 2^k`, exactly wherever the result is normal: applied in halves,
+/// so a factor past the type's range (a subnormal brought to 1 needs
+/// `2^1030`) never overflows.
+fn times_pow2(v: &[f64], k: i32) -> Vec<f64> {
+    let (lo, hi) = (2f64.powi(k / 2), 2f64.powi(k - k / 2));
+    v.iter().map(|x| x * lo * hi).collect()
+}
+
+/// A right-hand side of any magnitude gets the verdict a unit one gets:
+/// `‖b‖²` neither underflows to a zero that every check passes nor
+/// overflows to an infinity that every check fails.
+#[test]
+fn a_tiny_or_huge_right_hand_side_gets_an_honest_verdict() {
+    let a = generate::poisson2d::<f64>(16, 16);
+    let n = a.nrows();
+    let solve = |s: f64| {
+        let engine = Engine::new(Acamar::new(FabricSpec::alveo_u55c(), AcamarConfig::paper()));
+        engine.solve_one(&a, &vec![s; n]).expect("a valid system")
+    };
+    let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+    let unit = solve(1.0);
+    assert!(unit.converged());
+    // A power of two: the unit solve, scaled exactly.
+    for k in [-1000, -560, 560] {
+        let s = 2f64.powi(k);
+        let scaled = solve(s);
+        assert!(scaled.converged(), "s = 2^{k}");
+        assert_eq!(scaled.solve.iterations, unit.solve.iterations, "s = 2^{k}");
+        assert_eq!(
+            bits(&scaled.solve.solution),
+            bits(&times_pow2(&unit.solve.solution, k)),
+            "s = 2^{k}"
+        );
+    }
+    // Any other magnitude: a converged verdict whose true residual, taken
+    // with b brought near 1 so its squares neither underflow nor
+    // overflow, is within ten times the tolerance.
+    let tol = AcamarConfig::paper().criteria.tolerance;
+    for s in [1e-310, 1e-170, 1e-160, 1e160, 1e300] {
+        let report = solve(s);
+        assert!(report.converged(), "s = {s:e}");
+        assert!(report.solve.iterations > 0, "s = {s:e}");
+        let k = -s.log2().floor() as i32;
+        let (x, b) = (
+            times_pow2(&report.solve.solution, k),
+            times_pow2(&vec![s; n], k),
+        );
+        let ax = a.mul_vec(&x).unwrap();
+        let norm = |v: &[f64]| v.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let r: Vec<f64> = b.iter().zip(&ax).map(|(b, ax)| b - ax).collect();
+        let rel = norm(&r) / norm(&b);
+        assert!(rel <= 10.0 * tol, "s = {s:e}: true residual {rel:e}");
+    }
+}

@@ -95,6 +95,45 @@ fn square_pool() -> Vec<CsrMatrix<f64>> {
     pool
 }
 
+/// Patterns whose rows sit around the length at which a refill stops
+/// writing a row by one fixed-length pass (8 stored entries): for each
+/// length 7 to 10, rows of that length with and without a stored diagonal,
+/// and one pattern whose row lengths are drawn from 0 to 10. Each ends in
+/// short rows, so the last short rows' fixed passes would run past the
+/// end of both buffers.
+fn rows_around_the_cut() -> Vec<CsrMatrix<f64>> {
+    let mut rng = DetRng::seed_from_u64(0xc07);
+    let n = 24;
+    (7..=11)
+        .map(|len| {
+            let dense: Vec<Vec<Option<f64>>> = (0..n)
+                .map(|i| {
+                    let len = match (len, n - i) {
+                        (_, left) if left <= 3 => left - 1,
+                        (11, _) => rng.gen_range(0..=10usize),
+                        (len, _) => len,
+                    };
+                    let with_diagonal = i % 3 != 1 && len > 0;
+                    let mut row = vec![None; n];
+                    if with_diagonal {
+                        row[i] = Some(rng.gen_range(1.0..4.0));
+                    }
+                    let mut stored = usize::from(with_diagonal);
+                    while stored < len {
+                        let j = rng.gen_range(0..n);
+                        if j != i && row[j].is_none() {
+                            row[j] = Some(rng.gen_range(-2.0..2.0));
+                            stored += 1;
+                        }
+                    }
+                    row
+                })
+                .collect();
+            from_dense(n, n, &dense)
+        })
+        .collect()
+}
+
 /// Jacobi's operand the way `solvers::jacobi` built it before: push every
 /// off-diagonal entry, scaled, into a `CooMatrix` and convert.
 fn coo_route<T: Scalar>(a: &CsrMatrix<T>, row_scale: &[T]) -> CsrMatrix<T> {
@@ -211,7 +250,11 @@ fn a_kept_split_refills_every_matrix_of_its_pattern_bitwise() {
         t.into_values()
     }
     let (mut full, mut partial) = (0, 0);
-    for (k, a) in square_pool().iter().enumerate() {
+    let pool: Vec<CsrMatrix<f64>> = square_pool()
+        .into_iter()
+        .chain(rows_around_the_cut())
+        .collect();
+    for (k, a) in pool.iter().enumerate() {
         let split = JacobiSplit::of(a);
         let stored = (0..a.nrows()).all(|i| a.row(i).0.contains(&i));
         assert_eq!(split.has_full_diagonal(), stored, "matrix {k}");
