@@ -82,6 +82,34 @@ pub struct Fig7Result {
     pub gmean: Vec<f64>,
 }
 
+/// Fig. 7's numbers without the printing: per-dataset R.U. improvement
+/// ratios per URB and their geometric mean per URB.
+pub(crate) fn ru_improvement(runs: &[DatasetRun]) -> Fig7Result {
+    let rows: Vec<(&'static str, Vec<f64>)> = runs
+        .iter()
+        .map(|run| {
+            let ratios = URB_SWEEP
+                .iter()
+                .map(|&u| {
+                    metrics::underutilization_improvement(
+                        run.baseline(u).expect("swept"),
+                        &run.acamar,
+                        RATIO_CLAMP,
+                    )
+                })
+                .collect();
+            (run.dataset.id, ratios)
+        })
+        .collect();
+    let gmean = (0..URB_SWEEP.len())
+        .map(|i| {
+            let v: Vec<f64> = rows.iter().map(|(_, s)| s[i].max(1e-6)).collect();
+            metrics::geometric_mean(&v).unwrap_or(0.0)
+        })
+        .collect();
+    Fig7Result { rows, gmean }
+}
+
 /// Fig. 7: improvement ratio in SpMV resource underutilization
 /// (baseline / Acamar, higher is better).
 pub fn fig07(runs: &[DatasetRun]) -> Fig7Result {
@@ -89,29 +117,13 @@ pub fn fig07(runs: &[DatasetRun]) -> Fig7Result {
     let mut t = TextTable::new(
         std::iter::once("ID".to_string()).chain(URB_SWEEP.iter().map(|u| format!("URB={u}"))),
     );
-    let mut rows = Vec::new();
-    for run in runs {
-        let ratios: Vec<f64> = URB_SWEEP
-            .iter()
-            .map(|&u| {
-                metrics::underutilization_improvement(
-                    run.baseline(u).expect("swept"),
-                    &run.acamar,
-                    RATIO_CLAMP,
-                )
-            })
-            .collect();
-        let mut cells = vec![run.dataset.id.to_string()];
+    let result = ru_improvement(runs);
+    for (id, ratios) in &result.rows {
+        let mut cells = vec![id.to_string()];
         cells.extend(ratios.iter().map(|&s| format!("{}x", f2(s))));
         t.row(cells);
-        rows.push((run.dataset.id, ratios));
     }
-    let gmean: Vec<f64> = (0..URB_SWEEP.len())
-        .map(|i| {
-            let v: Vec<f64> = rows.iter().map(|(_, s)| s[i].max(1e-6)).collect();
-            metrics::geometric_mean(&v).unwrap_or(0.0)
-        })
-        .collect();
+    let gmean = &result.gmean;
     let mut cells = vec!["GMEAN".to_string()];
     cells.extend(gmean.iter().map(|&s| format!("{}x", f2(s))));
     t.row(cells);
@@ -126,7 +138,7 @@ pub fn fig07(runs: &[DatasetRun]) -> Fig7Result {
         f2(*gmean.last().expect("nonempty")),
         RATIO_CLAMP
     );
-    Fig7Result { rows, gmean }
+    result
 }
 
 /// Result of the Fig. 8 experiment.

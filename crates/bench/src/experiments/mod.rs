@@ -3,8 +3,8 @@
 //! Every function prints the rows/series the paper reports, followed by a
 //! `paper:` line quoting the claim and a `measured:` line with this
 //! reproduction's numbers, and returns a result struct for programmatic
-//! checks. The bench targets under `benches/` run each experiment on the
-//! full Table II suite; EXPERIMENTS.md records the comparison.
+//! checks. The `experiments` binary runs each on the full Table II suite;
+//! `golden/experiments.txt` pins its output and EXPERIMENTS.md quotes it.
 
 mod ablations;
 mod compare_figs;

@@ -3,9 +3,11 @@
 //! Experiment harnesses regenerating every table and figure of the Acamar
 //! paper's evaluation (Tables I–II, Figures 1–2 and 5–13).
 //!
-//! Run everything with `cargo bench` — each bench target prints the
-//! paper-style rows followed by `paper:` / `measured:` comparison lines —
-//! or invoke an experiment directly:
+//! Run everything with `cargo run --release -p acamar-bench --bin
+//! experiments -- all` (or name experiments instead of `all`): each prints
+//! the paper-style rows followed by `paper:` / `measured:` comparison
+//! lines, and `golden/experiments.txt` holds what they print. Or invoke an
+//! experiment directly:
 //!
 //! ```no_run
 //! use acamar_bench::experiments;

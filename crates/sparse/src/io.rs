@@ -127,7 +127,9 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CsrMatrix<T>,
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
 
-    let mut coo = CooMatrix::<T>::with_capacity(nrows, ncols, nnz * 2);
+    // The size line's count is untrusted: reserve nothing for it, and let
+    // the entries the file delivers size the buffer.
+    let mut coo = CooMatrix::<T>::new(nrows, ncols);
     let mut seen = 0usize;
     for l in lines {
         line_no += 1;
@@ -293,6 +295,19 @@ mod tests {
             read_matrix_market::<f64, _>(short.as_bytes()),
             Err(IoError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_an_entry_count_the_file_does_not_deliver_without_reserving_it() {
+        for n in ["10000000000", "4611686018427387904", "9223372036854775808"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n1 1 {n}\n1 1 1.0\n");
+            match read_matrix_market::<f64, _>(text.as_bytes()) {
+                Err(IoError::Parse { message, .. }) => {
+                    assert_eq!(message, format!("expected {n} entries, found 1"));
+                }
+                other => panic!("size line `1 1 {n}`: {other:?}"),
+            }
+        }
     }
 
     #[test]

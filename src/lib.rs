@@ -69,7 +69,8 @@
 //! ```
 //!
 //! The experiment harnesses that regenerate every table and figure of the
-//! paper live in the `acamar-bench` crate (`cargo bench`). See DESIGN.md
+//! paper live in the `acamar-bench` crate (`cargo run --release -p
+//! acamar-bench --bin experiments -- all`). See DESIGN.md
 //! for the system inventory and EXPERIMENTS.md for paper-vs-measured
 //! results.
 
