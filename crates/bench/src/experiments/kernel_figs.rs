@@ -90,7 +90,7 @@ pub struct Fig2Result {
 
 impl Fig2Result {
     /// Mean underutilization at each swept unroll factor.
-    pub fn mean_per_unroll(&self) -> Vec<f64> {
+    fn mean_per_unroll(&self) -> Vec<f64> {
         let n = self.rows.len().max(1) as f64;
         (0..self.unrolls.len())
             .map(|i| self.rows.iter().map(|(_, u)| u[i]).sum::<f64>() / n)

@@ -60,7 +60,7 @@ pub struct Fig11Result {
 impl Fig11Result {
     /// Maximum relative change of SpMV latency across the sweep, per
     /// dataset, relative to `rOpt = 0`.
-    pub fn max_latency_change(&self) -> f64 {
+    fn max_latency_change(&self) -> f64 {
         self.rows
             .iter()
             .flat_map(|(_, _, cyc)| {
@@ -124,7 +124,7 @@ pub struct Fig12Result {
 
 impl Fig12Result {
     /// Mean underutilization at each sampling rate.
-    pub fn mean_per_rate(&self) -> Vec<f64> {
+    fn mean_per_rate(&self) -> Vec<f64> {
         let n = self.rows.len().max(1) as f64;
         (0..self.rates.len())
             .map(|i| self.rows.iter().map(|(_, u)| u[i]).sum::<f64>() / n)

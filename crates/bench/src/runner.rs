@@ -33,7 +33,7 @@ pub fn spec() -> FabricSpec {
 /// The solver a static baseline runs for `d`: the paper "optimistically
 /// chooses the solver that offers convergence for the given dataset"
 /// (Section VI-A), so the first converging solver of the Table II triple.
-pub fn baseline_solver(d: &Dataset) -> SolverKind {
+fn baseline_solver(d: &Dataset) -> SolverKind {
     if d.expected.jacobi {
         SolverKind::Jacobi
     } else if d.expected.cg {

@@ -4,7 +4,7 @@ use crate::config::AcamarConfig;
 use crate::fine_grained::{FineGrainedPlan, FineGrainedReconfigUnit};
 use crate::solver_modifier::SolverModifier;
 use crate::structure_unit::{MatrixStructureUnit, StructureDecision};
-use acamar_fabric::{cost, FabricKernels, FabricRunStats, FabricSpec, HwRun, ResourceVector};
+use acamar_fabric::{cost, FabricKernels, FabricRunStats, FabricSpec, ResourceVector};
 use acamar_faultline::FaultContext;
 use acamar_solvers::{
     solve_with, ConvergenceCriteria, DerivedPlan, Outcome, SolveReport, SolverKind, WorkspaceHandle,
@@ -103,16 +103,6 @@ impl<T> AcamarRunReport<T> {
     /// beyond the initial configuration).
     pub fn solver_switches(&self) -> usize {
         self.attempts.len().saturating_sub(1)
-    }
-
-    /// Converts to the common hardware-run view used by the experiment
-    /// harnesses (consumes the report).
-    pub fn into_hw_run(self) -> HwRun<T> {
-        HwRun {
-            solve: self.solve,
-            stats: self.stats,
-            clock_mhz: self.clock_mhz,
-        }
     }
 
     /// Wall-clock seconds of compute (the paper's latency metric).
@@ -486,6 +476,7 @@ fn times_pow2<T: Scalar>(mut v: Vec<T>, mut k: i32) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acamar_fabric::HwRun;
     use acamar_solvers::ConvergenceCriteria;
     use acamar_sparse::generate::{self, RowDistribution};
 
@@ -853,7 +844,11 @@ mod tests {
         let a = generate::poisson2d::<f32>(8, 8);
         let rep = acamar().run(&a, &vec![1.0_f32; 64]).unwrap();
         assert!(rep.total_seconds() >= rep.compute_seconds());
-        let hw = rep.into_hw_run();
+        let hw = HwRun {
+            solve: rep.solve,
+            stats: rep.stats,
+            clock_mhz: rep.clock_mhz,
+        };
         assert!(hw.gflops() > 0.0);
     }
 

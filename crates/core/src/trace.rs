@@ -11,7 +11,6 @@ use std::ops::Range;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TBuffer {
     sets: Vec<Range<usize>>,
-    avg_nnz: Vec<f64>,
     unrolls: Vec<usize>,
 }
 
@@ -26,19 +25,9 @@ impl TBuffer {
         self.sets.is_empty()
     }
 
-    /// The row range of set `i`.
-    pub fn set_rows(&self, i: usize) -> Range<usize> {
-        self.sets[i].clone()
-    }
-
     /// All row ranges.
     pub fn sets(&self) -> &[Range<usize>] {
         &self.sets
-    }
-
-    /// Average NNZ/row per set (paper Eq. 7).
-    pub fn avg_nnz(&self) -> &[f64] {
-        &self.avg_nnz
     }
 
     /// Optimal unroll factor per set (`round(avg)`, at least 1).
@@ -107,11 +96,7 @@ impl RowLengthTrace {
             .iter()
             .map(|&m| (m.round() as usize).clamp(1, self.max_unroll))
             .collect();
-        TBuffer {
-            sets,
-            avg_nnz: avg,
-            unrolls,
-        }
+        TBuffer { sets, unrolls }
     }
 }
 
@@ -137,10 +122,9 @@ mod tests {
         let a = matrix_with_counts(&[2, 4, 6, 8]);
         let t = RowLengthTrace::new(2, 64).trace(&a);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.avg_nnz(), &[3.0, 7.0]);
+        assert_eq!(stats::per_set_average_nnz(&a, 2), vec![3.0, 7.0]);
         assert_eq!(t.unrolls(), &[3, 7]);
-        assert_eq!(t.set_rows(0), 0..2);
-        assert_eq!(t.set_rows(1), 2..4);
+        assert_eq!(t.sets(), &[0..2, 2..4]);
         assert_eq!(t.reconfigurations_per_pass(), 1);
     }
 

@@ -34,16 +34,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Hit fraction in `[0, 1]`; `0` before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Counter difference `self - earlier`, for per-batch accounting.
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
@@ -92,10 +82,9 @@ impl CacheEntry {
 /// one plan serves both tiers, so a `Fast` request on a pattern a
 /// `Deterministic` one warmed is an ordinary hit (and vice versa).
 ///
-/// The lookup is the only plan path: every engine request, each
-/// [`Sequence`](crate::Sequence) step included, takes its artifacts from
-/// here, so all requests of a pattern run on what its first miss
-/// analyzed, whoever sent them.
+/// The lookup is the only plan path: every engine request takes its
+/// artifacts from here, so all requests of a pattern run on what its
+/// first miss analyzed, whoever sent them.
 ///
 /// Reads take the `RwLock` shared, so concurrent workers hitting warm
 /// patterns never serialize. A miss upgrades to the exclusive lock and
@@ -314,7 +303,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert_eq!(s.collisions, 0);
-        assert!(s.hit_rate() > 0.49 && s.hit_rate() < 0.51);
     }
 
     #[test]
@@ -325,7 +313,6 @@ mod tests {
         cache.get_or_analyze(&ac, &generate::poisson2d::<f64>(9, 9));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
-        assert_eq!(s.hit_rate(), 0.0);
     }
 
     #[test]

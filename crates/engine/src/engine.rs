@@ -33,8 +33,6 @@ pub struct SolveJob<T> {
     pub matrix: Arc<CsrMatrix<T>>,
     /// Right-hand side.
     pub rhs: Vec<T>,
-    /// Optional warm-start guess (each solver attempt restarts from it).
-    pub guess: Option<Vec<T>>,
     /// Determinism tier for this job's host arithmetic
     /// (see [`DeterminismPolicy`]; defaults to `Deterministic`).
     pub policy: DeterminismPolicy,
@@ -46,15 +44,8 @@ impl<T> SolveJob<T> {
         SolveJob {
             matrix,
             rhs,
-            guess: None,
             policy: DeterminismPolicy::Deterministic,
         }
-    }
-
-    /// Sets the warm-start guess.
-    pub fn with_guess(mut self, x0: Vec<T>) -> SolveJob<T> {
-        self.guess = Some(x0);
-        self
     }
 
     /// Sets the determinism tier.
@@ -156,21 +147,6 @@ impl<T> BatchReport<T> {
     /// `true` when every job converged.
     pub fn all_converged(&self) -> bool {
         self.converged == self.results.len()
-    }
-
-    /// Batch throughput; `0` for an empty batch.
-    pub fn jobs_per_second(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            0.0
-        } else {
-            self.results.len() as f64 / self.wall_seconds
-        }
-    }
-
-    /// Total solver attempts (≥ jobs; the excess is Solver Modifier
-    /// interventions and rescue rungs).
-    pub fn total_attempts(&self) -> u64 {
-        self.attempts_by_solver.iter().sum()
     }
 }
 
@@ -324,14 +300,7 @@ fn drain_batch<T: Scalar>(inner: &EngineInner, ctx: &BatchCtx<T>, workspace: &Wo
             break;
         }
         let job = &ctx.jobs[i];
-        let outcome = inner.run_job(
-            i,
-            &job.matrix,
-            &job.rhs,
-            job.guess.as_deref(),
-            job.policy,
-            workspace,
-        );
+        let outcome = inner.run_job(i, &job.matrix, &job.rhs, job.policy, workspace);
         inner.account_job(&outcome);
         *ctx.slots[i].lock().expect("result slot poisoned") = Some(outcome);
     }
@@ -373,7 +342,7 @@ fn drain_batch<T: Scalar>(inner: &EngineInner, ctx: &BatchCtx<T>, workspace: &Wo
 /// backoff). [`Engine::with_fault_injection`] installs a deterministic
 /// [`FaultInjector`] whose injections are reconciled into the batch's
 /// [`RobustnessReport`]. Input validation is always on: a non-finite
-/// right-hand side or guess, or a dimension mismatch, fails the job with
+/// right-hand side or a dimension mismatch, fails the job with
 /// [`SolveError::Invalid`] before any fabric work, and is never retried.
 ///
 /// ```
@@ -616,7 +585,6 @@ impl Engine {
             0,
             a,
             b,
-            None,
             DeterminismPolicy::Deterministic,
             &self.inner.solo_workspace,
         );
@@ -794,7 +762,6 @@ impl EngineInner {
         index: usize,
         matrix: &CsrMatrix<T>,
         rhs: &[T],
-        guess: Option<&[T]>,
         policy: DeterminismPolicy,
         workspace: &WorkspaceHandle,
     ) -> JobOutcome<T> {
@@ -835,7 +802,6 @@ impl EngineInner {
             self.attempt(
                 matrix,
                 rhs,
-                guess,
                 &artifacts,
                 job,
                 0,
@@ -892,7 +858,6 @@ impl EngineInner {
                     let next = self.attempt(
                         matrix,
                         rhs,
-                        guess,
                         &artifacts,
                         job,
                         rungs as u64,
@@ -958,7 +923,6 @@ impl EngineInner {
         &self,
         matrix: &CsrMatrix<T>,
         rhs: &[T],
-        guess: Option<&[T]>,
         artifacts: &AnalysisArtifacts,
         job: u64,
         rung: u64,
@@ -1006,7 +970,7 @@ impl EngineInner {
             self.acamar.run_with_plan_opts(
                 matrix,
                 rhs,
-                guess,
+                None,
                 artifacts,
                 RunOptions {
                     criteria,
@@ -1187,7 +1151,7 @@ mod tests {
         assert_eq!(batch.cache.misses, 1);
         assert_eq!(batch.cache.hits, 8);
         assert!(batch.cache.analysis_nanos > 0);
-        assert!(batch.jobs_per_second() > 0.0);
+        assert!(batch.wall_seconds > 0.0);
         // Quiet engine: clean ledger, everyone finished on the primary run.
         assert_eq!(batch.robustness.injected_total(), 0);
         assert!(batch.robustness.accounted());
@@ -1208,7 +1172,7 @@ mod tests {
         let batch = e.solve_batch(&a, &rhss).unwrap();
         // Dominant matrix: Jacobi first try, every time.
         assert_eq!(batch.attempts_by_solver[SolverKind::Jacobi.index()], 4);
-        assert_eq!(batch.total_attempts(), 4);
+        assert_eq!(batch.attempts_by_solver.iter().sum::<u64>(), 4);
         assert_eq!(e.counters().attempts_by_solver, batch.attempts_by_solver);
     }
 
@@ -1243,18 +1207,6 @@ mod tests {
             }
             other => panic!("expected a typed rejection, got {other:?}"),
         }
-        // A poisoned warm-start guess is rejected the same way, and —
-        // being deterministic — never climbs the rescue ladder even on a
-        // rescue-enabled engine.
-        let e = engine(1).with_resilience(ResilienceConfig::hardened());
-        let am = Arc::new(a);
-        let mut x0 = vec![0.0_f64; 36];
-        x0[0] = f64::INFINITY;
-        let batch = e.solve_jobs(vec![
-            SolveJob::new(Arc::clone(&am), vec![1.0_f64; 36]).with_guess(x0)
-        ]);
-        assert!(matches!(&batch.results[0], Err(err) if err.is_invalid_input()));
-        assert_eq!(batch.robustness.rescue_depths[0], 1, "no rescue climbed");
     }
 
     #[test]
@@ -1262,8 +1214,7 @@ mod tests {
         let e = engine(3);
         let batch = e.solve_jobs(Vec::<SolveJob<f64>>::new());
         assert_eq!(batch.jobs(), 0);
-        assert_eq!(batch.total_attempts(), 0);
-        assert_eq!(batch.jobs_per_second(), 0.0);
+        assert_eq!(batch.attempts_by_solver.iter().sum::<u64>(), 0);
         assert!(batch.all_converged());
         assert!(batch.robustness.accounted());
     }
@@ -1279,20 +1230,6 @@ mod tests {
         assert!(batch.stats.cycles.total() >= one.stats.cycles.total());
         assert!(batch.stats.useful_flops >= one.stats.useful_flops);
         assert!(batch.stats.peak_area_mm2 >= one.stats.peak_area_mm2);
-    }
-
-    #[test]
-    fn warm_guess_is_forwarded() {
-        let e = engine(1);
-        let a = Arc::new(generate::poisson2d::<f64>(10, 10));
-        let b = vec![1.0_f64; 100];
-        let cold = e.solve_jobs(vec![SolveJob::new(Arc::clone(&a), b.clone())]);
-        let x = cold.results[0].as_ref().unwrap().solve.solution.clone();
-        let warm = e.solve_jobs(vec![SolveJob::new(Arc::clone(&a), b).with_guess(x)]);
-        let w = warm.results[0].as_ref().unwrap();
-        assert!(w.converged());
-        let c = cold.results[0].as_ref().unwrap();
-        assert!(w.solve.iterations <= c.solve.iterations);
     }
 
     #[test]

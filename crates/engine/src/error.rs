@@ -12,8 +12,8 @@ use std::fmt;
 /// exists at all.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveError {
-    /// The job's inputs were rejected before any fabric work: non-finite
-    /// right-hand side or guess, or a dimension mismatch. Deterministic —
+    /// The job's inputs were rejected before any fabric work: a non-finite
+    /// right-hand side, or a dimension mismatch. Deterministic —
     /// the rescue ladder never retries these.
     Invalid(SparseError),
     /// The accelerator reported an error mid-solve (e.g. a structurally

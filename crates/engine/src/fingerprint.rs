@@ -12,7 +12,7 @@
 //! (time steps, parameter sweeps, multiple right-hand sides) re-solve with
 //! *identical* matrices, where the reuse is exact.
 //!
-//! The digest is [`CsrPattern::digest`], which the pattern computes once
+//! The digest is [`CsrPattern::digest`](acamar_sparse::CsrPattern::digest), which the pattern computes once
 //! and keeps: a request whose matrix shares storage with one seen before
 //! (the same matrix, a clone, or one built over its pattern) routes and
 //! looks up its plan without reading its index arrays. Only fresh storage
@@ -23,7 +23,7 @@
 
 #![forbid(unsafe_code)]
 
-use acamar_sparse::{CsrMatrix, CsrPattern, Scalar};
+use acamar_sparse::{CsrMatrix, Scalar};
 
 /// Key identifying one CSR sparsity pattern: dimensions, entry count, and
 /// a 64-bit digest of the `row_ptr` and `col_idx` arrays.
@@ -52,11 +52,7 @@ impl PatternFingerprint {
     /// service's routing relies on every process that ever sees a pattern
     /// computing the same key.
     pub fn of<T: Scalar>(a: &CsrMatrix<T>) -> PatternFingerprint {
-        PatternFingerprint::of_pattern(a.pattern())
-    }
-
-    /// [`PatternFingerprint::of`] a matrix over `pattern`.
-    pub fn of_pattern(pattern: &CsrPattern) -> PatternFingerprint {
+        let pattern = a.pattern();
         PatternFingerprint {
             nrows: pattern.nrows(),
             ncols: pattern.ncols(),

@@ -24,15 +24,15 @@
 //!   [`Acamar::run_with_plan`](acamar_core::Acamar::run_with_plan), and
 //!   aggregates a [`BatchReport`] (per-job results in submission order,
 //!   merged fabric statistics, per-solver attempt histogram, cache
-//!   hits/misses and analysis time, jobs/sec);
-//! * [`Sequence`] solves an evolving series of systems, one engine
-//!   request per step — the plan comes from the cache like any other
-//!   request's — warm-starting from the previous solution.
+//!   hits/misses and analysis time, wall time).
+//!
+//! A time-stepping caller submits each step as its own request: steps
+//! that keep the pattern are plan-cache hits.
 //!
 //! Determinism: job results are written back by submission slot and
-//! `run_with_plan` is a pure function of `(matrix, rhs, guess,
-//! artifacts)`, so a batch's solution vectors are bitwise identical
-//! whatever the worker count or scheduling.
+//! `run_with_plan` is a pure function of `(matrix, rhs, artifacts)`, so
+//! a batch's solution vectors are bitwise identical whatever the worker
+//! count or scheduling.
 //!
 //! # Hardening and fault injection
 //!
@@ -75,13 +75,9 @@ mod engine;
 mod error;
 mod fingerprint;
 mod robustness;
-mod sequence;
 
 pub use cache::{CacheStats, PlanCache};
 pub use engine::{BatchReport, Engine, EngineCounters, ResilienceConfig, SolveJob};
 pub use error::SolveError;
 pub use fingerprint::PatternFingerprint;
 pub use robustness::{FaultTally, JobDisposition, RobustnessReport, DEPTH_BUCKETS};
-pub use sequence::{
-    PlanAction, Sequence, SequenceJob, SequenceStats, SequenceStepReport, WarmStart,
-};

@@ -98,11 +98,6 @@ impl StaticAccelerator {
         self.solver
     }
 
-    /// The configured unroll factor.
-    pub fn spmv_urb(&self) -> usize {
-        self.spmv_urb
-    }
-
     /// Runs the solve on the fabric model.
     ///
     /// # Errors

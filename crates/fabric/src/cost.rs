@@ -24,7 +24,7 @@ pub const REDUCTION_LATENCY: u64 = 12;
 
 /// Resource cost of one fp32 multiply-accumulate pipeline
 /// (Vitis HLS fp32 mul ≈ 3 DSP + fp32 add ≈ 2 DSP on UltraScale+).
-pub fn mac_unit() -> ResourceVector {
+fn mac_unit() -> ResourceVector {
     ResourceVector {
         lut: 750,
         ff: 1100,

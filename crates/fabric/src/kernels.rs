@@ -450,12 +450,6 @@ impl FabricKernels {
         self
     }
 
-    /// Whether an ICAP abort has degraded the Dynamic SpMV Kernel to its
-    /// static max-unroll fallback for the rest of this run.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Routes structured telemetry into `sink`: the run's cycle-stamped
     /// timeline (phase and iteration marks, per-set SpMV segments,
     /// reconfigurations and aborts on both regions) and sampled
@@ -551,11 +545,6 @@ impl FabricKernels {
     /// The device specification.
     pub fn spec(&self) -> &FabricSpec {
         &self.spec
-    }
-
-    /// The reconfiguration totals.
-    pub fn reconfig_controller(&self) -> &ReconfigController {
-        &self.reconfig
     }
 
     /// Current cycle totals (also available from [`FabricKernels::finish`]).
@@ -1140,10 +1129,10 @@ mod tests {
         Kernels::<f32>::set_phase(&mut hw, Phase::Loop);
         Kernels::<f32>::spmv(&mut hw, &a, &x, &mut y);
         // first pass: engine pre-loaded with unroll 2, one change to 8
-        assert_eq!(hw.reconfig_controller().count(RegionKind::SpmvKernel), 1);
+        assert_eq!(hw.reconfig.count(RegionKind::SpmvKernel), 1);
         // second pass: engine holds 8, must go back to 2, then to 8 again
         Kernels::<f32>::spmv(&mut hw, &a, &x, &mut y);
-        assert_eq!(hw.reconfig_controller().count(RegionKind::SpmvKernel), 3);
+        assert_eq!(hw.reconfig.count(RegionKind::SpmvKernel), 3);
         assert!(hw.cycles().reconfig > 0);
     }
 
@@ -1224,11 +1213,11 @@ mod tests {
         // max unroll (8). Second pass: no further swaps, and the rows
         // planned for unroll 2 run on the oversized engine.
         Kernels::<f32>::spmv(&mut hw, &a, &x, &mut y);
-        assert!(hw.is_degraded());
-        let after_first = hw.reconfig_controller().count(RegionKind::SpmvKernel);
+        assert!(hw.degraded);
+        let after_first = hw.reconfig.count(RegionKind::SpmvKernel);
         Kernels::<f32>::spmv(&mut hw, &a, &x, &mut y);
         assert_eq!(
-            hw.reconfig_controller().count(RegionKind::SpmvKernel),
+            hw.reconfig.count(RegionKind::SpmvKernel),
             after_first,
             "degraded region must never reconfigure again"
         );
@@ -1801,7 +1790,7 @@ mod tests {
         let before = hw.cycles().reconfig;
         hw.charge_solver_reconfig(&crate::cost::solver_control_unit());
         assert!(hw.cycles().reconfig > before);
-        assert_eq!(hw.reconfig_controller().count(RegionKind::Solver), 1);
+        assert_eq!(hw.reconfig.count(RegionKind::Solver), 1);
         assert!(matches!(
             ring.drain()[..],
             [acamar_telemetry::Event {

@@ -44,7 +44,6 @@ pub struct ReconfigController {
     /// Indexed by `RegionKind as usize`.
     totals: [RegionTotals; 2],
     aborts: usize,
-    aborted_cycles: u64,
 }
 
 impl ReconfigController {
@@ -54,7 +53,6 @@ impl ReconfigController {
             spec,
             totals: [RegionTotals::default(); 2],
             aborts: 0,
-            aborted_cycles: 0,
         }
     }
 
@@ -83,17 +81,11 @@ impl ReconfigController {
     pub(crate) fn record_abort(&mut self, region: RegionKind, cycles: u64) {
         self.charge(region, cycles);
         self.aborts += 1;
-        self.aborted_cycles += cycles;
     }
 
     /// Number of aborted reconfiguration attempts.
     pub fn abort_count(&self) -> usize {
         self.aborts
-    }
-
-    /// ICAP cycles wasted streaming bitstreams whose swap aborted.
-    pub fn aborted_cycles(&self) -> u64 {
-        self.aborted_cycles
     }
 
     /// Number of events targeting `region` (aborted attempts included —
@@ -108,7 +100,7 @@ impl ReconfigController {
     }
 
     /// Total cycles spent reconfiguring.
-    pub fn total_cycles(&self) -> u64 {
+    fn total_cycles(&self) -> u64 {
         self.totals.iter().map(|t| t.cycles).sum()
     }
 
@@ -143,7 +135,6 @@ mod tests {
         assert_eq!(ok, wasted, "the failed stream moves the same bits");
         c.record_abort(RegionKind::SpmvKernel, wasted);
         assert_eq!(c.abort_count(), 1);
-        assert_eq!(c.aborted_cycles(), wasted);
         assert_eq!(c.total_cycles(), ok + wasted);
         assert_eq!(c.count(RegionKind::SpmvKernel), 2);
     }

@@ -48,39 +48,6 @@ impl FabricSpec {
         }
     }
 
-    /// A larger HBM card for design-space exploration: Alveo U280
-    /// (XCU280: 1,304k LUTs, 9,024 DSPs, HBM2 460 GB/s) — close to the
-    /// U55C in fabric, with more BRAM columns.
-    pub fn alveo_u280() -> Self {
-        FabricSpec {
-            name: "Alveo U280",
-            luts: 1_304_000,
-            ffs: 2_607_000,
-            dsps: 9_024,
-            brams: 2_160,
-            hbm_gbps: 460.0,
-            clock_mhz: 300.0,
-            icap_gbps: 6.4,
-            die_area_mm2: 640.0,
-        }
-    }
-
-    /// A mid-range device for scaling studies: Alveo U50 (XCU50:
-    /// 872k LUTs, 5,952 DSPs, HBM2 316 GB/s).
-    pub fn alveo_u50() -> Self {
-        FabricSpec {
-            name: "Alveo U50",
-            luts: 872_000,
-            ffs: 1_743_000,
-            dsps: 5_952,
-            brams: 1_344,
-            hbm_gbps: 316.0,
-            clock_mhz: 300.0,
-            icap_gbps: 6.4,
-            die_area_mm2: 430.0,
-        }
-    }
-
     /// Converts kernel cycles to seconds at this device's clock.
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.clock_mhz * 1e6)
@@ -96,16 +63,6 @@ impl FabricSpec {
     pub fn icap_cycles(&self, bits: u64) -> u64 {
         let seconds = bits as f64 / (self.icap_gbps * 1e9);
         (seconds * self.clock_mhz * 1e6).ceil() as u64
-    }
-
-    /// The full device as a resource vector.
-    pub fn total_resources(&self) -> ResourceVector {
-        ResourceVector {
-            lut: self.luts,
-            ff: self.ffs,
-            dsp: self.dsps,
-            bram: self.brams,
-        }
     }
 
     /// Die area attributed to `rv`, in mm².
@@ -141,14 +98,6 @@ impl ResourceVector {
     /// The zero vector.
     pub fn zero() -> Self {
         Self::default()
-    }
-
-    /// `true` if every component fits within the device totals.
-    pub fn fits_within(&self, spec: &FabricSpec) -> bool {
-        self.lut <= spec.luts
-            && self.ff <= spec.ffs
-            && self.dsp <= spec.dsps
-            && self.bram <= spec.brams
     }
 
     /// Component-wise maximum.
@@ -217,25 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn alternative_devices_are_ordered_by_size() {
-        let u50 = FabricSpec::alveo_u50();
-        let u55c = FabricSpec::alveo_u55c();
-        let u280 = FabricSpec::alveo_u280();
-        assert!(u50.dsps < u55c.dsps);
-        assert!(u55c.brams <= u280.brams);
-        assert!(u50.hbm_gbps < u55c.hbm_gbps);
-        // same area model applies to all
-        let probe = ResourceVector {
-            lut: 10_000,
-            ff: 20_000,
-            dsp: 100,
-            bram: 20,
-        };
-        assert!(u50.area_mm2(&probe) > 0.0);
-        assert!(u280.area_mm2(&probe) > 0.0);
-    }
-
-    #[test]
     fn icap_time_matches_bandwidth() {
         let s = FabricSpec::alveo_u55c();
         // 6.4 Gb / 6.4 Gb/s = 1 s = 300e6 cycles
@@ -269,23 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn fits_within_device() {
-        let s = FabricSpec::alveo_u55c();
-        assert!(ResourceVector {
-            lut: 1000,
-            ff: 1000,
-            dsp: 10,
-            bram: 4
-        }
-        .fits_within(&s));
-        assert!(!ResourceVector {
-            lut: u64::MAX,
-            ..Default::default()
-        }
-        .fits_within(&s));
-    }
-
-    #[test]
     fn area_is_monotone_and_bounded() {
         let s = FabricSpec::alveo_u55c();
         let small = ResourceVector {
@@ -298,7 +211,12 @@ mod tests {
         assert!(s.area_mm2(&small) > 0.0);
         assert!(s.area_mm2(&big) > s.area_mm2(&small));
         // the whole device maps to at most the die area
-        let full = s.total_resources();
+        let full = ResourceVector {
+            lut: s.luts,
+            ff: s.ffs,
+            dsp: s.dsps,
+            bram: s.brams,
+        };
         assert!(s.area_mm2(&full) <= s.die_area_mm2);
         assert!(s.area_mm2(&full) >= 0.85 * s.die_area_mm2 * 0.9); // ~90% attributed
     }

@@ -91,16 +91,6 @@ impl FaultCategory {
         }
     }
 
-    /// `true` for the serving-layer seams ([`FaultCategory::SERVICE`]).
-    pub fn is_service_seam(self) -> bool {
-        matches!(
-            self,
-            FaultCategory::DispatcherPanic
-                | FaultCategory::DispatcherStall
-                | FaultCategory::QueueDrop
-        )
-    }
-
     /// Short display label.
     pub fn label(self) -> &'static str {
         match self {

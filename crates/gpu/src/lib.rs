@@ -36,7 +36,7 @@ pub use solver::{estimate_solver_run, GpuSolveEstimate};
 use acamar_sparse::{CsrMatrix, Scalar};
 
 /// Warp width on all modern Nvidia GPUs.
-pub const WARP_SIZE: u64 = 32;
+const WARP_SIZE: u64 = 32;
 
 /// Static description of a GPU.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +75,7 @@ impl GpuSpec {
     }
 
     /// Warps the device can issue per cycle (`cores / warp`).
-    pub fn warp_issue_per_cycle(&self) -> f64 {
+    fn warp_issue_per_cycle(&self) -> f64 {
         (self.sms * self.cores_per_sm) as f64 / WARP_SIZE as f64
     }
 }
@@ -103,8 +103,8 @@ pub struct GpuSpmvReport {
 /// Models a cuSPARSE-style row-per-warp CSR SpMV on `gpu`.
 ///
 /// Compute time: each row takes `ceil(nnz/32)` warp passes (empty rows
-/// still cost one); the device retires [`GpuSpec::warp_issue_per_cycle`]
-/// passes per cycle. Memory time: every stored entry streams 8 B (value +
+/// still cost one); the device retires `cores / 32` warp passes per
+/// cycle. Memory time: every stored entry streams 8 B (value +
 /// column) plus a 4 B gather from `x` (modeled at 1.5x for imperfect
 /// coalescing) and 8 B per row of pointers/output.
 pub fn model_csr_spmv<T: Scalar>(gpu: &GpuSpec, a: &CsrMatrix<T>) -> GpuSpmvReport {

@@ -3,6 +3,16 @@
 use acamar_engine::ResilienceConfig;
 use std::time::Duration;
 
+/// Requests diverted away from a `Broken` shard before its breaker
+/// half-opens and the next request is admitted as a probe. Count-based
+/// (not wall-clock) so replays walk the same state sequence.
+pub const PROBE_AFTER: u32 = 8;
+
+/// Lower bound on the retry-after carried by queue-full rejections (the
+/// estimate is `depth × EWMA(per-job service time) / workers`, floored
+/// here so an idle service never advertises zero).
+pub const RETRY_AFTER_FLOOR: Duration = Duration::from_millis(1);
+
 /// Scheduling class of one admitted job. Lower classes dispatch first;
 /// [`ServiceConfig::starvation_bound`] promotes any job that has waited
 /// too long to the front class, so low-priority tenants cannot starve.
@@ -55,17 +65,8 @@ pub struct ServiceConfig {
     /// front scheduling class regardless of its [`Priority`] — the
     /// bounded-wait guarantee against priority inversion.
     pub starvation_bound: Duration,
-    /// Lower bound on the retry-after carried by queue-full rejections
-    /// (the estimate is `depth × EWMA(per-job service time) / workers`,
-    /// floored here so an idle service never advertises zero).
-    pub retry_after_floor: Duration,
     /// Hardening configuration installed on every shard engine.
     pub resilience: ResilienceConfig,
-    /// Requests diverted away from a `Broken` shard before its breaker
-    /// half-opens and the next request is admitted as a probe. Count-based
-    /// (not wall-clock) so replays walk the same state sequence. Clamped
-    /// to at least 1.
-    pub probe_after: u32,
     /// Delivery retries a job failed by a dispatcher panic or queue drop
     /// may consume before its ticket resolves with a typed error
     /// ([`ServiceError::ShardRestarted`] / [`ServiceError::Dropped`]).
@@ -87,9 +88,7 @@ impl Default for ServiceConfig {
             workers_per_shard: 1,
             queue_capacity: 64,
             starvation_bound: Duration::from_millis(250),
-            retry_after_floor: Duration::from_millis(1),
             resilience: ResilienceConfig::default(),
-            probe_after: 8,
             retry_budget: 2,
             restart_backoff: Duration::from_millis(1),
         }
@@ -121,21 +120,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the retry-after floor.
-    pub fn with_retry_after_floor(mut self, floor: Duration) -> ServiceConfig {
-        self.retry_after_floor = floor;
-        self
-    }
-
     /// Sets the shard engines' hardening configuration.
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> ServiceConfig {
         self.resilience = resilience;
-        self
-    }
-
-    /// Sets the diverted-request count that half-opens the breaker.
-    pub fn with_probe_after(mut self, diversions: u32) -> ServiceConfig {
-        self.probe_after = diversions;
         self
     }
 
@@ -156,7 +143,6 @@ impl ServiceConfig {
         self.shards = self.shards.max(1);
         self.workers_per_shard = self.workers_per_shard.max(1);
         self.queue_capacity = self.queue_capacity.max(1);
-        self.probe_after = self.probe_after.max(1);
         self
     }
 }
@@ -181,12 +167,10 @@ mod tests {
             .with_shards(0)
             .with_workers_per_shard(0)
             .with_queue_capacity(0)
-            .with_probe_after(0)
             .normalized();
         assert_eq!(
             (cfg.shards, cfg.workers_per_shard, cfg.queue_capacity),
             (1, 1, 1)
         );
-        assert_eq!(cfg.probe_after, 1);
     }
 }

@@ -94,8 +94,7 @@ struct HealthInner {
     state: ShardHealth,
     consecutive_failures: u32,
     /// Requests diverted away while `Broken`; reaching
-    /// [`ServiceConfig::probe_after`](crate::ServiceConfig::probe_after)
-    /// flips the breaker half-open.
+    /// [`PROBE_AFTER`](crate::PROBE_AFTER) flips the breaker half-open.
     diverted: u32,
 }
 

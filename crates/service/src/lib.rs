@@ -57,7 +57,7 @@ mod router;
 mod service;
 
 pub use acamar_sparse::DeterminismPolicy;
-pub use config::{Priority, ServiceConfig};
+pub use config::{Priority, ServiceConfig, PROBE_AFTER, RETRY_AFTER_FLOOR};
 pub use health::{ServiceLedger, ShardHealth};
 pub use http::ScrapeServer;
 pub use router::{shard_for, shard_ranking};

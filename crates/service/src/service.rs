@@ -1,6 +1,6 @@
 //! The serving front-end: bounded admission, shard dispatch, tickets.
 
-use crate::config::{Priority, ServiceConfig};
+use crate::config::{Priority, ServiceConfig, PROBE_AFTER, RETRY_AFTER_FLOOR};
 use crate::health::{lock_recover, HealthCell, LedgerInner, ServiceLedger, ShardHealth};
 use crate::queue::Scheduler;
 use crate::router::{mix64, shard_for, shard_ranking};
@@ -26,8 +26,6 @@ pub struct ServiceRequest<T> {
     pub matrix: Arc<CsrMatrix<T>>,
     /// Right-hand side.
     pub rhs: Vec<T>,
-    /// Optional warm-start guess.
-    pub guess: Option<Vec<T>>,
     /// Submitting tenant (accounting only; scheduling keys on
     /// `priority`, not identity).
     pub tenant: u32,
@@ -41,13 +39,6 @@ pub struct ServiceRequest<T> {
     /// default) keeps the bitwise replay contract; `Fast` routes the
     /// hot kernels through the reassociated 4-lane paths.
     pub policy: DeterminismPolicy,
-    /// Sticky routing fingerprint for sequence-scoped requests. The
-    /// request routes by this fingerprint (the pattern the sequence was
-    /// opened on) instead of the submitted matrix's, so every step of an
-    /// evolving sequence lands on the one shard whose plan cache holds
-    /// the sequence's patched plans.
-    /// `None` (the default) routes by the matrix pattern as always.
-    pub sequence: Option<PatternFingerprint>,
 }
 
 impl<T> ServiceRequest<T> {
@@ -56,19 +47,11 @@ impl<T> ServiceRequest<T> {
         ServiceRequest {
             matrix,
             rhs,
-            guess: None,
             tenant: 0,
             priority: Priority::Normal,
             deadline: None,
             policy: DeterminismPolicy::Deterministic,
-            sequence: None,
         }
-    }
-
-    /// Sets the warm-start guess.
-    pub fn with_guess(mut self, x0: Vec<T>) -> ServiceRequest<T> {
-        self.guess = Some(x0);
-        self
     }
 
     /// Sets the submitting tenant.
@@ -92,15 +75,6 @@ impl<T> ServiceRequest<T> {
     /// Sets the determinism tier.
     pub fn with_policy(mut self, policy: DeterminismPolicy) -> ServiceRequest<T> {
         self.policy = policy;
-        self
-    }
-
-    /// Pins affinity routing to `fingerprint` — typically
-    /// [`Sequence::fingerprint`](acamar_engine::Sequence::fingerprint) —
-    /// so every step of a sequence keeps going to one shard even as the
-    /// pattern drifts.
-    pub fn with_sequence(mut self, fingerprint: PatternFingerprint) -> ServiceRequest<T> {
-        self.sequence = Some(fingerprint);
         self
     }
 }
@@ -577,15 +551,6 @@ impl<T: Scalar> Service<T> {
         shard_for(&PatternFingerprint::of(matrix), self.cfg.shards)
     }
 
-    /// [`Service::route`] for a full request: a sticky
-    /// [`ServiceRequest::sequence`] fingerprint takes precedence over the
-    /// matrix's own pattern, so an evolving sequence's steps all land on
-    /// the shard that holds its plans. Without a sticky fingerprint this
-    /// is exactly [`Service::route`].
-    pub fn route_request(&self, req: &ServiceRequest<T>) -> usize {
-        shard_for(&routing_key(req), self.cfg.shards)
-    }
-
     /// Admits `req` or rejects it with backpressure.
     ///
     /// # Errors
@@ -593,7 +558,7 @@ impl<T: Scalar> Service<T> {
     /// [`AdmissionError::QueueFull`] when the routed shard's queue is at
     /// capacity; the error carries the shard, its depth, and a
     /// retry-after estimate (`depth × EWMA service time / workers`,
-    /// floored at [`ServiceConfig::retry_after_floor`]).
+    /// floored at [`RETRY_AFTER_FLOOR`]).
     pub fn submit(&self, req: ServiceRequest<T>) -> Result<Ticket<T>, AdmissionError> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let shard = self.admission_shard(&req, seq);
@@ -626,7 +591,6 @@ impl<T: Scalar> Service<T> {
                 job: SolveJob {
                     matrix: req.matrix,
                     rhs: req.rhs,
-                    guess: req.guess,
                     policy: req.policy,
                 },
                 seq,
@@ -658,7 +622,7 @@ impl<T: Scalar> Service<T> {
     fn retry_after(&self, shard: usize, depth: usize) -> Duration {
         let ema = self.shards[shard].ema_nanos.load(Ordering::Relaxed);
         let est = (depth as u64).saturating_mul(ema) / self.cfg.workers_per_shard as u64;
-        self.cfg.retry_after_floor.max(Duration::from_nanos(est))
+        RETRY_AFTER_FLOOR.max(Duration::from_nanos(est))
     }
 
     /// The shard admission `seq` actually lands on: the routed shard when
@@ -667,13 +631,13 @@ impl<T: Scalar> Service<T> {
     /// as the breaker's half-open probe, or it deterministically spills to
     /// the next live shard in its [`shard_ranking`].
     fn admission_shard(&self, req: &ServiceRequest<T>, seq: u64) -> usize {
-        let key = routing_key(req);
+        let key = PatternFingerprint::of(&req.matrix);
         let preferred = shard_for(&key, self.cfg.shards);
         let health = &self.shards[preferred].health;
         if health.state() != ShardHealth::Broken {
             return preferred;
         }
-        if health.divert_or_probe(preferred, self.cfg.probe_after, &self.sink) {
+        if health.divert_or_probe(preferred, PROBE_AFTER, &self.sink) {
             return preferred;
         }
         let ranking = shard_ranking(&key, self.cfg.shards);
@@ -836,7 +800,7 @@ impl<T: Scalar> Service<T> {
     }
 
     /// Jobs admitted under `policy` since construction.
-    pub fn admitted_for(&self, policy: DeterminismPolicy) -> u64 {
+    fn admitted_for(&self, policy: DeterminismPolicy) -> u64 {
         self.policy_admitted[policy.is_fast() as usize].load(Ordering::Relaxed)
     }
 
@@ -940,13 +904,6 @@ impl<T: Scalar> Drop for Service<T> {
             let _ = t.join();
         }
     }
-}
-
-/// The fingerprint a request routes by: its sticky sequence fingerprint,
-/// else its matrix's pattern.
-fn routing_key<T: Scalar>(req: &ServiceRequest<T>) -> PatternFingerprint {
-    req.sequence
-        .unwrap_or_else(|| PatternFingerprint::of(&req.matrix))
 }
 
 /// Why a stranded in-flight job is taking the retry path.
@@ -1332,28 +1289,6 @@ mod tests {
     }
 
     #[test]
-    fn sequence_fingerprint_pins_affinity_routing() {
-        let service = Service::<f64>::new(acamar(), ServiceConfig::default().with_shards(4));
-        let opened = Arc::new(generate::poisson2d::<f64>(10, 10));
-        let fp = PatternFingerprint::of(&opened);
-        let home = service.route(&opened);
-        // A drifted step matrix (different pattern, maybe a different
-        // natural shard) still routes to the sequence's home shard when
-        // tagged with the open fingerprint...
-        let drifted = Arc::new(generate::poisson2d::<f64>(11, 11));
-        let tagged =
-            ServiceRequest::new(Arc::clone(&drifted), vec![1.0; drifted.nrows()]).with_sequence(fp);
-        assert_eq!(service.route_request(&tagged), home);
-        // ...while an untagged request keeps the pattern's own route.
-        let untagged = ServiceRequest::new(Arc::clone(&drifted), vec![1.0; drifted.nrows()]);
-        assert_eq!(service.route_request(&untagged), service.route(&drifted));
-        // End to end: admission honors the sticky shard and still solves.
-        let ticket = service.submit(tagged).expect("queue empty");
-        assert_eq!(ticket.shard(), home);
-        assert!(ticket.wait().expect("solves").converged());
-    }
-
-    #[test]
     fn drop_drains_outstanding_tickets() {
         let service = Service::<f64>::new(acamar(), ServiceConfig::default().with_shards(1));
         service.pause();
@@ -1413,7 +1348,6 @@ mod tests {
             acamar(),
             ServiceConfig::default()
                 .with_shards(1)
-                .with_probe_after(1)
                 .with_restart_backoff(Duration::ZERO),
         );
         let a = Arc::new(generate::poisson2d::<f64>(8, 8));
@@ -1430,12 +1364,17 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(service.shard_health(0), ShardHealth::Broken);
-        // probe_after = 1: the next submission probes the broken shard,
-        // succeeds, and heals it — through the recovered lock.
-        let t = service
-            .submit(ServiceRequest::new(Arc::clone(&a), vec![1.0; a.nrows()]))
-            .expect("admits after crash");
-        assert!(t.wait().expect("solves after restart").converged());
+        // With no other shard to spill to, the first `PROBE_AFTER - 1`
+        // diverted submissions fall back to the broken shard, and the next
+        // one probes it, succeeds, and heals it — through the recovered
+        // lock.
+        for _ in 0..PROBE_AFTER {
+            assert_eq!(service.shard_health(0), ShardHealth::Broken);
+            let t = service
+                .submit(ServiceRequest::new(Arc::clone(&a), vec![1.0; a.nrows()]))
+                .expect("admits after crash");
+            assert!(t.wait().expect("solves after restart").converged());
+        }
         assert_eq!(service.shard_health(0), ShardHealth::Healthy);
         // The respawned engine is cold: the pre-crash warm plan is gone.
         assert_eq!(service.restarts(0), 1);

@@ -67,16 +67,6 @@ impl OpCounts {
             dense_calls: self.dense_calls - earlier.dense_calls,
         }
     }
-
-    /// Fraction of FLOPs spent in SpMV (0 when nothing ran).
-    pub fn spmv_flop_share(&self) -> f64 {
-        let t = self.total_flops();
-        if t == 0 {
-            0.0
-        } else {
-            self.spmv_flops as f64 / t as f64
-        }
-    }
 }
 
 /// One primitive dense-vector kernel call: the unit an executor counts
@@ -751,11 +741,6 @@ impl SoftwareKernels {
         self
     }
 
-    /// The installed compiled plan, if any.
-    pub fn compiled_plan(&self) -> Option<&Arc<CompiledSpmv>> {
-        self.plan.as_ref()
-    }
-
     /// Installs the pattern's [`DerivedPlan`] memo: the operand a solver
     /// asks for through [`Kernels::derived_operand`] is filled from the
     /// memo's split and multiplied through the memo's plan (both built by
@@ -1175,7 +1160,7 @@ mod tests {
         assert_eq!(c.spmv_calls, 1);
         assert_eq!(c.spmv_nnz_processed, 28);
         assert_eq!(c.spmv_flops, 56);
-        assert_eq!(c.spmv_flop_share(), 1.0);
+        assert_eq!(c.dense_flops, 0);
     }
 
     #[test]
@@ -1200,7 +1185,7 @@ mod tests {
         let c: OpCounts = Kernels::<f64>::counts(&k);
         assert!(c.dense_calls >= 7);
         assert!(c.total_flops() > 0);
-        assert!(c.spmv_flop_share() < 1e-12);
+        assert_eq!(c.spmv_flops, 0);
     }
 
     #[test]

@@ -72,7 +72,7 @@ use acamar_sparse::{CsrMatrix, Scalar, SparseError};
 
 /// GMRES restart dimension used by [`solve_with`]: wide enough for the
 /// indefinite spectra that defeat the three Acamar solvers.
-pub const DEFAULT_GMRES_RESTART: usize = 60;
+const DEFAULT_GMRES_RESTART: usize = 60;
 
 /// Runs the solver selected by `kind` (dynamic dispatch over
 /// [`SolverKind`]) — the software analog of reconfiguring the
@@ -80,8 +80,7 @@ pub const DEFAULT_GMRES_RESTART: usize = 60;
 /// solver (Acamar's attempts, forced or not, run through it).
 /// [`SolverKind::PreconditionedCg`] is IC(0)-preconditioned CG
 /// ([`ic0_preconditioned_cg`], Jacobi scaling when the factorization
-/// breaks down); [`SolverKind::Gmres`] restarts every
-/// [`DEFAULT_GMRES_RESTART`] iterations.
+/// breaks down); [`SolverKind::Gmres`] restarts every 60 iterations.
 ///
 /// # Errors
 ///

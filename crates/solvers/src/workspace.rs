@@ -141,7 +141,7 @@ impl SolverWorkspace {
     }
 
     /// Buffers that had to be freshly allocated (pool misses).
-    pub fn fresh_allocations(&self) -> u64 {
+    fn fresh_allocations(&self) -> u64 {
         self.fresh
     }
 }

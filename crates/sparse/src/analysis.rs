@@ -72,16 +72,6 @@ pub struct StructureReport {
     pub bandwidth: usize,
 }
 
-impl StructureReport {
-    /// `true` when the matrix is symmetric and the Gershgorin bound proves
-    /// positive definiteness (a *sufficient*, not necessary, condition for
-    /// CG convergence — mirrors the paper's pragmatic symmetry-only check,
-    /// which this strengthens when the bound happens to certify it).
-    pub fn certified_spd(&self) -> bool {
-        self.symmetric && self.gershgorin_definiteness == Definiteness::PositiveDefinite
-    }
-}
-
 /// Paper-faithful symmetry test: convert CSR to CSC and compare the arrays
 /// (Section IV-B: "If the CSC format matches the CSR format, the matrix A
 /// is considered symmetric").
@@ -407,7 +397,6 @@ mod tests {
         assert!(r.mixed_sign_diagonal);
         assert_eq!(r.gershgorin_definiteness, Definiteness::Indefinite);
         assert_eq!(r.bandwidth, 2);
-        assert!(!r.certified_spd());
     }
 
     #[test]

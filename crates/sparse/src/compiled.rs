@@ -79,7 +79,7 @@ use crate::simd::{dot_fast, DeterminismPolicy, Lanes4};
 use std::ops::Range;
 
 /// Largest row width handled by the monomorphized [`BandKind::Fixed`] kernel.
-pub const MAX_FIXED_WIDTH: usize = 16;
+const MAX_FIXED_WIDTH: usize = 16;
 
 /// Minimum run length of identical-width rows promoted to a `Fixed` band.
 pub const MIN_FIXED_RUN: usize = 8;
@@ -93,23 +93,23 @@ pub const MIN_FIXED_RUN: usize = 8;
 const _: () = assert!(MIN_FIXED_RUN >= 4);
 
 /// Rows with at least this many entries are heavy outliers ([`BandKind::DenseRow`]).
-pub const DENSE_ROW_MIN_NNZ: usize = 128;
+const DENSE_ROW_MIN_NNZ: usize = 128;
 
 /// Maximum slot width for an ELL band.
-pub const ELL_MAX_WIDTH: usize = 32;
+const ELL_MAX_WIDTH: usize = 32;
 
 /// Maximum padding fraction tolerated for an ELL band (Eq. 5 analog).
-pub const ELL_MAX_PADDING: f64 = 0.5;
+const ELL_MAX_PADDING: f64 = 0.5;
 
 /// Bands at or below this width count as *narrow* for ELL selection.
-pub const ELL_NARROW_WIDTH: usize = 12;
+const ELL_NARROW_WIDTH: usize = 12;
 
 /// Tighter padding bound for narrow ELL candidates. Short rows leave the
 /// 4-lane kernel little common prefix to amortize its per-group setup, so
 /// a ragged narrow band (epb3-shaped: width ~9, mean ~6) loses to the
 /// packed-`u32` CSR walk it would otherwise displace — those bands
 /// classify as `Sorted` instead.
-pub const ELL_NARROW_MAX_PADDING: f64 = 0.2;
+const ELL_NARROW_MAX_PADDING: f64 = 0.2;
 
 /// Rows per window of a [`BandKind::Sorted`] band: rows are sorted by
 /// length inside a window, never across one, so the values, slots and `y`
@@ -129,7 +129,7 @@ pub const SORTED_WINDOW_ROWS: usize = 512;
 pub const SORTED_MAX_WIDTH: usize = MAX_FIXED_WIDTH;
 
 /// Unroll factors with monomorphized kernels, mirroring the paper's U set.
-pub const UNROLL_FACTORS: [usize; 5] = [1, 2, 4, 8, 16];
+const UNROLL_FACTORS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// A contiguous row range and the unroll factor the MSID schedule assigned
 /// to it. The plan compiler never emits a band that crosses a hint boundary,
@@ -174,7 +174,7 @@ pub enum BandKind {
     /// Ragged band with wider rows: CSR walk with a `U`-wide unrolled
     /// inner loop.
     Unrolled {
-        /// The unroll factor, one of [`UNROLL_FACTORS`].
+        /// The unroll factor, one of 1, 2, 4, 8 and 16 (the paper's U set).
         unroll: usize,
     },
     /// Heavy outlier rows: deep-unrolled gather with a contiguous-column

@@ -175,11 +175,6 @@ impl<T: Scalar> DenseMatrix<T> {
         }
         Ok(x)
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> T {
-        self.data.iter().fold(T::ZERO, |acc, &v| acc + v * v).sqrt()
-    }
 }
 
 impl<T: Scalar> Index<(usize, usize)> for DenseMatrix<T> {
@@ -255,12 +250,6 @@ mod tests {
             b.solve(&[1.0]),
             Err(SparseError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn frobenius_norm_matches_hand_value() {
-        let a = DenseMatrix::from_row_major(2, 2, vec![3.0, 0.0, 4.0, 0.0]).unwrap();
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl<T: Scalar> EllMatrix<T> {
     ///
     /// Returns [`SparseError::InvalidStructure`] if any row holds more
     /// than `width` entries.
-    pub fn from_csr_with_width(a: &CsrMatrix<T>, width: usize) -> Result<Self, SparseError> {
+    fn from_csr_with_width(a: &CsrMatrix<T>, width: usize) -> Result<Self, SparseError> {
         let mut col_idx = vec![PAD; a.nrows() * width];
         let mut values = vec![T::ZERO; a.nrows() * width];
         for (i, cols, vals) in a.iter_rows() {

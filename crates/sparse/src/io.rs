@@ -14,7 +14,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 
 /// Symmetry qualifier of a Matrix Market file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MmSymmetry {
+enum MmSymmetry {
     /// All entries stored explicitly.
     General,
     /// Only the lower triangle stored; `(i, j)` implies `(j, i)`.
@@ -23,15 +23,25 @@ pub enum MmSymmetry {
     SkewSymmetric,
 }
 
+/// The largest row or column count [`read_matrix_market`] accepts: a
+/// compiled plan's slots are `u32`.
+const MAX_DIMENSION: usize = u32::MAX as usize;
+
 /// Reads a Matrix Market coordinate file into CSR form.
 ///
 /// Symmetric and skew-symmetric storage is expanded to general storage.
 /// `pattern` files produce matrices of ones.
 ///
+/// The size line is untrusted. A row or column count above `u32::MAX`
+/// (the width of a compiled plan's slots) is refused before anything is
+/// allocated from it, and the entry count sizes nothing: the entries the
+/// file delivers do.
+///
 /// # Errors
 ///
-/// Returns [`IoError`] on malformed headers, non-numeric data, index
-/// overflow, or unsupported features (`complex` field, `array` container).
+/// Returns [`IoError`] on malformed headers, non-numeric data, a
+/// dimension above `u32::MAX`, index overflow, or unsupported features
+/// (`complex` field, `array` container).
 ///
 /// # Examples
 ///
@@ -126,6 +136,14 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CsrMatrix<T>,
         });
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    // The CSR conversion allocates `nrows + 1` row offsets: refuse an
+    // oversized dimension here, before anything is sized by it.
+    if let Some(d) = [nrows, ncols].into_iter().find(|&d| d > MAX_DIMENSION) {
+        return Err(IoError::Parse {
+            line: line_no,
+            message: format!("dimension {d} exceeds the limit of {MAX_DIMENSION}"),
+        });
+    }
 
     // The size line's count is untrusted: reserve nothing for it, and let
     // the entries the file delivers size the buffer.
@@ -306,6 +324,34 @@ mod tests {
                     assert_eq!(message, format!("expected {n} entries, found 1"));
                 }
                 other => panic!("size line `1 1 {n}`: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_a_dimension_above_u32_max_at_the_size_line() {
+        // The entry after the size line is malformed: an error from any
+        // later stage would name line 3, so a line-2 error shows that the
+        // reader stopped at the size line, before the COO buffer or the
+        // CSR row offsets were sized.
+        for (size, d) in [
+            ("1000000000000 1 1", "1000000000000"),
+            ("4294967296 1 1", "4294967296"),
+            ("1 4294967296 1", "4294967296"),
+        ] {
+            for entry in ["1 1 1.0", "not an entry"] {
+                let text =
+                    format!("%%MatrixMarket matrix coordinate real general\n{size}\n{entry}\n");
+                match read_matrix_market::<f64, _>(text.as_bytes()) {
+                    Err(IoError::Parse { line, message }) => {
+                        assert_eq!(line, 2, "size line `{size}`");
+                        assert_eq!(
+                            message,
+                            format!("dimension {d} exceeds the limit of 4294967295")
+                        );
+                    }
+                    other => panic!("size line `{size}`: {other:?}"),
+                }
             }
         }
     }

@@ -1,10 +1,9 @@
-//! Sparse matrix algebra: addition and multiplication.
+//! Sparse matrix algebra: addition.
 //!
 //! Needed for building composite operators (shifted systems `A + σI`,
 //! normal equations, preconditioner construction) on top of the CSR
 //! substrate.
 
-use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::scalar::Scalar;
@@ -77,58 +76,6 @@ pub fn add<T: Scalar>(
     CsrMatrix::try_from_parts(a.nrows(), a.ncols(), row_ptr, col_idx, values)
 }
 
-/// Computes the sparse product `A * B` (Gustavson's row-wise algorithm).
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.ncols() != b.nrows()`.
-///
-/// # Examples
-///
-/// ```
-/// use acamar_sparse::{generate, ops};
-///
-/// let a = generate::poisson1d::<f64>(5);
-/// let a2 = ops::matmul(&a, &a)?;            // A², pentadiagonal
-/// assert_eq!(a2.get(0, 2), 1.0);            // (-1)(-1)
-/// assert_eq!(a2.get(0, 0), 5.0);            // 2*2 + (-1)(-1)
-/// # Ok::<(), acamar_sparse::SparseError>(())
-/// ```
-pub fn matmul<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Result<CsrMatrix<T>, SparseError> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: a.ncols(),
-            found: b.nrows(),
-            what: "inner dimension",
-        });
-    }
-    let n = a.nrows();
-    let m = b.ncols();
-    let mut coo = CooMatrix::with_capacity(n, m, a.nnz() + b.nnz());
-    // dense accumulator with a touched-list (Gustavson)
-    let mut acc = vec![T::ZERO; m];
-    let mut touched: Vec<usize> = Vec::new();
-    for i in 0..n {
-        let (ac, av) = a.row(i);
-        for (&k, &aik) in ac.iter().zip(av) {
-            let (bc, bv) = b.row(k);
-            for (&j, &bkj) in bc.iter().zip(bv) {
-                if acc[j] == T::ZERO && !touched.contains(&j) {
-                    touched.push(j);
-                }
-                acc[j] += aik * bkj;
-            }
-        }
-        touched.sort_unstable();
-        for &j in &touched {
-            coo.push(i, j, acc[j]).expect("indices in bounds");
-            acc[j] = T::ZERO;
-        }
-        touched.clear();
-    }
-    Ok(coo.to_csr())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,55 +109,5 @@ mod tests {
                 assert!((s.get(i, j) - want).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn matmul_matches_dense_reference() {
-        let a = generate::random_pattern::<f64>(15, RowDistribution::Uniform { min: 1, max: 4 }, 5);
-        let b = generate::random_pattern::<f64>(15, RowDistribution::Uniform { min: 1, max: 4 }, 6);
-        let c = matmul(&a, &b).unwrap();
-        let (da, db) = (a.to_dense(), b.to_dense());
-        for i in 0..15 {
-            for j in 0..15 {
-                let mut want = 0.0;
-                for k in 0..15 {
-                    want += da[(i, k)] * db[(k, j)];
-                }
-                assert!(
-                    (c.get(i, j) - want).abs() < 1e-10,
-                    "({i},{j}): {} vs {want}",
-                    c.get(i, j)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn identity_is_matmul_neutral() {
-        let a = generate::poisson2d::<f64>(4, 4);
-        let i = CsrMatrix::identity(16);
-        assert_eq!(matmul(&a, &i).unwrap(), a);
-        assert_eq!(matmul(&i, &a).unwrap(), a);
-    }
-
-    #[test]
-    fn matmul_rejects_inner_mismatch() {
-        let a = CsrMatrix::<f64>::identity(3);
-        let b = CsrMatrix::<f64>::identity(4);
-        assert!(matmul(&a, &b).is_err());
-    }
-
-    #[test]
-    fn rectangular_matmul_shapes() {
-        // (2x3) * (3x2) = (2x2)
-        let a =
-            CsrMatrix::try_from_parts(2, 3, vec![0, 2, 3], vec![0, 2, 1], vec![1.0_f64, 2.0, 3.0])
-                .unwrap();
-        let b = a.transpose();
-        let c = matmul(&a, &b).unwrap();
-        assert_eq!(c.nrows(), 2);
-        assert_eq!(c.ncols(), 2);
-        assert_eq!(c.get(0, 0), 5.0); // 1 + 4
-        assert_eq!(c.get(1, 1), 9.0);
     }
 }

@@ -88,7 +88,7 @@ pub fn permutation_by_row_nnz<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
 ///
 /// Panics if `perm` contains an index `>= perm.len()` (use
 /// [`permute_symmetric`]'s validation for untrusted input).
-pub fn invert_permutation(perm: &[usize]) -> Vec<usize> {
+fn invert_permutation(perm: &[usize]) -> Vec<usize> {
     let mut inv = vec![0usize; perm.len()];
     for (i, &p) in perm.iter().enumerate() {
         inv[p] = i;

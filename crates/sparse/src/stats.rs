@@ -49,7 +49,7 @@ impl RowNnzStats {
     }
 
     /// Computes statistics from a raw NNZ-per-row count vector.
-    pub fn of_counts(counts: &[usize]) -> Self {
+    fn of_counts(counts: &[usize]) -> Self {
         let rows = counts.len();
         if rows == 0 {
             return RowNnzStats {

@@ -192,14 +192,6 @@ pub fn event_json(e: &Event) -> String {
                 ",\"kind\":\"dispatcher_restarted\",\"shard\":{shard},\"restarts\":{restarts}"
             ));
         }
-        EventKind::WarmStartUsed { step } => {
-            s.push_str(&format!(",\"kind\":\"warm_start_used\",\"step\":{step}"));
-        }
-        EventKind::WarmStartRejected { step } => {
-            s.push_str(&format!(
-                ",\"kind\":\"warm_start_rejected\",\"step\":{step}"
-            ));
-        }
         EventKind::CacheEvicted => s.push_str(",\"kind\":\"cache_evicted\""),
         EventKind::PreconditionerSelected { ic0, levels } => {
             s.push_str(&format!(
@@ -345,8 +337,6 @@ mod tests {
                 shard: 2,
                 restarts: 1,
             },
-            EventKind::WarmStartUsed { step: 5 },
-            EventKind::WarmStartRejected { step: 6 },
             EventKind::CacheEvicted,
         ];
         for kind in cases {

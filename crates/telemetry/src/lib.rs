@@ -346,18 +346,6 @@ pub enum EventKind {
         /// Lifetime restart count for the shard (1 = first respawn).
         restarts: u32,
     },
-    /// A sequence step passed the warm-start residual gate and seeded its
-    /// solve with the previous step's solution.
-    WarmStartUsed {
-        /// Sequence step index (0-based).
-        step: u64,
-    },
-    /// A sequence step failed the warm-start residual gate and fell back
-    /// to a cold start.
-    WarmStartRejected {
-        /// Sequence step index (0-based).
-        step: u64,
-    },
     /// The plan cache evicted its least-recently-used entry to stay within
     /// its configured capacity.
     CacheEvicted,
@@ -471,10 +459,6 @@ pub enum Counter {
     FastTierSolves,
     /// `Fast`-tier jobs whose final attempt converged.
     FastTierConverged,
-    /// Sequence steps that passed the warm-start residual gate.
-    WarmStartsUsed,
-    /// Sequence steps that failed the warm-start residual gate.
-    WarmStartsRejected,
     /// Plan-cache entries evicted to stay within the configured capacity.
     CacheEvictions,
     /// Level-scheduled SpTRSV substitution passes executed.
@@ -509,7 +493,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 40;
+    pub const COUNT: usize = 38;
 
     /// Every counter, in `repr` order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -542,8 +526,6 @@ impl Counter {
         Counter::EventsDropped,
         Counter::FastTierSolves,
         Counter::FastTierConverged,
-        Counter::WarmStartsUsed,
-        Counter::WarmStartsRejected,
         Counter::CacheEvictions,
         Counter::SptrsvApplies,
         Counter::SorSweeps,
@@ -592,8 +574,6 @@ impl Counter {
             Counter::EventsDropped => "acamar_trace_events_dropped_total",
             Counter::FastTierSolves => "acamar_fast_tier_solves_total",
             Counter::FastTierConverged => "acamar_fast_tier_converged_total",
-            Counter::WarmStartsUsed => "acamar_warm_starts_used_total",
-            Counter::WarmStartsRejected => "acamar_warm_starts_rejected_total",
             Counter::CacheEvictions => "acamar_plan_cache_evictions_total",
             Counter::SptrsvApplies => "acamar_sptrsv_applies_total",
             Counter::SorSweeps => "acamar_sor_sweeps_total",
@@ -638,8 +618,6 @@ impl Counter {
             Counter::EventsDropped => "Trace events dropped (ring full)",
             Counter::FastTierSolves => "Jobs solved under the Fast determinism tier",
             Counter::FastTierConverged => "Fast-tier jobs whose final attempt converged",
-            Counter::WarmStartsUsed => "Sequence steps that passed the warm-start gate",
-            Counter::WarmStartsRejected => "Sequence steps that failed the warm-start gate",
             Counter::CacheEvictions => "Plan-cache entries evicted at capacity",
             Counter::SptrsvApplies => "Level-scheduled SpTRSV substitution passes executed",
             Counter::SorSweeps => "SOR/Gauss-Seidel relaxation sweeps executed",
@@ -843,15 +821,6 @@ pub struct SpanGuard<'a> {
     start: Option<Instant>,
 }
 
-impl SpanGuard<'_> {
-    /// Nanoseconds elapsed since the span opened (0 when disabled).
-    pub fn elapsed_nanos(&self) -> u64 {
-        self.start
-            .map(|s| s.elapsed().as_nanos() as u64)
-            .unwrap_or(0)
-    }
-}
-
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some(start) = self.start {
@@ -907,7 +876,7 @@ mod tests {
         sink.emit(EventKind::CacheHit);
         sink.counter_add(Counter::CacheHits, 1);
         let guard = sink.span(Span::Solve);
-        assert_eq!(guard.elapsed_nanos(), 0);
+        assert!(guard.start.is_none(), "a disabled span reads no clock");
     }
 
     #[test]

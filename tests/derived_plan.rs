@@ -15,7 +15,7 @@
 //! IC(0)-preconditioned CG keeps its pattern half — the factors' patterns
 //! and the elimination schedule — in the same memo, under the same rules:
 //! built once by the first attempt, replayed by every later one, bypassed
-//! and counted when it does not fit, built afresh for a sequence step's new
+//! and counted when it does not fit, built afresh for a time step's new
 //! pattern, and filled independently of Jacobi's half. The two
 //! substitution plans over the factors' patterns join it the first time a
 //! factor exists on the pattern, and a forced PCG on them is bitwise the
@@ -23,7 +23,7 @@
 
 use acamar::core::{Acamar, AcamarConfig, RunOptions};
 use acamar::datasets::{suite, StructuralClass};
-use acamar::engine::{Engine, PlanAction, SequenceJob, SolveJob};
+use acamar::engine::{Engine, SolveJob};
 use acamar::fabric::FabricSpec;
 use acamar::solvers::{ic0_preconditioned_cg, jacobi, DerivedPlan, SoftwareKernels, SolverKind};
 use acamar::sparse::generate::{self, RowDistribution};
@@ -165,35 +165,38 @@ fn drop_an_off_diagonal(a: &CsrMatrix<f64>, rows: &[usize]) -> CsrMatrix<f64> {
     CsrMatrix::try_from_parts(a.nrows(), a.ncols(), row_ptr, cols, vals).unwrap()
 }
 
-/// A sequence holds no plan of its own, so "re-tiling" on open is now
-/// nothing at all: the open and every same-pattern step read the one cache
-/// entry, memo included, and a pattern delta is the new pattern's miss.
+/// One time step of a time-stepping caller: one `solve_one`, returning
+/// whether its plan-cache lookup hit (`true`) or missed (`false`).
+fn step(engine: &Engine, a: &CsrMatrix<f64>, b: &[f64]) -> bool {
+    let before = engine.counters().cache;
+    assert!(engine.solve_one(a, b).unwrap().converged());
+    let lookup = engine.counters().cache.since(&before);
+    assert_eq!(lookup.hits + lookup.misses, 1, "one lookup per step");
+    lookup.hits == 1
+}
+
+/// A sequence of time steps, each one `solve_one`: every same-pattern
+/// step reads the one cache entry, memo included, and a pattern delta is
+/// the new pattern's miss.
 #[test]
 fn a_sequence_keeps_the_memo_on_a_retile_and_resets_it_on_a_pattern_delta() {
     let engine = Engine::with_workers(acamar(), 1);
-    let a0 = Arc::new(dominant(800, 11));
+    let a0 = dominant(800, 11);
     let b = rhs(800);
     engine.solve_one(&a0, &b).unwrap();
-    let analyzed = engine.cache().get_or_analyze(engine.acamar(), &*a0);
+    let analyzed = engine.cache().get_or_analyze(engine.acamar(), &a0);
     let t_plan = Arc::clone(analyzed.derived.get().expect("filled by the solve"));
 
-    let mut seq = engine.open_sequence(Arc::clone(&a0));
-    let step = seq
-        .step(SequenceJob::new(Arc::clone(&a0), b.clone()))
-        .unwrap();
-    assert!(step.report.converged());
-    assert_eq!(step.plan, PlanAction::Reused);
-    let reread = engine.cache().get_or_analyze(engine.acamar(), &*a0);
+    assert!(step(&engine, &a0, &b), "a same-pattern step is a hit");
+    let reread = engine.cache().get_or_analyze(engine.acamar(), &a0);
     assert!(Arc::ptr_eq(&reread, &analyzed), "one entry per pattern");
     assert!(Arc::ptr_eq(analyzed.derived.get().unwrap(), &t_plan));
 
     // A pattern delta is an entry of its own, whose memo the step's Jacobi
     // attempt builds from the new pattern.
-    let a1 = Arc::new(drop_an_off_diagonal(&a0, &[7, 300]));
-    let step = seq.step(SequenceJob::new(Arc::clone(&a1), b)).unwrap();
-    assert!(step.report.converged());
-    assert_eq!(step.plan, PlanAction::Recompiled);
-    let moved = engine.cache().get_or_analyze(engine.acamar(), &*a1);
+    let a1 = drop_an_off_diagonal(&a0, &[7, 300]);
+    assert!(!step(&engine, &a1, &b), "a pattern delta is a miss");
+    let moved = engine.cache().get_or_analyze(engine.acamar(), &a1);
     let t1 = moved.derived.get().expect("built by the step");
     assert_eq!(t1.nnz(), a1.nnz() - 800);
     let (mut diag, mut inv) = (vec![0.0; 800], vec![0.0; 800]);
@@ -482,15 +485,16 @@ fn the_jacobi_half_and_the_ic0_half_of_the_memo_fill_independently() {
     assert!(Arc::ptr_eq(artifacts.derived.get().unwrap(), &t_plan));
 }
 
-/// As for the Jacobi memo: opening a sequence leaves the cache entry, and
-/// so its schedule, alone; a pattern delta schedules the new pattern.
+/// As for the Jacobi memo: a same-pattern time step of the sequence
+/// leaves the cache entry, and so its schedule, alone; a pattern delta
+/// schedules the new pattern.
 #[test]
 fn a_sequence_keeps_the_ic0_schedule_on_a_retile_and_resets_it_on_a_pattern_delta() {
     let engine = Engine::with_workers(acamar(), 1);
-    let a0 = Arc::new(spd(800, 27));
+    let a0 = spd(800, 27);
     let b = rhs(800);
     engine.solve_one(&a0, &b).unwrap();
-    let analyzed = engine.cache().get_or_analyze(engine.acamar(), &*a0);
+    let analyzed = engine.cache().get_or_analyze(engine.acamar(), &a0);
     let pcg = |a: &CsrMatrix<f64>, artifacts: &acamar::core::AnalysisArtifacts| {
         let opts = forced(SolverKind::PreconditionedCg, TelemetrySink::disabled());
         let report = engine
@@ -501,32 +505,28 @@ fn a_sequence_keeps_the_ic0_schedule_on_a_retile_and_resets_it_on_a_pattern_delt
     pcg(&a0, &analyzed);
     let schedule = analyzed.derived.ic0_schedule().expect("built by the solve") as *const _;
 
-    let mut seq = engine.open_sequence(Arc::clone(&a0));
-    let opened = engine.cache().get_or_analyze(engine.acamar(), &*a0);
-    assert!(Arc::ptr_eq(&opened, &analyzed), "one entry per pattern");
-    pcg(&a0, &opened);
+    assert!(step(&engine, &a0, &b), "a same-pattern step is a hit");
+    let reread = engine.cache().get_or_analyze(engine.acamar(), &a0);
+    assert!(Arc::ptr_eq(&reread, &analyzed), "one entry per pattern");
+    pcg(&a0, &reread);
     assert!(std::ptr::eq(
-        opened.derived.ic0_schedule().unwrap(),
+        reread.derived.ic0_schedule().unwrap(),
         schedule
     ));
 
     // The delta step's entry starts with an empty memo; the next
     // preconditioned attempt schedules the new pattern and memoises its
     // substitution plans.
-    let a1 = Arc::new(drop_a_symmetric_pair(&a0, 300));
-    let step = seq
-        .step(SequenceJob::new(Arc::clone(&a1), b.clone()))
-        .unwrap();
-    assert!(step.report.converged());
-    assert_eq!(step.plan, PlanAction::Recompiled);
-    let moved = engine.cache().get_or_analyze(engine.acamar(), &*a1);
+    let a1 = drop_a_symmetric_pair(&a0, 300);
+    assert!(!step(&engine, &a1, &b), "a pattern delta is a miss");
+    let moved = engine.cache().get_or_analyze(engine.acamar(), &a1);
     assert!(moved.derived.ic0_schedule().is_none() && moved.derived.sptrsv().is_none());
     pcg(&a1, &moved);
     let rescheduled = moved.derived.ic0_schedule().expect("rebuilt");
     assert_eq!(rescheduled.lower().tri_nnz(), (a1.nnz() + 800) / 2);
-    assert_eq!(rescheduled, &acamar::sparse::Ic0Schedule::of(&*a1).unwrap());
+    assert_eq!(rescheduled, &acamar::sparse::Ic0Schedule::of(&a1).unwrap());
     let (lower, upper) = &**moved.derived.sptrsv().expect("memoised by the attempt");
-    assert!(lower.verify_pattern(&*a1) && upper.verify_pattern(&*a1));
+    assert!(lower.verify_pattern(&a1) && upper.verify_pattern(&a1));
     // The old pattern's memo is untouched.
     assert!(std::ptr::eq(
         analyzed.derived.ic0_schedule().unwrap(),

@@ -13,7 +13,9 @@
 use acamar::core::{Acamar, AcamarConfig};
 use acamar::engine::{Engine, SolveJob};
 use acamar::fabric::FabricSpec;
-use acamar::service::{AdmissionError, Priority, Service, ServiceConfig, ServiceRequest};
+use acamar::service::{
+    AdmissionError, Priority, Service, ServiceConfig, ServiceRequest, RETRY_AFTER_FLOOR,
+};
 use acamar::sparse::{generate, CsrMatrix};
 use acamar::telemetry::{Counter, RingRecorder};
 use std::sync::Arc;
@@ -38,8 +40,7 @@ fn queue_full_rejection_is_typed_and_carries_retry_after() {
         acamar(),
         ServiceConfig::default()
             .with_shards(1)
-            .with_queue_capacity(capacity)
-            .with_retry_after_floor(Duration::from_millis(2)),
+            .with_queue_capacity(capacity),
     );
     service.pause();
     let a = system();
@@ -65,7 +66,7 @@ fn queue_full_rejection_is_typed_and_carries_retry_after() {
     assert_eq!(depth, capacity);
     assert_eq!(cap, capacity);
     assert!(
-        retry_after >= Duration::from_millis(2),
+        retry_after >= RETRY_AFTER_FLOOR,
         "retry-after {retry_after:?} must respect the floor"
     );
     assert_eq!(err.retry_after(), retry_after);

@@ -19,7 +19,7 @@ use acamar::engine::PatternFingerprint;
 use acamar::fabric::FabricSpec;
 use acamar::faultline::{FaultCategory, FaultPlan};
 use acamar::service::{
-    shard_ranking, Service, ServiceConfig, ServiceError, ServiceRequest, ShardHealth,
+    shard_ranking, Service, ServiceConfig, ServiceError, ServiceRequest, ShardHealth, PROBE_AFTER,
 };
 use acamar::sparse::{generate, CsrMatrix};
 use acamar::telemetry::{Counter, Event, RingRecorder};
@@ -162,18 +162,16 @@ fn same_seed_service_chaos_replays_identical_normalized_streams() {
 }
 
 /// Breaking a shard spills its affinity traffic to the next shard in the
-/// rendezvous ranking, the breaker half-opens after `probe_after`
+/// rendezvous ranking, the breaker half-opens after `PROBE_AFTER`
 /// diversions, and a successful probe restores affinity routing.
 #[test]
 fn broken_shard_fails_over_down_the_ranking_then_probes_and_heals() {
     let shards = 4;
-    let probe_after = 3;
+    let probe_after = PROBE_AFTER;
     let ring = Arc::new(RingRecorder::new(1 << 12));
     let service = Service::<f64>::with_recorder(
         acamar(),
-        ServiceConfig::default()
-            .with_shards(shards)
-            .with_probe_after(probe_after),
+        ServiceConfig::default().with_shards(shards),
         Arc::clone(&ring),
     );
     let a = Arc::new(generate::poisson2d::<f64>(10, 10));
@@ -220,12 +218,7 @@ fn broken_shard_fails_over_down_the_ranking_then_probes_and_heals() {
 /// rather than refusing traffic.
 #[test]
 fn all_shards_broken_still_serves_on_the_home_shard() {
-    let service = Service::<f64>::new(
-        acamar(),
-        ServiceConfig::default()
-            .with_shards(2)
-            .with_probe_after(100),
-    );
+    let service = Service::<f64>::new(acamar(), ServiceConfig::default().with_shards(2));
     let a = Arc::new(generate::poisson2d::<f64>(8, 8));
     service.break_shard(0);
     service.break_shard(1);
