@@ -390,6 +390,10 @@ struct EngineInner {
     /// [`Engine::solve_one`] and one-runner batches: repeated solves
     /// recycle scratch vectors just like pool workers do.
     solo_workspace: WorkspaceHandle,
+    /// Held for the length of a batch while an injector is installed: a
+    /// batch drains the injector's ledger when it ends, so two batches on
+    /// this engine must not overlap, or one would take the other's events.
+    injected_batch: Mutex<()>,
 }
 
 impl Engine {
@@ -420,6 +424,7 @@ impl Engine {
                 jobs_completed: AtomicU64::new(0),
                 attempts: std::array::from_fn(|_| AtomicU64::new(0)),
                 solo_workspace: WorkspaceHandle::new(),
+                injected_batch: Mutex::new(()),
             }),
             pool: WorkerPool::new(workers, pool_idle),
         }
@@ -452,8 +457,10 @@ impl Engine {
     /// default panic hook for injected panics so chaos runs don't spam
     /// stderr.
     ///
-    /// Each batch drains the ledger; sharing one injector across
-    /// concurrently running batches mixes their events.
+    /// Each batch drains the ledger, so while an injector is installed
+    /// this engine's batches run one at a time (callers on other threads
+    /// wait for the running batch); sharing one injector across engines
+    /// still mixes their batches' events.
     pub fn with_fault_injection(mut self, injector: Arc<FaultInjector>) -> Engine {
         acamar_faultline::silence_injected_panics();
         self.inner_mut().injector = Some(injector);
@@ -511,6 +518,7 @@ impl Engine {
                 jobs_completed: AtomicU64::new(0),
                 attempts: std::array::from_fn(|_| AtomicU64::new(0)),
                 solo_workspace: WorkspaceHandle::new(),
+                injected_batch: Mutex::new(()),
             }),
             pool: WorkerPool::new(self.inner.workers, pool_idle),
         }
@@ -624,6 +632,12 @@ impl Engine {
     /// errors, isolated panics, missed deadlines — are reported in their
     /// own slot; nothing aborts the batch.
     pub fn solve_jobs<T: Scalar>(&self, jobs: Vec<SolveJob<T>>) -> BatchReport<T> {
+        let _own_ledger = self.inner.injector.as_ref().map(|_| {
+            self.inner
+                .injected_batch
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+        });
         let start = Instant::now();
         let cache_before = self.inner.cache.stats();
         let idle_before = self.inner.pool_idle.load(Ordering::Relaxed);

@@ -4,7 +4,7 @@
 //! `Engine::solve_batch` (a blocking library call) into a service that
 //! absorbs streaming traffic.
 //!
-//! Three mechanisms, layered:
+//! Four mechanisms, layered:
 //!
 //! 1. **Bounded admission with backpressure** — every shard has a
 //!    bounded queue; a submission that would overflow it is rejected at
@@ -24,6 +24,12 @@
 //!    structural class lands where its compiled SpMV plan is already
 //!    warm. `tests/service_routing.rs` counts exactly this effect in
 //!    plan-cache misses (one per pattern, at every shard count).
+//!    Affinity picks a job's queue and engine, not its thread: a
+//!    dispatcher whose own queue is empty takes the next job from a busy
+//!    peer's queue and runs it on the peer's engine
+//!    ([`Service::stolen`]), so skewed load does not idle a CPU and no
+//!    plan is built twice. Idle dispatchers sleep until admission wakes
+//!    them.
 //! 4. **Supervision and failover** — every shard has a count-based
 //!    health state machine ([`ShardHealth`]:
 //!    `Healthy → Suspect → Broken → Probing → Healthy`) fed by dispatch

@@ -142,7 +142,8 @@ pub enum ServiceError {
     /// delivery retry budget ([`ServiceConfig::retry_budget`]) was spent
     /// before a respawned dispatcher could deliver it.
     ShardRestarted {
-        /// The shard whose dispatcher crashed.
+        /// The shard the job was queued on (its dispatcher, or a peer's
+        /// that had taken the job, crashed).
         shard: usize,
         /// Delivery retries the job consumed before giving up.
         retries: u32,
@@ -150,7 +151,7 @@ pub enum ServiceError {
     /// The job was silently dropped between queue and dispatch (a
     /// `QueueDrop` fault) more times than the retry budget allowed.
     Dropped {
-        /// The shard that lost the job.
+        /// The shard the job was queued on.
         shard: usize,
         /// Delivery retries the job consumed before giving up.
         retries: u32,
@@ -291,12 +292,15 @@ struct Waiting<T: Scalar> {
 }
 
 /// One job the dispatcher has popped but not yet resolved. Entries live
-/// in [`ShardShared::in_flight`] so a crashed dispatcher's supervisor can
-/// see exactly what was stranded and requeue it.
+/// in the popping dispatcher's [`ShardShared::in_flight`] so its
+/// supervisor can see exactly what a crash stranded and requeue it.
 struct InFlight<T: Scalar> {
     /// `None` once the job has been handed to the engine (a crash after
     /// that point cannot retry the work it no longer holds).
     job: Option<SolveJob<T>>,
+    /// The shard whose queue the job was popped from: its engine runs
+    /// the job, and a retry goes back to its queue.
+    owner: usize,
     seq: u64,
     attempt: u32,
     priority: Priority,
@@ -319,9 +323,12 @@ struct ShardShared<T: Scalar> {
     /// The shard's engine, in a swappable slot: the supervisor replaces
     /// it with a fresh [`Engine::respawn`] after a dispatcher crash.
     engine: Mutex<Arc<Engine>>,
-    /// Jobs popped but not yet resolved; the supervisor's crash-recovery
+    /// Jobs this shard's dispatcher popped (from its own queue or a
+    /// peer's) but has not yet resolved; the supervisor's crash-recovery
     /// ledger.
     in_flight: Mutex<Vec<InFlight<T>>>,
+    /// Jobs from this shard's queue that a peer's dispatcher ran.
+    stolen: AtomicU64,
     /// The shard's supervision state machine.
     health: HealthCell,
     /// Dispatcher liveness tick, bumped once per wave.
@@ -352,6 +359,13 @@ struct ShardState<T: Scalar> {
     /// Chaos hook ([`Service::crash_shard`]): the dispatcher panics at
     /// the top of its next loop, exercising the real supervisor path.
     crash: bool,
+    /// The dispatcher has no work of its own: it is looking at its
+    /// peers' queues or asleep. Admission onto a busy peer wakes it.
+    idle: bool,
+    /// Work landed on a busy peer's queue while this dispatcher was
+    /// idle: look at the peers' queues again before sleeping. A flag, not
+    /// only a notify, so a wake-up during the look is not lost.
+    nudged: bool,
 }
 
 /// The serving front-end over `N` engine shards.
@@ -363,6 +377,14 @@ struct ShardState<T: Scalar> {
 /// compiled its plan — and either enqueues the job
 /// (returning a [`Ticket`]) or rejects it with a typed, retry-after-
 /// carrying [`AdmissionError`] when that shard's bounded queue is full.
+///
+/// Affinity picks a job's queue and its engine, not the thread that runs
+/// it: a dispatcher whose own queue is empty takes the next job from a
+/// busy peer's queue (popped by that queue's scheduler) and runs it on
+/// the peer's engine, so each pattern is still analyzed on one shard and
+/// every result is what that shard's engine computes
+/// ([`Service::stolen`] counts these jobs). An idle dispatcher sleeps
+/// until admission onto a busy shard wakes it.
 ///
 /// Dropping the service is a clean shutdown: every queued job is drained
 /// (solved or shed) so no ticket is left dangling, then the dispatcher
@@ -385,7 +407,9 @@ struct ShardState<T: Scalar> {
 /// ```
 pub struct Service<T: Scalar> {
     cfg: ServiceConfig,
-    shards: Vec<Arc<ShardShared<T>>>,
+    /// Every shard, shared with each dispatcher so an idle one can serve
+    /// its peers' queues.
+    shards: Arc<[ShardShared<T>]>,
     /// Supervisor threads (one per shard); each owns its dispatcher.
     threads: Vec<JoinHandle<()>>,
     seq: AtomicU64,
@@ -467,45 +491,50 @@ impl<T: Scalar> Service<T> {
                 Some(Arc::new(FaultInjector::new(p)))
             }
         });
-        let mut shards = Vec::with_capacity(cfg.shards);
-        let mut threads = Vec::with_capacity(cfg.shards);
-        for shard in 0..cfg.shards {
-            let mut engine = Engine::with_workers(acamar.clone(), cfg.workers_per_shard)
-                .with_resilience(cfg.resilience.clone());
-            if let Some(r) = &ring {
-                engine = engine.with_recorder(Arc::clone(r) as Arc<dyn Recorder>);
-            }
-            if let Some(plan) = &faults {
-                let mut p = FaultPlan::new(plan.seed() ^ (shard as u64 + 1));
-                for cat in FaultCategory::ENGINE {
-                    p = p.with_rate(cat, plan.rate(cat));
+        let shards: Arc<[ShardShared<T>]> = (0..cfg.shards)
+            .map(|shard| {
+                let mut engine = Engine::with_workers(acamar.clone(), cfg.workers_per_shard)
+                    .with_resilience(cfg.resilience.clone());
+                if let Some(r) = &ring {
+                    engine = engine.with_recorder(Arc::clone(r) as Arc<dyn Recorder>);
                 }
-                engine = engine.with_fault_injection(Arc::new(FaultInjector::new(p)));
-            }
-            let shared = Arc::new(ShardShared {
-                state: Mutex::new(ShardState {
-                    sched: Scheduler::new(),
-                    paused: false,
-                    shutdown: false,
-                    crash: false,
-                }),
-                cv: Condvar::new(),
-                depth: AtomicUsize::new(0),
-                ema_nanos: AtomicU64::new(0),
-                engine: Mutex::new(Arc::new(engine)),
-                in_flight: Mutex::new(Vec::new()),
-                health: HealthCell::new(),
-                heartbeat: AtomicU64::new(0),
-                heartbeat_at: AtomicU64::new(0),
-                epoch: Instant::now(),
-                restarts: AtomicU64::new(0),
-            });
-            let seed = faults.as_ref().map(|p| p.seed()).unwrap_or(0);
-            threads.push(
+                if let Some(plan) = &faults {
+                    let mut p = FaultPlan::new(plan.seed() ^ (shard as u64 + 1));
+                    for cat in FaultCategory::ENGINE {
+                        p = p.with_rate(cat, plan.rate(cat));
+                    }
+                    engine = engine.with_fault_injection(Arc::new(FaultInjector::new(p)));
+                }
+                ShardShared {
+                    state: Mutex::new(ShardState {
+                        sched: Scheduler::new(),
+                        paused: false,
+                        shutdown: false,
+                        crash: false,
+                        idle: false,
+                        nudged: false,
+                    }),
+                    cv: Condvar::new(),
+                    depth: AtomicUsize::new(0),
+                    ema_nanos: AtomicU64::new(0),
+                    engine: Mutex::new(Arc::new(engine)),
+                    in_flight: Mutex::new(Vec::new()),
+                    stolen: AtomicU64::new(0),
+                    health: HealthCell::new(),
+                    heartbeat: AtomicU64::new(0),
+                    heartbeat_at: AtomicU64::new(0),
+                    epoch: Instant::now(),
+                    restarts: AtomicU64::new(0),
+                }
+            })
+            .collect();
+        let seed = faults.as_ref().map(|p| p.seed()).unwrap_or(0);
+        let threads = (0..cfg.shards)
+            .map(|shard| {
                 std::thread::Builder::new()
                     .name(format!("acamar-supervise-{shard}"))
                     .spawn({
-                        let shared = Arc::clone(&shared);
+                        let shards = Arc::clone(&shards);
                         let cfg = cfg.clone();
                         let completions = Arc::clone(&completions);
                         let ring = ring.clone();
@@ -513,7 +542,7 @@ impl<T: Scalar> Service<T> {
                         let svc_injector = svc_injector.clone();
                         move || {
                             supervise(
-                                shared,
+                                shards,
                                 shard,
                                 cfg,
                                 completions,
@@ -524,10 +553,9 @@ impl<T: Scalar> Service<T> {
                             )
                         }
                     })
-                    .expect("spawn shard supervisor"),
-            );
-            shards.push(shared);
-        }
+                    .expect("spawn shard supervisor")
+            })
+            .collect();
         let sink = match &ring {
             Some(r) => TelemetrySink::new(Arc::clone(r) as Arc<dyn Recorder>),
             None => TelemetrySink::disabled(),
@@ -603,8 +631,12 @@ impl<T: Scalar> Service<T> {
         );
         let depth_now = st.sched.len();
         shared.depth.store(depth_now, Ordering::Relaxed);
+        let home_idle = st.idle;
         drop(st);
         shared.cv.notify_one();
+        if !home_idle {
+            nudge_idle_peer(&self.shards, shard);
+        }
         self.sink.with_job(seq).emit(EventKind::JobAdmitted {
             shard: shard as u16,
             depth: depth_now as u32,
@@ -660,15 +692,19 @@ impl<T: Scalar> Service<T> {
     /// bounds). The deterministic tests use this to build a known queue
     /// before any dispatch happens.
     pub fn pause(&self) {
-        for s in &self.shards {
+        for s in self.shards.iter() {
             lock_recover(&s.state).paused = true;
         }
     }
 
-    /// Releases [`Service::pause`].
+    /// Releases [`Service::pause`]. Every shard is released before any
+    /// dispatcher is woken, so each one's first look at its peers sees
+    /// them all unpaused.
     pub fn resume(&self) {
-        for s in &self.shards {
+        for s in self.shards.iter() {
             lock_recover(&s.state).paused = false;
+        }
+        for s in self.shards.iter() {
             s.cv.notify_all();
         }
     }
@@ -710,6 +746,12 @@ impl<T: Scalar> Service<T> {
     /// Times shard `shard`'s dispatcher has been respawned after a crash.
     pub fn restarts(&self, shard: usize) -> u64 {
         self.shards[shard].restarts.load(Ordering::SeqCst)
+    }
+
+    /// Jobs from shard `shard`'s queue that a peer's idle dispatcher took
+    /// and ran on shard `shard`'s engine.
+    pub fn stolen(&self, shard: usize) -> u64 {
+        self.shards[shard].stolen.load(Ordering::Relaxed)
     }
 
     /// The heartbeat watchdog: flags `Suspect` every `Healthy` shard that
@@ -835,6 +877,12 @@ impl<T: Scalar> Service<T> {
             &sample(&|s| self.engine(s).counters().jobs_completed),
         );
         w.counter_samples(
+            "acamar_service_shard_stolen_total",
+            "Jobs from a shard's queue that a peer's idle dispatcher ran on that shard's engine",
+            "shard",
+            &sample(&|s| self.stolen(s)),
+        );
+        w.counter_samples(
             "acamar_service_shard_cache_hits_total",
             "Plan-cache hits per engine shard",
             "shard",
@@ -893,11 +941,12 @@ impl<T: Scalar> Service<T> {
 
 impl<T: Scalar> Drop for Service<T> {
     fn drop(&mut self) {
-        for s in &self.shards {
+        for s in self.shards.iter() {
             let mut st = lock_recover(&s.state);
             st.shutdown = true;
             st.paused = false;
-            drop(st);
+        }
+        for s in self.shards.iter() {
             s.cv.notify_all();
         }
         for t in self.threads.drain(..) {
@@ -914,21 +963,20 @@ enum RetryWhy {
     Dropped,
 }
 
-/// Puts one stranded in-flight job back on the retry path: requeued with
-/// its attempt count bumped while the budget lasts (and while the job
-/// payload is still held), otherwise resolved with the matching typed
-/// error so its ticket never hangs.
-#[allow(clippy::too_many_arguments)]
+/// Puts one stranded in-flight job back on the retry path: requeued on
+/// its owner's queue with its attempt count bumped while the budget lasts
+/// (and while the job payload is still held), otherwise resolved with the
+/// matching typed error so its ticket never hangs.
 fn requeue_or_exhaust<T: Scalar>(
-    st: &mut ShardState<T>,
+    shards: &[ShardShared<T>],
     e: InFlight<T>,
-    shard: usize,
     cfg: &ServiceConfig,
     completions: &AtomicU64,
     sink: &TelemetrySink,
     ledger: &LedgerInner,
     why: RetryWhy,
 ) {
+    let shard = e.owner;
     if let Some(job) = e.job {
         if e.attempt < cfg.retry_budget {
             let attempt = e.attempt + 1;
@@ -937,6 +985,8 @@ fn requeue_or_exhaust<T: Scalar>(
                 attempt,
             });
             sink.counter_add(Counter::JobsRetried, 1);
+            let home = &shards[shard];
+            let mut st = lock_recover(&home.state);
             st.sched.push(
                 e.priority,
                 e.deadline,
@@ -952,6 +1002,9 @@ fn requeue_or_exhaust<T: Scalar>(
                     attempt,
                 },
             );
+            home.depth.store(st.sched.len(), Ordering::Relaxed);
+            drop(st);
+            home.cv.notify_one();
             return;
         }
     }
@@ -988,13 +1041,14 @@ fn restart_backoff(seed: u64, shard: usize, restarts: u64, base: Duration) -> Du
 /// crashes (an injected `DispatcherPanic`, a [`Service::crash_shard`]
 /// chaos call, or a genuine bug), recovers — breaker forced open, a fresh
 /// [`Engine::respawn`] swapped into the shard's engine slot, every
-/// stranded in-flight job requeued (or its ticket resolved with a typed
-/// error once its retry budget is spent), telemetry emitted — and then
-/// respawns the dispatcher after a deterministic backoff. Returns when
-/// the dispatcher exits cleanly (service shutdown).
+/// stranded in-flight job requeued on the queue it was popped from (or
+/// its ticket resolved with a typed error once its retry budget is
+/// spent), telemetry emitted — and then respawns the dispatcher after a
+/// deterministic backoff. Returns when the dispatcher exits cleanly
+/// (service shutdown).
 #[allow(clippy::too_many_arguments)]
 fn supervise<T: Scalar>(
-    shared: Arc<ShardShared<T>>,
+    shards: Arc<[ShardShared<T>]>,
     shard: usize,
     cfg: ServiceConfig,
     completions: Arc<AtomicU64>,
@@ -1007,17 +1061,18 @@ fn supervise<T: Scalar>(
         Some(r) => TelemetrySink::new(Arc::clone(r) as Arc<dyn Recorder>),
         None => TelemetrySink::disabled(),
     };
+    let shared = &shards[shard];
     loop {
         let handle = std::thread::Builder::new()
             .name(format!("acamar-dispatch-{shard}"))
             .spawn({
-                let shared = Arc::clone(&shared);
+                let shards = Arc::clone(&shards);
                 let cfg = cfg.clone();
                 let completions = Arc::clone(&completions);
                 let ring = ring.clone();
                 let ledger = Arc::clone(&ledger);
                 let faults = faults.clone();
-                move || dispatcher(shared, shard, cfg, completions, ring, ledger, faults)
+                move || dispatcher(shards, shard, cfg, completions, ring, ledger, faults)
             })
             .expect("spawn shard dispatcher");
         if handle.join().is_ok() {
@@ -1036,22 +1091,19 @@ fn supervise<T: Scalar>(
             let fresh = slot.respawn();
             *slot = Arc::new(fresh);
         }
-        {
-            let mut st = lock_recover(&shared.state);
-            let stranded: Vec<InFlight<T>> = lock_recover(&shared.in_flight).drain(..).collect();
-            for e in stranded {
-                requeue_or_exhaust(
-                    &mut st,
-                    e,
-                    shard,
-                    &cfg,
-                    &completions,
-                    &sink,
-                    &ledger,
-                    RetryWhy::Restarted,
-                );
-            }
-            shared.depth.store(st.sched.len(), Ordering::Relaxed);
+        // A job this dispatcher took from a peer goes back to that peer's
+        // queue: affinity, not the crash, decides where it runs.
+        let stranded: Vec<InFlight<T>> = lock_recover(&shared.in_flight).drain(..).collect();
+        for e in stranded {
+            requeue_or_exhaust(
+                &shards,
+                e,
+                &cfg,
+                &completions,
+                &sink,
+                &ledger,
+                RetryWhy::Restarted,
+            );
         }
         sink.emit(EventKind::DispatcherRestarted {
             shard: shard as u16,
@@ -1066,10 +1118,121 @@ fn supervise<T: Scalar>(
     }
 }
 
-/// One shard's dispatcher loop: wait for work, pop a wave (up to the
-/// shard's worker count), shed expired-deadline jobs before they reach a
-/// solver, run the rest through the shard engine, and fulfill tickets in
-/// the wave's submission order. On shutdown the remaining queue is
+/// Wakes one idle, unpaused dispatcher other than `busy`'s that has not
+/// been asked already, so work queued behind `busy`'s dispatcher does not
+/// wait while another dispatcher sleeps. Takes one shard lock at a time.
+fn nudge_idle_peer<T: Scalar>(shards: &[ShardShared<T>], busy: usize) {
+    let n = shards.len();
+    for k in 1..n {
+        let peer = &shards[(busy + k) % n];
+        let mut st = lock_recover(&peer.state);
+        if st.idle && !st.nudged && !st.paused {
+            st.nudged = true;
+            drop(st);
+            peer.cv.notify_one();
+            return;
+        }
+    }
+}
+
+/// One job from the first peer queue after `me` (in ring order) that is
+/// neither empty nor paused, popped by that queue's own scheduler, so
+/// priority classes, deadline order and the starvation bound hold as if
+/// the peer's dispatcher had popped it.
+fn steal<T: Scalar>(
+    shards: &[ShardShared<T>],
+    me: usize,
+    starvation_bound: Duration,
+) -> Option<(usize, Vec<Waiting<T>>)> {
+    let n = shards.len();
+    (1..n).map(|k| (me + k) % n).find_map(|owner| {
+        let peer = &shards[owner];
+        if peer.depth.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        let mut st = lock_recover(&peer.state);
+        if st.paused {
+            return None;
+        }
+        let w = st.sched.pop(Instant::now(), starvation_bound)?;
+        peer.depth.store(st.sched.len(), Ordering::Relaxed);
+        Some((owner, vec![w]))
+    })
+}
+
+/// The next wave for dispatcher `me`, with the shard whose queue it came
+/// from: up to `workers_per_shard` jobs from its own queue or, when that
+/// is empty and the service is not paused, one job from a peer's queue.
+/// With neither, it sleeps until admission onto its own shard, or onto a
+/// busy peer while it is idle, wakes it; there is no timed wait. Panics
+/// here, shard lock held, on a [`Service::crash_shard`] request. `None` on
+/// shutdown once there is nothing left to take.
+fn next_wave<T: Scalar>(
+    shards: &[ShardShared<T>],
+    me: usize,
+    cfg: &ServiceConfig,
+) -> Option<(usize, Vec<Waiting<T>>)> {
+    let own = &shards[me];
+    let peers = shards.len() > 1;
+    let mut st = lock_recover(&own.state);
+    // Look at the peers' queues once before each sleep, and again when
+    // nudged during the look.
+    let mut look = peers;
+    loop {
+        if st.crash {
+            st.crash = false;
+            // Panic with the shard lock held: the poisoned mutex is
+            // exactly what the supervisor's recovery must survive.
+            std::panic::panic_any(InjectedPanic { job: u64::MAX });
+        }
+        if !st.paused && !st.sched.is_empty() {
+            st.idle = false;
+            let now = Instant::now();
+            let mut wave = Vec::with_capacity(cfg.workers_per_shard);
+            while wave.len() < cfg.workers_per_shard {
+                match st.sched.pop(now, cfg.starvation_bound) {
+                    Some(w) => wave.push(w),
+                    None => break,
+                }
+            }
+            let left = st.sched.len();
+            own.depth.store(left, Ordering::Relaxed);
+            drop(st);
+            if left > 0 {
+                nudge_idle_peer(shards, me);
+            }
+            return Some((me, wave));
+        }
+        if !st.paused && (look || st.nudged) {
+            st.idle = true;
+            st.nudged = false;
+            drop(st);
+            let stolen = steal(shards, me, cfg.starvation_bound);
+            st = lock_recover(&own.state);
+            if stolen.is_some() {
+                st.idle = false;
+                return stolen;
+            }
+            look = false;
+            continue;
+        }
+        if st.shutdown {
+            st.idle = false;
+            return None;
+        }
+        st.idle = true;
+        st = own.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        look = peers;
+    }
+}
+
+/// One shard's dispatcher loop: take a wave ([`next_wave`]: its own queue
+/// first, else one job from a busy peer's), shed expired-deadline jobs
+/// before they reach a solver, run the rest through the engine of the
+/// shard whose queue they came from, and fulfill tickets in the wave's
+/// submission order. Everything a job touches but the thread — telemetry
+/// shard, health, the EWMA behind retry-after, the engine, a retry's
+/// queue — is its owning shard's. On shutdown the remaining queue is
 /// drained (still shedding what has expired) before the thread exits, so
 /// every ticket resolves.
 ///
@@ -1077,12 +1240,12 @@ fn supervise<T: Scalar>(
 /// rolls the three serving seams between pop and dispatch — stall
 /// (absorbed in place), panic (kills this thread with the shard lock
 /// held; the supervisor recovers), and drop (the job silently vanishes
-/// and takes the retry path). Jobs in flight are tracked in
-/// [`ShardShared::in_flight`] the whole way, which is what makes all
-/// three recoverable without losing a ticket.
+/// and takes the retry path). Jobs in flight are tracked in this
+/// dispatcher's [`ShardShared::in_flight`] the whole way, which is what
+/// makes all three recoverable without losing a ticket.
 fn dispatcher<T: Scalar>(
-    shared: Arc<ShardShared<T>>,
-    shard: usize,
+    shards: Arc<[ShardShared<T>]>,
+    me: usize,
     cfg: ServiceConfig,
     completions: Arc<AtomicU64>,
     ring: Option<Arc<RingRecorder>>,
@@ -1093,36 +1256,14 @@ fn dispatcher<T: Scalar>(
         Some(r) => TelemetrySink::new(r as Arc<dyn Recorder>),
         None => TelemetrySink::disabled(),
     };
-    loop {
-        let wave = {
-            let mut st = lock_recover(&shared.state);
-            loop {
-                if st.shutdown || st.crash || (!st.paused && !st.sched.is_empty()) {
-                    break;
-                }
-                st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            if st.crash {
-                st.crash = false;
-                // Panic with the shard lock held: the poisoned mutex is
-                // exactly what the supervisor's recovery must survive.
-                std::panic::panic_any(InjectedPanic { job: u64::MAX });
-            }
-            if st.shutdown && st.sched.is_empty() {
-                return;
-            }
-            let now = Instant::now();
-            let mut wave = Vec::with_capacity(cfg.workers_per_shard);
-            while wave.len() < cfg.workers_per_shard {
-                match st.sched.pop(now, cfg.starvation_bound) {
-                    Some(w) => wave.push(w),
-                    None => break,
-                }
-            }
-            shared.depth.store(st.sched.len(), Ordering::Relaxed);
-            wave
-        };
+    let shared = &shards[me];
+    while let Some((shard, wave)) = next_wave(&shards, me, &cfg) {
         shared.beat();
+        let home = &shards[shard];
+        if shard != me {
+            home.stolen.fetch_add(wave.len() as u64, Ordering::Relaxed);
+            sink.counter_add(Counter::JobsStolen, wave.len() as u64);
+        }
         let now = Instant::now();
         let mut dispatched = 0usize;
         for w in wave {
@@ -1147,6 +1288,7 @@ fn dispatcher<T: Scalar>(
             dispatched += 1;
             lock_recover(&shared.in_flight).push(InFlight {
                 job: Some(w.job),
+                owner: shard,
                 seq: w.seq,
                 attempt: w.attempt,
                 priority: w.priority,
@@ -1161,7 +1303,7 @@ fn dispatcher<T: Scalar>(
         }
         if let Some(inj) = &faults {
             // Stall seam: absorbed in place — the dispatcher wedges, flags
-            // itself Suspect, and still delivers the wave.
+            // the job's shard Suspect, and still delivers the wave.
             let mut stall_ms = 0u64;
             for e in lock_recover(&shared.in_flight).iter() {
                 if let Some(ms) = inj.dispatcher_stall(e.seq, e.attempt as u64) {
@@ -1170,7 +1312,7 @@ fn dispatcher<T: Scalar>(
                 }
             }
             if stall_ms > 0 {
-                shared.health.mark_suspect(shard, &sink);
+                home.health.mark_suspect(shard, &sink);
                 std::thread::sleep(Duration::from_millis(stall_ms));
                 shared.beat();
             }
@@ -1206,11 +1348,11 @@ fn dispatcher<T: Scalar>(
             }
         }
         if !jobs.is_empty() {
-            let engine = Arc::clone(&lock_recover(&shared.engine));
+            let engine = Arc::clone(&lock_recover(&home.engine));
             let started = Instant::now();
             let report = engine.solve_jobs(jobs);
             let per_job = started.elapsed().as_nanos() as u64 / order.len() as u64;
-            let old = shared.ema_nanos.load(Ordering::Relaxed);
+            let old = home.ema_nanos.load(Ordering::Relaxed);
             let ema = if old == 0 {
                 per_job
             } else {
@@ -1218,7 +1360,7 @@ fn dispatcher<T: Scalar>(
                 // enough for retry-after estimates.
                 old - old / 4 + per_job / 4
             };
-            shared.ema_nanos.store(ema, Ordering::Relaxed);
+            home.ema_nanos.store(ema, Ordering::Relaxed);
             let done = Instant::now();
             for (seq, result) in order.into_iter().zip(report.results) {
                 let e = {
@@ -1232,9 +1374,9 @@ fn dispatcher<T: Scalar>(
                 let ok = result.is_ok();
                 ledger.resolve(seq, ok);
                 if ok {
-                    shared.health.record_success(shard, &sink);
+                    home.health.record_success(shard, &sink);
                 } else {
-                    shared.health.record_failure(shard, &sink);
+                    home.health.record_failure(shard, &sink);
                 }
                 let index = completions.fetch_add(1, Ordering::SeqCst);
                 let latency = done.saturating_duration_since(e.admitted_at);
@@ -1245,21 +1387,16 @@ fn dispatcher<T: Scalar>(
         // Anything still in flight was dropped by the seam (or stranded
         // without its payload): requeue within budget, resolve otherwise.
         let leftovers: Vec<InFlight<T>> = lock_recover(&shared.in_flight).drain(..).collect();
-        if !leftovers.is_empty() {
-            let mut st = lock_recover(&shared.state);
-            for e in leftovers {
-                requeue_or_exhaust(
-                    &mut st,
-                    e,
-                    shard,
-                    &cfg,
-                    &completions,
-                    &sink,
-                    &ledger,
-                    RetryWhy::Dropped,
-                );
-            }
-            shared.depth.store(st.sched.len(), Ordering::Relaxed);
+        for e in leftovers {
+            requeue_or_exhaust(
+                &shards,
+                e,
+                &cfg,
+                &completions,
+                &sink,
+                &ledger,
+                RetryWhy::Dropped,
+            );
         }
     }
 }

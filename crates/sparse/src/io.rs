@@ -27,21 +27,30 @@ enum MmSymmetry {
 /// compiled plan's slots are `u32`.
 const MAX_DIMENSION: usize = u32::MAX as usize;
 
+/// How many rows (or columns) [`read_matrix_market`] accepts per entry
+/// line the file delivers. An empty row costs the file nothing but costs
+/// the CSR conversion a row offset, so without this bound a one-entry
+/// file could make the reader allocate gigabytes.
+const DIMENSION_PER_ENTRY: usize = 64;
+
 /// Reads a Matrix Market coordinate file into CSR form.
 ///
 /// Symmetric and skew-symmetric storage is expanded to general storage.
 /// `pattern` files produce matrices of ones.
 ///
 /// The size line is untrusted. A row or column count above `u32::MAX`
-/// (the width of a compiled plan's slots) is refused before anything is
-/// allocated from it, and the entry count sizes nothing: the entries the
-/// file delivers do.
+/// (the width of a compiled plan's slots) is refused at the size line,
+/// and one above 64 times the entry lines the file delivers (at least
+/// one) is refused once they are read; both before anything is allocated
+/// from it. The entry count sizes nothing: the entries the file delivers
+/// do.
 ///
 /// # Errors
 ///
 /// Returns [`IoError`] on malformed headers, non-numeric data, a
-/// dimension above `u32::MAX`, index overflow, or unsupported features
-/// (`complex` field, `array` container).
+/// dimension above `u32::MAX` or above 64 rows or columns per entry,
+/// index overflow, or unsupported features (`complex` field, `array`
+/// container).
 ///
 /// # Examples
 ///
@@ -136,6 +145,7 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CsrMatrix<T>,
         });
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    let size_line_no = line_no;
     // The CSR conversion allocates `nrows + 1` row offsets: refuse an
     // oversized dimension here, before anything is sized by it.
     if let Some(d) = [nrows, ncols].into_iter().find(|&d| d > MAX_DIMENSION) {
@@ -199,6 +209,18 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CsrMatrix<T>,
         return Err(IoError::Parse {
             line: line_no,
             message: format!("expected {nnz} entries, found {seen}"),
+        });
+    }
+    // The CSR conversion sizes its row offsets by `nrows`: bound it (and
+    // `ncols`) by what the file delivered before converting.
+    let limit = DIMENSION_PER_ENTRY.saturating_mul(seen.max(1));
+    if let Some(d) = [nrows, ncols].into_iter().find(|&d| d > limit) {
+        return Err(IoError::Parse {
+            line: size_line_no,
+            message: format!(
+                "dimension {d} exceeds {DIMENSION_PER_ENTRY} per entry line delivered \
+                 ({seen}): limit {limit}"
+            ),
         });
     }
     Ok(coo.to_csr())
@@ -354,6 +376,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn rejects_a_dimension_above_64_per_delivered_entry_before_converting() {
+        // `4294967295 1 1` passes the `u32::MAX` check; before this bound
+        // its CSR conversion asked for two 34 GB row-offset arrays.
+        for (size, d) in [
+            ("4294967295 1 1", 4294967295usize),
+            ("1 65 1", 65),
+            ("65 1 1", 65),
+        ] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n1 1 1.0\n");
+            match read_matrix_market::<f64, _>(text.as_bytes()) {
+                Err(IoError::Parse { line, message }) => {
+                    assert_eq!(line, 2, "size line `{size}`");
+                    assert_eq!(
+                        message,
+                        format!("dimension {d} exceeds 64 per entry line delivered (1): limit 64")
+                    );
+                }
+                other => panic!("size line `{size}`: {other:?}"),
+            }
+        }
+        // Just inside the bound: 64 rows and columns per delivered entry
+        // (at least one), empty rows and columns included.
+        let inside = "%%MatrixMarket matrix coordinate real general\n64 64 1\n64 1 2.5\n";
+        let a = read_matrix_market::<f64, _>(inside.as_bytes()).expect("inside the bound");
+        assert_eq!((a.nrows(), a.ncols(), a.nnz()), (64, 64, 1));
+        assert_eq!(a.get(63, 0), 2.5);
+        let two = "%%MatrixMarket matrix coordinate real general\n128 3 2\n1 1 1.0\n128 3 1.0\n";
+        let a = read_matrix_market::<f64, _>(two.as_bytes()).expect("inside the bound");
+        assert_eq!(a.nrows(), 128);
+        let empty = "%%MatrixMarket matrix coordinate real general\n64 64 0\n";
+        assert_eq!(
+            read_matrix_market::<f64, _>(empty.as_bytes())
+                .unwrap()
+                .nrows(),
+            64
+        );
     }
 
     #[test]

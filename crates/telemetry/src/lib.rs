@@ -453,6 +453,9 @@ pub enum Counter {
     JobsRetried,
     /// Dispatcher threads respawned by shard supervisors.
     DispatcherRestarts,
+    /// Jobs an idle dispatcher took from a peer shard's queue (and ran on
+    /// that shard's engine).
+    JobsStolen,
     /// Trace events dropped because the ring was full.
     EventsDropped,
     /// Jobs solved under the `Fast` determinism tier.
@@ -493,7 +496,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 38;
+    pub const COUNT: usize = 39;
 
     /// Every counter, in `repr` order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -523,6 +526,7 @@ impl Counter {
         Counter::BreakerProbes,
         Counter::JobsRetried,
         Counter::DispatcherRestarts,
+        Counter::JobsStolen,
         Counter::EventsDropped,
         Counter::FastTierSolves,
         Counter::FastTierConverged,
@@ -571,6 +575,7 @@ impl Counter {
             Counter::BreakerProbes => "acamar_service_breaker_probes_total",
             Counter::JobsRetried => "acamar_service_jobs_retried_total",
             Counter::DispatcherRestarts => "acamar_service_dispatcher_restarts_total",
+            Counter::JobsStolen => "acamar_service_jobs_stolen_total",
             Counter::EventsDropped => "acamar_trace_events_dropped_total",
             Counter::FastTierSolves => "acamar_fast_tier_solves_total",
             Counter::FastTierConverged => "acamar_fast_tier_converged_total",
@@ -615,6 +620,7 @@ impl Counter {
             Counter::BreakerProbes => "Probe requests admitted by half-open breakers",
             Counter::JobsRetried => "Failed deliveries re-queued under the retry budget",
             Counter::DispatcherRestarts => "Dispatcher threads respawned by supervisors",
+            Counter::JobsStolen => "Jobs an idle dispatcher took from a peer shard's queue",
             Counter::EventsDropped => "Trace events dropped (ring full)",
             Counter::FastTierSolves => "Jobs solved under the Fast determinism tier",
             Counter::FastTierConverged => "Fast-tier jobs whose final attempt converged",

@@ -109,6 +109,15 @@ fn main() {
             c.jobs_completed, c.cache.hits, c.cache.misses
         );
     }
+    // Affinity picks each job's queue and engine, so the lines above are
+    // deterministic. Which thread ran a job is not: an idle dispatcher
+    // runs a busy peer's queued jobs on that peer's engine.
+    for s in 0..service.shards() {
+        println!(
+            "  shard {s}: {} of its jobs stolen by a peer's idle dispatcher",
+            service.stolen(s)
+        );
+    }
     let total_misses: u64 = (0..service.shards())
         .map(|s| service.engine(s).counters().cache.misses)
         .sum();
@@ -168,6 +177,7 @@ fn main() {
     let metrics = scrape(server.addr(), "/metrics");
     assert!(metrics.contains("acamar_service_jobs_admitted_total 48"));
     assert!(metrics.contains("acamar_service_shard_jobs_total"));
+    assert!(metrics.contains("acamar_service_shard_stolen_total"));
     for line in metrics
         .lines()
         .filter(|l| l.contains("acamar_service") && !l.starts_with('#'))
