@@ -380,8 +380,8 @@ mod tests {
 
     #[test]
     fn rejects_a_dimension_above_64_per_delivered_entry_before_converting() {
-        // `4294967295 1 1` passes the `u32::MAX` check; before this bound
-        // its CSR conversion asked for two 34 GB row-offset arrays.
+        // `4294967295 1 1` passes the `u32::MAX` check; unrefused, its CSR
+        // conversion would ask for two 34 GB row-offset arrays.
         for (size, d) in [
             ("4294967295 1 1", 4294967295usize),
             ("1 65 1", 65),
