@@ -311,4 +311,8 @@ fn stealing_under_service_seam_chaos_loses_nothing() {
     }
     assert!(retries >= 1, "the crash requeued what it stranded");
     assert_eq!(service.total_queue_depth(), 0);
+    // And the retried jobs ran where affinity put them: the peer's engine
+    // (fresh since its dispatcher's last crash) never analyzed a pattern.
+    assert_eq!(service.engine(peer).counters().cache.misses, 0);
+    assert!(shorts.iter().all(|a| !service.is_warm(peer, a)));
 }
