@@ -384,7 +384,7 @@ struct ShardState<T: Scalar> {
 /// the peer's engine, so each pattern is still analyzed on one shard and
 /// every result is what that shard's engine computes
 /// ([`Service::stolen`] counts these jobs). An idle dispatcher sleeps
-/// until admission onto a busy shard wakes it.
+/// until admission onto its own shard, or onto a busy peer, wakes it.
 ///
 /// Dropping the service is a clean shutdown: every queued job is drained
 /// (solved or shed) so no ticket is left dangling, then the dispatcher
