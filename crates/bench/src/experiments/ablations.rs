@@ -280,8 +280,9 @@ pub fn ablation_reorder() -> AblationReorderResult {
     }
     t.print();
     println!(
-        "
-note:     extension beyond the paper (related-work [39] territory):          reordering complements — and on skewed workloads outperforms —          per-set averaging, at the cost of a host-side permutation."
+        "\nnote:     extension beyond the paper (related-work [39] territory): \
+         reordering complements — and on skewed workloads outperforms — \
+         per-set averaging, at the cost of a host-side permutation."
     );
     let improved = rows.iter().filter(|r| r.2 <= r.1 + 1e-9).count();
     println!(

@@ -1,4 +1,4 @@
-//! The thread-pool-sharded batch solve engine.
+//! The batch solve engine: a plan cache and scoped batch runners.
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::error::SolveError;
@@ -15,13 +15,8 @@ use acamar_telemetry::{Counter, EventKind, FaultResolution, Recorder, Span, Tele
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-/// One job's outcome slot, filled by whichever worker ran it.
-type ResultSlot<T> = Mutex<Option<JobOutcome<T>>>;
 
 /// One `(matrix, rhs)` solve request for [`Engine::solve_jobs`].
 ///
@@ -108,7 +103,7 @@ struct JobOutcome<T> {
 /// call.
 #[derive(Debug, Clone)]
 pub struct BatchReport<T> {
-    /// Per-job outcomes, in submission order (independent of which worker
+    /// Per-job outcomes, in submission order (independent of which runner
     /// ran each job). A job that climbed rescue rungs reports the merged
     /// attempt list and fabric stats of *every* attempt.
     pub results: Vec<Result<AcamarRunReport<T>, SolveError>>,
@@ -129,10 +124,10 @@ pub struct BatchReport<T> {
     /// fault injector is installed; the rescue-depth histogram, panic and
     /// deadline counters describe real engine activity either way.
     pub robustness: RobustnessReport,
-    /// Nanoseconds pool workers spent blocked waiting for work during this
-    /// batch (accrued when a wait ends, so a worker that never woke again
-    /// during the batch is not counted — this measures observed hand-off
-    /// gaps, not end-of-batch slack).
+    /// Nanoseconds this batch's runners spent without a job while the
+    /// batch was open: the sum, over runners, of the gap between a
+    /// runner finding the job index drained and the last runner finishing.
+    /// Zero for a one-runner batch.
     pub pool_idle_nanos: u64,
     /// Wall-clock seconds spent in the batch call.
     pub wall_seconds: f64,
@@ -160,154 +155,13 @@ pub struct EngineCounters {
     pub attempts_by_solver: [u64; SolverKind::COUNT],
     /// Lifetime cache counters.
     pub cache: CacheStats,
-    /// Lifetime nanoseconds pool workers spent blocked waiting for work
-    /// (accrued when each wait ends).
+    /// Lifetime sum of every batch's [`BatchReport::pool_idle_nanos`]:
+    /// monotone, so the idle time of a run of batches is the difference of
+    /// two readings.
     pub pool_idle_nanos: u64,
 }
 
-/// Work unit shipped to a pool worker: a boxed closure run with the
-/// worker's thread-resident scratch state.
-type Task = Box<dyn FnOnce(&mut WorkerScratch) + Send + 'static>;
-
-/// State owned by one worker thread for the engine's whole lifetime —
-/// most importantly the buffer pool its solves recycle scratch vectors
-/// through, which is what makes warm solves allocation-free.
-#[derive(Debug, Default)]
-struct WorkerScratch {
-    workspace: WorkspaceHandle,
-}
-
-/// The engine's persistent worker pool: threads are spawned once at
-/// engine construction, fed batch tasks over a channel, and joined on
-/// drop. No per-batch spawn cost, no detached threads.
-#[derive(Debug)]
-struct WorkerPool {
-    /// `Some` until drop; taking it hangs up the channel so workers exit.
-    sender: Option<Sender<Task>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn new(workers: usize, idle_nanos: Arc<AtomicU64>) -> WorkerPool {
-        let (sender, receiver) = mpsc::channel::<Task>();
-        let receiver: Arc<Mutex<Receiver<Task>>> = Arc::new(Mutex::new(receiver));
-        let handles = (0..workers)
-            .map(|i| {
-                let receiver = Arc::clone(&receiver);
-                let idle_nanos = Arc::clone(&idle_nanos);
-                std::thread::Builder::new()
-                    .name(format!("acamar-worker-{i}"))
-                    .spawn(move || {
-                        let mut scratch = WorkerScratch::default();
-                        loop {
-                            // Hold the receiver lock only for the dequeue,
-                            // never across task execution. The blocked
-                            // interval — queued on the lock behind another
-                            // idle worker as much as inside `recv` — is
-                            // charged to the shared idle clock once the
-                            // wait ends.
-                            let task = {
-                                let waited = Instant::now();
-                                let rx = receiver.lock().unwrap_or_else(|p| p.into_inner());
-                                let task = rx.recv();
-                                idle_nanos.fetch_add(
-                                    waited.elapsed().as_nanos() as u64,
-                                    Ordering::Relaxed,
-                                );
-                                task
-                            };
-                            match task {
-                                Ok(task) => task(&mut scratch),
-                                Err(_) => break, // channel hung up: engine dropped
-                            }
-                        }
-                    })
-                    .expect("failed to spawn engine worker thread")
-            })
-            .collect();
-        WorkerPool {
-            sender: Some(sender),
-            handles,
-        }
-    }
-
-    fn submit(&self, task: Task) {
-        self.sender
-            .as_ref()
-            .expect("pool sender lives until drop")
-            .send(task)
-            .expect("pool workers live until drop");
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        drop(self.sender.take());
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Counts one batch's outstanding runner tasks; the submitting thread
-/// blocks until every runner has finished.
-#[derive(Debug)]
-struct Latch {
-    remaining: Mutex<usize>,
-    done: Condvar,
-}
-
-impl Latch {
-    fn new(count: usize) -> Latch {
-        Latch {
-            remaining: Mutex::new(count),
-            done: Condvar::new(),
-        }
-    }
-
-    fn count_down(&self) {
-        let mut remaining = self.remaining.lock().expect("latch poisoned");
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut remaining = self.remaining.lock().expect("latch poisoned");
-        while *remaining > 0 {
-            remaining = self.done.wait(remaining).expect("latch poisoned");
-        }
-    }
-}
-
-/// Shared state of one in-flight batch: the jobs, their result slots,
-/// the shared intake index, and the completion latch.
-struct BatchCtx<T> {
-    jobs: Vec<SolveJob<T>>,
-    slots: Vec<ResultSlot<T>>,
-    next: AtomicUsize,
-    latch: Latch,
-}
-
-/// One runner task's work loop: drain jobs off the batch's shared index
-/// until none remain. Runner tasks never wait on other tasks, so
-/// concurrent batches on a shared engine cannot deadlock the pool.
-fn drain_batch<T: Scalar>(inner: &EngineInner, ctx: &BatchCtx<T>, workspace: &WorkspaceHandle) {
-    loop {
-        let i = ctx.next.fetch_add(1, Ordering::Relaxed);
-        if i >= ctx.jobs.len() {
-            break;
-        }
-        let job = &ctx.jobs[i];
-        let outcome = inner.run_job(i, &job.matrix, &job.rhs, job.policy, workspace);
-        inner.account_job(&outcome);
-        *ctx.slots[i].lock().expect("result slot poisoned") = Some(outcome);
-    }
-}
-
-/// A thread-pool-sharded batch solve service over one [`Acamar`]
-/// instance.
+/// A batch solve service over one [`Acamar`] instance.
 ///
 /// The engine owns a [`PlanCache`]: every job's matrix is fingerprinted
 /// and its [`AnalysisArtifacts`](acamar_core::AnalysisArtifacts) —
@@ -317,24 +171,24 @@ fn drain_batch<T: Scalar>(inner: &EngineInner, ctx: &BatchCtx<T>, workspace: &Wo
 /// skip both host-side decision loops entirely.
 ///
 /// All methods take `&self`; the engine is `Sync` and is normally shared
-/// across callers via [`Arc`]. Worker threads are spawned once at
-/// construction and live until the engine is dropped (which joins them);
-/// each keeps a thread-resident buffer pool, so warm solves recycle
-/// their scratch vectors instead of heap-allocating. Who runs what: a
-/// batch that `min(workers, jobs)` says needs two or more runners goes to
-/// the pool, one runner task per participating worker; a batch that needs
-/// one — any batch on a one-worker engine, any one-job batch — and
-/// [`Engine::solve_one`] run on the calling thread against the engine's
-/// own buffer pool, with the same per-job hardening and no hand-off.
-/// Batch jobs are pulled from a shared atomic index and results land by
-/// submission slot, so result order — and, because
-/// [`Acamar::run_with_plan`] is deterministic and pooled buffers are
-/// re-zeroed on reuse, every solution vector — is independent of
-/// scheduling, of which thread ran the job, and of pool warmth.
+/// across callers via [`Arc`]. It owns no threads. A batch runs on
+/// `min(workers, jobs)` runners: runner 0 is the calling thread, and the
+/// others are scoped threads that borrow the engine for the batch and are
+/// joined before [`Engine::solve_jobs`] returns. So a one-runner batch —
+/// any batch on a one-worker engine, any one-job batch — and
+/// [`Engine::solve_one`] run on the calling thread with no hand-off. The
+/// engine keeps one buffer pool per runner index (index 0 is the calling
+/// thread's, which `solve_one` shares), so warm solves recycle their
+/// scratch vectors instead of heap-allocating. Runners pull jobs from a
+/// shared atomic index and results land by submission slot, so result
+/// order — and, because [`Acamar::run_with_plan`] is deterministic and
+/// pooled buffers are re-zeroed on reuse, every solution vector — is
+/// independent of scheduling, of which thread ran the job, and of pool
+/// warmth.
 ///
 /// # Hardening
 ///
-/// Every job runs inside [`catch_unwind`]: a panicking worker fails only
+/// Every job runs inside [`catch_unwind`]: a panicking attempt fails only
 /// its own job ([`SolveError::Panicked`]) and the rest of the batch
 /// completes normally. [`Engine::with_resilience`] adds per-job
 /// deadlines, iteration budgets, and the [`RescuePolicy`] ladder
@@ -363,15 +217,6 @@ fn drain_batch<T: Scalar>(inner: &EngineInner, ctx: &BatchCtx<T>, workspace: &Wo
 /// ```
 #[derive(Debug)]
 pub struct Engine {
-    inner: Arc<EngineInner>,
-    pool: WorkerPool,
-}
-
-/// The engine's shared state: everything worker tasks need, behind one
-/// [`Arc`] so batch tasks (which must be `'static` for the pool channel)
-/// can hold it without borrowing the engine.
-#[derive(Debug)]
-struct EngineInner {
     acamar: Acamar,
     workers: usize,
     cache: PlanCache,
@@ -381,15 +226,13 @@ struct EngineInner {
     /// in. Disabled (a single branch per site) until a recorder is
     /// installed via [`Engine::with_recorder`].
     telemetry: TelemetrySink,
-    /// Shared with the worker pool's threads, which charge their blocked
-    /// `recv` intervals here.
-    pool_idle: Arc<AtomicU64>,
+    /// Lifetime sum of the batches' runner idle time.
+    pool_idle: AtomicU64,
     jobs_completed: AtomicU64,
     attempts: [AtomicU64; SolverKind::COUNT],
-    /// Buffer pool for what runs on the calling thread —
-    /// [`Engine::solve_one`] and one-runner batches: repeated solves
-    /// recycle scratch vectors just like pool workers do.
-    solo_workspace: WorkspaceHandle,
+    /// One buffer pool per runner index; index 0 is the calling thread's,
+    /// shared by [`Engine::solve_one`] and a batch's runner 0.
+    workspaces: Vec<WorkspaceHandle>,
     /// Held for the length of a batch while an injector is installed: a
     /// batch drains the injector's ledger when it ends, so two batches on
     /// this engine must not overlap, or one would take the other's events.
@@ -406,48 +249,29 @@ impl Engine {
         Engine::with_workers(acamar, workers)
     }
 
-    /// An engine with an explicit worker count (`0` is clamped to `1`).
-    /// The worker threads are spawned here and live until the engine is
-    /// dropped.
+    /// An engine with an explicit worker count (`0` is clamped to `1`): the
+    /// most runners one batch spreads over. No thread is started here.
     pub fn with_workers(acamar: Acamar, workers: usize) -> Engine {
         let workers = workers.max(1);
-        let pool_idle = Arc::new(AtomicU64::new(0));
         Engine {
-            inner: Arc::new(EngineInner {
-                acamar,
-                workers,
-                cache: PlanCache::new(),
-                resilience: ResilienceConfig::default(),
-                injector: None,
-                telemetry: TelemetrySink::disabled(),
-                pool_idle: Arc::clone(&pool_idle),
-                jobs_completed: AtomicU64::new(0),
-                attempts: std::array::from_fn(|_| AtomicU64::new(0)),
-                solo_workspace: WorkspaceHandle::new(),
-                injected_batch: Mutex::new(()),
-            }),
-            pool: WorkerPool::new(workers, pool_idle),
+            acamar,
+            workers,
+            cache: PlanCache::new(),
+            resilience: ResilienceConfig::default(),
+            injector: None,
+            telemetry: TelemetrySink::disabled(),
+            pool_idle: AtomicU64::new(0),
+            jobs_completed: AtomicU64::new(0),
+            attempts: std::array::from_fn(|_| AtomicU64::new(0)),
+            workspaces: (0..workers).map(|_| WorkspaceHandle::new()).collect(),
+            injected_batch: Mutex::new(()),
         }
-    }
-
-    /// Exclusive access to the shared state for the builder methods.
-    ///
-    /// Holding `self` by value means no new [`Arc`] clones can appear
-    /// (cloning requires a `&self` batch call), but a worker may still be
-    /// releasing the clone a just-finished batch task held — its latch
-    /// counts down before the task closure (and the `Arc` it captured) is
-    /// dropped — so spin the handful of instructions until it lets go.
-    fn inner_mut(&mut self) -> &mut EngineInner {
-        while Arc::strong_count(&self.inner) > 1 {
-            std::thread::yield_now();
-        }
-        Arc::get_mut(&mut self.inner).expect("no other engine references can appear")
     }
 
     /// Sets the engine's hardening configuration (rescue ladder,
     /// deadlines, iteration budgets).
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Engine {
-        self.inner_mut().resilience = resilience;
+        self.resilience = resilience;
         self
     }
 
@@ -463,14 +287,14 @@ impl Engine {
     /// still mixes their batches' events.
     pub fn with_fault_injection(mut self, injector: Arc<FaultInjector>) -> Engine {
         acamar_faultline::silence_injected_panics();
-        self.inner_mut().injector = Some(injector);
+        self.injector = Some(injector);
         self
     }
 
     /// Installs a telemetry recorder: every subsequent job emits its span,
     /// cache, attempt, reconfiguration, and fault events into it, and the
     /// engine folds its internal statistics (plan-cache analysis time,
-    /// pool idle time) into the recorder's counters.
+    /// runner idle time) into the recorder's counters.
     ///
     /// Telemetry is purely observational — solutions, iteration counts,
     /// and modeled cycle charges are bitwise identical with or without a
@@ -479,8 +303,8 @@ impl Engine {
     /// equivalent to installing nothing: the sink collapses it away and
     /// every instrumentation site stays a single branch.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Engine {
-        let stride = self.inner.telemetry.residual_stride();
-        self.inner_mut().telemetry = TelemetrySink::new(recorder).with_residual_stride(stride);
+        let stride = self.telemetry.residual_stride();
+        self.telemetry = TelemetrySink::new(recorder).with_residual_stride(stride);
         self
     }
 
@@ -489,54 +313,42 @@ impl Engine {
     /// default, disables the stream — it is the highest-volume signal, so
     /// it is opt-in even with a recorder installed).
     pub fn with_residual_stride(mut self, stride: u32) -> Engine {
-        let inner = self.inner_mut();
-        inner.telemetry = inner.telemetry.with_residual_stride(stride);
+        self.telemetry = self.telemetry.with_residual_stride(stride);
         self
     }
 
     /// A fresh engine with this engine's configuration — same accelerator
     /// model, worker count, resilience policy, fault injector, and
-    /// telemetry sink — but a brand-new worker pool and a cold plan
-    /// cache.
+    /// telemetry sink — but new buffer pools and a cold plan cache.
     ///
-    /// This is the shard-restart hook for the serving layer's supervisor:
-    /// when a dispatcher thread dies, its engine (whose pool or cache may
-    /// be entangled with the crash) is abandoned in place and replaced
-    /// wholesale. The injector `Arc` is *shared*, not cloned, so the
-    /// chaos ledger keeps a single ground truth across the restart.
+    /// This is the serving layer's shard-restart hook: when a dispatcher
+    /// panics, its engine (whose cache or buffers may be entangled with
+    /// the crash) is abandoned in place and replaced wholesale. The
+    /// injector `Arc` is *shared*, not cloned, so the chaos ledger keeps a
+    /// single ground truth across the restart.
     pub fn respawn(&self) -> Engine {
-        let pool_idle = Arc::new(AtomicU64::new(0));
         Engine {
-            inner: Arc::new(EngineInner {
-                acamar: self.inner.acamar.clone(),
-                workers: self.inner.workers,
-                cache: PlanCache::new(),
-                resilience: self.inner.resilience.clone(),
-                injector: self.inner.injector.clone(),
-                telemetry: self.inner.telemetry.clone(),
-                pool_idle: Arc::clone(&pool_idle),
-                jobs_completed: AtomicU64::new(0),
-                attempts: std::array::from_fn(|_| AtomicU64::new(0)),
-                solo_workspace: WorkspaceHandle::new(),
-                injected_batch: Mutex::new(()),
-            }),
-            pool: WorkerPool::new(self.inner.workers, pool_idle),
+            resilience: self.resilience.clone(),
+            injector: self.injector.clone(),
+            telemetry: self.telemetry.clone(),
+            ..Engine::with_workers(self.acamar.clone(), self.workers)
         }
     }
 
     /// The wrapped accelerator.
     pub fn acamar(&self) -> &Acamar {
-        &self.inner.acamar
+        &self.acamar
     }
 
-    /// Worker threads in the persistent pool.
+    /// The most runners one batch spreads over (the calling thread plus
+    /// `workers − 1` scoped threads).
     pub fn workers(&self) -> usize {
-        self.inner.workers
+        self.workers
     }
 
     /// The engine's structure/plan cache.
     pub fn cache(&self) -> &PlanCache {
-        &self.inner.cache
+        &self.cache
     }
 
     /// Whether this engine already holds a compiled plan for `a`'s
@@ -544,40 +356,38 @@ impl Engine {
     /// determinism tier, would be a warm cache hit. Does not perturb the
     /// cache's hit/miss accounting.
     pub fn is_warm<T: Scalar>(&self, a: &CsrMatrix<T>) -> bool {
-        self.inner.cache.contains(&PatternFingerprint::of(a))
+        self.cache.contains(&PatternFingerprint::of(a))
     }
 
     /// The engine's hardening configuration.
     pub fn resilience(&self) -> &ResilienceConfig {
-        &self.inner.resilience
+        &self.resilience
     }
 
     /// The installed fault injector, if any.
     pub fn injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.inner.injector.as_ref()
+        self.injector.as_ref()
     }
 
     /// The engine-level telemetry sink (disabled until
     /// [`Engine::with_recorder`]).
     pub fn telemetry(&self) -> &TelemetrySink {
-        &self.inner.telemetry
+        &self.telemetry
     }
 
     /// Lifetime counters: jobs completed, per-solver attempt histogram,
     /// and cache hits/misses/analysis time.
     pub fn counters(&self) -> EngineCounters {
         EngineCounters {
-            jobs_completed: self.inner.jobs_completed.load(Ordering::Relaxed),
-            attempts_by_solver: std::array::from_fn(|i| {
-                self.inner.attempts[i].load(Ordering::Relaxed)
-            }),
-            cache: self.inner.cache.stats(),
-            pool_idle_nanos: self.inner.pool_idle.load(Ordering::Relaxed),
+            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
+            attempts_by_solver: std::array::from_fn(|i| self.attempts[i].load(Ordering::Relaxed)),
+            cache: self.cache.stats(),
+            pool_idle_nanos: self.pool_idle.load(Ordering::Relaxed),
         }
     }
 
-    /// Solves a single system through the cache (no worker threads) with
-    /// the same hardening as a batch job.
+    /// Solves a single system through the cache, on the calling thread,
+    /// with the same hardening as a batch job.
     ///
     /// # Errors
     ///
@@ -589,14 +399,14 @@ impl Engine {
         a: &CsrMatrix<T>,
         b: &[T],
     ) -> Result<AcamarRunReport<T>, SolveError> {
-        let outcome = self.inner.run_job(
+        let outcome = self.run_job(
             0,
             a,
             b,
             DeterminismPolicy::Deterministic,
-            &self.inner.solo_workspace,
+            &self.workspaces[0],
         );
-        self.inner.account_job(&outcome);
+        self.account_job(&outcome);
         outcome.result
     }
 
@@ -622,68 +432,67 @@ impl Engine {
         Ok(self.solve_jobs(jobs))
     }
 
-    /// Runs `jobs` across the worker pool — or, when one runner would
-    /// drain them all, on the calling thread — and aggregates a
+    /// Runs `jobs` on `min(workers, jobs)` runners — the calling thread
+    /// plus scoped threads joined before this returns — and aggregates a
     /// [`BatchReport`].
     ///
-    /// Jobs are pulled from a shared queue (no static sharding, so a few
-    /// slow systems cannot idle the other workers) and results land in
+    /// Jobs are pulled from a shared index (no static sharding, so a few
+    /// slow systems cannot idle the other runners) and results land in
     /// submission order. Per-job failures — rejected inputs, solver
     /// errors, isolated panics, missed deadlines — are reported in their
     /// own slot; nothing aborts the batch.
     pub fn solve_jobs<T: Scalar>(&self, jobs: Vec<SolveJob<T>>) -> BatchReport<T> {
-        let _own_ledger = self.inner.injector.as_ref().map(|_| {
-            self.inner
-                .injected_batch
+        let _own_ledger = self.injector.as_ref().map(|_| {
+            self.injected_batch
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
         });
         let start = Instant::now();
-        let cache_before = self.inner.cache.stats();
-        let idle_before = self.inner.pool_idle.load(Ordering::Relaxed);
+        let cache_before = self.cache.stats();
         let n = jobs.len();
-        let runners = self.inner.workers.min(n);
-        let ctx = Arc::new(BatchCtx {
-            jobs,
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            next: AtomicUsize::new(0),
-            latch: Latch::new(runners),
-        });
-
-        if runners == 1 {
-            // A batch one runner drains gains nothing from a pool thread
-            // and pays two wake-ups for it: run it here, like `solve_one`.
-            drain_batch(&self.inner, &ctx, &self.inner.solo_workspace);
-        } else {
-            // One runner task per participating worker; each drains the
-            // shared index until the batch is empty, then counts down the
-            // latch. The submitting thread blocks here, not in the pool,
-            // so concurrent batches interleave their runners without
-            // deadlock.
-            for _ in 0..runners {
-                let inner = Arc::clone(&self.inner);
-                let ctx = Arc::clone(&ctx);
-                self.pool.submit(Box::new(move |scratch| {
-                    drain_batch(&inner, &ctx, &scratch.workspace);
-                    ctx.latch.count_down();
-                }));
+        let slots: Vec<OnceLock<JobOutcome<T>>> = (0..n).map(|_| OnceLock::new()).collect();
+        let next = AtomicUsize::new(0);
+        let drain = |runner: usize| self.drain(&jobs, &slots, &next, runner);
+        let finished: Vec<Instant> = std::thread::scope(|scope| {
+            // A runner that cannot be spawned leaves its share to the
+            // others: every runner drains the same index.
+            let spawned: Vec<_> = (1..self.workers.min(n))
+                .filter_map(|runner| {
+                    std::thread::Builder::new()
+                        .name(format!("acamar-runner-{runner}"))
+                        .spawn_scoped(scope, move || drain(runner))
+                        .ok()
+                })
+                .collect();
+            let mut finished = vec![drain(0)];
+            for handle in spawned {
+                finished.push(
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
             }
-            ctx.latch.wait();
-        }
+            finished
+        });
+        // The batch is open until its last runner finishes; a runner that
+        // ran out of jobs before that waited on the others.
+        let closed = *finished.iter().max().expect("runner 0 always runs");
+        let pool_idle_nanos: u64 = finished
+            .iter()
+            .map(|&at| closed.duration_since(at).as_nanos() as u64)
+            .sum();
+        self.pool_idle.fetch_add(pool_idle_nanos, Ordering::Relaxed);
+        self.telemetry
+            .counter_add(Counter::PoolIdleNanos, pool_idle_nanos);
 
         let mut results = Vec::with_capacity(n);
         let mut dispositions = Vec::with_capacity(n);
         let mut panics_caught = 0u64;
         let mut deadline_misses = 0u64;
-        // Drain by lock-and-take: a worker may still hold its `ctx` clone
-        // for an instant after the latch fires, so the `Arc` cannot be
-        // unwrapped here.
-        for slot in &ctx.slots {
+        for slot in slots {
             let outcome = slot
-                .lock()
-                .expect("result slot poisoned")
-                .take()
-                .expect("every slot is filled before the latch opens");
+                .into_inner()
+                .expect("every slot is filled before the runners finish");
             dispositions.push(JobDisposition {
                 converged: matches!(&outcome.result, Ok(r) if r.converged()),
                 rungs: outcome.rungs,
@@ -693,7 +502,7 @@ impl Engine {
             results.push(outcome.result);
         }
 
-        let events = match &self.inner.injector {
+        let events = match &self.injector {
             Some(inj) => inj.take_events(),
             None => Vec::new(),
         };
@@ -705,9 +514,9 @@ impl Engine {
         // is re-emitted against its job together with the resolution the
         // reconciliation assigned it, using the same disposition logic as
         // `RobustnessReport::reconcile` so trace and ledger always agree.
-        if self.inner.telemetry.enabled() {
+        if self.telemetry.enabled() {
             for e in &events {
-                let sink = self.inner.telemetry.with_job(e.job);
+                let sink = self.telemetry.with_job(e.job);
                 sink.emit(e.telemetry_kind());
                 sink.counter_add(Counter::FaultsInjected, 1);
                 let resolution = match dispositions.get(e.job as usize) {
@@ -743,29 +552,43 @@ impl Engine {
             stats = stats.merge(&report.stats);
         }
 
-        let pool_idle_nanos = self
-            .inner
-            .pool_idle
-            .load(Ordering::Relaxed)
-            .saturating_sub(idle_before);
-        self.inner
-            .telemetry
-            .counter_add(Counter::PoolIdleNanos, pool_idle_nanos);
-
         BatchReport {
             results,
             converged,
             attempts_by_solver,
             stats,
-            cache: self.inner.cache.stats().since(&cache_before),
+            cache: self.cache.stats().since(&cache_before),
             robustness,
             pool_idle_nanos,
             wall_seconds: start.elapsed().as_secs_f64(),
         }
     }
-}
 
-impl EngineInner {
+    /// One runner's work loop: run jobs off the batch's shared index, each
+    /// into its submission slot, until none remain, and return the
+    /// instant it ran out. Runners never wait on each other, so
+    /// concurrent batches on a shared engine cannot deadlock.
+    fn drain<T: Scalar>(
+        &self,
+        jobs: &[SolveJob<T>],
+        slots: &[OnceLock<JobOutcome<T>>],
+        next: &AtomicUsize,
+        runner: usize,
+    ) -> Instant {
+        let workspace = &self.workspaces[runner];
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else {
+                return Instant::now();
+            };
+            let outcome = self.run_job(i, &job.matrix, &job.rhs, job.policy, workspace);
+            self.account_job(&outcome);
+            if slots[i].set(outcome).is_err() {
+                unreachable!("each job index is drawn once");
+            }
+        }
+    }
+
     /// Runs one job end to end: intake seams, cached analysis, the
     /// panic-isolated primary attempt, then the rescue ladder under the
     /// deadline and iteration budget. `workspace` is the running thread's
@@ -1025,7 +848,7 @@ impl EngineInner {
     }
 
     /// Lifetime-counter bookkeeping shared by `solve_one` and the batch
-    /// workers.
+    /// runners.
     fn account_job<T>(&self, outcome: &JobOutcome<T>) {
         self.jobs_completed.fetch_add(1, Ordering::Relaxed);
         self.telemetry.counter_add(Counter::JobsCompleted, 1);
@@ -1244,6 +1067,28 @@ mod tests {
         assert!(batch.stats.cycles.total() >= one.stats.cycles.total());
         assert!(batch.stats.useful_flops >= one.stats.useful_flops);
         assert!(batch.stats.peak_area_mm2 >= one.stats.peak_area_mm2);
+    }
+
+    #[test]
+    fn runner_idle_time_is_the_wait_for_the_slowest_runner() {
+        let long = Arc::new(generate::poisson2d::<f64>(32, 32));
+        let short = Arc::new(generate::poisson2d::<f64>(4, 4));
+        let jobs = || {
+            vec![
+                SolveJob::new(Arc::clone(&long), vec![1.0_f64; 1024]),
+                SolveJob::new(Arc::clone(&short), vec![1.0_f64; 16]),
+            ]
+        };
+        let e = engine(2);
+        let batch = e.solve_jobs(jobs());
+        assert!(batch.all_converged());
+        // The runner that drew the short job waits for the long one.
+        let wall_nanos = (batch.wall_seconds * 1e9) as u64;
+        assert!(batch.pool_idle_nanos > 0);
+        assert!(batch.pool_idle_nanos < 2 * wall_nanos);
+        assert_eq!(e.counters().pool_idle_nanos, batch.pool_idle_nanos);
+        // One runner has nobody to wait for.
+        assert_eq!(engine(1).solve_jobs(jobs()).pool_idle_nanos, 0);
     }
 
     #[test]

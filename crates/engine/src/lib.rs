@@ -18,8 +18,8 @@
 //!   `RwLock`, building each pattern's artifacts exactly once even under
 //!   concurrent misses — one entry per pattern, which both determinism
 //!   tiers share;
-//! * [`Engine`] drains [`SolveJob`]s through a persistent worker pool
-//!   (or on the calling thread when one runner suffices), replays cached
+//! * [`Engine`] drains [`SolveJob`]s on the calling thread plus, for a
+//!   batch, scoped runner threads that exist only while it runs, replays cached
 //!   artifacts through
 //!   [`Acamar::run_with_plan`](acamar_core::Acamar::run_with_plan), and
 //!   aggregates a [`BatchReport`] (per-job results in submission order,

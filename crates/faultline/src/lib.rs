@@ -20,7 +20,7 @@
 //! | [`FaultCategory::SpmvBitFlip`] | fabric kernel executor | stuck exponent bit in SpMV output |
 //! | [`FaultCategory::ReconfigAbort`] | fabric reconfig controller | ICAP swap aborts, old unroll stays |
 //! | [`FaultCategory::CacheCorruption`] | engine plan cache | stored pattern metadata corrupted |
-//! | [`FaultCategory::WorkerDisruption`] | engine worker pool | worker panics or stalls mid-job |
+//! | [`FaultCategory::WorkerDisruption`] | engine solver attempt | batch runner panics or stalls mid-job |
 //! | [`FaultCategory::DispatcherPanic`] | service dispatch loop | dispatcher thread panics holding a wave |
 //! | [`FaultCategory::DispatcherStall`] | service dispatch loop | dispatcher wedges before dispatching |
 //! | [`FaultCategory::QueueDrop`] | service admission queue | queued job vanishes between pop and dispatch |

@@ -8,8 +8,8 @@ use std::fmt;
 ///
 /// The first five target engine/fabric seams (PR 2); the last three
 /// target the serving layer's own seams — the dispatcher threads and the
-/// admission queue — which sit *above* the engine's panic isolation and
-/// therefore need their own supervision to survive.
+/// admission queue — which sit *above* the engine's per-attempt panic
+/// isolation and therefore need their own recovery to survive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultCategory {
     /// A NaN/Inf value written into a right-hand-side vector before the
@@ -26,16 +26,17 @@ pub enum FaultCategory {
     /// Corruption of a plan-cache entry's stored pattern metadata (seam:
     /// `acamar-engine` plan cache).
     CacheCorruption,
-    /// A worker thread panicking or stalling mid-job (seam:
-    /// `acamar-engine` worker pool).
+    /// A batch runner panicking or stalling mid-job (seam:
+    /// `acamar-engine` solver attempt).
     WorkerDisruption,
     /// A shard dispatcher thread panicking while it holds a wave of
     /// in-flight jobs (seam: `acamar-service` dispatch loop). The
-    /// supervisor must respawn the dispatcher and re-queue the wave.
+    /// dispatcher catches its own panic, swaps in a fresh engine,
+    /// re-queues the wave and serves again.
     DispatcherPanic,
     /// A shard dispatcher wedging for a bounded interval before
     /// dispatching its wave (seam: `acamar-service` dispatch loop). The
-    /// heartbeat watchdog must notice the stall.
+    /// dispatcher reports the stall itself, flagging its shard `Suspect`.
     DispatcherStall,
     /// A queued job silently dropped between pop and dispatch (seam:
     /// `acamar-service` admission queue). The retry budget must re-queue

@@ -48,13 +48,14 @@ impl Priority {
 /// Configuration of a [`Service`](crate::Service).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Engine shards; each owns its own [`PlanCache`], workspace pool,
-    /// and worker threads. Clamped to at least 1.
+    /// Engine shards; each owns its own [`PlanCache`] and workspace
+    /// pools, and one dispatcher thread. Clamped to at least 1.
     ///
     /// [`PlanCache`]: acamar_engine::PlanCache
     pub shards: usize,
-    /// Worker threads per shard engine (also the dispatch wave size).
-    /// Clamped to at least 1.
+    /// Runners per shard engine batch, and the dispatch wave size: a wave
+    /// of `k ≥ 2` jobs runs on the dispatcher plus `k − 1` scoped threads
+    /// that exist only while it runs. Clamped to at least 1.
     pub workers_per_shard: usize,
     /// Bound on each shard's admission queue; a submit that would exceed
     /// it is rejected with
@@ -74,8 +75,8 @@ pub struct ServiceConfig {
     /// [`ServiceError::ShardRestarted`]: crate::ServiceError::ShardRestarted
     /// [`ServiceError::Dropped`]: crate::ServiceError::Dropped
     pub retry_budget: u32,
-    /// Base of the supervisor's restart backoff: before respawning a
-    /// crashed dispatcher the supervisor sleeps
+    /// Base of a dispatcher's restart backoff: after recovering from a
+    /// panic, before it serves again, the dispatcher sleeps
     /// `base × 2^(restarts−1)` plus a seed-derived jitter below `base`
     /// (capped at 64 × base), so restart storms damp deterministically.
     pub restart_backoff: Duration,
@@ -132,7 +133,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the supervisor restart backoff base.
+    /// Sets the dispatcher restart backoff base.
     pub fn with_restart_backoff(mut self, base: Duration) -> ServiceConfig {
         self.restart_backoff = base;
         self

@@ -4,10 +4,9 @@
 //! Every transition here is **count-based** — consecutive failures,
 //! diverted-request counts, probe outcomes — never wall-clock-based, so a
 //! replay of the same admission sequence walks the same state sequence
-//! and emits the same telemetry regardless of machine speed. The one
-//! wall-clock signal (dispatcher heartbeat staleness) is only consulted
-//! by the explicit [`Service::check_stalls`](crate::Service::check_stalls)
-//! watchdog, which deterministic replays simply do not call.
+//! and emits the same telemetry regardless of machine speed. The
+//! dispatcher heartbeat is a liveness tick that `/health` reports; no
+//! transition reads it.
 
 use acamar_engine::FaultTally;
 use acamar_faultline::FaultCategory;
@@ -44,8 +43,8 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub enum ShardHealth {
     /// Serving normally; affinity routing applies.
     Healthy,
-    /// On watch: consecutive failures (or a stale heartbeat flagged by
-    /// the watchdog) without yet tripping the breaker.
+    /// On watch: consecutive failures (or a dispatcher stall the
+    /// dispatcher reported itself) without yet tripping the breaker.
     Suspect,
     /// The circuit breaker is open: new affinity traffic deterministically
     /// spills to the next-ranked shard.
@@ -166,8 +165,7 @@ impl HealthCell {
         }
     }
 
-    /// Force a state (dispatcher panic → `Broken`; chaos hooks; the
-    /// heartbeat watchdog's `Suspect`).
+    /// Force a state (dispatcher panic → `Broken`; chaos hooks).
     pub fn force(&self, shard: usize, to: ShardHealth, sink: &TelemetrySink) {
         let mut inner = lock_recover(&self.inner);
         if to == ShardHealth::Broken {
@@ -176,8 +174,8 @@ impl HealthCell {
         Self::transition(&mut inner, shard, to, sink);
     }
 
-    /// Flag a `Healthy` shard `Suspect` (stall self-report / watchdog).
-    /// Returns whether a transition happened.
+    /// Flag a `Healthy` shard `Suspect` (a dispatcher's stall
+    /// self-report). Returns whether a transition happened.
     pub fn mark_suspect(&self, shard: usize, sink: &TelemetrySink) -> bool {
         let mut inner = lock_recover(&self.inner);
         if inner.state != ShardHealth::Healthy {
@@ -258,7 +256,7 @@ impl ServiceLedger {
     }
 }
 
-/// The live ledger the dispatchers and supervisors write into.
+/// The live ledger the dispatchers write into.
 ///
 /// Synchronously-absorbed faults (stalls) tally `detected` at the seam;
 /// faults that force a retry park a pending entry keyed by admission

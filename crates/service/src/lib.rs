@@ -33,8 +33,9 @@
 //! 4. **Supervision and failover** — every shard has a count-based
 //!    health state machine ([`ShardHealth`]:
 //!    `Healthy → Suspect → Broken → Probing → Healthy`) fed by dispatch
-//!    outcomes; a supervisor thread respawns a crashed dispatcher with a
-//!    fresh engine and requeues what was in flight; a `Broken` shard's
+//!    outcomes; a dispatcher that panics recovers in place — it swaps in
+//!    a fresh engine, requeues what was in flight and serves again, so
+//!    the dispatchers are the service's only threads at rest; a `Broken` shard's
 //!    breaker deterministically spills new traffic down the
 //!    [`shard_ranking`] until a half-open probe heals it; and the three
 //!    service-seam fault categories (dispatcher panic/stall, queue drop)

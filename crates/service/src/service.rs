@@ -13,6 +13,7 @@ use acamar_sparse::{CsrMatrix, DeterminismPolicy, Scalar};
 use acamar_telemetry::export::{json_lines, PrometheusWriter};
 use acamar_telemetry::{Counter, EventKind, Recorder, RingRecorder, TelemetrySink};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -292,8 +293,8 @@ struct Waiting<T: Scalar> {
 }
 
 /// One job the dispatcher has popped but not yet resolved. Entries live
-/// in the popping dispatcher's [`ShardShared::in_flight`] so its
-/// supervisor can see exactly what a crash stranded and requeue it.
+/// in the popping dispatcher's [`ShardShared::in_flight`] so its recovery
+/// can see exactly what a crash stranded and requeue it.
 struct InFlight<T: Scalar> {
     /// `None` once the job has been handed to the engine (a crash after
     /// that point cannot retry the work it no longer holds).
@@ -320,35 +321,28 @@ struct ShardShared<T: Scalar> {
     depth: AtomicUsize,
     /// EWMA of per-job service nanos, feeding retry-after estimates.
     ema_nanos: AtomicU64,
-    /// The shard's engine, in a swappable slot: the supervisor replaces
-    /// it with a fresh [`Engine::respawn`] after a dispatcher crash.
+    /// The shard's engine, in a swappable slot: the dispatcher's recovery
+    /// replaces it with a fresh [`Engine::respawn`] after a crash.
     engine: Mutex<Arc<Engine>>,
     /// Jobs this shard's dispatcher popped (from its own queue or a
-    /// peer's) but has not yet resolved; the supervisor's crash-recovery
-    /// ledger.
+    /// peer's) but has not yet resolved; its crash-recovery ledger.
     in_flight: Mutex<Vec<InFlight<T>>>,
     /// Jobs from this shard's queue that a peer's dispatcher ran.
     stolen: AtomicU64,
     /// The shard's supervision state machine.
     health: HealthCell,
-    /// Dispatcher liveness tick, bumped once per wave.
+    /// Dispatcher liveness tick, bumped once per wave (and after a
+    /// stall); `/health` reports it.
     heartbeat: AtomicU64,
-    /// Nanos since `epoch` at the last heartbeat, for the explicit
-    /// [`Service::check_stalls`] watchdog.
-    heartbeat_at: AtomicU64,
-    /// Reference point for `heartbeat_at`.
-    epoch: Instant,
-    /// Times the supervisor has respawned this shard's dispatcher.
+    /// Times this shard's dispatcher has recovered from a panic.
     restarts: AtomicU64,
 }
 
 impl<T: Scalar> ShardShared<T> {
-    /// Records dispatcher liveness (pure atomics: no telemetry, so the
+    /// Records dispatcher liveness (a pure atomic: no telemetry, so the
     /// normalized event stream is untouched).
     fn beat(&self) {
         self.heartbeat.fetch_add(1, Ordering::Relaxed);
-        self.heartbeat_at
-            .store(self.epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
@@ -357,7 +351,7 @@ struct ShardState<T: Scalar> {
     paused: bool,
     shutdown: bool,
     /// Chaos hook ([`Service::crash_shard`]): the dispatcher panics at
-    /// the top of its next loop, exercising the real supervisor path.
+    /// the top of its next loop, exercising the real recovery path.
     crash: bool,
     /// The dispatcher has no work of its own: it is looking at its
     /// peers' queues or asleep. Admission onto a busy peer wakes it.
@@ -370,8 +364,9 @@ struct ShardState<T: Scalar> {
 
 /// The serving front-end over `N` engine shards.
 ///
-/// Construction spawns one dispatcher thread per shard, each owning an
-/// [`Engine`] (its own plan cache, workspace pool, and worker threads).
+/// Construction spawns one dispatcher thread per shard, each serving an
+/// [`Engine`] (its own plan cache and workspace pools); those are the
+/// service's only threads at rest.
 /// [`Service::submit`] routes by fingerprint affinity ([`shard_for`]) —
 /// every repeat of a sparsity pattern goes to the one shard that already
 /// compiled its plan — and either enqueues the job
@@ -385,6 +380,10 @@ struct ShardState<T: Scalar> {
 /// every result is what that shard's engine computes
 /// ([`Service::stolen`] counts these jobs). An idle dispatcher sleeps
 /// until admission onto its own shard, or onto a busy peer, wakes it.
+///
+/// A dispatcher recovers from its own panics in place: it breaks its
+/// shard, swaps in a fresh engine, requeues what it held, backs off and
+/// serves again.
 ///
 /// Dropping the service is a clean shutdown: every queued job is drained
 /// (solved or shed) so no ticket is left dangling, then the dispatcher
@@ -410,7 +409,7 @@ pub struct Service<T: Scalar> {
     /// Every shard, shared with each dispatcher so an idle one can serve
     /// its peers' queues.
     shards: Arc<[ShardShared<T>]>,
-    /// Supervisor threads (one per shard); each owns its dispatcher.
+    /// Dispatcher threads, one per shard.
     threads: Vec<JoinHandle<()>>,
     seq: AtomicU64,
     completions: Arc<AtomicU64>,
@@ -522,44 +521,33 @@ impl<T: Scalar> Service<T> {
                     stolen: AtomicU64::new(0),
                     health: HealthCell::new(),
                     heartbeat: AtomicU64::new(0),
-                    heartbeat_at: AtomicU64::new(0),
-                    epoch: Instant::now(),
                     restarts: AtomicU64::new(0),
                 }
-            })
-            .collect();
-        let seed = faults.as_ref().map(|p| p.seed()).unwrap_or(0);
-        let threads = (0..cfg.shards)
-            .map(|shard| {
-                std::thread::Builder::new()
-                    .name(format!("acamar-supervise-{shard}"))
-                    .spawn({
-                        let shards = Arc::clone(&shards);
-                        let cfg = cfg.clone();
-                        let completions = Arc::clone(&completions);
-                        let ring = ring.clone();
-                        let ledger = Arc::clone(&ledger);
-                        let svc_injector = svc_injector.clone();
-                        move || {
-                            supervise(
-                                shards,
-                                shard,
-                                cfg,
-                                completions,
-                                ring,
-                                ledger,
-                                svc_injector,
-                                seed,
-                            )
-                        }
-                    })
-                    .expect("spawn shard supervisor")
             })
             .collect();
         let sink = match &ring {
             Some(r) => TelemetrySink::new(Arc::clone(r) as Arc<dyn Recorder>),
             None => TelemetrySink::disabled(),
         };
+        let seed = faults.as_ref().map(|p| p.seed()).unwrap_or(0);
+        let threads = (0..cfg.shards)
+            .map(|me| {
+                let dispatcher = Dispatcher {
+                    shards: Arc::clone(&shards),
+                    me,
+                    cfg: cfg.clone(),
+                    completions: Arc::clone(&completions),
+                    sink: sink.clone(),
+                    ledger: Arc::clone(&ledger),
+                    faults: svc_injector.clone(),
+                    seed,
+                };
+                std::thread::Builder::new()
+                    .name(format!("acamar-dispatch-{me}"))
+                    .spawn(move || dispatcher.run())
+                    .expect("spawn shard dispatcher")
+            })
+            .collect();
         Service {
             cfg,
             shards,
@@ -721,7 +709,7 @@ impl<T: Scalar> Service<T> {
 
     /// Shard `shard`'s engine (its plan cache, counters, and telemetry
     /// are all per-shard). The handle is a snapshot: after a dispatcher
-    /// crash the supervisor swaps a fresh engine into the shard, so a
+    /// crash its recovery swaps a fresh engine into the shard, so a
     /// long-held handle may describe a retired engine.
     pub fn engine(&self, shard: usize) -> Arc<Engine> {
         Arc::clone(&lock_recover(&self.shards[shard].engine))
@@ -738,12 +726,7 @@ impl<T: Scalar> Service<T> {
         self.shards[shard].health.state()
     }
 
-    /// Shard `shard`'s dispatcher liveness tick (bumped once per wave).
-    pub fn heartbeat(&self, shard: usize) -> u64 {
-        self.shards[shard].heartbeat.load(Ordering::Relaxed)
-    }
-
-    /// Times shard `shard`'s dispatcher has been respawned after a crash.
+    /// Times shard `shard`'s dispatcher has recovered from a crash.
     pub fn restarts(&self, shard: usize) -> u64 {
         self.shards[shard].restarts.load(Ordering::SeqCst)
     }
@@ -752,31 +735,6 @@ impl<T: Scalar> Service<T> {
     /// and ran on shard `shard`'s engine.
     pub fn stolen(&self, shard: usize) -> u64 {
         self.shards[shard].stolen.load(Ordering::Relaxed)
-    }
-
-    /// The heartbeat watchdog: flags `Suspect` every `Healthy` shard that
-    /// has queued work but whose dispatcher has not beaten for at least
-    /// `stale_after`. Returns how many shards were flagged.
-    ///
-    /// This is the *only* wall-clock path into the health state machine,
-    /// and it runs only when explicitly called — deterministic replays
-    /// simply never call it, so their health transitions stay a pure
-    /// function of the admission sequence. Note a paused shard with
-    /// queued work looks stalled to this watchdog.
-    pub fn check_stalls(&self, stale_after: Duration) -> usize {
-        let mut flagged = 0;
-        for (shard, s) in self.shards.iter().enumerate() {
-            if s.depth.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            let last = Duration::from_nanos(s.heartbeat_at.load(Ordering::Relaxed));
-            if s.epoch.elapsed().saturating_sub(last) >= stale_after
-                && s.health.mark_suspect(shard, &self.sink)
-            {
-                flagged += 1;
-            }
-        }
-        flagged
     }
 
     /// Chaos hook: forces shard `shard`'s breaker open, as if its failure
@@ -789,9 +747,9 @@ impl<T: Scalar> Service<T> {
     }
 
     /// Chaos hook: makes shard `shard`'s dispatcher panic at the top of
-    /// its next loop (with the shard lock held, so the supervisor's
-    /// recovery also has to survive the poisoned mutex). Queued jobs stay
-    /// queued; the respawned dispatcher drains them.
+    /// its next loop (with the shard lock held, so its recovery also has
+    /// to survive the poisoned mutex). Queued jobs stay queued; the
+    /// recovered dispatcher drains them.
     pub fn crash_shard(&self, shard: usize) {
         silence_injected_panics();
         let s = &self.shards[shard];
@@ -849,11 +807,6 @@ impl<T: Scalar> Service<T> {
     /// Events the ring recorder dropped on overflow (0 without a ring).
     pub fn dropped_events(&self) -> u64 {
         self.ring.as_ref().map(|r| r.dropped()).unwrap_or(0)
-    }
-
-    /// The installed ring recorder, if any.
-    pub fn ring(&self) -> Option<&Arc<RingRecorder>> {
-        self.ring.as_ref()
     }
 
     /// Prometheus text-format snapshot of the whole service: the full
@@ -963,68 +916,7 @@ enum RetryWhy {
     Dropped,
 }
 
-/// Puts one stranded in-flight job back on the retry path: requeued on
-/// its owner's queue with its attempt count bumped while the budget lasts
-/// (and while the job payload is still held), otherwise resolved with the
-/// matching typed error so its ticket never hangs.
-fn requeue_or_exhaust<T: Scalar>(
-    shards: &[ShardShared<T>],
-    e: InFlight<T>,
-    cfg: &ServiceConfig,
-    completions: &AtomicU64,
-    sink: &TelemetrySink,
-    ledger: &LedgerInner,
-    why: RetryWhy,
-) {
-    let shard = e.owner;
-    if let Some(job) = e.job {
-        if e.attempt < cfg.retry_budget {
-            let attempt = e.attempt + 1;
-            sink.with_job(e.seq).emit(EventKind::JobRetried {
-                shard: shard as u16,
-                attempt,
-            });
-            sink.counter_add(Counter::JobsRetried, 1);
-            let home = &shards[shard];
-            let mut st = lock_recover(&home.state);
-            st.sched.push(
-                e.priority,
-                e.deadline,
-                e.seq,
-                e.admitted_at,
-                Waiting {
-                    job,
-                    seq: e.seq,
-                    admitted_at: e.admitted_at,
-                    deadline: e.deadline,
-                    ticket: e.ticket,
-                    priority: e.priority,
-                    attempt,
-                },
-            );
-            home.depth.store(st.sched.len(), Ordering::Relaxed);
-            drop(st);
-            home.cv.notify_one();
-            return;
-        }
-    }
-    ledger.resolve(e.seq, false);
-    let err = match why {
-        RetryWhy::Restarted => ServiceError::ShardRestarted {
-            shard,
-            retries: e.attempt,
-        },
-        RetryWhy::Dropped => ServiceError::Dropped {
-            shard,
-            retries: e.attempt,
-        },
-    };
-    let index = completions.fetch_add(1, Ordering::SeqCst);
-    let waited = e.admitted_at.elapsed();
-    e.ticket.fulfill(Err(err), index, waited);
-}
-
-/// The supervisor's pre-respawn sleep: exponential in the restart count
+/// The dispatcher's pre-restart sleep: exponential in the restart count
 /// (capped at `64 × base`) plus a seed-derived jitter below `base`, so a
 /// crash-looping shard backs off deterministically for a given seed.
 fn restart_backoff(seed: u64, shard: usize, restarts: u64, base: Duration) -> Duration {
@@ -1035,87 +927,6 @@ fn restart_backoff(seed: u64, shard: usize, restarts: u64, base: Duration) -> Du
     let exp = restarts.saturating_sub(1).min(6) as u32;
     let jitter = mix64(seed ^ ((shard as u64 + 1) << 32) ^ restarts) % base_ns;
     Duration::from_nanos((base_ns << exp).saturating_add(jitter))
-}
-
-/// One shard's supervisor: spawns the dispatcher thread and, if it ever
-/// crashes (an injected `DispatcherPanic`, a [`Service::crash_shard`]
-/// chaos call, or a genuine bug), recovers — breaker forced open, a fresh
-/// [`Engine::respawn`] swapped into the shard's engine slot, every
-/// stranded in-flight job requeued on the queue it was popped from (or
-/// its ticket resolved with a typed error once its retry budget is
-/// spent), telemetry emitted — and then respawns the dispatcher after a
-/// deterministic backoff. Returns when the dispatcher exits cleanly
-/// (service shutdown).
-#[allow(clippy::too_many_arguments)]
-fn supervise<T: Scalar>(
-    shards: Arc<[ShardShared<T>]>,
-    shard: usize,
-    cfg: ServiceConfig,
-    completions: Arc<AtomicU64>,
-    ring: Option<Arc<RingRecorder>>,
-    ledger: Arc<LedgerInner>,
-    faults: Option<Arc<FaultInjector>>,
-    seed: u64,
-) {
-    let sink = match &ring {
-        Some(r) => TelemetrySink::new(Arc::clone(r) as Arc<dyn Recorder>),
-        None => TelemetrySink::disabled(),
-    };
-    let shared = &shards[shard];
-    loop {
-        let handle = std::thread::Builder::new()
-            .name(format!("acamar-dispatch-{shard}"))
-            .spawn({
-                let shards = Arc::clone(&shards);
-                let cfg = cfg.clone();
-                let completions = Arc::clone(&completions);
-                let ring = ring.clone();
-                let ledger = Arc::clone(&ledger);
-                let faults = faults.clone();
-                move || dispatcher(shards, shard, cfg, completions, ring, ledger, faults)
-            })
-            .expect("spawn shard dispatcher");
-        if handle.join().is_ok() {
-            return;
-        }
-        // The dispatcher panicked. Everything it guarded was left
-        // consistent *before* the panic seam fired, so recovery is:
-        // account, re-equip, requeue, respawn.
-        let restarts = shared.restarts.fetch_add(1, Ordering::SeqCst) + 1;
-        shared.health.force(shard, ShardHealth::Broken, &sink);
-        {
-            // A crashed dispatcher's engine may hold wedged worker state;
-            // replace it with a cold equivalent sharing the same injector
-            // ledger and telemetry.
-            let mut slot = lock_recover(&shared.engine);
-            let fresh = slot.respawn();
-            *slot = Arc::new(fresh);
-        }
-        // A job this dispatcher took from a peer goes back to that peer's
-        // queue: affinity, not the crash, decides where it runs.
-        let stranded: Vec<InFlight<T>> = lock_recover(&shared.in_flight).drain(..).collect();
-        for e in stranded {
-            requeue_or_exhaust(
-                &shards,
-                e,
-                &cfg,
-                &completions,
-                &sink,
-                &ledger,
-                RetryWhy::Restarted,
-            );
-        }
-        sink.emit(EventKind::DispatcherRestarted {
-            shard: shard as u16,
-            restarts: restarts as u32,
-        });
-        sink.counter_add(Counter::DispatcherRestarts, 1);
-        let backoff = restart_backoff(seed, shard, restarts, cfg.restart_backoff);
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
-        shared.cv.notify_all();
-    }
 }
 
 /// Wakes one idle, unpaused dispatcher other than `busy`'s that has not
@@ -1182,7 +993,7 @@ fn next_wave<T: Scalar>(
         if st.crash {
             st.crash = false;
             // Panic with the shard lock held: the poisoned mutex is
-            // exactly what the supervisor's recovery must survive.
+            // exactly what the dispatcher's recovery must survive.
             std::panic::panic_any(InjectedPanic { job: u64::MAX });
         }
         if !st.paused && !st.sched.is_empty() {
@@ -1226,177 +1037,279 @@ fn next_wave<T: Scalar>(
     }
 }
 
-/// One shard's dispatcher loop: take a wave ([`next_wave`]: its own queue
-/// first, else one job from a busy peer's), shed expired-deadline jobs
-/// before they reach a solver, run the rest through the engine of the
-/// shard whose queue they came from, and fulfill tickets in the wave's
-/// submission order. Everything a job touches but the thread — telemetry
-/// shard, health, the EWMA behind retry-after, the engine, a retry's
-/// queue — is its owning shard's. On shutdown the remaining queue is
-/// drained (still shedding what has expired) before the thread exits, so
-/// every ticket resolves.
-///
-/// With a service-seam fault injector installed, each wave additionally
-/// rolls the three serving seams between pop and dispatch — stall
-/// (absorbed in place), panic (kills this thread with the shard lock
-/// held; the supervisor recovers), and drop (the job silently vanishes
-/// and takes the retry path). Jobs in flight are tracked in this
-/// dispatcher's [`ShardShared::in_flight`] the whole way, which is what
-/// makes all three recoverable without losing a ticket.
-fn dispatcher<T: Scalar>(
+/// One shard's dispatcher thread: the shard it serves and what it shares
+/// with the service and the other dispatchers.
+struct Dispatcher<T: Scalar> {
     shards: Arc<[ShardShared<T>]>,
     me: usize,
     cfg: ServiceConfig,
     completions: Arc<AtomicU64>,
-    ring: Option<Arc<RingRecorder>>,
+    sink: TelemetrySink,
     ledger: Arc<LedgerInner>,
+    /// The service-seam injector (`None` without a fault plan).
     faults: Option<Arc<FaultInjector>>,
-) {
-    let sink = match ring {
-        Some(r) => TelemetrySink::new(r as Arc<dyn Recorder>),
-        None => TelemetrySink::disabled(),
-    };
-    let shared = &shards[me];
-    while let Some((shard, wave)) = next_wave(&shards, me, &cfg) {
-        shared.beat();
-        let home = &shards[shard];
-        if shard != me {
-            home.stolen.fetch_add(wave.len() as u64, Ordering::Relaxed);
-            sink.counter_add(Counter::JobsStolen, wave.len() as u64);
+    /// The fault plan's seed (0 without one), for the restart backoff.
+    seed: u64,
+}
+
+impl<T: Scalar> Dispatcher<T> {
+    /// The thread body: [`Dispatcher::serve`] until shutdown. A panic out
+    /// of it — an injected `DispatcherPanic`, a [`Service::crash_shard`]
+    /// chaos call, or a genuine bug — is caught here and recovered from in
+    /// place ([`Dispatcher::recover`]), then the loop is entered again.
+    fn run(self) {
+        while catch_unwind(AssertUnwindSafe(|| self.serve())).is_err() {
+            self.recover();
         }
-        let now = Instant::now();
-        let mut dispatched = 0usize;
-        for w in wave {
-            let waited = now.saturating_duration_since(w.admitted_at);
-            if w.deadline.is_some_and(|d| now >= d) {
-                sink.with_job(w.seq).emit(EventKind::JobShed {
+    }
+
+    /// Recovery from a panic out of [`Dispatcher::serve`]. Everything the
+    /// loop guards was left consistent *before* the panic seam fired, so
+    /// recovery is: breaker forced open, a fresh [`Engine::respawn`]
+    /// swapped into the shard's engine slot, every stranded in-flight job
+    /// requeued on the queue it was popped from (or its ticket resolved
+    /// with a typed error once its retry budget is spent), the restart
+    /// counted and emitted, and a deterministic backoff. The loop it
+    /// re-enters looks at its peers' queues before it sleeps, so a job
+    /// requeued onto a shard already shut down is still drained.
+    fn recover(&self) {
+        let shared = &self.shards[self.me];
+        shared
+            .health
+            .force(self.me, ShardHealth::Broken, &self.sink);
+        let restarts = shared.restarts.fetch_add(1, Ordering::SeqCst) + 1;
+        {
+            // A crashed dispatcher's engine may hold a cache or buffers
+            // entangled with the crash; replace it with a cold equivalent
+            // sharing the same injector ledger and telemetry.
+            let mut slot = lock_recover(&shared.engine);
+            let fresh = slot.respawn();
+            *slot = Arc::new(fresh);
+        }
+        // A job this dispatcher took from a peer goes back to that peer's
+        // queue: affinity, not the crash, decides where it runs.
+        let stranded: Vec<InFlight<T>> = lock_recover(&shared.in_flight).drain(..).collect();
+        for e in stranded {
+            self.requeue_or_exhaust(e, RetryWhy::Restarted);
+        }
+        self.sink.emit(EventKind::DispatcherRestarted {
+            shard: self.me as u16,
+            restarts: restarts as u32,
+        });
+        self.sink.counter_add(Counter::DispatcherRestarts, 1);
+        let backoff = restart_backoff(self.seed, self.me, restarts, self.cfg.restart_backoff);
+        if !backoff.is_zero() {
+            std::thread::sleep(backoff);
+        }
+    }
+
+    /// Puts one stranded in-flight job back on the retry path: requeued on
+    /// its owner's queue with its attempt count bumped while the budget
+    /// lasts (and while the job payload is still held), otherwise resolved
+    /// with the matching typed error so its ticket never hangs.
+    fn requeue_or_exhaust(&self, e: InFlight<T>, why: RetryWhy) {
+        let shard = e.owner;
+        if let Some(job) = e.job {
+            if e.attempt < self.cfg.retry_budget {
+                let attempt = e.attempt + 1;
+                self.sink.with_job(e.seq).emit(EventKind::JobRetried {
                     shard: shard as u16,
-                    waited_nanos: waited.as_nanos() as u64,
+                    attempt,
                 });
-                sink.counter_add(Counter::JobsShed, 1);
-                ledger.resolve(w.seq, false);
-                let index = completions.fetch_add(1, Ordering::SeqCst);
-                w.ticket
-                    .fulfill(Err(ServiceError::Shed { shard, waited }), index, waited);
+                self.sink.counter_add(Counter::JobsRetried, 1);
+                let home = &self.shards[shard];
+                let mut st = lock_recover(&home.state);
+                st.sched.push(
+                    e.priority,
+                    e.deadline,
+                    e.seq,
+                    e.admitted_at,
+                    Waiting {
+                        job,
+                        seq: e.seq,
+                        admitted_at: e.admitted_at,
+                        deadline: e.deadline,
+                        ticket: e.ticket,
+                        priority: e.priority,
+                        attempt,
+                    },
+                );
+                home.depth.store(st.sched.len(), Ordering::Relaxed);
+                drop(st);
+                home.cv.notify_one();
+                return;
+            }
+        }
+        self.ledger.resolve(e.seq, false);
+        let err = match why {
+            RetryWhy::Restarted => ServiceError::ShardRestarted {
+                shard,
+                retries: e.attempt,
+            },
+            RetryWhy::Dropped => ServiceError::Dropped {
+                shard,
+                retries: e.attempt,
+            },
+        };
+        let index = self.completions.fetch_add(1, Ordering::SeqCst);
+        let waited = e.admitted_at.elapsed();
+        e.ticket.fulfill(Err(err), index, waited);
+    }
+
+    /// The dispatch loop: take a wave ([`next_wave`]: its own queue first,
+    /// else one job from a busy peer's), shed expired-deadline jobs before
+    /// they reach a solver, run the rest through the engine of the shard
+    /// whose queue they came from, and fulfill tickets in the wave's
+    /// submission order. Everything a job touches but the thread —
+    /// telemetry shard, health, the EWMA behind retry-after, the engine, a
+    /// retry's queue — is its owning shard's. On shutdown the remaining
+    /// queue is drained (still shedding what has expired) before it
+    /// returns, so every ticket resolves.
+    ///
+    /// With a service-seam fault injector installed, each wave additionally
+    /// rolls the three serving seams between pop and dispatch — stall
+    /// (absorbed in place), panic (unwinds out of this loop with the shard
+    /// lock held; [`Dispatcher::run`] recovers), and drop (the job silently
+    /// vanishes and takes the retry path). Jobs in flight are tracked in
+    /// this dispatcher's [`ShardShared::in_flight`] the whole way, which is
+    /// what makes all three recoverable without losing a ticket.
+    fn serve(&self) {
+        let (sink, ledger, completions) = (&self.sink, &self.ledger, &self.completions);
+        let shared = &self.shards[self.me];
+        while let Some((shard, wave)) = next_wave(&self.shards, self.me, &self.cfg) {
+            shared.beat();
+            let home = &self.shards[shard];
+            if shard != self.me {
+                home.stolen.fetch_add(wave.len() as u64, Ordering::Relaxed);
+                sink.counter_add(Counter::JobsStolen, wave.len() as u64);
+            }
+            let now = Instant::now();
+            let mut dispatched = 0usize;
+            for w in wave {
+                let waited = now.saturating_duration_since(w.admitted_at);
+                if w.deadline.is_some_and(|d| now >= d) {
+                    sink.with_job(w.seq).emit(EventKind::JobShed {
+                        shard: shard as u16,
+                        waited_nanos: waited.as_nanos() as u64,
+                    });
+                    sink.counter_add(Counter::JobsShed, 1);
+                    ledger.resolve(w.seq, false);
+                    let index = completions.fetch_add(1, Ordering::SeqCst);
+                    w.ticket
+                        .fulfill(Err(ServiceError::Shed { shard, waited }), index, waited);
+                    continue;
+                }
+                sink.with_job(w.seq).emit(EventKind::JobDispatched {
+                    shard: shard as u16,
+                    wait_nanos: waited.as_nanos() as u64,
+                });
+                sink.counter_add(Counter::QueueWaitNanos, waited.as_nanos() as u64);
+                dispatched += 1;
+                lock_recover(&shared.in_flight).push(InFlight {
+                    job: Some(w.job),
+                    owner: shard,
+                    seq: w.seq,
+                    attempt: w.attempt,
+                    priority: w.priority,
+                    admitted_at: w.admitted_at,
+                    deadline: w.deadline,
+                    ticket: w.ticket,
+                    dropped: false,
+                });
+            }
+            if dispatched == 0 {
                 continue;
             }
-            sink.with_job(w.seq).emit(EventKind::JobDispatched {
-                shard: shard as u16,
-                wait_nanos: waited.as_nanos() as u64,
-            });
-            sink.counter_add(Counter::QueueWaitNanos, waited.as_nanos() as u64);
-            dispatched += 1;
-            lock_recover(&shared.in_flight).push(InFlight {
-                job: Some(w.job),
-                owner: shard,
-                seq: w.seq,
-                attempt: w.attempt,
-                priority: w.priority,
-                admitted_at: w.admitted_at,
-                deadline: w.deadline,
-                ticket: w.ticket,
-                dropped: false,
-            });
-        }
-        if dispatched == 0 {
-            continue;
-        }
-        if let Some(inj) = &faults {
-            // Stall seam: absorbed in place — the dispatcher wedges, flags
-            // the job's shard Suspect, and still delivers the wave.
-            let mut stall_ms = 0u64;
-            for e in lock_recover(&shared.in_flight).iter() {
-                if let Some(ms) = inj.dispatcher_stall(e.seq, e.attempt as u64) {
-                    ledger.absorbed(FaultCategory::DispatcherStall);
-                    stall_ms = stall_ms.max(ms);
+            if let Some(inj) = &self.faults {
+                // Stall seam: absorbed in place — the dispatcher wedges, flags
+                // the job's shard Suspect, and still delivers the wave.
+                let mut stall_ms = 0u64;
+                for e in lock_recover(&shared.in_flight).iter() {
+                    if let Some(ms) = inj.dispatcher_stall(e.seq, e.attempt as u64) {
+                        ledger.absorbed(FaultCategory::DispatcherStall);
+                        stall_ms = stall_ms.max(ms);
+                    }
+                }
+                if stall_ms > 0 {
+                    home.health.mark_suspect(shard, sink);
+                    std::thread::sleep(Duration::from_millis(stall_ms));
+                    shared.beat();
+                }
+                // Panic seam: unwind out of the loop mid-wave, shard lock held.
+                let mut panicked = None;
+                for e in lock_recover(&shared.in_flight).iter() {
+                    if inj.dispatcher_panic(e.seq, e.attempt as u64) {
+                        ledger.deferred(FaultCategory::DispatcherPanic, e.seq);
+                        panicked.get_or_insert(e.seq);
+                    }
+                }
+                if let Some(job) = panicked {
+                    let _poisoner = lock_recover(&shared.state);
+                    std::panic::panic_any(InjectedPanic { job });
+                }
+                // Drop seam: the job silently vanishes between pop and
+                // dispatch; the retry path below picks it up.
+                for e in lock_recover(&shared.in_flight).iter_mut() {
+                    if inj.drop_queued(e.seq, e.attempt as u64) {
+                        ledger.deferred(FaultCategory::QueueDrop, e.seq);
+                        e.dropped = true;
+                    }
                 }
             }
-            if stall_ms > 0 {
-                home.health.mark_suspect(shard, &sink);
-                std::thread::sleep(Duration::from_millis(stall_ms));
-                shared.beat();
-            }
-            // Panic seam: kill this thread mid-wave, shard lock held.
-            let mut panicked = None;
-            for e in lock_recover(&shared.in_flight).iter() {
-                if inj.dispatcher_panic(e.seq, e.attempt as u64) {
-                    ledger.deferred(FaultCategory::DispatcherPanic, e.seq);
-                    panicked.get_or_insert(e.seq);
-                }
-            }
-            if let Some(job) = panicked {
-                let _poisoner = lock_recover(&shared.state);
-                std::panic::panic_any(InjectedPanic { job });
-            }
-            // Drop seam: the job silently vanishes between pop and
-            // dispatch; the retry path below picks it up.
+            let mut jobs = Vec::with_capacity(dispatched);
+            let mut order: Vec<u64> = Vec::with_capacity(dispatched);
             for e in lock_recover(&shared.in_flight).iter_mut() {
-                if inj.drop_queued(e.seq, e.attempt as u64) {
-                    ledger.deferred(FaultCategory::QueueDrop, e.seq);
-                    e.dropped = true;
+                if !e.dropped {
+                    if let Some(job) = e.job.take() {
+                        jobs.push(job);
+                        order.push(e.seq);
+                    }
                 }
             }
-        }
-        let mut jobs = Vec::with_capacity(dispatched);
-        let mut order: Vec<u64> = Vec::with_capacity(dispatched);
-        for e in lock_recover(&shared.in_flight).iter_mut() {
-            if !e.dropped {
-                if let Some(job) = e.job.take() {
-                    jobs.push(job);
-                    order.push(e.seq);
-                }
-            }
-        }
-        if !jobs.is_empty() {
-            let engine = Arc::clone(&lock_recover(&home.engine));
-            let started = Instant::now();
-            let report = engine.solve_jobs(jobs);
-            let per_job = started.elapsed().as_nanos() as u64 / order.len() as u64;
-            let old = home.ema_nanos.load(Ordering::Relaxed);
-            let ema = if old == 0 {
-                per_job
-            } else {
-                // EWMA with α = 1/4: cheap, integer-only, and responsive
-                // enough for retry-after estimates.
-                old - old / 4 + per_job / 4
-            };
-            home.ema_nanos.store(ema, Ordering::Relaxed);
-            let done = Instant::now();
-            for (seq, result) in order.into_iter().zip(report.results) {
-                let e = {
-                    let mut inf = lock_recover(&shared.in_flight);
-                    let at = inf
-                        .iter()
-                        .position(|e| e.seq == seq)
-                        .expect("in-flight entry for delivered job");
-                    inf.remove(at)
-                };
-                let ok = result.is_ok();
-                ledger.resolve(seq, ok);
-                if ok {
-                    home.health.record_success(shard, &sink);
+            if !jobs.is_empty() {
+                let engine = Arc::clone(&lock_recover(&home.engine));
+                let started = Instant::now();
+                let report = engine.solve_jobs(jobs);
+                let per_job = started.elapsed().as_nanos() as u64 / order.len() as u64;
+                let old = home.ema_nanos.load(Ordering::Relaxed);
+                let ema = if old == 0 {
+                    per_job
                 } else {
-                    home.health.record_failure(shard, &sink);
+                    // EWMA with α = 1/4: cheap, integer-only, and responsive
+                    // enough for retry-after estimates.
+                    old - old / 4 + per_job / 4
+                };
+                home.ema_nanos.store(ema, Ordering::Relaxed);
+                let done = Instant::now();
+                for (seq, result) in order.into_iter().zip(report.results) {
+                    let e = {
+                        let mut inf = lock_recover(&shared.in_flight);
+                        let at = inf
+                            .iter()
+                            .position(|e| e.seq == seq)
+                            .expect("in-flight entry for delivered job");
+                        inf.remove(at)
+                    };
+                    ledger.resolve(seq, result.is_ok());
+                    match &result {
+                        Ok(_) => home.health.record_success(shard, sink),
+                        // A rejected input says nothing about the shard: it
+                        // neither advances nor resets the failure streak.
+                        Err(e) if e.is_invalid_input() => {}
+                        Err(_) => home.health.record_failure(shard, sink),
+                    }
+                    let index = completions.fetch_add(1, Ordering::SeqCst);
+                    let latency = done.saturating_duration_since(e.admitted_at);
+                    e.ticket
+                        .fulfill(result.map_err(ServiceError::Solve), index, latency);
                 }
-                let index = completions.fetch_add(1, Ordering::SeqCst);
-                let latency = done.saturating_duration_since(e.admitted_at);
-                e.ticket
-                    .fulfill(result.map_err(ServiceError::Solve), index, latency);
             }
-        }
-        // Anything still in flight was dropped by the seam (or stranded
-        // without its payload): requeue within budget, resolve otherwise.
-        let leftovers: Vec<InFlight<T>> = lock_recover(&shared.in_flight).drain(..).collect();
-        for e in leftovers {
-            requeue_or_exhaust(
-                &shards,
-                e,
-                &cfg,
-                &completions,
-                &sink,
-                &ledger,
-                RetryWhy::Dropped,
-            );
+            // Anything still in flight was dropped by the seam (or stranded
+            // without its payload): requeue within budget, resolve otherwise.
+            let leftovers: Vec<InFlight<T>> = lock_recover(&shared.in_flight).drain(..).collect();
+            for e in leftovers {
+                self.requeue_or_exhaust(e, RetryWhy::Dropped);
+            }
         }
     }
 }
@@ -1493,11 +1406,11 @@ mod tests {
             .expect("admits");
         assert!(t.wait().expect("solves").converged());
         service.crash_shard(0);
-        // The supervisor notices the crash, recovers the poisoned shard
-        // lock, swaps in a fresh engine, and respawns the dispatcher.
+        // The dispatcher catches its own panic, recovers the poisoned
+        // shard lock, swaps in a fresh engine, and serves again.
         let deadline = Instant::now() + Duration::from_secs(10);
         while service.restarts(0) == 0 {
-            assert!(Instant::now() < deadline, "supervisor never restarted");
+            assert!(Instant::now() < deadline, "dispatcher never restarted");
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(service.shard_health(0), ShardHealth::Broken);

@@ -339,9 +339,9 @@ pub enum EventKind {
         /// Delivery attempt number (1 = first retry).
         attempt: u32,
     },
-    /// A shard supervisor respawned a crashed dispatcher thread.
+    /// A shard dispatcher recovered in place from a panic.
     DispatcherRestarted {
-        /// The shard whose dispatcher was respawned.
+        /// The shard whose dispatcher recovered.
         shard: u16,
         /// Lifetime restart count for the shard (1 = first respawn).
         restarts: u32,
@@ -411,7 +411,8 @@ pub enum Counter {
     CacheCollisions,
     /// Wall-clock nanoseconds spent in pattern analysis.
     AnalysisNanos,
-    /// Wall-clock nanoseconds pool workers spent idle, waiting for work.
+    /// Wall-clock nanoseconds batch runners spent without a job while
+    /// their batch was still open.
     PoolIdleNanos,
     /// Wall-clock nanoseconds spent inside solve spans.
     SolveNanos,
@@ -451,7 +452,7 @@ pub enum Counter {
     BreakerProbes,
     /// Failed deliveries re-queued under the retry budget.
     JobsRetried,
-    /// Dispatcher threads respawned by shard supervisors.
+    /// Dispatcher recoveries from a panic.
     DispatcherRestarts,
     /// Jobs an idle dispatcher took from a peer shard's queue (and ran on
     /// that shard's engine).
@@ -599,7 +600,9 @@ impl Counter {
             Counter::CacheMisses => "Plan-cache misses (fresh pattern analyses)",
             Counter::CacheCollisions => "Plan-cache fingerprint collisions",
             Counter::AnalysisNanos => "Nanoseconds spent in pattern analysis",
-            Counter::PoolIdleNanos => "Nanoseconds pool workers spent idle",
+            Counter::PoolIdleNanos => {
+                "Nanoseconds batch runners spent without a job while their batch was open"
+            }
             Counter::SolveNanos => "Nanoseconds spent inside solve spans",
             Counter::ResidualSamples => "Residual samples emitted by solver loops",
             Counter::SpmvReconfigs => "SpMV-region partial reconfigurations",
@@ -619,7 +622,7 @@ impl Counter {
             Counter::Failovers => "Requests diverted from a broken affinity shard",
             Counter::BreakerProbes => "Probe requests admitted by half-open breakers",
             Counter::JobsRetried => "Failed deliveries re-queued under the retry budget",
-            Counter::DispatcherRestarts => "Dispatcher threads respawned by supervisors",
+            Counter::DispatcherRestarts => "Dispatcher recoveries from a panic",
             Counter::JobsStolen => "Jobs an idle dispatcher took from a peer shard's queue",
             Counter::EventsDropped => "Trace events dropped (ring full)",
             Counter::FastTierSolves => "Jobs solved under the Fast determinism tier",

@@ -12,7 +12,8 @@
 //!   ranking, half-opens after the configured diversions, and heals on a
 //!   successful probe;
 //! - dropping a service mid-chaos still resolves every outstanding
-//!   ticket.
+//!   ticket;
+//! - rejected input does not trip a healthy shard's breaker.
 
 use acamar::core::{Acamar, AcamarConfig};
 use acamar::engine::PatternFingerprint;
@@ -226,6 +227,36 @@ fn all_shards_broken_still_serves_on_the_home_shard() {
     assert!(t.wait().expect("still solves").converged());
 }
 
+/// A typed input rejection is the request's fault, not the shard's: a run
+/// of them, longer than the breaker's failure streak, leaves the home shard
+/// healthy, and the next valid request for the pattern still lands on the
+/// shard whose cache holds its plan.
+#[test]
+fn rejected_inputs_leave_a_healthy_shard_closed() {
+    let service = Service::<f64>::new(acamar(), ServiceConfig::default().with_shards(2));
+    let a = Arc::new(generate::poisson2d::<f64>(8, 8));
+    let home = service.route(&a);
+    let warm = service.submit(request(&a, 0)).expect("admits");
+    assert_eq!(warm.shard(), home);
+    assert!(warm.wait().expect("solves").converged());
+    for k in 1..=8 {
+        let mut bad = request(&a, k);
+        bad.rhs[3] = f64::NAN;
+        let t = service.submit(bad).expect("admits");
+        assert_eq!(t.shard(), home, "rejections never divert traffic");
+        match t.wait() {
+            Err(ServiceError::Solve(e)) => assert!(e.is_invalid_input()),
+            other => panic!("expected a typed input rejection, got {other:?}"),
+        }
+        assert_eq!(service.shard_health(home), ShardHealth::Healthy);
+    }
+    let t = service.submit(request(&a, 9)).expect("admits");
+    assert_eq!(t.shard(), home, "no failover onto a cold shard");
+    assert!(t.wait().expect("solves at home").converged());
+    assert!(service.is_warm(home, &a));
+    assert!(!service.is_warm(1 - home, &a));
+}
+
 /// Dropping the service mid-chaos (queued jobs, seams armed) resolves
 /// every outstanding ticket: no `Ticket::wait` hang, ever.
 #[test]
@@ -261,7 +292,8 @@ fn drop_under_seam_chaos_resolves_every_ticket() {
 }
 
 /// `wait_timed` on a crashed-then-recovered shard reports a latency and
-/// an outcome for every job: the supervisor requeues what was stranded.
+/// an outcome for every job: the dispatcher's recovery requeues what was
+/// stranded.
 #[test]
 fn crash_mid_burst_recovers_in_flight_jobs() {
     let service = Service::<f64>::new(
