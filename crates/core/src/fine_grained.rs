@@ -43,7 +43,9 @@ impl FineGrainedReconfigUnit {
     /// chunk* the Row Length Trace samples `SamplingRate` sets (Eq. 7–9)
     /// and the MSID chain (Algorithm 4) coalesces their unroll factors.
     /// Adjacent equal-unroll sets — including across chunk boundaries —
-    /// merge into single schedule entries.
+    /// merge into single schedule entries. A chunk is traced from its
+    /// slice of `a`'s row offsets: nothing else of the matrix is read and
+    /// nothing of it is copied.
     pub fn plan<T: Scalar>(&self, a: &CsrMatrix<T>) -> FineGrainedPlan {
         let trace = RowLengthTrace::new(self.config.sampling_rate, self.config.max_unroll);
         let chain = MsidChain::new(self.config.r_opt, self.config.msid_tolerance);
@@ -54,13 +56,9 @@ impl FineGrainedReconfigUnit {
         let mut after = 0usize;
         let mut tbuffers = Vec::new();
         let mut start = 0usize;
-        while start < a.nrows() || (a.nrows() == 0 && start == 0) {
-            if a.nrows() == 0 {
-                break;
-            }
+        while start < a.nrows() {
             let end = (start + chunk_rows).min(a.nrows());
-            let chunk = a.row_slice(start..end);
-            let mut tbuffer = trace.trace(&chunk);
+            let mut tbuffer = trace.trace(&a.row_ptr()[start..=end]);
             let (b, f) = chain.optimize(&mut tbuffer);
             before += b;
             after += f;
@@ -197,5 +195,125 @@ mod tests {
         let p = unit(8, 8).plan(&a);
         assert_eq!(p.reconfigs_before_msid, 0);
         assert_eq!(p.reconfigs_after_msid, 0);
+    }
+
+    /// The unit's plan made the way it was before the trace read offsets:
+    /// each chunk copied out as a matrix of its own, and each set's
+    /// average summed row by row over the copy (Eq. 7–9), then the MSID
+    /// chain and the merge as in [`FineGrainedReconfigUnit::plan`].
+    fn plan_from_copied_chunks(cfg: &AcamarConfig, a: &CsrMatrix<f64>) -> FineGrainedPlan {
+        let trace = RowLengthTrace::new(cfg.sampling_rate, cfg.max_unroll);
+        let chain = MsidChain::new(cfg.r_opt, cfg.msid_tolerance);
+        let (mut entries, mut tbuffers) = (Vec::<ScheduleEntry>::new(), Vec::new());
+        let (mut before, mut after) = (0, 0);
+        let rp = a.row_ptr();
+        for start in (0..a.nrows()).step_by(cfg.chunk_rows.max(1)) {
+            let end = (start + cfg.chunk_rows.max(1)).min(a.nrows());
+            let (lo, hi) = (rp[start], rp[end]);
+            let chunk = CsrMatrix::try_from_parts(
+                end - start,
+                a.ncols(),
+                rp[start..=end].iter().map(|&p| p - lo).collect(),
+                a.col_idx()[lo..hi].to_vec(),
+                a.values()[lo..hi].to_vec(),
+            )
+            .unwrap();
+            let set = chunk.nrows().div_ceil(cfg.sampling_rate.max(1));
+            let unrolls: Vec<usize> = (0..chunk.nrows())
+                .step_by(set)
+                .map(|s| {
+                    let e = (s + set).min(chunk.nrows());
+                    let nnz: usize = (s..e).map(|i| chunk.row_nnz(i)).sum();
+                    let m = nnz as f64 / (e - s) as f64;
+                    (m.round() as usize).clamp(1, cfg.max_unroll)
+                })
+                .collect();
+            let mut tbuffer = trace.trace(chunk.row_ptr());
+            tbuffer.set_unrolls(unrolls);
+            let (b, f) = chain.optimize(&mut tbuffer);
+            before += b;
+            after += f;
+            for (range, &u) in tbuffer.sets().iter().zip(tbuffer.unrolls()) {
+                let rows = (range.start + start)..(range.end + start);
+                match entries.last_mut() {
+                    Some(last) if last.unroll == u && last.rows.end == rows.start => {
+                        last.rows.end = rows.end;
+                    }
+                    _ => entries.push(ScheduleEntry { rows, unroll: u }),
+                }
+            }
+            tbuffers.push(tbuffer);
+        }
+        if entries.is_empty() {
+            entries.push(ScheduleEntry {
+                rows: 0..a.nrows(),
+                unroll: 1,
+            });
+        }
+        FineGrainedPlan {
+            tbuffers,
+            reconfigs_before_msid: before,
+            reconfigs_after_msid: after,
+            schedule: UnrollSchedule::from_entries(a.nrows(), entries),
+        }
+    }
+
+    #[test]
+    fn plans_read_from_offsets_equal_plans_from_copied_chunks() {
+        use RowDistribution::Uniform;
+        let mut pool = Vec::new();
+        for seed in 0..2 {
+            // The cold pool's three classes, at their sizes.
+            pool.push(generate::diagonally_dominant(
+                4000,
+                Uniform { min: 2, max: 6 },
+                1.5,
+                seed,
+            ));
+            pool.push(generate::spd_from_pattern(
+                3000,
+                Uniform { min: 2, max: 8 },
+                0.3,
+                seed,
+            ));
+            pool.push(generate::diagonally_dominant(
+                2000,
+                Uniform { min: 1, max: 40 },
+                1.5,
+                seed,
+            ));
+        }
+        // Thirteen chunks, the last one short: the stencil pool's dominant
+        // system.
+        pool.push(generate::diagonally_dominant(
+            50_000,
+            Uniform { min: 6, max: 20 },
+            1.5,
+            0xD0A1,
+        ));
+        // Empty rows, a chunk of them, and no rows at all.
+        let mut counts = vec![3; 4096];
+        counts.extend([0; 4100]);
+        counts.extend([0, 7, 0, 1]);
+        pool.push(matrix_with_counts(&counts));
+        pool.push(CsrMatrix::try_from_parts(0, 0, vec![0], vec![], vec![]).unwrap());
+        let paper = AcamarConfig::paper();
+        let configs = [
+            paper.clone(),
+            AcamarConfig {
+                chunk_rows: 1000,
+                ..paper.clone().with_sampling_rate(7).with_r_opt(0)
+            },
+            AcamarConfig {
+                chunk_rows: 0,
+                ..paper.with_sampling_rate(0)
+            },
+        ];
+        for cfg in &configs {
+            let unit = FineGrainedReconfigUnit::new(cfg.clone());
+            for (k, a) in pool.iter().enumerate() {
+                assert_eq!(unit.plan(a), plan_from_copied_chunks(cfg, a), "matrix {k}");
+            }
+        }
     }
 }

@@ -158,7 +158,7 @@ mod tests {
             }
         }
         let a = coo.to_csr();
-        let mut t = RowLengthTrace::new(8, 64).trace(&a);
+        let mut t = RowLengthTrace::new(8, 64).trace(a.row_ptr());
         let chain = MsidChain::new(8, 0.3);
         let (before, after) = chain.optimize(&mut t);
         assert!(after <= before, "before {before} after {after}");

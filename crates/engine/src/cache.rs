@@ -6,14 +6,17 @@ use acamar_sparse::{CsrMatrix, Scalar};
 use acamar_telemetry::{Counter, EventKind, TelemetrySink};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
+use std::time::Instant;
 
 /// Snapshot of a [`PlanCache`]'s counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to run [`Acamar::analyze`].
+    /// Lookups that ran [`Acamar::analyze`] to completion — one per
+    /// pattern however many lookups race on it, since a lookup that finds
+    /// the pattern's analysis under way waits for it and is a hit.
     pub misses: u64,
     /// Lookups whose stored entry failed provenance verification (a
     /// corrupted entry — see [`PlanCache`]) and were re-analyzed; every
@@ -47,12 +50,15 @@ impl CacheStats {
     }
 }
 
-/// One cached pattern: the artifacts plus the provenance of the matrix
-/// they were built from, re-checked on every hit as a guard against a
-/// corrupted entry.
+/// A pattern's artifacts, filled once by the lookup that analyzes it.
+type Slot = Arc<OnceLock<Arc<AnalysisArtifacts>>>;
+
+/// One cached pattern: the slot its artifacts land in plus the provenance
+/// of the matrix they are built from, re-checked on every hit as a guard
+/// against a corrupted entry.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    artifacts: Arc<AnalysisArtifacts>,
+    slot: Slot,
     nrows: usize,
     ncols: usize,
     nnz: usize,
@@ -86,13 +92,20 @@ impl CacheEntry {
 /// artifacts from here, so all requests of a pattern run on what its
 /// first miss analyzed, whoever sent them.
 ///
+/// Each entry is a *slot* the pattern's artifacts are filled into once.
 /// Reads take the `RwLock` shared, so concurrent workers hitting warm
-/// patterns never serialize. A miss upgrades to the exclusive lock and
-/// runs the analysis while holding it: the first worker to see a new
-/// pattern builds its artifacts exactly once and every concurrent
-/// requester of the same pattern blocks briefly and then *hits* — the
-/// accounting invariant `misses == distinct patterns` holds even under
-/// contention, which the batch engine's tests rely on.
+/// patterns never serialize. A lookup that finds no entry takes the
+/// exclusive lock only to insert an empty slot (and evict), and runs the
+/// analysis after releasing it: distinct patterns analyze in parallel,
+/// and a hit never waits behind another pattern's analysis. A requester
+/// of the same pattern that finds the slot still empty blocks on the
+/// slot, not the map, and then *hits* — the accounting invariant
+/// `misses == distinct patterns` holds even under contention, which the
+/// batch engine's tests rely on. If the analysis panics, the slot stays
+/// empty and the next requester of the pattern (one already waiting on
+/// it, or a later one) analyzes it and counts the miss; the map's lock is
+/// never held while an analysis runs, so a panicking one cannot poison
+/// it.
 ///
 /// A hit additionally verifies the entry's stored `(nrows, ncols, nnz)`
 /// provenance against the incoming matrix. Those three are already part
@@ -144,39 +157,40 @@ impl PlanCache {
         a: &CsrMatrix<T>,
         sink: &TelemetrySink,
     ) -> Arc<AnalysisArtifacts> {
+        let slot = self.slot_for(a, sink);
+        self.fill(&slot, sink, || acamar.analyze(a))
+    }
+
+    /// `a`'s slot: found under the shared lock (a hit's only locking), or
+    /// inserted empty under the exclusive one, which is held for nothing
+    /// else. A stored entry that fails verification is replaced by an
+    /// empty slot and counted as a collision.
+    fn slot_for<T: Scalar>(&self, a: &CsrMatrix<T>, sink: &TelemetrySink) -> Slot {
         let fp = PatternFingerprint::of(a);
         if let Some(entry) = self.map.read().expect("cache lock poisoned").get(&fp) {
             if entry.verifies_against(a) {
-                self.record_hit(entry, sink);
-                return Arc::clone(&entry.artifacts);
+                self.mark_used(entry);
+                return Arc::clone(&entry.slot);
             }
             // Corrupted entry: fall through to the exclusive path and
-            // rebuild.
+            // replace it.
         }
         let mut map = self.map.write().expect("cache lock poisoned");
         if let Some(entry) = map.get(&fp) {
             if entry.verifies_against(a) {
-                // Another worker built (or repaired) it between our locks.
-                self.record_hit(entry, sink);
-                return Arc::clone(&entry.artifacts);
+                // Another lookup inserted (or repaired) it between our locks.
+                self.mark_used(entry);
+                return Arc::clone(&entry.slot);
             }
             self.collisions.fetch_add(1, Ordering::Relaxed);
             sink.emit(EventKind::CacheCollision);
             sink.counter_add(Counter::CacheCollisions, 1);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let started = std::time::Instant::now();
-        let art = Arc::new(acamar.analyze(a));
-        let analysis_nanos = started.elapsed().as_nanos() as u64;
-        self.analysis_nanos
-            .fetch_add(analysis_nanos, Ordering::Relaxed);
-        sink.emit(EventKind::CacheMiss { analysis_nanos });
-        sink.counter_add(Counter::CacheMisses, 1);
-        sink.counter_add(Counter::AnalysisNanos, analysis_nanos);
+        let slot = Slot::default();
         map.insert(
             fp,
             CacheEntry {
-                artifacts: Arc::clone(&art),
+                slot: Arc::clone(&slot),
                 nrows: fp.nrows,
                 ncols: fp.ncols,
                 nnz: fp.nnz,
@@ -189,7 +203,42 @@ impl PlanCache {
         while cap > 0 && map.len() > cap {
             self.evict_lru(&mut map, Some(&fp), sink);
         }
-        art
+        slot
+    }
+
+    /// The slot's artifacts, running `analyze` into it if it is empty: the
+    /// lookup that runs it counts the miss and its time, every other one a
+    /// hit. An evicted slot still fills — its holders keep a valid plan.
+    fn fill(
+        &self,
+        slot: &Slot,
+        sink: &TelemetrySink,
+        analyze: impl FnOnce() -> AnalysisArtifacts,
+    ) -> Arc<AnalysisArtifacts> {
+        let mut analysis_nanos = None;
+        let art = slot.get_or_init(|| {
+            let started = Instant::now();
+            let art = Arc::new(analyze());
+            analysis_nanos = Some(started.elapsed().as_nanos() as u64);
+            art
+        });
+        match analysis_nanos {
+            Some(nanos) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.analysis_nanos.fetch_add(nanos, Ordering::Relaxed);
+                sink.emit(EventKind::CacheMiss {
+                    analysis_nanos: nanos,
+                });
+                sink.counter_add(Counter::CacheMisses, 1);
+                sink.counter_add(Counter::AnalysisNanos, nanos);
+            }
+            None => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                sink.emit(EventKind::CacheHit);
+                sink.counter_add(Counter::CacheHits, 1);
+            }
+        }
+        Arc::clone(art)
     }
 
     /// Bounds the cache to at most `capacity` entries, evicting
@@ -236,15 +285,17 @@ impl PlanCache {
         }
     }
 
-    /// Whether `fp`'s pattern is already cached (no counter updates, no
-    /// verification). The serving layer's affinity router and its tests
+    /// Whether `fp`'s pattern is already cached with its artifacts built
+    /// (no counter updates, no verification; a slot still being analyzed
+    /// does not count). The serving layer's affinity router and its tests
     /// use this to ask "is this shard warm for this pattern?" without
     /// perturbing the hit/miss accounting.
     pub fn contains(&self, fp: &PatternFingerprint) -> bool {
         self.map
             .read()
             .expect("cache lock poisoned")
-            .contains_key(fp)
+            .get(fp)
+            .is_some_and(|e| e.slot.get().is_some())
     }
 
     /// Fault-injection seam: corrupts the stored provenance of `fp`'s
@@ -274,11 +325,10 @@ impl PlanCache {
         self.map.write().expect("cache lock poisoned").clear();
     }
 
-    fn record_hit(&self, entry: &CacheEntry, sink: &TelemetrySink) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+    /// Refreshes `entry`'s recency; whether the lookup was a hit is up to
+    /// [`Self::fill`].
+    fn mark_used(&self, entry: &CacheEntry) {
         entry.last_used.store(self.next_tick(), Ordering::Relaxed);
-        sink.emit(EventKind::CacheHit);
-        sink.counter_add(Counter::CacheHits, 1);
     }
 }
 
@@ -288,6 +338,8 @@ mod tests {
     use acamar_core::AcamarConfig;
     use acamar_fabric::FabricSpec;
     use acamar_sparse::generate;
+    use std::sync::{Barrier, Condvar, Mutex};
+    use std::time::Duration;
 
     fn acamar() -> Acamar {
         Acamar::new(FabricSpec::alveo_u55c(), AcamarConfig::paper())
@@ -446,5 +498,190 @@ mod tests {
         assert!(after_miss > 0, "a miss runs (and times) the analysis");
         cache.get_or_analyze(&ac, &a);
         assert_eq!(cache.stats().analysis_nanos, after_miss);
+    }
+
+    /// Stops an analysis in its tracks: [`Gate::hold`] runs on the
+    /// analyzing thread, [`Gate::entered`] returns on the test's once the
+    /// analysis is under way (its slot in the map, unfilled), and the
+    /// analysis goes on after [`Gate::release`].
+    struct Gate {
+        entered: Barrier,
+        release: Barrier,
+    }
+
+    impl Gate {
+        fn new() -> Gate {
+            Gate {
+                entered: Barrier::new(2),
+                release: Barrier::new(2),
+            }
+        }
+
+        fn hold<R>(&self, then: impl FnOnce() -> R) -> R {
+            self.entered.wait();
+            self.release.wait();
+            then()
+        }
+
+        fn entered(&self) {
+            self.entered.wait();
+        }
+
+        fn release(&self) {
+            self.release.wait();
+        }
+    }
+
+    /// A flag the test waits on with a bound, so that a lookup stuck
+    /// behind another pattern's analysis fails the test instead of hanging
+    /// it.
+    #[derive(Default)]
+    struct Done {
+        flag: Mutex<bool>,
+        cv: Condvar,
+    }
+
+    impl Done {
+        fn set(&self) {
+            *self.flag.lock().unwrap() = true;
+            self.cv.notify_all();
+        }
+
+        fn within(&self, bound: Duration) -> bool {
+            let flag = self.flag.lock().unwrap();
+            *self
+                .cv
+                .wait_timeout_while(flag, bound, |done| !*done)
+                .unwrap()
+                .0
+        }
+    }
+
+    /// An analysis that fails, without the panic hook's report.
+    fn failing_analysis() -> AnalysisArtifacts {
+        std::panic::resume_unwind(Box::new("analysis failed"))
+    }
+
+    #[test]
+    fn an_analysis_under_way_blocks_neither_another_patterns_hit_nor_stats() {
+        let (cache, ac, sink) = (PlanCache::new(), acamar(), &TelemetrySink::disabled());
+        let (cold, warm) = (
+            generate::poisson2d::<f64>(12, 12),
+            generate::poisson2d::<f64>(9, 9),
+        );
+        let warmed = cache.get_or_analyze(&ac, &warm);
+        let (gate, done) = (Gate::new(), Done::default());
+        std::thread::scope(|s| {
+            let filler = s.spawn(|| {
+                let slot = cache.slot_for(&cold, sink);
+                cache.fill(&slot, sink, || gate.hold(|| ac.analyze(&cold)))
+            });
+            gate.entered();
+            let checker = s.spawn(|| {
+                let hit = cache.get_or_analyze(&ac, &warm);
+                let seen = (
+                    hit,
+                    cache.stats(),
+                    cache.contains(&PatternFingerprint::of(&cold)),
+                );
+                done.set();
+                seen
+            });
+            let returned = done.within(Duration::from_secs(60));
+            gate.release();
+            let (hit, stats, cold_is_warm) = checker.join().unwrap();
+            assert!(
+                returned,
+                "a warm lookup waited for another pattern's analysis"
+            );
+            assert!(Arc::ptr_eq(&hit, &warmed));
+            // The cold pattern's slot is in the map but neither warm nor
+            // counted.
+            assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 2));
+            assert!(!cold_is_warm);
+            filler.join().unwrap();
+        });
+        assert!(cache.contains(&PatternFingerprint::of(&cold)));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 2));
+    }
+
+    #[test]
+    fn a_lookup_of_a_pattern_under_analysis_waits_for_it_and_hits() {
+        let (cache, ac, sink) = (&PlanCache::new(), acamar(), &TelemetrySink::disabled());
+        let a = generate::poisson2d::<f64>(12, 12);
+        let gate = Gate::new();
+        std::thread::scope(|s| {
+            let filler = s.spawn(|| {
+                let slot = cache.slot_for(&a, sink);
+                cache.fill(&slot, sink, || gate.hold(|| ac.analyze(&a)))
+            });
+            gate.entered();
+            // The second lookup finds the pattern's slot while it is empty.
+            let slot = cache.slot_for(&a, sink);
+            assert!(slot.get().is_none());
+            let waiter =
+                s.spawn(move || cache.fill(&slot, sink, || panic!("one pattern analyzed twice")));
+            gate.release();
+            let (first, second) = (filler.join().unwrap(), waiter.join().unwrap());
+            assert!(Arc::ptr_eq(&first, &second));
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_lookup_that_analyzes_after_the_first_analysis_failed_counts_the_miss() {
+        let (cache, ac, sink) = (&PlanCache::new(), &acamar(), &TelemetrySink::disabled());
+        let a = generate::poisson2d::<f64>(12, 12);
+        let gate = Gate::new();
+        let analyzed = std::thread::scope(|s| {
+            let filler = s.spawn(|| {
+                let slot = cache.slot_for(&a, sink);
+                cache.fill(&slot, sink, || gate.hold(failing_analysis))
+            });
+            gate.entered();
+            let slot = cache.slot_for(&a, sink);
+            let a = &a;
+            let waiter = s.spawn(move || cache.fill(&slot, sink, || ac.analyze(a)));
+            gate.release();
+            assert!(filler.join().is_err(), "the first analysis failed");
+            waiter.join().unwrap()
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
+        assert!(stats.analysis_nanos > 0);
+        // The slot the waiter filled is the cached one.
+        assert!(Arc::ptr_eq(&cache.get_or_analyze(ac, &a), &analyzed));
+        assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn a_failed_analysis_poisons_nothing_and_the_next_lookup_analyzes() {
+        let (cache, ac, sink) = (PlanCache::new(), acamar(), &TelemetrySink::disabled());
+        let (a, b) = (
+            generate::poisson2d::<f64>(12, 12),
+            generate::poisson2d::<f64>(9, 9),
+        );
+        cache.get_or_analyze(&ac, &b);
+        let failed = std::thread::scope(|s| {
+            s.spawn(|| cache.fill(&cache.slot_for(&a, sink), sink, failing_analysis))
+                .join()
+        });
+        assert!(failed.is_err());
+        assert!(
+            !cache.map.is_poisoned(),
+            "a failed analysis poisoned the map"
+        );
+        let fp = PatternFingerprint::of(&a);
+        assert!(!cache.contains(&fp), "an empty slot is not warm");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 2));
+        // Both patterns still answer: the other one hits, this one misses.
+        cache.get_or_analyze(&ac, &b);
+        cache.get_or_analyze(&ac, &a);
+        assert!(cache.contains(&fp));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 2));
+        cache.set_capacity(1);
+        assert_eq!(cache.stats().entries, 1);
     }
 }

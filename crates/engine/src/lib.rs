@@ -13,9 +13,9 @@
 //!   plus a 64-bit digest of `row_ptr`/`col_idx` (eight folded-multiply
 //!   lanes over the words, read once at memory speed), which the
 //!   [`CsrPattern`](acamar_sparse::CsrPattern) computes once and keeps;
-//! * [`PlanCache`] maps fingerprints to shared
+//! * [`PlanCache`] maps fingerprints to per-pattern slots of shared
 //!   [`AnalysisArtifacts`](acamar_core::AnalysisArtifacts) behind an
-//!   `RwLock`, building each pattern's artifacts exactly once even under
+//!   `RwLock`, filling each slot exactly once, outside the lock, even under
 //!   concurrent misses — one entry per pattern, which both determinism
 //!   tiers share;
 //! * [`Engine`] drains [`SolveJob`]s on the calling thread plus, for a

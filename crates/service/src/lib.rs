@@ -68,4 +68,4 @@ pub use config::{Priority, ServiceConfig, PROBE_AFTER, RETRY_AFTER_FLOOR};
 pub use health::{ServiceLedger, ShardHealth};
 pub use http::ScrapeServer;
 pub use router::{shard_for, shard_ranking};
-pub use service::{AdmissionError, Service, ServiceError, ServiceRequest, Ticket};
+pub use service::{AdmissionError, RingBacked, Service, ServiceError, ServiceRequest, Ticket};

@@ -19,6 +19,23 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// A recorder a [`Service`] records into and exports from: it keeps what
+/// it records on a [`RingRecorder`], whose trace and counters back
+/// [`Service::trace_json`], the scrape endpoint and
+/// [`Service::prometheus_text`]. A `RingRecorder` is one; so is a recorder
+/// that wraps one to act on the events as they go by — a test that holds
+/// a dispatcher at a chosen event, say.
+pub trait RingBacked: Recorder {
+    /// The ring this recorder keeps its events and counters on.
+    fn ring(&self) -> &RingRecorder;
+}
+
+impl RingBacked for RingRecorder {
+    fn ring(&self) -> &RingRecorder {
+        self
+    }
+}
+
 /// One admission request: a solve job plus its serving metadata.
 #[derive(Debug, Clone)]
 pub struct ServiceRequest<T> {
@@ -417,7 +434,7 @@ pub struct Service<T: Scalar> {
     /// [`DeterminismPolicy::ALL`] order (Deterministic, Fast).
     policy_admitted: [AtomicU64; 2],
     sink: TelemetrySink,
-    ring: Option<Arc<RingRecorder>>,
+    ring: Option<Arc<dyn RingBacked>>,
     /// Service-seam fault accounting (always present; all-zero without a
     /// fault plan).
     ledger: Arc<LedgerInner>,
@@ -435,7 +452,7 @@ impl<T: Scalar> fmt::Debug for Service<T> {
 impl<T: Scalar> Service<T> {
     /// A service over `acamar` with no telemetry and no fault injection.
     pub fn new(acamar: Acamar, cfg: ServiceConfig) -> Service<T> {
-        Service::build(acamar, cfg, None, None)
+        Service::build::<RingRecorder>(acamar, cfg, None, None)
     }
 
     /// A service whose shards and admission path record into `ring`:
@@ -443,10 +460,10 @@ impl<T: Scalar> Service<T> {
     /// plus every engine-level event from the shards. The ring also
     /// powers [`Service::trace_json`] and the scrape endpoint's
     /// `/trace` route.
-    pub fn with_recorder(
+    pub fn with_recorder<R: RingBacked + 'static>(
         acamar: Acamar,
         cfg: ServiceConfig,
-        ring: Arc<RingRecorder>,
+        ring: Arc<R>,
     ) -> Service<T> {
         Service::build(acamar, cfg, Some(ring), None)
     }
@@ -456,21 +473,22 @@ impl<T: Scalar> Service<T> {
     /// concurrent shard batches never share an injector ledger while the
     /// whole run stays reproducible from one seed. Optionally records
     /// into `ring` as in [`Service::with_recorder`].
-    pub fn with_fault_plan(
+    pub fn with_fault_plan<R: RingBacked + 'static>(
         acamar: Acamar,
         cfg: ServiceConfig,
         plan: FaultPlan,
-        ring: Option<Arc<RingRecorder>>,
+        ring: Option<Arc<R>>,
     ) -> Service<T> {
         Service::build(acamar, cfg, ring, Some(plan))
     }
 
-    fn build(
+    fn build<R: RingBacked + 'static>(
         acamar: Acamar,
         cfg: ServiceConfig,
-        ring: Option<Arc<RingRecorder>>,
+        ring: Option<Arc<R>>,
         faults: Option<FaultPlan>,
     ) -> Service<T> {
+        let events = ring.clone().map(|r| r as Arc<dyn Recorder>);
         let cfg = cfg.normalized();
         let completions = Arc::new(AtomicU64::new(0));
         let ledger = Arc::new(LedgerInner::new());
@@ -494,8 +512,8 @@ impl<T: Scalar> Service<T> {
             .map(|shard| {
                 let mut engine = Engine::with_workers(acamar.clone(), cfg.workers_per_shard)
                     .with_resilience(cfg.resilience.clone());
-                if let Some(r) = &ring {
-                    engine = engine.with_recorder(Arc::clone(r) as Arc<dyn Recorder>);
+                if let Some(r) = &events {
+                    engine = engine.with_recorder(Arc::clone(r));
                 }
                 if let Some(plan) = &faults {
                     let mut p = FaultPlan::new(plan.seed() ^ (shard as u64 + 1));
@@ -525,8 +543,8 @@ impl<T: Scalar> Service<T> {
                 }
             })
             .collect();
-        let sink = match &ring {
-            Some(r) => TelemetrySink::new(Arc::clone(r) as Arc<dyn Recorder>),
+        let sink = match events {
+            Some(r) => TelemetrySink::new(r),
             None => TelemetrySink::disabled(),
         };
         let seed = faults.as_ref().map(|p| p.seed()).unwrap_or(0);
@@ -556,7 +574,7 @@ impl<T: Scalar> Service<T> {
             completions,
             policy_admitted: [AtomicU64::new(0), AtomicU64::new(0)],
             sink,
-            ring,
+            ring: ring.map(|r| r as Arc<dyn RingBacked>),
             ledger,
         }
     }
@@ -806,7 +824,7 @@ impl<T: Scalar> Service<T> {
 
     /// Events the ring recorder dropped on overflow (0 without a ring).
     pub fn dropped_events(&self) -> u64 {
-        self.ring.as_ref().map(|r| r.dropped()).unwrap_or(0)
+        self.ring.as_ref().map(|r| r.ring().dropped()).unwrap_or(0)
     }
 
     /// Prometheus text-format snapshot of the whole service: the full
@@ -815,8 +833,8 @@ impl<T: Scalar> Service<T> {
     /// gauges. This is what the scrape endpoint's `/metrics` serves.
     pub fn prometheus_text(&self) -> String {
         let mut w = PrometheusWriter::new();
-        if let Some(ring) = &self.ring {
-            w.counters(&ring.counters());
+        if let Some(r) = &self.ring {
+            w.counters(&r.ring().counters());
         }
         let sample = |f: &dyn Fn(usize) -> u64| -> Vec<(String, u64)> {
             (0..self.shards.len())
@@ -887,7 +905,7 @@ impl<T: Scalar> Service<T> {
     pub fn trace_json(&self) -> String {
         self.ring
             .as_ref()
-            .map(|r| json_lines(&r.drain()))
+            .map(|r| json_lines(&r.ring().drain()))
             .unwrap_or_default()
     }
 }

@@ -270,11 +270,12 @@ impl DerivedPlan {
         self.operand.get().and_then(Option::as_ref)
     }
 
-    /// `T` for `a` with its plan: built with the memo by the first caller
-    /// on the pattern, filled from the memo by every later one. A memo
-    /// that does not fit `a` — a pattern without a full diagonal, or a
-    /// split whose slots `a` contradicts — is left alone and `T` is built
-    /// as if there were none, which is counted.
+    /// `T` for `a` with its plan: built with the memo, in the sweep that
+    /// splits the pattern, by the first caller on the pattern; filled from
+    /// the memo by every later one. A memo that does not fit `a` — a
+    /// pattern without a full diagonal, or a split whose slots `a`
+    /// contradicts — is left alone and `T` is built as if there were none,
+    /// which is counted.
     fn operand_for<T: Scalar>(
         &self,
         a: &CsrMatrix<T>,
@@ -285,25 +286,28 @@ impl DerivedPlan {
     ) -> (CsrMatrix<T>, Option<Arc<CompiledSpmv>>) {
         let mut first = None;
         let memo = self.operand.get_or_init(|| {
-            let split = JacobiSplit::of(a);
-            if !split.has_full_diagonal() {
-                return None;
-            }
-            telemetry.counter_add(Counter::DerivedPlansBuilt, 1);
-            let t = fill_own_split(&split, a, std::mem::take(&mut values), diag, inv_diag);
-            let plan = CompiledSpmv::compile(&t, &self.hints).ok().map(Arc::new);
+            let (split, t) = JacobiSplit::build(a, std::mem::take(&mut values), diag, inv_diag);
+            let memo = split.has_full_diagonal().then(|| {
+                telemetry.counter_add(Counter::DerivedPlansBuilt, 1);
+                let plan = CompiledSpmv::compile(&t, &self.hints).ok().map(Arc::new);
+                DerivedOperand { split, plan }
+            });
             first = Some(t);
-            Some(DerivedOperand { split, plan })
+            memo
         });
-        if let (Some(t), Some(memo)) = (first, memo) {
-            return (t, memo.plan.clone());
-        }
-        let values = match memo {
-            Some(memo) => match memo.split.fill(a, values, diag, inv_diag) {
+        let values = match (first, memo) {
+            (Some(t), Some(memo)) => return (t, memo.plan.clone()),
+            // The first caller on a pattern with a hole built `T` as the
+            // memo-less route does.
+            (Some(t), None) => {
+                telemetry.counter_add(Counter::DerivedSplitRebuilds, 1);
+                return (t, None);
+            }
+            (None, Some(memo)) => match memo.split.fill(a, values, diag, inv_diag) {
                 Ok(t) => return (t, memo.plan.clone()),
                 Err(values) => values,
             },
-            None => values,
+            (None, None) => values,
         };
         telemetry.counter_add(Counter::DerivedSplitRebuilds, 1);
         (uncached_operand(a, values, diag, inv_diag), None)
@@ -343,26 +347,15 @@ impl DerivedPlan {
     }
 }
 
-/// `T` for `a` with no memo to consult: split and fill, one after the other.
+/// `T` for `a` with no memo to consult: split and filled in one sweep, the
+/// split dropped.
 fn uncached_operand<T: Scalar>(
     a: &CsrMatrix<T>,
     values: Vec<T>,
     diag: &mut [T],
     inv_diag: &mut [T],
 ) -> CsrMatrix<T> {
-    fill_own_split(&JacobiSplit::of(a), a, values, diag, inv_diag)
-}
-
-fn fill_own_split<T: Scalar>(
-    split: &JacobiSplit,
-    a: &CsrMatrix<T>,
-    values: Vec<T>,
-    diag: &mut [T],
-    inv_diag: &mut [T],
-) -> CsrMatrix<T> {
-    split
-        .fill(a, values, diag, inv_diag)
-        .expect("a split fits the matrix it was built from")
+    JacobiSplit::build(a, values, diag, inv_diag).1
 }
 
 /// Executor for the primitive operations of the iterative solvers.

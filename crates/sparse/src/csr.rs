@@ -601,9 +601,10 @@ impl<T: Scalar> CsrMatrix<T> {
     /// `T = D⁻¹(L + U)` (Algorithm 1's Initialize lines;
     /// [`Self::split_jacobi`] reads the diagonal in the same sweep).
     ///
-    /// A [`JacobiSplit`] built and filled on the spot: the result shares
-    /// nothing with `self`. Callers that see one pattern many times keep
-    /// the split and call [`JacobiSplit::fill`] instead.
+    /// A [`JacobiSplit`] built and filled on the spot, in one sweep: the
+    /// result shares nothing with `self`. Callers that see one pattern many
+    /// times keep the split ([`JacobiSplit::build`]) and call
+    /// [`JacobiSplit::fill`] instead.
     ///
     /// # Errors
     ///
@@ -611,9 +612,7 @@ impl<T: Scalar> CsrMatrix<T> {
     /// `row_scale.len() != nrows`.
     pub fn off_diagonal_scaled(&self, row_scale: &[T]) -> Result<CsrMatrix<T>, SparseError> {
         self.check_row_vector(row_scale.len(), "row scale length")?;
-        Ok(JacobiSplit::of(self)
-            .fill_with(self, Vec::new(), |i, _| row_scale[i])
-            .expect("a split fits the matrix it was built from"))
+        Ok(JacobiSplit::build_with(self, Vec::new(), |i, _| row_scale[i]).1)
     }
 
     /// Jacobi's set-up in one call: writes `diag[i] = a_ii` (zero where
@@ -635,9 +634,7 @@ impl<T: Scalar> CsrMatrix<T> {
     ) -> Result<CsrMatrix<T>, SparseError> {
         self.check_row_vector(diag.len(), "diagonal length")?;
         self.check_row_vector(inv_diag.len(), "inverse diagonal length")?;
-        Ok(JacobiSplit::of(self)
-            .fill(self, Vec::new(), diag, inv_diag)
-            .expect("a split fits the matrix it was built from"))
+        Ok(JacobiSplit::build(self, Vec::new(), diag, inv_diag).1)
     }
 
     fn check_row_vector(&self, found: usize, what: &'static str) -> Result<(), SparseError> {
@@ -650,27 +647,6 @@ impl<T: Scalar> CsrMatrix<T> {
                 what,
             })
         }
-    }
-
-    /// Extracts rows `range` as a new matrix with the same column count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range.end > nrows`.
-    pub fn row_slice(&self, range: std::ops::Range<usize>) -> CsrMatrix<T> {
-        assert!(range.end <= self.nrows(), "row range out of bounds");
-        let (lo, hi) = (self.row_ptr()[range.start], self.row_ptr()[range.end]);
-        let row_ptr: Vec<usize> = self.row_ptr()[range.start..=range.end]
-            .iter()
-            .map(|&p| p - lo)
-            .collect();
-        Self::from_raw_parts_unchecked(
-            range.end - range.start,
-            self.ncols(),
-            row_ptr,
-            self.col_idx()[lo..hi].to_vec(),
-            self.values[lo..hi].to_vec(),
-        )
     }
 }
 
@@ -692,15 +668,58 @@ fn copy_without<U: Copy>(out: &mut [U], row: &[U], below: usize, f: impl Fn(U) -
     }
 }
 
+/// How many of the `len` columns from `cols[lo]` lie left of column `i`,
+/// counted over a window of `W` (masked past `len`); `None` where the
+/// window runs off the array.
+#[inline(always)]
+fn below_in<const W: usize>(cols: &[usize], lo: usize, len: usize, i: usize) -> Option<usize> {
+    let window: &[usize; W] = cols.get(lo..lo + W)?.try_into().ok()?;
+    Some(
+        window
+            .iter()
+            .enumerate()
+            .map(|(j, &c)| usize::from((j < len) & (c < i)))
+            .sum(),
+    )
+}
+
+/// Writes `W` slots of `to` from the row at the head of `from` (columns,
+/// values), stepping over the entry at `gap` and scaling values by `s`;
+/// slots past the row's own length hold what the rows after it rewrite.
+/// `false` (nothing written) where a window runs off an array.
+#[inline(always)]
+fn copy_in<T: Scalar, const W: usize>(
+    from: (&[usize], &[T]),
+    gap: usize,
+    s: T,
+    to: (&mut [usize], &mut [T]),
+) -> bool {
+    let (Some(c_from), Some(v_from), Some(c_to), Some(v_to)) = (
+        from.0.get(..W + 1),
+        from.1.get(..W + 1),
+        to.0.get_mut(..W),
+        to.1.get_mut(..W),
+    ) else {
+        return false;
+    };
+    for (j, (c, v)) in c_to.iter_mut().zip(v_to).enumerate() {
+        let k = j + usize::from(j >= gap);
+        *c = c_from[k];
+        *v = v_from[k] * s;
+    }
+    true
+}
+
 /// The pattern-only half of Jacobi's set-up (Algorithm 1's Initialize
 /// lines): the pattern of `T = D⁻¹(L + U)` — the source pattern minus each
 /// row's diagonal entry — and where in its row each diagonal entry sits.
 ///
 /// Both are pure functions of the source *pattern*, so one split serves
-/// every matrix of that pattern, in any scalar type: [`Self::of`] finds
-/// the slots and builds the index arrays once, and each later
-/// [`Self::fill`] only reads values through the remembered slots and
-/// writes values, wrapping them with the shared [`CsrPattern`].
+/// every matrix of that pattern, in any scalar type. [`Self::build`] finds
+/// the slots, builds the index arrays and fills the first matrix's `T` in
+/// one sweep, and each later [`Self::fill`] only reads values through the
+/// remembered slots and writes values, wrapping them with the shared
+/// [`CsrPattern`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JacobiSplit {
     pattern: CsrPattern,
@@ -711,47 +730,118 @@ pub struct JacobiSplit {
 }
 
 impl JacobiSplit {
-    /// Splits `a`'s pattern. One sweep with no search and no sort: a row's
-    /// columns left of `i` count the diagonal's slot (rows are sorted), and
-    /// dropping one column from a sorted row leaves it sorted.
+    /// Splits `a`'s pattern and fills `T` from `a` in the same sweep:
+    /// the split, and what [`Self::fill`] would then return for `a` (the
+    /// same diagonal, inverse and values, bit for bit), over the split's
+    /// pattern. `values` is resized to fit; what it held is overwritten.
+    ///
+    /// One sweep with no search and no sort: a row's columns left of `i`
+    /// count the diagonal's slot (rows are sorted), and dropping one
+    /// column from a sorted row leaves it sorted.
     ///
     /// # Panics
     ///
-    /// Panics if a row stores 2³² − 1 or more entries left of its
-    /// diagonal.
-    pub fn of<T: Scalar>(a: &CsrMatrix<T>) -> Self {
+    /// Panics if `diag` or `inv_diag` is not `a.nrows()` long, or if a row
+    /// stores 2³² − 1 or more entries left of its diagonal.
+    pub fn build<T: Scalar>(
+        a: &CsrMatrix<T>,
+        values: Vec<T>,
+        diag: &mut [T],
+        inv_diag: &mut [T],
+    ) -> (Self, CsrMatrix<T>) {
+        assert_eq!(diag.len(), a.nrows(), "diagonal length");
+        assert_eq!(inv_diag.len(), a.nrows(), "inverse diagonal length");
+        Self::build_with(a, values, |i, d| {
+            diag[i] = d.unwrap_or(T::ZERO);
+            inv_diag[i] = T::ONE / diag[i];
+            inv_diag[i]
+        })
+    }
+
+    /// The sweep behind [`Self::build`]: `scale_of(i, a_ii)` sees row
+    /// `i`'s stored diagonal entry, if any, and returns the row's
+    /// multiplier, as in [`Self::fill_with`].
+    fn build_with<T: Scalar>(
+        a: &CsrMatrix<T>,
+        mut values: Vec<T>,
+        mut scale_of: impl FnMut(usize, Option<T>) -> T,
+    ) -> (Self, CsrMatrix<T>) {
         let mut row_ptr = Vec::with_capacity(a.nrows() + 1);
         // Exact when every diagonal entry is stored — the patterns that
-        // are kept; a structurally missing one grows it.
-        let mut col_idx = vec![0usize; a.nnz() - a.nrows().min(a.ncols()).min(a.nnz())];
+        // are kept; a structurally missing one grows both.
+        let exact = a.nnz() - a.nrows().min(a.ncols()).min(a.nnz());
+        let mut col_idx = vec![0usize; exact];
+        values.resize(exact, T::ZERO);
         let mut diag_slot = Vec::with_capacity(a.nrows());
         let mut kept = 0usize;
         row_ptr.push(0);
-        for (i, cols, _) in a.iter_rows() {
-            let below = cols.iter().filter(|&&c| c < i).count();
+        let (cols, vals) = (a.col_idx(), a.values());
+        for (i, src) in a.row_ptr().windows(2).enumerate() {
+            let (lo, hi) = (src[0], src[1]);
+            let len = hi - lo;
+            // A row of up to 32 entries is read, and below written, by a
+            // pass of fixed width (8, 16 or 32, as `fill_with` does up to
+            // 8): masked past the row's end when counting, and over slots
+            // the rows after it rewrite when copying. A ragged run of rows
+            // then mispredicts at most the width, not every loop exit.
+            let below = match len {
+                0..=8 => below_in::<8>(cols, lo, len, i),
+                9..=16 => below_in::<16>(cols, lo, len, i),
+                17..=32 => below_in::<32>(cols, lo, len, i),
+                _ => None,
+            }
+            .unwrap_or_else(|| cols[lo..hi].iter().filter(|&&c| c < i).count());
             // Where the copy steps over an entry: the diagonal's slot, or
             // nowhere.
-            let (t_len, gap) = if cols.get(below) == Some(&i) {
+            let (t_len, gap, diagonal) = if below < len && cols[lo + below] == i {
                 let slot = u32::try_from(below).ok().filter(|&s| s != NO_DIAGONAL);
                 diag_slot.push(slot.expect("diagonal offset fits u32"));
-                (cols.len() - 1, below)
+                (len - 1, below, Some(vals[lo + below]))
             } else {
                 diag_slot.push(NO_DIAGONAL);
-                (cols.len(), cols.len())
+                (len, len, None)
             };
             if kept + t_len > col_idx.len() {
                 col_idx.resize(a.nnz(), 0);
+                values.resize(a.nnz(), T::ZERO);
             }
-            copy_without(&mut col_idx[kept..kept + t_len], cols, gap, |c| c);
+            let s = scale_of(i, diagonal);
+            let from = (&cols[lo..], &vals[lo..]);
+            let to = (&mut col_idx[kept..], &mut values[kept..]);
+            let copied = match len {
+                0..=8 => copy_in::<T, 8>(from, gap, s, to),
+                9..=16 => copy_in::<T, 16>(from, gap, s, to),
+                17..=32 => copy_in::<T, 32>(from, gap, s, to),
+                _ => false,
+            };
+            // A long row, or one at the end of an array: the runs either
+            // side of the gap, each a plain copy.
+            if !copied {
+                let (to, after) = ([kept, kept + gap, kept + t_len], (gap + 1).min(len));
+                col_idx[to[0]..to[1]].copy_from_slice(&cols[lo..lo + gap]);
+                col_idx[to[1]..to[2]].copy_from_slice(&cols[lo + after..hi]);
+                let runs = [(to[0]..to[1], lo..lo + gap), (to[1]..to[2], lo + after..hi)];
+                for (to, from) in runs {
+                    for (v, &x) in values[to].iter_mut().zip(&vals[from]) {
+                        *v = x * s;
+                    }
+                }
+            }
             kept += t_len;
             row_ptr.push(kept);
         }
         col_idx.truncate(kept);
-        JacobiSplit {
+        values.truncate(kept);
+        let split = JacobiSplit {
             pattern: CsrPattern::from_raw_parts_unchecked(a.nrows(), a.ncols(), row_ptr, col_idx),
             diag_slot,
             source_nnz: a.nnz(),
-        }
+        };
+        let t = CsrMatrix {
+            pattern: split.pattern.clone(),
+            values,
+        };
+        (split, t)
     }
 
     /// The pattern of `T`.
@@ -804,7 +894,7 @@ impl JacobiSplit {
         })
     }
 
-    /// The sweep behind [`Self::fill`]: `scale_of(i, a_ii)` sees row `i`'s
+    /// The refill behind [`Self::fill`]: `scale_of(i, a_ii)` sees row `i`'s
     /// stored diagonal entry, if any, and returns the row's multiplier.
     fn fill_with<T: Scalar>(
         &self,
@@ -1039,17 +1129,6 @@ mod tests {
     }
 
     #[test]
-    fn row_slice_extracts_subrange() {
-        let a = tri3();
-        let s = a.row_slice(1..3);
-        assert_eq!(s.nrows(), 2);
-        assert_eq!(s.ncols(), 3);
-        assert_eq!(s.get(0, 0), -1.0); // old row 1
-        assert_eq!(s.get(1, 2), 2.0); // old row 2
-        assert_eq!(s.nnz(), 5);
-    }
-
-    #[test]
     fn cast_between_precisions() {
         let a = tri3();
         let f: CsrMatrix<f32> = a.cast();
@@ -1097,7 +1176,6 @@ mod tests {
         let t = a.transpose();
         assert_eq!(t, a);
         assert!(!shares_pattern(&a, &t));
-        assert!(!shares_pattern(&a, &a.row_slice(0..3)));
         let (l, _, u) = a.split_ldu();
         assert!(!shares_pattern(&l, &u) && !shares_pattern(&a, &l));
         let mut coo = crate::CooMatrix::with_capacity(3, 3, 7);
@@ -1121,6 +1199,129 @@ mod tests {
         );
     }
 
+    /// `a`'s split alone, from the fused sweep.
+    fn split_of(a: &CsrMatrix<f64>) -> JacobiSplit {
+        let n = a.nrows();
+        JacobiSplit::build(a, Vec::new(), &mut vec![0.0; n], &mut vec![0.0; n]).0
+    }
+
+    /// The pattern-only sweep the fused build replaced, kept as its
+    /// reference: the split, built before any matrix is filled from it.
+    fn pattern_only_split<T: Scalar>(a: &CsrMatrix<T>) -> JacobiSplit {
+        let mut row_ptr = Vec::with_capacity(a.nrows() + 1);
+        let mut col_idx = vec![0usize; a.nnz() - a.nrows().min(a.ncols()).min(a.nnz())];
+        let mut diag_slot = Vec::with_capacity(a.nrows());
+        let mut kept = 0usize;
+        row_ptr.push(0);
+        for (i, cols, _) in a.iter_rows() {
+            let below = cols.iter().filter(|&&c| c < i).count();
+            let (t_len, gap) = if cols.get(below) == Some(&i) {
+                diag_slot.push(u32::try_from(below).unwrap());
+                (cols.len() - 1, below)
+            } else {
+                diag_slot.push(NO_DIAGONAL);
+                (cols.len(), cols.len())
+            };
+            if kept + t_len > col_idx.len() {
+                col_idx.resize(a.nnz(), 0);
+            }
+            copy_without(&mut col_idx[kept..kept + t_len], cols, gap, |c| c);
+            kept += t_len;
+            row_ptr.push(kept);
+        }
+        col_idx.truncate(kept);
+        JacobiSplit {
+            pattern: CsrPattern::from_raw_parts_unchecked(a.nrows(), a.ncols(), row_ptr, col_idx),
+            diag_slot,
+            source_nnz: a.nnz(),
+        }
+    }
+
+    /// `a` with the diagonal entry of rows 1, 4, 7, ... left out.
+    fn without_every_third_diagonal(a: &CsrMatrix<f64>) -> CsrMatrix<f64> {
+        let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+        for (i, cols, vals) in a.iter_rows() {
+            for (&c, &v) in cols.iter().zip(vals) {
+                if c != i || i % 3 != 1 {
+                    col_idx.push(c);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix::try_from_parts(a.nrows(), a.ncols(), row_ptr, col_idx, values).unwrap()
+    }
+
+    #[test]
+    fn the_fused_build_is_the_pattern_only_split_then_a_fill_bitwise() {
+        use crate::generate::{self, RowDistribution::Uniform};
+        fn check<T: Scalar>(a: &CsrMatrix<T>, what: &str) {
+            let n = a.nrows();
+            let bits = |v: &[T]| -> Vec<u64> { v.iter().map(|x| x.to_f64().to_bits()).collect() };
+            let reference = pattern_only_split(a);
+            let (mut d_ref, mut inv_ref) = (vec![T::ZERO; n], vec![T::ZERO; n]);
+            let t_ref = reference
+                .fill(a, Vec::new(), &mut d_ref, &mut inv_ref)
+                .unwrap();
+            // Stale contents and a recycled buffer of the wrong length.
+            let (mut d, mut inv) = (vec![T::ONE; n], vec![T::ONE; n]);
+            let stale = vec![T::from_f64(7.0); a.nnz() / 2 + 3];
+            let (split, t) = JacobiSplit::build(a, stale, &mut d, &mut inv);
+            assert!(split == reference, "{what}: split");
+            assert_eq!(t.pattern(), t_ref.pattern(), "{what}: pattern of T");
+            assert_eq!(bits(t.values()), bits(t_ref.values()), "{what}: T");
+            assert_eq!(bits(&d), bits(&d_ref), "{what}: diagonal");
+            assert_eq!(bits(&inv), bits(&inv_ref), "{what}: inverse");
+            assert!(Arc::ptr_eq(&t.pattern.row_ptr, &split.pattern.row_ptr));
+            // The built split refills its own pattern as the reference does.
+            let other = a.map_values(|v| v * T::from_f64(0.75) - T::from_f64(0.125));
+            let again = split
+                .fill(&other, t.into_values(), &mut d, &mut inv)
+                .unwrap();
+            let want = reference
+                .fill(&other, Vec::new(), &mut d_ref, &mut inv_ref)
+                .unwrap();
+            assert_eq!(bits(again.values()), bits(want.values()), "{what}: refill");
+        }
+        let mut pool = Vec::new();
+        for seed in 0..3 {
+            // The cold pool's three classes, at their sizes, then a
+            // pattern with no stored diagonal.
+            pool.push(generate::diagonally_dominant::<f64>(
+                4000,
+                Uniform { min: 2, max: 6 },
+                1.5,
+                seed,
+            ));
+            pool.push(generate::spd_from_pattern::<f64>(
+                3000,
+                Uniform { min: 2, max: 8 },
+                0.3,
+                seed,
+            ));
+            pool.push(generate::diagonally_dominant::<f64>(
+                2000,
+                Uniform { min: 1, max: 40 },
+                1.5,
+                seed,
+            ));
+            let full = generate::random_pattern::<f64>(500, Uniform { min: 0, max: 9 }, seed);
+            pool.push(without_every_third_diagonal(&full));
+        }
+        pool.push(tri3());
+        let holes = pool
+            .iter()
+            .filter(|a| !pattern_only_split(*a).has_full_diagonal());
+        assert!(
+            holes.count() >= 3,
+            "patterns without a diagonal are covered"
+        );
+        for (k, a) in pool.iter().enumerate() {
+            check(a, &format!("matrix {k}"));
+            check(&a.cast::<f32>(), &format!("matrix {k}, f32"));
+        }
+    }
+
     #[test]
     fn a_split_fills_its_own_pattern_and_hands_back_the_buffer_on_any_other() {
         // Diagonal first, middle, last, only; then a row without one.
@@ -1132,7 +1333,7 @@ mod tests {
             vec![2.0_f64, 1.0, 3.0, 4.0, 5.0, 6.0, 8.0, -1.0, 7.0, 9.0],
         )
         .unwrap();
-        let split = JacobiSplit::of(&p);
+        let split = split_of(&p);
         assert!(!split.has_full_diagonal());
         assert_eq!(split.pattern().row_ptr(), &[0, 1, 3, 4, 4, 6]);
         assert_eq!(split.pattern().col_idx(), &[3, 0, 4, 1, 0, 2]);
@@ -1159,7 +1360,7 @@ mod tests {
         let holed =
             CsrMatrix::try_from_parts(3, 3, vec![0, 1, 3, 4], vec![0, 0, 2, 2], vec![1.0; 4])
                 .unwrap();
-        let split_holed = JacobiSplit::of(&holed);
+        let split_holed = split_of(&holed);
         assert_eq!(split_holed.pattern().row_ptr(), &[0, 0, 2, 2]);
         assert_eq!(split_holed.pattern().col_idx(), &[0, 2]);
 

@@ -2,8 +2,9 @@
 //!
 //! The paper's resource-underutilization analysis (Section III-B, Eq. 5)
 //! is driven entirely by the distribution of non-zeros per row; this module
-//! computes that distribution and the per-set averages used by the Row
-//! Length Trace unit (Eq. 7–8).
+//! computes that distribution. (The Row Length Trace unit's per-set
+//! averages, Eq. 7–8, are differences of CSR offsets and live with the
+//! unit.)
 
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
@@ -105,30 +106,6 @@ impl RowNnzStats {
     }
 }
 
-/// Splits `nrows` rows into `sampling_rate` contiguous sets and returns the
-/// average NNZ/row of each set (paper Eq. 7–9).
-///
-/// `Set Size = ceil(nrows / sampling_rate)`; the final set may be shorter.
-/// A `sampling_rate` of zero is treated as one. Returns one entry per
-/// *actual* set (at most `sampling_rate`).
-pub fn per_set_average_nnz<T: Scalar>(a: &CsrMatrix<T>, sampling_rate: usize) -> Vec<f64> {
-    let rate = sampling_rate.max(1);
-    let nrows = a.nrows();
-    if nrows == 0 {
-        return Vec::new();
-    }
-    let set_size = nrows.div_ceil(rate);
-    let mut out = Vec::with_capacity(rate.min(nrows));
-    let mut start = 0usize;
-    while start < nrows {
-        let end = (start + set_size).min(nrows);
-        let nnz: usize = (start..end).map(|i| a.row_nnz(i)).sum();
-        out.push(nnz as f64 / (end - start) as f64);
-        start = end;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,28 +160,5 @@ mod tests {
         let s = RowNnzStats::of_counts(&[]);
         assert_eq!(s.rows, 0);
         assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn per_set_averages_follow_eq7() {
-        let a = matrix_with_row_counts(&[2, 4, 6, 8]);
-        // sampling rate 2 -> set size 2 -> averages [3, 7]
-        assert_eq!(per_set_average_nnz(&a, 2), vec![3.0, 7.0]);
-        // sampling rate 4 -> per-row
-        assert_eq!(per_set_average_nnz(&a, 4), vec![2.0, 4.0, 6.0, 8.0]);
-        // sampling rate 1 -> whole matrix
-        assert_eq!(per_set_average_nnz(&a, 1), vec![5.0]);
-    }
-
-    #[test]
-    fn per_set_handles_non_dividing_rates() {
-        let a = matrix_with_row_counts(&[2, 4, 6, 8, 10]);
-        // 5 rows, rate 2 -> set size 3 -> sets of 3 and 2 rows
-        let sets = per_set_average_nnz(&a, 2);
-        assert_eq!(sets, vec![4.0, 9.0]);
-        // rate larger than rows -> one set per row
-        assert_eq!(per_set_average_nnz(&a, 100).len(), 5);
-        // rate zero treated as one
-        assert_eq!(per_set_average_nnz(&a, 0), vec![6.0]);
     }
 }

@@ -4,18 +4,21 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Counts the calling thread's heap allocations, so the libtest harness
-/// and any other test thread stay out of the measurement.
+/// Counts the calling thread's heap allocations and the bytes they ask
+/// for, so the libtest harness and any other test thread stay out of the
+/// measurement.
 struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -23,7 +26,7 @@ fn count_one() {
 // with no destructor and no allocation of its own.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -34,7 +37,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr` came from `System`; layout and size are the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -45,4 +48,11 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 pub fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes the calling thread has asked for: each allocation's size and each
+/// reallocation's new size, whatever was freed since.
+#[allow(dead_code)] // not every including test binary counts bytes
+pub fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }

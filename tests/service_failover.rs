@@ -71,7 +71,7 @@ fn sixty_four_job_service_chaos_batch_loses_nothing_and_accounts_every_fault() {
             .with_retry_budget(2)
             .with_restart_backoff(Duration::ZERO),
         service_seam_plan(0xACA3),
-        None,
+        None::<Arc<RingRecorder>>,
     );
     let systems = systems();
     let tickets: Vec<_> = (0..64)
@@ -270,7 +270,7 @@ fn drop_under_seam_chaos_resolves_every_ticket() {
                 .with_retry_budget(1)
                 .with_restart_backoff(Duration::ZERO),
             service_seam_plan(seed),
-            None,
+            None::<Arc<RingRecorder>>,
         );
         service.pause();
         let systems = systems();

@@ -13,16 +13,23 @@
 //! - under the service seam injector, every ticket resolves, the
 //!   zero-loss ledger balances, and a job stranded on the stealing
 //!   dispatcher goes back to its owner's queue.
+//!
+//! The loaded dispatcher does not race its peer: a recorder holds it at
+//! the end of the long solve until the peer has stolen from its queue (see
+//! [`HoldLong`]), whatever the solve's length on the host.
 
 use acamar::core::{Acamar, AcamarConfig};
 use acamar::engine::{Engine, PatternFingerprint};
 use acamar::fabric::FabricSpec;
 use acamar::faultline::{FaultCategory, FaultPlan};
-use acamar::service::{shard_for, Service, ServiceConfig, ServiceError, ServiceRequest, Ticket};
+use acamar::service::{
+    shard_for, RingBacked, Service, ServiceConfig, ServiceError, ServiceRequest, Ticket,
+};
 use acamar::sparse::{generate, CsrMatrix};
-use acamar::telemetry::{Counter, EventKind, RingRecorder};
+use acamar::telemetry::{Counter, EventKind, Recorder, RingRecorder};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 const SHARDS: usize = 2;
@@ -43,6 +50,97 @@ fn config() -> ServiceConfig {
 /// nonzeros, against a few dozen over a few hundred for each short one.
 fn long_system() -> Arc<CsrMatrix<f64>> {
     Arc::new(generate::poisson2d::<f64>(96, 96))
+}
+
+/// A ring that holds the dispatcher running the long job inside it until
+/// the other dispatcher has stolen from the long job's queue.
+///
+/// The long job is the service's first admission (sequence 0). The thread
+/// that dispatches it is held when it records the job's `JobEnd` — in the
+/// engine, before the dispatcher fulfills the ticket — until another
+/// thread has dispatched two jobs. An idle dispatcher serves one job per
+/// wave, so by its second dispatch it has fulfilled a stolen job: that job
+/// overtook the long one whatever either solve costs. The hold is bounded:
+/// if the peer never steals, the held dispatcher goes on after
+/// [`HOLD_BOUND`] and the test fails on [`HoldLong::held_to_the_bound`]
+/// instead of hanging.
+struct HoldLong {
+    ring: RingRecorder,
+    state: Mutex<HoldState>,
+    dispatched: Condvar,
+}
+
+#[derive(Default)]
+struct HoldState {
+    /// The thread that dispatched the long job, once it has.
+    holder: Option<ThreadId>,
+    /// The thread of every other `JobDispatched`.
+    others: Vec<ThreadId>,
+    held: bool,
+    timed_out: bool,
+}
+
+impl HoldState {
+    fn stolen(&self) -> usize {
+        self.others
+            .iter()
+            .filter(|&&t| Some(t) != self.holder)
+            .count()
+    }
+}
+
+/// The long job's admission sequence number.
+const LONG_SEQ: u64 = 0;
+
+/// Longest the long job is held: far past any wake-up and steal.
+const HOLD_BOUND: Duration = Duration::from_secs(60);
+
+impl HoldLong {
+    fn new() -> Arc<HoldLong> {
+        Arc::new(HoldLong {
+            ring: RingRecorder::new(1 << 16),
+            state: Mutex::new(HoldState::default()),
+            dispatched: Condvar::new(),
+        })
+    }
+
+    fn held_to_the_bound(&self) -> bool {
+        self.state.lock().unwrap().timed_out
+    }
+}
+
+impl Recorder for HoldLong {
+    fn record(&self, job: u64, kind: EventKind) {
+        self.ring.record(job, kind);
+        let me = std::thread::current().id();
+        let mut state = self.state.lock().unwrap();
+        match kind {
+            EventKind::JobDispatched { .. } if job == LONG_SEQ => state.holder = Some(me),
+            EventKind::JobDispatched { .. } => {
+                state.others.push(me);
+                self.dispatched.notify_all();
+            }
+            EventKind::JobEnd { .. } if state.holder == Some(me) && !state.held => {
+                state.held = true;
+                let (mut state, waited) = self
+                    .dispatched
+                    .wait_timeout_while(state, HOLD_BOUND, |s| s.stolen() < 2)
+                    .unwrap();
+                state.timed_out = waited.timed_out();
+            }
+            _ => {}
+        }
+    }
+
+    fn counter_add(&self, counter: Counter, n: u64) {
+        self.ring.counter_add(counter, n);
+    }
+}
+
+impl RingBacked for HoldLong {
+    fn ring(&self) -> &RingRecorder {
+        &self.ring
+    }
 }
 
 /// `count` small, structurally distinct systems whose patterns route to
@@ -100,6 +198,11 @@ fn load_one_shard(
     let long_ticket = service
         .submit(ServiceRequest::new(Arc::clone(long), rhs(long, 0)))
         .expect("under capacity");
+    assert_eq!(
+        long_ticket.seq(),
+        LONG_SEQ,
+        "the long job is admitted first"
+    );
     until_popped(service, home);
     let queued = (0..2 * shorts.len())
         .map(|k| {
@@ -117,8 +220,9 @@ fn load_one_shard(
 
 #[test]
 fn an_idle_dispatcher_serves_a_busy_peers_queue_on_the_peers_engine() {
-    let ring = Arc::new(RingRecorder::new(1 << 16));
-    let service = Service::<f64>::with_recorder(acamar(), config(), Arc::clone(&ring));
+    let hold = HoldLong::new();
+    let service = Service::<f64>::with_recorder(acamar(), config(), Arc::clone(&hold));
+    let ring = &hold.ring;
     let long = long_system();
     let home = service.route(&long);
     let peer = 1 - home;
@@ -137,6 +241,7 @@ fn an_idle_dispatcher_serves_a_busy_peers_queue_on_the_peers_engine() {
         assert_eq!(served.final_solver(), reference.final_solver());
     }
     let (long_result, long_index) = long_ticket.wait_with_index();
+    assert!(!hold.held_to_the_bound(), "the idle dispatcher never stole");
     let long_report = long_result.expect("long system solves");
     assert!(long_report.converged());
     let reference = fresh.solve_one(&long, &rhs(&long, 0)).expect("solves");
@@ -247,15 +352,16 @@ fn stealing_under_service_seam_chaos_loses_nothing() {
             quiet && plan.roll(FaultCategory::DispatcherPanic, 1, 0)
         })
         .expect("some seed fits");
-    let ring = Arc::new(RingRecorder::new(1 << 16));
+    let hold = HoldLong::new();
     let service = Service::<f64>::with_fault_plan(
         acamar(),
         config()
             .with_retry_budget(2)
             .with_restart_backoff(Duration::ZERO),
         service_seam_plan(seed),
-        Some(Arc::clone(&ring)),
+        Some(Arc::clone(&hold)),
     );
+    let ring = &hold.ring;
     let (long_ticket, queued) = load_one_shard(&service, &long, &shorts);
     let mut queue_of: HashMap<u64, usize> = HashMap::new();
     queue_of.insert(long_ticket.seq(), long_ticket.shard());
@@ -280,6 +386,7 @@ fn stealing_under_service_seam_chaos_loses_nothing() {
         }
     }
     assert_eq!(solved + exhausted, jobs, "every ticket resolves");
+    assert!(!hold.held_to_the_bound(), "the idle dispatcher never stole");
 
     let ledger = service.service_ledger();
     assert!(ledger.injected_total() > 0, "seams must fire");
